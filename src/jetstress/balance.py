@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .bundles import JetSectionField
-from .fields import SmoothField, TensorField
+from .fields import TensorField
 from .geometry import (
     Body,
     FacePatch,
@@ -22,8 +22,8 @@ from .geometry import (
     QuadratureRule,
     boundary_faces,
     face_boundary_pieces,
+    face_label,
     integrate,
-    integrate_form_value_piece,
     integrate_over_face,
 )
 from .nonholonomic import (
@@ -35,6 +35,8 @@ from .nonholonomic import (
 )
 from .reports import CheckRecord
 from .stress import (
+    divergence,
+    pairing_volume_form,
     section_pairing_form,
     surface_force,
     traction_action,
@@ -46,7 +48,6 @@ from .surface import (
     surface_divergence,
     tangent_traction,
 )
-from .taylor import TruncatedSeries
 
 __all__ = [
     "BalanceReport",
@@ -96,7 +97,8 @@ class BalanceReport:
         return CheckRecord(check_id, terms, self.relative_residual, self.tolerance)
 
 
-def _volume_integral(form, body: Body, rule: QuadratureRule) -> float:
+def _volume_integral(form: FormField, body: Body, rule: QuadratureRule) -> float:
+    """Integrate a chart volume form over the body, pulled back through its patch."""
     if body.patch is not None:
         form = form.pullback(body.patch)
     return integrate(form, body.box, rule)
@@ -130,29 +132,7 @@ def first_integration_by_parts(
 
 def div_div(stress: NonHolonomicStress) -> TensorField:
     """Twice-iterated divergence: a body-force-like pairing with velocity values."""
-    n, d = stress.dim, stress.fiber_dim
-    x0 = stress.x0.field
-    x1 = stress.x1.field
-    x2 = stress.x2.field
-    x3 = stress.x3.field
-
-    def evaluator(point, order):
-        x3_series = x3.series_at(point, order + 2)
-        x1_series = x1.series_at(point, order + 1)
-        x2_series = x2.series_at(point, order + 1)
-        x0_series = x0.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            total = TruncatedSeries.zero(n, order)
-            for i in range(n):
-                for j in range(n):
-                    total = total + x3_series[(alpha * n + i) * n + j].partial(j).partial(i)
-                total = total - x1_series[alpha * n + i].partial(i)
-                total = total - x2_series[alpha * n + i].partial(i)
-            out.append(total + x0_series[alpha])
-        return out
-
-    return TensorField(SmoothField(n, d, evaluator), (d,))
+    return divergence(nh_divergence(stress))
 
 
 def boundary_div_traction(
@@ -177,10 +157,7 @@ def _face_transversal(
 
 def _edge_key(face: FacePatch, piece_boxface, face_axes: List[int]) -> Tuple[str, str]:
     other_axis = face_axes[piece_boxface.axis]
-    other_side = piece_boxface.side
-    from .geometry import face_label
-
-    return tuple(sorted([face.label, face_label(other_axis, other_side)]))
+    return tuple(sorted([face.label, face_label(other_axis, piece_boxface.side)]))
 
 
 def edge_assembly(
@@ -206,7 +183,7 @@ def edge_assembly(
         tau_u = traction_action(tau, u_face)
         face_axes = [a for a in range(n) if a != face.boxface.axis]
         for piece_boxface, piece in face_boundary_pieces(face):
-            value = face.sign * integrate_form_value_piece(tau_u, piece, rule)
+            value = face.sign * integrate_over_face(tau_u, piece, rule)
             key = "|".join(_edge_key(face, piece_boxface, face_axes))
             edge_terms[key] = edge_terms.get(key, 0.0) + value
         div_form = surface_divergence(surface_stress, face, transversal, velocity)
@@ -241,9 +218,7 @@ def verify_balance_order2(
         integrate_over_face(sigma_div_u, f, rule) for f in boundary_faces(body)
     )
 
-    dd = div_div(stress)
-    dd_form = _pairing_volume(dd, velocity)
-    dd_term = _volume_integral(dd_form, body, rule)
+    dd_term = _volume_integral(pairing_volume_form(div_div(stress), velocity), body, rule)
 
     rhs = sum(edge_terms.values()) - sum(face_terms.values()) - boundary_div + dd_term
     residual = abs(lhs - rhs)
@@ -265,22 +240,6 @@ def verify_balance_order2(
         relative_residual=residual / scale,
         tolerance=tolerance,
     )
-
-
-def _pairing_volume(coefficients: TensorField, velocity: TensorField) -> FormField:
-    n = coefficients.dim
-    d = coefficients.shape[0]
-    vol_tuple = tuple(range(n))
-
-    def evaluator(point, order):
-        c = coefficients.field.series_at(point, order)
-        w = velocity.field.series_at(point, order)
-        total = TruncatedSeries.zero(n, order)
-        for alpha in range(d):
-            total = total + c[alpha] * w[alpha]
-        return [total]
-
-    return FormField(n, n, [vol_tuple], SmoothField(n, 1, evaluator))
 
 
 def closed_boundary_exact_term(

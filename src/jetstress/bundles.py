@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import JetValue, SmoothField, TensorField
+from .fields import JetValue, TensorField, jet_extension
 
 __all__ = [
     "BundleSpec",
@@ -121,38 +121,17 @@ class JetSectionField:
         """The compatible section induced by a velocity field (a1 = grad a0)."""
         if len(u.shape) != 1:
             raise ValueError("velocity field must have shape (d,)")
-        d, n = u.shape[0], u.dim
-        partials = [u.partial(i).field for i in range(n)]
-        # Row-major (d, n): component alpha*n + i is d(u^alpha)/dx^i.
-        comps = []
-        for alpha in range(d):
-            for i in range(n):
-                comps.append(partials[i].component(alpha))
-        return cls(u, TensorField(SmoothField.stack(comps), (d, n)))
+        return cls(u, u.gradient())
 
     def iterated_jet_at(self, point: Sequence[float]) -> IteratedJetValue:
         """First jet of this section: differentiates both blocks at the point."""
         n, d = self.dim, self.fiber_dim
-        jet0 = self.a0.field.series_at(point, 1)
-        jet1 = self.a1.field.series_at(point, 1)
-        b0 = np.array([s.value for s in jet0])
-        b2 = np.zeros((d, n))
-        for alpha, s in enumerate(jet0):
-            for i in range(n):
-                exps = [0] * n
-                exps[i] = 1
-                b2[alpha, i] = s.coefficient(tuple(exps))
-        b1 = np.zeros((d, n))
-        b3 = np.zeros((d, n, n))
-        for alpha in range(d):
-            for j in range(n):
-                s = jet1[alpha * n + j]
-                b1[alpha, j] = s.value
-                for i in range(n):
-                    exps = [0] * n
-                    exps[i] = 1
-                    b3[alpha, j, i] = s.coefficient(tuple(exps))
-        return IteratedJetValue(b0, b1, b2, b3)
+        jet0 = jet_extension(self.a0.field, point, 1)
+        jet1 = jet_extension(self.a1.field, point, 1)
+        return IteratedJetValue(
+            jet0.array(0), jet1.array(0).reshape(d, n), jet0.array(1),
+            jet1.array(1).reshape(d, n, n),
+        )
 
     def values_at(self, point: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
         return self.a0.at(point), self.a1.at(point)
@@ -204,25 +183,20 @@ def holonomy_class(
 
     Base compatibility tests a1 against the derivative of a0; the stronger
     classes additionally require the derivative slots of the induced iterated
-    jet to match (automatic here) and its b3 block to be symmetric.
+    jet to match and its b3 block to be symmetric.  For a first-jet section
+    b2 = d(a0) by construction, so the derivative-slot condition is base
+    compatibility again and BASE_COMPATIBLE is never returned.
     """
     base_residual = 0.0
-    semi_residual = 0.0
     sym_residual = 0.0
     for x in sample_points:
         it = section.iterated_jet_at(x)
         base_residual = max(base_residual, float(np.max(np.abs(it.b2 - it.b1))))
-        # b2 = d(a0) and b3 = d(a1) by construction; the semi-holonomic
-        # condition beyond base compatibility is b1 = b2 again, so the same
-        # residual feeds both rungs.
-        semi_residual = base_residual
         sym_residual = max(
             sym_residual, float(np.max(np.abs(it.b3 - np.transpose(it.b3, (0, 2, 1)))))
         )
     if base_residual > tol:
         return HolonomyClass.NONE
-    if semi_residual > tol:
-        return HolonomyClass.BASE_COMPATIBLE  # pragma: no cover - unreachable for j1 sections
     if sym_residual > tol:
         return HolonomyClass.SEMI_HOLONOMIC
     return HolonomyClass.HOLONOMIC

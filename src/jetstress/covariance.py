@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import JetValue, SmoothField, TensorField, jet_extension
+from .fields import JetValue, TensorField, jet_extension, pair
 from .geometry import FormValue, TransitionMap, pullback_form_value, tuple_omitting
 from .nonholonomic import VariationalStress2
 from .stress import VariationalStress1
@@ -166,28 +166,12 @@ def transformed_velocity_field(velocity: TensorField, change: FrameChange) -> Te
     Composes the unprimed field with the inverse transition and applies the
     frame change; jets of the result are the oracle for the chain-rule path.
     """
-    n, d = change.dim, change.fiber_dim
     inverse = change.transition.inverse
-    frame = change.frame
-
-    def evaluator(primed_point, order):
-        inv_series = inverse.series_at(primed_point, order)
-        center = tuple(s.value for s in inv_series)
-        offsets = [s - s.value for s in inv_series]
-        u_series = [s.compose(offsets) for s in velocity.field.series_at(center, order)]
-        if frame is None:
-            return u_series
-        a_series = [s.compose(offsets) for s in frame.field.series_at(center, order)]
-        out = []
-        for beta in range(d):
-            total = None
-            for alpha in range(d):
-                term = a_series[beta * d + alpha] * u_series[alpha]
-                total = term if total is None else total + term
-            out.append(total)
-        return out
-
-    return TensorField(SmoothField(n, d, evaluator), (d,))
+    u = velocity.compose(inverse)
+    if change.frame is None:
+        return u
+    # Entry [alpha, beta] of the transposed frame multiplies u[alpha] into beta.
+    return pair([(change.frame.compose(inverse).signed(None, (1, 0)), u)])
 
 
 def _interior_volume_basis(n: int, axis: int) -> FormValue:

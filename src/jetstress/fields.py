@@ -1,16 +1,31 @@
-"""Smooth fields, jet values, and the jet-extraction/finite-difference pair.
+"""Smooth fields, a small tensor-field algebra, and the jet-extraction /
+finite-difference pair.
 
-A :class:`SmoothField` is a deterministic evaluator mapping (point, order)
-to one truncated Taylor series per component.  Fields built from monomial
-tables or expression strings differentiate exactly; every derived field
-(partials, compositions, algebraic combinations) keeps that exactness.
+A :class:`SmoothField` maps ``(point, order)`` to one truncated Taylor
+series per component.  Fields built from monomial tables (through
+:func:`monomial_map`, which scenario files use too) or expression strings
+differentiate exactly, and so does every field derived from them.
+
+A :class:`TensorField` lays a row-major tensor shape over those components.
+The stress identities are written in four operations on it:
+
+- ``gradient()``: every partial derivative, from one evaluation at order + 1;
+- ``divergence()``: the sum over j of the partial j of ``T[..., j]``;
+- ``signed(axis, perm)``: an optional axis permutation, then the factor
+  ``(-1)**index`` along one axis (contraction into the volume form);
+- :func:`pair`: the sum of ``C[idx + out] * A[idx]`` over (C, A) blocks; a
+  block (C, A, 1) pairs C with the gradient of A.
+
+Each operation builds its flat index table once, when it is constructed,
+and evaluates each input field once per (point, order).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,18 +36,67 @@ __all__ = [
     "SmoothField",
     "TensorField",
     "JetValue",
+    "pair",
+    "linear_field",
+    "monomial_map",
     "jet_extension",
     "finite_difference_jet",
 ]
 
 Point = Tuple[float, ...]
 Evaluator = Callable[[Point, int], List[TruncatedSeries]]
+# One term of a linear map: (source component, partial axis or None, factor or None).
+Term = Tuple[int, Optional[int], Optional[float]]
 
 
 def coordinate_series(point: Sequence[float], order: int) -> List[TruncatedSeries]:
     """Identity chart functions expanded about ``point``."""
     dim = len(point)
     return [TruncatedSeries.variable(dim, order, axis, float(point[axis])) for axis in range(dim)]
+
+
+def monomial_map(table: Sequence[Tuple[Sequence[int], float]]) -> Callable:
+    """Series-level evaluator of a monomial table ``[(exponents, coefficient), ...]``."""
+
+    def monomial_fn(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
+        dim = variables[0].dim
+        order = variables[0].order
+        total = TruncatedSeries.zero(dim, order)
+        for exps, coef in table:
+            term = TruncatedSeries.constant(dim, order, coef)
+            for axis, e in enumerate(exps):
+                if e:
+                    term = term * variables[axis] ** e
+            total = total + term
+        return total
+
+    return monomial_fn
+
+
+def linear_field(base: "SmoothField", shift: int, rows: Sequence[Sequence[Term]]) -> "SmoothField":
+    """Output component k sums the terms ``rows[k]`` of ``base`` at order + shift.
+
+    A term takes one source component, optionally its partial derivative
+    (which lowers the order by one; use it with ``shift=1``), optionally
+    times a factor.  An empty row is the zero series.
+    """
+    rows = [tuple(row) for row in rows]
+    dim = base.dim
+
+    def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
+        series = base.series_at(point, order + shift)
+        out = []
+        for row in rows:
+            total = None
+            for src, axis, factor in row:
+                term = series[src] if axis is None else series[src].partial(axis)
+                if factor is not None:
+                    term = term * factor
+                total = term if total is None else total + term
+            out.append(TruncatedSeries.zero(dim, order) if total is None else total)
+        return out
+
+    return SmoothField(dim, len(rows), evaluator)
 
 
 class SmoothField:
@@ -78,12 +142,7 @@ class SmoothField:
         """Componentwise partial derivative along coordinate ``axis``."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range")
-        base = self
-
-        def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            return [s.partial(axis) for s in base.series_at(point, order + 1)]
-
-        return SmoothField(self.dim, self.ncomp, evaluator)
+        return linear_field(self, 1, [[(c, axis, None)] for c in range(self.ncomp)])
 
     def compose(self, inner: "SmoothField") -> "SmoothField":
         """The composite field ``self(inner(.))``."""
@@ -104,12 +163,7 @@ class SmoothField:
         return SmoothField(inner.dim, self.ncomp, evaluator)
 
     def component(self, index: int) -> "SmoothField":
-        base = self
-
-        def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            return [base.series_at(point, order)[index]]
-
-        return SmoothField(self.dim, 1, evaluator)
+        return linear_field(self, 0, [[(index, None, None)]])
 
     def __add__(self, other: "SmoothField") -> "SmoothField":
         if self.dim != other.dim or self.ncomp != other.ncomp:
@@ -125,13 +179,8 @@ class SmoothField:
         return self + other.scale(-1.0)
 
     def scale(self, factor: float) -> "SmoothField":
-        base = self
         factor = float(factor)
-
-        def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            return [s * factor for s in base.series_at(point, order)]
-
-        return SmoothField(self.dim, self.ncomp, evaluator)
+        return linear_field(self, 0, [[(c, None, factor)] for c in range(self.ncomp)])
 
     # -- constructors -----------------------------------------------------------
 
@@ -159,44 +208,17 @@ class SmoothField:
 
     @classmethod
     def coordinates(cls, dim: int) -> "SmoothField":
-        def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            return coordinate_series(point, order)
-
-        return cls(dim, dim, evaluator)
+        return cls(dim, dim, coordinate_series)
 
     @classmethod
     def from_polynomials(
         cls, dim: int, components: Sequence[Sequence[Tuple[Sequence[int], float]]]
     ) -> "SmoothField":
         """Each component is a monomial table [(exponents, coefficient), ...]."""
-        tables = [
-            [(MultiIndex(exps), float(coef)) for exps, coef in comp] for comp in components
-        ]
-
-        def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            variables = coordinate_series(point, order)
-            powers: List[dict] = [{0: TruncatedSeries.constant(dim, order, 1.0), 1: v}
-                                  for v in variables]
-
-            def power(axis: int, e: int) -> TruncatedSeries:
-                cache = powers[axis]
-                if e not in cache:
-                    cache[e] = power(axis, e - 1) * cache[1]
-                return cache[e]
-
-            out = []
-            for table in tables:
-                total = TruncatedSeries.zero(dim, order)
-                for exps, coef in table:
-                    term = TruncatedSeries.constant(dim, order, coef)
-                    for axis, e in enumerate(exps):
-                        if e:
-                            term = term * power(axis, e)
-                    total = total + term
-                out.append(total)
-            return out
-
-        return cls(dim, len(tables), evaluator)
+        return cls.from_series_maps(dim, [
+            monomial_map([(MultiIndex(exps), float(coef)) for exps, coef in comp])
+            for comp in components
+        ])
 
     @classmethod
     def from_expressions(cls, dim: int, expressions: Sequence[str]) -> "SmoothField":
@@ -219,6 +241,10 @@ class SmoothField:
         return SmoothField(dim, ncomp, evaluator)
 
 
+def _size(shape: Tuple[int, ...]) -> int:
+    return int(np.prod(shape)) if shape else 1
+
+
 @dataclass(frozen=True)
 class TensorField:
     """A SmoothField with a tensor shape layered on its flat component list.
@@ -230,9 +256,8 @@ class TensorField:
     shape: Tuple[int, ...]
 
     def __post_init__(self):
-        expected = int(np.prod(self.shape)) if self.shape else 1
-        if expected != self.field.ncomp:
-            raise ValueError(f"shape {self.shape} needs {expected} components, "
+        if _size(self.shape) != self.field.ncomp:
+            raise ValueError(f"shape {self.shape} needs {_size(self.shape)} components, "
                              f"field has {self.field.ncomp}")
 
     @property
@@ -258,10 +283,122 @@ class TensorField:
         flat = int(np.ravel_multi_index(index, self.shape)) if self.shape else 0
         return self.field.component(flat)
 
+    # -- algebra -----------------------------------------------------------------
+
+    def _check_same(self, other: "TensorField") -> None:
+        if self.shape != other.shape:
+            raise ValueError(f"tensor shapes {self.shape} and {other.shape} differ")
+
+    def __add__(self, other: "TensorField") -> "TensorField":
+        self._check_same(other)
+        return TensorField(self.field + other.field, self.shape)
+
+    def __sub__(self, other: "TensorField") -> "TensorField":
+        self._check_same(other)
+        return TensorField(self.field - other.field, self.shape)
+
+    def scale(self, factor: float) -> "TensorField":
+        return TensorField(self.field.scale(factor), self.shape)
+
+    def gradient(self) -> "TensorField":
+        """Shape ``shape + (n,)``: entry ``[..., i]`` is the partial along axis i."""
+        n = self.dim
+        rows = [[(c, i, None)] for c in range(self.field.ncomp) for i in range(n)]
+        return TensorField(linear_field(self.field, 1, rows), self.shape + (n,))
+
+    def divergence(self) -> "TensorField":
+        """Shape ``shape[:-1]``: the sum over j of the partial j of ``T[..., j]``."""
+        if not self.shape or self.shape[-1] != self.dim:
+            raise ValueError(f"divergence needs a last axis of length {self.dim}")
+        n = self.dim
+        rows = [[(c * n + j, j, None) for j in range(n)] for c in range(self.field.ncomp // n)]
+        return TensorField(linear_field(self.field, 1, rows), self.shape[:-1])
+
+    def signed(self, axis: Optional[int], perm: Optional[Sequence[int]] = None) -> "TensorField":
+        """Permute the axes as ``numpy.transpose(T, perm)``, then multiply each
+        entry ``out[idx]`` by ``(-1)**idx[axis]``; ``axis=None`` only permutes."""
+        perm = tuple(range(len(self.shape))) if perm is None else tuple(perm)
+        if sorted(perm) != list(range(len(self.shape))):
+            raise ValueError(f"{perm} is not a permutation of the axes of {self.shape}")
+        out_shape = tuple(self.shape[p] for p in perm)
+        rows = []
+        for idx in np.ndindex(*out_shape):
+            src = [0] * len(perm)
+            for k, p in enumerate(perm):
+                src[p] = idx[k]
+            odd = axis is not None and idx[axis] % 2
+            flat = int(np.ravel_multi_index(src, self.shape))
+            rows.append([(flat, None, -1.0 if odd else None)])
+        return TensorField(linear_field(self.field, 0, rows), out_shape)
+
     @classmethod
     def zero(cls, dim: int, shape: Tuple[int, ...]) -> "TensorField":
-        n = int(np.prod(shape)) if shape else 1
-        return cls(SmoothField.constant(dim, [0.0] * n), shape)
+        return cls(SmoothField.constant(dim, [0.0] * _size(shape)), shape)
+
+
+def pair(blocks: Sequence[Tuple]) -> TensorField:
+    """The sum over blocks of ``C[idx + out] * A[idx]``, shaped like ``out``.
+
+    A block is ``(C, A)``, or ``(C, A, 1)`` to pair ``C`` with the gradient
+    of ``A`` (shape ``A.shape + (n,)``, as ``A.gradient()``) taken from the
+    same evaluation as the value of ``A``.  ``C`` has the shape of the paired
+    array followed by the output shape, the same for every block.  For each
+    output entry the products are summed depth-first over ``idx`` (an index
+    before its extensions), and in block order at a shared ``idx``.  Each
+    distinct field is evaluated once per call, at order + 1 if a block takes
+    its gradient.
+    """
+    blocks = [tuple(block) + (0,) * (3 - len(block)) for block in blocks]
+    c0, a0, k0 = blocks[0]
+    n = c0.dim
+    out_shape = c0.shape[len(a0.shape) + k0:]
+    fields: List[SmoothField] = []
+    lift: List[int] = []  # per field: 1 when some block takes its gradient
+    reads: Dict[Tuple[int, int, Optional[int]], int] = {}  # (field, component, axis) -> slot
+
+    def slot(tensor: TensorField, k: int) -> int:
+        for s, f in enumerate(fields):
+            if f is tensor.field:
+                lift[s] = max(lift[s], k)
+                return s
+        fields.append(tensor.field)
+        lift.append(k)
+        return len(fields) - 1
+
+    terms = []
+    for b, (c, a, k) in enumerate(blocks):
+        shape = a.shape + (n,) * k
+        if c.dim != n or a.dim != n:
+            raise ValueError("paired fields live on different chart dimensions")
+        if k not in (0, 1) or c.shape != shape + out_shape:
+            raise ValueError(f"cannot pair shape {c.shape} with {shape} into {out_shape}")
+        cs, as_ = slot(c, 0), slot(a, k)
+        for flat, idx in enumerate(np.ndindex(*shape)):  # row-major
+            a_key = (as_, flat // n, flat % n) if k else (as_, flat, None)
+            terms.append((idx, b, cs, flat * _size(out_shape), a_key))
+    terms.sort(key=lambda t: (t[0], t[1]))
+    table = [
+        [(reads.setdefault((cs, c_base + o, None), len(reads)), reads.setdefault(a_key, len(reads)))
+         for _, _, cs, c_base, a_key in terms]
+        for o in range(_size(out_shape))
+    ]
+
+    def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
+        series = [f.series_at(point, order + up) for f, up in zip(fields, lift)]
+        values = [
+            series[s][i].truncate(order) if axis is None else series[s][i].partial(axis)
+            for s, i, axis in reads
+        ]
+        out = []
+        for row in table:
+            total = None
+            for ci, ai in row:
+                term = values[ci] * values[ai]
+                total = term if total is None else total + term
+            out.append(total)
+        return out
+
+    return TensorField(SmoothField(n, len(table), evaluator), out_shape)
 
 
 @dataclass(frozen=True)
@@ -301,17 +438,21 @@ class JetValue:
         arrays = [np.zeros((d,) + (dim,) * p) for p in range(order + 1)]
         for alpha, s in enumerate(series):
             for exps, coef in s.coeffs.items():
-                p = sum(exps)
+                p, factorial, slots = _derivative_slots(exps)
                 if p > order:
                     continue
-                value = coef * MultiIndex(exps).factorial()
-                if p == 0:
-                    arrays[0][alpha] = value
-                    continue
-                axes = MultiIndex(exps).axes()
-                for perm in set(itertools.permutations(axes)):
-                    arrays[p][(alpha,) + perm] = value
+                value = coef * factorial
+                for slot in slots:
+                    arrays[p][(alpha,) + slot] = value
         return cls(dim, d, order, tuple(arrays))
+
+
+@lru_cache(maxsize=None)
+def _derivative_slots(exps: Tuple[int, ...]) -> Tuple[int, int, Tuple[Tuple[int, ...], ...]]:
+    """Order, I!, and every derivative-array slot of the Taylor coefficient ``exps``."""
+    index = MultiIndex(exps)
+    slots = tuple(sorted(set(itertools.permutations(index.axes()))))
+    return index.order, index.factorial(), slots
 
 
 def jet_extension(field: SmoothField, point: Sequence[float], order: int) -> JetValue:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SmoothField
+from .fields import SmoothField, jet_extension, linear_field
 from .taylor import TruncatedSeries
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Edge",
     "interior_product",
     "pullback_form_value",
+    "pullback_coefficients",
     "restrict_form",
     "integrate",
     "boundary_faces",
@@ -121,11 +122,7 @@ class TransitionMap:
 
     def forward_jacobian(self, point: Sequence[float]) -> np.ndarray:
         """d(primed)/d(unprimed) at an unprimed point."""
-        n = self.dim
-        series = self.forward.series_at(point, 1)
-        return np.array(
-            [[s.coefficient(_unit_exps(n, a)) for a in range(n)] for s in series]
-        )
+        return jet_extension(self.forward, point, 1).array(1)
 
     def jacobian_det(self, point: Sequence[float]) -> float:
         return float(np.linalg.det(self.forward_jacobian(point)))
@@ -136,27 +133,7 @@ class TransitionMap:
         Returns (x, dx, ddx) with dx[i, ip] = d x^i / d x'^ip and
         ddx[i, ip, jp] the symmetric second derivatives.
         """
-        n = self.dim
-        series = self.inverse.series_at(primed_point, 2)
-        x = np.array([s.value for s in series])
-        dx = np.zeros((n, n))
-        ddx = np.zeros((n, n, n))
-        for i, s in enumerate(series):
-            for exps, coef in s.coeffs.items():
-                total = sum(exps)
-                if total == 1:
-                    ip = exps.index(1)
-                    dx[i, ip] = coef
-                elif total == 2:
-                    if 2 in exps:
-                        ip = exps.index(2)
-                        ddx[i, ip, ip] = 2.0 * coef
-                    else:
-                        ip = exps.index(1)
-                        jp = exps.index(1, ip + 1)
-                        ddx[i, ip, jp] = coef
-                        ddx[i, jp, ip] = coef
-        return x, dx, ddx
+        return jet_extension(self.inverse, primed_point, 2).arrays
 
     def check_roundtrip(
         self, points: Sequence[Sequence[float]], tol: float = 1e-10
@@ -283,7 +260,8 @@ def interior_product(axis: int, form: FormValue) -> FormValue:
     return FormValue(form.dim, form.degree - 1, out)
 
 
-def _series_det(matrix: List[List[TruncatedSeries]]) -> TruncatedSeries:
+def series_det(matrix: List[List[TruncatedSeries]]) -> TruncatedSeries:
+    """Determinant of a square matrix of series, by cofactors along the first row."""
     size = len(matrix)
     if size == 1:
         return matrix[0][0]
@@ -292,7 +270,7 @@ def _series_det(matrix: List[List[TruncatedSeries]]) -> TruncatedSeries:
     total = None
     for col in range(size):
         minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = matrix[0][col] * _series_det(minor)
+        term = matrix[0][col] * series_det(minor)
         if col % 2:
             term = -term
         total = term if total is None else total + term
@@ -320,6 +298,49 @@ def pullback_form_value(form: FormValue, jacobian: np.ndarray) -> FormValue:
     return FormValue(source_dim, degree, out)
 
 
+def pullback_coefficients(
+    coeffs: SmoothField,
+    mapping: SmoothField,
+    target_tuples: Sequence[IndexTuple],
+    source_tuples: Sequence[IndexTuple],
+) -> SmoothField:
+    """Pull groups of form coefficients back along a smooth map.
+
+    ``coeffs`` holds the coefficients of each group on ``target_tuples``,
+    group-major; the result holds the same groups on ``source_tuples``.
+    Each evaluation composes the coefficients with the map and computes the
+    Jacobian minors once, for all groups.
+    """
+    ntgt, nsrc = len(target_tuples), len(source_tuples)
+    if coeffs.dim != mapping.ncomp or coeffs.ncomp % ntgt:
+        raise ValueError("coefficient groups do not match the map and the tuple list")
+    groups = coeffs.ncomp // ntgt
+    src_dim = mapping.dim
+
+    def evaluator(point, order):
+        mseries = mapping.series_at(point, order + 1)
+        center = tuple(s.value for s in mseries)
+        offsets = [(s - s.value).truncate(order) for s in mseries]
+        jac = [[m.partial(a) for a in range(src_dim)] for m in mseries]
+        minors = [
+            [series_det([[jac[i][a] for a in ks] for i in kt]) if ks else None
+             for kt in target_tuples]
+            for ks in source_tuples
+        ]
+        composed = [s.compose(offsets) for s in coeffs.series_at(center, order)]
+        out = []
+        for g in range(groups):
+            for s_minors in minors:
+                total = TruncatedSeries.zero(src_dim, order)
+                for t, minor in enumerate(s_minors):
+                    c = composed[g * ntgt + t]
+                    total = total + (c if minor is None else c * minor)
+                out.append(total)
+        return out
+
+    return SmoothField(src_dim, groups * nsrc, evaluator)
+
+
 class FormField:
     """A point-to-FormValue field with series-backed coefficients."""
 
@@ -330,6 +351,18 @@ class FormField:
         self.degree = degree
         self.tuples = [tuple(t) for t in tuples]
         self.coeffs = coeffs
+
+    @classmethod
+    def volume(cls, coefficient: SmoothField) -> "FormField":
+        """The top-degree form with one coefficient field."""
+        n = coefficient.dim
+        return cls(n, n, [tuple(range(n))], coefficient)
+
+    @classmethod
+    def omitting(cls, coeffs: SmoothField) -> "FormField":
+        """The (n-1)-form whose coefficient j multiplies the basis form omitting axis j."""
+        n = coeffs.dim
+        return cls(n, n - 1, [tuple_omitting(n, j) for j in range(n)], coeffs)
 
     @classmethod
     def from_components(
@@ -347,59 +380,24 @@ class FormField:
         if self.degree >= self.dim:
             raise ValueError("exterior derivative exceeds the chart dimension")
         out_tuples = increasing_tuples(self.dim, self.degree + 1)
-        base = self.coeffs
-        tuples = self.tuples
-        index_of = {t: i for i, t in enumerate(out_tuples)}
-        dim = self.dim
-
-        def evaluator(point, order):
-            series = base.series_at(point, order + 1)
-            out = [TruncatedSeries.zero(dim, order) for _ in out_tuples]
-            for comp, key in enumerate(tuples):
-                for axis in range(dim):
-                    if axis in key:
-                        continue
+        rows = {t: [] for t in out_tuples}
+        for comp, key in enumerate(self.tuples):
+            for axis in range(self.dim):
+                if axis not in key:
                     pos = sum(1 for k in key if k < axis)
-                    merged = tuple(sorted(key + (axis,)))
-                    sign = (-1.0) ** pos
-                    out[index_of[merged]] = out[index_of[merged]] + series[comp].partial(axis) * sign
-            return out
-
-        return FormField(dim, self.degree + 1, out_tuples,
-                         SmoothField(dim, len(out_tuples), evaluator))
+                    rows[tuple(sorted(key + (axis,)))].append((comp, axis, (-1.0) ** pos))
+        coeffs = linear_field(self.coeffs, 1, [rows[t] for t in out_tuples])
+        return FormField(self.dim, self.degree + 1, out_tuples, coeffs)
 
     def pullback(self, mapping: SmoothField) -> "FormField":
         """Pull the form back along a smooth map from a lower/equal-dim domain."""
         if mapping.ncomp != self.dim:
             raise ValueError("map target dimension must match the form dimension")
-        src_dim = mapping.dim
-        degree = self.degree
-        if degree > src_dim:
+        if self.degree > mapping.dim:
             raise ValueError("pullback degree exceeds the source dimension")
-        out_tuples = increasing_tuples(src_dim, degree)
-        base = self.coeffs
-        tgt_tuples = self.tuples
-
-        def evaluator(point, order):
-            mseries = mapping.series_at(point, order + 1)
-            center = tuple(s.value for s in mseries)
-            offsets = [(s - s.value).truncate(order) for s in mseries]
-            jac = [[mseries[i].partial(a) for a in range(src_dim)] for i in range(self.dim)]
-            coeff_series = [s.compose(offsets) for s in base.series_at(center, order)]
-            out = []
-            for key_src in out_tuples:
-                total = TruncatedSeries.zero(src_dim, order)
-                for comp, key_tgt in enumerate(tgt_tuples):
-                    if degree == 0:
-                        total = total + coeff_series[comp]
-                        continue
-                    sub = [[jac[i][a] for a in key_src] for i in key_tgt]
-                    total = total + coeff_series[comp] * _series_det(sub)
-                out.append(total)
-            return out
-
-        return FormField(src_dim, degree, out_tuples,
-                         SmoothField(src_dim, len(out_tuples), evaluator))
+        out_tuples = increasing_tuples(mapping.dim, self.degree)
+        coeffs = pullback_coefficients(self.coeffs, mapping, self.tuples, out_tuples)
+        return FormField(mapping.dim, self.degree, out_tuples, coeffs)
 
     def __add__(self, other: "FormField") -> "FormField":
         if self.dim != other.dim or self.degree != other.degree or self.tuples != other.tuples:
@@ -411,26 +409,6 @@ class FormField:
 
 
 # -- bodies, faces, edges -----------------------------------------------------
-
-
-def _insertion_field(box: Box, axis: int, side: int) -> SmoothField:
-    """Map an (m-1)-box into an m-box by fixing one axis at its bound."""
-    dim = box.dim
-    value = box.upper[axis] if side else box.lower[axis]
-
-    def evaluator(point, order):
-        inner_dim = dim - 1
-        series = []
-        src = 0
-        for i in range(dim):
-            if i == axis:
-                series.append(TruncatedSeries.constant(inner_dim, order, value))
-            else:
-                series.append(TruncatedSeries.variable(inner_dim, order, src, point[src]))
-                src += 1
-        return series
-
-    return SmoothField(dim - 1, dim, evaluator)
 
 
 @dataclass(frozen=True)
@@ -463,7 +441,7 @@ class BoxFace:
     def insertion(self) -> SmoothField:
         if self.box.dim == 1:
             raise ValueError("0-dimensional faces have no insertion field")
-        return _insertion_field(self.box, self.axis, self.side)
+        return _pinned_insertion(self.box, {self.axis: self.side})
 
     def embed_point(self, param_point: Sequence[float]) -> Tuple[float, ...]:
         out = list(param_point)
@@ -506,20 +484,11 @@ class Body:
         nodes, _ = rule.nodes_weights(self.box)
         worst = np.inf
         for node in nodes:
-            series = self.patch.series_at(tuple(node), 1)
-            jac = np.array(
-                [[s.coefficient(_unit_exps(self.dim, a)) for a in range(self.dim)] for s in series]
-            )
+            jac = jet_extension(self.patch, tuple(node), 1).array(1)
             worst = min(worst, abs(np.linalg.det(jac)))
         if worst <= 1e-12:
             raise ValueError("body patch map is degenerate at a quadrature node")
         return worst
-
-
-def _unit_exps(dim: int, axis: int) -> Tuple[int, ...]:
-    out = [0] * dim
-    out[axis] = 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -648,7 +617,7 @@ def edges(body: Body) -> List[Edge]:
                     keep = [a for a in range(n) if a not in fixed]
                     lower = tuple(body.box.lower[a] for a in keep)
                     upper = tuple(body.box.upper[a] for a in keep)
-                    mapping = _double_insertion(body.box, fixed)
+                    mapping = _pinned_insertion(body.box, fixed)
                     if body.patch is not None:
                         mapping = body.patch.compose(mapping)
                     out.append(
@@ -657,7 +626,8 @@ def edges(body: Body) -> List[Edge]:
     return out
 
 
-def _double_insertion(box: Box, fixed: Dict[int, int]) -> SmoothField:
+def _pinned_insertion(box: Box, fixed: Dict[int, int]) -> SmoothField:
+    """Map a lower box into ``box`` by pinning each ``fixed`` axis at its bound."""
     dim = box.dim
     inner_dim = dim - len(fixed)
 
@@ -711,14 +681,5 @@ def restrict_form(form: FormField, face: FacePatch) -> FormField:
     return form.pullback(face.to_chart)
 
 
-def integrate_form_value_piece(form: FormField, piece: FacePatch, rule: QuadratureRule) -> float:
-    """Integrate a form living on a parent parameter space over a boundary piece.
-
-    The piece is a facet of the parent box; 0-dimensional pieces reduce to a
-    signed point evaluation of a 0-form.
-    """
-    if piece.param_box is None:
-        value = form.value_at(piece.point).coefficient(())
-        return piece.sign * value
-    restricted = form.pullback(piece.to_chart)
-    return integrate(restricted, piece.param_box, rule, piece.sign)
+# A boundary piece of a face is itself a FacePatch on the face parameters.
+integrate_form_value_piece = integrate_over_face

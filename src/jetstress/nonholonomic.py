@@ -19,10 +19,9 @@ from typing import List, Sequence
 import numpy as np
 
 from .bundles import IteratedJetValue, JetSectionField
-from .fields import SmoothField, TensorField
-from .geometry import FormField, FormValue, interior_product, tuple_omitting
+from .fields import TensorField, pair
+from .geometry import FormField, FormValue, interior_product
 from .stress import VariationalStress1
-from .taylor import TruncatedSeries
 
 __all__ = [
     "NonHolonomicStress",
@@ -138,51 +137,25 @@ def nh_action(
 
 
 def nh_action_form(stress: NonHolonomicStress, section: JetSectionField) -> FormField:
-    """The volume form x -> stress(j1 of the section)(x)."""
+    """The volume form x -> stress(j1 of the section)(x).
+
+    Per fiber component the terms are summed as x0 a0, then for each i:
+    x1 a1, x2 d_i a0, and x3 d_j a1 for each j.
+    """
     n, d = stress.dim, stress.fiber_dim
     if section.dim != n or section.fiber_dim != d:
         raise ValueError("section shape does not match the stress")
-    vol_tuple = tuple(range(n))
-
-    def evaluator(point, order):
-        x0 = stress.x0.field.series_at(point, order)
-        x1 = stress.x1.field.series_at(point, order)
-        x2 = stress.x2.field.series_at(point, order)
-        x3 = stress.x3.field.series_at(point, order)
-        a0 = section.a0.field.series_at(point, order + 1)
-        a1 = section.a1.field.series_at(point, order + 1)
-        total = TruncatedSeries.zero(n, order)
-        for alpha in range(d):
-            total = total + x0[alpha] * a0[alpha].truncate(order)
-            for i in range(n):
-                total = total + x1[alpha * n + i] * a1[alpha * n + i].truncate(order)
-                total = total + x2[alpha * n + i] * a0[alpha].partial(i)
-                for j in range(n):
-                    total = total + x3[(alpha * n + i) * n + j] * a1[alpha * n + i].partial(j)
-        return [total]
-
-    return FormField(n, n, [vol_tuple], SmoothField(n, 1, evaluator))
+    a0, a1 = section.a0, section.a1
+    return FormField.volume(pair([
+        (stress.x0, a0), (stress.x1, a1), (stress.x2, a0, 1), (stress.x3, a1, 1),
+    ]).field)
 
 
 def restrict_to_second_order(stress: NonHolonomicStress) -> VariationalStress2:
     """Collapse to the symmetric stress acting on holonomic arguments."""
-    n, d = stress.dim, stress.fiber_dim
-    s1_field = stress.x1.field + stress.x2.field
-    x3 = stress.x3.field
-
-    def sym_evaluator(point, order):
-        series = x3.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            for i in range(n):
-                for j in range(n):
-                    a = series[(alpha * n + i) * n + j]
-                    b = series[(alpha * n + j) * n + i]
-                    out.append((a + b) * 0.5)
-        return out
-
-    s2 = TensorField(SmoothField(n, d * n * n, sym_evaluator), (d, n, n))
-    return VariationalStress2(stress.x0, TensorField(s1_field, (d, n)), s2)
+    x3 = stress.x3
+    s2 = (x3 + x3.signed(None, (0, 2, 1))).scale(0.5)
+    return VariationalStress2(stress.x0, stress.x1 + stress.x2, s2)
 
 
 def lift_second_order(stress: VariationalStress2, split: float = 1.0) -> NonHolonomicStress:
@@ -202,50 +175,12 @@ def lift_second_order(stress: VariationalStress2, split: float = 1.0) -> NonHolo
 
 def nh_traction(stress: NonHolonomicStress) -> HyperSurfaceStress:
     """Boundary-density stress: contract the two derivative blocks into the volume."""
-    n, d = stress.dim, stress.fiber_dim
-    x2 = stress.x2.field
-    x3 = stress.x3.field
-
-    def y0_evaluator(point, order):
-        series = x2.series_at(point, order)
-        return [series[alpha * n + j] * ((-1.0) ** j) for alpha in range(d) for j in range(n)]
-
-    def y1_evaluator(point, order):
-        series = x3.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            for i in range(n):
-                for j in range(n):
-                    out.append(series[(alpha * n + i) * n + j] * ((-1.0) ** j))
-        return out
-
-    return HyperSurfaceStress(
-        TensorField(SmoothField(n, d * n, y0_evaluator), (d, n)),
-        TensorField(SmoothField(n, d * n * n, y1_evaluator), (d, n, n)),
-    )
+    return HyperSurfaceStress(stress.x2.signed(1), stress.x3.signed(2))
 
 
 def hyper_surface_action(surface: HyperSurfaceStress, section: JetSectionField) -> FormField:
     """The (n-1)-form field Y(A) on the chart."""
-    n, d = surface.dim, surface.fiber_dim
-    tuples = [tuple_omitting(n, j) for j in range(n)]
-
-    def evaluator(point, order):
-        y0 = surface.y0.field.series_at(point, order)
-        y1 = surface.y1.field.series_at(point, order)
-        a0 = section.a0.field.series_at(point, order)
-        a1 = section.a1.field.series_at(point, order)
-        out = []
-        for j in range(n):
-            total = TruncatedSeries.zero(n, order)
-            for alpha in range(d):
-                total = total + y0[alpha * n + j] * a0[alpha]
-                for i in range(n):
-                    total = total + y1[(alpha * n + i) * n + j] * a1[alpha * n + i]
-            out.append(total)
-        return out
-
-    return FormField(n, n - 1, tuples, SmoothField(n, n, evaluator))
+    return FormField.omitting(pair([(surface.y0, section.a0), (surface.y1, section.a1)]).field)
 
 
 def nh_divergence(stress: NonHolonomicStress) -> VariationalStress1:
@@ -255,38 +190,8 @@ def nh_divergence(stress: NonHolonomicStress) -> VariationalStress1:
     direct value block; the gradient slot does the same one order up.  The
     layout lets the order-1 machinery run again on the result.
     """
-    n, d = stress.dim, stress.fiber_dim
-    x0 = stress.x0.field
-    x1 = stress.x1.field
-    x2 = stress.x2.field
-    x3 = stress.x3.field
-
-    def value_slot(point, order):
-        x2_series = x2.series_at(point, order + 1)
-        x0_series = x0.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            total = TruncatedSeries.zero(n, order)
-            for j in range(n):
-                total = total + x2_series[alpha * n + j].partial(j)
-            out.append(total - x0_series[alpha])
-        return out
-
-    def gradient_slot(point, order):
-        x3_series = x3.series_at(point, order + 1)
-        x1_series = x1.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            for i in range(n):
-                total = TruncatedSeries.zero(n, order)
-                for j in range(n):
-                    total = total + x3_series[(alpha * n + i) * n + j].partial(j)
-                out.append(total - x1_series[alpha * n + i])
-        return out
-
     return VariationalStress1(
-        TensorField(SmoothField(n, d, value_slot), (d,)),
-        TensorField(SmoothField(n, d * n, gradient_slot), (d, n)),
+        stress.x2.divergence() - stress.x0, stress.x3.divergence() - stress.x1
     )
 
 
@@ -314,19 +219,7 @@ def contraction_C1(x3: TensorField) -> TensorField:
     Output layout (d, n, n): [alpha, j, omitted axis]; the coefficient on the
     form omitting axis i keeps the sign from moving axis i to the front.
     """
-    d, n, _ = x3.shape
-    base = x3.field
-
-    def evaluator(point, order):
-        series = base.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            for j in range(n):
-                for i in range(n):
-                    out.append(series[(alpha * n + i) * n + j] * ((-1.0) ** i))
-        return out
-
-    return TensorField(SmoothField(x3.dim, d * n * n, evaluator), (d, n, n))
+    return x3.signed(2, perm=(0, 2, 1))
 
 
 def second_contraction(x3: TensorField, point: Sequence[float]) -> List[FormValue]:

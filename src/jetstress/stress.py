@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .bundles import JetSectionField
-from .fields import JetValue, SmoothField, TensorField
+from .fields import JetValue, TensorField, pair
 from .geometry import (
     Body,
     FacePatch,
@@ -25,10 +25,8 @@ from .geometry import (
     boundary_faces,
     integrate,
     integrate_over_face,
-    tuple_omitting,
 )
 from .reports import CheckRecord
-from .taylor import TruncatedSeries
 
 __all__ = [
     "VariationalStress1",
@@ -114,22 +112,7 @@ def action_form(stress: VariationalStress1, velocity: TensorField) -> FormField:
     n, d = stress.dim, stress.fiber_dim
     if velocity.shape != (d,) or velocity.dim != n:
         raise ValueError("velocity shape does not match the stress")
-    s_field = stress
-    vol_tuple = tuple(range(n))
-
-    def evaluator(point, order):
-        s0 = s_field.s0.field.series_at(point, order)
-        s1 = s_field.s1.field.series_at(point, order)
-        w = velocity.field.series_at(point, order + 1)
-        total = TruncatedSeries.zero(n, order)
-        for alpha in range(d):
-            total = total + s0[alpha] * w[alpha].truncate(order)
-            for i in range(n):
-                total = total + s1[alpha * n + i] * w[alpha].partial(i)
-        return [total]
-
-    coeffs = SmoothField(n, 1, evaluator)
-    return FormField(n, n, [vol_tuple], coeffs)
+    return FormField.volume(pair([(stress.s0, velocity), (stress.s1, velocity, 1)]).field)
 
 
 def section_pairing_form(stress: VariationalStress1, section: JetSectionField) -> FormField:
@@ -142,21 +125,7 @@ def section_pairing_form(stress: VariationalStress1, section: JetSectionField) -
     n, d = stress.dim, stress.fiber_dim
     if section.dim != n or section.fiber_dim != d:
         raise ValueError("section shape does not match the stress")
-    vol_tuple = tuple(range(n))
-
-    def evaluator(point, order):
-        s0 = stress.s0.field.series_at(point, order)
-        s1 = stress.s1.field.series_at(point, order)
-        a0 = section.a0.field.series_at(point, order)
-        a1 = section.a1.field.series_at(point, order)
-        total = TruncatedSeries.zero(n, order)
-        for alpha in range(d):
-            total = total + s0[alpha] * a0[alpha]
-            for i in range(n):
-                total = total + s1[alpha * n + i] * a1[alpha * n + i]
-        return [total]
-
-    return FormField(n, n, [vol_tuple], SmoothField(n, 1, evaluator))
+    return FormField.volume(pair([(stress.s0, section.a0), (stress.s1, section.a1)]).field)
 
 
 def traction_projection(stress: VariationalStress1) -> TractionStress:
@@ -165,14 +134,7 @@ def traction_projection(stress: VariationalStress1) -> TractionStress:
     Componentwise, the density omitting axis j picks up the sign that moving
     axis j to the front of the volume form produces.
     """
-    n, d = stress.dim, stress.fiber_dim
-    base = stress.s1.field
-
-    def evaluator(point, order):
-        series = base.series_at(point, order)
-        return [series[alpha * n + j] * ((-1.0) ** j) for alpha in range(d) for j in range(n)]
-
-    return TractionStress(TensorField(SmoothField(n, d * n, evaluator), (d, n)))
+    return TractionStress(stress.s1.signed(1))
 
 
 def traction_action(traction: TractionStress, velocity: TensorField) -> FormField:
@@ -180,20 +142,7 @@ def traction_action(traction: TractionStress, velocity: TensorField) -> FormFiel
     n, d = traction.dim, traction.fiber_dim
     if velocity.shape != (d,) or velocity.dim != n:
         raise ValueError("velocity shape does not match the traction")
-    tuples = [tuple_omitting(n, j) for j in range(n)]
-
-    def evaluator(point, order):
-        sig = traction.sigma.field.series_at(point, order)
-        w = velocity.field.series_at(point, order)
-        out = []
-        for j in range(n):
-            total = TruncatedSeries.zero(n, order)
-            for alpha in range(d):
-                total = total + sig[alpha * n + j] * w[alpha]
-            out.append(total)
-        return out
-
-    return FormField(n, n - 1, tuples, SmoothField(n, n, evaluator))
+    return FormField.omitting(pair([(traction.sigma, velocity)]).field)
 
 
 def surface_force(
@@ -207,45 +156,17 @@ def surface_force(
 
 def divergence(stress: VariationalStress1) -> TensorField:
     """Local divergence: derivative of the gradient slot minus the value slot."""
-    n, d = stress.dim, stress.fiber_dim
-    s1 = stress.s1.field
-    s0 = stress.s0.field
-
-    def evaluator(point, order):
-        s1_series = s1.series_at(point, order + 1)
-        s0_series = s0.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            total = TruncatedSeries.zero(n, order)
-            for j in range(n):
-                total = total + s1_series[alpha * n + j].partial(j)
-            out.append(total - s0_series[alpha])
-        return out
-
-    return TensorField(SmoothField(n, d, evaluator), (d,))
+    return stress.s1.divergence() - stress.s0
 
 
 def body_force(stress: VariationalStress1) -> BodyForce:
     """The force density balancing the stress: minus its divergence."""
-    div = divergence(stress)
-    return BodyForce(TensorField(div.field.scale(-1.0), div.shape))
+    return BodyForce(divergence(stress).scale(-1.0))
 
 
 def pairing_volume_form(coefficients: TensorField, velocity: TensorField) -> FormField:
     """sum_alpha c[alpha] w[alpha] times the chart volume form."""
-    n = coefficients.dim
-    d = coefficients.shape[0]
-    vol_tuple = tuple(range(n))
-
-    def evaluator(point, order):
-        c = coefficients.field.series_at(point, order)
-        w = velocity.field.series_at(point, order)
-        total = TruncatedSeries.zero(n, order)
-        for alpha in range(d):
-            total = total + c[alpha] * w[alpha]
-        return [total]
-
-    return FormField(n, n, [vol_tuple], SmoothField(n, 1, evaluator))
+    return FormField.volume(pair([(coefficients, velocity)]).field)
 
 
 def invariant_divergence_residual(

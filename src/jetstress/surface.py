@@ -14,8 +14,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SmoothField, TensorField
-from .geometry import FacePatch, FormField, QuadratureRule
+from .fields import SmoothField, TensorField, linear_field, pair
+from .geometry import (
+    FacePatch,
+    FormField,
+    QuadratureRule,
+    pullback_coefficients,
+    series_det,
+    tuple_omitting,
+)
 from .nonholonomic import HyperSurfaceStress
 from .stress import TractionStress, VariationalStress1, divergence, traction_projection
 from .taylor import TruncatedSeries, power_series, reciprocal_series
@@ -124,7 +131,7 @@ class TransversalField:
                 rows = [[tangents[a][r] for a in range(q)] for r in range(n) if r != i]
                 if q == 0:
                     raise ValueError("metric normal undefined for point faces")
-                det = _det_series(rows)
+                det = series_det(rows)
                 ann.append(det * ((-1.0) ** i))
             g = metric_on_face.field.series_at(point, order)
             # Raise the index: solve g v = ann.
@@ -167,16 +174,6 @@ class TransversalField:
         sol = _solve_linear_series(matrix, rhs)
         return [row[0] for row in sol]
 
-    def annihilator_field(self) -> TensorField:
-        n = self.face.chart.dim
-        q = self.face.param_dim
-        outer = self
-
-        def evaluator(point, order):
-            return outer.annihilator_series(point, order)
-
-        return TensorField(SmoothField(q, n, evaluator), (n,))
-
     def validate(self, points: Sequence[Sequence[float]], tol: float = 1e-12) -> float:
         """Largest defect of phi(n) = 1 and phi(tangent) = 0 over sample points."""
         worst = 0.0
@@ -192,24 +189,6 @@ class TransversalField:
         if worst > tol:
             raise ValueError(f"transversal field defect {worst:.2e} exceeds {tol:.1e}")
         return worst
-
-
-def _det_series(rows: List[List[TruncatedSeries]]) -> TruncatedSeries:
-    size = len(rows)
-    if size == 0:
-        raise ValueError("empty determinant")
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for col in range(size):
-        minor = [r[:col] + r[col + 1 :] for r in rows[1:]]
-        term = rows[0][col] * _det_series(minor)
-        if col % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
 
 
 @dataclass(frozen=True)
@@ -238,51 +217,15 @@ def restrict_Y(surface_stress: HyperSurfaceStress, face: FacePatch) -> Restricte
     if face.param_box is None:
         raise ValueError("cannot restrict to a 0-dimensional face")
     n, d = surface_stress.dim, surface_stress.fiber_dim
-    q = face.param_dim
-    y0 = surface_stress.y0.field
-    y1 = surface_stress.y1.field
-    mapping = face.to_chart
+    # y[..., j] multiplies the chart basis form omitting axis j.
+    omitting = [tuple_omitting(n, j) for j in range(n)]
+    volume = [tuple(range(face.param_dim))]
 
-    def minors(point, order):
-        mseries = mapping.series_at(point, order + 1)
-        jac = [[mseries[i].partial(a) for a in range(q)] for i in range(n)]
-        out = []
-        for j in range(n):
-            rows = [jac[i] for i in range(n) if i != j]
-            out.append(_det_series(rows))
-        return out, mseries
-
-    def z0_evaluator(point, order):
-        dets, mseries = minors(point, order)
-        center = tuple(s.value for s in mseries)
-        offsets = [(s - s.value).truncate(order) for s in mseries]
-        base = [s.compose(offsets) for s in y0.series_at(center, order)]
-        out = []
-        for alpha in range(d):
-            total = TruncatedSeries.zero(q, order)
-            for j in range(n):
-                total = total + base[alpha * n + j] * dets[j]
-            out.append(total)
-        return out
-
-    def z1_evaluator(point, order):
-        dets, mseries = minors(point, order)
-        center = tuple(s.value for s in mseries)
-        offsets = [(s - s.value).truncate(order) for s in mseries]
-        base = [s.compose(offsets) for s in y1.series_at(center, order)]
-        out = []
-        for alpha in range(d):
-            for i in range(n):
-                total = TruncatedSeries.zero(q, order)
-                for j in range(n):
-                    total = total + base[(alpha * n + i) * n + j] * dets[j]
-                out.append(total)
-        return out
+    def restrict(y: TensorField, shape) -> TensorField:
+        return TensorField(pullback_coefficients(y.field, face.to_chart, omitting, volume), shape)
 
     return RestrictedSurfaceStress(
-        face,
-        TensorField(SmoothField(q, d, z0_evaluator), (d,)),
-        TensorField(SmoothField(q, d * n, z1_evaluator), (d, n)),
+        face, restrict(surface_stress.y0, (d,)), restrict(surface_stress.y1, (d, n))
     )
 
 
@@ -364,19 +307,16 @@ def transversal_decomposition(
         ]
         series = z1.series_at(point, order)
         rhs = [[series[alpha * n + i] for alpha in range(d)] for i in range(n)]
-        return _solve_linear_series(matrix, rhs)
+        sol = _solve_linear_series(matrix, rhs)
+        return [sol[a][alpha] for alpha in range(d) for a in range(q + 1)]
 
-    def tangent_evaluator(point, order):
-        sol = solve_components(point, order)
-        return [sol[a][alpha] for alpha in range(d) for a in range(q)]
-
-    def normal_evaluator(point, order):
-        sol = solve_components(point, order)
-        return [sol[q][alpha] for alpha in range(d)]
-
-    tangent = TensorField(SmoothField(q, d * q, tangent_evaluator), (d, q))
-    normal = TensorField(SmoothField(q, d, normal_evaluator), (d,))
-    return tangent, normal
+    # Shape (d, q + 1): the tangent components, then the transversal coefficient.
+    solution = SmoothField(q, d * (q + 1), solve_components)
+    tangent = linear_field(solution, 0, [
+        [(alpha * (q + 1) + a, None, None)] for alpha in range(d) for a in range(q)
+    ])
+    normal = linear_field(solution, 0, [[(alpha * (q + 1) + q, None, None)] for alpha in range(d)])
+    return TensorField(tangent, (d, q)), TensorField(normal, (d,))
 
 
 def tangent_traction(
@@ -393,16 +333,7 @@ def tangent_traction(
         raise ValueError("tangent traction needs chart dimension >= 2")
     restricted = restrict_Y(surface_stress, face)
     tangent, _ = transversal_decomposition(restricted, transversal)
-    d, q = tangent.shape
-    base = tangent.field
-
-    def evaluator(point, order):
-        series = base.series_at(point, order)
-        return [
-            series[alpha * q + a] * ((-1.0) ** a) for alpha in range(d) for a in range(q)
-        ]
-
-    return TractionStress(TensorField(SmoothField(q, d * q, evaluator), (d, q)))
+    return TractionStress(tangent.signed(1))
 
 
 def face_velocity(velocity: TensorField, face: FacePatch) -> TensorField:
@@ -410,38 +341,17 @@ def face_velocity(velocity: TensorField, face: FacePatch) -> TensorField:
     return velocity.compose(face.to_chart)
 
 
+def _face_jet(velocity: TensorField, face: FacePatch) -> Tuple[TensorField, TensorField]:
+    """Values (d,) and ambient derivatives (d, n) of a chart velocity on the face."""
+    return face_velocity(velocity, face), face_velocity(velocity.gradient(), face)
+
+
 def face_jet_pairing(
     restricted: RestrictedSurfaceStress, velocity: TensorField
 ) -> FormField:
     """The face-volume form Z(j1 u): values and ambient derivatives of u enter."""
-    face = restricted.face
-    n = restricted.ambient_dim
-    d = restricted.fiber_dim
-    q = face.param_dim
-    mapping = face.to_chart
-    z0 = restricted.z0.field
-    z1 = restricted.z1.field
-    vol_tuple = tuple(range(q))
-
-    def evaluator(point, order):
-        mseries = mapping.series_at(point, order)
-        center = tuple(s.value for s in mseries)
-        offsets = [s - s.value for s in mseries]
-        u_series = velocity.field.series_at(center, order + 1)
-        u_on_face = [s.truncate(order).compose([o for o in offsets]) for s in u_series]
-        du_on_face = [
-            [s.partial(i).compose(offsets) for i in range(n)] for s in u_series
-        ]
-        z0_series = z0.series_at(point, order)
-        z1_series = z1.series_at(point, order)
-        total = TruncatedSeries.zero(q, order)
-        for alpha in range(d):
-            total = total + z0_series[alpha] * u_on_face[alpha]
-            for i in range(n):
-                total = total + z1_series[alpha * n + i] * du_on_face[alpha][i]
-        return [total]
-
-    return FormField(q, q, [vol_tuple], SmoothField(q, 1, evaluator))
+    u, du = _face_jet(velocity, restricted.face)
+    return FormField.volume(pair([(restricted.z0, u), (restricted.z1, du)]).field)
 
 
 def surface_divergence(
@@ -457,45 +367,16 @@ def surface_divergence(
     derivative of the velocity.  Defined so that integration by parts on the
     face closes against the tangent traction.
     """
-    n = surface_stress.dim
-    d = surface_stress.fiber_dim
-    q = face.param_dim
     restricted = restrict_Y(surface_stress, face)
     tangent, normal_coeff = transversal_decomposition(restricted, transversal)
-    z0 = restricted.z0.field
-    tangent_field = tangent.field
-    normal_field = normal_coeff.field
-    nvec_field = transversal.n_field.field
-    mapping = face.to_chart
-    vol_tuple = tuple(range(q))
-
-    def evaluator(point, order):
-        mseries = mapping.series_at(point, order)
-        center = tuple(s.value for s in mseries)
-        offsets = [s - s.value for s in mseries]
-        u_series = velocity.field.series_at(center, order + 1)
-        u_on_face = [s.truncate(order).compose(offsets) for s in u_series]
-        du_on_face = [
-            [s.partial(i).compose(offsets) for i in range(n)] for s in u_series
-        ]
-        tangent_series = tangent_field.series_at(point, order + 1)
-        z0_series = z0.series_at(point, order)
-        normal_series = normal_field.series_at(point, order)
-        nvec = nvec_field.series_at(point, order)
-        total = TruncatedSeries.zero(q, order)
-        for alpha in range(d):
-            div_tangent = TruncatedSeries.zero(q, order)
-            for a in range(q):
-                div_tangent = div_tangent + tangent_series[alpha * q + a].partial(a)
-            total = total + div_tangent * u_on_face[alpha]
-            total = total - z0_series[alpha] * u_on_face[alpha]
-            transversal_derivative = TruncatedSeries.zero(q, order)
-            for j in range(n):
-                transversal_derivative = transversal_derivative + du_on_face[alpha][j] * nvec[j]
-            total = total - normal_series[alpha] * transversal_derivative
-        return [total]
-
-    return FormField(q, q, [vol_tuple], SmoothField(q, 1, evaluator))
+    u, du = _face_jet(velocity, face)
+    transversal_du = pair([(du.signed(None, (1, 0)), transversal.n_field)])
+    density = pair([
+        (tangent.divergence(), u),
+        (restricted.z0.scale(-1.0), u),
+        (normal_coeff.scale(-1.0), transversal_du),
+    ])
+    return FormField.volume(density.field)
 
 
 def tangent_edge_force(
