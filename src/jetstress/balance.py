@@ -24,6 +24,7 @@ from .geometry import (
     face_boundary_pieces,
     face_label,
     integrate,
+    integrate_over_body,
     integrate_over_face,
 )
 from .nonholonomic import (
@@ -97,13 +98,6 @@ class BalanceReport:
         return CheckRecord(check_id, terms, self.relative_residual, self.tolerance)
 
 
-def _volume_integral(form: FormField, body: Body, rule: QuadratureRule) -> float:
-    """Integrate a chart volume form over the body, pulled back through its patch."""
-    if body.patch is not None:
-        form = form.pullback(body.patch)
-    return integrate(form, body.box, rule)
-
-
 def first_integration_by_parts(
     stress: NonHolonomicStress,
     section: JetSectionField,
@@ -112,14 +106,14 @@ def first_integration_by_parts(
     tolerance: float = 1e-10,
 ) -> CheckRecord:
     """Interior action equals boundary-stress power minus divergence power."""
-    lhs = _volume_integral(nh_action_form(stress, section), body, rule)
+    lhs = integrate_over_body(nh_action_form(stress, section), body, rule)
     surface_stress = nh_traction(stress)
     boundary_form = hyper_surface_action(surface_stress, section)
     boundary = sum(
         integrate_over_face(boundary_form, f, rule) for f in boundary_faces(body)
     )
     interior_form = section_pairing_form(nh_divergence(stress), section)
-    interior = _volume_integral(interior_form, body, rule)
+    interior = integrate_over_body(interior_form, body, rule)
     residual = abs(lhs - (boundary - interior))
     scale = max(1.0, abs(lhs), abs(boundary), abs(interior))
     return CheckRecord(
@@ -205,7 +199,7 @@ def verify_balance_order2(
     + twice-iterated divergence.
     """
     section = JetSectionField.from_velocity(velocity)
-    lhs = _volume_integral(nh_action_form(stress, section), body, rule)
+    lhs = integrate_over_body(nh_action_form(stress, section), body, rule)
 
     surface_stress = nh_traction(stress)
     edge_terms, face_terms = edge_assembly(
@@ -218,7 +212,7 @@ def verify_balance_order2(
         integrate_over_face(sigma_div_u, f, rule) for f in boundary_faces(body)
     )
 
-    dd_term = _volume_integral(pairing_volume_form(div_div(stress), velocity), body, rule)
+    dd_term = integrate_over_body(pairing_volume_form(div_div(stress), velocity), body, rule)
 
     rhs = sum(edge_terms.values()) - sum(face_terms.values()) - boundary_div + dd_term
     residual = abs(lhs - rhs)

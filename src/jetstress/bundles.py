@@ -170,7 +170,6 @@ def vertical_part(jet: JetValue, base_order: int) -> Tuple[Tuple[np.ndarray, ...
 class HolonomyClass(str, Enum):
     HOLONOMIC = "holonomic"
     SEMI_HOLONOMIC = "semi-holonomic"
-    BASE_COMPATIBLE = "base-compatible"
     NONE = "none"
 
 
@@ -185,7 +184,7 @@ def holonomy_class(
     classes additionally require the derivative slots of the induced iterated
     jet to match and its b3 block to be symmetric.  For a first-jet section
     b2 = d(a0) by construction, so the derivative-slot condition is base
-    compatibility again and BASE_COMPATIBLE is never returned.
+    compatibility again.
     """
     base_residual = 0.0
     sym_residual = 0.0

@@ -22,12 +22,34 @@ from .stress import VariationalStress1
 
 __all__ = [
     "FrameChange",
+    "PointChange",
     "transform_jet2",
     "transform_stress2",
     "transform_stress1",
     "invariance_check",
     "transformed_velocity_field",
 ]
+
+
+@dataclass(frozen=True)
+class PointChange:
+    """Every jet of a frame change that the laws below read at one point.
+
+    ``xp`` is the image of ``x``; ``jac`` is d(primed)/d(unprimed) at ``x``
+    with determinant ``det``; ``dx[i, ip]`` and ``ddx[i, ip, jp]`` are the
+    first and second derivatives of the inverse at ``xp``; ``a0``, ``a1``,
+    ``a2`` are the value, gradient, and Hessian of the frame change at ``x``.
+    """
+
+    x: Tuple[float, ...]
+    xp: Tuple[float, ...]
+    jac: np.ndarray
+    det: float
+    dx: np.ndarray
+    ddx: np.ndarray
+    a0: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,36 +74,27 @@ class FrameChange:
         if self.frame is None:
             return np.eye(d), np.zeros((d, d, n)), np.zeros((d, d, n, n))
         jet = jet_extension(self.frame.field, point, 2)
-        a0 = jet.array(0).reshape(d, d)
-        a1 = jet.array(1).reshape(d, d, n)
-        a2 = jet.array(2).reshape(d, d, n, n)
+        return tuple(jet.array(p).reshape((d, d) + (n,) * p) for p in range(3))
+
+    def at(self, point: Sequence[float]) -> PointChange:
+        """The jets of the transition, its inverse, and the frame at ``point``."""
+        x = tuple(point)
+        forward = jet_extension(self.transition.forward, point, 1)
+        jac = forward.array(1)
+        det = float(np.linalg.det(jac))
+        if abs(det) < 1e-12:
+            raise ValueError(f"transition is singular at {x}")
+        xp = tuple(forward.array(0))
+        _, dx, ddx = self.transition.inverse_jets(xp)
+        a0, a1, a2 = self.frame_jets(point)
         if abs(np.linalg.det(a0)) < 1e-12:
-            raise ValueError(f"frame change is singular at {tuple(point)}")
-        return a0, a1, a2
+            raise ValueError(f"frame change is singular at {x}")
+        return PointChange(x, xp, jac, det, dx, ddx, a0, a1, a2)
 
 
-def transform_jet2(jet: JetValue, change: FrameChange, point: Sequence[float]) -> JetValue:
-    """Second-order jet components in the primed chart, by the chain rule.
-
-    The input jet lives at the unprimed point; the output is the jet of the
-    transformed section at the image point.
-    """
-    if jet.order < 2:
-        raise ValueError("second-order transformation needs an order-2 jet")
-    n, d = change.dim, change.fiber_dim
-    if jet.dim != n or jet.fiber_dim != d:
-        raise ValueError("jet shape does not match the frame change")
-    transition = change.transition
-    xp = transition.forward.values_at(point)
-    if abs(transition.jacobian_det(point)) < 1e-12:
-        raise ValueError(f"transition is singular at {tuple(point)}")
-    _, dx, ddx = transition.inverse_jets(tuple(xp))
-    a0, a1, a2 = change.frame_jets(point)
-
-    u = jet.array(0)
-    du = jet.array(1)
-    ddu = jet.array(2)
-
+def _jet_law(pc: PointChange, jet: JetValue) -> JetValue:
+    u, du, ddu = jet.array(0), jet.array(1), jet.array(2)
+    a0, a1, a2, dx = pc.a0, pc.a1, pc.a2, pc.dx
     up = a0 @ u
     # First derivatives: (A_{,i} u + A u_{,i}) x^i_{,i'}.
     bracket1 = np.einsum("bgi,g->bi", a1, u) + np.einsum("bg,gi->bi", a0, du)
@@ -94,13 +107,68 @@ def transform_jet2(jet: JetValue, change: FrameChange, point: Sequence[float]) -
         + np.einsum("bg,gij->bij", a0, ddu)
     )
     ddup = np.einsum("bij,iI,jJ->bIJ", bracket2, dx, dx) + np.einsum(
-        "bi,iIJ->bIJ", bracket1, ddx
+        "bi,iIJ->bIJ", bracket1, pc.ddx
     )
-    return JetValue(n, d, 2, (up, dup, ddup))
+    return JetValue(jet.dim, jet.fiber_dim, 2, (up, dup, ddup))
 
 
-def _stress2_arrays(stress: VariationalStress2, point: Sequence[float]):
-    return stress.s0.at(point), stress.s1.at(point), stress.s2.at(point)
+def transform_jet2(jet: JetValue, change: FrameChange, point: Sequence[float]) -> JetValue:
+    """Second-order jet components in the primed chart, by the chain rule.
+
+    The input jet lives at the unprimed point; the output is the jet of the
+    transformed section at the image point.
+    """
+    if jet.order < 2:
+        raise ValueError("second-order transformation needs an order-2 jet")
+    if jet.dim != change.dim or jet.fiber_dim != change.fiber_dim:
+        raise ValueError("jet shape does not match the frame change")
+    return _jet_law(change.at(point), jet)
+
+
+def _primed_blocks(stress, xp: Tuple[float, ...]) -> Tuple[np.ndarray, ...]:
+    """Each block of a primed stress, read once at the image point."""
+    blocks = (stress.s0, stress.s1)
+    if isinstance(stress, VariationalStress2):
+        blocks += (stress.s2,)
+    return tuple(block.at(xp) for block in blocks)
+
+
+def _top_gradient_terms(pc: PointChange, s2p: np.ndarray):
+    """What the top block deposits on the gradient block, before the volume weight.
+
+    The two symmetric routes through one frame derivative, then the second
+    derivatives of the inverse transition.
+    """
+    return (
+        np.einsum("BIJ,Baj,jI,iJ->ai", s2p, pc.a1, pc.dx, pc.dx),
+        np.einsum("BIJ,Baj,jJ,iI->ai", s2p, pc.a1, pc.dx, pc.dx),
+        np.einsum("BIJ,Ba,iIJ->ai", s2p, pc.a0, pc.ddx),
+    )
+
+
+def _stress_law(pc: PointChange, primed: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """Unprimed stress blocks at ``pc.x`` from the primed blocks read at ``pc.xp``.
+
+    Matching the power density for every velocity fixes every block,
+    including the value block.  Two blocks give the first-order law: the
+    same law without the top block.
+    """
+    s0p, s1p = primed[:2]
+    # Value block: everything the chain rule deposits on plain velocity values.
+    value = np.einsum("B,Ba->a", s0p, pc.a0) + np.einsum("BI,Bai,iI->a", s1p, pc.a1, pc.dx)
+    gradient = np.einsum("BI,Ba,iI->ai", s1p, pc.a0, pc.dx)
+    if len(primed) == 2:
+        return pc.det * value, pc.det * gradient
+    s2p = primed[2]
+    value = (
+        value
+        + np.einsum("BIJ,Baij,iI,jJ->a", s2p, pc.a2, pc.dx, pc.dx)
+        + np.einsum("BIJ,Bai,iIJ->a", s2p, pc.a1, pc.ddx)
+    )
+    t1, t2, t3 = _top_gradient_terms(pc, s2p)
+    # Hessian block: purely tensorial with the volume weight.
+    top = np.einsum("BIJ,Ba,iI,jJ->aij", s2p, pc.a0, pc.dx, pc.dx)
+    return pc.det * value, pc.det * (gradient + t1 + t2 + t3), pc.det * top
 
 
 def transform_stress2(
@@ -109,55 +177,18 @@ def transform_stress2(
     """Unprimed second-order stress components at a point, from primed fields.
 
     The primed components are fields over the primed chart; they are read at
-    the image of ``point``.  Matching the power density for every velocity
-    fixes all three blocks, including the value block.
+    the image of ``point``.
     """
-    transition = change.transition
-    xp = tuple(transition.forward.values_at(point))
-    jac_det = transition.jacobian_det(point)
-    if abs(jac_det) < 1e-12:
-        raise ValueError(f"transition is singular at {tuple(point)}")
-    _, dx, ddx = transition.inverse_jets(xp)
-    a0, a1, a2 = change.frame_jets(point)
-    s0p, s1p, s2p = _stress2_arrays(primed, xp)
-
-    # Value block: everything the chain rule deposits on plain velocity values.
-    s0 = jac_det * (
-        np.einsum("B,Ba->a", s0p, a0)
-        + np.einsum("BI,Bai,iI->a", s1p, a1, dx)
-        + np.einsum("BIJ,Baij,iI,jJ->a", s2p, a2, dx, dx)
-        + np.einsum("BIJ,Bai,iIJ->a", s2p, a1, ddx)
-    )
-    # Gradient block: the two symmetric routes through one frame derivative.
-    s1 = jac_det * (
-        np.einsum("BI,Ba,iI->ai", s1p, a0, dx)
-        + np.einsum("BIJ,Baj,jI,iJ->ai", s2p, a1, dx, dx)
-        + np.einsum("BIJ,Baj,jJ,iI->ai", s2p, a1, dx, dx)
-        + np.einsum("BIJ,Ba,iIJ->ai", s2p, a0, ddx)
-    )
-    # Hessian block: purely tensorial with the volume weight.
-    s2 = jac_det * np.einsum("BIJ,Ba,iI,jJ->aij", s2p, a0, dx, dx)
-    return s0, s1, s2
+    pc = change.at(point)
+    return _stress_law(pc, _primed_blocks(primed, pc.xp))
 
 
 def transform_stress1(
     primed: VariationalStress1, change: FrameChange, point: Sequence[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Unprimed first-order stress components at a point, from primed fields."""
-    transition = change.transition
-    xp = tuple(transition.forward.values_at(point))
-    jac_det = transition.jacobian_det(point)
-    if abs(jac_det) < 1e-12:
-        raise ValueError(f"transition is singular at {tuple(point)}")
-    _, dx, _ = transition.inverse_jets(xp)
-    a0, a1, _ = change.frame_jets(point)
-    s0p = primed.s0.at(xp)
-    s1p = primed.s1.at(xp)
-    s0 = jac_det * (
-        np.einsum("B,Ba->a", s0p, a0) + np.einsum("BI,Bai,iI->a", s1p, a1, dx)
-    )
-    s1 = jac_det * np.einsum("BI,Ba,iI->ai", s1p, a0, dx)
-    return s0, s1
+    pc = change.at(point)
+    return _stress_law(pc, _primed_blocks(primed, pc.xp))
 
 
 def transformed_velocity_field(velocity: TensorField, change: FrameChange) -> TensorField:
@@ -174,21 +205,26 @@ def transformed_velocity_field(velocity: TensorField, change: FrameChange) -> Te
     return pair([(change.frame.compose(inverse).signed(None, (1, 0)), u)])
 
 
-def _interior_volume_basis(n: int, axis: int) -> FormValue:
-    """The (n-1)-covector obtained by contracting one basis vector into the volume."""
-    return FormValue(n, n - 1, {tuple_omitting(n, axis): (-1.0) ** axis})
+def _from_hatted(values: Sequence[float]) -> FormValue:
+    """The (n-1)-covector with the given coefficients on the contracted-volume basis."""
+    n = len(values)
+    coeffs = {tuple_omitting(n, i): v * (-1.0) ** i for i, v in enumerate(values)}
+    return FormValue(n, n - 1, coeffs)
 
 
 def _form_to_hatted(form: FormValue) -> np.ndarray:
     """Coefficients of an (n-1)-covector on the contracted-volume basis."""
     n = form.dim
-    return np.array(
-        [((-1.0) ** i) * form.coefficient(tuple_omitting(n, i)) for i in range(n)]
-    )
+    return np.array([(-1.0) ** i * form.coefficient(tuple_omitting(n, i)) for i in range(n)])
+
+
+def _traction_covector(s1: np.ndarray, u: np.ndarray) -> FormValue:
+    """The traction density s1(., u) as an (n-1)-covector."""
+    return _from_hatted([float(np.sum(s1[:, j] * u)) for j in range(s1.shape[1])])
 
 
 def _naive_blocks_mapped(
-    primed: VariationalStress2, change: FrameChange, point: Sequence[float]
+    pc: PointChange, s1p: np.ndarray, s2p: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The primed-chart component-pair contraction, pushed into the unprimed chart.
 
@@ -197,40 +233,44 @@ def _naive_blocks_mapped(
     frame change.  Returns the scalar block (d, n) and vector block (d, n, n)
     in the unprimed bases.
     """
-    n, d = change.dim, change.fiber_dim
-    transition = change.transition
-    xp = tuple(transition.forward.values_at(point))
-    jac_fwd = transition.forward_jacobian(point)
-    _, dx, _ = transition.inverse_jets(xp)
-    a0, _, _ = change.frame_jets(point)
-    s0p, s1p, s2p = _stress2_arrays(primed, xp)
-
     # Pull each primed basis (n-1)-covector back and express it on the
-    # unprimed contracted-volume basis.
-    basis_map = np.zeros((n, n))  # [primed axis, unprimed axis]
-    for ip in range(n):
-        pulled = pullback_form_value(_interior_volume_basis(n, ip), jac_fwd)
-        basis_map[ip] = _form_to_hatted(pulled)
-    scalar = np.einsum("BI,Ba,Ii->ai", s1p, a0, basis_map)
-    vector = np.einsum("BIJ,Ba,jJ,Ii->aji", s2p, a0, dx, basis_map)
+    # unprimed contracted-volume basis: rows are primed axes.
+    basis_map = np.array([
+        _form_to_hatted(pullback_form_value(_from_hatted(unit), pc.jac))
+        for unit in np.eye(len(pc.xp))
+    ])
+    scalar = np.einsum("BI,Ba,Ii->ai", s1p, pc.a0, basis_map)
+    vector = np.einsum("BIJ,Ba,jJ,Ii->aji", s2p, pc.a0, pc.dx, basis_map)
     return scalar, vector
+
+
+def _contraction_defect(pc: PointChange, s2p: np.ndarray) -> np.ndarray:
+    t1, t2, t3 = _top_gradient_terms(pc, s2p)
+    return pc.det * (t1 + t2 + t3)
 
 
 def predicted_contraction_defect(
     primed: VariationalStress2, change: FrameChange, point: Sequence[float]
 ) -> np.ndarray:
     """The extra term the gradient-block law deposits on the scalar block."""
-    transition = change.transition
-    xp = tuple(transition.forward.values_at(point))
-    jac_det = transition.jacobian_det(point)
-    _, dx, ddx = transition.inverse_jets(xp)
-    a0, a1, _ = change.frame_jets(point)
-    _, _, s2p = _stress2_arrays(primed, xp)
-    return jac_det * (
-        np.einsum("BIJ,Baj,jI,iJ->ai", s2p, a1, dx, dx)
-        + np.einsum("BIJ,Baj,jJ,iI->ai", s2p, a1, dx, dx)
-        + np.einsum("BIJ,Ba,iIJ->ai", s2p, a0, ddx)
-    )
+    pc = change.at(point)
+    return _contraction_defect(pc, primed.s2.at(pc.xp))
+
+
+# Quantity -> (order of the primed stress it reads, whether it pairs a velocity).
+_QUANTITIES = {
+    "action1": (1, True),
+    "action2": (2, True),
+    "traction1": (1, True),
+    "naive-contraction": (2, False),
+    "vertical-contraction": (2, False),
+}
+
+
+def _density(blocks: Sequence[np.ndarray], jet: JetValue) -> float:
+    """Power density: each stress block summed against the jet array of its order."""
+    terms = [np.sum(block * jet.array(p)) for p, block in enumerate(blocks)]
+    return float(sum(terms[1:], terms[0]))
 
 
 def invariance_check(
@@ -250,105 +290,39 @@ def invariance_check(
     component-pair (naive) contraction reports its actual defect together
     with the gap to the predicted extra term.
     """
-    n, d = change.dim, change.fiber_dim
-    transition = change.transition
-    out: Dict[str, float] = {"discrepancy": 0.0}
-
-    if quantity == "action1":
-        if primed_stress1 is None or velocity is None:
-            raise ValueError("action1 needs a primed first-order stress and a velocity")
-        for x in sample_points:
-            xp = tuple(transition.forward.values_at(x))
-            jac_det = transition.jacobian_det(x)
-            jet_un = jet_extension(velocity.field, x, 2)
-            jet_pr = transform_jet2(jet_un, change, x)
-            s0p = primed_stress1.s0.at(xp)
-            s1p = primed_stress1.s1.at(xp)
-            primed_density = float(
-                np.sum(s0p * jet_pr.array(0)) + np.sum(s1p * jet_pr.array(1))
-            )
-            s0, s1 = transform_stress1(primed_stress1, change, x)
-            unprimed_density = float(
-                np.sum(s0 * jet_un.array(0)) + np.sum(s1 * jet_un.array(1))
-            )
-            out["discrepancy"] = max(
-                out["discrepancy"], abs(unprimed_density - jac_det * primed_density)
-            )
-        return out
-
-    if quantity == "action2":
-        if primed_stress2 is None or velocity is None:
-            raise ValueError("action2 needs a primed second-order stress and a velocity")
-        for x in sample_points:
-            xp = tuple(transition.forward.values_at(x))
-            jac_det = transition.jacobian_det(x)
-            jet_un = jet_extension(velocity.field, x, 2)
-            jet_pr = transform_jet2(jet_un, change, x)
-            s0p, s1p, s2p = _stress2_arrays(primed_stress2, xp)
-            primed_density = float(
-                np.sum(s0p * jet_pr.array(0))
-                + np.sum(s1p * jet_pr.array(1))
-                + np.sum(s2p * jet_pr.array(2))
-            )
-            s0, s1, s2 = transform_stress2(primed_stress2, change, x)
-            unprimed_density = float(
-                np.sum(s0 * jet_un.array(0))
-                + np.sum(s1 * jet_un.array(1))
-                + np.sum(s2 * jet_un.array(2))
-            )
-            out["discrepancy"] = max(
-                out["discrepancy"], abs(unprimed_density - jac_det * primed_density)
-            )
-        return out
-
-    if quantity == "traction1":
-        if primed_stress1 is None or velocity is None:
-            raise ValueError("traction1 needs a primed first-order stress and a velocity")
-        for x in sample_points:
-            xp = tuple(transition.forward.values_at(x))
-            jac_fwd = transition.forward_jacobian(x)
-            jet_un = jet_extension(velocity.field, x, 2)
-            jet_pr = transform_jet2(jet_un, change, x)
-            s1p = primed_stress1.s1.at(xp)
-            # Primed traction density sigma'(w') as an (n-1)-covector.
-            coeffs = {}
-            for jp in range(n):
-                value = float(np.sum(s1p[:, jp] * jet_pr.array(0)) * ((-1.0) ** jp))
-                coeffs[tuple_omitting(n, jp)] = value
-            primed_form = FormValue(n, n - 1, coeffs)
-            mapped = pullback_form_value(primed_form, jac_fwd)
-            _, s1 = transform_stress1(primed_stress1, change, x)
-            coeffs_un = {}
-            for j in range(n):
-                value = float(np.sum(s1[:, j] * jet_un.array(0)) * ((-1.0) ** j))
-                coeffs_un[tuple_omitting(n, j)] = value
-            unprimed_form = FormValue(n, n - 1, coeffs_un)
-            out["discrepancy"] = max(
-                out["discrepancy"], unprimed_form.max_abs_diff(mapped)
-            )
-        return out
-
-    if quantity in ("naive-contraction", "vertical-contraction"):
-        if primed_stress2 is None:
-            raise ValueError(f"{quantity} needs a primed second-order stress")
-        match_defect = 0.0
-        vector_defect = 0.0
-        magnitude = 0.0
-        for x in sample_points:
-            scalar_mapped, vector_mapped = _naive_blocks_mapped(primed_stress2, change, x)
-            s0, s1, s2 = transform_stress2(primed_stress2, change, x)
-            scalar_gap = s1 - scalar_mapped
-            vector_gap = np.einsum("aij->aji", s2) - vector_mapped
-            predicted = predicted_contraction_defect(primed_stress2, change, x)
-            magnitude = max(magnitude, float(np.max(np.abs(scalar_gap))))
-            match_defect = max(match_defect, float(np.max(np.abs(scalar_gap - predicted))))
-            vector_defect = max(vector_defect, float(np.max(np.abs(vector_gap))))
-        if quantity == "vertical-contraction":
-            out["discrepancy"] = vector_defect
-            return out
-        out["discrepancy"] = magnitude
-        out["predicted_match_defect"] = match_defect
-        out["vector_block_defect"] = vector_defect
-        return out
-
-    raise ValueError(f"unknown invariance quantity {quantity!r}")
+    if quantity not in _QUANTITIES:
+        raise ValueError(f"unknown invariance quantity {quantity!r}")
+    order, paired = _QUANTITIES[quantity]
+    stress = primed_stress1 if order == 1 else primed_stress2
+    if stress is None or (paired and velocity is None):
+        needs = f"a primed {('first', 'second')[order - 1]}-order stress"
+        raise ValueError(f"{quantity} needs {needs}" + (" and a velocity" if paired else ""))
+    keys = ("discrepancy",) if paired else (
+        "discrepancy", "predicted_match_defect", "vector_block_defect")
+    out = dict.fromkeys(keys, 0.0)
+    for x in sample_points:
+        pc = change.at(x)
+        primed = _primed_blocks(stress, pc.xp)
+        unprimed = _stress_law(pc, primed)
+        if paired:
+            jet_un = jet_extension(velocity.field, pc.x, 2)
+            jet_pr = _jet_law(pc, jet_un)
+            if quantity == "traction1":
+                mapped = pullback_form_value(_traction_covector(primed[1], jet_pr.array(0)), pc.jac)
+                gaps = (_traction_covector(unprimed[1], jet_un.array(0)).max_abs_diff(mapped),)
+            else:
+                gaps = (abs(_density(unprimed, jet_un) - pc.det * _density(primed, jet_pr)),)
+        else:
+            scalar_mapped, vector_mapped = _naive_blocks_mapped(pc, primed[1], primed[2])
+            scalar_gap = unprimed[1] - scalar_mapped
+            predicted = _contraction_defect(pc, primed[2])
+            gaps = tuple(float(np.max(np.abs(gap))) for gap in (
+                scalar_gap,
+                scalar_gap - predicted,
+                np.einsum("aij->aji", unprimed[2]) - vector_mapped,
+            ))
+        for key, gap in zip(keys, gaps):
+            out[key] = max(out[key], gap)
+    if quantity == "vertical-contraction":
+        return {"discrepancy": out["vector_block_defect"]}
+    return out

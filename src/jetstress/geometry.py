@@ -34,6 +34,7 @@ __all__ = [
     "pullback_coefficients",
     "restrict_form",
     "integrate",
+    "integrate_over_body",
     "boundary_faces",
     "edges",
     "increasing_tuples",
@@ -663,6 +664,13 @@ def integrate(form: FormField, box: Box, rule: QuadratureRule, sign: float = 1.0
     for node, w in zip(nodes, weights):
         total += w * form.value_at(tuple(node)).coefficient(full)
     return sign * total
+
+
+def integrate_over_body(form: FormField, body: Body, rule: QuadratureRule) -> float:
+    """Integrate a chart volume form over the body, pulled back through its patch."""
+    if body.patch is not None:
+        form = form.pullback(body.patch)
+    return integrate(form, body.box, rule)
 
 
 def integrate_over_face(form_on_chart: FormField, face: FacePatch, rule: QuadratureRule) -> float:

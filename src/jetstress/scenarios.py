@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .balance import _volume_integral, closed_boundary_exact_term, verify_balance_order2
+from .balance import closed_boundary_exact_term, verify_balance_order2
 from .bundles import BundleSpec, JetSectionField
 from .covariance import FrameChange, invariance_check
 from .exprs import parse_expression
@@ -37,6 +37,7 @@ from .geometry import (
     TransitionMap,
     boundary_faces,
     integrate,  # noqa: F401  (perfbench/tests check that tracing rebinds it here)
+    integrate_over_body,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -112,11 +113,12 @@ def _component_map(spec: Any, dim: int, key: str) -> Callable:
             try:
                 exps, coef = entry
                 exps = tuple(int(e) for e in exps)
+                coef = float(coef)
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"{key}: bad monomial entry {entry!r}") from exc
             if len(exps) != dim or any(e < 0 for e in exps):
                 raise ScenarioError(f"{key}: monomial exponents {exps} invalid for n={dim}")
-            table.append((exps, float(coef)))
+            table.append((exps, coef))
         return monomial_map(table)
     raise ScenarioError(f"{key}: component must be a number, string, or monomial table")
 
@@ -180,6 +182,29 @@ def _require(doc: Dict[str, Any], key: str) -> Any:
     return doc[key]
 
 
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _number(value: Any, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key}: expected a number, got {value!r}") from exc
+
+
+def _box(geometry: Dict[str, Any], key: str, n: int) -> Box:
+    bounds = _require(geometry, key)
+    if not isinstance(bounds, list) or len(bounds) != n:
+        raise ScenarioError(f"geometry.{key}: expected {n} axis bounds")
+    if not all(isinstance(b, list) and len(b) == 2 for b in bounds):
+        raise ScenarioError(f"geometry.{key}: each axis bound must be a [lo, hi] pair")
+    try:
+        return Box.from_bounds([[_number(v, f"geometry.{key}") for v in b] for b in bounds])
+    except ValueError as exc:
+        raise ScenarioError(f"geometry.{key}: {exc}") from exc
+
+
 def load_scenario(document: Dict[str, Any] | str) -> Scenario:
     """Parse and validate a scenario document (dict or JSON text)."""
     if isinstance(document, str):
@@ -199,25 +224,20 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         raise ScenarioError(f"schema: expected {SCHEMA_ID!r}, got {doc.get('schema')!r}")
 
     bundle = _require(doc, "bundle")
+    if not isinstance(bundle, dict):
+        raise ScenarioError("bundle: expected an object with keys n and d")
     n = bundle.get("n")
     d = bundle.get("d")
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n):
         raise ScenarioError("bundle.n: must be a positive integer")
-    if not isinstance(d, int) or d < 1:
+    if not _is_count(d):
         raise ScenarioError("bundle.d: must be a positive integer")
 
     geometry = _require(doc, "geometry")
-    chart_bounds = _require(geometry, "chart_box")
-    body_bounds = _require(geometry, "body_box")
-    if len(chart_bounds) != n:
-        raise ScenarioError(f"geometry.chart_box: expected {n} axis bounds")
-    if len(body_bounds) != n:
-        raise ScenarioError(f"geometry.body_box: expected {n} axis bounds")
-    try:
-        chart = Chart(n, Box.from_bounds(chart_bounds))
-        body_box = Box.from_bounds(body_bounds)
-    except ValueError as exc:
-        raise ScenarioError(f"geometry: {exc}") from exc
+    if not isinstance(geometry, dict):
+        raise ScenarioError("geometry: expected an object")
+    chart = Chart(n, _box(geometry, "chart_box", n))
+    body_box = _box(geometry, "body_box", n)
     patch = None
     if geometry.get("patch") is not None:
         patch_specs = geometry["patch"]
@@ -226,7 +246,7 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         patch = parse_tensor(patch_specs, n, (n,), "geometry.patch").field
     body = Body(chart, body_box, patch)
     quad_order = geometry.get("quad_order", 6)
-    if not isinstance(quad_order, int) or quad_order < 1:
+    if not _is_count(quad_order):
         raise ScenarioError("geometry.quad_order: must be a positive integer")
     if patch is not None:
         try:
@@ -242,10 +262,13 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
             raise ScenarioError(f"checks: unknown check id {cid!r}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in doc.get("tolerances", {}).items():
+    overrides = doc.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise ScenarioError("tolerances: expected an object mapping check ids to numbers")
+    for key, value in overrides.items():
         if key not in CHECK_IDS:
             raise ScenarioError(f"tolerances.{key}: unknown check id")
-        tolerances[key] = float(value)
+        tolerances[key] = _number(value, f"tolerances.{key}")
 
     scenario = Scenario(
         raw=doc, digest=digest, bundle=BundleSpec(n, d), body=body,
@@ -267,10 +290,10 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
             parse_tensor(_require(blk, "s1"), n, (d, n), "stress.order2.s1"),
             s2,
         )
-        split = blk.get("split", 1.0)
-        if not 0.0 <= float(split) <= 1.0:
+        split = _number(blk.get("split", 1.0), "stress.order2.split")
+        if not 0.0 <= split <= 1.0:
             raise ScenarioError("stress.order2.split: must lie in [0, 1]")
-        scenario.stress2_split = float(split)
+        scenario.stress2_split = split
         try:
             scenario.stress2.check_symmetry(
                 [tuple(body_box.center())], tol=1e-10
@@ -329,13 +352,14 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         if blk.get("frame") is not None:
             frame = parse_tensor(blk["frame"], n, (d, d), "covariance.frame")
         samples = blk.get("samples")
-        if not samples:
-            raise ScenarioError("covariance.samples: at least one sample point required")
+        if not samples or not isinstance(samples, list):
+            raise ScenarioError("covariance.samples: expected a list of sample points")
         points = []
         for idx, pt in enumerate(samples):
-            if len(pt) != n:
-                raise ScenarioError(f"covariance.samples[{idx}]: expected {n} coordinates")
-            points.append(tuple(float(c) for c in pt))
+            key = f"covariance.samples[{idx}]"
+            if not isinstance(pt, list) or len(pt) != n:
+                raise ScenarioError(f"{key}: expected {n} coordinates")
+            points.append(tuple(_number(c, key) for c in pt))
         try:
             transition.check_roundtrip(points)
         except ValueError as exc:
@@ -345,9 +369,10 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         scenario.expect_noninvariant = bool(blk.get("expect_noninvariant", False))
         quantities = blk.get("quantities")
         if quantities is not None:
-            known = {"action1", "action2", "traction1", "naive-contraction"}
+            if not isinstance(quantities, list):
+                raise ScenarioError("covariance.quantities: expected a list")
             for q in quantities:
-                if q not in known:
+                if not isinstance(q, str) or q not in _COVARIANCE_QUANTITIES:
                     raise ScenarioError(f"covariance.quantities: unknown quantity {q!r}")
             scenario.covariance_quantities = list(quantities)
 
@@ -519,51 +544,42 @@ def _run_second_contraction(scenario: Scenario) -> CheckRecord:
     )
 
 
+# Covariance quantities a scenario can select: the primed stress each reads,
+# whether it pairs the velocity, and the record term of each result key.
+# Every term except the naive magnitude, the defect itself, is a residual.
+_COVARIANCE_QUANTITIES: Dict[str, Tuple[str, bool, Dict[str, str]]] = {
+    "action1": ("stress1", True, {"discrepancy": "action1"}),
+    "traction1": ("stress1", True, {"discrepancy": "traction1"}),
+    "action2": ("stress2", True, {"discrepancy": "action2"}),
+    "naive-contraction": ("stress2", False, {
+        "discrepancy": "naive_magnitude",
+        "predicted_match_defect": "naive_match_defect",
+        "vector_block_defect": "vertical_invariance",
+    }),
+}
+
+
 def _run_covariance(scenario: Scenario) -> CheckRecord:
-    change = scenario.frame_change
-    samples = scenario.covariance_samples
     selected = scenario.covariance_quantities
     terms: Dict[str, float] = {}
     residual = 0.0
-
-    def wanted(quantity: str) -> bool:
-        return selected is None or quantity in selected
-
-    if scenario.stress1 is not None and scenario.velocity is not None:
-        if wanted("action1"):
-            r1 = invariance_check(
-                "action1", change, samples,
-                primed_stress1=scenario.stress1, velocity=scenario.velocity,
-            )
-            terms["action1"] = r1["discrepancy"]
-            residual = max(residual, r1["discrepancy"])
-        if wanted("traction1"):
-            t1 = invariance_check(
-                "traction1", change, samples,
-                primed_stress1=scenario.stress1, velocity=scenario.velocity,
-            )
-            terms["traction1"] = t1["discrepancy"]
-            residual = max(residual, t1["discrepancy"])
-    if scenario.stress2 is not None:
-        if scenario.velocity is not None and wanted("action2"):
-            r2 = invariance_check(
-                "action2", change, samples,
-                primed_stress2=scenario.stress2, velocity=scenario.velocity,
-            )
-            terms["action2"] = r2["discrepancy"]
-            residual = max(residual, r2["discrepancy"])
-        if wanted("naive-contraction"):
-            naive = invariance_check(
-                "naive-contraction", change, samples, primed_stress2=scenario.stress2
-            )
-            terms["naive_magnitude"] = naive["discrepancy"]
-            terms["naive_match_defect"] = naive["predicted_match_defect"]
-            terms["vertical_invariance"] = naive["vector_block_defect"]
-            residual = max(
-                residual, naive["predicted_match_defect"], naive["vector_block_defect"]
-            )
-            if scenario.expect_noninvariant and naive["discrepancy"] <= 1e-3:
-                residual = max(residual, 1.0)  # force a failure: the defect is missing
+    for quantity, (stress, paired, names) in _COVARIANCE_QUANTITIES.items():
+        primed = getattr(scenario, stress)
+        if primed is None or (paired and scenario.velocity is None):
+            continue
+        if selected is not None and quantity not in selected:
+            continue
+        result = invariance_check(
+            quantity, scenario.frame_change, scenario.covariance_samples,
+            velocity=scenario.velocity, **{f"primed_{stress}": primed},
+        )
+        for key, name in names.items():
+            terms[name] = result[key]
+            if name != "naive_magnitude":
+                residual = max(residual, result[key])
+    naive = terms.get("naive_magnitude")
+    if scenario.expect_noninvariant and naive is not None and naive <= 1e-3:
+        residual = max(residual, 1.0)  # force a failure: the defect is missing
     if not terms:
         raise ScenarioError(
             "covariance.quantities: no selected quantity is computable from the scenario blocks"
@@ -594,7 +610,7 @@ def _split_actions(scenario: Scenario, splits: Sequence[float]) -> List[float]:
     rule = QuadratureRule(scenario.quad_order)
     section = JetSectionField.from_velocity(scenario.velocity)
     return [
-        _volume_integral(
+        integrate_over_body(
             nh_action_form(lift_second_order(scenario.stress2, split), section),
             scenario.body, rule,
         )

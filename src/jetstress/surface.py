@@ -83,6 +83,13 @@ def _tangent_basis_series(
     return [[mapping[i].partial(a) for i in range(face.chart.dim)] for a in range(q)]
 
 
+def _frame_series(
+    face: FacePatch, n_field: TensorField, point: Sequence[float], order: int
+) -> List[List[TruncatedSeries]]:
+    """The face tangents, then the transversal, as ambient component series."""
+    return _tangent_basis_series(face, point, order) + [n_field.field.series_at(point, order)]
+
+
 class TransversalField:
     """A nowhere-tangent vector field along a face with its annihilator form.
 
@@ -101,14 +108,19 @@ class TransversalField:
         self.n_field = n_field
 
     @classmethod
+    def axis(cls, face: FacePatch, axis: int, sign: float = 1.0) -> "TransversalField":
+        """The constant transversal ``sign`` times the basis vector of ``axis``."""
+        n = face.chart.dim
+        vec = [0.0] * n
+        vec[axis] = sign
+        return cls(face, TensorField(SmoothField.constant(face.param_dim, vec), (n,)))
+
+    @classmethod
     def coordinate(cls, face: FacePatch) -> "TransversalField":
         """Outward coordinate transversal of a box face."""
         if face.boxface is None:
             raise ValueError("coordinate transversal needs a box face")
-        n = face.chart.dim
-        vec = [0.0] * n
-        vec[face.boxface.axis] = 1.0 if face.boxface.side else -1.0
-        return cls(face, TensorField(SmoothField.constant(face.param_dim, vec), (n,)))
+        return cls.axis(face, face.boxface.axis, 1.0 if face.boxface.side else -1.0)
 
     @classmethod
     def from_ambient_field(cls, face: FacePatch, field: TensorField) -> "TransversalField":
@@ -164,27 +176,21 @@ class TransversalField:
     def annihilator_series(self, point: Sequence[float], order: int) -> List[TruncatedSeries]:
         """Components of the one-form with phi(tangents) = 0, phi(n) = 1."""
         n = self.face.chart.dim
-        tangents = _tangent_basis_series(self.face, point, order)
-        nvec = self.n_field.field.series_at(point, order)
-        rows = tangents + [nvec]
         rhs = [[TruncatedSeries.zero(self.face.param_dim, order)] for _ in range(n)]
         rhs[-1][0] = TruncatedSeries.constant(self.face.param_dim, order, 1.0)
         # Unknown phi enters through M[k][i] phi_i with M rows = tangents, n.
-        matrix = [[rows[k][i] for i in range(n)] for k in range(n)]
-        sol = _solve_linear_series(matrix, rhs)
+        sol = _solve_linear_series(_frame_series(self.face, self.n_field, point, order), rhs)
         return [row[0] for row in sol]
 
     def validate(self, points: Sequence[Sequence[float]], tol: float = 1e-12) -> float:
         """Largest defect of phi(n) = 1 and phi(tangent) = 0 over sample points."""
         worst = 0.0
-        n = self.face.chart.dim
         for y in points:
             phi = [s.value for s in self.annihilator_series(y, 0)]
-            nvec = self.n_field.at(y)
+            frame = _frame_series(self.face, self.n_field, y, 0)
+            *tangents, nvec = [[s.value for s in vector] for vector in frame]
             worst = max(worst, abs(float(np.dot(phi, nvec)) - 1.0))
-            tangents = _tangent_basis_series(self.face, y, 0)
-            for t in tangents:
-                tv = [s.value for s in t]
+            for tv in tangents:
                 worst = max(worst, abs(float(np.dot(phi, tv))))
         if worst > tol:
             raise ValueError(f"transversal field defect {worst:.2e} exceeds {tol:.1e}")
@@ -229,42 +235,26 @@ def restrict_Y(surface_stress: HyperSurfaceStress, face: FacePatch) -> Restricte
     )
 
 
+def _reference_transversal(face: FacePatch, axis: Optional[int]) -> TransversalField:
+    """The basis vector of ``axis`` as a transversal; box faces default to their own axis."""
+    if axis is None:
+        if face.boxface is None:
+            raise ValueError("general faces need an explicit complement coordinate")
+        axis = face.boxface.axis
+    return TransversalField.axis(face, axis)
+
+
 def vertical_projection(
     restricted: RestrictedSurfaceStress, complement_axis: Optional[int] = None
 ) -> TensorField:
     """The derivative-slot component acting on jets that vanish tangentially.
 
-    The complement coordinate fixes the normalization of the annihilator
-    direction; box faces default to their omitted axis, where the projection
-    reduces to the corresponding column of the derivative slot.
+    It is the transversal coefficient along the basis vector of the complement
+    coordinate, which box faces take to be their omitted axis; there the
+    projection reduces to the corresponding column of the derivative slot.
     """
-    face = restricted.face
-    n = restricted.ambient_dim
-    d = restricted.fiber_dim
-    q = face.param_dim
-    if complement_axis is None:
-        if face.boxface is None:
-            raise ValueError("general faces need an explicit complement coordinate")
-        complement_axis = face.boxface.axis
-    basis = [0.0] * n
-    basis[complement_axis] = 1.0
-    complement = TransversalField(
-        face, TensorField(SmoothField.constant(q, basis), (n,))
-    )
-    z1 = restricted.z1.field
-
-    def evaluator(point, order):
-        phi = complement.annihilator_series(point, order)
-        series = z1.series_at(point, order)
-        out = []
-        for alpha in range(d):
-            total = TruncatedSeries.zero(q, order)
-            for i in range(n):
-                total = total + series[alpha * n + i] * phi[i]
-            out.append(total)
-        return out
-
-    return TensorField(SmoothField(q, d, evaluator), (d,))
+    reference = _reference_transversal(restricted.face, complement_axis)
+    return transversal_decomposition(restricted, reference)[1]
 
 
 def is_tangent(
@@ -296,15 +286,11 @@ def transversal_decomposition(
     d = restricted.fiber_dim
     q = face.param_dim
     z1 = restricted.z1.field
-    nf = transversal.n_field.field
 
     def solve_components(point, order):
-        tangents = _tangent_basis_series(face, point, order)
-        nvec = nf.series_at(point, order)
+        frame = _frame_series(face, transversal.n_field, point, order)
         # Columns: tangent vectors then the transversal.
-        matrix = [
-            [tangents[a][i] for a in range(q)] + [nvec[i]] for i in range(n)
-        ]
+        matrix = [[vector[i] for vector in frame] for i in range(n)]
         series = z1.series_at(point, order)
         rhs = [[series[alpha * n + i] for alpha in range(d)] for i in range(n)]
         sol = _solve_linear_series(matrix, rhs)
@@ -393,16 +379,7 @@ def tangent_edge_force(
     face = restricted.face
     if not is_tangent(restricted, tol=tol, complement_axis=complement_axis):
         raise ValueError("face stress is not tangent; edge force undefined")
-    n = restricted.ambient_dim
-    q = face.param_dim
-    axis = complement_axis
-    if axis is None:
-        axis = face.boxface.axis
-    basis = [0.0] * n
-    basis[axis] = 1.0
-    reference = TransversalField(
-        face, TensorField(SmoothField.constant(q, basis), (n,))
-    )
+    reference = _reference_transversal(face, complement_axis)
     tangent, _ = transversal_decomposition(restricted, reference)
     reduced = VariationalStress1(restricted.z0, tangent)
     return traction_projection(reduced), divergence(reduced), reduced

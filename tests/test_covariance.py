@@ -1,5 +1,6 @@
 """Chart/frame transformation laws and the contraction non-invariance result."""
 
+import collections
 import itertools
 import random
 
@@ -289,3 +290,103 @@ def test_predicted_defect_hand_value():
     defect = predicted_contraction_defect(primed, change, x)
     assert defect[0, 0] == pytest.approx(-2.0 * 1.3)
     assert defect[0, 1] == pytest.approx(0.0)
+
+
+QUANTITIES = (
+    "action1", "action2", "traction1", "naive-contraction", "vertical-contraction",
+)
+
+
+def counted(field, name, counts):
+    """The same smooth field, counting every evaluation under ``name``."""
+
+    def evaluator(point, order):
+        counts[name] += 1
+        return field.series_at(point, order)
+
+    return SmoothField(field.dim, field.ncomp, evaluator)
+
+
+def counted_tensor(tensor, name, counts):
+    return TensorField(counted(tensor.field, name, counts), tensor.shape)
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_invariance_check_evaluates_each_jet_once_per_sample(quantity):
+    counts = collections.Counter()
+    rng = random.Random(37)
+    trans = quadratic_transition()
+    frame = tensor_poly(
+        2, (2, 2),
+        [[((0, 0), 1.0), ((1, 0), 0.2)], [((0, 1), 0.1)],
+         [((0, 0), 0.0), ((1, 1), 0.05)], [((0, 0), 1.0), ((0, 1), -0.15)]],
+    )
+    change = FrameChange(
+        TransitionMap(
+            counted(trans.forward, "forward", counts), counted(trans.inverse, "inverse", counts)
+        ),
+        2,
+        counted_tensor(frame, "frame", counts),
+    )
+    velocity = counted_tensor(
+        tensor_poly(2, (2,), [random_poly_table(rng, 2, 3) for _ in range(2)]),
+        "velocity", counts,
+    )
+    plain1 = VariationalStress1(
+        tensor_poly(2, (2,), [random_poly_table(rng, 2, 2) for _ in range(2)]),
+        tensor_poly(2, (2, 2), [random_poly_table(rng, 2, 2) for _ in range(4)]),
+    )
+    plain2 = random_stress2_primed(rng, 2, 2, 2)
+    primed1 = VariationalStress1(
+        counted_tensor(plain1.s0, "1.s0", counts), counted_tensor(plain1.s1, "1.s1", counts)
+    )
+    primed2 = VariationalStress2(
+        counted_tensor(plain2.s0, "2.s0", counts),
+        counted_tensor(plain2.s1, "2.s1", counts),
+        counted_tensor(plain2.s2, "2.s2", counts),
+    )
+    counts.clear()
+    invariance_check(
+        quantity, change, SAMPLES_2D,
+        primed_stress1=primed1, primed_stress2=primed2, velocity=velocity,
+    )
+    k = len(SAMPLES_2D)
+    assert counts["forward"] == counts["inverse"] == counts["frame"] == k
+    assert max(counts.values()) <= k, dict(counts)
+
+
+def singular_change():
+    # x1' = x1^2 folds the chart: the transition Jacobian vanishes on x1 = 0.
+    collapse = TransitionMap(
+        SmoothField.from_expressions(2, ["x1*x1", "x2"]),
+        SmoothField.from_expressions(2, ["x1", "x2"]),
+    )
+    return FrameChange(collapse, 1)
+
+
+SINGULAR_POINT = (0.0, 0.5)
+
+
+def _singular_laws():
+    rng = random.Random(41)
+    primed2 = random_stress2_primed(rng, 2, 1, 2)
+    primed1 = VariationalStress1(primed2.s0, primed2.s1)
+    velocity = tensor_poly(2, (1,), [random_poly_table(rng, 2, 2)])
+    x = SINGULAR_POINT
+    laws = {
+        "transform_jet2": lambda c: transform_jet2(jet_extension(velocity.field, x, 2), c, x),
+        "transform_stress1": lambda c: transform_stress1(primed1, c, x),
+        "transform_stress2": lambda c: transform_stress2(primed2, c, x),
+        "predicted_contraction_defect": lambda c: predicted_contraction_defect(primed2, c, x),
+    }
+    for quantity in QUANTITIES:
+        laws[quantity] = lambda c, q=quantity: invariance_check(
+            q, c, [x], primed_stress1=primed1, primed_stress2=primed2, velocity=velocity
+        )
+    return laws
+
+
+@pytest.mark.parametrize("law", sorted(_singular_laws()))
+def test_every_law_rejects_a_singular_transition(law):
+    with pytest.raises(ValueError, match="singular"):
+        _singular_laws()[law](singular_change())

@@ -212,3 +212,37 @@ def test_default_tolerances_documented_values():
     assert DEFAULT_TOLERANCES["balance1"] == 1e-10
     assert DEFAULT_TOLERANCES["div-consistency"] == 1e-11
     assert DEFAULT_TOLERANCES["second-contraction"] == 1e-14
+
+
+MALFORMED_DOCUMENTS = [
+    ("square-order1.json", ("geometry", "body_box"), [[0.0], [0, 1]], "geometry.body_box"),
+    ("square-order1.json", ("geometry", "chart_box"), [1, 2], "geometry.chart_box"),
+    ("square-order1.json", ("geometry", "chart_box"), [["a", 1], [0, 1]], "geometry.chart_box"),
+    ("square-order1.json", ("bundle",), [2, 1], "bundle"),
+    ("square-order1.json", ("bundle", "n"), True, "bundle.n"),
+    ("square-order1.json", ("geometry",), [], "geometry"),
+    ("square-order1.json", ("geometry", "quad_order"), True, "geometry.quad_order"),
+    ("square-order1.json", ("tolerances",), ["x"], "tolerances"),
+    ("square-order1.json", ("tolerances",), {"balance1": "abc"}, "tolerances.balance1"),
+    ("square-order1.json", ("velocity", "u"), [{"monomials": [[[1, 0], "x"]]}], "velocity.u"),
+    ("covariance-quadratic.json", ("stress", "order2", "split"), "a", "stress.order2.split"),
+    ("covariance-quadratic.json", ("covariance", "samples"), [1, 2], "covariance.samples"),
+    ("covariance-quadratic.json", ("covariance", "quantities"), "action1",
+     "covariance.quantities"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, path, value, key", MALFORMED_DOCUMENTS,
+    ids=[f"{i}-{case[3]}" for i, case in enumerate(MALFORMED_DOCUMENTS)],
+)
+def test_malformed_document_exits_2_naming_the_key(tmp_path, capsys, fixture, path, value, key):
+    doc = json.loads((SCENARIOS / fixture).read_text())
+    target = doc
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert f"error: {key}" in capsys.readouterr().err
