@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .geometry import QuadratureRule
 from .scenarios import (
     CHECK_IDS,
     Scenario,
@@ -66,6 +67,11 @@ def _apply_overrides(scenario: Scenario, args) -> None:
     if args.quad_order is not None:
         if args.quad_order < 1:
             raise ScenarioError("--quad-order: must be a positive integer")
+        # The loader checked the patch at the file's nodes; the new rule has others.
+        try:
+            scenario.body.check_embedding(QuadratureRule(args.quad_order))
+        except ValueError as exc:
+            raise ScenarioError(f"--quad-order: {exc}") from exc
         scenario.quad_order = args.quad_order
     for item in args.tol_override:
         if "=" not in item:

@@ -15,6 +15,7 @@ import re
 from typing import Callable, List, Sequence, Tuple
 
 from .taylor import (
+    Coordinates,
     TruncatedSeries,
     cos_series,
     cosh_series,
@@ -165,7 +166,7 @@ class _Parser:
         raise ExpressionError(f"unexpected token {value!r}")
 
 
-def _evaluate(node, variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
+def _evaluate(node, variables: Coordinates) -> TruncatedSeries:
     op = node[0]
     if op == "const":
         return TruncatedSeries.constant(variables[0].dim, variables[0].order, node[1])
@@ -182,6 +183,8 @@ def _evaluate(node, variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
     if op == "div":
         return _evaluate(node[1], variables) / _evaluate(node[2], variables)
     if op == "pow":
+        if node[1][0] == "var":
+            return variables.power(node[1][1], node[2])
         return _evaluate(node[1], variables) ** node[2]
     if op == "call":
         return FUNCTIONS[node[1]](_evaluate(node[2], variables))
@@ -193,6 +196,6 @@ def parse_expression(text: str, dim: int) -> Callable[[Sequence[TruncatedSeries]
     tree = _Parser(_tokenize(text), dim).parse()
 
     def evaluator(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        return _evaluate(tree, variables)
+        return _evaluate(tree, Coordinates.of(variables))
 
     return evaluator

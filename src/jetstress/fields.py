@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exprs import parse_expression
-from .taylor import MultiIndex, TruncatedSeries
+from .taylor import Coordinates, MultiIndex, TruncatedSeries
 
 __all__ = [
     "SmoothField",
@@ -49,24 +49,38 @@ Evaluator = Callable[[Point, int], List[TruncatedSeries]]
 Term = Tuple[int, Optional[int], Optional[float]]
 
 
-def coordinate_series(point: Sequence[float], order: int) -> List[TruncatedSeries]:
-    """Identity chart functions expanded about ``point``."""
+def coordinate_series(point: Sequence[float], order: int) -> Coordinates:
+    """Identity chart functions expanded about ``point``, with their power memo."""
     dim = len(point)
-    return [TruncatedSeries.variable(dim, order, axis, float(point[axis])) for axis in range(dim)]
+    return Coordinates(
+        TruncatedSeries.variable(dim, order, axis, float(point[axis])) for axis in range(dim)
+    )
 
 
 def monomial_map(table: Sequence[Tuple[Sequence[int], float]]) -> Callable:
-    """Series-level evaluator of a monomial table ``[(exponents, coefficient), ...]``."""
+    """Series-level evaluator of a monomial table ``[(exponents, coefficient), ...]``.
+
+    Each power ``x_i ** e`` comes from the coordinates' memo, so the
+    components of one field share it.  A term starts as ``power * coef``,
+    which gives the bits and key order of ``constant(coef) * power``.
+    """
+
+    # Per monomial: its coefficient and its (axis, exponent) factors.
+    terms = [(coef, [(axis, e) for axis, e in enumerate(exps) if e]) for exps, coef in table]
 
     def monomial_fn(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
+        variables = Coordinates.of(variables)
         dim = variables[0].dim
         order = variables[0].order
+        power = variables.power
         total = TruncatedSeries.zero(dim, order)
-        for exps, coef in table:
-            term = TruncatedSeries.constant(dim, order, coef)
-            for axis, e in enumerate(exps):
-                if e:
-                    term = term * variables[axis] ** e
+        for coef, factors in terms:
+            if not factors:
+                total = total + TruncatedSeries.constant(dim, order, coef)
+                continue
+            term = power(*factors[0]) * coef
+            for axis, e in factors[1:]:
+                term = term * power(axis, e)
             total = total + term
         return total
 

@@ -176,10 +176,30 @@ class Scenario:
         raise ScenarioError("stress: a 'raw' or 'order2' block is required for this check")
 
 
-def _require(doc: Dict[str, Any], key: str) -> Any:
+def _path(parent: Optional[str], key: str) -> str:
+    return key if parent is None else f"{parent}.{key}"
+
+
+def _require(doc: Dict[str, Any], key: str, parent: Optional[str] = None) -> Any:
     if key not in doc:
-        raise ScenarioError(f"{key}: missing required key")
+        raise ScenarioError(f"{_path(parent, key)}: missing required key")
     return doc[key]
+
+
+def _required_tensor(
+    blk: Dict[str, Any], parent: str, key: str, dim: int, shape: Tuple[int, ...]
+) -> TensorField:
+    return parse_tensor(_require(blk, key, parent), dim, shape, f"{parent}.{key}")
+
+
+def _block(doc: Dict[str, Any], key: str, parent: Optional[str] = None) -> Dict[str, Any]:
+    """The optional object ``doc[key]``; ``{}`` when absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{_path(parent, key)}: expected an object")
+    return value
 
 
 def _is_count(value: Any) -> bool:
@@ -194,7 +214,7 @@ def _number(value: Any, key: str) -> float:
 
 
 def _box(geometry: Dict[str, Any], key: str, n: int) -> Box:
-    bounds = _require(geometry, key)
+    bounds = _require(geometry, key, "geometry")
     if not isinstance(bounds, list) or len(bounds) != n:
         raise ScenarioError(f"geometry.{key}: expected {n} axis bounds")
     if not all(isinstance(b, list) and len(b) == 2 for b in bounds):
@@ -275,19 +295,19 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         quad_order=quad_order, checks=list(checks), tolerances=tolerances,
     )
 
-    stress_block = doc.get("stress", {})
+    stress_block = _block(doc, "stress")
     if "order1" in stress_block:
-        blk = stress_block["order1"]
+        blk = _block(stress_block, "order1", "stress")
         scenario.stress1 = VariationalStress1(
-            parse_tensor(_require(blk, "s0"), n, (d,), "stress.order1.s0"),
-            parse_tensor(_require(blk, "s1"), n, (d, n), "stress.order1.s1"),
+            _required_tensor(blk, "stress.order1", "s0", n, (d,)),
+            _required_tensor(blk, "stress.order1", "s1", n, (d, n)),
         )
     if "order2" in stress_block:
-        blk = stress_block["order2"]
-        s2 = parse_tensor(_require(blk, "s2"), n, (d, n, n), "stress.order2.s2")
+        blk = _block(stress_block, "order2", "stress")
+        s2 = _required_tensor(blk, "stress.order2", "s2", n, (d, n, n))
         scenario.stress2 = VariationalStress2(
-            parse_tensor(_require(blk, "s0"), n, (d,), "stress.order2.s0"),
-            parse_tensor(_require(blk, "s1"), n, (d, n), "stress.order2.s1"),
+            _required_tensor(blk, "stress.order2", "s0", n, (d,)),
+            _required_tensor(blk, "stress.order2", "s1", n, (d, n)),
             s2,
         )
         split = _number(blk.get("split", 1.0), "stress.order2.split")
@@ -301,28 +321,29 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"stress.order2.s2: {exc}") from exc
     if "raw" in stress_block:
-        blk = stress_block["raw"]
+        blk = _block(stress_block, "raw", "stress")
         scenario.raw_stress = NonHolonomicStress(
-            parse_tensor(_require(blk, "x0"), n, (d,), "stress.raw.x0"),
-            parse_tensor(_require(blk, "x1"), n, (d, n), "stress.raw.x1"),
-            parse_tensor(_require(blk, "x2"), n, (d, n), "stress.raw.x2"),
-            parse_tensor(_require(blk, "x3"), n, (d, n, n), "stress.raw.x3"),
+            _required_tensor(blk, "stress.raw", "x0", n, (d,)),
+            _required_tensor(blk, "stress.raw", "x1", n, (d, n)),
+            _required_tensor(blk, "stress.raw", "x2", n, (d, n)),
+            _required_tensor(blk, "stress.raw", "x3", n, (d, n, n)),
         )
 
-    velocity_block = doc.get("velocity", {})
+    velocity_block = _block(doc, "velocity")
     if "u" in velocity_block:
         scenario.velocity = parse_tensor(velocity_block["u"], n, (d,), "velocity.u")
     if "section" in velocity_block:
-        blk = velocity_block["section"]
+        blk = _block(velocity_block, "section", "velocity")
         scenario.section = JetSectionField(
-            parse_tensor(_require(blk, "a0"), n, (d,), "velocity.section.a0"),
-            parse_tensor(_require(blk, "a1"), n, (d, n), "velocity.section.a1"),
+            _required_tensor(blk, "velocity.section", "a0", n, (d,)),
+            _required_tensor(blk, "velocity.section", "a1", n, (d, n)),
         )
 
-    if "transversals" in doc and doc["transversals"]:
+    transversal_block = _block(doc, "transversals")
+    if transversal_block:
         faces = {f.label: f for f in boundary_faces(body)}
         fields: Dict[str, TransversalField] = {}
-        for label, spec in doc["transversals"].items():
+        for label, spec in transversal_block.items():
             if label not in faces:
                 raise ScenarioError(f"transversals.{label}: unknown face label")
             if spec == "coordinate":
@@ -343,10 +364,10 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
                 )
         scenario.transversals = fields
 
-    if "covariance" in doc and doc["covariance"]:
-        blk = doc["covariance"]
-        forward = parse_tensor(_require(blk, "forward"), n, (n,), "covariance.forward")
-        inverse = parse_tensor(_require(blk, "inverse"), n, (n,), "covariance.inverse")
+    blk = _block(doc, "covariance")
+    if blk:
+        forward = _required_tensor(blk, "covariance", "forward", n, (n,))
+        inverse = _required_tensor(blk, "covariance", "inverse", n, (n,))
         transition = TransitionMap(forward.field, inverse.field)
         frame = None
         if blk.get("frame") is not None:
@@ -376,15 +397,13 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
                     raise ScenarioError(f"covariance.quantities: unknown quantity {q!r}")
             scenario.covariance_quantities = list(quantities)
 
-    if "closed_boundary" in doc and doc["closed_boundary"]:
-        blk = doc["closed_boundary"]
+    blk = _block(doc, "closed_boundary")
+    if blk:
         if n != 2:
             raise ScenarioError("closed_boundary: supported for n = 2 only")
-        mapping = parse_tensor(_require(blk, "map"), 1, (n,), "closed_boundary.map")
+        mapping = _required_tensor(blk, "closed_boundary", "map", 1, (n,))
         face = FacePatch("closed", chart, Box((0.0,), (1.0,)), mapping.field, 1.0, closed=True)
-        ambient = parse_tensor(
-            _require(blk, "transversal"), n, (n,), "closed_boundary.transversal"
-        )
+        ambient = _required_tensor(blk, "closed_boundary", "transversal", n, (n,))
         scenario.closed_face = face
         scenario.closed_transversal = TransversalField.from_ambient_field(face, ambient)
 
@@ -407,6 +426,8 @@ _CHECK_NEEDS = {
 
 def _validate_check_requirements(scenario: Scenario) -> None:
     for cid in scenario.checks:
+        if cid == "cauchy" and scenario.body.patch is not None:
+            raise ScenarioError("checks.cauchy: implemented for box bodies only")
         for need in _CHECK_NEEDS[cid]:
             if need == "nonholonomic":
                 if scenario.raw_stress is None and scenario.stress2 is None:
@@ -487,8 +508,6 @@ def _run_cauchy(scenario: Scenario) -> CheckRecord:
     worst = 0.0
     terms: Dict[str, float] = {}
     for face in boundary_faces(scenario.body):
-        if face.boxface is None or scenario.body.patch is not None:
-            raise ScenarioError("cauchy: implemented for box bodies")
         density = surface_force(sigma, face, velocity)
         axis = face.boxface.axis
         nodes, _ = rule.nodes_weights(face.param_box)

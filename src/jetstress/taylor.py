@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 __all__ = [
     "MultiIndex",
     "TruncatedSeries",
+    "Coordinates",
     "sin_series",
     "cos_series",
     "tan_series",
@@ -69,6 +70,36 @@ def _zero_exponents(dim: int) -> Exponents:
     return (0,) * dim
 
 
+def _check_shape(dim: int, order: int) -> None:
+    if dim < 1:
+        raise ValueError("series dimension must be >= 1")
+    if order < 0:
+        raise ValueError("series order must be >= 0")
+
+
+class _ProductRow(dict):
+    """``row[kb]`` is the exponent of ``dx^ka * dx^kb``, or None when its total
+    order exceeds the cap; each entry is computed on first use and kept."""
+
+    __slots__ = ("ka", "room")
+
+    def __init__(self, ka: Exponents, cap: int):
+        super().__init__()
+        self.ka = ka
+        self.room = cap - sum(ka)
+
+    def __missing__(self, kb: Exponents):
+        key = tuple(a + b for a, b in zip(self.ka, kb)) if sum(kb) <= self.room else None
+        self[kb] = key
+        return key
+
+
+# Product index rows by order cap: ``_PRODUCT_ROWS[cap][ka][kb]``.  Entries
+# depend on their keys alone, so every series shares them; a cap holds at
+# most C(n+cap, cap)**2 of them per dimension n.
+_PRODUCT_ROWS: Dict[int, Dict[Exponents, _ProductRow]] = {}
+
+
 class TruncatedSeries:
     """Polynomial in offsets ``dx = x - x0`` truncated at a fixed total order.
 
@@ -79,10 +110,7 @@ class TruncatedSeries:
     __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs: Mapping[Exponents, float] | None = None):
-        if dim < 1:
-            raise ValueError("series dimension must be >= 1")
-        if order < 0:
-            raise ValueError("series order must be >= 0")
+        _check_shape(dim, order)
         self.dim = dim
         self.order = order
         self.coeffs: Dict[Exponents, float] = {}
@@ -96,15 +124,33 @@ class TruncatedSeries:
                 if val != 0.0:
                     self.coeffs[key] = float(val)
 
+    @classmethod
+    def _trusted(cls, dim: int, order: int, coeffs: Dict[Exponents, float]) -> "TruncatedSeries":
+        """Wrap a fresh dict the engine computed from series it already holds.
+
+        Its keys are exponent tuples of length ``dim`` within ``order`` and its
+        values floats, so the key checks of the constructor are skipped; zero
+        values are dropped in insertion order, as the constructor drops them.
+        """
+        if 0.0 in coeffs.values():
+            coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
+        out = object.__new__(cls)
+        out.dim = dim
+        out.order = order
+        out.coeffs = coeffs
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int, order: int) -> "TruncatedSeries":
-        return cls(dim, order)
+        _check_shape(dim, order)
+        return cls._trusted(dim, order, {})
 
     @classmethod
     def constant(cls, dim: int, order: int, value: float) -> "TruncatedSeries":
-        return cls(dim, order, {_zero_exponents(dim): value})
+        _check_shape(dim, order)
+        return cls._trusted(dim, order, {_zero_exponents(dim): float(value)})
 
     @classmethod
     def variable(cls, dim: int, order: int, axis: int, center: float) -> "TruncatedSeries":
@@ -144,17 +190,18 @@ class TruncatedSeries:
             out = dict(self.coeffs)
             key = _zero_exponents(self.dim)
             out[key] = out.get(key, 0.0) + float(other)
-            return TruncatedSeries(self.dim, self.order, out)
+            return TruncatedSeries._trusted(self.dim, self.order, out)
         self._check_compatible(other)
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
             out[key] = out.get(key, 0.0) + val
-        return TruncatedSeries(self.dim, self.order, out)
+        return TruncatedSeries._trusted(self.dim, self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.dim, self.order, {k: -v for k, v in self.coeffs.items()})
+        neg = {k: -v for k, v in self.coeffs.items()}
+        return TruncatedSeries._trusted(self.dim, self.order, neg)
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -167,18 +214,26 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
-            return TruncatedSeries(self.dim, self.order, {k: v * c for k, v in self.coeffs.items()})
+            return TruncatedSeries._trusted(
+                self.dim, self.order, {k: v * c for k, v in self.coeffs.items()}
+            )
         self._check_compatible(other)
         cap = self.order
+        rows = _PRODUCT_ROWS.get(cap)
+        if rows is None:
+            rows = _PRODUCT_ROWS[cap] = {}
         out: Dict[Exponents, float] = {}
+        get = out.get
+        other_items = other.coeffs.items()
         for ka, va in self.coeffs.items():
-            oa = sum(ka)
-            for kb, vb in other.coeffs.items():
-                if oa + sum(kb) > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(ka, kb))
-                out[key] = out.get(key, 0.0) + va * vb
-        return TruncatedSeries(self.dim, self.order, out)
+            row = rows.get(ka)
+            if row is None:
+                row = rows[ka] = _ProductRow(ka, cap)
+            for kb, vb in other_items:
+                key = row[kb]
+                if key is not None:
+                    out[key] = get(key, 0.0) + va * vb
+        return TruncatedSeries._trusted(self.dim, cap, out)
 
     __rmul__ = __mul__
 
@@ -218,13 +273,16 @@ class TruncatedSeries:
             new_key = key[:axis] + (e - 1,) + key[axis + 1 :]
             if sum(new_key) <= new_order:
                 out[new_key] = out.get(new_key, 0.0) + val * e
-        return TruncatedSeries(self.dim, new_order, out)
+        return TruncatedSeries._trusted(self.dim, new_order, out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return TruncatedSeries(self.dim, order, self.coeffs) if order > self.order else self
+        if order == self.order:
+            return self
+        if order > self.order:
+            return TruncatedSeries._trusted(self.dim, order, dict(self.coeffs))
+        _check_shape(self.dim, order)
         out = {k: v for k, v in self.coeffs.items() if sum(k) <= order}
-        return TruncatedSeries(self.dim, order, out)
+        return TruncatedSeries._trusted(self.dim, order, out)
 
     def compose(self, offsets: Sequence["TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute each offset variable by a series with zero constant term.
@@ -281,6 +339,31 @@ class TruncatedSeries:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"{k}: {v:g}" for k, v in sorted(self.coeffs.items()))
         return f"TruncatedSeries(dim={self.dim}, order={self.order}, {{{terms}}})"
+
+
+class Coordinates(list):
+    """The coordinate series about one point, with a memo of their powers.
+
+    ``power(axis, e)`` is ``self[axis] ** e``, computed on first use and then
+    shared by every map evaluated on these coordinates.
+    """
+
+    __slots__ = ("_powers",)
+
+    def __init__(self, series: Iterable[TruncatedSeries] = ()):
+        super().__init__(series)
+        self._powers: Dict[Tuple[int, int], TruncatedSeries] = {}
+
+    @classmethod
+    def of(cls, variables: Sequence[TruncatedSeries]) -> "Coordinates":
+        """``variables`` itself if it is one, else a memo over its series."""
+        return variables if isinstance(variables, cls) else cls(variables)
+
+    def power(self, axis: int, e: int) -> TruncatedSeries:
+        out = self._powers.get((axis, e))
+        if out is None:
+            out = self._powers[axis, e] = self[axis] ** e
+        return out
 
 
 # -- composition with univariate analytic primitives -------------------------

@@ -246,3 +246,65 @@ def test_malformed_document_exits_2_naming_the_key(tmp_path, capsys, fixture, pa
     scenario.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(scenario)]) == 2
     assert f"error: {key}" in capsys.readouterr().err
+
+
+NON_OBJECT_BLOCKS = [
+    ("square-order1.json", ("velocity",), 5, "velocity: expected an object"),
+    ("square-order1.json", ("covariance",), 5, "covariance: expected an object"),
+    ("square-order1.json", ("stress",), 5, "stress: expected an object"),
+    ("square-order1.json", ("closed_boundary",), 5, "closed_boundary: expected an object"),
+    ("square-order1.json", ("transversals",), [1], "transversals: expected an object"),
+    ("square-order1.json", ("stress", "order1"), [], "stress.order1: expected an object"),
+    ("square-order1.json", ("stress", "order2"), "s2", "stress.order2: expected an object"),
+    ("square-order1.json", ("stress", "raw"), [1], "stress.raw: expected an object"),
+    ("square-order1.json", ("velocity", "section"), 3, "velocity.section: expected an object"),
+    ("square-order1.json", ("stress", "order1"), {"s1": [["1", "1"]]},
+     "stress.order1.s0: missing required key"),
+    ("covariance-quadratic.json", ("covariance",), {"samples": [[0.5, 0.5]]},
+     "covariance.forward: missing required key"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, path, value, message", NON_OBJECT_BLOCKS,
+    ids=[f"{i}-{case[3].split(':')[0]}" for i, case in enumerate(NON_OBJECT_BLOCKS)],
+)
+def test_non_object_block_exits_2_naming_the_full_key(
+    tmp_path, capsys, fixture, path, value, message
+):
+    doc = json.loads((SCENARIOS / fixture).read_text())
+    target = doc
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _patched_square(tmp_path, checks):
+    # det of the patch Jacobian is 3*(x1 - 0.5)^2: zero on the line x1 = 0.5,
+    # which holds Gauss nodes for odd quadrature orders only.
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["geometry"]["patch"] = ["(x1 - 0.5)^3 + 0.5", "x2"]
+    doc["geometry"]["quad_order"] = 8
+    doc["checks"] = checks
+    path = tmp_path / "patched.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_quad_order_override_rechecks_the_patch(tmp_path, capsys):
+    path = _patched_square(tmp_path, ["balance1"])
+    report = str(tmp_path / "r.jsonl")
+    assert main(["run", "--scenario", str(path), "--report", report]) == 0
+    assert main(["run", "--scenario", str(path), "--quad-order", "7", "--report", report]) == 2
+    assert capsys.readouterr().err.startswith("error: --quad-order: ")
+    assert main(["run", "--scenario", str(path), "--quad-order", "10", "--report", report]) == 0
+
+
+def test_cauchy_on_a_patched_body_is_rejected_at_load(tmp_path):
+    path = _patched_square(tmp_path, ["balance1", "cauchy"])
+    with pytest.raises(ScenarioError, match="checks.cauchy"):
+        load_scenario(path.read_text())
