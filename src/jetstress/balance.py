@@ -95,6 +95,10 @@ class BalanceReport:
             "div_div": self.div_div_term,
             "residual_abs": self.residual,
         }
+        for key, value in self.edge_terms.items():
+            terms[f"edge:{key}"] = value
+        for key, value in self.face_divergence_terms.items():
+            terms[f"facediv:{key}"] = value
         return CheckRecord(check_id, terms, self.relative_residual, self.tolerance)
 
 

@@ -147,9 +147,6 @@ class SmoothField:
     def values_at(self, point: Sequence[float]) -> np.ndarray:
         return np.array([s.value for s in self.series_at(point, 0)])
 
-    def jet_at(self, point: Sequence[float], order: int) -> "JetValue":
-        return jet_extension(self, point, order)
-
     # -- derived fields --------------------------------------------------------
 
     def partial(self, axis: int) -> "SmoothField":

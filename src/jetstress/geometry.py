@@ -444,11 +444,6 @@ class BoxFace:
             raise ValueError("0-dimensional faces have no insertion field")
         return _pinned_insertion(self.box, {self.axis: self.side})
 
-    def embed_point(self, param_point: Sequence[float]) -> Tuple[float, ...]:
-        out = list(param_point)
-        out.insert(self.axis, self.fixed_value)
-        return tuple(out)
-
 
 def box_faces(box: Box) -> List[BoxFace]:
     return [BoxFace(box, axis, side) for axis in range(box.dim) for side in (0, 1)]

@@ -12,8 +12,9 @@ import hashlib
 import itertools
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,23 +73,19 @@ __all__ = [
 
 SCHEMA_ID = "jetstress-scenario/1"
 
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "balance1": 1e-10,
-    "balance2": 1e-9,
-    "cauchy": 1e-11,
-    "div-consistency": 1e-11,
-    "second-contraction": 1e-14,
-    "covariance": 1e-10,
-    "stokes-closed": 1e-10,
-    "lambda-invariance": 1e-13,
-    "jet-oracle": 1e-6,
-}
-
-CHECK_IDS = tuple(sorted(DEFAULT_TOLERANCES))
-
-
 class ScenarioError(ValueError):
     """Configuration problem; the message names the offending key."""
+
+
+@contextmanager
+def _keyed(key: str) -> Iterator[None]:
+    """Re-raise a ``ValueError`` from the block as a ``ScenarioError`` naming ``key``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: {exc}") from exc
 
 
 # -- field parsing ------------------------------------------------------------
@@ -101,10 +98,8 @@ def _component_map(spec: Any, dim: int, key: str) -> Callable:
             variables[0].dim, variables[0].order, value
         )
     if isinstance(spec, str):
-        try:
+        with _keyed(key):
             return parse_expression(spec, dim)
-        except ValueError as exc:
-            raise ScenarioError(f"{key}: {exc}") from exc
     if isinstance(spec, dict) and "expr" in spec:
         return _component_map(spec["expr"], dim, key)
     if isinstance(spec, dict) and "monomials" in spec:
@@ -156,8 +151,7 @@ class Scenario:
     tolerances: Dict[str, float]
     stress1: Optional[VariationalStress1] = None
     stress2: Optional[VariationalStress2] = None
-    stress2_split: float = 1.0
-    raw_stress: Optional[NonHolonomicStress] = None
+    nh_stress: Optional[NonHolonomicStress] = None  # raw block, else the lift of stress2
     velocity: Optional[TensorField] = None
     section: Optional[JetSectionField] = None
     transversals: Optional[Dict[str, TransversalField]] = None
@@ -167,13 +161,6 @@ class Scenario:
     expect_noninvariant: bool = False
     closed_face: Optional[FacePatch] = None
     closed_transversal: Optional[TransversalField] = None
-
-    def nonholonomic_stress(self) -> NonHolonomicStress:
-        if self.raw_stress is not None:
-            return self.raw_stress
-        if self.stress2 is not None:
-            return lift_second_order(self.stress2, self.stress2_split)
-        raise ScenarioError("stress: a 'raw' or 'order2' block is required for this check")
 
 
 def _path(parent: Optional[str], key: str) -> str:
@@ -219,10 +206,8 @@ def _box(geometry: Dict[str, Any], key: str, n: int) -> Box:
         raise ScenarioError(f"geometry.{key}: expected {n} axis bounds")
     if not all(isinstance(b, list) and len(b) == 2 for b in bounds):
         raise ScenarioError(f"geometry.{key}: each axis bound must be a [lo, hi] pair")
-    try:
+    with _keyed(f"geometry.{key}"):
         return Box.from_bounds([[_number(v, f"geometry.{key}") for v in b] for b in bounds])
-    except ValueError as exc:
-        raise ScenarioError(f"geometry.{key}: {exc}") from exc
 
 
 def load_scenario(document: Dict[str, Any] | str) -> Scenario:
@@ -269,10 +254,8 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
     if not _is_count(quad_order):
         raise ScenarioError("geometry.quad_order: must be a positive integer")
     if patch is not None:
-        try:
+        with _keyed("geometry.patch"):
             body.check_embedding(QuadratureRule(quad_order))
-        except ValueError as exc:
-            raise ScenarioError(f"geometry.patch: {exc}") from exc
 
     checks = _require(doc, "checks")
     if not isinstance(checks, list) or not checks:
@@ -313,16 +296,12 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         split = _number(blk.get("split", 1.0), "stress.order2.split")
         if not 0.0 <= split <= 1.0:
             raise ScenarioError("stress.order2.split: must lie in [0, 1]")
-        scenario.stress2_split = split
-        try:
-            scenario.stress2.check_symmetry(
-                [tuple(body_box.center())], tol=1e-10
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"stress.order2.s2: {exc}") from exc
-    if "raw" in stress_block:
+        with _keyed("stress.order2.s2"):
+            scenario.stress2.check_symmetry([tuple(body_box.center())], tol=1e-10)
+        scenario.nh_stress = lift_second_order(scenario.stress2, split)
+    if "raw" in stress_block:  # a raw representative takes the place of the lift
         blk = _block(stress_block, "raw", "stress")
-        scenario.raw_stress = NonHolonomicStress(
+        scenario.nh_stress = NonHolonomicStress(
             _required_tensor(blk, "stress.raw", "x0", n, (d,)),
             _required_tensor(blk, "stress.raw", "x1", n, (d, n)),
             _required_tensor(blk, "stress.raw", "x2", n, (d, n)),
@@ -346,22 +325,19 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         for label, spec in transversal_block.items():
             if label not in faces:
                 raise ScenarioError(f"transversals.{label}: unknown face label")
-            if spec == "coordinate":
-                fields[label] = TransversalField.coordinate(faces[label])
-            elif isinstance(spec, dict) and "vector" in spec:
-                ambient = parse_tensor(
-                    spec["vector"], n, (n,), f"transversals.{label}.vector"
-                )
-                fields[label] = TransversalField.from_ambient_field(faces[label], ambient)
-            elif isinstance(spec, dict) and "metric" in spec:
-                metric = parse_tensor(
-                    spec["metric"], n, (n, n), f"transversals.{label}.metric"
-                )
-                fields[label] = TransversalField.metric_normal(faces[label], metric)
-            else:
-                raise ScenarioError(
-                    f"transversals.{label}: expected 'coordinate', a vector, or a metric"
-                )
+            with _keyed(f"transversals.{label}"):
+                if spec == "coordinate":
+                    fields[label] = TransversalField.coordinate(faces[label])
+                elif isinstance(spec, dict) and "vector" in spec:
+                    ambient = parse_tensor(spec["vector"], n, (n,), f"transversals.{label}.vector")
+                    fields[label] = TransversalField.from_ambient_field(faces[label], ambient)
+                elif isinstance(spec, dict) and "metric" in spec:
+                    metric = parse_tensor(spec["metric"], n, (n, n), f"transversals.{label}.metric")
+                    fields[label] = TransversalField.metric_normal(faces[label], metric)
+                else:
+                    raise ScenarioError(
+                        f"transversals.{label}: expected 'coordinate', a vector, or a metric"
+                    )
         scenario.transversals = fields
 
     blk = _block(doc, "covariance")
@@ -381,10 +357,8 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
             if not isinstance(pt, list) or len(pt) != n:
                 raise ScenarioError(f"{key}: expected {n} coordinates")
             points.append(tuple(_number(c, key) for c in pt))
-        try:
+        with _keyed("covariance"):
             transition.check_roundtrip(points)
-        except ValueError as exc:
-            raise ScenarioError(f"covariance: {exc}") from exc
         scenario.frame_change = FrameChange(transition, d, frame)
         scenario.covariance_samples = points
         scenario.expect_noninvariant = bool(blk.get("expect_noninvariant", False))
@@ -411,47 +385,17 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
     return scenario
 
 
-_CHECK_NEEDS = {
-    "balance1": ("stress1", "velocity"),
-    "balance2": ("nonholonomic", "velocity"),
-    "cauchy": ("stress1", "velocity"),
-    "div-consistency": ("stress1", "velocity"),
-    "second-contraction": ("nonholonomic",),
-    "covariance": ("frame_change",),
-    "stokes-closed": ("nonholonomic", "velocity", "closed_face"),
-    "lambda-invariance": ("stress2", "velocity"),
-    "jet-oracle": ("velocity",),
-}
-
-
 def _validate_check_requirements(scenario: Scenario) -> None:
     for cid in scenario.checks:
-        if cid == "cauchy" and scenario.body.patch is not None:
-            raise ScenarioError("checks.cauchy: implemented for box bodies only")
-        for need in _CHECK_NEEDS[cid]:
-            if need == "nonholonomic":
-                if scenario.raw_stress is None and scenario.stress2 is None:
-                    raise ScenarioError(
-                        f"checks.{cid}: needs a stress 'raw' or 'order2' block"
-                    )
-            elif need == "frame_change":
-                if scenario.frame_change is None:
-                    raise ScenarioError(f"checks.{cid}: needs a covariance block")
-                if scenario.stress1 is None and scenario.stress2 is None:
-                    raise ScenarioError(
-                        f"checks.{cid}: needs an order1 or order2 stress block"
-                    )
-            elif getattr(scenario, need) is None:
-                block = {
-                    "stress1": "stress.order1",
-                    "stress2": "stress.order2",
-                    "velocity": "velocity.u",
-                    "closed_face": "closed_boundary",
-                }[need]
-                raise ScenarioError(f"checks.{cid}: needs a {block} block")
+        for message, met in _CHECKS[cid].requires:
+            if not met(scenario):
+                raise ScenarioError(message.format(cid=cid))
 
 
 # -- check execution -----------------------------------------------------------
+
+# What a runner returns: the record's terms and its residual.
+_Result = Tuple[Dict[str, float], float]
 
 
 def _sample_points(scenario: Scenario, count: int, seed: int = 12345) -> List[Tuple[float, ...]]:
@@ -463,43 +407,25 @@ def _sample_points(scenario: Scenario, count: int, seed: int = 12345) -> List[Tu
     ]
 
 
-def _run_balance1(scenario: Scenario) -> CheckRecord:
-    return verify_balance_order1(
-        scenario.stress1,
-        scenario.velocity,
-        scenario.body,
-        QuadratureRule(scenario.quad_order),
-        scenario.tolerances["balance1"],
+def _run_balance1(scenario: Scenario) -> _Result:
+    record = verify_balance_order1(
+        scenario.stress1, scenario.velocity, scenario.body, QuadratureRule(scenario.quad_order)
     )
+    return record.terms, record.residual
 
 
-def _run_balance2(scenario: Scenario) -> CheckRecord:
-    report = verify_balance_order2(
-        scenario.nonholonomic_stress(),
+def _run_balance2(scenario: Scenario) -> _Result:
+    record = verify_balance_order2(
+        scenario.nh_stress,
         scenario.velocity,
         scenario.body,
         scenario.transversals,
         QuadratureRule(scenario.quad_order),
-        scenario.tolerances["balance2"],
-    )
-    record = report.to_record("balance2")
-    for key, value in report.edge_terms.items():
-        record.terms[f"edge:{key}"] = value
-    for key, value in report.face_divergence_terms.items():
-        record.terms[f"facediv:{key}"] = value
-    residual = record.residual
-    if scenario.stress2 is not None:
-        # The interior power must not depend on how the first-order content
-        # splits between the two middle blocks of the representative.
-        values = _split_actions(scenario, (0.0, 1.0))
-        gap = abs(values[0] - values[1])
-        record.terms["lhs_split_gap"] = gap
-        if gap > 1e-13:
-            residual = max(residual, record.tolerance * 10.0)
-    return CheckRecord("balance2", record.terms, residual, record.tolerance)
+    ).to_record()
+    return record.terms, record.residual
 
 
-def _run_cauchy(scenario: Scenario) -> CheckRecord:
+def _run_cauchy(scenario: Scenario) -> _Result:
     stress = scenario.stress1
     velocity = scenario.velocity
     sigma = traction_projection(stress)
@@ -524,22 +450,17 @@ def _run_cauchy(scenario: Scenario) -> CheckRecord:
             face_worst = max(face_worst, abs(via_pullback - direct))
         terms[face.label] = face_worst
         worst = max(worst, face_worst)
-    return CheckRecord("cauchy", terms, worst, scenario.tolerances["cauchy"])
+    return terms, worst
 
 
-def _run_div_consistency(scenario: Scenario) -> CheckRecord:
+def _run_div_consistency(scenario: Scenario) -> _Result:
     points = _sample_points(scenario, 100)
     residual = invariant_divergence_residual(scenario.stress1, scenario.velocity, points)
-    return CheckRecord(
-        "div-consistency",
-        {"points": float(len(points)), "max_residual": residual},
-        residual,
-        scenario.tolerances["div-consistency"],
-    )
+    return {"points": float(len(points)), "max_residual": residual}, residual
 
 
-def _run_second_contraction(scenario: Scenario) -> CheckRecord:
-    stress = scenario.nonholonomic_stress()
+def _run_second_contraction(scenario: Scenario) -> _Result:
+    stress = scenario.nh_stress
     points = _sample_points(scenario, 20)
     oracle_gap = 0.0
     symmetric = True
@@ -555,12 +476,8 @@ def _run_second_contraction(scenario: Scenario) -> CheckRecord:
         if symmetric:
             zero_gap = max(zero_gap, max(f.max_abs() for f in fast))
     residual = max(oracle_gap, zero_gap if symmetric else 0.0)
-    return CheckRecord(
-        "second-contraction",
-        {"oracle_gap": oracle_gap, "symmetric": float(symmetric), "zero_gap": zero_gap},
-        residual,
-        scenario.tolerances["second-contraction"],
-    )
+    terms = {"oracle_gap": oracle_gap, "symmetric": float(symmetric), "zero_gap": zero_gap}
+    return terms, residual
 
 
 # Covariance quantities a scenario can select: the primed stress each reads,
@@ -578,19 +495,25 @@ _COVARIANCE_QUANTITIES: Dict[str, Tuple[str, bool, Dict[str, str]]] = {
 }
 
 
-def _run_covariance(scenario: Scenario) -> CheckRecord:
+def _covariance_quantities(scenario: Scenario) -> List[str]:
+    """The selected covariance quantities that the scenario's blocks can compute."""
     selected = scenario.covariance_quantities
+    return [
+        quantity for quantity, (stress, paired, _) in _COVARIANCE_QUANTITIES.items()
+        if getattr(scenario, stress) is not None
+        and not (paired and scenario.velocity is None)
+        and (selected is None or quantity in selected)
+    ]
+
+
+def _run_covariance(scenario: Scenario) -> _Result:
     terms: Dict[str, float] = {}
     residual = 0.0
-    for quantity, (stress, paired, names) in _COVARIANCE_QUANTITIES.items():
-        primed = getattr(scenario, stress)
-        if primed is None or (paired and scenario.velocity is None):
-            continue
-        if selected is not None and quantity not in selected:
-            continue
+    for quantity in _covariance_quantities(scenario):
+        stress, _, names = _COVARIANCE_QUANTITIES[quantity]
         result = invariance_check(
             quantity, scenario.frame_change, scenario.covariance_samples,
-            velocity=scenario.velocity, **{f"primed_{stress}": primed},
+            velocity=scenario.velocity, **{f"primed_{stress}": getattr(scenario, stress)},
         )
         for key, name in names.items():
             terms[name] = result[key]
@@ -599,56 +522,37 @@ def _run_covariance(scenario: Scenario) -> CheckRecord:
     naive = terms.get("naive_magnitude")
     if scenario.expect_noninvariant and naive is not None and naive <= 1e-3:
         residual = max(residual, 1.0)  # force a failure: the defect is missing
-    if not terms:
-        raise ScenarioError(
-            "covariance.quantities: no selected quantity is computable from the scenario blocks"
-        )
-    return CheckRecord("covariance", terms, residual, scenario.tolerances["covariance"])
+    return terms, residual
 
 
-def _run_stokes_closed(scenario: Scenario) -> CheckRecord:
-    stress = scenario.nonholonomic_stress()
+def _run_stokes_closed(scenario: Scenario) -> _Result:
     quad_value, endpoint = closed_boundary_exact_term(
-        nh_traction(stress),
+        nh_traction(scenario.nh_stress),
         scenario.velocity,
         scenario.closed_face,
         scenario.closed_transversal,
         QuadratureRule(max(scenario.quad_order, 48)),
     )
     residual = max(abs(quad_value), abs(endpoint))
-    return CheckRecord(
-        "stokes-closed",
-        {"quadrature": quad_value, "endpoint_defect": endpoint},
-        residual,
-        scenario.tolerances["stokes-closed"],
-    )
+    return {"quadrature": quad_value, "endpoint_defect": endpoint}, residual
 
 
-def _split_actions(scenario: Scenario, splits: Sequence[float]) -> List[float]:
-    """Interior power of the order-2 stress lifted at each split, over the body."""
+def _run_lambda_invariance(scenario: Scenario) -> _Result:
+    # The interior power of the order-2 stress lifted at three splits.
     rule = QuadratureRule(scenario.quad_order)
     section = JetSectionField.from_velocity(scenario.velocity)
-    return [
+    values = [
         integrate_over_body(
             nh_action_form(lift_second_order(scenario.stress2, split), section),
             scenario.body, rule,
         )
-        for split in splits
+        for split in (0.0, 0.5, 1.0)
     ]
-
-
-def _run_lambda_invariance(scenario: Scenario) -> CheckRecord:
-    values = _split_actions(scenario, (0.0, 0.5, 1.0))
     residual = max(abs(values[0] - values[1]), abs(values[0] - values[2]))
-    return CheckRecord(
-        "lambda-invariance",
-        {"split_0": values[0], "split_05": values[1], "split_1": values[2]},
-        residual,
-        scenario.tolerances["lambda-invariance"],
-    )
+    return {"split_0": values[0], "split_05": values[1], "split_1": values[2]}, residual
 
 
-def _run_jet_oracle(scenario: Scenario) -> CheckRecord:
+def _run_jet_oracle(scenario: Scenario) -> _Result:
     points = _sample_points(scenario, 5)
     worst = 0.0
     for x in points:
@@ -656,22 +560,66 @@ def _run_jet_oracle(scenario: Scenario) -> CheckRecord:
         approx = finite_difference_jet(scenario.velocity.field, x, 2, 1e-4)
         for p in range(3):
             worst = max(worst, float(np.max(np.abs(exact.array(p) - approx.array(p)))))
-    return CheckRecord(
-        "jet-oracle", {"max_gap": worst}, worst, scenario.tolerances["jet-oracle"]
-    )
+    return {"max_gap": worst}, worst
 
 
-_RUNNERS: Dict[str, Callable[[Scenario], CheckRecord]] = {
-    "balance1": _run_balance1,
-    "balance2": _run_balance2,
-    "cauchy": _run_cauchy,
-    "div-consistency": _run_div_consistency,
-    "second-contraction": _run_second_contraction,
-    "covariance": _run_covariance,
-    "stokes-closed": _run_stokes_closed,
-    "lambda-invariance": _run_lambda_invariance,
-    "jet-oracle": _run_jet_oracle,
+# -- the check table ------------------------------------------------------------
+
+# A requirement is a message, formatted with the check id, and the condition
+# on a loaded scenario that it reports when false.
+_Requirement = Tuple[str, Callable[[Scenario], bool]]
+
+
+def _needs(what: str, met: Callable[[Scenario], bool]) -> _Requirement:
+    return f"checks.{{cid}}: needs {what}", met
+
+
+_STRESS1 = _needs("a stress.order1 block", lambda s: s.stress1 is not None)
+_STRESS2 = _needs("a stress.order2 block", lambda s: s.stress2 is not None)
+_NH_STRESS = _needs("a stress 'raw' or 'order2' block", lambda s: s.nh_stress is not None)
+_VELOCITY = _needs("a velocity.u block", lambda s: s.velocity is not None)
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One check id: its default tolerance, its requirements in the order
+    they are tested at load time, and its runner, which returns the
+    record's terms and residual."""
+
+    tolerance: float
+    requires: Tuple[_Requirement, ...]
+    run: Callable[[Scenario], _Result]
+
+
+_CHECKS: Dict[str, _Check] = {
+    "balance1": _Check(1e-10, (_STRESS1, _VELOCITY), _run_balance1),
+    "balance2": _Check(1e-9, (_NH_STRESS, _VELOCITY), _run_balance2),
+    "cauchy": _Check(1e-11, (
+        ("checks.{cid}: implemented for box bodies only", lambda s: s.body.patch is None),
+        _STRESS1,
+        _VELOCITY,
+    ), _run_cauchy),
+    "div-consistency": _Check(1e-11, (_STRESS1, _VELOCITY), _run_div_consistency),
+    "second-contraction": _Check(1e-14, (_NH_STRESS,), _run_second_contraction),
+    "covariance": _Check(1e-10, (
+        _needs("a covariance block", lambda s: s.frame_change is not None),
+        _needs("an order1 or order2 stress block",
+               lambda s: s.stress1 is not None or s.stress2 is not None),
+        ("covariance.quantities: no selected quantity is computable from the scenario blocks",
+         lambda s: bool(_covariance_quantities(s))),
+    ), _run_covariance),
+    "stokes-closed": _Check(1e-10, (
+        _NH_STRESS,
+        _VELOCITY,
+        _needs("a closed_boundary block", lambda s: s.closed_face is not None),
+    ), _run_stokes_closed),
+    "lambda-invariance": _Check(1e-13, (_STRESS2, _VELOCITY), _run_lambda_invariance),
+    "jet-oracle": _Check(1e-6, (_VELOCITY,), _run_jet_oracle),
 }
+
+DEFAULT_TOLERANCES: Dict[str, float] = {cid: c.tolerance for cid, c in _CHECKS.items()}
+
+CHECK_IDS = tuple(sorted(_CHECKS))
 
 
 def run_checks(scenario: Scenario, selected: Optional[Sequence[str]] = None) -> RunReport:
@@ -679,11 +627,13 @@ def run_checks(scenario: Scenario, selected: Optional[Sequence[str]] = None) -> 
     report = RunReport(scenario.digest)
     check_ids = list(scenario.checks if selected is None else selected)
     for cid in check_ids:
-        if cid not in _RUNNERS:
+        if cid not in _CHECKS:
             raise ScenarioError(f"checks: unknown check id {cid!r}")
         if cid not in scenario.checks:
             raise ScenarioError(f"checks: {cid!r} not configured in this scenario")
-        report.add(_RUNNERS[cid](scenario))
+        with _keyed(f"checks.{cid}"):
+            terms, residual = _CHECKS[cid].run(scenario)
+        report.add(CheckRecord(cid, terms, residual, scenario.tolerances[cid]))
     return report
 
 

@@ -250,15 +250,18 @@ class TruncatedSeries:
             raise TypeError("series exponent must be an integer; use power_series for floats")
         if exponent < 0:
             return reciprocal_series(self) ** (-exponent)
-        result = TruncatedSeries.constant(self.dim, self.order, 1.0)
+        if exponent == 0:
+            return TruncatedSeries.constant(self.dim, self.order, 1.0)
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- calculus ----------------------------------------------------------
 
@@ -306,10 +309,7 @@ class TruncatedSeries:
             if off.value != 0.0:
                 raise ValueError("offset series must have exactly zero constant term")
         # Cache powers of each offset as needed.
-        powers: list[Dict[int, TruncatedSeries]] = [
-            {0: TruncatedSeries.constant(inner_dim, inner_order, 1.0), 1: off}
-            for off in offsets
-        ]
+        powers: list[Dict[int, TruncatedSeries]] = [{1: off} for off in offsets]
 
         def power(axis: int, e: int) -> TruncatedSeries:
             cache = powers[axis]
@@ -319,10 +319,12 @@ class TruncatedSeries:
 
         result = TruncatedSeries.zero(inner_dim, inner_order)
         for key, val in self.coeffs.items():
-            term = TruncatedSeries.constant(inner_dim, inner_order, val)
+            term = None
             for axis, e in enumerate(key):
                 if e:
-                    term = term * power(axis, e)
+                    term = power(axis, e) * val if term is None else term * power(axis, e)
+            if term is None:
+                term = TruncatedSeries.constant(inner_dim, inner_order, val)
             result = result + term
         return result
 

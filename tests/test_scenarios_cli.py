@@ -308,3 +308,75 @@ def test_cauchy_on_a_patched_body_is_rejected_at_load(tmp_path):
     path = _patched_square(tmp_path, ["balance1", "cauchy"])
     with pytest.raises(ScenarioError, match="checks.cauchy"):
         load_scenario(path.read_text())
+
+
+def _order2_square_with_transversal(spec):
+    doc = json.loads((SCENARIOS / "cube-order2.json").read_text())
+    doc["bundle"] = {"n": 2, "d": 1}
+    doc["geometry"] = {
+        "chart_box": [[0.0, 1.0], [0.0, 1.0]],
+        "body_box": [[0.0, 1.0], [0.0, 1.0]],
+        "quad_order": 6,
+    }
+    doc["stress"] = {
+        "raw": {
+            "x0": ["x1 - 0.3*x2"],
+            "x1": [["x2^2", "0.5*x1"]],
+            "x2": [["x1*x2", "-0.75"]],
+            "x3": [[["x1", "0.5*x2"], ["x2^2", "-x1*x2"]]],
+        }
+    }
+    doc["velocity"] = {"u": ["x1^2*x2 - x2^2"]}
+    doc["checks"] = ["balance2"]
+    doc["transversals"] = {"x1-upper": spec}
+    return doc
+
+
+def _square_with_velocity(u):
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["velocity"]["u"] = u
+    return doc
+
+
+EVALUATION_ERRORS = [
+    (_square_with_velocity(["log(x1 - 2)"]), "checks.balance1: "),
+    (_square_with_velocity(["1/(x1-x1)"]), "checks.balance1: "),
+    (_order2_square_with_transversal({"vector": ["0", "1"]}), "checks.balance2: "),
+    (_order2_square_with_transversal({"metric": [["0", "1"], ["1", "0"]]}),
+     "transversals.x1-upper: "),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, prefix", EVALUATION_ERRORS,
+    ids=["log-of-negative", "reciprocal-of-zero", "tangent-transversal", "indefinite-metric"],
+)
+def test_evaluation_error_exits_2_naming_the_key(tmp_path, capsys, doc, prefix):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    report = tmp_path / "report.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}")
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+def test_uncomputable_covariance_quantities_are_rejected_at_load():
+    doc = json.loads((SCENARIOS / "covariance-quadratic.json").read_text())
+    doc["covariance"]["quantities"] = ["action2"]
+    del doc["velocity"]
+    with pytest.raises(
+        ScenarioError,
+        match="covariance.quantities: no selected quantity is computable from the scenario blocks",
+    ):
+        load_scenario(doc)
+
+
+def test_bad_box_bound_names_the_key_once(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["geometry"]["chart_box"] = [["a", 1], [0, 1]]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err == "error: geometry.chart_box: expected a number, got 'a'\n"

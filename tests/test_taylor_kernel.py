@@ -233,3 +233,18 @@ def test_expression_leaf_shares_variable_powers(monkeypatch):
     field.series_at((0.4, 1.1), 2)
     # x1^2 and x2^3 once each, and the one power of a compound base.
     assert sorted(calls) == [2, 2, 3]
+
+
+@pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_power_starts_from_the_first_factor(monkeypatch, exponent, products):
+    s = TruncatedSeries(2, 3, {(0, 0): 0.5, (1, 0): 2.0, (0, 1): -1.0, (1, 1): 0.25})
+    calls = []
+    original = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    s ** exponent
+    assert len(calls) == products
