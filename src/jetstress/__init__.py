@@ -17,7 +17,6 @@ from .geometry import (
     QuadratureRule,
     TransitionMap,
     boundary_faces,
-    edges,
     integrate,
     interior_product,
     restrict_form,
@@ -29,9 +28,7 @@ from .bundles import (
     JetSectionField,
     holonomy_class,
     include_holonomic,
-    project_jet,
     symmetrize_iterated,
-    vertical_part,
 )
 from .stress import (
     BodyForce,
@@ -39,7 +36,6 @@ from .stress import (
     VariationalStress1,
     body_force,
     divergence,
-    stress_action,
     surface_force,
     traction_action,
     traction_projection,
@@ -49,14 +45,11 @@ from .nonholonomic import (
     HyperSurfaceStress,
     NonHolonomicStress,
     VariationalStress2,
-    contraction_C1,
     lift_second_order,
-    nh_action,
     nh_divergence,
     nh_traction,
     restrict_to_second_order,
     second_contraction,
-    significant_components,
 )
 from .surface import (
     RestrictedSurfaceStress,
@@ -71,7 +64,6 @@ from .surface import (
 )
 from .balance import (
     BalanceReport,
-    boundary_div_traction,
     div_div,
     edge_assembly,
     first_integration_by_parts,

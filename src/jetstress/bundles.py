@@ -1,4 +1,4 @@
-"""Jet-bundle structure: projections, vertical parts, iterated jets, holonomy.
+"""Jet-bundle structure: iterated jets, holonomic inclusion, holonomy.
 
 An iterated jet carries four blocks (B0, B1, B2, B3): the value and
 derivative slots of a first-jet section, then the derivatives of both.  No
@@ -11,10 +11,9 @@ dedicated containers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,35 +24,22 @@ __all__ = [
     "IteratedJetValue",
     "JetSectionField",
     "HolonomyClass",
-    "project_jet",
     "include_holonomic",
     "symmetrize_iterated",
-    "vertical_part",
     "holonomy_class",
 ]
 
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """Base and fiber dimensions, with an optional fiber frame change."""
+    """Base and fiber dimensions; fiber frame changes go through ``FrameChange``."""
 
     base_dim: int
     fiber_dim: int
-    frame_change: Optional[TensorField] = None  # shape (d, d)
 
     def __post_init__(self):
         if self.base_dim < 1 or self.fiber_dim < 1:
             raise ValueError("bundle dimensions must be positive")
-        if self.frame_change is not None:
-            if self.frame_change.shape != (self.fiber_dim, self.fiber_dim):
-                raise ValueError("frame change must be a (d, d) field")
-
-    def check_invertible(self, points: Sequence[Sequence[float]], tol: float = 1e-12) -> None:
-        if self.frame_change is None:
-            return
-        for x in points:
-            if abs(np.linalg.det(self.frame_change.at(x))) <= tol:
-                raise ValueError(f"frame change is singular at {tuple(x)}")
 
 
 @dataclass(frozen=True)
@@ -74,23 +60,6 @@ class IteratedJetValue:
         n = self.b1.shape[1]
         if self.b1.shape != (d, n) or self.b2.shape != (d, n) or self.b3.shape != (d, n, n):
             raise ValueError("iterated jet blocks have inconsistent shapes")
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.b0.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.b1.shape[1]
-
-    @classmethod
-    def zero(cls, dim: int, fiber_dim: int) -> "IteratedJetValue":
-        return cls(
-            np.zeros(fiber_dim),
-            np.zeros((fiber_dim, dim)),
-            np.zeros((fiber_dim, dim)),
-            np.zeros((fiber_dim, dim, dim)),
-        )
 
 
 class JetSectionField:
@@ -137,11 +106,6 @@ class JetSectionField:
         return self.a0.at(point), self.a1.at(point)
 
 
-def project_jet(jet: JetValue, order: int) -> JetValue:
-    """Truncate a jet to a lower order (the natural jet-bundle projection)."""
-    return jet.truncated(order)
-
-
 def include_holonomic(jet: JetValue) -> IteratedJetValue:
     """Embed an order-2 jet as an iterated jet: duplicate the first-order slot."""
     if jet.order != 2:
@@ -156,15 +120,6 @@ def symmetrize_iterated(b3: np.ndarray) -> np.ndarray:
     if b3.ndim != 3 or b3.shape[1] != b3.shape[2]:
         raise ValueError("expected a (d, n, n) block")
     return 0.5 * (b3 + np.transpose(b3, (0, 2, 1)))
-
-
-def vertical_part(jet: JetValue, base_order: int) -> Tuple[Tuple[np.ndarray, ...], bool]:
-    """Upper-order arrays of a jet, plus whether the lower orders all vanish."""
-    if not 0 <= base_order < jet.order:
-        raise ValueError("base order must satisfy 0 <= r < jet order")
-    lower_zero = all(np.all(jet.array(p) == 0.0) for p in range(base_order + 1))
-    upper = tuple(jet.array(p) for p in range(base_order + 1, jet.order + 1))
-    return upper, lower_zero
 
 
 class HolonomyClass(str, Enum):
@@ -199,12 +154,3 @@ def holonomy_class(
     if sym_residual > tol:
         return HolonomyClass.SEMI_HOLONOMIC
     return HolonomyClass.HOLONOMIC
-
-
-def lattice_points(box_lower: Sequence[float], box_upper: Sequence[float], per_axis: int = 3):
-    """Regular interior sampling lattice used by classification and checks."""
-    axes = [
-        np.linspace(lo, hi, per_axis + 2)[1:-1]
-        for lo, hi in zip(box_lower, box_upper)
-    ]
-    return [tuple(p) for p in itertools.product(*axes)]

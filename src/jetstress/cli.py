@@ -9,6 +9,7 @@ failed its tolerance, 2 means the scenario or arguments were invalid.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -80,9 +81,12 @@ def _apply_overrides(scenario: Scenario, args) -> None:
         if key not in CHECK_IDS:
             raise ScenarioError(f"--tol-override: unknown check id {key!r}")
         try:
-            scenario.tolerances[key] = float(value)
-        except ValueError as exc:
-            raise ScenarioError(f"--tol-override: bad value for {key!r}: {value!r}") from exc
+            tolerance = float(value)
+        except ValueError:
+            tolerance = math.nan
+        if not 0.0 <= tolerance < math.inf:
+            raise ScenarioError(f"--tol-override: bad value for {key!r}: {value!r}")
+        scenario.tolerances[key] = tolerance
 
 
 def _selected_checks(scenario: Scenario, args) -> Optional[List[str]]:
@@ -93,18 +97,23 @@ def _selected_checks(scenario: Scenario, args) -> Optional[List[str]]:
     return list(args.check)
 
 
-def _emit(lines: List[str], path: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, path: Optional[str], option: str) -> bool:
+    """Write ``text`` to stdout or to ``path``; False, with a message, if it cannot."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {option}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_run(args) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
@@ -115,7 +124,8 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    _emit(report.lines(), args.report)
+    if not _emit("\n".join(report.lines()) + "\n", args.report, "--report"):
+        return EXIT_CONFIG_ERROR
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
@@ -125,12 +135,7 @@ def _cmd_generate(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    text = scenario_to_json(doc)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
-    return EXIT_PASS
+    return EXIT_PASS if _emit(scenario_to_json(doc), args.out, "--out") else EXIT_CONFIG_ERROR
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import JetValue, TensorField, jet_extension, pair
+from .fields import JetValue, TensorField, jet_extension
 from .geometry import FormValue, TransitionMap, pullback_form_value, tuple_omitting
 from .nonholonomic import VariationalStress2
 from .stress import VariationalStress1
@@ -27,7 +27,6 @@ __all__ = [
     "transform_stress2",
     "transform_stress1",
     "invariance_check",
-    "transformed_velocity_field",
 ]
 
 
@@ -189,20 +188,6 @@ def transform_stress1(
     """Unprimed first-order stress components at a point, from primed fields."""
     pc = change.at(point)
     return _stress_law(pc, _primed_blocks(primed, pc.xp))
-
-
-def transformed_velocity_field(velocity: TensorField, change: FrameChange) -> TensorField:
-    """The same geometric velocity expressed over the primed chart.
-
-    Composes the unprimed field with the inverse transition and applies the
-    frame change; jets of the result are the oracle for the chain-rule path.
-    """
-    inverse = change.transition.inverse
-    u = velocity.compose(inverse)
-    if change.frame is None:
-        return u
-    # Entry [alpha, beta] of the transposed frame multiplies u[alpha] into beta.
-    return pair([(change.frame.compose(inverse).signed(None, (1, 0)), u)])
 
 
 def _from_hatted(values: Sequence[float]) -> FormValue:

@@ -149,12 +149,6 @@ class SmoothField:
 
     # -- derived fields --------------------------------------------------------
 
-    def partial(self, axis: int) -> "SmoothField":
-        """Componentwise partial derivative along coordinate ``axis``."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range")
-        return linear_field(self, 1, [[(c, axis, None)] for c in range(self.ncomp)])
-
     def compose(self, inner: "SmoothField") -> "SmoothField":
         """The composite field ``self(inner(.))``."""
         if inner.ncomp != self.dim:
@@ -172,9 +166,6 @@ class SmoothField:
             return [s.compose(offsets) for s in outer_series]
 
         return SmoothField(inner.dim, self.ncomp, evaluator)
-
-    def component(self, index: int) -> "SmoothField":
-        return linear_field(self, 0, [[(index, None, None)]])
 
     def __add__(self, other: "SmoothField") -> "SmoothField":
         if self.dim != other.dim or self.ncomp != other.ncomp:
@@ -235,22 +226,6 @@ class SmoothField:
     def from_expressions(cls, dim: int, expressions: Sequence[str]) -> "SmoothField":
         return cls.from_series_maps(dim, [parse_expression(text, dim) for text in expressions])
 
-    @staticmethod
-    def stack(fields: Sequence["SmoothField"]) -> "SmoothField":
-        fields = list(fields)
-        dim = fields[0].dim
-        if any(f.dim != dim for f in fields):
-            raise ValueError("stacked fields must share the input dimension")
-        ncomp = sum(f.ncomp for f in fields)
-
-        def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            out: List[TruncatedSeries] = []
-            for f in fields:
-                out.extend(f.series_at(point, order))
-            return out
-
-        return SmoothField(dim, ncomp, evaluator)
-
 
 def _size(shape: Tuple[int, ...]) -> int:
     return int(np.prod(shape)) if shape else 1
@@ -278,21 +253,8 @@ class TensorField:
     def at(self, point: Sequence[float]) -> np.ndarray:
         return self.field.values_at(point).reshape(self.shape)
 
-    def series_at(self, point: Sequence[float], order: int) -> np.ndarray:
-        flat = self.field.series_at(point, order)
-        out = np.empty(len(flat), dtype=object)
-        out[:] = flat
-        return out.reshape(self.shape)
-
-    def partial(self, axis: int) -> "TensorField":
-        return TensorField(self.field.partial(axis), self.shape)
-
     def compose(self, inner: SmoothField) -> "TensorField":
         return TensorField(self.field.compose(inner), self.shape)
-
-    def component(self, index: Tuple[int, ...]) -> SmoothField:
-        flat = int(np.ravel_multi_index(index, self.shape)) if self.shape else 0
-        return self.field.component(flat)
 
     # -- algebra -----------------------------------------------------------------
 
@@ -341,10 +303,6 @@ class TensorField:
             flat = int(np.ravel_multi_index(src, self.shape))
             rows.append([(flat, None, -1.0 if odd else None)])
         return TensorField(linear_field(self.field, 0, rows), out_shape)
-
-    @classmethod
-    def zero(cls, dim: int, shape: Tuple[int, ...]) -> "TensorField":
-        return cls(SmoothField.constant(dim, [0.0] * _size(shape)), shape)
 
 
 def pair(blocks: Sequence[Tuple]) -> TensorField:
@@ -429,11 +387,6 @@ class JetValue:
         if not 0 <= p <= self.order:
             raise ValueError(f"order {p} outside jet range 0..{self.order}")
         return self.arrays[p]
-
-    def truncated(self, order: int) -> "JetValue":
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot project order-{self.order} jet to order {order}")
-        return JetValue(self.dim, self.fiber_dim, order, self.arrays[: order + 1])
 
     @classmethod
     def zero(cls, dim: int, fiber_dim: int, order: int) -> "JetValue":

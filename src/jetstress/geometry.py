@@ -3,8 +3,8 @@
 Bodies are reference boxes carried into a chart by an optional smooth patch
 map, so integration always happens on boxes with tensor-product
 Gauss-Legendre rules.  Boundary faces carry the orientation induced by the
-body (outward for the standard volume form), and edges record the induced
-orientation separately for each incident face.
+body (outward for the standard volume form), and the boundary pieces of a
+face carry the orientation the face induces on them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "FormField",
     "Body",
     "FacePatch",
-    "Edge",
     "interior_product",
     "pullback_form_value",
     "pullback_coefficients",
@@ -36,7 +35,6 @@ __all__ = [
     "integrate",
     "integrate_over_body",
     "boundary_faces",
-    "edges",
     "increasing_tuples",
     "tuple_omitting",
 ]
@@ -365,13 +363,6 @@ class FormField:
         n = coeffs.dim
         return cls(n, n - 1, [tuple_omitting(n, j) for j in range(n)], coeffs)
 
-    @classmethod
-    def from_components(
-        cls, dim: int, degree: int, components: Dict[IndexTuple, SmoothField]
-    ) -> "FormField":
-        tuples = sorted(components)
-        return cls(dim, degree, tuples, SmoothField.stack([components[t] for t in tuples]))
-
     def value_at(self, point: Sequence[float]) -> FormValue:
         values = self.coeffs.values_at(point)
         return FormValue(self.dim, self.degree, dict(zip(self.tuples, values)))
@@ -400,16 +391,8 @@ class FormField:
         coeffs = pullback_coefficients(self.coeffs, mapping, self.tuples, out_tuples)
         return FormField(mapping.dim, self.degree, out_tuples, coeffs)
 
-    def __add__(self, other: "FormField") -> "FormField":
-        if self.dim != other.dim or self.degree != other.degree or self.tuples != other.tuples:
-            raise ValueError("form field mismatch in add")
-        return FormField(self.dim, self.degree, self.tuples, self.coeffs + other.coeffs)
 
-    def scale(self, factor: float) -> "FormField":
-        return FormField(self.dim, self.degree, self.tuples, self.coeffs.scale(factor))
-
-
-# -- bodies, faces, edges -----------------------------------------------------
+# -- bodies and faces ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -510,22 +493,6 @@ class FacePatch:
         return tuple(self.to_chart.values_at(param_point))
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Shared boundary of two faces; orientation is recorded per incident face.
-
-    ``face_signs[label]`` is the total factor (face orientation times the
-    orientation the face induces on this edge) multiplying an integral over
-    the canonical edge parameters.
-    """
-
-    labels: Tuple[str, str]
-    param_box: Optional[Box]
-    to_chart: Optional[SmoothField]
-    point: Optional[Tuple[float, ...]]
-    face_signs: Dict[str, float]
-
-
 def face_label(axis: int, side: int) -> str:
     return f"x{axis + 1}-{'upper' if side else 'lower'}"
 
@@ -572,54 +539,6 @@ def face_boundary_pieces(face: FacePatch) -> List[Tuple[BoxFace, "FacePatch"]]:
             )
         pieces.append((bf, piece))
     return pieces
-
-
-def edges(body: Body) -> List[Edge]:
-    """All nonempty pairwise face intersections with per-face induced signs."""
-    n = body.dim
-    if n < 2:
-        return []
-    out = []
-    for axis_i, axis_j in itertools.combinations(range(n), 2):
-        for side_i in (0, 1):
-            for side_j in (0, 1):
-                label_i = face_label(axis_i, side_i)
-                label_j = face_label(axis_j, side_j)
-                # Orientation each face induces on this edge: locate the edge
-                # as a facet of the face's parameter box.
-                signs: Dict[str, float] = {}
-                for (ax_face, side_face), (ax_other, side_other) in (
-                    ((axis_i, side_i), (axis_j, side_j)),
-                    ((axis_j, side_j), (axis_i, side_i)),
-                ):
-                    face_bf = BoxFace(body.box, ax_face, side_face)
-                    face_axes = [a for a in range(n) if a != ax_face]
-                    p = face_axes.index(ax_other)
-                    piece = BoxFace(face_bf.param_box, p, side_other)
-                    signs[face_label(ax_face, side_face)] = face_bf.sign * piece.sign
-                # Canonical edge parameterization: drop both axes, keep order.
-                fixed = {axis_i: side_i, axis_j: side_j}
-                if n == 2:
-                    ref_pt = tuple(
-                        body.box.upper[a] if fixed[a] else body.box.lower[a] for a in range( n)
-                    )
-                    chart_pt = (
-                        tuple(body.patch.values_at(ref_pt)) if body.patch is not None else ref_pt
-                    )
-                    out.append(
-                        Edge((label_i, label_j), None, None, chart_pt, signs)
-                    )
-                else:
-                    keep = [a for a in range(n) if a not in fixed]
-                    lower = tuple(body.box.lower[a] for a in keep)
-                    upper = tuple(body.box.upper[a] for a in keep)
-                    mapping = _pinned_insertion(body.box, fixed)
-                    if body.patch is not None:
-                        mapping = body.patch.compose(mapping)
-                    out.append(
-                        Edge((label_i, label_j), Box(lower, upper), mapping, None, signs)
-                    )
-    return out
 
 
 def _pinned_insertion(box: Box, fixed: Dict[int, int]) -> SmoothField:
@@ -682,7 +601,3 @@ def restrict_form(form: FormField, face: FacePatch) -> FormField:
     if face.param_box is None:
         raise ValueError("cannot restrict a form to a 0-dimensional patch")
     return form.pullback(face.to_chart)
-
-
-# A boundary piece of a face is itself a FacePatch on the face parameters.
-integrate_form_value_piece = integrate_over_face

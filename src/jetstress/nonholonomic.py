@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .bundles import IteratedJetValue, JetSectionField
+from .bundles import JetSectionField
 from .fields import TensorField, pair
 from .geometry import FormField, FormValue, interior_product
 from .stress import VariationalStress1
@@ -27,14 +27,11 @@ __all__ = [
     "NonHolonomicStress",
     "VariationalStress2",
     "HyperSurfaceStress",
-    "nh_action",
     "nh_action_form",
     "restrict_to_second_order",
     "lift_second_order",
     "nh_traction",
     "nh_divergence",
-    "significant_components",
-    "contraction_C1",
     "second_contraction",
     "second_contraction_brute_force",
 ]
@@ -120,22 +117,6 @@ class HyperSurfaceStress:
         return self.y0.shape[0]
 
 
-def nh_action(
-    stress: NonHolonomicStress, value: IteratedJetValue, point: Sequence[float]
-) -> FormValue:
-    """Pointwise density of the stress against an iterated jet."""
-    n = stress.dim
-    if value.dim != n or value.fiber_dim != stress.fiber_dim:
-        raise ValueError("iterated jet shape does not match the stress")
-    coeff = float(
-        np.sum(stress.x0.at(point) * value.b0)
-        + np.sum(stress.x1.at(point) * value.b1)
-        + np.sum(stress.x2.at(point) * value.b2)
-        + np.sum(stress.x3.at(point) * value.b3)
-    )
-    return FormValue.volume(n, coeff)
-
-
 def nh_action_form(stress: NonHolonomicStress, section: JetSectionField) -> FormField:
     """The volume form x -> stress(j1 of the section)(x).
 
@@ -193,33 +174,6 @@ def nh_divergence(stress: NonHolonomicStress) -> VariationalStress1:
     return VariationalStress1(
         stress.x2.divergence() - stress.x0, stress.x3.divergence() - stress.x1
     )
-
-
-def significant_components(stress: NonHolonomicStress, which: str = "3") -> dict:
-    """Restrictions to the vertical sub-bundles, keyed by the surviving blocks.
-
-    ``which`` selects the kernel: "3" keeps only the top block, "23" the two
-    derivative blocks, "13" the first-jet and top blocks, "123" everything
-    except the value block.
-    """
-    mapping = {
-        "3": ("x3",),
-        "23": ("x2", "x3"),
-        "13": ("x1", "x3"),
-        "123": ("x1", "x2", "x3"),
-    }
-    if which not in mapping:
-        raise ValueError(f"unknown vertical restriction {which!r}")
-    return {name: getattr(stress, name) for name in mapping[which]}
-
-
-def contraction_C1(x3: TensorField) -> TensorField:
-    """Contract the first derivative slot of the top block into the volume form.
-
-    Output layout (d, n, n): [alpha, j, omitted axis]; the coefficient on the
-    form omitting axis i keeps the sign from moving axis i to the front.
-    """
-    return x3.signed(2, perm=(0, 2, 1))
 
 
 def second_contraction(x3: TensorField, point: Sequence[float]) -> List[FormValue]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -194,10 +195,14 @@ def _is_count(value: Any) -> bool:
 
 
 def _number(value: Any, key: str) -> float:
+    """``value`` as a finite float; booleans, NaN and infinities are rejected."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{key}: expected a number, got {value!r}") from exc
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ScenarioError(f"{key}: expected a number, got {value!r}")
+    return number
 
 
 def _box(geometry: Dict[str, Any], key: str, n: int) -> Box:
@@ -272,6 +277,8 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
         if key not in CHECK_IDS:
             raise ScenarioError(f"tolerances.{key}: unknown check id")
         tolerances[key] = _number(value, f"tolerances.{key}")
+        if tolerances[key] < 0.0:
+            raise ScenarioError(f"tolerances.{key}: must be >= 0, got {value!r}")
 
     scenario = Scenario(
         raw=doc, digest=digest, bundle=BundleSpec(n, d), body=body,
@@ -415,14 +422,14 @@ def _run_balance1(scenario: Scenario) -> _Result:
 
 
 def _run_balance2(scenario: Scenario) -> _Result:
-    record = verify_balance_order2(
+    report = verify_balance_order2(
         scenario.nh_stress,
         scenario.velocity,
         scenario.body,
         scenario.transversals,
         QuadratureRule(scenario.quad_order),
-    ).to_record()
-    return record.terms, record.residual
+    )
+    return report.terms(), report.relative_residual
 
 
 def _run_cauchy(scenario: Scenario) -> _Result:

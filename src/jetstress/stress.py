@@ -15,12 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .bundles import JetSectionField
-from .fields import JetValue, TensorField, pair
+from .fields import TensorField, pair
 from .geometry import (
     Body,
     FacePatch,
     FormField,
-    FormValue,
     QuadratureRule,
     boundary_faces,
     integrate,  # noqa: F401  (perfbench/tests check that tracing rebinds it here)
@@ -33,7 +32,6 @@ __all__ = [
     "VariationalStress1",
     "TractionStress",
     "BodyForce",
-    "stress_action",
     "action_form",
     "section_pairing_form",
     "traction_projection",
@@ -93,19 +91,6 @@ class BodyForce:
     """Volume-force density paired with velocity values."""
 
     b: TensorField  # shape (d,)
-
-
-def stress_action(stress: VariationalStress1, jet: JetValue, point: Sequence[float]) -> FormValue:
-    """Pointwise power density of the stress against an order-1 jet."""
-    if jet.order < 1:
-        raise ValueError("stress action needs an order-1 jet")
-    n = stress.dim
-    if jet.dim != n or jet.fiber_dim != stress.fiber_dim:
-        raise ValueError("jet shape does not match the stress")
-    s0 = stress.s0.at(point)
-    s1 = stress.s1.at(point)
-    coeff = float(np.sum(s0 * jet.array(0)) + np.sum(s1 * jet.array(1)))
-    return FormValue.volume(n, coeff)
 
 
 def action_form(stress: VariationalStress1, velocity: TensorField) -> FormField:

@@ -38,7 +38,6 @@ __all__ = [
     "surface_divergence",
     "tangent_edge_force",
     "face_velocity",
-    "face_jet_pairing",
 ]
 
 
@@ -327,19 +326,6 @@ def face_velocity(velocity: TensorField, face: FacePatch) -> TensorField:
     return velocity.compose(face.to_chart)
 
 
-def _face_jet(velocity: TensorField, face: FacePatch) -> Tuple[TensorField, TensorField]:
-    """Values (d,) and ambient derivatives (d, n) of a chart velocity on the face."""
-    return face_velocity(velocity, face), face_velocity(velocity.gradient(), face)
-
-
-def face_jet_pairing(
-    restricted: RestrictedSurfaceStress, velocity: TensorField
-) -> FormField:
-    """The face-volume form Z(j1 u): values and ambient derivatives of u enter."""
-    u, du = _face_jet(velocity, restricted.face)
-    return FormField.volume(pair([(restricted.z0, u), (restricted.z1, du)]).field)
-
-
 def surface_divergence(
     surface_stress: HyperSurfaceStress,
     face: FacePatch,
@@ -355,7 +341,7 @@ def surface_divergence(
     """
     restricted = restrict_Y(surface_stress, face)
     tangent, normal_coeff = transversal_decomposition(restricted, transversal)
-    u, du = _face_jet(velocity, face)
+    u, du = face_velocity(velocity, face), face_velocity(velocity.gradient(), face)
     transversal_du = pair([(du.signed(None, (1, 0)), transversal.n_field)])
     density = pair([
         (tangent.divergence(), u),

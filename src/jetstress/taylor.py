@@ -47,10 +47,6 @@ class MultiIndex(tuple):
     def order(self) -> int:
         return sum(self)
 
-    @property
-    def dim(self) -> int:
-        return len(self)
-
     def factorial(self) -> int:
         """Product of entry factorials, converting Taylor coefficients to derivatives."""
         out = 1
@@ -171,10 +167,6 @@ class TruncatedSeries:
 
     def coefficient(self, exponents: Sequence[int]) -> float:
         return self.coeffs.get(tuple(exponents), 0.0)
-
-    def derivative_value(self, exponents: Sequence[int]) -> float:
-        """Mixed partial derivative at the expansion point (coefficient times I!)."""
-        return self.coefficient(exponents) * MultiIndex(exponents).factorial()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -317,7 +309,9 @@ class TruncatedSeries:
                 cache[e] = power(axis, e - 1) * cache[1]
             return cache[e]
 
-        result = TruncatedSeries.zero(inner_dim, inner_order)
+        # The sum starts from the first term: 0.0 + v is v, and the engine
+        # holds no zero coefficient, so the bits and key order are the same.
+        result = None
         for key, val in self.coeffs.items():
             term = None
             for axis, e in enumerate(key):
@@ -325,8 +319,8 @@ class TruncatedSeries:
                     term = power(axis, e) * val if term is None else term * power(axis, e)
             if term is None:
                 term = TruncatedSeries.constant(inner_dim, inner_order, val)
-            result = result + term
-        return result
+            result = term if result is None else result + term
+        return TruncatedSeries.zero(inner_dim, inner_order) if result is None else result
 
     # -- misc ----------------------------------------------------------------
 

@@ -18,14 +18,13 @@ from jetstress.nonholonomic import (
     restrict_to_second_order,
 )
 from jetstress.balance import (
-    boundary_div_traction,
     closed_boundary_exact_term,
     div_div,
     edge_assembly,
     first_integration_by_parts,
     verify_balance_order2,
 )
-from jetstress.stress import divergence
+from jetstress.stress import divergence, surface_force, traction_projection
 from jetstress.surface import TransversalField
 
 
@@ -131,6 +130,11 @@ def test_div_div_matches_iterated_divergence():
             assert np.max(np.abs(composed.at(x) - direct.at(x))) < 1e-12
 
 
+def boundary_div_traction(stress, face, velocity):
+    """The density of balance2's boundary_div term on one face."""
+    return surface_force(traction_projection(nh_divergence(stress)), face, velocity)
+
+
 def test_boundary_div_traction_adapted_face():
     # X1[0, n-1] = 1, X3 constant: the restricted density is (-1)^(n-1)(0 - 1).
     for n in (2, 3):
@@ -192,10 +196,10 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
     rng = random.Random(97)
     from jetstress.geometry import (
         boundary_faces as faces_of,
-        edges as edges_of,
         face_boundary_pieces,
-        integrate_form_value_piece,
+        integrate_over_face,
     )
+    from oracles import edges as edges_of
     from jetstress.stress import traction_action
     from jetstress.surface import TransversalField, face_velocity, tangent_traction
 
@@ -223,9 +227,9 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
                 p = face_axes.index(axis)
                 for piece_bf, piece in face_boundary_pieces(face):
                     if piece_bf.axis == p and piece_bf.side == side:
-                        # integrate_form_value_piece applies the piece sign;
+                        # integrate_over_face applies the piece sign;
                         # divide it out and use the edges() record instead.
-                        raw = integrate_form_value_piece(tau_u, piece, rule) / piece.sign
+                        raw = integrate_over_face(tau_u, piece, rule) / piece.sign
                         total += edge.face_signs[label] * raw
             key = "|".join(sorted(edge.labels))
             recomputed[key] = total

@@ -1,5 +1,6 @@
 """Iterated jets, holonomic inclusion, symmetrization, and holonomy classes."""
 
+import itertools
 import random
 
 import numpy as np
@@ -10,12 +11,15 @@ from jetstress.bundles import (
     JetSectionField,
     holonomy_class,
     include_holonomic,
-    lattice_points,
-    project_jet,
     symmetrize_iterated,
-    vertical_part,
 )
 from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
+
+
+def square_grid(per_axis=3):
+    """Interior points of a regular per_axis x per_axis lattice on the unit square."""
+    axis = np.linspace(0.0, 1.0, per_axis + 2)[1:-1]
+    return list(itertools.product(axis, axis))
 
 
 def tensor1(dim, tables):
@@ -27,23 +31,6 @@ def tensor2(dim, tables_2d):
     return TensorField(
         SmoothField.from_polynomials(dim, flat), (len(tables_2d), len(tables_2d[0]))
     )
-
-
-def test_project_jet_truncates_and_is_monotone():
-    w = SmoothField.from_expressions(1, ["exp(x1)"])
-    jet = jet_extension(w, (0.0,), 3)
-    p1 = project_jet(jet, 1)
-    assert p1.order == 1 and len(p1.arrays) == 2
-    assert project_jet(jet, 3).arrays == jet.arrays  # identity at p = k
-    # Order-monotone composition.
-    via_two = project_jet(project_jet(jet, 2), 1)
-    direct = project_jet(jet, 1)
-    for p in range(2):
-        assert np.array_equal(via_two.array(p), direct.array(p))
-    const = jet_extension(SmoothField.constant(1, [4.0]), (0.3,), 2)
-    assert project_jet(const, 0).array(0)[0] == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        project_jet(jet, 4)
 
 
 def test_iterated_jet_of_identity_section():
@@ -124,32 +111,14 @@ def test_symmetrize_iterated():
 def test_holonomic_second_derivatives_symmetric():
     u = tensor1(2, [[((2, 1), 1.0), ((1, 2), -0.5), ((3, 0), 0.25)]])
     section = JetSectionField.from_velocity(u)
-    for x in lattice_points((0, 0), (1, 1)):
+    for x in square_grid():
         it = section.iterated_jet_at(x)
         assert np.max(np.abs(it.b3 - symmetrize_iterated(it.b3))) < 1e-12
 
 
-def test_vertical_part():
-    jet = JetValue(
-        1, 1, 2,
-        (np.array([0.0]), np.array([[0.0]]), np.array([[[5.0]]])),
-    )
-    upper, is_vertical = vertical_part(jet, 1)
-    assert is_vertical
-    assert upper[0][0, 0, 0] == 5.0
-    jet2 = JetValue(
-        1, 1, 2,
-        (np.array([1.0]), np.array([[0.0]]), np.array([[[5.0]]])),
-    )
-    _, is_vertical2 = vertical_part(jet2, 0)
-    assert not is_vertical2
-    with pytest.raises(ValueError):
-        vertical_part(jet, 2)
-
-
 def test_only_zero_section_is_vertical_everywhere():
     # A polynomial with vanishing 1-jet on a dense enough lattice vanishes.
-    grid = lattice_points((0, 0), (1, 1), per_axis=4)
+    grid = square_grid(per_axis=4)
     u = tensor1(2, [[((0, 0), 0.0)]])
     section = JetSectionField.from_velocity(u)
     assert all(
@@ -166,7 +135,7 @@ def test_only_zero_section_is_vertical_everywhere():
 
 
 def test_holonomy_classification():
-    grid = lattice_points((0, 0), (1, 1))
+    grid = square_grid()
     # j1 of a velocity field is holonomic.
     u = tensor1(2, [[((1, 1), 1.0)]])
     assert holonomy_class(JetSectionField.from_velocity(u), grid) == HolonomyClass.HOLONOMIC

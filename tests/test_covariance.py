@@ -14,8 +14,8 @@ from jetstress.covariance import (
     transform_jet2,
     transform_stress1,
     transform_stress2,
-    transformed_velocity_field,
 )
+from oracles import transformed_velocity_field
 from jetstress.fields import SmoothField, TensorField, jet_extension
 from jetstress.geometry import TransitionMap
 from jetstress.nonholonomic import VariationalStress2

@@ -113,11 +113,11 @@ def test_field_composition_chain_rule():
 
 
 def test_partial_field_and_compose_partial():
-    w = SmoothField.from_polynomials(2, [[((2, 1), 1.0)]])  # x1^2 x2
-    dw = w.partial(0)
-    assert dw.values_at((2.0, 3.0))[0] == pytest.approx(12.0)
-    ddw = dw.partial(1)
-    assert ddw.values_at((2.0, 3.0))[0] == pytest.approx(4.0)
+    w = TensorField(SmoothField.from_polynomials(2, [[((2, 1), 1.0)]]), (1,))  # x1^2 x2
+    dw = w.gradient()
+    assert dw.at((2.0, 3.0))[0, 0] == pytest.approx(12.0)
+    ddw = dw.gradient()
+    assert ddw.at((2.0, 3.0))[0, 0, 1] == pytest.approx(4.0)
 
 
 def test_tensor_field_shape_and_component():
@@ -131,15 +131,16 @@ def test_tensor_field_shape_and_component():
     assert arr[0, 1] == pytest.approx(4.0)
     assert arr[1, 0] == pytest.approx(3.0)
     assert arr[1, 1] == pytest.approx(2.0)
-    comp = tf.component((1, 1))
-    assert comp.values_at((1.0, 2.0))[0] == pytest.approx(2.0)
 
 
 def test_jet_projection_truncation():
-    w = SmoothField.from_expressions(1, ["exp(x1)"])
-    jet = jet_extension(w, (0.0,), 3)
-    lower = jet.truncated(1)
-    assert lower.order == 1
-    assert lower.array(1)[0, 0] == pytest.approx(1.0)
+    # The jet projection: a lower-order extension is the truncated higher one.
+    w = SmoothField.from_expressions(2, ["exp(x1)*x2", "sin(x1 + x2^2)"])
+    jet = jet_extension(w, (0.1, 0.4), 3)
+    lower = jet_extension(w, (0.1, 0.4), 1)
+    assert lower.order == 1 and len(lower.arrays) == 2
+    for p in range(2):
+        assert np.array_equal(lower.array(p), jet.array(p))
+    assert lower.array(1)[0, 1] == pytest.approx(np.exp(0.1))
     with pytest.raises(ValueError):
-        jet.truncated(4)
+        lower.array(2)

@@ -11,18 +11,16 @@ from jetstress.fields import SmoothField, TensorField, jet_extension
 from jetstress.nonholonomic import (
     NonHolonomicStress,
     VariationalStress2,
-    contraction_C1,
     hyper_surface_action,
     lift_second_order,
-    nh_action,
     nh_action_form,
     nh_divergence,
     nh_traction,
     restrict_to_second_order,
     second_contraction,
     second_contraction_brute_force,
-    significant_components,
 )
+from oracles import nh_action
 
 
 def tensor_const(dim, shape, values):
@@ -75,8 +73,26 @@ def test_nh_action_single_term_and_zero():
     )
     form = nh_action(stress, value, (0.5, 0.5))
     assert form.coefficient((0, 1)) == pytest.approx(4.0)
-    zero = nh_action(stress, IteratedJetValue.zero(2, 1), (0.5, 0.5))
+    zero = nh_action(stress, IteratedJetValue(
+        np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2, 2))), (0.5, 0.5))
     assert zero.max_abs() == 0.0
+
+
+def test_nh_action_form_matches_the_pointwise_oracle():
+    # The pair-algebra volume form against numpy dots of the four blocks and
+    # the iterated jet of the section, compatible or not.
+    rng = random.Random(67)
+    for n, d in ((2, 1), (2, 2), (3, 1)):
+        stress = random_nh_stress(rng, n, d, 2)
+        for section in (random_section(rng, n, d, 3),
+                        JetSectionField.from_velocity(random_velocity(rng, n, d, 3))):
+            form = nh_action_form(stress, section)
+            vol = tuple(range(n))
+            for _ in range(3):
+                x = tuple(rng.uniform(0, 1) for _ in range(n))
+                expected = nh_action(stress, section.iterated_jet_at(x), x).coefficient(vol)
+                got = form.value_at(x).coefficient(vol)
+                assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 def test_nh_action_on_holonomic_matches_restriction():
@@ -250,36 +266,6 @@ def test_nh_divergence_defining_relation():
                 a0, a1 = section.values_at(x)
                 rhs = float(np.sum(div.s0.at(x) * a0) + np.sum(div.s1.at(x) * a1))
                 assert abs(lhs - rhs) < 1e-11
-
-
-def test_significant_components_views():
-    rng = random.Random(17)
-    stress = random_nh_stress(rng, 2, 1, 2)
-    x = (0.3, 0.7)
-    only3 = significant_components(stress, "3")
-    assert set(only3) == {"x3"}
-    assert np.allclose(only3["x3"].at(x), stress.x3.at(x))
-    assert set(significant_components(stress, "23")) == {"x2", "x3"}
-    assert set(significant_components(stress, "13")) == {"x1", "x3"}
-    assert set(significant_components(stress, "123")) == {"x1", "x2", "x3"}
-    with pytest.raises(ValueError):
-        significant_components(stress, "12")
-
-
-def test_contraction_C1_signs():
-    n, d = 2, 1
-    x3 = np.zeros((1, 2, 2))
-    x3[0, 0, 1] = 1.0  # first slot axis 1, second slot axis 2 (1-based)
-    tf = tensor_const(n, (d, n, n), x3)
-    c1 = contraction_C1(tf).at((0.0, 0.0))
-    # Layout [alpha, j, omitted]: contribution at (omit axis 0, j=1) with sign +1.
-    assert c1[0, 1, 0] == pytest.approx(1.0)
-    x3b = np.zeros((1, 2, 2))
-    x3b[0, 1, 0] = 1.0
-    c1b = contraction_C1(tensor_const(n, (d, n, n), x3b)).at((0.0, 0.0))
-    assert c1b[0, 0, 1] == pytest.approx(-1.0)
-    zero = contraction_C1(tensor_const(n, (d, n, n), np.zeros((1, 2, 2)))).at((0.0, 0.0))
-    assert np.all(zero == 0.0)
 
 
 def test_second_contraction_symmetric_vanishes():

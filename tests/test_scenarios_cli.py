@@ -1,6 +1,7 @@
 """Scenario loading, validation, check execution, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -380,3 +381,79 @@ def test_bad_box_bound_names_the_key_once(tmp_path, capsys):
     scenario.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(scenario)]) == 2
     assert capsys.readouterr().err == "error: geometry.chart_box: expected a number, got 'a'\n"
+
+
+# -- files that cannot be read or written ------------------------------------------
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.jsonl"
+    code = main(["run", "--scenario", str(SCENARIOS / "square-order1.json"),
+                 "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --report: ") and "Traceback" not in err
+
+
+def test_unwritable_generate_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.json"
+    assert main(["generate", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and "Traceback" not in err
+
+
+def test_non_utf8_scenario_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "latin1.json"
+    scenario.write_bytes('{"name": "café"}'.encode("latin-1"))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: ") and "Traceback" not in err
+
+
+# -- tolerances and numbers ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, -1e-300, True, False])
+def test_bad_tolerance_in_the_file_exits_2(tmp_path, capsys, value):
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["tolerances"] = {"balance1": value}
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: tolerances.balance1: ")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.5e-9"])
+def test_bad_tolerance_override_exits_2(tmp_path, capsys, value):
+    report = tmp_path / "r.jsonl"
+    code = main(["run", "--scenario", str(SCENARIOS / "square-order1.json"),
+                 "--tol-override", f"balance1={value}", "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --tol-override: bad value for 'balance1': {value!r}\n")
+    assert not report.exists()
+
+
+def test_zero_tolerance_is_accepted():
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["tolerances"] = {"balance1": 0}
+    assert load_scenario(doc).tolerances["balance1"] == 0.0
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("geometry", "chart_box"), [[True, 1], [0, 1]], "geometry.chart_box"),
+    (("geometry", "body_box"), [[0, float("inf")], [0, 1]], "geometry.body_box"),
+    (("stress", "order2", "split"), True, "stress.order2.split"),
+    (("stress", "order2", "split"), float("nan"), "stress.order2.split"),
+    (("covariance", "samples"), [[0.5, float("nan")]], "covariance.samples[0]"),
+])
+def test_booleans_and_non_finite_numbers_are_rejected(path, value, key):
+    doc = json.loads((SCENARIOS / "covariance-quadratic.json").read_text())
+    target = doc
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: expected a number, got "):
+        load_scenario(doc)

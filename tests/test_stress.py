@@ -10,15 +10,16 @@ from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
 from jetstress.geometry import Body, Box, Chart, QuadratureRule, boundary_faces
 from jetstress.stress import (
     VariationalStress1,
+    action_form,
     body_force,
     divergence,
     invariant_divergence_residual,
-    stress_action,
     surface_force,
     traction_action,
     traction_projection,
     verify_balance_order1,
 )
+from oracles import stress_action
 
 
 def tensor(dim, shape, tables):
@@ -58,6 +59,21 @@ def test_stress_action_single_term():
     assert val.coefficient((0, 1)) == pytest.approx(1.0)
     zero = stress_action(stress, JetValue.zero(2, 1, 1), (0.3, 0.4))
     assert zero.max_abs() == 0.0
+
+
+def test_action_form_matches_the_pointwise_oracle():
+    # The pair-algebra volume form against numpy dots of the blocks and the jet.
+    rng = random.Random(61)
+    for n, d in ((2, 1), (2, 2), (3, 2)):
+        stress = random_stress(rng, n, d, 3)
+        w = random_velocity(rng, n, d, 3)
+        form = action_form(stress, w)
+        vol = tuple(range(n))
+        for _ in range(4):
+            x = tuple(rng.uniform(0, 1) for _ in range(n))
+            expected = stress_action(stress, jet_extension(w.field, x, 1), x).coefficient(vol)
+            got = form.value_at(x).coefficient(vol)
+            assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 def test_stress_action_dot_product_oracle():

@@ -20,7 +20,6 @@ from jetstress.stress import traction_action, verify_balance_order1
 from jetstress.surface import (
     RestrictedSurfaceStress,
     TransversalField,
-    face_jet_pairing,
     face_velocity,
     is_tangent,
     restrict_Y,
@@ -30,6 +29,7 @@ from jetstress.surface import (
     transversal_decomposition,
     vertical_projection,
 )
+from oracles import face_jet_pairing
 
 
 def tensor_const(dim, shape, values):

@@ -248,3 +248,26 @@ def test_power_starts_from_the_first_factor(monkeypatch, exponent, products):
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     s ** exponent
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 5])
+def test_compose_starts_from_the_first_term(monkeypatch, terms):
+    keys = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)][:terms]
+    outer = TruncatedSeries(2, 2, {k: 0.5 + i for i, k in enumerate(keys)})
+    offsets = [TruncatedSeries(1, 2, {(1,): 1.0, (2,): -0.5}), TruncatedSeries(1, 2, {(1,): 2.0})]
+    calls = []
+    original = TruncatedSeries.__add__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__add__", counted)
+    outer.compose(offsets)
+    assert len(calls) == terms - 1
+
+
+def test_compose_of_the_zero_series_is_zero():
+    offsets = [TruncatedSeries(1, 2, {(1,): 1.0})] * 2
+    out = TruncatedSeries.zero(2, 2).compose(offsets)
+    assert (out.dim, out.order, out.coeffs) == (1, 2, {})
