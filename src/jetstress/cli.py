@@ -70,7 +70,9 @@ def _apply_overrides(scenario: Scenario, args) -> None:
             raise ScenarioError("--quad-order: must be a positive integer")
         # The loader checked the patch at the file's nodes; the new rule has others.
         try:
-            scenario.body.check_embedding(QuadratureRule(args.quad_order))
+            rule = QuadratureRule(args.quad_order)
+            rule.check_budget(scenario.bundle.base_dim)
+            scenario.body.check_embedding(rule)
         except ValueError as exc:
             raise ScenarioError(f"--quad-order: {exc}") from exc
         scenario.quad_order = args.quad_order

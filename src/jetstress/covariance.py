@@ -284,7 +284,7 @@ def invariance_check(
         raise ValueError(f"{quantity} needs {needs}" + (" and a velocity" if paired else ""))
     keys = ("discrepancy",) if paired else (
         "discrepancy", "predicted_match_defect", "vector_block_defect")
-    out = dict.fromkeys(keys, 0.0)
+    gaps_by_key: Dict[str, list] = {key: [0.0] for key in keys}
     for x in sample_points:
         pc = change.at(x)
         primed = _primed_blocks(stress, pc.xp)
@@ -307,7 +307,9 @@ def invariance_check(
                 np.einsum("aij->aji", unprimed[2]) - vector_mapped,
             ))
         for key, gap in zip(keys, gaps):
-            out[key] = max(out[key], gap)
+            gaps_by_key[key].append(gap)
+    # numpy's max, unlike Python's, keeps a NaN gap.
+    out = {key: float(np.max(values)) for key, values in gaps_by_key.items()}
     if quantity == "vertical-contraction":
         return {"discrepancy": out["vector_block_defect"]}
     return out

@@ -16,10 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SmoothField, jet_extension, linear_field
-from .taylor import TruncatedSeries
+from .fields import SmoothField, as_point, jet_extension, linear_field, on_nodes
+from .taylor import TruncatedSeries, per_node
 
 __all__ = [
+    "NODE_BUDGET",
     "Chart",
     "TransitionMap",
     "QuadratureRule",
@@ -150,6 +151,12 @@ class TransitionMap:
         return worst
 
 
+# Most nodes a rule may put on one box, order**dim: order 16 in three
+# dimensions, 64 in two.  A one-dimensional rule of order q builds a q-by-q
+# companion matrix to find its nodes, 128 MB at the budget.
+NODE_BUDGET = 4096
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Tensor-product Gauss-Legendre rule, one order for every axis."""
@@ -160,7 +167,18 @@ class QuadratureRule:
         if self.order < 1:
             raise ValueError("quadrature order must be >= 1")
 
+    def check_budget(self, dim: int) -> None:
+        """Raise unless ``order**dim`` nodes fit ``NODE_BUDGET``; builds no node."""
+        count = 1
+        for _ in range(dim):
+            count *= self.order
+            if count > NODE_BUDGET:
+                raise ValueError(
+                    f"{self.order}^{dim} nodes exceed the budget of {NODE_BUDGET}"
+                )
+
     def nodes_weights(self, box: Box) -> Tuple[np.ndarray, np.ndarray]:
+        self.check_budget(box.dim)
         return _box_nodes(self.order, box.lower, box.upper)
 
 
@@ -190,7 +208,11 @@ def _box_nodes(
 
 
 class FormValue:
-    """An alternating p-covector: coefficients on strictly increasing index tuples."""
+    """An alternating p-covector: coefficients on strictly increasing index tuples.
+
+    A coefficient may hold one value per node of a batch (``FormField.value_at``
+    on node arrays); only ``coefficient`` reads such a value.
+    """
 
     __slots__ = ("dim", "degree", "coeffs")
 
@@ -207,7 +229,9 @@ class FormValue:
                     raise ValueError(f"{key} is not a strictly increasing {degree}-tuple")
                 if any(not 0 <= i < dim for i in key):
                     raise ValueError(f"index tuple {key} out of range for dim {dim}")
-                if val != 0.0:
+                if per_node(val):
+                    self.coeffs[key] = val
+                elif val != 0.0:
                     self.coeffs[key] = float(val)
 
     def coefficient(self, key: Sequence[int]) -> float:
@@ -317,7 +341,7 @@ def pullback_coefficients(
     src_dim = mapping.dim
 
     def evaluator(point, order):
-        mseries = mapping.series_at(point, order + 1)
+        mseries = mapping.series_on(point, order + 1)
         center = tuple(s.value for s in mseries)
         offsets = [(s - s.value).truncate(order) for s in mseries]
         jac = [[m.partial(a) for a in range(src_dim)] for m in mseries]
@@ -326,7 +350,7 @@ def pullback_coefficients(
              for kt in target_tuples]
             for ks in source_tuples
         ]
-        composed = [s.compose(offsets) for s in coeffs.series_at(center, order)]
+        composed = [s.compose(offsets) for s in coeffs.series_on(center, order)]
         out = []
         for g in range(groups):
             for s_minors in minors:
@@ -364,7 +388,8 @@ class FormField:
         return cls(n, n - 1, [tuple_omitting(n, j) for j in range(n)], coeffs)
 
     def value_at(self, point: Sequence[float]) -> FormValue:
-        values = self.coeffs.values_at(point)
+        """The form at a point; node-array coordinates give node-array coefficients."""
+        values = self.coeffs.values_on(as_point(point))
         return FormValue(self.dim, self.degree, dict(zip(self.tuples, values)))
 
     def exterior_derivative(self) -> "FormField":
@@ -457,17 +482,24 @@ class Body:
         return self.patch if self.patch is not None else SmoothField.coordinates(self.dim)
 
     def check_embedding(self, rule: QuadratureRule) -> float:
-        """Smallest |det| of the patch Jacobian over quadrature nodes (1.0 if no patch)."""
+        """Smallest |det| of the patch Jacobian over quadrature nodes (1.0 if no
+        patch); a NaN determinant is passed over, as ``min`` passes it over."""
         if self.patch is None:
             return 1.0
         nodes, _ = rule.nodes_weights(self.box)
-        worst = np.inf
-        for node in nodes:
-            jac = jet_extension(self.patch, tuple(node), 1).array(1)
-            worst = min(worst, abs(np.linalg.det(jac)))
-        if worst <= 1e-12:
+        dets = on_nodes(self._abs_jacobian_det, nodes)
+        if np.any(dets <= 1e-12):
             raise ValueError("body patch map is degenerate at a quadrature node")
-        return worst
+        return float(np.fmin.reduce(dets, initial=np.inf))
+
+    def _abs_jacobian_det(self, point):
+        """|det| of the patch Jacobian at a point whose coordinates are floats or node arrays."""
+        n = self.dim
+        units = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+        entries = [s.coefficient(unit) for s in self.patch.series_on(point, 1) for unit in units]
+        flat = np.array(np.broadcast_arrays(*entries))  # (n*n,) or (n*n, nodes)
+        jac = np.moveaxis(flat.reshape((n, n) + flat.shape[1:]), (0, 1), (-2, -1))
+        return np.abs(np.linalg.det(jac))
 
 
 @dataclass(frozen=True)
@@ -574,9 +606,11 @@ def integrate(form: FormField, box: Box, rule: QuadratureRule, sign: float = 1.0
         raise ValueError("form must live on the patch parameters")
     full = tuple(range(box.dim))
     nodes, weights = rule.nodes_weights(box)
+    values = on_nodes(lambda point: form.value_at(point).coefficient(full), nodes)
+    # A loop in node order: numpy's sum and dot add pairwise, in another order.
     total = 0.0
-    for node, w in zip(nodes, weights):
-        total += w * form.value_at(tuple(node)).coefficient(full)
+    for w, value in zip(weights.tolist(), values.tolist()):
+        total += w * value
     return sign * total
 
 

@@ -26,9 +26,11 @@ from .exprs import parse_expression
 from .fields import (
     SmoothField,
     TensorField,
+    fibre_sum,
     finite_difference_jet,
     jet_extension,
     monomial_map,
+    on_nodes,
 )
 from .geometry import (
     Body,
@@ -94,7 +96,7 @@ def _keyed(key: str) -> Iterator[None]:
 
 def _component_map(spec: Any, dim: int, key: str) -> Callable:
     if isinstance(spec, (int, float)):
-        value = float(spec)
+        value = _number(spec, key)
         return lambda variables: TruncatedSeries.constant(
             variables[0].dim, variables[0].order, value
         )
@@ -109,7 +111,7 @@ def _component_map(spec: Any, dim: int, key: str) -> Callable:
             try:
                 exps, coef = entry
                 exps = tuple(int(e) for e in exps)
-                coef = float(coef)
+                coef = _number(coef, key)
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"{key}: bad monomial entry {entry!r}") from exc
             if len(exps) != dim or any(e < 0 for e in exps):
@@ -258,6 +260,8 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
     quad_order = geometry.get("quad_order", 6)
     if not _is_count(quad_order):
         raise ScenarioError("geometry.quad_order: must be a positive integer")
+    with _keyed("geometry.quad_order"):
+        QuadratureRule(quad_order).check_budget(n)
     if patch is not None:
         with _keyed("geometry.patch"):
             body.check_embedding(QuadratureRule(quad_order))
@@ -405,6 +409,12 @@ def _validate_check_requirements(scenario: Scenario) -> None:
 _Result = Tuple[Dict[str, float], float]
 
 
+def _worst(values: Sequence[float]) -> float:
+    """The largest value, or NaN if any is NaN: Python's ``max`` would drop a
+    NaN that is not first, and pass a check whose every term is NaN."""
+    return float(np.max(values))
+
+
 def _sample_points(scenario: Scenario, count: int, seed: int = 12345) -> List[Tuple[float, ...]]:
     rng = random.Random(seed)
     box = scenario.body.box
@@ -437,27 +447,23 @@ def _run_cauchy(scenario: Scenario) -> _Result:
     velocity = scenario.velocity
     sigma = traction_projection(stress)
     rule = QuadratureRule(scenario.quad_order)
-    n = scenario.bundle.base_dim
-    worst = 0.0
+    n, d = scenario.bundle.base_dim, scenario.bundle.fiber_dim
     terms: Dict[str, float] = {}
     for face in boundary_faces(scenario.body):
         density = surface_force(sigma, face, velocity)
         axis = face.boxface.axis
-        nodes, _ = rule.nodes_weights(face.param_box)
-        face_worst = 0.0
-        for y in nodes:
-            y = tuple(y)
+
+        def gap(y):
             via_pullback = density.value_at(y).coefficient(tuple(range(n - 1)))
-            chart_pt = face.chart_point(y)
-            direct = float(
-                np.sum(
-                    sigma.sigma.at(chart_pt)[:, axis] * velocity.at(chart_pt)
-                )
-            )
-            face_worst = max(face_worst, abs(via_pullback - direct))
-        terms[face.label] = face_worst
-        worst = max(worst, face_worst)
-    return terms, worst
+            chart_pt = face.to_chart.values_on(y)
+            s = sigma.sigma.field.values_on(chart_pt)
+            u = velocity.field.values_on(chart_pt)
+            direct = fibre_sum([s[alpha * n + axis] * u[alpha] for alpha in range(d)])
+            return abs(via_pullback - direct)
+
+        nodes, _ = rule.nodes_weights(face.param_box)
+        terms[face.label] = _worst(on_nodes(gap, nodes))
+    return terms, _worst(list(terms.values()))
 
 
 def _run_div_consistency(scenario: Scenario) -> _Result:
@@ -478,11 +484,10 @@ def _run_second_contraction(scenario: Scenario) -> _Result:
             symmetric = False
         fast = second_contraction(stress.x3, x)
         brute = second_contraction_brute_force(stress.x3, x)
-        for f, b in zip(fast, brute):
-            oracle_gap = max(oracle_gap, f.max_abs_diff(b))
+        oracle_gap = _worst([oracle_gap] + [f.max_abs_diff(b) for f, b in zip(fast, brute)])
         if symmetric:
-            zero_gap = max(zero_gap, max(f.max_abs() for f in fast))
-    residual = max(oracle_gap, zero_gap if symmetric else 0.0)
+            zero_gap = _worst([zero_gap] + [f.max_abs() for f in fast])
+    residual = _worst([oracle_gap, zero_gap if symmetric else 0.0])
     terms = {"oracle_gap": oracle_gap, "symmetric": float(symmetric), "zero_gap": zero_gap}
     return terms, residual
 
@@ -525,10 +530,10 @@ def _run_covariance(scenario: Scenario) -> _Result:
         for key, name in names.items():
             terms[name] = result[key]
             if name != "naive_magnitude":
-                residual = max(residual, result[key])
+                residual = _worst([residual, result[key]])
     naive = terms.get("naive_magnitude")
     if scenario.expect_noninvariant and naive is not None and naive <= 1e-3:
-        residual = max(residual, 1.0)  # force a failure: the defect is missing
+        residual = _worst([residual, 1.0])  # force a failure: the defect is missing
     return terms, residual
 
 
@@ -540,7 +545,7 @@ def _run_stokes_closed(scenario: Scenario) -> _Result:
         scenario.closed_transversal,
         QuadratureRule(max(scenario.quad_order, 48)),
     )
-    residual = max(abs(quad_value), abs(endpoint))
+    residual = _worst([abs(quad_value), abs(endpoint)])
     return {"quadrature": quad_value, "endpoint_defect": endpoint}, residual
 
 
@@ -555,18 +560,18 @@ def _run_lambda_invariance(scenario: Scenario) -> _Result:
         )
         for split in (0.0, 0.5, 1.0)
     ]
-    residual = max(abs(values[0] - values[1]), abs(values[0] - values[2]))
+    residual = _worst([abs(values[0] - values[1]), abs(values[0] - values[2])])
     return {"split_0": values[0], "split_05": values[1], "split_1": values[2]}, residual
 
 
 def _run_jet_oracle(scenario: Scenario) -> _Result:
     points = _sample_points(scenario, 5)
-    worst = 0.0
+    gaps = []
     for x in points:
         exact = jet_extension(scenario.velocity.field, x, 2)
         approx = finite_difference_jet(scenario.velocity.field, x, 2, 1e-4)
-        for p in range(3):
-            worst = max(worst, float(np.max(np.abs(exact.array(p) - approx.array(p)))))
+        gaps += [float(np.max(np.abs(exact.array(p) - approx.array(p)))) for p in range(3)]
+    worst = _worst(gaps)
     return {"max_gap": worst}, worst
 
 

@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .nonholonomic import HyperSurfaceStress
 from .stress import TractionStress, VariationalStress1, divergence, traction_projection
-from .taylor import TruncatedSeries, power_series, reciprocal_series
+from .taylor import BatchSplit, TruncatedSeries, power_series, reciprocal_series
 
 __all__ = [
     "TransversalField",
@@ -47,14 +47,16 @@ def _solve_linear_series(
     """Gauss-Jordan elimination over truncated series, multiple right-hand sides.
 
     Pivots on the constant terms; a vanishing pivot means the transversality
-    system is singular at the evaluation point.
+    system is singular at the evaluation point.  Over a batch of nodes each
+    node picks its own pivot; nodes that pick different rows are split into
+    groups (:class:`BatchSplit`), and a vanishing pivot at any node is singular.
     """
     size = len(matrix)
     m = [row[:] for row in matrix]
     r = [row[:] for row in rhs]
     for col in range(size):
-        piv = max(range(col, size), key=lambda k: abs(m[k][col].value))
-        if abs(m[piv][col].value) < 1e-13:
+        piv = _pivot_row([abs(m[k][col].value) for k in range(col, size)]) + col
+        if np.any(abs(m[piv][col].value) < 1e-13):
             raise ValueError("transversality system is singular at a sample point")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
@@ -71,6 +73,24 @@ def _solve_linear_series(
     return r
 
 
+def _pivot_row(magnitudes: List) -> int:
+    """The first row of largest magnitude, as ``max`` picks it, at every node.
+
+    Each magnitude is a float or one value per node; a later row wins only
+    where it is strictly larger, so ties and NaN go as they go for ``max``.
+    """
+    best, top = 0, magnitudes[0]
+    for k, value in enumerate(magnitudes[1:], 1):
+        larger = value > top
+        if np.ndim(larger):
+            best, top = np.where(larger, k, best), np.where(larger, value, top)
+        elif larger:
+            best, top = k, value
+    if np.ndim(best) and np.any(best != best[0]):
+        raise BatchSplit(best)
+    return int(np.ravel(best)[0])
+
+
 def _tangent_basis_series(
     face: FacePatch, point: Sequence[float], order: int
 ) -> List[List[TruncatedSeries]]:
@@ -78,7 +98,7 @@ def _tangent_basis_series(
     if face.to_chart is None:
         raise ValueError("0-dimensional faces have no tangent basis")
     q = face.param_dim
-    mapping = face.to_chart.series_at(point, order + 1)
+    mapping = face.to_chart.series_on(point, order + 1)
     return [[mapping[i].partial(a) for i in range(face.chart.dim)] for a in range(q)]
 
 
@@ -86,7 +106,7 @@ def _frame_series(
     face: FacePatch, n_field: TensorField, point: Sequence[float], order: int
 ) -> List[List[TruncatedSeries]]:
     """The face tangents, then the transversal, as ambient component series."""
-    return _tangent_basis_series(face, point, order) + [n_field.field.series_at(point, order)]
+    return _tangent_basis_series(face, point, order) + [n_field.field.series_on(point, order)]
 
 
 class TransversalField:
@@ -144,7 +164,7 @@ class TransversalField:
                     raise ValueError("metric normal undefined for point faces")
                 det = series_det(rows)
                 ann.append(det * ((-1.0) ** i))
-            g = metric_on_face.field.series_at(point, order)
+            g = metric_on_face.field.series_on(point, order)
             # Raise the index: solve g v = ann.
             gmat = [[g[i * n + j] for j in range(n)] for i in range(n)]
             v = _solve_linear_series(gmat, [[a] for a in ann])
@@ -290,7 +310,7 @@ def transversal_decomposition(
         frame = _frame_series(face, transversal.n_field, point, order)
         # Columns: tangent vectors then the transversal.
         matrix = [[vector[i] for vector in frame] for i in range(n)]
-        series = z1.series_at(point, order)
+        series = z1.series_on(point, order)
         rhs = [[series[alpha * n + i] for alpha in range(d)] for i in range(n)]
         sol = _solve_linear_series(matrix, rhs)
         return [sol[a][alpha] for alpha in range(d) for a in range(q + 1)]

@@ -5,16 +5,31 @@ Everything differentiable in this package bottoms out in a
 total order, stored sparsely by exponent multi-index.  For polynomial data
 all operations are exact up to float roundoff, so downstream identity
 checks are limited only by quadrature error.
+
+A coefficient is a float, or a numpy array holding one value per node of a
+batch of expansion points.  A float is a batch of one, so one engine serves
+both.  Elementwise ``+``, ``-`` and ``*`` are the same IEEE operations on
+arrays as on floats, so each node of a batched result has the bits of the
+one-node result, provided the dict holds the same keys in the same order at
+every node.  Two things could break that, and both stop the batch with
+:class:`BatchSplit`: a coefficient that is exactly zero at some nodes but
+not at all (one-node arithmetic drops it, and a key dropped and re-added
+moves to the end of the dict), and a branch on values that differs across
+nodes.  The analytic primitives build their derivative tables per node with
+``math``: numpy's transcendental ufuncs differ from ``math`` in the last
+bit on some arguments.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "MultiIndex",
     "TruncatedSeries",
+    "BatchSplit",
+    "per_node",
     "Coordinates",
     "sin_series",
     "cos_series",
@@ -96,19 +111,67 @@ class _ProductRow(dict):
 _PRODUCT_ROWS: Dict[int, Dict[Exponents, _ProductRow]] = {}
 
 
+class BatchSplit(Exception):
+    """A batch of nodes must be evaluated again in groups.
+
+    ``labels`` holds one entry per node of the batch; nodes with equal labels
+    take the same path through the engine and can share a batch.  Not a
+    ``ValueError``, so no error-keying context catches it.
+    """
+
+    def __init__(self, labels):
+        super().__init__("batch nodes take different paths")
+        self.labels = labels
+
+
+def per_node(value) -> bool:
+    """Whether a coefficient holds one value per node of a batch."""
+    return getattr(value, "ndim", 0) > 0
+
+
+def _coefficient(value):
+    """``value`` as a float, or as it is when it holds one value per node; the
+    result is a node array exactly when its class is not ``float``."""
+    if value.__class__ is float:
+        return value
+    return value if per_node(value) else float(value)
+
+
+def _without_zero_nodes(coeffs: Dict[Exponents, object]) -> Dict[Exponents, object]:
+    """Drop the keys that are zero at every node; raise ``BatchSplit`` on a key
+    that is exactly zero at some nodes only."""
+    out = {}
+    for key, val in coeffs.items():
+        if not per_node(val):
+            if val != 0.0:
+                out[key] = val
+        elif val.all():
+            out[key] = val
+        elif val.any():
+            raise BatchSplit(val == 0.0)
+    return out
+
+
+def _any_node(condition) -> bool:
+    """A per-node condition (a bool or a bool array) holds at some node."""
+    return condition if condition.__class__ is bool else bool(condition.any())
+
+
 class TruncatedSeries:
     """Polynomial in offsets ``dx = x - x0`` truncated at a fixed total order.
 
     Coefficients are kept in a dict keyed by exponent tuples; absent keys are
-    zero.  Series of different ``dim`` or ``order`` never mix.
+    zero.  Series of different ``dim`` or ``order`` never mix.  ``batch`` is
+    true when a coefficient may hold one value per node of a batch.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "coeffs", "batch")
 
     def __init__(self, dim: int, order: int, coeffs: Mapping[Exponents, float] | None = None):
         _check_shape(dim, order)
         self.dim = dim
         self.order = order
+        self.batch = False
         self.coeffs: Dict[Exponents, float] = {}
         if coeffs:
             for key, val in coeffs.items():
@@ -121,19 +184,25 @@ class TruncatedSeries:
                     self.coeffs[key] = float(val)
 
     @classmethod
-    def _trusted(cls, dim: int, order: int, coeffs: Dict[Exponents, float]) -> "TruncatedSeries":
+    def _trusted(
+        cls, dim: int, order: int, coeffs: Dict[Exponents, float], batch: bool = False
+    ) -> "TruncatedSeries":
         """Wrap a fresh dict the engine computed from series it already holds.
 
         Its keys are exponent tuples of length ``dim`` within ``order`` and its
-        values floats, so the key checks of the constructor are skipped; zero
-        values are dropped in insertion order, as the constructor drops them.
+        values floats, or with ``batch`` floats and node arrays, so the key
+        checks of the constructor are skipped; zero values are dropped in
+        insertion order, as the constructor drops them.
         """
-        if 0.0 in coeffs.values():
+        if batch:
+            coeffs = _without_zero_nodes(coeffs)
+        elif 0.0 in coeffs.values():
             coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
         out = object.__new__(cls)
         out.dim = dim
         out.order = order
         out.coeffs = coeffs
+        out.batch = batch
         return out
 
     # -- constructors ------------------------------------------------------
@@ -145,18 +214,23 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, dim: int, order: int, value: float) -> "TruncatedSeries":
+        """The constant ``value``: a float, or one value per node of a batch."""
         _check_shape(dim, order)
-        return cls._trusted(dim, order, {_zero_exponents(dim): float(value)})
+        value = _coefficient(value)
+        return cls._trusted(dim, order, {_zero_exponents(dim): value}, value.__class__ is not float)
 
     @classmethod
     def variable(cls, dim: int, order: int, axis: int, center: float) -> "TruncatedSeries":
-        """The coordinate function ``x_axis`` expanded about ``center``."""
+        """The coordinate function ``x_axis`` expanded about ``center``, a float
+        or one center per node of a batch."""
+        _check_shape(dim, order)
+        center = _coefficient(center)
         coeffs: Dict[Exponents, float] = {_zero_exponents(dim): center}
         if order >= 1:
             exps = [0] * dim
             exps[axis] = 1
             coeffs[tuple(exps)] = 1.0
-        return cls(dim, order, coeffs)
+        return cls._trusted(dim, order, coeffs, center.__class__ is not float)
 
     # -- accessors ---------------------------------------------------------
 
@@ -178,36 +252,40 @@ class TruncatedSeries:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
+        if not isinstance(other, TruncatedSeries):
+            other = _coefficient(other)
             out = dict(self.coeffs)
             key = _zero_exponents(self.dim)
-            out[key] = out.get(key, 0.0) + float(other)
-            return TruncatedSeries._trusted(self.dim, self.order, out)
+            out[key] = out.get(key, 0.0) + other
+            return TruncatedSeries._trusted(
+                self.dim, self.order, out, self.batch or other.__class__ is not float
+            )
         self._check_compatible(other)
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
             out[key] = out.get(key, 0.0) + val
-        return TruncatedSeries._trusted(self.dim, self.order, out)
+        return TruncatedSeries._trusted(self.dim, self.order, out, self.batch or other.batch)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = {k: -v for k, v in self.coeffs.items()}
-        return TruncatedSeries._trusted(self.dim, self.order, neg)
+        return TruncatedSeries._trusted(self.dim, self.order, neg, self.batch)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-float(other))
+        if not isinstance(other, TruncatedSeries):
+            return self + (-_coefficient(other))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
+        if not isinstance(other, TruncatedSeries):
+            c = _coefficient(other)
             return TruncatedSeries._trusted(
-                self.dim, self.order, {k: v * c for k, v in self.coeffs.items()}
+                self.dim, self.order, {k: v * c for k, v in self.coeffs.items()},
+                self.batch or c.__class__ is not float,
             )
         self._check_compatible(other)
         cap = self.order
@@ -225,13 +303,16 @@ class TruncatedSeries:
                 key = row[kb]
                 if key is not None:
                     out[key] = get(key, 0.0) + va * vb
-        return TruncatedSeries._trusted(self.dim, cap, out)
+        return TruncatedSeries._trusted(self.dim, cap, out, self.batch or other.batch)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / float(other))
+        if not isinstance(other, TruncatedSeries):
+            other = _coefficient(other)
+            if _any_node(other == 0.0):
+                raise ZeroDivisionError("float division by zero")
+            return self * (1.0 / other)
         return self * reciprocal_series(other)
 
     def __rtruediv__(self, other):
@@ -268,16 +349,16 @@ class TruncatedSeries:
             new_key = key[:axis] + (e - 1,) + key[axis + 1 :]
             if sum(new_key) <= new_order:
                 out[new_key] = out.get(new_key, 0.0) + val * e
-        return TruncatedSeries._trusted(self.dim, new_order, out)
+        return TruncatedSeries._trusted(self.dim, new_order, out, self.batch)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order == self.order:
             return self
         if order > self.order:
-            return TruncatedSeries._trusted(self.dim, order, dict(self.coeffs))
+            return TruncatedSeries._trusted(self.dim, order, dict(self.coeffs), self.batch)
         _check_shape(self.dim, order)
         out = {k: v for k, v in self.coeffs.items() if sum(k) <= order}
-        return TruncatedSeries._trusted(self.dim, order, out)
+        return TruncatedSeries._trusted(self.dim, order, out, self.batch)
 
     def compose(self, offsets: Sequence["TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute each offset variable by a series with zero constant term.
@@ -298,7 +379,7 @@ class TruncatedSeries:
         for off in offsets:
             if off.dim != inner_dim or off.order != inner_order:
                 raise ValueError("offset series must share dim and order")
-            if off.value != 0.0:
+            if _any_node(off.value != 0.0):
                 raise ValueError("offset series must have exactly zero constant term")
         # Cache powers of each offset as needed.
         powers: list[Dict[int, TruncatedSeries]] = [{1: off} for off in offsets]
@@ -365,6 +446,17 @@ class Coordinates(list):
 # -- composition with univariate analytic primitives -------------------------
 
 
+def _derivatives(u: TruncatedSeries, table: Callable[[float], List[float]]) -> list:
+    """``table(u0)`` at the constant term ``u0`` of ``u``; for a batch, one
+    table per node with float arithmetic, restacked as one array per order."""
+    u0 = u.value
+    if u0.__class__ is float or not per_node(u0):
+        return table(u0)
+    import numpy as np  # only a batch gets here, and numpy is loaded by then
+
+    return list(np.array([table(v) for v in u0.tolist()]).T.copy())
+
+
 def _compose_analytic(u: TruncatedSeries, derivs: Sequence[float]) -> TruncatedSeries:
     """Horner evaluation of sum_m derivs[m]/m! * (u - u0)^m."""
     order = u.order
@@ -376,50 +468,58 @@ def _compose_analytic(u: TruncatedSeries, derivs: Sequence[float]) -> TruncatedS
 
 
 def sin_series(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.value
-    cycle = (math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0))
-    return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
+    def table(u0):
+        cycle = (math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0))
+        return [cycle[m % 4] for m in range(u.order + 1)]
+
+    return _compose_analytic(u, _derivatives(u, table))
 
 
 def cos_series(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.value
-    cycle = (math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0))
-    return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
+    def table(u0):
+        cycle = (math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0))
+        return [cycle[m % 4] for m in range(u.order + 1)]
+
+    return _compose_analytic(u, _derivatives(u, table))
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
-    e0 = math.exp(u.value)
-    return _compose_analytic(u, [e0] * (u.order + 1))
+    return _compose_analytic(u, _derivatives(u, lambda u0: [math.exp(u0)] * (u.order + 1)))
 
 
 def log_series(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.value
-    if u0 <= 0.0:
-        raise ValueError("log of a series requires a positive constant term")
-    derivs = [math.log(u0)]
-    for m in range(1, u.order + 1):
-        derivs.append((-1.0) ** (m - 1) * math.factorial(m - 1) / u0**m)
-    return _compose_analytic(u, derivs)
+    def table(u0):
+        if u0 <= 0.0:
+            raise ValueError("log of a series requires a positive constant term")
+        derivs = [math.log(u0)]
+        for m in range(1, u.order + 1):
+            derivs.append((-1.0) ** (m - 1) * math.factorial(m - 1) / u0**m)
+        return derivs
+
+    return _compose_analytic(u, _derivatives(u, table))
 
 
 def reciprocal_series(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.value
-    if u0 == 0.0:
-        raise ValueError("cannot invert a series with zero constant term")
-    derivs = [(-1.0) ** m * math.factorial(m) / u0 ** (m + 1) for m in range(u.order + 1)]
-    return _compose_analytic(u, derivs)
+    def table(u0):
+        if u0 == 0.0:
+            raise ValueError("cannot invert a series with zero constant term")
+        return [(-1.0) ** m * math.factorial(m) / u0 ** (m + 1) for m in range(u.order + 1)]
+
+    return _compose_analytic(u, _derivatives(u, table))
 
 
 def power_series(u: TruncatedSeries, exponent: float) -> TruncatedSeries:
-    u0 = u.value
-    if u0 <= 0.0:
-        raise ValueError("fractional power of a series requires a positive constant term")
-    derivs = []
-    fall = 1.0
-    for m in range(u.order + 1):
-        derivs.append(fall * u0 ** (exponent - m))
-        fall *= exponent - m
-    return _compose_analytic(u, derivs)
+    def table(u0):
+        if u0 <= 0.0:
+            raise ValueError("fractional power of a series requires a positive constant term")
+        derivs = []
+        fall = 1.0
+        for m in range(u.order + 1):
+            derivs.append(fall * u0 ** (exponent - m))
+            fall *= exponent - m
+        return derivs
+
+    return _compose_analytic(u, _derivatives(u, table))
 
 
 def sqrt_series(u: TruncatedSeries) -> TruncatedSeries:
@@ -431,15 +531,19 @@ def tan_series(u: TruncatedSeries) -> TruncatedSeries:
 
 
 def sinh_series(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.value
-    cycle = (math.sinh(u0), math.cosh(u0))
-    return _compose_analytic(u, [cycle[m % 2] for m in range(u.order + 1)])
+    def table(u0):
+        cycle = (math.sinh(u0), math.cosh(u0))
+        return [cycle[m % 2] for m in range(u.order + 1)]
+
+    return _compose_analytic(u, _derivatives(u, table))
 
 
 def cosh_series(u: TruncatedSeries) -> TruncatedSeries:
-    u0 = u.value
-    cycle = (math.cosh(u0), math.sinh(u0))
-    return _compose_analytic(u, [cycle[m % 2] for m in range(u.order + 1)])
+    def table(u0):
+        cycle = (math.cosh(u0), math.sinh(u0))
+        return [cycle[m % 2] for m in range(u.order + 1)]
+
+    return _compose_analytic(u, _derivatives(u, table))
 
 
 def tanh_series(u: TruncatedSeries) -> TruncatedSeries:

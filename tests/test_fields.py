@@ -6,11 +6,14 @@ import random
 import numpy as np
 import pytest
 
+from jetstress import fields
 from jetstress.fields import (
     SmoothField,
     TensorField,
+    fibre_sum,
     finite_difference_jet,
     jet_extension,
+    on_nodes,
 )
 
 
@@ -144,3 +147,53 @@ def test_jet_projection_truncation():
     assert lower.array(1)[0, 1] == pytest.approx(np.exp(0.1))
     with pytest.raises(ValueError):
         lower.array(2)
+
+
+# -- batches of nodes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("terms", range(1, 10))
+def test_fibre_sum_adds_like_numpy_sum_at_each_node(terms):
+    rng = np.random.default_rng(terms)
+    values = rng.standard_normal((200, terms)) * rng.choice([1e-8, 1.0, 1e8], (200, terms))
+    values[::5, 0] = -0.0
+    values[::7] = -0.0
+    got = fibre_sum(list(values.T))
+    want = [np.sum(row) for row in values]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    assert float(fibre_sum(list(values[3]))).hex() == float(want[3]).hex()
+
+
+def test_on_nodes_evaluates_in_batches_of_at_most_batch(monkeypatch):
+    monkeypatch.setattr(fields, "BATCH", 4)
+    sizes = []
+    field = SmoothField.from_expressions(2, ["sin(x1)*exp(x2) - x1^3"])
+
+    def value(point):
+        sizes.append(np.size(point[0]))
+        return field.values_on(point)[0]
+
+    nodes = np.random.default_rng(0).uniform(0.1, 0.9, (10, 2))
+    got = on_nodes(value, nodes)
+    assert sizes == [4, 4, 2]
+    assert got.tolist() == [field.values_at(node)[0] for node in nodes]
+
+
+def test_on_nodes_raises_the_error_of_the_first_failing_node():
+    # Node 1 divides by zero; node 2 takes the log of a negative number, in an
+    # earlier step of the same expression.
+    field = SmoothField.from_expressions(2, ["log(x1) + 1/x2"])
+    nodes = np.array([[0.5, 0.5], [0.5, 0.0], [-1.0, 0.5]])
+    with pytest.raises(ValueError, match="cannot invert"):
+        field.values_at(nodes[1])
+    with pytest.raises(ValueError, match="cannot invert"):
+        on_nodes(lambda point: field.values_on(point)[0], nodes)
+    assert on_nodes(lambda point: field.values_on(point)[0], nodes[:1]).tolist() == [
+        math.log(0.5) + 2.0]
+
+
+def test_on_nodes_keeps_nan_and_overflow_quiet(recwarn):
+    field = SmoothField.from_expressions(1, ["exp(x1)*exp(x1) - exp(x1)*exp(x1)"])
+    got = on_nodes(lambda point: field.values_on(point)[0], np.array([[0.5], [600.0]]))
+    assert got[0] == 0.0 and math.isnan(got[1])
+    assert not recwarn.list

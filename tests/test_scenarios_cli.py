@@ -1,12 +1,15 @@
 """Scenario loading, validation, check execution, determinism, exit codes."""
 
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
+from jetstress import geometry
 from jetstress.cli import main
+from jetstress.fields import SmoothField, TensorField
 from jetstress.scenarios import (
     DEFAULT_TOLERANCES,
     ScenarioError,
@@ -457,3 +460,69 @@ def test_booleans_and_non_finite_numbers_are_rejected(path, value, key):
     target[path[-1]] = value
     with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: expected a number, got "):
         load_scenario(doc)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (True, "velocity.u#0: expected a number, got True"),
+    (float("nan"), "velocity.u#0: expected a number, got nan"),
+    (float("inf"), "velocity.u#0: expected a number, got inf"),
+    ({"expr": float("-inf")}, "velocity.u#0: expected a number, got -inf"),
+    ({"monomials": [[[1, 0], float("nan")]]}, "velocity.u#0: bad monomial entry [[1, 0], nan]"),
+    ({"monomials": [[[1, 0], True]]}, "velocity.u#0: bad monomial entry [[1, 0], True]"),
+])
+def test_constant_components_must_be_finite_numbers(tmp_path, capsys, spec, message):
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["velocity"]["u"] = [spec]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))  # true, NaN, Infinity in the file
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("fixture, checks", [
+    ("square-order1.json", ["cauchy", "div-consistency", "jet-oracle"]),
+    ("covariance-quadratic.json", ["covariance"]),
+])
+def test_a_nan_velocity_fails_every_check_that_reads_it(fixture, checks):
+    scenario = load_fixture(fixture)
+    scenario.velocity = TensorField(SmoothField.constant(2, [math.nan]), (1,))
+    report = run_checks(scenario, checks)
+    assert {r.check_id: r.passed for r in report.records} == dict.fromkeys(checks, False)
+    assert all(math.isnan(r.residual) for r in report.records)
+
+
+def _no_gauss_nodes(monkeypatch):
+    def refuse(order):
+        raise AssertionError(f"Gauss nodes of order {order} were built")
+
+    monkeypatch.setattr(geometry, "_gauss_1d", refuse)
+
+
+def test_quad_order_over_the_node_budget_exits_2_before_any_node(tmp_path, capsys, monkeypatch):
+    _no_gauss_nodes(monkeypatch)
+    doc = json.loads((SCENARIOS / "patched-metric.json").read_text())
+    doc["geometry"]["quad_order"] = 10**9
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: geometry.quad_order: 1000000000^2 nodes exceed the budget of "
+        f"{geometry.NODE_BUDGET}\n")
+
+
+@pytest.mark.parametrize("fixture", ["square-order1.json", "patched-metric.json"])
+def test_quad_order_override_over_the_node_budget_exits_2(capsys, monkeypatch, fixture):
+    _no_gauss_nodes(monkeypatch)
+    code = main(["run", "--scenario", str(SCENARIOS / fixture), "--quad-order", "65"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --quad-order: 65^2 nodes exceed the budget of {geometry.NODE_BUDGET}\n")
+
+
+def test_node_budget_admits_order_16_in_three_dimensions():
+    geometry.QuadratureRule(16).check_budget(3)
+    geometry.QuadratureRule(64).check_budget(2)
+    with pytest.raises(ValueError, match="17\\^3 nodes exceed"):
+        geometry.QuadratureRule(17).check_budget(3)

@@ -3,15 +3,21 @@
 The reference below is the straightforward dict arithmetic the kernel must
 reproduce: every coefficient, compared through ``float.hex``, and the key
 insertion order of every result.  It shares no code with ``taylor.py``.
+A batched series, one array per coefficient, must give at each node what
+the one-node series gives there.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetstress.fields import SmoothField
-from jetstress.taylor import TruncatedSeries
+from jetstress import taylor
+from jetstress.fields import SmoothField, on_nodes
+from jetstress.taylor import BatchSplit, TruncatedSeries
 
 # -- reference loops on (dim, order, coeffs) ---------------------------------------
 
@@ -271,3 +277,149 @@ def test_compose_of_the_zero_series_is_zero():
     offsets = [TruncatedSeries(1, 2, {(1,): 1.0})] * 2
     out = TruncatedSeries.zero(2, 2).compose(offsets)
     assert (out.dim, out.order, out.coeffs) == (1, 2, {})
+
+
+# -- batches of nodes ----------------------------------------------------------------
+
+ANALYTIC = {
+    name: getattr(taylor, f"{name}_series")
+    for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "reciprocal")
+}
+ANALYTIC["power"] = lambda u: taylor.power_series(u, 1.5)
+
+NONZERO = st.floats(0.125, 4.0) | st.floats(-4.0, -0.125)
+
+
+@st.composite
+def node_tables(draw, dim, order, nodes, constant=None):
+    """Keys in a drawn order, each with one nonzero value per node.
+
+    ``constant``: None leaves the constant term to the draw, True puts it in
+    with positive values, False leaves it out.
+    """
+    keys = [k for k in keys_within(dim, order) if any(k) or constant is not False]
+    keys = draw(st.permutations(keys))[:draw(st.integers(1, len(keys)))]
+    zero = (0,) * dim
+    if constant and zero not in keys:
+        keys.append(zero)
+    return {k: [abs(draw(NONZERO)) if constant and k == zero else draw(NONZERO)
+                for _ in range(nodes)] for k in keys}
+
+
+def batched(dim, order, table):
+    """The batched series of ``table``, built by public arithmetic; each step
+    adds a nonzero value to an absent key or multiplies it by 1.0, so the
+    values and the key order are those of the table."""
+    out = TruncatedSeries.zero(dim, order)
+    for key, column in table.items():
+        out = out + TruncatedSeries.constant(dim, order, np.array(column)) * TruncatedSeries(
+            dim, order, {key: 1.0})
+    return out
+
+
+def at_node(table, i):
+    return {k: column[i] for k, column in table.items()}
+
+
+def node_bits(series, i):
+    """``bits`` of node ``i`` of a batched series."""
+    return series.dim, series.order, [
+        (k, float(v[i] if np.ndim(v) else v).hex()) for k, v in series.coeffs.items()
+    ]
+
+
+def assert_nodes_match(batch_fn, node_fn, nodes):
+    """Every node of ``batch_fn()`` has the bits and key order of ``node_fn(i)``,
+    unless the batch splits at a coefficient that is zero at some nodes only."""
+    try:
+        got = batch_fn()
+    except BatchSplit as split:
+        assert split.labels.shape == (nodes,) and 0 < split.labels.sum() < nodes
+        return
+    assert got.batch
+    for i in range(nodes):
+        assert node_bits(got, i) == bits(node_fn(i))
+
+
+OPERATIONS = {
+    "mul": lambda a, b, c: a * b,
+    "add": lambda a, b, c: a + b,
+    "sub": lambda a, b, c: a - b,
+    "neg": lambda a, b, c: -a,
+    "scale": lambda a, b, c: a * 0.375,
+    "scale-by-node": lambda a, b, c: a * c,
+    "shift-by-node": lambda a, b, c: a + c,
+    "div-by-node": lambda a, b, c: a / c,
+    "pow": lambda a, b, c: a ** 3,
+    "partial": lambda a, b, c: a.partial(a.dim - 1),
+    "truncate": lambda a, b, c: a.truncate(max(a.order - 1, 0)),
+    **{name: (lambda a, b, c, fn=fn: fn(a)) for name, fn in ANALYTIC.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), order=st.integers(0, 3), nodes=st.integers(2, 4))
+def test_each_node_of_a_batched_operation_is_the_one_node_result(name, data, dim, order, nodes):
+    a_table = data.draw(node_tables(dim, order, nodes, constant=True))
+    b_table = data.draw(node_tables(dim, order, nodes))
+    c_column = [data.draw(NONZERO) for _ in range(nodes)]
+    op = OPERATIONS[name]
+    assert_nodes_match(
+        lambda: op(batched(dim, order, a_table), batched(dim, order, b_table), np.array(c_column)),
+        lambda i: op(TruncatedSeries(dim, order, at_node(a_table, i)),
+                     TruncatedSeries(dim, order, at_node(b_table, i)), c_column[i]),
+        nodes,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), inner_dim=st.integers(1, 3),
+       order=st.integers(0, 3), nodes=st.integers(2, 4))
+def test_each_node_of_a_batched_compose_is_the_one_node_result(data, dim, inner_dim, order, nodes):
+    outer = data.draw(node_tables(dim, order, nodes))
+    inner_order = data.draw(st.integers(0, order))
+    offsets = [data.draw(node_tables(inner_dim, inner_order, nodes, constant=False))
+               for _ in range(dim)] if inner_order else None
+    if offsets is None:  # an order-0 offset is the zero series
+        offsets = [{} for _ in range(dim)]
+    assert_nodes_match(
+        lambda: batched(dim, order, outer).compose(
+            [batched(inner_dim, inner_order, t) for t in offsets]),
+        lambda i: TruncatedSeries(dim, order, at_node(outer, i)).compose(
+            [TruncatedSeries(inner_dim, inner_order, at_node(t, i)) for t in offsets]),
+        nodes,
+    )
+
+
+def test_a_coefficient_zero_at_some_nodes_splits_the_batch():
+    centers = np.array([0.25, 0.5, 0.75])
+    with pytest.raises(BatchSplit) as split:
+        TruncatedSeries.variable(1, 2, 0, centers) - 0.5
+    assert split.value.labels.tolist() == [False, True, False]
+    # Zero at every node: dropped, as one-node arithmetic drops it.
+    same = TruncatedSeries.variable(1, 2, 0, np.full(3, 0.5)) - 0.5
+    assert list(same.coeffs) == [(1,)]
+
+
+ZERO_ON_A_LINE = {
+    "neg": SmoothField.from_expressions(2, ["-(x1 - 0.5)"]),
+    "scaled": SmoothField.from_expressions(2, ["(x1 - 0.5)*x2"]).scale(-2.0),
+    "cubed": SmoothField.from_expressions(2, ["(0.5 - x1)^3*x2 - x2*x1^2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ON_A_LINE))
+@pytest.mark.parametrize("derivative", [(0, 0), (1, 0), (0, 1)])
+def test_nodes_where_a_value_is_zero_keep_the_one_node_bits(name, derivative):
+    # At x1 = 0.5 a factor is exactly zero; a batch that kept its key would
+    # negate it to -0.0 where one node reports an absent 0.0.
+    field = ZERO_ON_A_LINE[name]
+    nodes = np.array([[x1, x2] for x1 in (0.25, 0.5, 0.75) for x2 in (0.1, 0.5, 0.9)])
+
+    def value(point):
+        return field.series_on(point, 2)[0].coefficient(derivative)
+
+    got = on_nodes(value, nodes)
+    want = [value(tuple(float(c) for c in node)) for node in nodes]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
