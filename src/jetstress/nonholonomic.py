@@ -176,16 +176,16 @@ def nh_divergence(stress: NonHolonomicStress) -> VariationalStress1:
     )
 
 
-def second_contraction(x3: TensorField, point: Sequence[float]) -> List[FormValue]:
-    """Contract both slots of the top block into the volume form.
+def second_contraction(arr: np.ndarray) -> List[FormValue]:
+    """Contract both slots of a top-block value ``arr``, shape (d, n, n), into
+    the volume form.
 
     Returns one (n-2)-form per fiber component; identically zero whenever the
     block is symmetric.
     """
-    d, n, _ = x3.shape
+    d, n, _ = arr.shape
     if n < 2:
         raise ValueError("second contraction needs chart dimension >= 2")
-    arr = x3.at(point)
     out = []
     for alpha in range(d):
         coeffs = {}
@@ -200,12 +200,11 @@ def second_contraction(x3: TensorField, point: Sequence[float]) -> List[FormValu
     return out
 
 
-def second_contraction_brute_force(x3: TensorField, point: Sequence[float]) -> List[FormValue]:
+def second_contraction_brute_force(arr: np.ndarray) -> List[FormValue]:
     """Oracle: apply two interior products to the volume form, term by term."""
-    d, n, _ = x3.shape
+    d, n, _ = arr.shape
     if n < 2:
         raise ValueError("second contraction needs chart dimension >= 2")
-    arr = x3.at(point)
     vol = FormValue.volume(n)
     out = []
     for alpha in range(d):

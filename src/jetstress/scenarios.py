@@ -82,12 +82,17 @@ class ScenarioError(ValueError):
 
 @contextmanager
 def _keyed(key: str) -> Iterator[None]:
-    """Re-raise a ``ValueError`` from the block as a ``ScenarioError`` naming ``key``."""
+    """Re-raise a ``ValueError`` or an ``OverflowError`` (a field whose value
+    overflows ``math``) from the block as a ``ScenarioError`` naming ``key``.
+
+    Other arithmetic errors stay tracebacks: the engine checks its divisors,
+    so a ``ZeroDivisionError`` is a defect of the program, not of the input.
+    """
     try:
         yield
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ScenarioError(f"{key}: {exc}") from exc
 
 
@@ -482,8 +487,8 @@ def _run_second_contraction(scenario: Scenario) -> _Result:
         arr = stress.x3.at(x)
         if np.max(np.abs(arr - np.transpose(arr, (0, 2, 1)))) > 1e-12:
             symmetric = False
-        fast = second_contraction(stress.x3, x)
-        brute = second_contraction_brute_force(stress.x3, x)
+        fast = second_contraction(arr)
+        brute = second_contraction_brute_force(arr)
         oracle_gap = _worst([oracle_gap] + [f.max_abs_diff(b) for f, b in zip(fast, brute)])
         if symmetric:
             zero_gap = _worst([zero_gap] + [f.max_abs() for f in fast])

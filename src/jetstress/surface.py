@@ -50,6 +50,13 @@ def _solve_linear_series(
     system is singular at the evaluation point.  Over a batch of nodes each
     node picks its own pivot; nodes that pick different rows are split into
     groups (:class:`BatchSplit`), and a vanishing pivot at any node is singular.
+
+    Step ``col`` updates only the live columns of ``m``, those after ``col``.
+    No later step reads an eliminated column: its entries are 1 or 0 up to
+    roundoff, and computing them would put that roundoff into the batch,
+    exactly zero at some nodes only, which splits the batch for nothing.
+    Every entry that is read gets the operations of a full-row update, so
+    each result keeps its bits.
     """
     size = len(matrix)
     m = [row[:] for row in matrix]
@@ -62,13 +69,14 @@ def _solve_linear_series(
             m[col], m[piv] = m[piv], m[col]
             r[col], r[piv] = r[piv], r[col]
         inv = reciprocal_series(m[col][col])
-        m[col] = [e * inv for e in m[col]]
+        live = slice(col + 1, size)
+        m[col][live] = [e * inv for e in m[col][live]]
         r[col] = [e * inv for e in r[col]]
         for k in range(size):
             if k == col or not m[k][col].coeffs:
                 continue
             factor = m[k][col]
-            m[k] = [e - factor * p for e, p in zip(m[k], m[col])]
+            m[k][live] = [e - factor * p for e, p in zip(m[k][live], m[col][live])]
             r[k] = [e - factor * p for e, p in zip(r[k], r[col])]
     return r
 

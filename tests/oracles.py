@@ -5,7 +5,9 @@ products of the blocks in place of the ``pair`` forms (``stress_action``,
 ``nh_action``), per-face orientation records in place of the assembly's edge
 keys (``edges``), the face pairing Z(j1 u) that the surface divergence closes
 against (``face_jet_pairing``), and a composed field in place of the chain
-rule (``transformed_velocity_field``).  ``form_from_components`` builds test
+rule (``transformed_velocity_field``), and elimination over whole rows in
+place of the solver that updates live columns only
+(``solve_linear_series_full_rows``).  ``form_from_components`` builds test
 forms from one field per index tuple.
 """
 
@@ -23,7 +25,8 @@ from jetstress.fields import JetValue, SmoothField, TensorField, pair
 from jetstress.geometry import Body, Box, BoxFace, FormField, FormValue, face_label
 from jetstress.nonholonomic import NonHolonomicStress
 from jetstress.stress import VariationalStress1
-from jetstress.surface import RestrictedSurfaceStress, face_velocity
+from jetstress.surface import RestrictedSurfaceStress, _pivot_row, face_velocity
+from jetstress.taylor import TruncatedSeries, reciprocal_series
 
 
 def form_from_components(dim: int, degree: int, components) -> FormField:
@@ -36,6 +39,37 @@ def form_from_components(dim: int, degree: int, components) -> FormField:
 
     ncomp = sum(f.ncomp for f in fields)
     return FormField(dim, degree, tuples, SmoothField(dim, ncomp, evaluator))
+
+
+def solve_linear_series_full_rows(
+    matrix: List[List[TruncatedSeries]], rhs: List[List[TruncatedSeries]]
+) -> List[List[TruncatedSeries]]:
+    """Gauss-Jordan elimination that updates whole rows of the matrix.
+
+    It also computes the eliminated columns, 1 and 0 up to roundoff, which no
+    later step reads; over a batch of nodes that roundoff can be exactly zero
+    at some nodes only and split the batch.
+    """
+    size = len(matrix)
+    m = [row[:] for row in matrix]
+    r = [row[:] for row in rhs]
+    for col in range(size):
+        piv = _pivot_row([abs(m[k][col].value) for k in range(col, size)]) + col
+        if np.any(abs(m[piv][col].value) < 1e-13):
+            raise ValueError("transversality system is singular at a sample point")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            r[col], r[piv] = r[piv], r[col]
+        inv = reciprocal_series(m[col][col])
+        m[col] = [e * inv for e in m[col]]
+        r[col] = [e * inv for e in r[col]]
+        for k in range(size):
+            if k == col or not m[k][col].coeffs:
+                continue
+            factor = m[k][col]
+            m[k] = [e - factor * p for e, p in zip(m[k], m[col])]
+            r[k] = [e - factor * p for e, p in zip(r[k], r[col])]
+    return r
 
 
 def stress_action(stress: VariationalStress1, jet: JetValue, point: Sequence[float]) -> FormValue:

@@ -174,7 +174,7 @@ def test_criterion_04_second_contraction():
             sym = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
             tf = tensor_const(n, (1, n, n), sym)
             x = tuple(rng.uniform(0, 1) for _ in range(n))
-            forms = second_contraction(tf, x)
+            forms = second_contraction(tf.at(x))
             sym_worst = max(sym_worst, max(f.max_abs() for f in forms))
         # Arbitrary blocks match the interior-product oracle exactly.
         for _ in range(10):
@@ -183,8 +183,8 @@ def test_criterion_04_second_contraction():
             )
             tf = tensor_const(n, (1, n, n), arr)
             x = tuple(rng.uniform(0, 1) for _ in range(n))
-            fast = second_contraction(tf, x)
-            brute = second_contraction_brute_force(tf, x)
+            fast = second_contraction(tf.at(x))
+            brute = second_contraction_brute_force(tf.at(x))
             oracle_worst = max(
                 oracle_worst, max(f.max_abs_diff(b) for f, b in zip(fast, brute))
             )

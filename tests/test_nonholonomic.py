@@ -270,9 +270,10 @@ def test_nh_divergence_defining_relation():
 
 def test_second_contraction_symmetric_vanishes():
     sym = tensor_const(2, (1, 2, 2), [[[1.0, 0.5], [0.5, 3.0]]])
-    forms = second_contraction(sym, (0.4, 0.4))
+    forms = second_contraction(sym.at((0.4, 0.4)))
     assert forms[0].max_abs() <= 1e-14
-    zero = second_contraction(tensor_const(2, (1, 2, 2), np.zeros((1, 2, 2))), (0.4, 0.4))
+    zero = second_contraction(
+        tensor_const(2, (1, 2, 2), np.zeros((1, 2, 2))).at((0.4, 0.4)))
     assert zero[0].max_abs() == 0.0
 
 
@@ -280,7 +281,7 @@ def test_second_contraction_antisymmetric_value():
     x3 = np.zeros((1, 2, 2))
     x3[0, 0, 1] = 1.0
     x3[0, 1, 0] = -1.0
-    forms = second_contraction(tensor_const(2, (1, 2, 2), x3), (0.0, 0.0))
+    forms = second_contraction(tensor_const(2, (1, 2, 2), x3).at((0.0, 0.0)))
     assert forms[0].coefficient(()) == pytest.approx(2.0)
 
 
@@ -293,8 +294,8 @@ def test_second_contraction_matches_brute_force_exactly():
             )
             tf = tensor_const(n, (1, n, n), arr)
             x = tuple(rng.uniform(0, 1) for _ in range(n))
-            fast = second_contraction(tf, x)
-            brute = second_contraction_brute_force(tf, x)
+            fast = second_contraction(tf.at(x))
+            brute = second_contraction_brute_force(tf.at(x))
             assert fast[0].max_abs_diff(brute[0]) == 0.0
     with pytest.raises(ValueError):
-        second_contraction(tensor_const(1, (1, 1, 1), [[[1.0]]]), (0.5,))
+        second_contraction(tensor_const(1, (1, 1, 1), [[[1.0]]]).at((0.5,)))

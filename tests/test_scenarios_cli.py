@@ -366,6 +366,18 @@ def test_evaluation_error_exits_2_naming_the_key(tmp_path, capsys, doc, prefix):
     assert not report.exists()
 
 
+def test_analytic_overflow_exits_2_naming_the_check(tmp_path, capsys):
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(_square_with_velocity(["exp(1000*x1)"])))
+    report = tmp_path / "report.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: checks.balance1: math range error\n"
+    assert not report.exists()
+    # A failed tolerance is still exit 1, not a keyed error.
+    failing = str(SCENARIOS / "failing-tolerance.json")
+    assert main(["run", "--scenario", failing, "--report", str(report)]) == 1
+
+
 def test_uncomputable_covariance_quantities_are_rejected_at_load():
     doc = json.loads((SCENARIOS / "covariance-quadratic.json").read_text())
     doc["covariance"]["quantities"] = ["action2"]
