@@ -33,7 +33,7 @@ from .nonholonomic import (
     nh_divergence,
     nh_traction,
 )
-from .reports import CheckRecord
+from .reports import CheckRecord, relative_residual
 from .stress import (
     divergence,
     pairing_volume_form,
@@ -112,11 +112,10 @@ def first_integration_by_parts(
     interior_form = section_pairing_form(nh_divergence(stress), section)
     interior = integrate_over_body(interior_form, body, rule)
     residual = abs(lhs - (boundary - interior))
-    scale = max(1.0, abs(lhs), abs(boundary), abs(interior))
     return CheckRecord(
         "first-integration-by-parts",
         {"lhs": lhs, "boundary": boundary, "interior": interior, "residual_abs": residual},
-        residual / scale,
+        relative_residual(residual, lhs, boundary, interior),
         tolerance,
     )
 
@@ -202,16 +201,8 @@ def verify_balance_order2(
 
     dd_term = integrate_over_body(pairing_volume_form(div_div(stress), velocity), body, rule)
 
-    rhs = sum(edge_terms.values()) - sum(face_terms.values()) - boundary_div + dd_term
-    residual = abs(lhs - rhs)
-    scale = max(
-        1.0,
-        abs(lhs),
-        abs(sum(edge_terms.values())),
-        abs(sum(face_terms.values())),
-        abs(boundary_div),
-        abs(dd_term),
-    )
+    edges, faces = sum(edge_terms.values()), sum(face_terms.values())
+    residual = abs(lhs - (edges - faces - boundary_div + dd_term))
     return BalanceReport(
         interior_action=lhs,
         edge_terms=edge_terms,
@@ -219,7 +210,7 @@ def verify_balance_order2(
         boundary_div_term=boundary_div,
         div_div_term=dd_term,
         residual=residual,
-        relative_residual=residual / scale,
+        relative_residual=relative_residual(residual, lhs, edges, faces, boundary_div, dd_term),
     )
 
 

@@ -11,7 +11,7 @@ transform cleanly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "transform_jet2",
     "transform_stress2",
     "transform_stress1",
+    "QUANTITIES",
     "invariance_check",
 ]
 
@@ -242,74 +243,101 @@ def predicted_contraction_defect(
     return _contraction_defect(pc, primed.s2.at(pc.xp))
 
 
-# Quantity -> (order of the primed stress it reads, whether it pairs a velocity).
-_QUANTITIES = {
-    "action1": (1, True),
-    "action2": (2, True),
-    "traction1": (1, True),
-    "naive-contraction": (2, False),
-    "vertical-contraction": (2, False),
-}
-
-
 def _density(blocks: Sequence[np.ndarray], jet: JetValue) -> float:
     """Power density: each stress block summed against the jet array of its order."""
     terms = [np.sum(block * jet.array(p)) for p, block in enumerate(blocks)]
     return float(sum(terms[1:], terms[0]))
 
 
+# A quantity's law maps, at one sample, the frame change, the primed blocks
+# of its stress, the unprimed blocks they give and the velocity jets in both
+# charts, if some quantity pairs a velocity, to one gap per record term.
+def _action_gaps(pc: PointChange, primed, unprimed, jet_un, jet_pr) -> Tuple[float]:
+    return (abs(_density(unprimed, jet_un) - pc.det * _density(primed, jet_pr)),)
+
+
+def _traction_gaps(pc: PointChange, primed, unprimed, jet_un, jet_pr) -> Tuple[float]:
+    mapped = pullback_form_value(_traction_covector(primed[1], jet_pr.array(0)), pc.jac)
+    return (_traction_covector(unprimed[1], jet_un.array(0)).max_abs_diff(mapped),)
+
+
+def _naive_gaps(pc: PointChange, primed, unprimed, *jets) -> Tuple[float, float, float]:
+    scalar_mapped, vector_mapped = _naive_blocks_mapped(pc, primed[1], primed[2])
+    scalar_gap = unprimed[1] - scalar_mapped
+    predicted = _contraction_defect(pc, primed[2])
+    return tuple(float(np.max(np.abs(gap))) for gap in (
+        scalar_gap,
+        scalar_gap - predicted,
+        np.einsum("aij->aji", unprimed[2]) - vector_mapped,
+    ))
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """The order of the primed stress a quantity reads, whether it pairs a
+    velocity, its record term names, and its law."""
+
+    order: int
+    paired: bool
+    terms: Tuple[str, ...]
+    gaps: Callable[..., Tuple[float, ...]]
+
+
+# Every quantity the covariance check can select.  The naive contraction
+# reports its defect, the gap to the predicted extra term, and the defect of
+# its vector block, which transforms cleanly.
+QUANTITIES: Dict[str, Quantity] = {
+    "action1": Quantity(1, True, ("action1",), _action_gaps),
+    "traction1": Quantity(1, True, ("traction1",), _traction_gaps),
+    "action2": Quantity(2, True, ("action2",), _action_gaps),
+    "naive-contraction": Quantity(
+        2, False, ("naive_magnitude", "naive_match_defect", "vertical_invariance"), _naive_gaps
+    ),
+}
+
+
 def invariance_check(
-    quantity: str,
+    quantities: Sequence[str],
     change: FrameChange,
-    sample_points: Sequence[Sequence[float]],
+    samples: Sequence[Sequence[float]],
     primed_stress1: Optional[VariationalStress1] = None,
     primed_stress2: Optional[VariationalStress2] = None,
     velocity: Optional[TensorField] = None,
 ) -> Dict[str, float]:
-    """Evaluate a quantity in both charts and report the largest discrepancy.
+    """Evaluate quantities in both charts; map each record term to its largest gap.
 
-    Supported quantities: ``action1``, ``action2``, ``traction1``,
-    ``naive-contraction``, ``vertical-contraction``.  The stress data is
-    given in the primed chart; velocities in the unprimed chart.  Invariant
-    quantities should report discrepancies at roundoff level, while the
-    component-pair (naive) contraction reports its actual defect together
-    with the gap to the predicted extra term.
+    ``quantities`` are keys of ``QUANTITIES``.  The stress data is given in
+    the primed chart; velocities in the unprimed chart.  Invariant quantities
+    report gaps at roundoff level, while the component-pair (naive)
+    contraction reports its actual defect together with the gap to the
+    predicted extra term.  One pass serves every quantity: each sample makes
+    one ``change.at``, one read and one law per stress order in use, and one
+    velocity jet and its law if any quantity pairs a velocity.
     """
-    if quantity not in _QUANTITIES:
-        raise ValueError(f"unknown invariance quantity {quantity!r}")
-    order, paired = _QUANTITIES[quantity]
-    stress = primed_stress1 if order == 1 else primed_stress2
-    if stress is None or (paired and velocity is None):
-        needs = f"a primed {('first', 'second')[order - 1]}-order stress"
-        raise ValueError(f"{quantity} needs {needs}" + (" and a velocity" if paired else ""))
-    keys = ("discrepancy",) if paired else (
-        "discrepancy", "predicted_match_defect", "vector_block_defect")
-    gaps_by_key: Dict[str, list] = {key: [0.0] for key in keys}
-    for x in sample_points:
+    stresses = {1: primed_stress1, 2: primed_stress2}
+    selected = []
+    for name in quantities:
+        if name not in QUANTITIES:
+            raise ValueError(f"unknown invariance quantity {name!r}")
+        quantity = QUANTITIES[name]
+        if stresses[quantity.order] is None or (quantity.paired and velocity is None):
+            needs = f"a primed {('first', 'second')[quantity.order - 1]}-order stress"
+            raise ValueError(f"{name} needs {needs}" + (" and a velocity" if quantity.paired else ""))
+        selected.append(quantity)
+    orders = sorted({q.order for q in selected})
+    paired = any(q.paired for q in selected)
+    gaps_by_term: Dict[str, list] = {term: [0.0] for q in selected for term in q.terms}
+    for x in samples:
         pc = change.at(x)
-        primed = _primed_blocks(stress, pc.xp)
-        unprimed = _stress_law(pc, primed)
+        primed = {order: _primed_blocks(stresses[order], pc.xp) for order in orders}
+        unprimed = {order: _stress_law(pc, blocks) for order, blocks in primed.items()}
+        jets = ()
         if paired:
             jet_un = jet_extension(velocity.field, pc.x, 2)
-            jet_pr = _jet_law(pc, jet_un)
-            if quantity == "traction1":
-                mapped = pullback_form_value(_traction_covector(primed[1], jet_pr.array(0)), pc.jac)
-                gaps = (_traction_covector(unprimed[1], jet_un.array(0)).max_abs_diff(mapped),)
-            else:
-                gaps = (abs(_density(unprimed, jet_un) - pc.det * _density(primed, jet_pr)),)
-        else:
-            scalar_mapped, vector_mapped = _naive_blocks_mapped(pc, primed[1], primed[2])
-            scalar_gap = unprimed[1] - scalar_mapped
-            predicted = _contraction_defect(pc, primed[2])
-            gaps = tuple(float(np.max(np.abs(gap))) for gap in (
-                scalar_gap,
-                scalar_gap - predicted,
-                np.einsum("aij->aji", unprimed[2]) - vector_mapped,
-            ))
-        for key, gap in zip(keys, gaps):
-            gaps_by_key[key].append(gap)
+            jets = jet_un, _jet_law(pc, jet_un)
+        for q in selected:
+            gaps = q.gaps(pc, primed[q.order], unprimed[q.order], *jets)
+            for term, gap in zip(q.terms, gaps):
+                gaps_by_term[term].append(gap)
     # numpy's max, unlike Python's, keeps a NaN gap.
-    out = {key: float(np.max(values)) for key, values in gaps_by_key.items()}
-    if quantity == "vertical-contraction":
-        return {"discrepancy": out["vector_block_defect"]}
-    return out
+    return {term: float(np.max(values)) for term, values in gaps_by_term.items()}

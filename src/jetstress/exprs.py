@@ -141,6 +141,8 @@ class _Parser:
     def atom(self):
         kind, value = self.advance()
         if kind == "num":
+            if not math.isfinite(float(value)):
+                raise ExpressionError(f"numeric literal {value!r} is not a finite number")
             return ("const", float(value))
         if kind == "name":
             if value in _CONSTANTS:

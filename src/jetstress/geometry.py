@@ -138,15 +138,16 @@ class TransitionMap:
     def check_roundtrip(
         self, points: Sequence[Sequence[float]], tol: float = 1e-10
     ) -> float:
-        """Largest defect of inverse(forward(x)) = x over the sample points."""
-        worst = 0.0
+        """Largest defect of inverse(forward(x)) = x over the sample points; NaN fails."""
+        defects = [0.0]
         for x in points:
             xp = self.forward.values_at(x)
             back = self.inverse.values_at(tuple(xp))
-            worst = max(worst, float(np.max(np.abs(back - np.asarray(x)))))
+            defects.append(np.max(np.abs(back - np.asarray(x))))
             if abs(self.jacobian_det(x)) < 1e-12:
                 raise ValueError(f"transition jacobian is singular at {tuple(x)}")
-        if worst > tol:
+        worst = float(np.max(defects))
+        if not worst <= tol:
             raise ValueError(f"transition roundtrip defect {worst:.2e} exceeds {tol:.1e}")
         return worst
 

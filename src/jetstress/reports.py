@@ -7,6 +7,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 
+def relative_residual(residual: float, *terms: float) -> float:
+    """``residual`` over the largest magnitude among the terms it balances,
+    or over 1 when every term is smaller than 1."""
+    return residual / max([1.0] + [abs(term) for term in terms])
+
+
 @dataclass
 class CheckRecord:
     """One verified identity: named terms, residual, tolerance, verdict."""

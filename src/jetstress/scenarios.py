@@ -21,7 +21,7 @@ import numpy as np
 
 from .balance import closed_boundary_exact_term, verify_balance_order2
 from .bundles import BundleSpec, JetSectionField
-from .covariance import FrameChange, invariance_check
+from .covariance import QUANTITIES, FrameChange, invariance_check
 from .exprs import parse_expression
 from .fields import (
     SmoothField,
@@ -222,8 +222,12 @@ def _box(geometry: Dict[str, Any], key: str, n: int) -> Box:
         return Box.from_bounds([[_number(v, f"geometry.{key}") for v in b] for b in bounds])
 
 
-def load_scenario(document: Dict[str, Any] | str) -> Scenario:
-    """Parse and validate a scenario document (dict or JSON text)."""
+def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = None) -> Scenario:
+    """Parse and validate a scenario document (dict or JSON text).
+
+    ``quad_order`` overrides ``geometry.quad_order``, which is still checked;
+    errors in it are keyed ``--quad-order``, the CLI option that passes it.
+    """
     if isinstance(document, str):
         try:
             doc = json.loads(document)
@@ -262,13 +266,21 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
             raise ScenarioError("geometry.patch: expected one expression per axis")
         patch = parse_tensor(patch_specs, n, (n,), "geometry.patch").field
     body = Body(chart, body_box, patch)
-    quad_order = geometry.get("quad_order", 6)
-    if not _is_count(quad_order):
+    file_order = geometry.get("quad_order", 6)
+    if not _is_count(file_order):
         raise ScenarioError("geometry.quad_order: must be a positive integer")
     with _keyed("geometry.quad_order"):
-        QuadratureRule(quad_order).check_budget(n)
+        QuadratureRule(file_order).check_budget(n)
+    if quad_order is None:
+        quad_order, key = file_order, "geometry.patch"
+    elif not _is_count(quad_order):
+        raise ScenarioError("--quad-order: must be a positive integer")
+    else:
+        key = "--quad-order"
+        with _keyed(key):
+            QuadratureRule(quad_order).check_budget(n)
     if patch is not None:
-        with _keyed("geometry.patch"):
+        with _keyed(key):
             body.check_embedding(QuadratureRule(quad_order))
 
     checks = _require(doc, "checks")
@@ -383,7 +395,7 @@ def load_scenario(document: Dict[str, Any] | str) -> Scenario:
             if not isinstance(quantities, list):
                 raise ScenarioError("covariance.quantities: expected a list")
             for q in quantities:
-                if not isinstance(q, str) or q not in _COVARIANCE_QUANTITIES:
+                if not isinstance(q, str) or q not in QUANTITIES:
                     raise ScenarioError(f"covariance.quantities: unknown quantity {q!r}")
             scenario.covariance_quantities = list(quantities)
 
@@ -497,45 +509,25 @@ def _run_second_contraction(scenario: Scenario) -> _Result:
     return terms, residual
 
 
-# Covariance quantities a scenario can select: the primed stress each reads,
-# whether it pairs the velocity, and the record term of each result key.
-# Every term except the naive magnitude, the defect itself, is a residual.
-_COVARIANCE_QUANTITIES: Dict[str, Tuple[str, bool, Dict[str, str]]] = {
-    "action1": ("stress1", True, {"discrepancy": "action1"}),
-    "traction1": ("stress1", True, {"discrepancy": "traction1"}),
-    "action2": ("stress2", True, {"discrepancy": "action2"}),
-    "naive-contraction": ("stress2", False, {
-        "discrepancy": "naive_magnitude",
-        "predicted_match_defect": "naive_match_defect",
-        "vector_block_defect": "vertical_invariance",
-    }),
-}
-
-
 def _covariance_quantities(scenario: Scenario) -> List[str]:
     """The selected covariance quantities that the scenario's blocks can compute."""
     selected = scenario.covariance_quantities
+    stresses = {1: scenario.stress1, 2: scenario.stress2}
     return [
-        quantity for quantity, (stress, paired, _) in _COVARIANCE_QUANTITIES.items()
-        if getattr(scenario, stress) is not None
-        and not (paired and scenario.velocity is None)
-        and (selected is None or quantity in selected)
+        name for name, quantity in QUANTITIES.items()
+        if stresses[quantity.order] is not None
+        and not (quantity.paired and scenario.velocity is None)
+        and (selected is None or name in selected)
     ]
 
 
 def _run_covariance(scenario: Scenario) -> _Result:
-    terms: Dict[str, float] = {}
-    residual = 0.0
-    for quantity in _covariance_quantities(scenario):
-        stress, _, names = _COVARIANCE_QUANTITIES[quantity]
-        result = invariance_check(
-            quantity, scenario.frame_change, scenario.covariance_samples,
-            velocity=scenario.velocity, **{f"primed_{stress}": getattr(scenario, stress)},
-        )
-        for key, name in names.items():
-            terms[name] = result[key]
-            if name != "naive_magnitude":
-                residual = _worst([residual, result[key]])
+    terms = invariance_check(
+        _covariance_quantities(scenario), scenario.frame_change, scenario.covariance_samples,
+        scenario.stress1, scenario.stress2, scenario.velocity,
+    )
+    # Every term except the naive magnitude, the defect itself, is a residual.
+    residual = _worst([0.0] + [v for name, v in terms.items() if name != "naive_magnitude"])
     naive = terms.get("naive_magnitude")
     if scenario.expect_noninvariant and naive is not None and naive <= 1e-3:
         residual = _worst([residual, 1.0])  # force a failure: the defect is missing

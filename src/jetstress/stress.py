@@ -26,7 +26,7 @@ from .geometry import (
     integrate_over_body,
     integrate_over_face,
 )
-from .reports import CheckRecord
+from .reports import CheckRecord, relative_residual
 
 __all__ = [
     "VariationalStress1",
@@ -197,11 +197,10 @@ def verify_balance_order1(
     )
 
     residual = abs(lhs - interior - boundary)
-    scale = max(1.0, abs(lhs), abs(interior), abs(boundary))
     return CheckRecord(
         "balance1",
         {"lhs": lhs, "interior": interior, "boundary": boundary,
          "residual_abs": residual},
-        residual / scale,
+        relative_residual(residual, lhs, interior, boundary),
         tolerance,
     )

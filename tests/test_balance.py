@@ -24,6 +24,7 @@ from jetstress.balance import (
     first_integration_by_parts,
     verify_balance_order2,
 )
+from jetstress.reports import relative_residual
 from jetstress.stress import divergence, surface_force, traction_projection
 from jetstress.surface import TransversalField
 
@@ -98,6 +99,12 @@ def test_first_ibp_random_scenarios():
         section = random_section(rng, 2, 1, 3)
         record = first_integration_by_parts(stress, section, body, rule)
         assert record.residual < 1e-10
+
+
+def test_relative_residual_divides_by_the_largest_term_and_at_least_one():
+    assert relative_residual(2.0, 0.5, -4.0, 3.0) == 0.5
+    assert relative_residual(0.25, 0.1, -0.5) == 0.25
+    assert relative_residual(0.25) == 0.25
 
 
 def test_div_div_constant_and_second_derivative():

@@ -308,6 +308,18 @@ def test_quad_order_override_rechecks_the_patch(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--quad-order", "10", "--report", report]) == 0
 
 
+def test_the_patch_is_checked_at_the_order_in_use_only(tmp_path, capsys):
+    # Order 7 puts nodes on the fold of the patch, order 10 does not.
+    path = _patched_square(tmp_path, ["balance1"])
+    doc = json.loads(path.read_text())
+    doc["geometry"]["quad_order"] = 7
+    path.write_text(json.dumps(doc))
+    report = str(tmp_path / "r.jsonl")
+    assert main(["run", "--scenario", str(path), "--report", report]) == 2
+    assert capsys.readouterr().err.startswith("error: geometry.patch: ")
+    assert main(["run", "--scenario", str(path), "--quad-order", "10", "--report", report]) == 0
+
+
 def test_cauchy_on_a_patched_body_is_rejected_at_load(tmp_path):
     path = _patched_square(tmp_path, ["balance1", "cauchy"])
     with pytest.raises(ScenarioError, match="checks.cauchy"):
@@ -490,6 +502,32 @@ def test_constant_components_must_be_finite_numbers(tmp_path, capsys, spec, mess
     report = tmp_path / "r.jsonl"
     assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("spec, literal", [
+    ("1e309*x1", "1e309"), ("x1 + 1e400", "1e400"), ("x1^2 - .5e999", ".5e999"),
+])
+def test_expression_literals_must_be_finite(tmp_path, capsys, spec, literal):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_square_with_velocity([spec])))
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: velocity.u#0: numeric literal {literal!r} is not a finite number\n")
+    assert not report.exists()
+
+
+def test_a_nan_transition_roundtrip_exits_2(tmp_path, capsys):
+    # 1e308*10 overflows to infinity, and infinity minus itself is NaN.
+    doc = json.loads((SCENARIOS / "covariance-quadratic.json").read_text())
+    doc["covariance"]["inverse"][0] = "x1 - x2^2 + 1e308*10*x1 - 1e308*10*x1"
+    scenario = tmp_path / "nan-inverse.json"
+    scenario.write_text(json.dumps(doc))
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "error: covariance: transition roundtrip defect nan exceeds 1.0e-10\n")
     assert not report.exists()
 
 
