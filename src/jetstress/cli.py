@@ -2,7 +2,8 @@
 
 ``run`` executes a scenario's checks and emits line-delimited JSON records
 plus a summary; exit status 0 means every check passed, 1 means a check
-failed its tolerance, 2 means the scenario or arguments were invalid.
+failed its tolerance, 2 means the scenario or arguments were invalid, or a
+check's term or residual was not a finite number (no report is written then).
 ``generate`` writes a deterministic random scenario for a given seed.
 """
 
@@ -113,6 +114,11 @@ def _cmd_run(args) -> int:
         report = run_checks(scenario, selected)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    # An input whose arithmetic overflows gives values a JSON report cannot hold.
+    nonfinite = report.nonfinite()
+    if nonfinite is not None:
+        print(f"error: {nonfinite}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if not _emit("\n".join(report.lines()) + "\n", args.report, "--report"):
         return EXIT_CONFIG_ERROR

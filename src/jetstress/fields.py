@@ -23,12 +23,15 @@ A point is a tuple of coordinates, each a float, or for a batch of nodes an
 array with one value per node (see :mod:`jetstress.taylor`).
 :meth:`SmoothField.series_on` evaluates either; :meth:`SmoothField.series_at`
 is the one-point entry.  :func:`on_nodes` evaluates a function of a point
-over a node array, ``BATCH`` nodes at a time.
+over a node array, ``BATCH`` nodes at a time, and while it evaluates a batch
+``series_on`` keeps each field's series for that batch, so a sub-field read
+by several parts of the function is evaluated once.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -59,28 +62,41 @@ Evaluator = Callable[[Point, int], List[TruncatedSeries]]
 Term = Tuple[int, Optional[int], Optional[float]]
 
 
-# Most nodes :func:`on_nodes` evaluates at once.  The engine's Python work is
-# paid once per batch and its array work once per node, so past a hundred or
-# so nodes a larger batch gains nothing (n = 3 inputs at q = 6 and q = 10 ran
-# within 15% of one another with batches of 128 to 1024 nodes), while every
-# array an evaluation holds grows with it.
-BATCH = 256
+# Most nodes :func:`on_nodes` evaluates at once: ``geometry.NODE_BUDGET``, so
+# every rule within the budget is one batch.  The engine's Python work is paid
+# once per batch and its array work once per node, and a larger batch kept
+# gaining up to 4096 nodes (n = 3, q = 32 took 2.89 s at 256, 0.78 s at 1024
+# and 0.38 s at 4096; n = 4, q = 12 took 4.07, 1.19 and 0.67 s).
+BATCH = 4096
+
+# The series evaluated so far in the open batch, or None outside a batch:
+# (field, order, id of each coordinate) -> (point, series).  Each entry holds
+# its point, so no id in a key can be reused while the memo is open.
+_Memo = Dict[Tuple, Tuple[Point, List[TruncatedSeries]]]
+_MEMO: ContextVar[Optional[_Memo]] = ContextVar("batch_memo", default=None)
 
 
-def on_nodes(fn: Callable[[Point], Any], nodes: np.ndarray) -> np.ndarray:
+def on_nodes(
+    fn: Callable[[Point], Any], nodes: np.ndarray, width: Optional[int] = None
+) -> np.ndarray:
     """``fn`` at every row of ``nodes``, one float per node.
 
     ``fn`` takes a point (floats, or arrays over a batch) and returns a float,
-    or one value per node of the batch.  The nodes go in batches of at most
-    ``BATCH``, and each batch's values are those of one-node evaluation:
+    or one value per node of the batch; with ``width``, it returns a sequence
+    of ``width`` such values, and the result has one row of them per node.
+    The nodes go in batches of at most ``BATCH``, and each batch's values are
+    those of one-node evaluation:
     - a batch that raises :class:`BatchSplit` is evaluated again in groups of
       like nodes, a group of one as plain floats;
     - a batch that raises ``ValueError`` or ``ArithmeticError`` is evaluated
       again node by node in order, so the first failing node raises its own
       error.
+    While a batch is evaluated, :meth:`SmoothField.series_on` keeps each
+    field's series at the batch's coordinates, so a sub-field that several
+    parts of ``fn`` read is evaluated once per batch.
     """
     nodes = np.asarray(nodes, dtype=float)
-    out = np.empty(len(nodes))
+    out = np.empty(len(nodes) if width is None else (len(nodes), width))
     for start in range(0, len(nodes), BATCH):
         index = np.arange(start, min(start + BATCH, len(nodes)))
         try:
@@ -97,12 +113,28 @@ def _fill(fn: Callable[[Point], Any], nodes: np.ndarray, index: np.ndarray, out:
         return
     point = tuple(nodes[index, axis] for axis in range(nodes.shape[1]))
     try:
-        # Float arithmetic overflows and makes NaN without a warning; so do arrays here.
-        with np.errstate(all="ignore"):
-            out[index] = fn(point)
+        values = _evaluate_batch(fn, point)
     except BatchSplit as split:
         for label in np.unique(split.labels):
             _fill(fn, nodes, index[split.labels == label], out)
+        return
+    if out.ndim == 1:
+        out[index] = values
+    else:
+        for column, value in enumerate(values):
+            out[index, column] = value
+
+
+def _evaluate_batch(fn: Callable[[Point], Any], point: Point) -> Any:
+    """``fn(point)`` with a fresh memo open while it runs; the memo is dropped
+    when it returns or raises."""
+    token = _MEMO.set({})
+    try:
+        # Float arithmetic overflows and makes NaN without a warning; so do arrays here.
+        with np.errstate(all="ignore"):
+            return fn(point)
+    finally:
+        _MEMO.reset(token)
 
 
 def as_point(point: Sequence[Any]) -> Point:
@@ -206,15 +238,28 @@ class SmoothField:
 
     def series_on(self, point: Sequence[Any], order: int) -> List[TruncatedSeries]:
         """The series at a point whose coordinates are floats or node arrays; the
-        entry the package's own evaluators use."""
+        entry the package's own evaluators use.  Inside a batch of
+        :func:`on_nodes`, a point with a node array is evaluated once per
+        field and order; later calls at the same coordinate objects get the
+        stored series in a new list."""
         if len(point) != self.dim:
             raise ValueError(f"point has dim {len(point)}, field expects {self.dim}")
-        series = self._evaluator(tuple(point), order)
+        point = tuple(point)
+        memo = _MEMO.get()
+        key = None
+        if memo is not None and any(per_node(c) for c in point):
+            key = (self, order, tuple(map(id, point)))
+            hit = memo.get(key)
+            if hit is not None:
+                return list(hit[1])
+        series = self._evaluator(point, order)
         if len(series) != self.ncomp:
             raise RuntimeError("field evaluator returned wrong component count")
         for s in series:
             if s.dim != self.dim or s.order != order:
                 raise RuntimeError("field evaluator returned mismatched series")
+        if key is not None:
+            memo[key] = (point, list(series))
         return series
 
     def values_at(self, point: Sequence[float]) -> np.ndarray:
@@ -504,6 +549,9 @@ def jet_extension(field: SmoothField, point: Sequence[float], order: int) -> Jet
     return JetValue.from_series(series, order)
 
 
+# An overflowing field makes inf and NaN differences: the oracle reports them
+# as values, without a warning.
+@np.errstate(all="ignore")
 def finite_difference_jet(
     field: SmoothField, point: Sequence[float], order: int, step: float = 1e-4
 ) -> JetValue:

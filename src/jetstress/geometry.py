@@ -34,6 +34,7 @@ __all__ = [
     "pullback_coefficients",
     "restrict_form",
     "integrate",
+    "integrate_each",
     "integrate_over_body",
     "boundary_faces",
     "increasing_tuples",
@@ -599,20 +600,37 @@ def _pinned_insertion(box: Box, fixed: Dict[int, int]) -> SmoothField:
 
 def integrate(form: FormField, box: Box, rule: QuadratureRule, sign: float = 1.0) -> float:
     """Gauss-Legendre integral of a top-degree form over a parameter box."""
-    if form.degree != box.dim:
-        raise ValueError(
-            f"form degree {form.degree} does not match patch dimension {box.dim}"
-        )
-    if form.dim != box.dim:
-        raise ValueError("form must live on the patch parameters")
+    return integrate_each([form], box, rule, sign)[0]
+
+
+def integrate_each(
+    forms: Sequence[FormField], box: Box, rule: QuadratureRule, sign: float = 1.0
+) -> List[float]:
+    """The integral of each top-degree form over one parameter box, from one
+    pass over the nodes, so the forms share the sub-fields they read (see
+    :func:`jetstress.fields.on_nodes`).  Each integral is summed on its own."""
+    for form in forms:
+        if form.degree != box.dim:
+            raise ValueError(
+                f"form degree {form.degree} does not match patch dimension {box.dim}"
+            )
+        if form.dim != box.dim:
+            raise ValueError("form must live on the patch parameters")
     full = tuple(range(box.dim))
     nodes, weights = rule.nodes_weights(box)
-    values = on_nodes(lambda point: form.value_at(point).coefficient(full), nodes)
-    # A loop in node order: numpy's sum and dot add pairwise, in another order.
-    total = 0.0
-    for w, value in zip(weights.tolist(), values.tolist()):
-        total += w * value
-    return sign * total
+    values = on_nodes(
+        lambda point: [form.value_at(point).coefficient(full) for form in forms],
+        nodes, len(forms),
+    )
+    weights = weights.tolist()
+    out = []
+    for column in values.T.tolist():
+        # A loop in node order: numpy's sum and dot add pairwise, in another order.
+        total = 0.0
+        for w, value in zip(weights, column):
+            total += w * value
+        out.append(sign * total)
+    return out
 
 
 def integrate_over_body(form: FormField, body: Body, rule: QuadratureRule) -> float:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 def relative_residual(residual: float, *terms: float) -> float:
@@ -34,7 +35,7 @@ class CheckRecord:
             "tolerance": float(self.tolerance),
             "pass": self.passed,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 @dataclass
@@ -51,14 +52,30 @@ class RunReport:
     def add(self, record: CheckRecord) -> None:
         self.records.append(record)
 
+    def _ordered(self) -> List[CheckRecord]:
+        return sorted(self.records, key=lambda r: r.check_id)
+
+    def nonfinite(self) -> Optional[str]:
+        """A keyed message naming the first value that is not a finite number:
+        in report order, a record's terms by name, then its residual.  None
+        when every value is finite."""
+        for record in self._ordered():
+            for name, value in sorted(record.terms.items()):
+                if not math.isfinite(value):
+                    return f"checks.{record.check_id}: term {name!r} is not finite"
+            if not math.isfinite(record.residual):
+                return f"checks.{record.check_id}: residual is not finite"
+        return None
+
     def lines(self) -> List[str]:
-        ordered = sorted(self.records, key=lambda r: r.check_id)
-        out = [r.to_json() for r in ordered]
+        """One JSON line per record, then the summary; raises ``ValueError`` on
+        a value that is not finite, as strict JSON has no spelling for it."""
+        out = [r.to_json() for r in self._ordered()]
         summary = {
             "check": "summary",
             "scenario": self.scenario_digest,
             "records": len(self.records),
             "pass": self.passed,
         }
-        out.append(json.dumps(summary, sort_keys=True))
+        out.append(json.dumps(summary, sort_keys=True, allow_nan=False))
         return out

@@ -15,15 +15,22 @@ every node.  Two things could break that, and both stop the batch with
 :class:`BatchSplit`: a coefficient that is exactly zero at some nodes but
 not at all (one-node arithmetic drops it, and a key dropped and re-added
 moves to the end of the dict), and a branch on values that differs across
-nodes.  The analytic primitives build their derivative tables per node with
-``math``: numpy's transcendental ufuncs differ from ``math`` in the last
-bit on some arguments.
+nodes.  Each node-array coefficient is tested for zeros with one
+``np.count_nonzero``.
+
+The analytic primitives call ``math`` once per node and function, because
+numpy's transcendental ufuncs differ from ``math`` in the last bit on some
+arguments, and collect the results into one array per derivative order; a
+negated entry is the negated array, which is exact.  Their domain tests
+compare the whole batch at once, and fail with the one-node message.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "MultiIndex",
@@ -145,10 +152,12 @@ def _without_zero_nodes(coeffs: Dict[Exponents, object]) -> Dict[Exponents, obje
         if not per_node(val):
             if val != 0.0:
                 out[key] = val
-        elif val.all():
-            out[key] = val
-        elif val.any():
-            raise BatchSplit(val == 0.0)
+        else:
+            nonzero = np.count_nonzero(val)
+            if nonzero == val.size:
+                out[key] = val
+            elif nonzero:
+                raise BatchSplit(val == 0.0)
     return out
 
 
@@ -446,15 +455,18 @@ class Coordinates(list):
 # -- composition with univariate analytic primitives -------------------------
 
 
-def _derivatives(u: TruncatedSeries, table: Callable[[float], List[float]]) -> list:
-    """``table(u0)`` at the constant term ``u0`` of ``u``; for a batch, one
-    table per node with float arithmetic, restacked as one array per order."""
-    u0 = u.value
-    if u0.__class__ is float or not per_node(u0):
-        return table(u0)
-    import numpy as np  # only a batch gets here, and numpy is loaded by then
+def _each(fn: Callable[[float], float], u0):
+    """``fn(u0)`` for a float; for a node array, one ``fn`` call per node,
+    collected in one array, so each node has its one-node bits."""
+    if not per_node(u0):
+        return fn(u0)
+    return np.fromiter(map(fn, u0.tolist()), float, len(u0))
 
-    return list(np.array([table(v) for v in u0.tolist()]).T.copy())
+
+def _reject(condition, message: str) -> None:
+    """Raise ``ValueError(message)`` if ``condition`` holds at some node."""
+    if _any_node(condition):
+        raise ValueError(message)
 
 
 def _compose_analytic(u: TruncatedSeries, derivs: Sequence[float]) -> TruncatedSeries:
@@ -468,58 +480,52 @@ def _compose_analytic(u: TruncatedSeries, derivs: Sequence[float]) -> TruncatedS
 
 
 def sin_series(u: TruncatedSeries) -> TruncatedSeries:
-    def table(u0):
-        cycle = (math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0))
-        return [cycle[m % 4] for m in range(u.order + 1)]
-
-    return _compose_analytic(u, _derivatives(u, table))
+    u0 = u.value
+    s, c = _each(math.sin, u0), _each(math.cos, u0)
+    cycle = (s, c, -s, -c)
+    return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
 
 
 def cos_series(u: TruncatedSeries) -> TruncatedSeries:
-    def table(u0):
-        cycle = (math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0))
-        return [cycle[m % 4] for m in range(u.order + 1)]
-
-    return _compose_analytic(u, _derivatives(u, table))
+    u0 = u.value
+    s, c = _each(math.sin, u0), _each(math.cos, u0)
+    cycle = (c, -s, -c, s)
+    return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
-    return _compose_analytic(u, _derivatives(u, lambda u0: [math.exp(u0)] * (u.order + 1)))
+    return _compose_analytic(u, [_each(math.exp, u.value)] * (u.order + 1))
 
 
 def log_series(u: TruncatedSeries) -> TruncatedSeries:
-    def table(u0):
-        if u0 <= 0.0:
-            raise ValueError("log of a series requires a positive constant term")
-        derivs = [math.log(u0)]
-        for m in range(1, u.order + 1):
-            derivs.append((-1.0) ** (m - 1) * math.factorial(m - 1) / u0**m)
-        return derivs
-
-    return _compose_analytic(u, _derivatives(u, table))
+    u0 = u.value
+    _reject(u0 <= 0.0, "log of a series requires a positive constant term")
+    derivs = [_each(math.log, u0)]
+    for m in range(1, u.order + 1):
+        scale = (-1.0) ** (m - 1) * math.factorial(m - 1)
+        derivs.append(_each(lambda v: scale / v**m, u0))
+    return _compose_analytic(u, derivs)
 
 
 def reciprocal_series(u: TruncatedSeries) -> TruncatedSeries:
-    def table(u0):
-        if u0 == 0.0:
-            raise ValueError("cannot invert a series with zero constant term")
-        return [(-1.0) ** m * math.factorial(m) / u0 ** (m + 1) for m in range(u.order + 1)]
-
-    return _compose_analytic(u, _derivatives(u, table))
+    u0 = u.value
+    _reject(u0 == 0.0, "cannot invert a series with zero constant term")
+    derivs = []
+    for m in range(u.order + 1):
+        scale = (-1.0) ** m * math.factorial(m)
+        derivs.append(_each(lambda v: scale / v ** (m + 1), u0))
+    return _compose_analytic(u, derivs)
 
 
 def power_series(u: TruncatedSeries, exponent: float) -> TruncatedSeries:
-    def table(u0):
-        if u0 <= 0.0:
-            raise ValueError("fractional power of a series requires a positive constant term")
-        derivs = []
-        fall = 1.0
-        for m in range(u.order + 1):
-            derivs.append(fall * u0 ** (exponent - m))
-            fall *= exponent - m
-        return derivs
-
-    return _compose_analytic(u, _derivatives(u, table))
+    u0 = u.value
+    _reject(u0 <= 0.0, "fractional power of a series requires a positive constant term")
+    derivs = []
+    fall = 1.0
+    for m in range(u.order + 1):
+        derivs.append(_each(lambda v: fall * v ** (exponent - m), u0))
+        fall *= exponent - m
+    return _compose_analytic(u, derivs)
 
 
 def sqrt_series(u: TruncatedSeries) -> TruncatedSeries:
@@ -531,19 +537,15 @@ def tan_series(u: TruncatedSeries) -> TruncatedSeries:
 
 
 def sinh_series(u: TruncatedSeries) -> TruncatedSeries:
-    def table(u0):
-        cycle = (math.sinh(u0), math.cosh(u0))
-        return [cycle[m % 2] for m in range(u.order + 1)]
-
-    return _compose_analytic(u, _derivatives(u, table))
+    u0 = u.value
+    cycle = (_each(math.sinh, u0), _each(math.cosh, u0))
+    return _compose_analytic(u, [cycle[m % 2] for m in range(u.order + 1)])
 
 
 def cosh_series(u: TruncatedSeries) -> TruncatedSeries:
-    def table(u0):
-        cycle = (math.cosh(u0), math.sinh(u0))
-        return [cycle[m % 2] for m in range(u.order + 1)]
-
-    return _compose_analytic(u, _derivatives(u, table))
+    u0 = u.value
+    cycle = (_each(math.cosh, u0), _each(math.sinh, u0))
+    return _compose_analytic(u, [cycle[m % 2] for m in range(u.order + 1)])
 
 
 def tanh_series(u: TruncatedSeries) -> TruncatedSeries:

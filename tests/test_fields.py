@@ -15,6 +15,7 @@ from jetstress.fields import (
     jet_extension,
     on_nodes,
 )
+from jetstress.taylor import BatchSplit
 
 
 def test_monomial_jet_one_dim():
@@ -197,3 +198,100 @@ def test_on_nodes_keeps_nan_and_overflow_quiet(recwarn):
     got = on_nodes(lambda point: field.values_on(point)[0], np.array([[0.5], [600.0]]))
     assert got[0] == 0.0 and math.isnan(got[1])
     assert not recwarn.list
+
+
+def _counted(field):
+    """``field`` behind an evaluator that records the node count of each call."""
+    calls = []
+
+    def evaluator(point, order):
+        calls.append(np.size(point[0]))
+        return field.series_on(point, order)
+
+    return SmoothField(field.dim, field.ncomp, evaluator), calls
+
+
+def test_a_field_read_twice_in_one_batch_is_evaluated_once():
+    leaf, calls = _counted(SmoothField.from_expressions(2, ["sin(x1)*x2 + x1^2"]))
+    twice = leaf + leaf.scale(2.0)
+    nodes = np.random.default_rng(1).uniform(0.1, 0.9, (10, 2))
+    got = on_nodes(lambda point: twice.values_on(point)[0], nodes)
+    assert calls == [10]
+    assert got.tolist() == [twice.values_at(node)[0] for node in nodes]
+    # One-node evaluation reads the leaf twice per point.
+    assert calls[1:] == [1] * 20
+
+
+def test_series_at_is_memoized_inside_a_batch_only():
+    leaf, calls = _counted(SmoothField.from_expressions(2, ["x1*x2"]))
+    nodes = np.random.default_rng(2).uniform(0.1, 0.9, (6, 2))
+    point = (nodes[:, 0], nodes[:, 1])
+    leaf.series_at(point, 1)
+    leaf.series_at(point, 1)
+    assert calls == [6, 6]
+    calls.clear()
+
+    def value(point):
+        # Another order and a one-point call are separate evaluations.
+        leaf.series_at(point, 1)
+        leaf.series_at((0.5, 0.5), 0)
+        leaf.series_at((0.5, 0.5), 0)
+        return leaf.series_at(point, 0)[0].value + leaf.series_at(point, 0)[0].value
+
+    on_nodes(value, nodes)
+    assert calls == [6, 1, 1, 6]
+    assert fields._MEMO.get() is None
+
+
+def test_a_batch_that_splits_leaves_no_memo_entry():
+    leaf, calls = _counted(SmoothField.from_expressions(1, ["exp(x1)"]))
+    opened = []
+
+    def value(point):
+        opened.append(len(fields._MEMO.get()))
+        out = leaf.values_on(point)[0]
+        if np.size(point[0]) == 4:
+            raise BatchSplit(np.array([0, 1, 0, 1]))
+        return out
+
+    nodes = np.array([[0.1], [0.2], [0.3], [0.4]])
+    got = on_nodes(value, nodes)
+    assert opened == [0, 0, 0]
+    assert calls == [4, 2, 2]
+    assert fields._MEMO.get() is None
+    assert got.tolist() == [math.exp(x) for x in (0.1, 0.2, 0.3, 0.4)]
+
+
+def test_on_nodes_with_a_width_returns_one_row_per_node():
+    field = SmoothField.from_expressions(2, ["x1 - x2", "x1*x2"])
+    nodes = np.random.default_rng(3).uniform(0.1, 0.9, (5, 2))
+    got = on_nodes(lambda point: field.values_on(point) + [2.0], nodes, 3)
+    assert got.tolist() == [list(field.values_at(node)) + [2.0] for node in nodes]
+    assert on_nodes(lambda point: field.values_on(point), nodes[:1], 2).tolist() == [
+        list(field.values_at(nodes[0]))]
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("log(x1)", -0.5),
+    ("log(x1)", 0.0),
+    ("sqrt(x1)", -0.25),
+    ("1/x1", 0.0),
+    ("sqrt(x1) + 1/(x1 - 0.5)", 0.5),
+])
+def test_a_batched_primitive_raises_the_message_of_its_one_invalid_node(text, bad):
+    field = SmoothField.from_expressions(1, [text])
+    nodes = np.array([[0.75], [0.9], [bad], [0.8]])
+    with pytest.raises(ValueError) as one_node:
+        field.values_at(nodes[2])
+    if bad < 0.0:
+        # The batch itself stops on the invalid node.  (A constant term that
+        # is exactly zero at one node splits the batch before that.)
+        with pytest.raises(ValueError) as batch:
+            field.values_on((nodes[:, 0],))
+        assert str(batch.value) == str(one_node.value)
+    with pytest.raises(ValueError) as through_on_nodes:
+        on_nodes(lambda point: field.values_on(point)[0], nodes)
+    assert str(through_on_nodes.value) == str(one_node.value)
+    valid = np.delete(nodes, 2, axis=0)
+    got = on_nodes(lambda point: field.values_on(point)[0], valid)
+    assert [v.hex() for v in got.tolist()] == [field.values_at(n)[0].hex() for n in valid]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from jetstress import fields, geometry
 from jetstress.cli import main
 from jetstress.scenarios import generate_scenario
 
@@ -59,17 +60,57 @@ def _bundled(stem):
     return json.loads((SCENARIOS / f"{stem}.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(ODD_Q))
-def test_odd_quad_order_report_matches_golden(name, tmp_path):
-    make, quad_order = ODD_Q[name]
-    doc = make()
+def _report_at(doc, quad_order, tmp_path):
+    """The report of ``doc`` run with ``quad_order`` written into a copy of it."""
     doc["geometry"]["quad_order"] = quad_order
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     report = tmp_path / "report.jsonl"
     assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 0
-    assert report.read_bytes() == (GOLDEN / "odd-q" / f"{name}.jsonl").read_bytes()
+    return report.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ODD_Q))
+def test_odd_quad_order_report_matches_golden(name, tmp_path):
+    make, quad_order = ODD_Q[name]
+    got = _report_at(make(), quad_order, tmp_path)
+    assert got == (GOLDEN / "odd-q" / f"{name}.jsonl").read_bytes()
 
 
 def test_every_odd_q_golden_has_a_case():
     assert sorted(p.stem for p in (GOLDEN / "odd-q").glob("*.jsonl")) == sorted(ODD_Q)
+
+
+# Inputs at the node budget: every rule they use is one batch of
+# ``fields.BATCH`` nodes.  Golden -> (bundled scenario, quadrature order).
+BUDGET = {
+    "cube-order2-q16": ("cube-order2", 16),
+    "patched-metric-q64": ("patched-metric", 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_node_budget_report_matches_golden(name, tmp_path):
+    stem, quad_order = BUDGET[name]
+    assert quad_order ** len(_bundled(stem)["geometry"]["body_box"]) == geometry.NODE_BUDGET
+    got = _report_at(_bundled(stem), quad_order, tmp_path)
+    assert got == (GOLDEN / "budget" / f"{name}.jsonl").read_bytes()
+
+
+def test_every_budget_golden_has_a_case():
+    assert sorted(p.stem for p in (GOLDEN / "budget").glob("*.jsonl")) == sorted(BUDGET)
+
+
+# A batch size that divides no rule: every batch boundary falls inside a face.
+@pytest.mark.parametrize("name", sorted(EXIT_CODES) + [f"odd-q/{name}" for name in sorted(ODD_Q)])
+def test_reports_do_not_depend_on_the_batch_size(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(fields, "BATCH", 7)
+    if name.startswith("odd-q/"):
+        make, quad_order = ODD_Q[name[len("odd-q/"):]]
+        got = _report_at(make(), quad_order, tmp_path)
+    else:
+        report = tmp_path / "report.jsonl"
+        code = main(["run", "--scenario", str(SCENARIOS / f"{name}.json"), "--report", str(report)])
+        assert code == EXIT_CODES[name]
+        got = report.read_bytes()
+    assert got == (GOLDEN / f"{name}.jsonl").read_bytes()

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jetstress import geometry
@@ -388,6 +389,55 @@ def test_analytic_overflow_exits_2_naming_the_check(tmp_path, capsys):
     # A failed tolerance is still exit 1, not a keyed error.
     failing = str(SCENARIOS / "failing-tolerance.json")
     assert main(["run", "--scenario", failing, "--report", str(report)]) == 1
+
+
+def test_a_non_finite_result_exits_2_and_writes_no_report(tmp_path, capfd, recwarn):
+    # Finite literals whose product overflows: balance1's boundary term is
+    # infinite, and cauchy, div-consistency and jet-oracle read NaN.
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(_square_with_velocity(["1e308*10*x1"])))
+    report = tmp_path / "report.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    captured = capfd.readouterr()
+    assert captured.err == "error: checks.balance1: term 'boundary' is not finite\n"
+    assert captured.out == ""
+    assert not report.exists()
+    # Without balance1 the first record in report order names its NaN term.
+    checks = ["--check", "jet-oracle", "--check", "cauchy"]
+    assert main(["run", "--scenario", str(scenario), "--report", str(report), *checks]) == 2
+    assert capfd.readouterr().err == "error: checks.cauchy: term 'x1-upper' is not finite\n"
+    assert not report.exists()
+    assert not recwarn.list  # the oracle's inf - inf stays quiet
+
+
+def test_report_lines_refuse_a_value_json_cannot_spell():
+    scenario = load_fixture("square-order1.json")
+    scenario.velocity = TensorField(SmoothField.constant(2, [math.nan]), (1,))
+    report = run_checks(scenario, ["jet-oracle"])
+    assert report.nonfinite() == "checks.jet-oracle: term 'max_gap' is not finite"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.lines()
+
+
+def test_lambda_invariance_evaluates_each_leaf_block_once_per_batch(monkeypatch):
+    # Three lifts share s0, s1, s2 and the velocity: each is evaluated once
+    # per (order, batch of nodes), not once per split.
+    scenario = load_fixture("cube-order2.json")
+    stress = scenario.stress2
+    calls = {}
+    for name, field in [("s0", stress.s0.field), ("s1", stress.s1.field),
+                        ("s2", stress.s2.field), ("u", scenario.velocity.field)]:
+        def counted(point, order, name=name, evaluate=field._evaluator):
+            if np.size(point[0]) > 1:
+                key = (name, order, np.stack(point).tobytes())
+                calls[key] = calls.get(key, 0) + 1
+            return evaluate(point, order)
+
+        monkeypatch.setattr(field, "_evaluator", counted)
+    report = run_checks(scenario, ["lambda-invariance"])
+    assert report.passed
+    assert {name for name, _, _ in calls} == {"s0", "s1", "s2", "u"}
+    assert set(calls.values()) == {1}
 
 
 def test_uncomputable_covariance_quantities_are_rejected_at_load():
