@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("generate", help="write a deterministic random scenario")
     gen_p.add_argument("--seed", type=int, required=True)
-    gen_p.add_argument("--n", type=int, default=2, help="chart dimension (2 or 3)")
+    gen_p.add_argument("--n", type=int, default=2, help="chart dimension (2, 3 or 4)")
     gen_p.add_argument("--d", type=int, default=1, help="fiber dimension")
     gen_p.add_argument("--degree", type=int, default=2, help="polynomial degree cap (<= 4)")
     gen_p.add_argument("--out", default=None, help="output path (default: stdout)")

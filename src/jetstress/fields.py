@@ -4,7 +4,10 @@ finite-difference pair.
 A :class:`SmoothField` maps ``(point, order)`` to one truncated Taylor
 series per component.  Fields built from monomial tables (through
 :func:`monomial_map`, which scenario files use too) or expression strings
-differentiate exactly, and so does every field derived from them.
+differentiate exactly, and so does every field derived from them.  Reading
+values (order 0), a monomial leaf computes each component's number from its
+powers' constant terms and wraps it in one series, with the bits of the
+series built step by step (see :mod:`jetstress.taylor`).
 
 A :class:`TensorField` lays a row-major tensor shape over those components.
 The stress identities are written in four operations on it:
@@ -160,28 +163,17 @@ def monomial_map(table: Sequence[Tuple[Sequence[int], float]]) -> Callable:
     """Series-level evaluator of a monomial table ``[(exponents, coefficient), ...]``.
 
     Each power ``x_i ** e`` comes from the coordinates' memo, so the
-    components of one field share it.  A term starts as ``power * coef``,
-    which gives the bits and key order of ``constant(coef) * power``.
+    components of one field share it; see :meth:`Coordinates.polynomial`,
+    which at order 0 computes the value without building a series per step.
     """
 
     # Per monomial: its coefficient and its (axis, exponent) factors.
-    terms = [(coef, [(axis, e) for axis, e in enumerate(exps) if e]) for exps, coef in table]
+    terms = [
+        (float(coef), [(axis, e) for axis, e in enumerate(exps) if e]) for exps, coef in table
+    ]
 
     def monomial_fn(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        variables = Coordinates.of(variables)
-        dim = variables[0].dim
-        order = variables[0].order
-        power = variables.power
-        total = TruncatedSeries.zero(dim, order)
-        for coef, factors in terms:
-            if not factors:
-                total = total + TruncatedSeries.constant(dim, order, coef)
-                continue
-            term = power(*factors[0]) * coef
-            for axis, e in factors[1:]:
-                term = term * power(axis, e)
-            total = total + term
-        return total
+        return Coordinates.of(variables).polynomial(terms)
 
     return monomial_fn
 

@@ -221,20 +221,32 @@ class FormValue:
     def __init__(self, dim: int, degree: int, coeffs: Optional[Dict[IndexTuple, float]] = None):
         if not 0 <= degree <= dim:
             raise ValueError(f"degree {degree} outside 0..{dim}")
+        coeffs = {tuple(key): val for key, val in (coeffs or {}).items()}
+        for key in coeffs:
+            if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
+                raise ValueError(f"{key} is not a strictly increasing {degree}-tuple")
+            if any(not 0 <= i < dim for i in key):
+                raise ValueError(f"index tuple {key} out of range for dim {dim}")
+        self._fill(dim, degree, coeffs)
+
+    @classmethod
+    def _trusted(cls, dim: int, degree: int, coeffs: Dict[IndexTuple, float]) -> "FormValue":
+        """A form on keys computed from valid forms of this dim and degree: the
+        key checks of the constructor are skipped, its value rules kept."""
+        out = object.__new__(cls)
+        out._fill(dim, degree, coeffs)
+        return out
+
+    def _fill(self, dim: int, degree: int, coeffs: Dict[IndexTuple, float]) -> None:
+        """Node arrays are kept, other values made floats; a zero float is dropped."""
         self.dim = dim
         self.degree = degree
         self.coeffs: Dict[IndexTuple, float] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                key = tuple(key)
-                if len(key) != degree or any(a >= b for a, b in zip(key, key[1:])):
-                    raise ValueError(f"{key} is not a strictly increasing {degree}-tuple")
-                if any(not 0 <= i < dim for i in key):
-                    raise ValueError(f"index tuple {key} out of range for dim {dim}")
-                if per_node(val):
-                    self.coeffs[key] = val
-                elif val != 0.0:
-                    self.coeffs[key] = float(val)
+        for key, val in coeffs.items():
+            if per_node(val):
+                self.coeffs[key] = val
+            elif val != 0.0:
+                self.coeffs[key] = float(val)
 
     def coefficient(self, key: Sequence[int]) -> float:
         return self.coeffs.get(tuple(key), 0.0)
@@ -245,10 +257,12 @@ class FormValue:
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
             out[key] = out.get(key, 0.0) + val
-        return FormValue(self.dim, self.degree, out)
+        return FormValue._trusted(self.dim, self.degree, out)
 
     def scale(self, factor: float) -> "FormValue":
-        return FormValue(self.dim, self.degree, {k: v * factor for k, v in self.coeffs.items()})
+        return FormValue._trusted(
+            self.dim, self.degree, {k: v * factor for k, v in self.coeffs.items()}
+        )
 
     def __sub__(self, other: "FormValue") -> "FormValue":
         return self + other.scale(-1.0)
@@ -282,7 +296,7 @@ def interior_product(axis: int, form: FormValue) -> FormValue:
         pos = key.index(axis)
         new_key = key[:pos] + key[pos + 1 :]
         out[new_key] = out.get(new_key, 0.0) + ((-1.0) ** pos) * val
-    return FormValue(form.dim, form.degree - 1, out)
+    return FormValue._trusted(form.dim, form.degree - 1, out)
 
 
 def series_det(matrix: List[List[TruncatedSeries]]) -> TruncatedSeries:

@@ -490,13 +490,14 @@ def _run_div_consistency(scenario: Scenario) -> _Result:
 
 
 def _run_second_contraction(scenario: Scenario) -> _Result:
-    stress = scenario.nh_stress
+    x3 = scenario.nh_stress.x3
     points = _sample_points(scenario, 20)
+    values = on_nodes(x3.field.values_on, np.array(points), width=x3.field.ncomp)
     oracle_gap = 0.0
     symmetric = True
     zero_gap = 0.0
-    for x in points:
-        arr = stress.x3.at(x)
+    for row in values:
+        arr = row.reshape(x3.shape)
         if np.max(np.abs(arr - np.transpose(arr, (0, 2, 1)))) > 1e-12:
             symmetric = False
         fast = second_contraction(arr)
@@ -668,8 +669,8 @@ def generate_scenario(seed: int, n: int, d: int, degree: int) -> Dict[str, Any]:
     The same seed yields byte-identical documents once serialized with
     sorted keys.
     """
-    if n not in (2, 3):
-        raise ScenarioError(f"generate: n must be 2 or 3, got {n}")
+    if n not in (2, 3, 4):
+        raise ScenarioError(f"generate: n must be 2, 3 or 4, got {n}")
     if not 1 <= d <= 3:
         raise ScenarioError(f"generate: d must be between 1 and 3, got {d}")
     if not 0 <= degree <= 4:

@@ -18,6 +18,16 @@ moves to the end of the dict), and a branch on values that differs across
 nodes.  Each node-array coefficient is tested for zeros with one
 ``np.count_nonzero``.
 
+At order 0 a series holds one number, the value of its function: the
+zero-order forward sweep of Taylor arithmetic (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., 2008).  There a product multiplies the
+two constant terms without walking product rows, and
+:meth:`Coordinates.polynomial` computes a monomial table's value from the
+constant terms of its powers and wraps it once.  Both perform the IEEE
+operations of the general route on that number, in its order, and keep,
+drop or split on each result by the same zero test; with one key there is
+no key order to keep, so the bits are those of the general route.
+
 The analytic primitives call ``math`` once per node and function, because
 numpy's transcendental ufuncs differ from ``math`` in the last bit on some
 arguments, and collect the results into one array per derivative order; a
@@ -144,20 +154,28 @@ def _coefficient(value):
     return value if per_node(value) else float(value)
 
 
+def _kept(value):
+    """``value`` if a series keeps it as a coefficient, None if it drops it
+    (it is zero, at every node); raise ``BatchSplit`` on a value that is
+    exactly zero at some nodes only."""
+    if value.__class__ is float or not per_node(value):
+        return value if value != 0.0 else None
+    nonzero = np.count_nonzero(value)
+    if nonzero == value.size:
+        return value
+    if nonzero:
+        raise BatchSplit(value == 0.0)
+    return None
+
+
 def _without_zero_nodes(coeffs: Dict[Exponents, object]) -> Dict[Exponents, object]:
     """Drop the keys that are zero at every node; raise ``BatchSplit`` on a key
     that is exactly zero at some nodes only."""
     out = {}
     for key, val in coeffs.items():
-        if not per_node(val):
-            if val != 0.0:
-                out[key] = val
-        else:
-            nonzero = np.count_nonzero(val)
-            if nonzero == val.size:
-                out[key] = val
-            elif nonzero:
-                raise BatchSplit(val == 0.0)
+        val = _kept(val)
+        if val is not None:
+            out[key] = val
     return out
 
 
@@ -298,6 +316,12 @@ class TruncatedSeries:
             )
         self._check_compatible(other)
         cap = self.order
+        if not cap:
+            # At order 0 each side holds at most the constant key, and the row
+            # walk's 0.0 + va * vb differs from va * vb only in the sign of a
+            # zero, which is dropped either way.
+            out = {k: va * vb for k, va in self.coeffs.items() for vb in other.coeffs.values()}
+            return TruncatedSeries._trusted(self.dim, 0, out, self.batch or other.batch)
         rows = _PRODUCT_ROWS.get(cap)
         if rows is None:
             rows = _PRODUCT_ROWS[cap] = {}
@@ -450,6 +474,57 @@ class Coordinates(list):
         if out is None:
             out = self._powers[axis, e] = self[axis] ** e
         return out
+
+    def polynomial(
+        self, terms: Sequence[Tuple[float, Sequence[Tuple[int, int]]]]
+    ) -> TruncatedSeries:
+        """The sum, in table order, of the monomials ``terms`` =
+        ``[(coefficient, [(axis, exponent), ...]), ...]`` (exponents positive).
+
+        A monomial starts as ``power * coefficient``, which gives the bits and
+        key order of ``constant(coefficient) * power``, and is multiplied by
+        its other powers in order; the powers come from the memo.
+        """
+        dim, order = self[0].dim, self[0].order
+        if not order:
+            return self._polynomial_value(terms)
+        power = self.power
+        total = TruncatedSeries.zero(dim, order)
+        for coef, factors in terms:
+            if not factors:
+                total = total + TruncatedSeries.constant(dim, order, coef)
+                continue
+            term = power(*factors[0]) * coef
+            for axis, e in factors[1:]:
+                term = term * power(axis, e)
+            total = total + term
+        return total
+
+    def _polynomial_value(self, terms) -> TruncatedSeries:
+        """:meth:`polynomial` at order 0, where every series holds one number
+        or none.  Each step is the IEEE operation the series route performs on
+        that number, on the constant terms of the same memoized powers, and
+        keeps or drops (or splits on) its result by the series route's zero
+        test; a step whose operand the series route has dropped is skipped, as
+        that route skips it.  The first term stands for ``0.0 + term``, which
+        has its bits.  Only the result is wrapped as a series.
+        """
+        zero = _zero_exponents(self[0].dim)
+        total = None
+        for coef, factors in terms:
+            if factors:
+                term = self.power(*factors[0]).coeffs.get(zero)
+                if term is not None:
+                    term = _kept(term * coef)
+                for axis, e in factors[1:]:
+                    value = self.power(axis, e).coeffs.get(zero)
+                    term = None if term is None or value is None else _kept(term * value)
+            else:
+                term = _kept(coef)
+            if term is not None:
+                total = term if total is None else _kept(total + term)
+        coeffs = {} if total is None else {zero: total}
+        return TruncatedSeries._trusted(len(zero), 0, coeffs, per_node(total))
 
 
 # -- composition with univariate analytic primitives -------------------------

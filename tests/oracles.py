@@ -7,8 +7,11 @@ keys (``edges``), the face pairing Z(j1 u) that the surface divergence closes
 against (``face_jet_pairing``), and a composed field in place of the chain
 rule (``transformed_velocity_field``), and elimination over whole rows in
 place of the solver that updates live columns only
-(``solve_linear_series_full_rows``).  ``form_from_components`` builds test
-forms from one field per index tuple.
+(``solve_linear_series_full_rows``), and one series per arithmetic step,
+each product a walk over every pair of keys, in place of the order-0 value
+path of monomial leaves and products (``monomial_series_route``,
+``series_product``).  ``form_from_components`` builds test forms from one
+field per index tuple.
 """
 
 from __future__ import annotations
@@ -39,6 +42,59 @@ def form_from_components(dim: int, degree: int, components) -> FormField:
 
     ncomp = sum(f.ncomp for f in fields)
     return FormField(dim, degree, tuples, SmoothField(dim, ncomp, evaluator))
+
+
+def series_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """``a * b`` by the walk over every pair of keys that the product takes
+    above order 0, with the series' own zero test (and batch split)."""
+    out: Dict[Tuple[int, ...], object] = {}
+    for ka, va in a.coeffs.items():
+        for kb, vb in b.coeffs.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if sum(key) <= a.order:
+                out[key] = out.get(key, 0.0) + va * vb
+    return TruncatedSeries._trusted(a.dim, a.order, out, a.batch or b.batch)
+
+
+def series_power(base: TruncatedSeries, exponent: int) -> TruncatedSeries:
+    """``base ** exponent``, exponent >= 1, by square-and-multiply on ``series_product``."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else series_product(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = series_product(base, base)
+
+
+def monomial_series_route(table):
+    """A monomial table evaluated one series per step at every order: each
+    power computed once per call, each monomial ``power * coef`` times its
+    other powers, the monomials summed in table order."""
+    terms = [(float(coef), [(axis, e) for axis, e in enumerate(exps) if e]) for exps, coef in table]
+
+    def evaluate(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
+        dim, order = variables[0].dim, variables[0].order
+        powers: Dict[Tuple[int, int], TruncatedSeries] = {}
+
+        def power(axis, e):
+            if (axis, e) not in powers:
+                powers[axis, e] = series_power(variables[axis], e)
+            return powers[axis, e]
+
+        total = TruncatedSeries.zero(dim, order)
+        for coef, factors in terms:
+            if not factors:
+                total = total + TruncatedSeries.constant(dim, order, coef)
+                continue
+            term = power(*factors[0]) * coef
+            for axis, e in factors[1:]:
+                term = series_product(term, power(axis, e))
+            total = total + term
+        return total
+
+    return evaluate
 
 
 def solve_linear_series_full_rows(

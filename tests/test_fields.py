@@ -48,6 +48,26 @@ def test_sine_jet_against_finite_differences():
     assert abs(fd.array(2)[0, 0, 0] - jet.array(2)[0, 0, 0]) < 1e-6
 
 
+@pytest.mark.parametrize("n, order", [(1, 2), (2, 1), (2, 2), (3, 2)])
+def test_finite_difference_jet_reads_the_field_once_per_stencil_point(monkeypatch, n, order):
+    # The oracle's route stays one float point per read, not a batch of nodes;
+    # the second differences read the first differences' points again.
+    field = SmoothField.from_expressions(n, ["x1^2 + x%d^3" % n, "0.5*x1*x%d" % n])
+    reads = []
+    original = SmoothField.series_at
+
+    def recorded(self, point, order):
+        reads.append((tuple(point), order))
+        return original(self, point, order)
+
+    monkeypatch.setattr(SmoothField, "series_at", recorded)
+    finite_difference_jet(field, tuple(0.3 + 0.1 * k for k in range(n)), order)
+    pairs = n * (n - 1) // 2
+    assert len(reads) == 1 + 2 * n * (order >= 1) + (2 * n + 4 * pairs) * (order >= 2)
+    assert len(set(reads)) == 1 + 2 * n * (order >= 1) + 4 * pairs * (order >= 2)
+    assert all(o == 0 and all(type(c) is float for c in p) for p, o in reads)
+
+
 def test_finite_difference_quadratic_exact_and_exp():
     w = SmoothField.from_polynomials(1, [[((2,), 1.0)]])
     fd = finite_difference_jet(w, (1.0,), 2, 1e-4)

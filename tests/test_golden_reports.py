@@ -101,6 +101,32 @@ def test_every_budget_golden_has_a_case():
     assert sorted(p.stem for p in (GOLDEN / "budget").glob("*.jsonl")) == sorted(BUDGET)
 
 
+# Generated documents, written and run through the CLI; each report holds
+# every check its document configures.  Golden -> (seed, n, d, degree).
+GENERATED = {
+    "generated-seed3-n2-d3-deg4": (3, 2, 3, 4),
+    "generated-seed3-n3-d2-deg4": (3, 3, 2, 4),
+    "generated-seed3-n4-d1-deg4": (3, 4, 1, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_report_matches_golden(name, tmp_path):
+    seed, n, d, degree = GENERATED[name]
+    scenario, report = tmp_path / "scenario.json", tmp_path / "report.jsonl"
+    assert main(["generate", "--seed", str(seed), "--n", str(n), "--d", str(d),
+                 "--degree", str(degree), "--out", str(scenario)]) == 0
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 0
+    configured = json.loads(scenario.read_text(encoding="utf-8"))["checks"]
+    records = [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
+    assert [r["check"] for r in records] == sorted(configured) + ["summary"]
+    assert report.read_bytes() == (GOLDEN / "generated" / f"{name}.jsonl").read_bytes()
+
+
+def test_every_generated_golden_has_a_case():
+    assert sorted(p.stem for p in (GOLDEN / "generated").glob("*.jsonl")) == sorted(GENERATED)
+
+
 # A batch size that divides no rule: every batch boundary falls inside a face.
 @pytest.mark.parametrize("name", sorted(EXIT_CODES) + [f"odd-q/{name}" for name in sorted(ODD_Q)])
 def test_reports_do_not_depend_on_the_batch_size(name, tmp_path, monkeypatch):

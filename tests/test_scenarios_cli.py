@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetstress import geometry
+from jetstress import geometry, scenarios
 from jetstress.cli import main
 from jetstress.fields import SmoothField, TensorField
 from jetstress.scenarios import (
     DEFAULT_TOLERANCES,
     ScenarioError,
+    _sample_points,
     generate_scenario,
     load_scenario,
     run_checks,
@@ -204,13 +205,48 @@ def test_cli_check_selection_and_overrides(tmp_path):
                  "--check", "balance2"]) == 2
 
 
-def test_cli_generate_roundtrip(tmp_path):
+def test_cli_generate_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert main(["generate", "--seed", "11", "--n", "2", "--d", "1",
                  "--degree", "2", "--out", str(out)]) == 0
     assert main(["run", "--scenario", str(out),
                  "--report", str(tmp_path / "gen.jsonl")]) == 0
     assert main(["generate", "--seed", "11", "--n", "7"]) == 2
+    assert capsys.readouterr().err == "error: generate: n must be 2, 3 or 4, got 7\n"
+
+
+@pytest.mark.parametrize("first_point_fails_sqrt", [True, False])
+def test_second_contraction_names_the_error_of_its_first_failing_point(
+    tmp_path, capsys, first_point_fails_sqrt
+):
+    # x3 is defined on neither side of x1 = t: log fails at x1 <= t and sqrt
+    # at x1 > t.  t lies just below the first sample point's x1, or at it, so
+    # that point fails in sqrt, or in log, and other points in the other one.
+    doc = json.loads((SCENARIOS / "symmetric-contraction.json").read_text())
+    points = _sample_points(load_scenario(json.dumps(doc)), 20)
+    t = points[0][0] - 1e-9 if first_point_fails_sqrt else points[0][0]
+    assert any(p[0] <= t for p in points) and any(p[0] > t for p in points)
+    doc["stress"]["raw"]["x3"] = [[[f"log(x1 - {t!r})", "0.3"], ["0.3", f"sqrt({t!r} - x1)"]]]
+    path = tmp_path / "contraction.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) == 2
+    message = ("fractional power of a series requires a positive constant term"
+               if first_point_fails_sqrt else "log of a series requires a positive constant term")
+    assert capsys.readouterr().err == f"error: checks.second-contraction: {message}\n"
+
+
+def test_second_contraction_reads_its_sample_points_in_one_batch(monkeypatch):
+    batches = []
+    original = scenarios.on_nodes
+
+    def recorded(fn, nodes, width=None):
+        batches.append((len(nodes), width))
+        return original(fn, nodes, width)
+
+    monkeypatch.setattr(scenarios, "on_nodes", recorded)
+    scenario = load_scenario((SCENARIOS / "symmetric-contraction.json").read_text())
+    assert run_checks(scenario).passed
+    assert batches == [(20, 4)]
 
 
 def test_default_tolerances_documented_values():
