@@ -18,13 +18,18 @@ from .fields import TensorField
 from .geometry import (
     Body,
     FacePatch,
+    FormField,
     QuadratureRule,
     boundary_faces,
     face_boundary_pieces,
     face_label,
     integrate,
+    integrate_each,
+    integrate_each_over_body,
     integrate_over_body,
     integrate_over_face,
+    integrate_over_pieces,
+    restrict_form,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -148,28 +153,45 @@ def edge_assembly(
     body: Body,
     transversals: Optional[Dict[str, TransversalField]] = None,
     rule: QuadratureRule = QuadratureRule(6),
-) -> Tuple[Dict[str, float], Dict[str, float]]:
+    *,
+    boundary_form: Optional[FormField] = None,
+) -> Tuple[Dict[str, float], ...]:
     """Face-boundary integrals of the tangent traction, grouped by edge.
 
     Each face contributes through its own induced boundary orientation; the
     per-edge sums are exactly the interactions two adjacent faces share.
-    Also returns each face's surface-divergence integral.
+    Also returns each face's surface-divergence integral.  A face's edge
+    pieces are read in one pass (see
+    :func:`jetstress.geometry.integrate_over_pieces`).
+
+    With ``boundary_form``, a chart (n-1)-form, also returns a third dict:
+    its integral over each face, from the same pass over the face's nodes as
+    the surface divergence.
     """
     n = body.dim
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
+    boundary_terms: Dict[str, float] = {}
     for face in boundary_faces(body):
         transversal = _face_transversal(face, transversals)
         tau = tangent_traction(surface_stress, face, transversal)
         u_face = face_velocity(velocity, face)
         tau_u = traction_action(tau, u_face)
         face_axes = [a for a in range(n) if a != face.boxface.axis]
-        for piece_boxface, piece in face_boundary_pieces(face):
-            value = face.sign * integrate_over_face(tau_u, piece, rule)
+        pieces = face_boundary_pieces(face)
+        values = integrate_over_pieces(tau_u, [piece for _, piece in pieces], rule)
+        for (piece_boxface, _), value in zip(pieces, values):
             key = "|".join(_edge_key(face, piece_boxface, face_axes))
-            edge_terms[key] = edge_terms.get(key, 0.0) + value
-        div_form = surface_divergence(surface_stress, face, transversal, velocity)
-        face_terms[face.label] = face.sign * integrate(div_form, face.param_box, rule)
+            edge_terms[key] = edge_terms.get(key, 0.0) + face.sign * value
+        forms = [surface_divergence(surface_stress, face, transversal, velocity)]
+        if boundary_form is not None:
+            forms.append(restrict_form(boundary_form, face))
+        values = integrate_each(forms, face.param_box, rule, face.sign)
+        face_terms[face.label] = values[0]
+        if boundary_form is not None:
+            boundary_terms[face.label] = values[1]
+    if boundary_form is not None:
+        return edge_terms, face_terms, boundary_terms
     return edge_terms, face_terms
 
 
@@ -184,22 +206,23 @@ def verify_balance_order2(
 
     interior = edges - face divergences - boundary divergence traction
     + twice-iterated divergence.
+
+    Each point set is read once: the body's nodes for the interior power and
+    the twice-iterated divergence, each face's nodes for its surface
+    divergence and boundary divergence traction, and each face's edge pieces
+    together.
     """
     section = JetSectionField.from_velocity(velocity)
-    lhs = integrate_over_body(nh_action_form(stress, section), body, rule)
-
-    surface_stress = nh_traction(stress)
-    edge_terms, face_terms = edge_assembly(
-        surface_stress, velocity, body, transversals, rule
+    lhs, dd_term = integrate_each_over_body(
+        [nh_action_form(stress, section), pairing_volume_form(div_div(stress), velocity)],
+        body, rule,
     )
 
-    sigma_div = traction_projection(nh_divergence(stress))
-    sigma_div_u = traction_action(sigma_div, velocity)
-    boundary_div = sum(
-        integrate_over_face(sigma_div_u, f, rule) for f in boundary_faces(body)
+    sigma_div_u = traction_action(traction_projection(nh_divergence(stress)), velocity)
+    edge_terms, face_terms, boundary_terms = edge_assembly(
+        nh_traction(stress), velocity, body, transversals, rule, boundary_form=sigma_div_u
     )
-
-    dd_term = integrate_over_body(pairing_volume_form(div_div(stress), velocity), body, rule)
+    boundary_div = sum(boundary_terms.values())
 
     edges, faces = sum(edge_terms.values()), sum(face_terms.values())
     residual = abs(lhs - (edges - faces - boundary_div + dd_term))

@@ -55,6 +55,34 @@ class ExpressionError(ValueError):
     """Raised when a field expression fails to parse or references unknowns."""
 
 
+# Deepest expression accepted: both the parser's nesting (parentheses, calls,
+# signs and exponents) and the depth of the tree it builds, which
+# :func:`_evaluate` walks recursively.  Far below Python's recursion limit,
+# even with the parser's five frames per nesting level.
+MAX_DEPTH = 100
+
+
+def _too_deep() -> ExpressionError:
+    return ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
+
+
+def _tree_depth(tree) -> int:
+    """Levels of an expression tree, counted without recursion."""
+    deepest = 0
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        op = node[0]
+        if op in ("neg", "pow"):
+            stack.append((node[1], depth + 1))
+        elif op == "call":
+            stack.append((node[2], depth + 1))
+        elif op not in ("const", "var"):
+            stack.extend([(node[1], depth + 1), (node[2], depth + 1)])
+    return deepest
+
+
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     tokens = []
     pos = 0
@@ -79,6 +107,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
+        self.nesting = 0  # open calls of ``factor``, through which every recursion runs
 
     def peek(self) -> Tuple[str, str]:
         return self.tokens[self.pos]
@@ -97,6 +126,8 @@ class _Parser:
         node = self.sum()
         if self.peek()[0] != "end":
             raise ExpressionError(f"trailing input at {self.peek()[1]!r}")
+        if _tree_depth(node) > MAX_DEPTH:
+            raise _too_deep()
         return node
 
     def sum(self):
@@ -116,6 +147,15 @@ class _Parser:
         return node
 
     def factor(self):
+        if self.nesting >= MAX_DEPTH:
+            raise _too_deep()
+        self.nesting += 1
+        try:
+            return self._factor()
+        finally:
+            self.nesting -= 1
+
+    def _factor(self):
         kind, value = self.peek()
         if kind == "op" and value == "-":
             self.advance()

@@ -72,11 +72,60 @@ Term = Tuple[int, Optional[int], Optional[float]]
 # and 0.38 s at 4096; n = 4, q = 12 took 4.07, 1.19 and 0.67 s).
 BATCH = 4096
 
-# The series evaluated so far in the open batch, or None outside a batch:
-# (field, order, id of each coordinate) -> (point, series).  Each entry holds
-# its point, so no id in a key can be reused while the memo is open.
-_Memo = Dict[Tuple, Tuple[Point, List[TruncatedSeries]]]
-_MEMO: ContextVar[Optional[_Memo]] = ContextVar("batch_memo", default=None)
+
+class _BatchMemo(dict):
+    """The series evaluated so far in one batch: (field, point key) -> {order:
+    series}.  A point's key holds its coordinates' values (see :meth:`key`),
+    so content-equal points built apart share entries.
+
+    A request at order k is served from a stored order m >= k as the
+    truncation to k: every coefficient of order <= k is computed at order m
+    from the same inputs by the same operations in the same order, so it has
+    the bits and key order of an evaluation at order k.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self):
+        super().__init__()
+        # id of a node array -> (the array, its key); holding the array keeps
+        # its id from being reused while the memo is open.
+        self._arrays: Dict[int, Tuple[np.ndarray, Tuple[str, bytes]]] = {}
+
+    def key(self, point: Point) -> Optional[Tuple]:
+        """The values of a point: each node array as its dtype and bytes, each
+        float as its hex; None for a point of floats only."""
+        out = []
+        batch = False
+        for c in point:
+            if per_node(c):
+                hit = self._arrays.get(id(c))
+                if hit is None:
+                    hit = self._arrays[id(c)] = (c, (c.dtype.str, c.tobytes()))
+                out.append(hit[1])
+                batch = True
+            else:
+                out.append(float(c).hex())
+        return tuple(out) if batch else None
+
+    def series(self, key: Tuple, order: int) -> Optional[List[TruncatedSeries]]:
+        stored = self.get(key)
+        if stored is None:
+            return None
+        series = stored.get(order)
+        if series is None:
+            above = [m for m in stored if m > order]
+            if not above:
+                return None
+            series = stored[order] = [s.truncate(order) for s in stored[min(above)]]
+        return list(series)
+
+    def put(self, key: Tuple, order: int, series: List[TruncatedSeries]) -> None:
+        self.setdefault(key, {})[order] = list(series)
+
+
+# The memo of the open batch, or None outside a batch.
+_MEMO: ContextVar[Optional[_BatchMemo]] = ContextVar("batch_memo", default=None)
 
 
 def on_nodes(
@@ -131,7 +180,7 @@ def _fill(fn: Callable[[Point], Any], nodes: np.ndarray, index: np.ndarray, out:
 def _evaluate_batch(fn: Callable[[Point], Any], point: Point) -> Any:
     """``fn(point)`` with a fresh memo open while it runs; the memo is dropped
     when it returns or raises."""
-    token = _MEMO.set({})
+    token = _MEMO.set(_BatchMemo())
     try:
         # Float arithmetic overflows and makes NaN without a warning; so do arrays here.
         with np.errstate(all="ignore"):
@@ -232,18 +281,21 @@ class SmoothField:
         """The series at a point whose coordinates are floats or node arrays; the
         entry the package's own evaluators use.  Inside a batch of
         :func:`on_nodes`, a point with a node array is evaluated once per
-        field and order; later calls at the same coordinate objects get the
-        stored series in a new list."""
+        field, coordinate values and order, and not at all below an order
+        already stored: later calls at those values get the stored series,
+        truncated to their order, in a new list (see :class:`_BatchMemo`)."""
         if len(point) != self.dim:
             raise ValueError(f"point has dim {len(point)}, field expects {self.dim}")
         point = tuple(point)
         memo = _MEMO.get()
         key = None
-        if memo is not None and any(per_node(c) for c in point):
-            key = (self, order, tuple(map(id, point)))
-            hit = memo.get(key)
-            if hit is not None:
-                return list(hit[1])
+        if memo is not None:
+            key = memo.key(point)
+            if key is not None:
+                key = (self, key)
+                hit = memo.series(key, order)
+                if hit is not None:
+                    return hit
         series = self._evaluator(point, order)
         if len(series) != self.ncomp:
             raise RuntimeError("field evaluator returned wrong component count")
@@ -251,7 +303,7 @@ class SmoothField:
             if s.dim != self.dim or s.order != order:
                 raise RuntimeError("field evaluator returned mismatched series")
         if key is not None:
-            memo[key] = (point, list(series))
+            memo.put(key, order, series)
         return series
 
     def values_at(self, point: Sequence[float]) -> np.ndarray:

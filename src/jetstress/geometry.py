@@ -36,6 +36,8 @@ __all__ = [
     "integrate",
     "integrate_each",
     "integrate_over_body",
+    "integrate_each_over_body",
+    "integrate_over_pieces",
     "boundary_faces",
     "increasing_tuples",
     "tuple_omitting",
@@ -637,21 +639,78 @@ def integrate_each(
         nodes, len(forms),
     )
     weights = weights.tolist()
-    out = []
-    for column in values.T.tolist():
-        # A loop in node order: numpy's sum and dot add pairwise, in another order.
-        total = 0.0
-        for w, value in zip(weights, column):
-            total += w * value
-        out.append(sign * total)
+    return [sign * _weighted_sum(weights, column) for column in values.T.tolist()]
+
+
+def _weighted_sum(weights: List[float], values: List[float]) -> float:
+    # A loop in node order: numpy's sum and dot add pairwise, in another order.
+    total = 0.0
+    for w, value in zip(weights, values):
+        total += w * value
+    return total
+
+
+def integrate_over_pieces(
+    form: FormField, pieces: Sequence[FacePatch], rule: QuadratureRule
+) -> List[float]:
+    """``integrate_over_face(form, piece, rule)`` for each piece, where the
+    pieces are boundary facets of one box (see :func:`face_boundary_pieces`)
+    and ``form`` is a form on that box, one degree below it.
+
+    A piece pulls ``form`` back through its insertion, whose minor on the
+    piece's free tuple is the constant 1.0 and on every other tuple the zero
+    series; so the pullback is the coefficient on the free tuple, with its
+    bits.  Each piece reads that coefficient at its nodes written in box
+    coordinates, and the pieces share one pass over their nodes.  A piece
+    pinned at 0.0 takes a pass of its own: next to nodes where that
+    coordinate is not zero it would split the batch (see
+    :class:`jetstress.taylor.BatchSplit`).  The pieces of a one-dimensional
+    box are points, read one at a time.
+    """
+    if any(piece.param_box is None for piece in pieces):
+        return [integrate_over_face(form, piece, rule) for piece in pieces]
+    passes: List[List[int]] = []
+    shared: List[int] = []
+    for i, piece in enumerate(pieces):
+        if piece.boxface.fixed_value == 0.0:
+            passes.append([i])
+        else:
+            if not shared:
+                passes.append(shared)
+            shared.append(i)
+    columns = {key: c for c, key in enumerate(form.tuples)}
+    out = [0.0] * len(pieces)
+    for group in passes:
+        nodes, weights = [], []
+        for i in group:
+            bf = pieces[i].boxface
+            piece_nodes, piece_weights = rule.nodes_weights(pieces[i].param_box)
+            nodes.append(np.insert(piece_nodes, bf.axis, bf.fixed_value, axis=1))
+            weights.append(piece_weights.tolist())
+        values = on_nodes(form.coeffs.values_on, np.concatenate(nodes), len(form.tuples))
+        start = 0
+        for i, piece_weights in zip(group, weights):
+            stop = start + len(piece_weights)
+            column = columns.get(tuple_omitting(form.dim, pieces[i].boxface.axis))
+            read = [0.0] * (stop - start) if column is None else values[start:stop, column].tolist()
+            out[i] = pieces[i].sign * _weighted_sum(piece_weights, read)
+            start = stop
     return out
+
+
+def integrate_each_over_body(
+    forms: Sequence[FormField], body: Body, rule: QuadratureRule
+) -> List[float]:
+    """Integrate chart volume forms over the body, each pulled back through its
+    patch, in one pass over the nodes (see :func:`integrate_each`)."""
+    if body.patch is not None:
+        forms = [form.pullback(body.patch) for form in forms]
+    return integrate_each(forms, body.box, rule)
 
 
 def integrate_over_body(form: FormField, body: Body, rule: QuadratureRule) -> float:
     """Integrate a chart volume form over the body, pulled back through its patch."""
-    if body.patch is not None:
-        form = form.pullback(body.patch)
-    return integrate(form, body.box, rule)
+    return integrate_each_over_body([form], body, rule)[0]
 
 
 def integrate_over_face(form_on_chart: FormField, face: FacePatch, rule: QuadratureRule) -> float:

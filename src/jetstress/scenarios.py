@@ -286,9 +286,11 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
     checks = _require(doc, "checks")
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("checks: expected a non-empty list")
-    for cid in checks:
+    for i, cid in enumerate(checks):
         if cid not in CHECK_IDS:
             raise ScenarioError(f"checks: unknown check id {cid!r}")
+        if cid in checks[:i]:
+            raise ScenarioError(f"checks: duplicate check id {cid!r}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = doc.get("tolerances", {})
@@ -639,11 +641,14 @@ def run_checks(scenario: Scenario, selected: Optional[Sequence[str]] = None) -> 
     """Execute the scenario's checks (or a subset) and collect records."""
     report = RunReport(scenario.digest)
     check_ids = list(scenario.checks if selected is None else selected)
-    for cid in check_ids:
+    for i, cid in enumerate(check_ids):
         if cid not in _CHECKS:
             raise ScenarioError(f"checks: unknown check id {cid!r}")
         if cid not in scenario.checks:
             raise ScenarioError(f"checks: {cid!r} not configured in this scenario")
+        if cid in check_ids[:i]:
+            raise ScenarioError(f"checks: duplicate check id {cid!r}")
+    for cid in check_ids:
         with _keyed(f"checks.{cid}"):
             terms, residual = _CHECKS[cid].run(scenario)
         report.add(CheckRecord(cid, terms, residual, scenario.tolerances[cid]))

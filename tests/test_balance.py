@@ -1,14 +1,25 @@
 """Second-order balance: integration by parts, edge assembly, the full identity."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jetstress import geometry
 from jetstress.bundles import JetSectionField
 from jetstress.fields import SmoothField, TensorField
-from jetstress.geometry import Body, Box, Chart, FacePatch, QuadratureRule, boundary_faces
+from jetstress.geometry import (
+    Body,
+    Box,
+    Chart,
+    FacePatch,
+    QuadratureRule,
+    boundary_faces,
+    face_boundary_pieces,
+)
 from jetstress.nonholonomic import (
     NonHolonomicStress,
     lift_second_order,
@@ -25,8 +36,11 @@ from jetstress.balance import (
     verify_balance_order2,
 )
 from jetstress.reports import relative_residual
+from jetstress.scenarios import load_scenario, run_checks
 from jetstress.stress import divergence, surface_force, traction_projection
 from jetstress.surface import TransversalField
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def tensor_const(dim, shape, values):
@@ -422,3 +436,44 @@ def test_closed_boundary_circle_exact_term():
     )
     assert abs(endpoint_defect) < 1e-12
     assert abs(quadrature_value) < 1e-10
+
+
+def _balance2_passes(monkeypatch, doc):
+    """The node arrays of each quadrature pass of ``balance2`` on ``doc``, in order."""
+    passes = []
+    real = geometry.on_nodes
+
+    def on_nodes(fn, nodes, width=None):
+        passes.append(np.array(nodes))
+        return real(fn, nodes, width)
+
+    scenario = load_scenario(doc)
+    monkeypatch.setattr(geometry, "on_nodes", on_nodes)
+    run_checks(scenario, ["balance2"])
+    return scenario.body, passes
+
+
+@pytest.mark.parametrize("lower", [0.0, 0.5])
+def test_balance2_reads_each_point_set_in_one_pass(monkeypatch, lower):
+    doc = json.loads((SCENARIOS / "cube-order2.json").read_text(encoding="utf-8"))
+    doc["geometry"]["chart_box"] = doc["geometry"]["body_box"] = [[lower, 1.5]] * 3
+    body, passes = _balance2_passes(monkeypatch, doc)
+    # One pass over the body's nodes, for the interior power and the div-div term.
+    assert [p.shape[1] for p in passes].count(3) == 1 and passes[0].shape[1] == 3
+    face_level = passes[1:]
+    for face in boundary_faces(body):
+        box = face.param_box
+        pinned_at_zero = sum(piece.boxface.fixed_value == 0.0
+                             for _, piece in face_boundary_pieces(face))
+        # The edge pieces' passes: every node on the boundary of the face's box.
+        edges = 0
+        while np.isin(face_level[0], box.lower + box.upper).any(axis=1).all():
+            face_level.pop(0)
+            edges += 1
+        assert 1 <= edges <= 1 + pinned_at_zero
+        if lower:
+            assert edges == 1
+        # Then one pass over the face's own nodes, for both face terms.
+        interior = face_level.pop(0)
+        assert len(interior) == 5 ** 2
+    assert face_level == []

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetstress import fields
 from jetstress.fields import (
@@ -15,6 +17,7 @@ from jetstress.fields import (
     jet_extension,
     on_nodes,
 )
+from jetstress.geometry import FormField
 from jetstress.taylor import BatchSplit
 
 
@@ -252,15 +255,36 @@ def test_series_at_is_memoized_inside_a_batch_only():
     calls.clear()
 
     def value(point):
-        # Another order and a one-point call are separate evaluations.
+        # One-point calls are separate evaluations; a lower order is served
+        # from the stored order 1.
         leaf.series_at(point, 1)
         leaf.series_at((0.5, 0.5), 0)
         leaf.series_at((0.5, 0.5), 0)
         return leaf.series_at(point, 0)[0].value + leaf.series_at(point, 0)[0].value
 
     on_nodes(value, nodes)
-    assert calls == [6, 1, 1, 6]
+    assert calls == [6, 1, 1]
     assert fields._MEMO.get() is None
+
+
+def test_content_equal_coordinates_share_a_memo_entry():
+    leaf, calls = _counted(SmoothField.from_expressions(2, ["x1*x2"]))
+    nodes = np.random.default_rng(4).uniform(0.1, 0.9, (6, 2))
+
+    def value(point):
+        copy = tuple(np.array(c) for c in point)
+        assert copy[0] is not point[0]
+        first = leaf.series_on(point, 1)[0]
+        again = leaf.series_on(copy, 1)[0]
+        lower = leaf.series_on((point[0] * 1.0, copy[1]), 0)[0]
+        assert list(again.coeffs.items()) == list(first.coeffs.items())
+        # Other values are another entry.
+        leaf.series_on((point[0] + 1.0, point[1]), 0)
+        return lower.value
+
+    got = on_nodes(value, nodes)
+    assert calls == [6, 6]
+    assert got.tolist() == [leaf.values_at(node)[0] for node in nodes]
 
 
 def test_a_batch_that_splits_leaves_no_memo_entry():
@@ -315,3 +339,50 @@ def test_a_batched_primitive_raises_the_message_of_its_one_invalid_node(text, ba
     valid = np.delete(nodes, 2, axis=0)
     got = on_nodes(lambda point: field.values_on(point)[0], valid)
     assert [v.hex() for v in got.tolist()] == [field.values_at(n)[0].hex() for n in valid]
+
+
+# -- order truncation of stored series ------------------------------------------
+
+MEMO_COORDINATE = st.sampled_from([0.0, 0.5, -0.75]) | st.floats(-2.0, 2.0)
+_INNER = SmoothField.from_polynomials(2, [[((1, 0), 1.0), ((0, 2), 0.3)],
+                                          [((0, 1), 1.0), ((1, 1), -0.2), ((0, 0), 0.1)]])
+MEMO_FIELDS = {
+    "polynomial": SmoothField.from_polynomials(
+        2, [[((2, 1), 0.7), ((0, 3), -1.3), ((1, 0), 0.4), ((0, 0), 0.25)],
+            [((1, 1), 2.0), ((0, 0), -1.0)]]),
+    "expression": SmoothField.from_expressions(
+        2, ["sin(x1)*x2 + exp(x2 - x1)", "sqrt(1 + x1^2 + x2^2)*x1"]),
+    "composed": SmoothField.from_expressions(2, ["sin(x1)*exp(x2)", "x1*x2^2"]).compose(_INNER),
+    "pulled back": FormField.omitting(SmoothField.from_expressions(
+        2, ["exp(x1)*x2", "sin(x2) + x1^2"])).pullback(_INNER).coeffs,
+}
+
+
+def _keys_and_bits(series):
+    return [[(k, tuple(float(x).hex() for x in np.atleast_1d(v)), np.ndim(v))
+             for k, v in s.coeffs.items()] for s in series]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(MEMO_FIELDS)),
+       high=st.integers(1, 3), nodes=st.integers(2, 4))
+def test_a_stored_order_truncates_to_a_fresh_lower_order(data, name, high, nodes):
+    field = MEMO_FIELDS[name]
+    low = data.draw(st.integers(0, high - 1))
+    # Each coordinate is one float for every node, or one value per node.
+    point = tuple(
+        np.array([data.draw(MEMO_COORDINATE) for _ in range(nodes)]) if data.draw(st.booleans())
+        else data.draw(MEMO_COORDINATE)
+        for _ in range(2)
+    )
+    with np.errstate(all="ignore"):
+        try:
+            stored = field.series_on(point, high)
+        except BatchSplit:
+            return  # a partial zero: on_nodes evaluates these nodes in groups
+        fresh = field.series_on(point, low)
+        served = fields._evaluate_batch(
+            lambda p: (field.series_on(p, high), field.series_on(p, low))[1], point)
+    want = _keys_and_bits(fresh)
+    assert _keys_and_bits([s.truncate(low) for s in stored]) == want
+    assert _keys_and_bits(served) == want

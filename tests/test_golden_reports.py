@@ -127,16 +127,30 @@ def test_every_generated_golden_has_a_case():
     assert sorted(p.stem for p in (GOLDEN / "generated").glob("*.jsonl")) == sorted(GENERATED)
 
 
-# A batch size that divides no rule: every batch boundary falls inside a face.
-@pytest.mark.parametrize("name", sorted(EXIT_CODES) + [f"odd-q/{name}" for name in sorted(ODD_Q)])
-def test_reports_do_not_depend_on_the_batch_size(name, tmp_path, monkeypatch):
-    monkeypatch.setattr(fields, "BATCH", 7)
+EVERY_INPUT = sorted(EXIT_CODES) + [f"odd-q/{name}" for name in sorted(ODD_Q)]
+
+
+def _report_of(name, tmp_path):
+    """The report of a bundled scenario, or of an odd-q case by ``odd-q/<name>``."""
     if name.startswith("odd-q/"):
         make, quad_order = ODD_Q[name[len("odd-q/"):]]
-        got = _report_at(make(), quad_order, tmp_path)
-    else:
-        report = tmp_path / "report.jsonl"
-        code = main(["run", "--scenario", str(SCENARIOS / f"{name}.json"), "--report", str(report)])
-        assert code == EXIT_CODES[name]
-        got = report.read_bytes()
-    assert got == (GOLDEN / f"{name}.jsonl").read_bytes()
+        return _report_at(make(), quad_order, tmp_path)
+    report = tmp_path / "report.jsonl"
+    code = main(["run", "--scenario", str(SCENARIOS / f"{name}.json"), "--report", str(report)])
+    assert code == EXIT_CODES[name]
+    return report.read_bytes()
+
+
+# A batch size that divides no rule: every batch boundary falls inside a face.
+@pytest.mark.parametrize("name", EVERY_INPUT)
+def test_reports_do_not_depend_on_the_batch_size(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(fields, "BATCH", 7)
+    assert _report_of(name, tmp_path) == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+# A memo that stores nothing: every field is evaluated at every order it is
+# asked for, none served from another order or another point object.
+@pytest.mark.parametrize("name", EVERY_INPUT)
+def test_reports_do_not_depend_on_the_batch_memo(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(fields._BatchMemo, "put", lambda memo, key, order, series: None)
+    assert _report_of(name, tmp_path) == (GOLDEN / f"{name}.jsonl").read_bytes()

@@ -1,5 +1,6 @@
 """Scenario loading, validation, check execution, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from jetstress import geometry, scenarios
 from jetstress.cli import main
+from jetstress.exprs import MAX_DEPTH
 from jetstress.fields import SmoothField, TensorField
 from jetstress.scenarios import (
     DEFAULT_TOLERANCES,
@@ -602,6 +604,56 @@ def test_expression_literals_must_be_finite(tmp_path, capsys, spec, literal):
     assert capsys.readouterr().err == (
         f"error: velocity.u#0: numeric literal {literal!r} is not a finite number\n")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    "(" * 300 + "x1" + ")" * 300,
+    "-" * 3000 + "x1",
+    "x1" + "^1" * 3000,
+    # Parses in a loop, into a tree 3000 levels deep.
+    "+".join(["x1"] * 3000),
+], ids=["parentheses", "signs", "exponents", "sum"])
+def test_a_deeply_nested_expression_exits_2(tmp_path, capsys, spec):
+    scenario = tmp_path / "deep.json"
+    scenario.write_text(json.dumps(_square_with_velocity([spec])))
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: velocity.u#0: expression nested deeper than {MAX_DEPTH} levels\n")
+    assert not report.exists()
+
+
+def test_expressions_at_the_depth_limit_run(tmp_path):
+    for spec in ["-" * (MAX_DEPTH - 1) + "x1", "+".join(["x1"] * MAX_DEPTH),
+                 "(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1)]:
+        scenario = tmp_path / "deep.json"
+        scenario.write_text(json.dumps(_square_with_velocity([spec])))
+        report = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(scenario), "--report", str(report)]) in (0, 1)
+
+
+def test_a_duplicate_check_id_in_the_document_exits_2(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["checks"] = ["balance1", "cauchy", "balance1"]
+    scenario = tmp_path / "dup.json"
+    scenario.write_text(json.dumps(doc))
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: checks: duplicate check id 'balance1'\n"
+    assert not report.exists()
+
+
+def test_a_repeated_check_option_exits_2(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(scenarios._CHECKS, "cauchy", dataclasses.replace(
+        scenarios._CHECKS["cauchy"], run=lambda scenario: ran.append("cauchy")))
+    report = tmp_path / "r.jsonl"
+    argv = ["run", "--scenario", str(SCENARIOS / "square-order1.json"), "--report", str(report),
+            "--check", "cauchy", "--check", "balance1", "--check", "balance1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: checks: duplicate check id 'balance1'\n"
+    assert not report.exists()
+    assert ran == []  # the selection is checked before any check runs
 
 
 def test_a_nan_transition_roundtrip_exits_2(tmp_path, capsys):
