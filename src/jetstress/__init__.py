@@ -69,7 +69,7 @@ from .balance import (
     first_integration_by_parts,
     verify_balance_order2,
 )
-from .covariance import FrameChange, invariance_check, transform_jet2, transform_stress2
+from .covariance import FrameChange, invariance_check
 from .scenarios import Scenario, ScenarioError, generate_scenario, load_scenario, run_checks
 
 __version__ = "0.1.0"

@@ -24,11 +24,10 @@ from .geometry import (
     face_boundary_pieces,
     face_label,
     integrate,
-    integrate_each,
     integrate_each_over_body,
+    integrate_face,
     integrate_over_body,
     integrate_over_face,
-    integrate_over_pieces,
     restrict_form,
 )
 from .nonholonomic import (
@@ -48,6 +47,7 @@ from .stress import (
 )
 from .surface import (
     TransversalField,
+    face_split,
     face_velocity,
     surface_divergence,
     tangent_traction,
@@ -160,9 +160,11 @@ def edge_assembly(
 
     Each face contributes through its own induced boundary orientation; the
     per-edge sums are exactly the interactions two adjacent faces share.
-    Also returns each face's surface-divergence integral.  A face's edge
-    pieces are read in one pass (see
-    :func:`jetstress.geometry.integrate_over_pieces`).
+    Also returns each face's surface-divergence integral.  Each face's
+    restricted stress, its transversal split and its velocity are built once
+    and read by both the tangent traction and the surface divergence; on a
+    box face one pass reads the face's nodes and its edge pieces' (see
+    :func:`jetstress.geometry.integrate_face`).
 
     With ``boundary_form``, a chart (n-1)-form, also returns a third dict:
     its integral over each face, from the same pass over the face's nodes as
@@ -174,19 +176,21 @@ def edge_assembly(
     boundary_terms: Dict[str, float] = {}
     for face in boundary_faces(body):
         transversal = _face_transversal(face, transversals)
-        tau = tangent_traction(surface_stress, face, transversal)
+        split = face_split(surface_stress, face, transversal)
         u_face = face_velocity(velocity, face)
-        tau_u = traction_action(tau, u_face)
-        face_axes = [a for a in range(n) if a != face.boxface.axis]
-        pieces = face_boundary_pieces(face)
-        values = integrate_over_pieces(tau_u, [piece for _, piece in pieces], rule)
-        for (piece_boxface, _), value in zip(pieces, values):
-            key = "|".join(_edge_key(face, piece_boxface, face_axes))
-            edge_terms[key] = edge_terms.get(key, 0.0) + face.sign * value
-        forms = [surface_divergence(surface_stress, face, transversal, velocity)]
+        tau = tangent_traction(surface_stress, face, transversal, split=split)
+        forms = [surface_divergence(surface_stress, face, transversal, velocity,
+                                    split=split, u_face=u_face)]
         if boundary_form is not None:
             forms.append(restrict_form(boundary_form, face))
-        values = integrate_each(forms, face.param_box, rule, face.sign)
+        pieces = face_boundary_pieces(face)
+        values, piece_values = integrate_face(
+            forms, traction_action(tau, u_face), face, [piece for _, piece in pieces], rule
+        )
+        face_axes = [a for a in range(n) if a != face.boxface.axis]
+        for (piece_boxface, _), value in zip(pieces, piece_values):
+            key = "|".join(_edge_key(face, piece_boxface, face_axes))
+            edge_terms[key] = edge_terms.get(key, 0.0) + face.sign * value
         face_terms[face.label] = values[0]
         if boundary_form is not None:
             boundary_terms[face.label] = values[1]

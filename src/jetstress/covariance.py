@@ -23,9 +23,6 @@ from .stress import VariationalStress1
 __all__ = [
     "FrameChange",
     "PointChange",
-    "transform_jet2",
-    "transform_stress2",
-    "transform_stress1",
     "QUANTITIES",
     "invariance_check",
 ]
@@ -112,19 +109,6 @@ def _jet_law(pc: PointChange, jet: JetValue) -> JetValue:
     return JetValue(jet.dim, jet.fiber_dim, 2, (up, dup, ddup))
 
 
-def transform_jet2(jet: JetValue, change: FrameChange, point: Sequence[float]) -> JetValue:
-    """Second-order jet components in the primed chart, by the chain rule.
-
-    The input jet lives at the unprimed point; the output is the jet of the
-    transformed section at the image point.
-    """
-    if jet.order < 2:
-        raise ValueError("second-order transformation needs an order-2 jet")
-    if jet.dim != change.dim or jet.fiber_dim != change.fiber_dim:
-        raise ValueError("jet shape does not match the frame change")
-    return _jet_law(change.at(point), jet)
-
-
 def _primed_blocks(stress, xp: Tuple[float, ...]) -> Tuple[np.ndarray, ...]:
     """Each block of a primed stress, read once at the image point."""
     blocks = (stress.s0, stress.s1)
@@ -171,26 +155,6 @@ def _stress_law(pc: PointChange, primed: Sequence[np.ndarray]) -> Tuple[np.ndarr
     return pc.det * value, pc.det * (gradient + t1 + t2 + t3), pc.det * top
 
 
-def transform_stress2(
-    primed: VariationalStress2, change: FrameChange, point: Sequence[float]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unprimed second-order stress components at a point, from primed fields.
-
-    The primed components are fields over the primed chart; they are read at
-    the image of ``point``.
-    """
-    pc = change.at(point)
-    return _stress_law(pc, _primed_blocks(primed, pc.xp))
-
-
-def transform_stress1(
-    primed: VariationalStress1, change: FrameChange, point: Sequence[float]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unprimed first-order stress components at a point, from primed fields."""
-    pc = change.at(point)
-    return _stress_law(pc, _primed_blocks(primed, pc.xp))
-
-
 def _from_hatted(values: Sequence[float]) -> FormValue:
     """The (n-1)-covector with the given coefficients on the contracted-volume basis."""
     n = len(values)
@@ -233,14 +197,6 @@ def _naive_blocks_mapped(
 def _contraction_defect(pc: PointChange, s2p: np.ndarray) -> np.ndarray:
     t1, t2, t3 = _top_gradient_terms(pc, s2p)
     return pc.det * (t1 + t2 + t3)
-
-
-def predicted_contraction_defect(
-    primed: VariationalStress2, change: FrameChange, point: Sequence[float]
-) -> np.ndarray:
-    """The extra term the gradient-block law deposits on the scalar block."""
-    pc = change.at(point)
-    return _contraction_defect(pc, primed.s2.at(pc.xp))
 
 
 def _density(blocks: Sequence[np.ndarray], jet: JetValue) -> float:

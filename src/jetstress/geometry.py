@@ -29,6 +29,7 @@ __all__ = [
     "FormField",
     "Body",
     "FacePatch",
+    "Insertion",
     "interior_product",
     "pullback_form_value",
     "pullback_coefficients",
@@ -37,7 +38,7 @@ __all__ = [
     "integrate_each",
     "integrate_over_body",
     "integrate_each_over_body",
-    "integrate_over_pieces",
+    "integrate_face",
     "boundary_faces",
     "increasing_tuples",
     "tuple_omitting",
@@ -350,11 +351,14 @@ def pullback_coefficients(
     ``coeffs`` holds the coefficients of each group on ``target_tuples``,
     group-major; the result holds the same groups on ``source_tuples``.
     Each evaluation composes the coefficients with the map and computes the
-    Jacobian minors once, for all groups.
+    Jacobian minors once, for all groups.  Through an :class:`Insertion`
+    the pullback is a selection of keys (see :func:`_selected_coefficients`).
     """
     ntgt, nsrc = len(target_tuples), len(source_tuples)
     if coeffs.dim != mapping.ncomp or coeffs.ncomp % ntgt:
         raise ValueError("coefficient groups do not match the map and the tuple list")
+    if isinstance(mapping, Insertion):
+        return _selected_coefficients(coeffs, mapping, target_tuples, source_tuples)
     groups = coeffs.ncomp // ntgt
     src_dim = mapping.dim
 
@@ -380,6 +384,53 @@ def pullback_coefficients(
         return out
 
     return SmoothField(src_dim, groups * nsrc, evaluator)
+
+
+def _selected_coefficients(
+    coeffs: SmoothField,
+    insertion: "Insertion",
+    target_tuples: Sequence[IndexTuple],
+    source_tuples: Sequence[IndexTuple],
+) -> SmoothField:
+    """:func:`pullback_coefficients` through an insertion, by key selection.
+
+    The insertion's offsets are single variables with coefficient 1.0 on its
+    free axes and the zero series on its pinned axes, and its Jacobian minors
+    are the constant 1.0 on the image of a source tuple and the zero series
+    elsewhere.  So the general route composes each coefficient into the keys
+    whose pinned exponents are 0, renamed to the free axes in their order,
+    each value multiplied by 1.0 and added into an absent key, and takes the
+    group of the image tuple: that selection, with the general route's bits
+    and key order.  The coefficients are read at the insertion's value, from
+    its own series as in the general route, so a free coordinate that is 0.0
+    at some nodes of a batch splits it here as it does there.
+    """
+    ntgt = len(target_tuples)
+    groups = coeffs.ncomp // ntgt
+    src_dim = insertion.dim
+    columns = {tuple(kt): t for t, kt in enumerate(target_tuples)}
+    picks = [columns.get(tuple(insertion.free[a] for a in ks)) for ks in source_tuples]
+    rename = insertion.renamed
+
+    def evaluator(point, order):
+        center = tuple(s.value for s in insertion.series_on(point, 0))
+        series = coeffs.series_on(center, order)
+        out = []
+        for g in range(groups):
+            for t in picks:
+                if t is None:
+                    out.append(TruncatedSeries.zero(src_dim, order))
+                    continue
+                s = series[g * ntgt + t]
+                kept = {}
+                for key, val in s.coeffs.items():
+                    new = rename[key]
+                    if new is not None:
+                        kept[new] = val
+                out.append(TruncatedSeries._trusted(src_dim, order, kept, s.batch))
+        return out
+
+    return SmoothField(src_dim, groups * len(source_tuples), evaluator)
 
 
 class FormField:
@@ -465,10 +516,10 @@ class BoxFace:
             raise ValueError("point() is only defined for faces of 1-dim boxes")
         return (self.fixed_value,)
 
-    def insertion(self) -> SmoothField:
+    def insertion(self) -> "Insertion":
         if self.box.dim == 1:
             raise ValueError("0-dimensional faces have no insertion field")
-        return _pinned_insertion(self.box, {self.axis: self.side})
+        return Insertion(self.box, {self.axis: self.side})
 
 
 def box_faces(box: Box) -> List[BoxFace]:
@@ -591,24 +642,50 @@ def face_boundary_pieces(face: FacePatch) -> List[Tuple[BoxFace, "FacePatch"]]:
     return pieces
 
 
-def _pinned_insertion(box: Box, fixed: Dict[int, int]) -> SmoothField:
-    """Map a lower box into ``box`` by pinning each ``fixed`` axis at its bound."""
-    dim = box.dim
-    inner_dim = dim - len(fixed)
+class _Renaming(dict):
+    """``renaming[key]`` is the exponent tuple over the free axes of a key
+    whose pinned exponents are 0, and None for any other key; each entry is
+    computed on first use and kept."""
 
-    def evaluator(point, order):
-        series = []
-        src = 0
-        for axis in range(dim):
-            if axis in fixed:
-                value = box.upper[axis] if fixed[axis] else box.lower[axis]
-                series.append(TruncatedSeries.constant(inner_dim, order, value))
-            else:
-                series.append(TruncatedSeries.variable(inner_dim, order, src, point[src]))
-                src += 1
-        return series
+    __slots__ = ("free",)
 
-    return SmoothField(inner_dim, dim, evaluator)
+    def __init__(self, free: IndexTuple):
+        super().__init__()
+        self.free = free
+
+    def __missing__(self, key: IndexTuple) -> Optional[IndexTuple]:
+        out = tuple(key[axis] for axis in self.free)
+        self[key] = out = None if sum(out) != sum(key) else out
+        return out
+
+
+class Insertion(SmoothField):
+    """A map of a lower box into ``box``: the point's coordinates go, in order,
+    to the ``free`` axes, and each axis of ``fixed`` is pinned at its lower
+    (side 0) or upper (side 1) bound.  A pullback through it selects keys
+    (see :func:`pullback_coefficients`)."""
+
+    __slots__ = ("free", "renamed")
+
+    def __init__(self, box: Box, fixed: Dict[int, int]):
+        dim = box.dim
+        inner_dim = dim - len(fixed)
+
+        def evaluator(point, order):
+            series = []
+            src = 0
+            for axis in range(dim):
+                if axis in fixed:
+                    value = box.upper[axis] if fixed[axis] else box.lower[axis]
+                    series.append(TruncatedSeries.constant(inner_dim, order, value))
+                else:
+                    series.append(TruncatedSeries.variable(inner_dim, order, src, point[src]))
+                    src += 1
+            return series
+
+        super().__init__(inner_dim, dim, evaluator)
+        self.free = tuple(axis for axis in range(dim) if axis not in fixed)
+        self.renamed = _Renaming(self.free)
 
 
 # -- integration --------------------------------------------------------------
@@ -625,13 +702,7 @@ def integrate_each(
     """The integral of each top-degree form over one parameter box, from one
     pass over the nodes, so the forms share the sub-fields they read (see
     :func:`jetstress.fields.on_nodes`).  Each integral is summed on its own."""
-    for form in forms:
-        if form.degree != box.dim:
-            raise ValueError(
-                f"form degree {form.degree} does not match patch dimension {box.dim}"
-            )
-        if form.dim != box.dim:
-            raise ValueError("form must live on the patch parameters")
+    _check_top_degree(forms, box)
     full = tuple(range(box.dim))
     nodes, weights = rule.nodes_weights(box)
     values = on_nodes(
@@ -642,6 +713,16 @@ def integrate_each(
     return [sign * _weighted_sum(weights, column) for column in values.T.tolist()]
 
 
+def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
+    for form in forms:
+        if form.degree != box.dim:
+            raise ValueError(
+                f"form degree {form.degree} does not match patch dimension {box.dim}"
+            )
+        if form.dim != box.dim:
+            raise ValueError("form must live on the patch parameters")
+
+
 def _weighted_sum(weights: List[float], values: List[float]) -> float:
     # A loop in node order: numpy's sum and dot add pairwise, in another order.
     total = 0.0
@@ -650,52 +731,98 @@ def _weighted_sum(weights: List[float], values: List[float]) -> float:
     return total
 
 
-def integrate_over_pieces(
-    form: FormField, pieces: Sequence[FacePatch], rule: QuadratureRule
-) -> List[float]:
-    """``integrate_over_face(form, piece, rule)`` for each piece, where the
-    pieces are boundary facets of one box (see :func:`face_boundary_pieces`)
-    and ``form`` is a form on that box, one degree below it.
+def integrate_face(
+    forms: Sequence[FormField],
+    edge_form: FormField,
+    face: FacePatch,
+    pieces: Sequence[FacePatch],
+    rule: QuadratureRule,
+) -> Tuple[List[float], List[float]]:
+    """The integral of each top-degree form of the face over it, as
+    ``integrate_each(forms, face.param_box, rule, face.sign)``, and of the
+    face form ``edge_form``, one degree lower, over each of ``pieces``, the
+    boundary facets of the face's box (see :func:`face_boundary_pieces`), as
+    ``integrate_over_face(edge_form, piece, rule)`` each.
 
-    A piece pulls ``form`` back through its insertion, whose minor on the
+    A piece pulls ``edge_form`` back through its insertion, whose minor on the
     piece's free tuple is the constant 1.0 and on every other tuple the zero
     series; so the pullback is the coefficient on the free tuple, with its
-    bits.  Each piece reads that coefficient at its nodes written in box
-    coordinates, and the pieces share one pass over their nodes.  A piece
-    pinned at 0.0 takes a pass of its own: next to nodes where that
-    coordinate is not zero it would split the batch (see
-    :class:`jetstress.taylor.BatchSplit`).  The pieces of a one-dimensional
-    box are points, read one at a time.
+    bits.  Each piece reads that coefficient at its nodes written in face
+    coordinates, and sums it in node order times its sign.  The passes:
+
+    - A piece pinned at 0.0 takes a pass of its own (a one-point read when the
+      piece is a point): next to nodes where that coordinate is not zero it
+      would split the batch (see :class:`jetstress.taylor.BatchSplit`).
+    - On a box face (``face.to_chart`` an :class:`Insertion`) every other
+      piece joins the pass over the face's nodes, after the pieces' nodes.
+      That pass reads every form at every node of it, so the forms share the
+      sub-fields they read (see :func:`jetstress.fields.on_nodes`).
+    - On a patched face the other pieces share one pass, or are read one
+      point at a time when they are points, and the face's nodes take a pass
+      of their own, last.  The pullback through the patch can cancel to
+      exactly 0 at nodes on the face's boundary only, which would split the
+      face's batch.
     """
-    if any(piece.param_box is None for piece in pieces):
-        return [integrate_over_face(form, piece, rule) for piece in pieces]
-    passes: List[List[int]] = []
-    shared: List[int] = []
+    box = face.param_box
+    _check_top_degree(forms, box)
+    join = isinstance(face.to_chart, Insertion)
+    passes: List[List[Optional[int]]] = []  # piece indices; None stands for the face's nodes
+    shared: List[Optional[int]] = []
     for i, piece in enumerate(pieces):
-        if piece.boxface.fixed_value == 0.0:
+        if piece.boxface.fixed_value == 0.0 or (piece.param_box is None and not join):
             passes.append([i])
-        else:
-            if not shared:
-                passes.append(shared)
-            shared.append(i)
-    columns = {key: c for c, key in enumerate(form.tuples)}
+            continue
+        if not shared:
+            passes.append(shared)
+        shared.append(i)
+    if join and shared:
+        shared.append(None)
+    else:
+        passes.append([None])
+    full = tuple(range(box.dim))
+    columns = {key: c for c, key in enumerate(edge_form.tuples)}
+    face_values: List[float] = []
     out = [0.0] * len(pieces)
     for group in passes:
+        if len(group) == 1 and group[0] is not None and pieces[group[0]].param_box is None:
+            out[group[0]] = integrate_over_face(edge_form, pieces[group[0]], rule)
+            continue
         nodes, weights = [], []
         for i in group:
-            bf = pieces[i].boxface
-            piece_nodes, piece_weights = rule.nodes_weights(pieces[i].param_box)
-            nodes.append(np.insert(piece_nodes, bf.axis, bf.fixed_value, axis=1))
-            weights.append(piece_weights.tolist())
-        values = on_nodes(form.coeffs.values_on, np.concatenate(nodes), len(form.tuples))
+            if i is None:
+                part, part_weights = rule.nodes_weights(box)
+            elif pieces[i].param_box is None:
+                part, part_weights = np.array([pieces[i].point]), None
+            else:
+                bf = pieces[i].boxface
+                part, part_weights = rule.nodes_weights(pieces[i].param_box)
+                part = np.insert(part, bf.axis, bf.fixed_value, axis=1)
+            nodes.append(part)
+            weights.append(part_weights)
+        reads = forms if None in group else []
+        edge = 0 if group == [None] else len(edge_form.tuples)
+
+        def read(point):
+            values = [form.value_at(point).coefficient(full) for form in reads]
+            return values + edge_form.coeffs.values_on(point) if edge else values
+
+        values = on_nodes(read, np.concatenate(nodes), len(reads) + edge)
         start = 0
-        for i, piece_weights in zip(group, weights):
-            stop = start + len(piece_weights)
-            column = columns.get(tuple_omitting(form.dim, pieces[i].boxface.axis))
-            read = [0.0] * (stop - start) if column is None else values[start:stop, column].tolist()
-            out[i] = pieces[i].sign * _weighted_sum(piece_weights, read)
-            start = stop
-    return out
+        for i, part, part_weights in zip(group, nodes, weights):
+            rows = values[start:start + len(part)]
+            start += len(part)
+            if i is None:
+                part_weights = part_weights.tolist()
+                face_values = [face.sign * _weighted_sum(part_weights, rows[:, c].tolist())
+                               for c in range(len(reads))]
+                continue
+            column = columns.get(tuple_omitting(edge_form.dim, pieces[i].boxface.axis))
+            read_values = ([0.0] * len(part) if column is None
+                           else rows[:, len(reads) + column].tolist())
+            value = (read_values[0] if part_weights is None
+                     else _weighted_sum(part_weights.tolist(), read_values))
+            out[i] = pieces[i].sign * value
+    return face_values, out
 
 
 def integrate_each_over_body(

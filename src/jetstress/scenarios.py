@@ -111,11 +111,14 @@ def _component_map(spec: Any, dim: int, key: str) -> Callable:
     if isinstance(spec, dict) and "expr" in spec:
         return _component_map(spec["expr"], dim, key)
     if isinstance(spec, dict) and "monomials" in spec:
+        entries = spec["monomials"]
+        if not isinstance(entries, list):
+            raise ScenarioError(f"{key}: monomial table must be a list, got {entries!r}")
         table = []
-        for entry in spec["monomials"]:
+        for entry in entries:
             try:
                 exps, coef = entry
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(_exponent(e) for e in exps)
                 coef = _number(coef, key)
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"{key}: bad monomial entry {entry!r}") from exc
@@ -124,6 +127,15 @@ def _component_map(spec: Any, dim: int, key: str) -> Callable:
             table.append((exps, coef))
         return monomial_map(table)
     raise ScenarioError(f"{key}: component must be a number, string, or monomial table")
+
+
+def _exponent(value: Any) -> int:
+    """A monomial exponent: an integer, or an integral float as in ``x1^2.0``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"exponent {value!r} is not an integer")
+    return int(value)
 
 
 def _flatten(specs: Any, shape: Tuple[int, ...], key: str) -> List[Any]:

@@ -34,6 +34,7 @@ __all__ = [
     "vertical_projection",
     "is_tangent",
     "transversal_decomposition",
+    "face_split",
     "tangent_traction",
     "surface_divergence",
     "tangent_edge_force",
@@ -332,20 +333,37 @@ def transversal_decomposition(
     return TensorField(tangent, (d, q)), TensorField(normal, (d,))
 
 
-def tangent_traction(
+FaceSplit = Tuple[RestrictedSurfaceStress, TensorField, TensorField]
+
+
+def face_split(
     surface_stress: HyperSurfaceStress, face: FacePatch, transversal: TransversalField
+) -> FaceSplit:
+    """``restrict_Y`` on the face, then both parts of its
+    ``transversal_decomposition``: the fields that :func:`tangent_traction`
+    and :func:`surface_divergence` read, built once to pass to both."""
+    restricted = restrict_Y(surface_stress, face)
+    return (restricted,) + transversal_decomposition(restricted, transversal)
+
+
+def tangent_traction(
+    surface_stress: HyperSurfaceStress,
+    face: FacePatch,
+    transversal: TransversalField,
+    *,
+    split: Optional[FaceSplit] = None,
 ) -> TractionStress:
     """Edge-density traction on the face: contract the tangent part in-face.
 
     The result is a traction stress over the face parameters whose action on
     a velocity is an (n-2)-form; restricting it to the face boundary gives
-    the edge force.
+    the edge force.  ``split`` is :func:`face_split` of the same arguments,
+    when the caller has built it.
     """
     n = surface_stress.dim
     if n < 2:
         raise ValueError("tangent traction needs chart dimension >= 2")
-    restricted = restrict_Y(surface_stress, face)
-    tangent, _ = transversal_decomposition(restricted, transversal)
+    _, tangent, _ = split or face_split(surface_stress, face, transversal)
     return TractionStress(tangent.signed(1))
 
 
@@ -359,17 +377,22 @@ def surface_divergence(
     face: FacePatch,
     transversal: TransversalField,
     velocity: TensorField,
+    *,
+    split: Optional[FaceSplit] = None,
+    u_face: Optional[TensorField] = None,
 ) -> FormField:
     """Face divergence paired with the full velocity jet.
 
     Local form: divergence of the tangent part against the velocity, minus
     the value slot, minus the transversal coefficient times the transversal
     derivative of the velocity.  Defined so that integration by parts on the
-    face closes against the tangent traction.
+    face closes against the tangent traction.  ``split`` is
+    :func:`face_split` and ``u_face`` is :func:`face_velocity` of the same
+    arguments, when the caller has built them.
     """
-    restricted = restrict_Y(surface_stress, face)
-    tangent, normal_coeff = transversal_decomposition(restricted, transversal)
-    u, du = face_velocity(velocity, face), face_velocity(velocity.gradient(), face)
+    restricted, tangent, normal_coeff = split or face_split(surface_stress, face, transversal)
+    u = face_velocity(velocity, face) if u_face is None else u_face
+    du = face_velocity(velocity.gradient(), face)
     transversal_du = pair([(du.signed(None, (1, 0)), transversal.n_field)])
     density = pair([
         (tangent.divergence(), u),

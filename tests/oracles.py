@@ -10,8 +10,17 @@ place of the solver that updates live columns only
 (``solve_linear_series_full_rows``), and one series per arithmetic step,
 each product a walk over every pair of keys, in place of the order-0 value
 path of monomial leaves and products (``monomial_series_route``,
-``series_product``).  ``form_from_components`` builds test forms from one
-field per index tuple.
+``series_product``), and the general pullback, a composition with the map
+times its Jacobian minors, in place of the key selection through a box
+face's insertion (``pullback_by_composition``), and each face's edge pieces
+and face terms read in passes of their own, from fields built per term, in
+place of the face pass (``edge_assembly_by_piece``).
+``form_from_components`` builds test forms from one field per index tuple.
+
+The law pins (``transform_jet2``, ``transform_stress1``,
+``transform_stress2``, ``predicted_contraction_defect``) read one frame
+change at one point through ``FrameChange.at`` and apply the library's
+transformation laws to it, so the tests can pin each law by hand values.
 """
 
 from __future__ import annotations
@@ -23,12 +32,35 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from jetstress.bundles import IteratedJetValue
-from jetstress.covariance import FrameChange
-from jetstress.fields import JetValue, SmoothField, TensorField, pair
-from jetstress.geometry import Body, Box, BoxFace, FormField, FormValue, face_label
-from jetstress.nonholonomic import NonHolonomicStress
-from jetstress.stress import VariationalStress1
-from jetstress.surface import RestrictedSurfaceStress, _pivot_row, face_velocity
+from jetstress.covariance import (
+    FrameChange,
+    _contraction_defect,
+    _jet_law,
+    _primed_blocks,
+    _stress_law,
+)
+from jetstress.fields import JetValue, SmoothField, TensorField, on_nodes, pair
+from jetstress.geometry import (
+    Body,
+    Box,
+    BoxFace,
+    FormField,
+    FormValue,
+    QuadratureRule,
+    boundary_faces,
+    face_boundary_pieces,
+    face_label,
+    series_det,
+)
+from jetstress.nonholonomic import NonHolonomicStress, VariationalStress2
+from jetstress.stress import TractionStress, VariationalStress1, traction_action
+from jetstress.surface import (
+    RestrictedSurfaceStress,
+    TransversalField,
+    _pivot_row,
+    face_velocity,
+    transversal_decomposition,
+)
 from jetstress.taylor import TruncatedSeries, reciprocal_series
 
 
@@ -213,3 +245,167 @@ def edges(body: Body) -> List[Edge]:
         mapping = body.chart_map().compose(outer.insertion().compose(inner.insertion()))
         out.append(Edge(labels, inner.param_box, mapping, None, signs))
     return out
+
+
+# -- law pins -------------------------------------------------------------------
+
+
+def transform_jet2(jet: JetValue, change: FrameChange, point: Sequence[float]) -> JetValue:
+    """Second-order jet components in the primed chart, by the chain rule.
+
+    The input jet lives at the unprimed point; the output is the jet of the
+    transformed section at the image point.
+    """
+    if jet.order < 2:
+        raise ValueError("second-order transformation needs an order-2 jet")
+    if jet.dim != change.dim or jet.fiber_dim != change.fiber_dim:
+        raise ValueError("jet shape does not match the frame change")
+    return _jet_law(change.at(point), jet)
+
+
+def transform_stress2(
+    primed: VariationalStress2, change: FrameChange, point: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unprimed second-order stress components at a point, from primed fields
+    read at the image of ``point``."""
+    pc = change.at(point)
+    return _stress_law(pc, _primed_blocks(primed, pc.xp))
+
+
+def transform_stress1(
+    primed: VariationalStress1, change: FrameChange, point: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unprimed first-order stress components at a point, from primed fields."""
+    pc = change.at(point)
+    return _stress_law(pc, _primed_blocks(primed, pc.xp))
+
+
+def predicted_contraction_defect(
+    primed: VariationalStress2, change: FrameChange, point: Sequence[float]
+) -> np.ndarray:
+    """The extra term the gradient-block law deposits on the scalar block."""
+    pc = change.at(point)
+    return _contraction_defect(pc, primed.s2.at(pc.xp))
+
+
+# -- the general pullback and the per-piece edge assembly -------------------------
+
+
+def pullback_by_composition(
+    coeffs: SmoothField,
+    mapping: SmoothField,
+    target_tuples: Sequence[Tuple[int, ...]],
+    source_tuples: Sequence[Tuple[int, ...]],
+) -> SmoothField:
+    """Groups of form coefficients pulled back along any smooth map: each
+    coefficient composed with the map's offsets, times the Jacobian minor of
+    its target tuple, summed over the target tuples."""
+    ntgt, nsrc = len(target_tuples), len(source_tuples)
+    groups = coeffs.ncomp // ntgt
+    src_dim = mapping.dim
+
+    def evaluator(point, order):
+        mseries = mapping.series_on(point, order + 1)
+        center = tuple(s.value for s in mseries)
+        offsets = [(s - s.value).truncate(order) for s in mseries]
+        jac = [[m.partial(a) for a in range(src_dim)] for m in mseries]
+        minors = [
+            [series_det([[jac[i][a] for a in ks] for i in kt]) if ks else None
+             for kt in target_tuples]
+            for ks in source_tuples
+        ]
+        composed = [s.compose(offsets) for s in coeffs.series_on(center, order)]
+        out = []
+        for g in range(groups):
+            for s_minors in minors:
+                total = TruncatedSeries.zero(src_dim, order)
+                for t, minor in enumerate(s_minors):
+                    c = composed[g * ntgt + t]
+                    total = total + (c if minor is None else c * minor)
+                out.append(total)
+        return out
+
+    return SmoothField(src_dim, groups * nsrc, evaluator)
+
+
+def _pulled_back(form: FormField, mapping: SmoothField) -> FormField:
+    tuples = list(itertools.combinations(range(mapping.dim), form.degree))
+    coeffs = pullback_by_composition(form.coeffs, mapping, form.tuples, tuples)
+    return FormField(mapping.dim, form.degree, tuples, coeffs)
+
+
+def _weighted_sum(weights, values) -> float:
+    total = 0.0
+    for w, value in zip(weights, values):
+        total += w * value
+    return total
+
+
+def _integral(form: FormField, box: Box, rule: QuadratureRule, sign: float) -> float:
+    """One top-degree form over a box, in its own pass, summed in node order."""
+    full = tuple(range(box.dim))
+    nodes, weights = rule.nodes_weights(box)
+    values = on_nodes(lambda point: form.value_at(point).coefficient(full), nodes)
+    return sign * _weighted_sum(weights.tolist(), values.tolist())
+
+
+def edge_assembly_by_piece(
+    surface_stress,
+    velocity: TensorField,
+    body: Body,
+    transversals: Optional[Dict[str, TransversalField]],
+    rule: QuadratureRule,
+    boundary_form: FormField,
+) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
+    """``edge_assembly`` with a boundary form, every term from fields built
+    for it alone and integrated in a pass of its own: each edge piece pulls
+    the tangent-traction action back through its insertion by composition,
+    and each face term pulls back through the face map by composition."""
+    n = body.dim
+    edge_terms: Dict[str, float] = {}
+    face_terms: Dict[str, float] = {}
+    boundary_terms: Dict[str, float] = {}
+    for face in boundary_faces(body):
+        if transversals is not None and face.label in transversals:
+            transversal = transversals[face.label]
+        else:
+            transversal = TransversalField.coordinate(face)
+        omitting = [tuple(i for i in range(n) if i != j) for j in range(n)]
+        volume = [tuple(range(n - 1))]
+
+        def restrict(y: TensorField, shape) -> TensorField:
+            return TensorField(
+                pullback_by_composition(y.field, face.to_chart, omitting, volume), shape)
+
+        def split():
+            restricted = RestrictedSurfaceStress(
+                face, restrict(surface_stress.y0, (surface_stress.fiber_dim,)),
+                restrict(surface_stress.y1, (surface_stress.fiber_dim, n)))
+            return (restricted,) + transversal_decomposition(restricted, transversal)
+
+        _, tangent, _ = split()
+        tau_u = traction_action(TractionStress(tangent.signed(1)), face_velocity(velocity, face))
+        face_axes = [a for a in range(n) if a != face.boxface.axis]
+        for piece_boxface, piece in face_boundary_pieces(face):
+            if piece.param_box is None:
+                value = piece.sign * tau_u.value_at(piece.point).coefficient(())
+            else:
+                value = _integral(_pulled_back(tau_u, piece.to_chart), piece.param_box, rule,
+                                  piece.sign)
+            other = face_label(face_axes[piece_boxface.axis], piece_boxface.side)
+            key = "|".join(sorted([face.label, other]))
+            edge_terms[key] = edge_terms.get(key, 0.0) + face.sign * value
+        restricted, tangent, normal_coeff = split()
+        u = face_velocity(velocity, face)
+        du = face_velocity(velocity.gradient(), face)
+        transversal_du = pair([(du.signed(None, (1, 0)), transversal.n_field)])
+        density = pair([
+            (tangent.divergence(), u),
+            (restricted.z0.scale(-1.0), u),
+            (normal_coeff.scale(-1.0), transversal_du),
+        ])
+        face_terms[face.label] = _integral(
+            FormField.volume(density.field), face.param_box, rule, face.sign)
+        boundary_terms[face.label] = _integral(
+            _pulled_back(boundary_form, face.to_chart), face.param_box, rule, face.sign)
+    return edge_terms, face_terms, boundary_terms

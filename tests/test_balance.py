@@ -465,15 +465,16 @@ def test_balance2_reads_each_point_set_in_one_pass(monkeypatch, lower):
         box = face.param_box
         pinned_at_zero = sum(piece.boxface.fixed_value == 0.0
                              for _, piece in face_boundary_pieces(face))
-        # The edge pieces' passes: every node on the boundary of the face's box.
-        edges = 0
-        while np.isin(face_level[0], box.lower + box.upper).any(axis=1).all():
-            face_level.pop(0)
-            edges += 1
-        assert 1 <= edges <= 1 + pinned_at_zero
-        if lower:
-            assert edges == 1
-        # Then one pass over the face's own nodes, for both face terms.
-        interior = face_level.pop(0)
-        assert len(interior) == 5 ** 2
+        mine = face_level[:1 + pinned_at_zero]
+        del face_level[:1 + pinned_at_zero]
+        on_boundary = [np.isin(p, box.lower + box.upper).any(axis=1) for p in mine]
+        # Each piece pinned at 0.0 takes a pass of its own, on the face's boundary.
+        alone = [p for p, edge in zip(mine, on_boundary) if edge.all()]
+        assert len(alone) == pinned_at_zero and all(len(p) == 5 for p in alone)
+        # One pass reads the other pieces' nodes, then the face's own, for
+        # the edge terms and both face terms.
+        (merged, edge), = [(p, e) for p, e in zip(mine, on_boundary) if not e.all()]
+        joined = 5 * (4 - pinned_at_zero)
+        assert len(merged) == joined + 5 ** 2
+        assert edge[:joined].all() and not edge[joined:].any()
     assert face_level == []

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,27 @@ def test_tracer_spans_match_the_check_ids():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert sorted(jetstress.scenarios.CHECK_IDS) == sorted(tracing.CHECK_IDS)
+
+
+def _perfbench_module(name, monkeypatch):
+    """``perfbench/<name>.py``, loaded from its file; its sibling modules are
+    imported from the ``perfbench`` directory."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    path = REPO / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["quad-poly", "pointwise-n2", "curved-analytic"])
+def test_a_traced_pass_reaches_every_required_layer(monkeypatch, tmp_path, capsys, workload):
+    # The benchmark's traced run fails when a layer it requires reads zero; a
+    # change that stops calling a probed function (say, the last caller of
+    # ``compose`` on a workload) would otherwise show only there.
+    run = _perfbench_module("run", monkeypatch)
+    result = json.loads(run.traced(workload, 3, tmp_path / "work", tmp_path / "out"))
+    assert result["correct"]
+    metrics = result["metrics"]
+    assert [name for name in run.REQUIRED_NONZERO[workload] if not metrics[name]["value"]] == []

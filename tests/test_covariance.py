@@ -7,15 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from jetstress.covariance import (
-    FrameChange,
-    invariance_check,
+from jetstress.covariance import FrameChange, invariance_check
+from oracles import (
     predicted_contraction_defect,
     transform_jet2,
     transform_stress1,
     transform_stress2,
+    transformed_velocity_field,
 )
-from oracles import transformed_velocity_field
 from jetstress.fields import SmoothField, TensorField, jet_extension
 from jetstress.geometry import TransitionMap
 from jetstress.nonholonomic import VariationalStress2

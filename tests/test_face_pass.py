@@ -1,0 +1,170 @@
+"""Key selection through box-face insertions, and the face pass of ``balance2``.
+
+``geometry.pullback_coefficients`` pulls back through a box face's
+insertion by selecting keys; ``oracles.pullback_by_composition`` is the
+general route (composition with the map times its Jacobian minors), and the
+two must agree in every bit and in key order.  ``balance.edge_assembly``
+builds each face's fields once and reads a box face and its edge pieces in
+one pass; ``oracles.edge_assembly_by_piece`` builds the fields of each term
+apart and reads each term in its own pass, and every term must keep its bits.
+"""
+
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jetstress import balance, geometry, surface
+from jetstress.balance import edge_assembly
+from jetstress.exprs import parse_expression
+from jetstress.fields import SmoothField, monomial_map
+from jetstress.geometry import (
+    Box,
+    BoxFace,
+    Insertion,
+    QuadratureRule,
+    boundary_faces,
+    increasing_tuples,
+    pullback_coefficients,
+)
+from jetstress.nonholonomic import nh_divergence, nh_traction
+from jetstress.scenarios import generate_scenario, load_scenario
+from jetstress.stress import traction_action, traction_projection
+from jetstress.taylor import BatchSplit
+
+from oracles import edge_assembly_by_piece, pullback_by_composition
+from test_transversal_solve import curved_cube
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# -- key selection ------------------------------------------------------------------
+
+COORDINATE = st.sampled_from([0.0, 0.5, -0.75, 1.0]) | st.floats(-1.5, 1.5)
+EXPRESSIONS = ("sin(x1 + 0.3*x{n})*x{n}^2 + 0.5", "exp(0.4*x{n} - x1)*x1",
+               "sqrt(1 + x1^2 + 0.5*x{n}^2) - x{n}", "x1*x{n} + 0.25*x1^3")
+
+
+@st.composite
+def coefficient_maps(draw, n, count):
+    """``count`` component maps over n coordinates: monomial tables or
+    expressions with sin, exp and sqrt."""
+    maps = []
+    for _ in range(count):
+        if draw(st.booleans()):
+            exps = list(itertools.product(range(3), repeat=n))
+            table = [(draw(st.sampled_from(exps)), draw(st.floats(-2.0, 2.0).filter(bool)))
+                     for _ in range(draw(st.integers(1, 4)))]
+            maps.append(monomial_map(table))
+        else:
+            text = draw(st.sampled_from(EXPRESSIONS)).format(n=draw(st.integers(1, n)))
+            maps.append(parse_expression(text, n))
+    return maps
+
+
+def _outcome(field, point, order):
+    """Each series' keys in order with the bits of each value, or the labels
+    of the batch split it raises."""
+    try:
+        series = field.series_on(point, order)
+    except BatchSplit as split:
+        return "split", np.asarray(split.labels).tolist()
+    return "series", [
+        [(k, [float(x).hex() for x in np.atleast_1d(v)], np.ndim(v)) for k, v in s.coeffs.items()]
+        for s in series
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), order=st.integers(0, 2))
+def test_key_selection_is_the_general_pullback(data, n, order):
+    axis, side = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 1))
+    lower = data.draw(st.sampled_from([0.0, -0.5, 0.25]))
+    box = Box((lower,) * n, (lower + data.draw(st.sampled_from([1.0, 0.75])),) * n)
+    insertion = BoxFace(box, axis, side).insertion()
+    assert isinstance(insertion, Insertion)
+    degree = data.draw(st.integers(0, n - 1))
+    targets = increasing_tuples(n, degree)
+    sources = increasing_tuples(n - 1, degree)
+    groups = data.draw(st.integers(1, 2))
+    coeffs = SmoothField.from_series_maps(
+        n, data.draw(coefficient_maps(n, groups * len(targets))))
+    nodes = data.draw(st.integers(1, 4))
+    # A float point, or one value per node on each axis (0.0 at some nodes
+    # splits both routes alike).
+    point = tuple(
+        data.draw(COORDINATE) if nodes == 1 or data.draw(st.booleans())
+        else np.array([data.draw(COORDINATE) for _ in range(nodes)])
+        for _ in range(n - 1)
+    )
+    selected = pullback_coefficients(coeffs, insertion, targets, sources)
+    general = pullback_by_composition(coeffs, insertion, targets, sources)
+    with np.errstate(all="ignore"):
+        assert _outcome(selected, point, order) == _outcome(general, point, order)
+
+
+def test_a_patched_face_keeps_the_general_pullback():
+    patch = SmoothField.from_expressions(2, ["x1 + 0.1*x2^2", "x2 + 0.2*x1"])
+    face = boundary_faces(geometry.Body(geometry.Chart(2, Box.unit(2)), Box.unit(2), patch))[1]
+    assert not isinstance(face.to_chart, Insertion)
+
+
+# -- the face pass --------------------------------------------------------------------
+
+
+def _shifted_cube():
+    doc = json.loads((SCENARIOS / "cube-order2.json").read_text(encoding="utf-8"))
+    doc["geometry"]["chart_box"] = doc["geometry"]["body_box"] = [[0.5, 1.5]] * 3
+    return doc
+
+
+DOCUMENTS = {
+    **{name: json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+       for name in ("covariance-quadratic", "cube-order2", "disk-closed", "patched-metric")},
+    "cube-order2 on [0.5, 1.5]^3": _shifted_cube(),
+    "generated n=3": generate_scenario(5, 3, 2, 3),
+    "generated n=4": generate_scenario(7, 4, 1, 2),
+    "curved cube": curved_cube(6),
+}
+
+
+def _assembly_inputs(doc):
+    scenario = load_scenario(doc)
+    stress = scenario.nh_stress
+    sigma_div_u = traction_action(traction_projection(nh_divergence(stress)), scenario.velocity)
+    return (nh_traction(stress), scenario.velocity, scenario.body, scenario.transversals,
+            QuadratureRule(min(scenario.quad_order, 4 if scenario.body.dim == 4 else 8)),
+            sigma_div_u)
+
+
+def _bits(terms):
+    return [{key: value.hex() for key, value in group.items()} for group in terms]
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_the_face_pass_keeps_every_term_of_the_per_piece_route(name):
+    *args, boundary_form = _assembly_inputs(DOCUMENTS[name])
+    got = edge_assembly(*args, boundary_form=boundary_form)
+    want = edge_assembly_by_piece(*args, boundary_form)
+    assert _bits(got) == _bits(want)
+    assert [list(group) for group in got] == [list(group) for group in want]
+
+
+def test_each_face_builds_its_fields_once(monkeypatch):
+    calls = {"restrict_Y": [], "tangent_traction": [], "surface_divergence": []}
+    for module, name in ((surface, "restrict_Y"), (balance, "tangent_traction"),
+                         (balance, "surface_divergence")):
+        real = getattr(module, name)
+
+        def spy(surface_stress, face, *args, _real=real, _name=name, **kwargs):
+            calls[_name].append(face.label)
+            return _real(surface_stress, face, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    *args, boundary_form = _assembly_inputs(DOCUMENTS["cube-order2"])
+    edge_assembly(*args, boundary_form=boundary_form)
+    labels = [face.label for face in boundary_faces(args[2])]
+    assert calls == {name: labels for name in calls}

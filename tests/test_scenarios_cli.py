@@ -593,6 +593,40 @@ def test_constant_components_must_be_finite_numbers(tmp_path, capsys, spec, mess
     assert not report.exists()
 
 
+@pytest.mark.parametrize("table, message", [
+    (3, "stress.order1.s0#0: monomial table must be a list, got 3"),
+    (None, "stress.order1.s0#0: monomial table must be a list, got None"),
+    ({"x": 1}, "stress.order1.s0#0: monomial table must be a list, got {'x': 1}"),
+    ([[[1.5, 0], 2.0]], "stress.order1.s0#0: bad monomial entry [[1.5, 0], 2.0]"),
+    ([[[True, 0], 2.0]], "stress.order1.s0#0: bad monomial entry [[True, 0], 2.0]"),
+    ([[[1, "2"], 2.0]], "stress.order1.s0#0: bad monomial entry [[1, '2'], 2.0]"),
+])
+def test_a_bad_monomial_table_exits_2(tmp_path, capsys, table, message):
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["stress"]["order1"]["s0"] = [{"monomials": table}]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+def test_integral_float_exponents_read_as_integers(tmp_path):
+    # As the expression grammar reads x1^2.0: the same report as exponent 2.
+    reports = []
+    for exps in ([2, 1], [2.0, 1.0]):
+        doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+        doc["stress"]["order1"]["s0"] = [{"monomials": [[exps, 0.5], [[0, 0], 1.0]]}]
+        scenario = tmp_path / "doc.json"
+        scenario.write_text(json.dumps(doc))
+        report = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 0
+        # The summary's scenario digest hashes the document, so it differs.
+        reports.append(report.read_text().splitlines()[:-1])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("spec, literal", [
     ("1e309*x1", "1e309"), ("x1 + 1e400", "1e400"), ("x1^2 - .5e999", ".5e999"),
 ])
