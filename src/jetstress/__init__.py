@@ -18,8 +18,8 @@ from .geometry import (
     TransitionMap,
     boundary_faces,
     integrate,
+    integrate_over,
     interior_product,
-    restrict_form,
 )
 from .bundles import (
     BundleSpec,

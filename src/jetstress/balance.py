@@ -11,7 +11,7 @@ headline number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .bundles import JetSectionField
 from .fields import TensorField
@@ -21,14 +21,11 @@ from .geometry import (
     FormField,
     QuadratureRule,
     boundary_faces,
-    face_boundary_pieces,
+    box_faces,
     face_label,
     integrate,
-    integrate_each_over_body,
     integrate_face,
-    integrate_over_body,
-    integrate_over_face,
-    restrict_form,
+    integrate_over,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -45,13 +42,7 @@ from .stress import (
     traction_action,
     traction_projection,
 )
-from .surface import (
-    TransversalField,
-    face_split,
-    face_velocity,
-    surface_divergence,
-    tangent_traction,
-)
+from .surface import TransversalField, face_split, surface_divergence, tangent_traction
 
 __all__ = [
     "BalanceReport",
@@ -108,14 +99,12 @@ def first_integration_by_parts(
     tolerance: float = 1e-10,
 ) -> CheckRecord:
     """Interior action equals boundary-stress power minus divergence power."""
-    lhs = integrate_over_body(nh_action_form(stress, section), body, rule)
-    surface_stress = nh_traction(stress)
-    boundary_form = hyper_surface_action(surface_stress, section)
-    boundary = sum(
-        integrate_over_face(boundary_form, f, rule) for f in boundary_faces(body)
+    lhs, interior = integrate_over(
+        [nh_action_form(stress, section), section_pairing_form(nh_divergence(stress), section)],
+        body, rule,
     )
-    interior_form = section_pairing_form(nh_divergence(stress), section)
-    interior = integrate_over_body(interior_form, body, rule)
+    boundary_form = hyper_surface_action(nh_traction(stress), section)
+    boundary = sum(integrate_over([boundary_form], f, rule)[0] for f in boundary_faces(body))
     residual = abs(lhs - (boundary - interior))
     return CheckRecord(
         "first-integration-by-parts",
@@ -130,23 +119,6 @@ def div_div(stress: NonHolonomicStress) -> TensorField:
     return divergence(nh_divergence(stress))
 
 
-def _face_transversal(
-    face: FacePatch, transversals: Optional[Dict[str, TransversalField]]
-) -> TransversalField:
-    if transversals is not None and face.label in transversals:
-        return transversals[face.label]
-    if transversals is not None and "default" in transversals:
-        raise ValueError("per-face transversal defaults must be resolved by the caller")
-    if face.boxface is None:
-        raise ValueError(f"face {face.label} needs an explicit transversal field")
-    return TransversalField.coordinate(face)
-
-
-def _edge_key(face: FacePatch, piece_boxface, face_axes: List[int]) -> Tuple[str, str]:
-    other_axis = face_axes[piece_boxface.axis]
-    return tuple(sorted([face.label, face_label(other_axis, piece_boxface.side)]))
-
-
 def edge_assembly(
     surface_stress,
     velocity: TensorField,
@@ -154,49 +126,37 @@ def edge_assembly(
     transversals: Optional[Dict[str, TransversalField]] = None,
     rule: QuadratureRule = QuadratureRule(6),
     *,
-    boundary_form: Optional[FormField] = None,
-) -> Tuple[Dict[str, float], ...]:
-    """Face-boundary integrals of the tangent traction, grouped by edge.
+    boundary_form: FormField,
+) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
+    """Face-boundary integrals of the tangent traction, grouped by edge, each
+    face's surface-divergence integral, and each face's integral of
+    ``boundary_form``, a chart (n-1)-form.
 
     Each face contributes through its own induced boundary orientation; the
-    per-edge sums are exactly the interactions two adjacent faces share.
-    Also returns each face's surface-divergence integral.  Each face's
-    restricted stress, its transversal split and its velocity are built once
-    and read by both the tangent traction and the surface divergence; on a
-    box face one pass reads the face's nodes and its edge pieces' (see
+    per-edge sums are exactly the interactions two adjacent faces share.  A
+    face's transversal is ``transversals[face.label]``, or its coordinate
+    transversal.  Each face's fields are built once (see
+    :func:`jetstress.surface.face_split`), and on a box face one pass reads
+    the face's nodes and its edge pieces' (see
     :func:`jetstress.geometry.integrate_face`).
-
-    With ``boundary_form``, a chart (n-1)-form, also returns a third dict:
-    its integral over each face, from the same pass over the face's nodes as
-    the surface divergence.
     """
     n = body.dim
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
     boundary_terms: Dict[str, float] = {}
     for face in boundary_faces(body):
-        transversal = _face_transversal(face, transversals)
-        split = face_split(surface_stress, face, transversal)
-        u_face = face_velocity(velocity, face)
-        tau = tangent_traction(surface_stress, face, transversal, split=split)
-        forms = [surface_divergence(surface_stress, face, transversal, velocity,
-                                    split=split, u_face=u_face)]
-        if boundary_form is not None:
-            forms.append(restrict_form(boundary_form, face))
-        pieces = face_boundary_pieces(face)
-        values, piece_values = integrate_face(
-            forms, traction_action(tau, u_face), face, [piece for _, piece in pieces], rule
-        )
+        transversal = (transversals or {}).get(face.label) or TransversalField.coordinate(face)
+        split = face_split(surface_stress, face, transversal, velocity)
+        forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
+        tau_u = traction_action(tangent_traction(split), split.velocity)
+        values, piece_values = integrate_face(forms, tau_u, face, rule)
+        face_terms[face.label], boundary_terms[face.label] = values
         face_axes = [a for a in range(n) if a != face.boxface.axis]
-        for (piece_boxface, _), value in zip(pieces, piece_values):
-            key = "|".join(_edge_key(face, piece_boxface, face_axes))
+        for piece, value in zip(box_faces(face.param_box), piece_values):
+            other = face_label(face_axes[piece.axis], piece.side)
+            key = "|".join(sorted([face.label, other]))
             edge_terms[key] = edge_terms.get(key, 0.0) + face.sign * value
-        face_terms[face.label] = values[0]
-        if boundary_form is not None:
-            boundary_terms[face.label] = values[1]
-    if boundary_form is not None:
-        return edge_terms, face_terms, boundary_terms
-    return edge_terms, face_terms
+    return edge_terms, face_terms, boundary_terms
 
 
 def verify_balance_order2(
@@ -217,7 +177,7 @@ def verify_balance_order2(
     together.
     """
     section = JetSectionField.from_velocity(velocity)
-    lhs, dd_term = integrate_each_over_body(
+    lhs, dd_term = integrate_over(
         [nh_action_form(stress, section), pairing_volume_form(div_div(stress), velocity)],
         body, rule,
     )
@@ -255,11 +215,9 @@ def closed_boundary_exact_term(
     """
     if face.param_dim != 1:
         raise ValueError("closed-boundary patches are supported for curves only")
-    tau = tangent_traction(surface_stress, face, transversal)
-    u_face = face_velocity(velocity, face)
-    tau_u = traction_action(tau, u_face)
-    d_tau = tau_u.exterior_derivative()
-    quadrature_value = integrate(d_tau, face.param_box, rule, face.sign)
+    split = face_split(surface_stress, face, transversal, velocity)
+    tau_u = traction_action(tangent_traction(split), split.velocity)
+    [quadrature_value] = integrate([tau_u.exterior_derivative()], face.param_box, rule, face.sign)
     lo = (face.param_box.lower[0],)
     hi = (face.param_box.upper[0],)
     endpoint_defect = tau_u.value_at(hi).coefficient(()) - tau_u.value_at(lo).coefficient(())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,11 +33,8 @@ __all__ = [
     "interior_product",
     "pullback_form_value",
     "pullback_coefficients",
-    "restrict_form",
     "integrate",
-    "integrate_each",
-    "integrate_over_body",
-    "integrate_each_over_body",
+    "integrate_over",
     "integrate_face",
     "boundary_faces",
     "increasing_tuples",
@@ -533,7 +530,6 @@ class Body:
     chart: Chart
     box: Box
     patch: Optional[SmoothField] = None
-    orientation: float = 1.0
 
     def __post_init__(self):
         if self.box.dim != self.chart.dim:
@@ -581,8 +577,7 @@ class FacePatch:
     to_chart: Optional[SmoothField]
     sign: float
     boxface: Optional[BoxFace] = None
-    point: Optional[Tuple[float, ...]] = None  # chart point for 0-dim patches
-    closed: bool = False
+    point: Optional[Tuple[float, ...]] = None  # 0-dim patch: its point in its parent's coordinates
 
     @property
     def param_dim(self) -> int:
@@ -598,48 +593,38 @@ def face_label(axis: int, side: int) -> str:
     return f"x{axis + 1}-{'upper' if side else 'lower'}"
 
 
-def boundary_faces(body: Body) -> List[FacePatch]:
-    """The 2n oriented facets whose signed sum realizes the Stokes boundary."""
+def _facets(
+    box: Box, chart: Chart, patch: Optional[SmoothField], prefix: str = ""
+) -> List[FacePatch]:
+    """The oriented facets of ``box``, two per axis, carried into the chart by
+    ``patch`` (the identity when None), each labelled ``prefix`` plus its
+    face label."""
     out = []
-    chart_map = body.patch
-    for bf in box_faces(body.box):
-        label = face_label(bf.axis, bf.side)
-        if body.box.dim == 1:
+    for bf in box_faces(box):
+        label = prefix + face_label(bf.axis, bf.side)
+        if box.dim == 1:
             pt = bf.point()
-            chart_pt = tuple(chart_map.values_at(pt)) if chart_map is not None else pt
-            out.append(
-                FacePatch(label, body.chart, None, None, bf.sign * body.orientation,
-                          boxface=bf, point=chart_pt)
-            )
+            pt = tuple(patch.values_at(pt)) if patch is not None else pt
+            out.append(FacePatch(label, chart, None, None, bf.sign, boxface=bf, point=pt))
             continue
         mapping = bf.insertion()
-        if chart_map is not None:
-            mapping = chart_map.compose(mapping)
-        out.append(
-            FacePatch(label, body.chart, bf.param_box, mapping,
-                      bf.sign * body.orientation, boxface=bf)
-        )
+        if patch is not None:
+            mapping = patch.compose(mapping)
+        out.append(FacePatch(label, chart, bf.param_box, mapping, bf.sign, boxface=bf))
     return out
 
 
-def face_boundary_pieces(face: FacePatch) -> List[Tuple[BoxFace, "FacePatch"]]:
-    """Oriented boundary facets of a face, in the face's own parameter box."""
+def boundary_faces(body: Body) -> List[FacePatch]:
+    """The 2n oriented facets whose signed sum realizes the Stokes boundary."""
+    return _facets(body.box, body.chart, body.patch)
+
+
+def face_boundary_pieces(face: FacePatch) -> List[FacePatch]:
+    """Oriented boundary facets of a face, in the face's own parameter box;
+    each piece's ``boxface`` is the facet of that box it covers."""
     if face.param_box is None:
         raise ValueError("0-dimensional faces have no boundary")
-    pieces = []
-    for bf in box_faces(face.param_box):
-        if face.param_box.dim == 1:
-            piece = FacePatch(
-                f"{face.label}/{face_label(bf.axis, bf.side)}", face.chart,
-                None, None, bf.sign, boxface=bf, point=bf.point(),
-            )
-        else:
-            piece = FacePatch(
-                f"{face.label}/{face_label(bf.axis, bf.side)}", face.chart,
-                bf.param_box, bf.insertion(), bf.sign, boxface=bf,
-            )
-        pieces.append((bf, piece))
-    return pieces
+    return _facets(face.param_box, face.chart, None, face.label + "/")
 
 
 class _Renaming(dict):
@@ -691,17 +676,13 @@ class Insertion(SmoothField):
 # -- integration --------------------------------------------------------------
 
 
-def integrate(form: FormField, box: Box, rule: QuadratureRule, sign: float = 1.0) -> float:
-    """Gauss-Legendre integral of a top-degree form over a parameter box."""
-    return integrate_each([form], box, rule, sign)[0]
-
-
-def integrate_each(
+def integrate(
     forms: Sequence[FormField], box: Box, rule: QuadratureRule, sign: float = 1.0
 ) -> List[float]:
-    """The integral of each top-degree form over one parameter box, from one
-    pass over the nodes, so the forms share the sub-fields they read (see
-    :func:`jetstress.fields.on_nodes`).  Each integral is summed on its own."""
+    """The integral of each top-degree form over one parameter box, times
+    ``sign``, from one pass over the nodes, so the forms share the sub-fields
+    they read (see :func:`jetstress.fields.on_nodes`).  Each integral is
+    summed on its own, in node order."""
     _check_top_degree(forms, box)
     full = tuple(range(box.dim))
     nodes, weights = rule.nodes_weights(box)
@@ -711,6 +692,25 @@ def integrate_each(
     )
     weights = weights.tolist()
     return [sign * _weighted_sum(weights, column) for column in values.T.tolist()]
+
+
+def integrate_over(
+    forms: Sequence[FormField], region: Union[Body, FacePatch], rule: QuadratureRule
+) -> List[float]:
+    """The integral of each chart form over a body (volume forms) or a face
+    ((n-1)-forms): each is pulled back through the region's map, the body's
+    patch if it has one or the face's ``to_chart``, and all are integrated
+    over its parameter box in one pass (see :func:`integrate`), times the
+    face's sign.  A point face, of a 1-dim body, gives each 0-form's value
+    at its point times its sign."""
+    if isinstance(region, Body):
+        if region.patch is not None:
+            forms = [form.pullback(region.patch) for form in forms]
+        return integrate(forms, region.box, rule)
+    if region.param_box is None:
+        return [region.sign * form.value_at(region.point).coefficient(()) for form in forms]
+    forms = [form.pullback(region.to_chart) for form in forms]
+    return integrate(forms, region.param_box, rule, region.sign)
 
 
 def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
@@ -732,39 +732,35 @@ def _weighted_sum(weights: List[float], values: List[float]) -> float:
 
 
 def integrate_face(
-    forms: Sequence[FormField],
-    edge_form: FormField,
-    face: FacePatch,
-    pieces: Sequence[FacePatch],
-    rule: QuadratureRule,
+    forms: Sequence[FormField], edge_form: FormField, face: FacePatch, rule: QuadratureRule
 ) -> Tuple[List[float], List[float]]:
     """The integral of each top-degree form of the face over it, as
-    ``integrate_each(forms, face.param_box, rule, face.sign)``, and of the
-    face form ``edge_form``, one degree lower, over each of ``pieces``, the
-    boundary facets of the face's box (see :func:`face_boundary_pieces`), as
-    ``integrate_over_face(edge_form, piece, rule)`` each.
+    ``integrate(forms, face.param_box, rule, face.sign)``, and of the face
+    form ``edge_form``, one degree lower, over each piece of
+    :func:`face_boundary_pieces`, in its order, times the piece's sign.
 
     A piece pulls ``edge_form`` back through its insertion, whose minor on the
     piece's free tuple is the constant 1.0 and on every other tuple the zero
     series; so the pullback is the coefficient on the free tuple, with its
     bits.  Each piece reads that coefficient at its nodes written in face
-    coordinates, and sums it in node order times its sign.  The passes:
+    coordinates, one node when the piece is a point, and sums it in node
+    order.  The passes:
 
-    - A piece pinned at 0.0 takes a pass of its own (a one-point read when the
-      piece is a point): next to nodes where that coordinate is not zero it
-      would split the batch (see :class:`jetstress.taylor.BatchSplit`).
+    - A piece pinned at 0.0 takes a pass of its own: next to nodes where that
+      coordinate is not zero it would split the batch (see
+      :class:`jetstress.taylor.BatchSplit`).
     - On a box face (``face.to_chart`` an :class:`Insertion`) every other
       piece joins the pass over the face's nodes, after the pieces' nodes.
       That pass reads every form at every node of it, so the forms share the
       sub-fields they read (see :func:`jetstress.fields.on_nodes`).
-    - On a patched face the other pieces share one pass, or are read one
-      point at a time when they are points, and the face's nodes take a pass
-      of their own, last.  The pullback through the patch can cancel to
-      exactly 0 at nodes on the face's boundary only, which would split the
-      face's batch.
+    - On a patched face the other pieces share one pass, or take one each
+      when they are points, and the face's nodes take a pass of their own,
+      last.  The pullback through the patch can cancel to exactly 0 at nodes
+      on the face's boundary only, which would split the face's batch.
     """
     box = face.param_box
     _check_top_degree(forms, box)
+    pieces = face_boundary_pieces(face)
     join = isinstance(face.to_chart, Insertion)
     passes: List[List[Optional[int]]] = []  # piece indices; None stands for the face's nodes
     shared: List[Optional[int]] = []
@@ -784,9 +780,6 @@ def integrate_face(
     face_values: List[float] = []
     out = [0.0] * len(pieces)
     for group in passes:
-        if len(group) == 1 and group[0] is not None and pieces[group[0]].param_box is None:
-            out[group[0]] = integrate_over_face(edge_form, pieces[group[0]], rule)
-            continue
         nodes, weights = [], []
         for i in group:
             if i is None:
@@ -823,34 +816,3 @@ def integrate_face(
                      else _weighted_sum(part_weights.tolist(), read_values))
             out[i] = pieces[i].sign * value
     return face_values, out
-
-
-def integrate_each_over_body(
-    forms: Sequence[FormField], body: Body, rule: QuadratureRule
-) -> List[float]:
-    """Integrate chart volume forms over the body, each pulled back through its
-    patch, in one pass over the nodes (see :func:`integrate_each`)."""
-    if body.patch is not None:
-        forms = [form.pullback(body.patch) for form in forms]
-    return integrate_each(forms, body.box, rule)
-
-
-def integrate_over_body(form: FormField, body: Body, rule: QuadratureRule) -> float:
-    """Integrate a chart volume form over the body, pulled back through its patch."""
-    return integrate_each_over_body([form], body, rule)[0]
-
-
-def integrate_over_face(form_on_chart: FormField, face: FacePatch, rule: QuadratureRule) -> float:
-    """Restrict an (n-1)-form on the chart to a face and integrate it."""
-    if face.param_box is None:
-        # 0-dimensional face of a 1-dim body: signed evaluation of a 0-form.
-        return face.sign * form_on_chart.value_at(face.point).coefficient(())
-    restricted = form_on_chart.pullback(face.to_chart)
-    return integrate(restricted, face.param_box, rule, face.sign)
-
-
-def restrict_form(form: FormField, face: FacePatch) -> FormField:
-    """Pull a chart form back onto a face's parameters."""
-    if face.param_box is None:
-        raise ValueError("cannot restrict a form to a 0-dimensional patch")
-    return form.pullback(face.to_chart)

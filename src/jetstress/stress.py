@@ -23,8 +23,7 @@ from .geometry import (
     QuadratureRule,
     boundary_faces,
     integrate,  # noqa: F401  (perfbench/tests check that tracing rebinds it here)
-    integrate_each_over_body,
-    integrate_over_face,
+    integrate_over,
 )
 from .reports import CheckRecord, relative_residual
 
@@ -187,16 +186,13 @@ def verify_balance_order1(
     n = stress.dim
     if body.dim != n:
         raise ValueError("body dimension does not match the stress")
-    lhs, interior = integrate_each_over_body(
+    lhs, interior = integrate_over(
         [action_form(stress, velocity), pairing_volume_form(body_force(stress).b, velocity)],
         body, rule,
     )
 
-    sigma = traction_projection(stress)
-    sigma_w = traction_action(sigma, velocity)
-    boundary = sum(
-        integrate_over_face(sigma_w, face, rule) for face in boundary_faces(body)
-    )
+    sigma_w = traction_action(traction_projection(stress), velocity)
+    boundary = sum(integrate_over([sigma_w], face, rule)[0] for face in boundary_faces(body))
 
     residual = abs(lhs - interior - boundary)
     return CheckRecord(

@@ -34,6 +34,7 @@ __all__ = [
     "vertical_projection",
     "is_tangent",
     "transversal_decomposition",
+    "FaceSplit",
     "face_split",
     "tangent_traction",
     "surface_divergence",
@@ -333,38 +334,42 @@ def transversal_decomposition(
     return TensorField(tangent, (d, q)), TensorField(normal, (d,))
 
 
-FaceSplit = Tuple[RestrictedSurfaceStress, TensorField, TensorField]
+@dataclass(frozen=True)
+class FaceSplit:
+    """The fields of one face that :func:`tangent_traction` and
+    :func:`surface_divergence` read, built once by :func:`face_split`."""
+
+    restricted: RestrictedSurfaceStress
+    tangent: TensorField  # (d, n-1): the tangent part in the face frame
+    normal: TensorField  # (d,): the transversal coefficient
+    transversal: TransversalField
+    velocity: TensorField  # the chart velocity composed onto the face
+    gradient: TensorField  # its chart gradient composed onto the face
 
 
 def face_split(
-    surface_stress: HyperSurfaceStress, face: FacePatch, transversal: TransversalField
-) -> FaceSplit:
-    """``restrict_Y`` on the face, then both parts of its
-    ``transversal_decomposition``: the fields that :func:`tangent_traction`
-    and :func:`surface_divergence` read, built once to pass to both."""
-    restricted = restrict_Y(surface_stress, face)
-    return (restricted,) + transversal_decomposition(restricted, transversal)
-
-
-def tangent_traction(
     surface_stress: HyperSurfaceStress,
     face: FacePatch,
     transversal: TransversalField,
-    *,
-    split: Optional[FaceSplit] = None,
-) -> TractionStress:
+    velocity: TensorField,
+) -> FaceSplit:
+    """``restrict_Y`` on the face, both parts of its
+    ``transversal_decomposition`` along ``transversal``, and the chart
+    velocity and its gradient composed onto the face."""
+    restricted = restrict_Y(surface_stress, face)
+    tangent, normal = transversal_decomposition(restricted, transversal)
+    return FaceSplit(restricted, tangent, normal, transversal,
+                     face_velocity(velocity, face), face_velocity(velocity.gradient(), face))
+
+
+def tangent_traction(split: FaceSplit) -> TractionStress:
     """Edge-density traction on the face: contract the tangent part in-face.
 
     The result is a traction stress over the face parameters whose action on
     a velocity is an (n-2)-form; restricting it to the face boundary gives
-    the edge force.  ``split`` is :func:`face_split` of the same arguments,
-    when the caller has built it.
+    the edge force.
     """
-    n = surface_stress.dim
-    if n < 2:
-        raise ValueError("tangent traction needs chart dimension >= 2")
-    _, tangent, _ = split or face_split(surface_stress, face, transversal)
-    return TractionStress(tangent.signed(1))
+    return TractionStress(split.tangent.signed(1))
 
 
 def face_velocity(velocity: TensorField, face: FacePatch) -> TensorField:
@@ -372,32 +377,20 @@ def face_velocity(velocity: TensorField, face: FacePatch) -> TensorField:
     return velocity.compose(face.to_chart)
 
 
-def surface_divergence(
-    surface_stress: HyperSurfaceStress,
-    face: FacePatch,
-    transversal: TransversalField,
-    velocity: TensorField,
-    *,
-    split: Optional[FaceSplit] = None,
-    u_face: Optional[TensorField] = None,
-) -> FormField:
+def surface_divergence(split: FaceSplit) -> FormField:
     """Face divergence paired with the full velocity jet.
 
     Local form: divergence of the tangent part against the velocity, minus
     the value slot, minus the transversal coefficient times the transversal
     derivative of the velocity.  Defined so that integration by parts on the
-    face closes against the tangent traction.  ``split`` is
-    :func:`face_split` and ``u_face`` is :func:`face_velocity` of the same
-    arguments, when the caller has built them.
+    face closes against the tangent traction.
     """
-    restricted, tangent, normal_coeff = split or face_split(surface_stress, face, transversal)
-    u = face_velocity(velocity, face) if u_face is None else u_face
-    du = face_velocity(velocity.gradient(), face)
-    transversal_du = pair([(du.signed(None, (1, 0)), transversal.n_field)])
+    u = split.velocity
+    transversal_du = pair([(split.gradient.signed(None, (1, 0)), split.transversal.n_field)])
     density = pair([
-        (tangent.divergence(), u),
-        (restricted.z0.scale(-1.0), u),
-        (normal_coeff.scale(-1.0), transversal_du),
+        (split.tangent.divergence(), u),
+        (split.restricted.z0.scale(-1.0), u),
+        (split.normal.scale(-1.0), transversal_du),
     ])
     return FormField.volume(density.field)
 

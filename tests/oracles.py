@@ -386,7 +386,8 @@ def edge_assembly_by_piece(
         _, tangent, _ = split()
         tau_u = traction_action(TractionStress(tangent.signed(1)), face_velocity(velocity, face))
         face_axes = [a for a in range(n) if a != face.boxface.axis]
-        for piece_boxface, piece in face_boundary_pieces(face):
+        for piece in face_boundary_pieces(face):
+            piece_boxface = piece.boxface
             if piece.param_box is None:
                 value = piece.sign * tau_u.value_at(piece.point).coefficient(())
             else:

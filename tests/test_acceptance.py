@@ -262,7 +262,7 @@ def test_criterion_07_full_identity_and_disk():
     circle = SmoothField.from_expressions(
         1, ["0.5 + 0.3*cos(2*pi*x1)", "0.5 + 0.3*sin(2*pi*x1)"]
     )
-    face = FacePatch("circle", chart, Box((0.0,), (1.0,)), circle, 1.0, closed=True)
+    face = FacePatch("circle", chart, Box((0.0,), (1.0,)), circle, 1.0)
     radial = TensorField(SmoothField.from_expressions(2, ["x1 - 0.5", "x2 - 0.5"]), (2,))
     transversal = TransversalField.from_ambient_field(face, radial)
     stress_d = random_nh_stress(rng, 2, 1, 2)
@@ -288,7 +288,7 @@ def test_criterion_08_representation_invariance():
     reports = {}
     for split in (0.0, 0.5, 1.0):
         lifted = lift_second_order(s2, split)
-        values[split] = integrate(nh_action_form(lifted, section), body.box, rule)
+        values[split] = integrate([nh_action_form(lifted, section)], body.box, rule)[0]
         reports[split] = verify_balance_order2(lifted, velocity, body, None, rule)
     gap = max(abs(values[0.0] - values[0.5]), abs(values[0.0] - values[1.0]))
     assert gap <= 1e-13

@@ -16,6 +16,7 @@ from jetstress.geometry import (
     Box,
     Chart,
     FacePatch,
+    FormField,
     QuadratureRule,
     boundary_faces,
     face_boundary_pieces,
@@ -79,6 +80,11 @@ def random_velocity(rng, n, d, degree):
 
 def unit_body(n):
     return Body(Chart(n, Box.unit(n)), Box.unit(n))
+
+
+def zero_form(n):
+    """The zero (n-1)-form on the chart, for the boundary form of ``edge_assembly``."""
+    return FormField.omitting(SmoothField.constant(n, [0.0] * n))
 
 
 def test_first_ibp_constant_stress():
@@ -193,7 +199,7 @@ def test_edge_assembly_square_against_face_stokes():
     rng = random.Random(47)
     rule = QuadratureRule(6)
     body = unit_body(2)
-    from jetstress.geometry import integrate_over_face
+    from jetstress.geometry import integrate_over
     from jetstress.nonholonomic import hyper_surface_action
 
     for _ in range(5):
@@ -201,10 +207,10 @@ def test_edge_assembly_square_against_face_stokes():
         u = random_velocity(rng, 2, 1, 2)
         Y = nh_traction(stress)
         section = JetSectionField.from_velocity(u)
-        edge_terms, face_terms = edge_assembly(Y, u, body, None, rule)
+        pairing = hyper_surface_action(Y, section)
+        edge_terms, face_terms, _ = edge_assembly(Y, u, body, None, rule, boundary_form=pairing)
         boundary_pairing = sum(
-            integrate_over_face(hyper_surface_action(Y, section), f, rule)
-            for f in boundary_faces(body)
+            integrate_over([pairing], f, rule)[0] for f in boundary_faces(body)
         )
         total = sum(edge_terms.values()) - sum(face_terms.values())
         assert abs(boundary_pairing - total) < 1e-10
@@ -218,11 +224,11 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
     from jetstress.geometry import (
         boundary_faces as faces_of,
         face_boundary_pieces,
-        integrate_over_face,
+        integrate_over,
     )
     from oracles import edges as edges_of
     from jetstress.stress import traction_action
-    from jetstress.surface import TransversalField, face_velocity, tangent_traction
+    from jetstress.surface import TransversalField, face_split, tangent_traction
 
     for n in (2, 3):
         body = unit_body(n)
@@ -230,7 +236,7 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
         u = random_velocity(rng, n, 1, 2)
         Y = nh_traction(stress)
         rule = QuadratureRule(6)
-        edge_terms, _ = edge_assembly(Y, u, body, None, rule)
+        edge_terms, _, _ = edge_assembly(Y, u, body, None, rule, boundary_form=zero_form(n))
 
         faces = {f.label: f for f in faces_of(body)}
         recomputed = {}
@@ -238,19 +244,19 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
             total = 0.0
             for label in edge.labels:
                 face = faces[label]
-                tau = tangent_traction(Y, face, TransversalField.coordinate(face))
-                tau_u = traction_action(tau, face_velocity(u, face))
+                split = face_split(Y, face, TransversalField.coordinate(face), u)
+                tau_u = traction_action(tangent_traction(split), split.velocity)
                 # Locate this edge among the face's boundary pieces.
                 other = edge.labels[0] if edge.labels[1] == label else edge.labels[1]
                 axis = int(other.split("-")[0][1:]) - 1
                 side = 1 if other.endswith("upper") else 0
                 face_axes = [a for a in range(n) if a != face.boxface.axis]
                 p = face_axes.index(axis)
-                for piece_bf, piece in face_boundary_pieces(face):
-                    if piece_bf.axis == p and piece_bf.side == side:
-                        # integrate_over_face applies the piece sign;
+                for piece in face_boundary_pieces(face):
+                    if piece.boxface.axis == p and piece.boxface.side == side:
+                        # integrate_over applies the piece sign;
                         # divide it out and use the edges() record instead.
-                        raw = integrate_over_face(tau_u, piece, rule) / piece.sign
+                        raw = integrate_over([tau_u], piece, rule)[0] / piece.sign
                         total += edge.face_signs[label] * raw
             key = "|".join(sorted(edge.labels))
             recomputed[key] = total
@@ -268,7 +274,8 @@ def test_edge_assembly_zero_stress():
         tensor_const(2, (1, 2, 2), np.zeros((1, 2, 2))),
     )
     u = tensor_const(2, (1,), [1.0])
-    edge_terms, face_terms = edge_assembly(nh_traction(zero), u, body, None, QuadratureRule(3))
+    edge_terms, face_terms, _ = edge_assembly(
+        nh_traction(zero), u, body, None, QuadratureRule(3), boundary_form=zero_form(2))
     assert all(abs(v) < 1e-15 for v in edge_terms.values())
     assert all(abs(v) < 1e-15 for v in face_terms.values())
 
@@ -356,7 +363,7 @@ def test_lhs_invariant_under_lift_split():
     values = []
     for split in (0.0, 0.5, 1.0):
         lifted = lift_second_order(s2, split)
-        values.append(integrate(nh_action_form(lifted, section), body.box, rule))
+        values.append(integrate([nh_action_form(lifted, section)], body.box, rule)[0])
     assert abs(values[0] - values[1]) < 1e-13
     assert abs(values[1] - values[2]) < 1e-13
     # The full identity holds for every split, with identical lhs.
@@ -423,7 +430,7 @@ def test_closed_boundary_circle_exact_term():
             "0.5 + 0.3*sin(2*pi*x1)",
         ],
     )
-    face = FacePatch("circle", chart, Box((0.0,), (1.0,)), circle, 1.0, closed=True)
+    face = FacePatch("circle", chart, Box((0.0,), (1.0,)), circle, 1.0)
     radial = TensorField(
         SmoothField.from_expressions(2, ["x1 - 0.5", "x2 - 0.5"]), (2,)
     )
@@ -464,7 +471,7 @@ def test_balance2_reads_each_point_set_in_one_pass(monkeypatch, lower):
     for face in boundary_faces(body):
         box = face.param_box
         pinned_at_zero = sum(piece.boxface.fixed_value == 0.0
-                             for _, piece in face_boundary_pieces(face))
+                             for piece in face_boundary_pieces(face))
         mine = face_level[:1 + pinned_at_zero]
         del face_level[:1 + pinned_at_zero]
         on_boundary = [np.isin(p, box.lower + box.upper).any(axis=1) for p in mine]

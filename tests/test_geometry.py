@@ -11,19 +11,20 @@ from jetstress.geometry import (
     Body,
     Box,
     Chart,
+    FormField,
     FormValue,
     QuadratureRule,
     boundary_faces,
     face_boundary_pieces,
     increasing_tuples,
     integrate,
-    integrate_over_face,
+    integrate_over,
     interior_product,
     pullback_form_value,
-    restrict_form,
 )
 
-from oracles import edges, form_from_components
+from oracles import _integral, edges, form_from_components
+
 
 def unit_chart(n):
     return Chart(n, Box.unit(n))
@@ -74,11 +75,11 @@ def test_double_interior_product_antisymmetry():
 
 def test_integrate_constant_and_linear():
     vol = constant_form_field(2, 2, {(0, 1): 1.0})
-    assert integrate(vol, Box.unit(2), QuadratureRule(4)) == pytest.approx(1.0)
+    assert integrate([vol], Box.unit(2), QuadratureRule(4))[0] == pytest.approx(1.0)
     linear = form_from_components(
         2, 2, {(0, 1): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
     )
-    assert integrate(linear, Box.unit(2), QuadratureRule(4)) == pytest.approx(0.5)
+    assert integrate([linear], Box.unit(2), QuadratureRule(4))[0] == pytest.approx(0.5)
 
 
 def test_gauss_exactness_vs_antiderivative():
@@ -91,12 +92,12 @@ def test_gauss_exactness_vs_antiderivative():
         form = form_from_components(
             1, 1, {(0,): SmoothField.from_polynomials(1, [table])}
         )
-        value = integrate(form, Box((0.0,), (1.0,)), QuadratureRule(q))
+        value = integrate([form], Box((0.0,), (1.0,)), QuadratureRule(q))[0]
         exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
         assert abs(value - exact) < 1e-13
 
     with pytest.raises(ValueError):
-        integrate(constant_form_field(2, 1, {(0,): 1.0}), Box.unit(2), QuadratureRule(2))
+        integrate([constant_form_field(2, 1, {(0,): 1.0})], Box.unit(2), QuadratureRule(2))
 
 
 # -- pullback and restriction ---------------------------------------------------
@@ -118,20 +119,20 @@ def test_restrict_form_substitution():
         2, 1, {(1,): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
     )
     face = faces["x1-upper"]
-    restricted = restrict_form(omega, face)
+    restricted = omega.pullback(face.to_chart)
     val = restricted.value_at((0.3,))
     assert val.coefficient((0,)) == pytest.approx(1.0)
 
     # dx1 annihilates the tangents of that face.
     dx1 = constant_form_field(2, 1, {(0,): 1.0})
-    assert restrict_form(dx1, face).value_at((0.3,)).max_abs() == pytest.approx(0.0)
+    assert dx1.pullback(face.to_chart).value_at((0.3,)).max_abs() == pytest.approx(0.0)
 
 
 def test_restrict_identity_pullback_on_cube_face():
     body = unit_body(3)
     faces = {f.label: f for f in boundary_faces(body)}
     omega = constant_form_field(3, 2, {(1, 2): 1.0})  # dx2 ^ dx3
-    restricted = restrict_form(omega, faces["x1-upper"])
+    restricted = omega.pullback(faces["x1-upper"].to_chart)
     assert restricted.value_at((0.2, 0.7)).coefficient((0, 1)) == pytest.approx(1.0)
 
 
@@ -150,8 +151,8 @@ def test_restriction_commutes_with_exterior_derivative():
                 comps[t] = SmoothField.from_polynomials(n, [table or [((0,) * n, 0.0)]])
             omega = form_from_components(n, degree, comps)
             face = faces[rng.randrange(len(faces))]
-            lhs = restrict_form(omega, face).exterior_derivative()
-            rhs = restrict_form(omega.exterior_derivative(), face)
+            lhs = omega.pullback(face.to_chart).exterior_derivative()
+            rhs = omega.exterior_derivative().pullback(face.to_chart)
             for _ in range(5):
                 y = tuple(rng.uniform(0, 1) for _ in range(n - 1))
                 assert lhs.value_at(y).max_abs_diff(rhs.value_at(y)) < 1e-10
@@ -169,9 +170,9 @@ def test_square_faces_and_hand_stokes():
         2, 1, {(1,): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
-    boundary = sum(integrate_over_face(omega, f, rule) for f in faces)
+    boundary = sum(integrate_over([omega], f, rule)[0] for f in faces)
     assert boundary == pytest.approx(1.0, abs=1e-13)
-    interior = integrate(omega.exterior_derivative(), body.box, rule)
+    interior = integrate([omega.exterior_derivative()], body.box, rule)[0]
     assert interior == pytest.approx(1.0, abs=1e-13)
 
 
@@ -183,7 +184,7 @@ def test_cube_faces_and_hand_stokes():
         3, 2, {(1, 2): SmoothField.from_polynomials(3, [[((1, 0, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
-    boundary = sum(integrate_over_face(omega, f, rule) for f in faces)
+    boundary = sum(integrate_over([omega], f, rule)[0] for f in faces)
     assert boundary == pytest.approx(1.0, abs=1e-13)
 
 
@@ -191,7 +192,7 @@ def test_closed_constant_form_sums_to_zero():
     body = unit_body(2)
     omega = constant_form_field(2, 1, {(1,): 1.0})  # constant dx2 is closed
     rule = QuadratureRule(3)
-    total = sum(integrate_over_face(omega, f, rule) for f in boundary_faces(body))
+    total = sum(integrate_over([omega], f, rule)[0] for f in boundary_faces(body))
     assert abs(total) < 1e-14
 
 
@@ -211,8 +212,8 @@ def test_stokes_random_polynomial_forms():
                         table.append((exps, rng.uniform(-1, 1)))
                 comps[t] = SmoothField.from_polynomials(n, [table or [((0,) * n, 0.0)]])
             omega = form_from_components(n, n - 1, comps)
-            interior = integrate(omega.exterior_derivative(), body.box, rule)
-            boundary = sum(integrate_over_face(omega, f, rule) for f in faces)
+            interior = integrate([omega.exterior_derivative()], body.box, rule)[0]
+            boundary = sum(integrate_over([omega], f, rule)[0] for f in faces)
             scale = max(1.0, abs(interior), abs(boundary))
             assert abs(interior - boundary) / scale < 1e-10
             count += 1
@@ -231,9 +232,58 @@ def test_stokes_on_patched_body():
     )
     rule = QuadratureRule(8)
     domega = omega.exterior_derivative().pullback(body.chart_map())
-    interior = integrate(domega, body.box, rule)
-    boundary = sum(integrate_over_face(omega, f, rule) for f in boundary_faces(body))
+    interior = integrate([domega], body.box, rule)[0]
+    boundary = sum(integrate_over([omega], f, rule)[0] for f in boundary_faces(body))
     assert abs(interior - boundary) < 1e-12
+
+
+# -- integrate_over ------------------------------------------------------------------
+
+# Two forms per region, so one pass serves both; analytic coefficients, so the
+# sums carry bits a slip in the pullback, the box or the sign would change.
+PATCH_2D = ["x1 + 0.2*x2^2", "x2 - 0.1*x1^2"]
+
+
+def _region_forms(kind):
+    if kind in ("box body", "patched body"):
+        body = Body(unit_chart(2), Box((0.0, 0.5), (1.0, 1.5)),
+                    SmoothField.from_expressions(2, PATCH_2D) if kind == "patched body" else None)
+        forms = [FormField.volume(SmoothField.from_expressions(2, [text]))
+                 for text in ("sin(x1 + 0.3*x2)*x2^2 + 0.5", "exp(0.4*x2 - x1)*x1")]
+        return body, forms
+    if kind == "point face":
+        body = Body(Chart(1, Box((-1.0,), (3.0,))), Box.unit(1),
+                    SmoothField.from_expressions(1, ["x1 + 0.5*x1^2 + 0.25"]))
+        forms = [FormField(1, 0, [()], SmoothField.from_expressions(1, [text]))
+                 for text in ("sin(x1) + 0.5", "exp(-x1)*x1")]
+        return boundary_faces(body)[0], forms
+    patch = SmoothField.from_expressions(3, ["x1 + 0.1*x3^2", "x2", "x3 - 0.2*x1*x2"])
+    body = Body(unit_chart(3), Box.unit(3), patch if kind == "patched face" else None)
+    forms = [FormField.omitting(SmoothField.from_expressions(3, texts)) for texts in (
+        ["sin(x1 + x2)", "x3^2 + 0.5", "exp(0.3*x1)*x2"],
+        ["x1*x2*x3", "cos(x2) - x3", "sqrt(1 + x1^2)"],
+    )]
+    return boundary_faces(body)[3], forms
+
+
+@pytest.mark.parametrize(
+    "kind", ["box body", "patched body", "box face", "patched face", "point face"])
+def test_integrate_over_is_the_explicit_route(kind):
+    # The explicit route: pull each form back through the region's map, make
+    # one pass over the parameter box for it alone, and multiply by the sign.
+    region, forms = _region_forms(kind)
+    rule = QuadratureRule(5)
+    if kind == "point face":
+        want = [region.sign * form.value_at(region.point).coefficient(()) for form in forms]
+    elif isinstance(region, Body):
+        mapping = region.patch or SmoothField.coordinates(2)
+        want = [_integral(form.pullback(mapping), region.box, rule, 1.0) for form in forms]
+    else:
+        want = [_integral(form.pullback(region.to_chart), region.param_box, rule, region.sign)
+                for form in forms]
+    got = integrate_over(forms, region, rule)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert all(v != 0.0 for v in got)
 
 
 # -- edges -------------------------------------------------------------------
@@ -267,10 +317,10 @@ def test_edge_signs_cancel_global_forms():
         eta = form_from_components(
             3, 1, {(t,): field for t in range(1)}  # x-component 1-form
         )
-        restricted = restrict_form(eta, face)
-        for bf, piece in face_boundary_pieces(face):
+        restricted = eta.pullback(face.to_chart)
+        for piece in face_boundary_pieces(face):
             pulled = restricted.pullback(piece.to_chart)
-            total += face.sign * integrate(pulled, piece.param_box, rule, piece.sign)
+            total += face.sign * integrate([pulled], piece.param_box, rule, piece.sign)[0]
     assert abs(total) < 1e-12
 
 

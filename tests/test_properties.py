@@ -17,7 +17,7 @@ from jetstress.geometry import (
     boundary_faces,
     increasing_tuples,
     integrate,
-    integrate_over_face,
+    integrate_over,
 )
 from jetstress.stress import (
     VariationalStress1,
@@ -163,7 +163,7 @@ def test_stokes_with_nonunit_boxes():
         }
         omega = form_from_components(2, 1, comps)
         rule = QuadratureRule(6)
-        interior = integrate(omega.exterior_derivative(), body.box, rule)
-        boundary = sum(integrate_over_face(omega, f, rule) for f in boundary_faces(body))
+        interior = integrate([omega.exterior_derivative()], body.box, rule)[0]
+        boundary = sum(integrate_over([omega], f, rule)[0] for f in boundary_faces(body))
         scale = max(1.0, abs(interior))
         assert abs(interior - boundary) / scale < 1e-12

@@ -365,6 +365,52 @@ def test_cauchy_on_a_patched_body_is_rejected_at_load(tmp_path):
         load_scenario(path.read_text())
 
 
+def _interval(tmp_path, check):
+    """A document on the unit interval, n = 1, with every block ``check`` reads."""
+    doc = {
+        "schema": "jetstress-scenario/1",
+        "name": "interval",
+        "bundle": {"n": 1, "d": 1},
+        "geometry": {"chart_box": [[0.0, 1.0]], "body_box": [[0.0, 1.0]], "quad_order": 4},
+        "stress": {
+            "order1": {"s0": ["x1^2"], "s1": [["1 + x1"]]},
+            "raw": {"x0": ["x1"], "x1": [["1"]], "x2": [["x1"]], "x3": [[["0.5"]]]},
+        },
+        "velocity": {"u": ["x1^3 + 1"]},
+        "checks": [check],
+        "tolerances": {},
+    }
+    path = tmp_path / "interval.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("check", ["balance2", "cauchy", "second-contraction"])
+def test_a_check_that_needs_a_plane_rejects_an_interval_at_load(
+    tmp_path, capsys, monkeypatch, check
+):
+    ran = []
+    monkeypatch.setitem(scenarios._CHECKS, check, dataclasses.replace(
+        scenarios._CHECKS[check], run=lambda scenario: ran.append(check)))
+    report = tmp_path / "r.jsonl"
+    argv = ["run", "--scenario", str(_interval(tmp_path, check)), "--report", str(report)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: checks.{check}: needs a chart dimension n >= 2\n"
+    assert not report.exists()
+    assert ran == []
+
+
+def test_balance1_runs_on_an_interval(tmp_path):
+    # The boundary of [0, 1] is two point faces: sigma u = (1 + x1)(x1^3 + 1)
+    # is 1 at x1 = 0 and 4 at x1 = 1, so the boundary power is 4 - 1.
+    report = tmp_path / "r.jsonl"
+    argv = ["run", "--scenario", str(_interval(tmp_path, "balance1")), "--report", str(report)]
+    assert main(argv) == 0
+    record = json.loads(report.read_text().splitlines()[0])
+    assert record["check"] == "balance1" and record["pass"]
+    assert record["terms"]["boundary"] == 3.0
+
+
 def _order2_square_with_transversal(spec):
     doc = json.loads((SCENARIOS / "cube-order2.json").read_text())
     doc["bundle"] = {"n": 2, "d": 1}

@@ -20,6 +20,7 @@ from jetstress.stress import traction_action, verify_balance_order1
 from jetstress.surface import (
     RestrictedSurfaceStress,
     TransversalField,
+    face_split,
     face_velocity,
     is_tangent,
     restrict_Y,
@@ -274,7 +275,7 @@ def test_tangent_traction_signs_and_n2():
     y1[0, 0, 2] = 1.0  # tangent component along the first face axis
     Y = HyperSurfaceStress(tensor_const(n, (d, n), np.zeros((1, 3))), tensor_const(n, (d, n, n), y1))
     tv = TransversalField.coordinate(face)
-    tau = tangent_traction(Y, face, tv)
+    tau = tangent_traction(face_split(Y, face, tv, tensor_const(n, (d,), [0.0])))
     sig = tau.sigma.at((0.5, 0.5))
     assert sig[0, 0] == pytest.approx(1.0)  # sign (+) on the first slot
     assert sig[0, 1] == pytest.approx(0.0)
@@ -287,7 +288,8 @@ def test_tangent_traction_signs_and_n2():
     Y2 = HyperSurfaceStress(
         tensor_const(2, (1, 2), np.zeros((1, 2))), tensor_const(2, (1, 2, 2), y1b)
     )
-    tau2 = tangent_traction(Y2, face2, TransversalField.coordinate(face2))
+    tau2 = tangent_traction(face_split(
+        Y2, face2, TransversalField.coordinate(face2), tensor_const(2, (1,), [0.0])))
     assert tau2.sigma.at((0.5,))[0, 0] == pytest.approx(2.5)
 
 
@@ -306,10 +308,10 @@ def test_surface_divergence_constant_case():
     )
     tv = TransversalField.coordinate(face)
     u = tensor_poly(2, (1,), [[((1, 0), 1.0)]])  # depends only on x1
-    div_form = surface_divergence(Y, face, tv, u)
+    div_form = surface_divergence(face_split(Y, face, tv, u))
     assert div_form.value_at((0.4,)).coefficient((0,)) == pytest.approx(0.0)
     u_zero = tensor_const(2, (1,), [0.0])
-    assert surface_divergence(Y, face, tv, u_zero).value_at((0.4,)).max_abs() == 0.0
+    assert surface_divergence(face_split(Y, face, tv, u_zero)).value_at((0.4,)).max_abs() == 0.0
 
 
 def test_surface_divergence_defining_relation():
@@ -324,12 +326,13 @@ def test_surface_divergence_defining_relation():
         u = tensor_poly(n, (d,), [random_poly_table(rng, n, 3)])
         for face in faces[:3]:
             tv = TransversalField.coordinate(face)
-            tau = tangent_traction(Y, face, tv)
+            split = face_split(Y, face, tv, u)
+            tau = tangent_traction(split)
             u_face = face_velocity(u, face)
             tau_u = traction_action(tau, u_face)
             restricted = restrict_Y(Y, face)
             pairing = face_jet_pairing(restricted, u)
-            local = surface_divergence(Y, face, tv, u)
+            local = surface_divergence(split)
             vol = tuple(range(n - 1))
             if n == 2:
                 # 0-form: d(tau(u)) has a single derivative coefficient.
@@ -362,12 +365,13 @@ def test_surface_divergence_with_varying_oblique_transversal():
     stress = random_nh_stress(rng, n, d, 2)
     Y = nh_traction(stress)
     u = tensor_poly(n, (d,), [random_poly_table(rng, n, 2)])
-    tau = tangent_traction(Y, face, tv)
+    split = face_split(Y, face, tv, u)
+    tau = tangent_traction(split)
     u_face = face_velocity(u, face)
     tau_u = traction_action(tau, u_face)
     restricted = restrict_Y(Y, face)
     pairing = face_jet_pairing(restricted, u)
-    local = surface_divergence(Y, face, tv, u)
+    local = surface_divergence(split)
     for _ in range(8):
         y = (rng.uniform(0, 1),)
         lhs = tau_u.exterior_derivative().value_at(y).coefficient((0,)) - pairing.value_at(

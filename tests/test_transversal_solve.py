@@ -20,8 +20,9 @@ from jetstress import fields, surface, taylor
 from jetstress.balance import edge_assembly
 from jetstress.cli import main
 from jetstress.geometry import QuadratureRule
-from jetstress.nonholonomic import nh_traction
+from jetstress.nonholonomic import nh_divergence, nh_traction
 from jetstress.scenarios import load_scenario
+from jetstress.stress import traction_action, traction_projection
 from jetstress.surface import _solve_linear_series
 from jetstress.taylor import BatchSplit, TruncatedSeries
 
@@ -250,8 +251,10 @@ def test_curved_faces_stay_in_one_batch(monkeypatch):
     scenario = load_scenario(curved_cube(10))
     counts = count_regroupings(monkeypatch)
     raised = record_splits(monkeypatch)
-    edge_assembly(nh_traction(scenario.nh_stress), scenario.velocity, scenario.body,
-                  scenario.transversals, QuadratureRule(10))
+    stress, velocity = scenario.nh_stress, scenario.velocity
+    edge_assembly(nh_traction(stress), velocity, scenario.body, scenario.transversals,
+                  QuadratureRule(10), boundary_form=traction_action(
+                      traction_projection(nh_divergence(stress)), velocity))
     assert raised == []
     assert counts["groups"] == 0 and counts["batches"] > 0
 
