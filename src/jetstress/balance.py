@@ -136,9 +136,8 @@ def edge_assembly(
     per-edge sums are exactly the interactions two adjacent faces share.  A
     face's transversal is ``transversals[face.label]``, or its coordinate
     transversal.  Each face's fields are built once (see
-    :func:`jetstress.surface.face_split`), and on a box face one pass reads
-    the face's nodes and its edge pieces' (see
-    :func:`jetstress.geometry.integrate_face`).
+    :func:`jetstress.surface.face_split`), and one pass reads the face's
+    nodes and its edge pieces' (see :func:`jetstress.geometry.integrate_face`).
     """
     n = body.dim
     edge_terms: Dict[str, float] = {}

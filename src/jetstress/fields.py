@@ -136,10 +136,14 @@ def on_nodes(
     ``fn`` takes a point (floats, or arrays over a batch) and returns a float,
     or one value per node of the batch; with ``width``, it returns a sequence
     of ``width`` such values, and the result has one row of them per node.
-    The nodes go in batches of at most ``BATCH``, and each batch's values are
-    those of one-node evaluation:
-    - a batch that raises :class:`BatchSplit` is evaluated again in groups of
-      like nodes, a group of one as plain floats;
+    The nodes go in batches of at most ``BATCH``, and each node's values have
+    the bits of its one-node evaluation, signed zeros included, whichever
+    nodes share its batch: a series holds the same keys at one node as over
+    a batch (see :mod:`jetstress.taylor`).  Two things evaluate a batch
+    again:
+    - a batch that raises :class:`BatchSplit` (its nodes pick different
+      pivots) is evaluated again in groups of like nodes, a group of one as
+      plain floats;
     - a batch that raises ``ValueError`` or ``ArithmeticError`` is evaluated
       again node by node in order, so the first failing node raises its own
       error.
@@ -327,7 +331,7 @@ class SmoothField:
         def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
             inner_series = inner.series_on(point, order)
             center = tuple(s.value for s in inner_series)
-            offsets = [s - s.value for s in inner_series]
+            offsets = [s.offset() for s in inner_series]
             outer_series = outer.series_on(center, order)
             return [s.compose(offsets) for s in outer_series]
 

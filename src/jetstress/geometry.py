@@ -238,15 +238,12 @@ class FormValue:
         return out
 
     def _fill(self, dim: int, degree: int, coeffs: Dict[IndexTuple, float]) -> None:
-        """Node arrays are kept, other values made floats; a zero float is dropped."""
+        """Node arrays are kept, other values made floats, zeros included."""
         self.dim = dim
         self.degree = degree
-        self.coeffs: Dict[IndexTuple, float] = {}
-        for key, val in coeffs.items():
-            if per_node(val):
-                self.coeffs[key] = val
-            elif val != 0.0:
-                self.coeffs[key] = float(val)
+        self.coeffs: Dict[IndexTuple, float] = {
+            key: val if per_node(val) else float(val) for key, val in coeffs.items()
+        }
 
     def coefficient(self, key: Sequence[int]) -> float:
         return self.coeffs.get(tuple(key), 0.0)
@@ -332,8 +329,7 @@ def pullback_form_value(form: FormValue, jacobian: np.ndarray) -> FormValue:
         for key_tgt, val in form.coeffs.items():
             sub = jacobian[np.ix_(key_tgt, key_src)]
             total += val * (np.linalg.det(sub) if degree else 1.0)
-        if total != 0.0:
-            out[key_src] = total
+        out[key_src] = total
     return FormValue(source_dim, degree, out)
 
 
@@ -362,7 +358,7 @@ def pullback_coefficients(
     def evaluator(point, order):
         mseries = mapping.series_on(point, order + 1)
         center = tuple(s.value for s in mseries)
-        offsets = [(s - s.value).truncate(order) for s in mseries]
+        offsets = [s.offset().truncate(order) for s in mseries]
         jac = [[m.partial(a) for a in range(src_dim)] for m in mseries]
         minors = [
             [series_det([[jac[i][a] for a in ks] for i in kt]) if ks else None
@@ -396,11 +392,12 @@ def _selected_coefficients(
     are the constant 1.0 on the image of a source tuple and the zero series
     elsewhere.  So the general route composes each coefficient into the keys
     whose pinned exponents are 0, renamed to the free axes in their order,
-    each value multiplied by 1.0 and added into an absent key, and takes the
-    group of the image tuple: that selection, with the general route's bits
-    and key order.  The coefficients are read at the insertion's value, from
-    its own series as in the general route, so a free coordinate that is 0.0
-    at some nodes of a batch splits it here as it does there.
+    and takes the group of the image tuple: that selection, in the general
+    route's key order.  There each value ``v`` is multiplied by 1.0 and added
+    into an absent key at least once, which gives ``0.0 + v``; the selection
+    computes ``0.0 + v`` too, so a -0.0 becomes 0.0 on both routes.  The
+    coefficients are read at the insertion's value, from its own series as in
+    the general route.
     """
     ntgt = len(target_tuples)
     groups = coeffs.ncomp // ntgt
@@ -423,7 +420,7 @@ def _selected_coefficients(
                 for key, val in s.coeffs.items():
                     new = rename[key]
                     if new is not None:
-                        kept[new] = val
+                        kept[new] = 0.0 + val
                 out.append(TruncatedSeries._trusted(src_dim, order, kept, s.batch))
         return out
 
@@ -547,24 +544,28 @@ class Body:
         return self.patch if self.patch is not None else SmoothField.coordinates(self.dim)
 
     def check_embedding(self, rule: QuadratureRule) -> float:
-        """Smallest |det| of the patch Jacobian over quadrature nodes (1.0 if no
-        patch); a NaN determinant is passed over, as ``min`` passes it over."""
+        """Smallest det of the patch Jacobian over quadrature nodes (1.0 if no
+        patch).  A det of magnitude 1e-12 or less is degenerate, and a negative
+        one reverses the orientation the body's terms are signed by; a NaN
+        determinant is passed over, as ``min`` passes it over."""
         if self.patch is None:
             return 1.0
         nodes, _ = rule.nodes_weights(self.box)
-        dets = on_nodes(self._abs_jacobian_det, nodes)
-        if np.any(dets <= 1e-12):
+        dets = on_nodes(self._jacobian_det, nodes)
+        if np.any(np.abs(dets) <= 1e-12):
             raise ValueError("body patch map is degenerate at a quadrature node")
+        if np.any(dets < 0.0):
+            raise ValueError("body patch map reverses orientation at a quadrature node")
         return float(np.fmin.reduce(dets, initial=np.inf))
 
-    def _abs_jacobian_det(self, point):
-        """|det| of the patch Jacobian at a point whose coordinates are floats or node arrays."""
+    def _jacobian_det(self, point):
+        """det of the patch Jacobian at a point whose coordinates are floats or node arrays."""
         n = self.dim
         units = [tuple(int(a == b) for b in range(n)) for a in range(n)]
         entries = [s.coefficient(unit) for s in self.patch.series_on(point, 1) for unit in units]
         flat = np.array(np.broadcast_arrays(*entries))  # (n*n,) or (n*n, nodes)
         jac = np.moveaxis(flat.reshape((n, n) + flat.shape[1:]), (0, 1), (-2, -1))
-        return np.abs(np.linalg.det(jac))
+        return np.linalg.det(jac)
 
 
 @dataclass(frozen=True)
@@ -742,77 +743,41 @@ def integrate_face(
     A piece pulls ``edge_form`` back through its insertion, whose minor on the
     piece's free tuple is the constant 1.0 and on every other tuple the zero
     series; so the pullback is the coefficient on the free tuple, with its
-    bits.  Each piece reads that coefficient at its nodes written in face
-    coordinates, one node when the piece is a point, and sums it in node
-    order.  The passes:
-
-    - A piece pinned at 0.0 takes a pass of its own: next to nodes where that
-      coordinate is not zero it would split the batch (see
-      :class:`jetstress.taylor.BatchSplit`).
-    - On a box face (``face.to_chart`` an :class:`Insertion`) every other
-      piece joins the pass over the face's nodes, after the pieces' nodes.
-      That pass reads every form at every node of it, so the forms share the
-      sub-fields they read (see :func:`jetstress.fields.on_nodes`).
-    - On a patched face the other pieces share one pass, or take one each
-      when they are points, and the face's nodes take a pass of their own,
-      last.  The pullback through the patch can cancel to exactly 0 at nodes
-      on the face's boundary only, which would split the face's batch.
+    bits.  One pass of :func:`jetstress.fields.on_nodes` reads every piece's
+    nodes, written in face coordinates (one node for an endpoint of a 1-dim
+    face), then the face's nodes, and reads every form and the coefficients
+    of ``edge_form`` at each, so they share the sub-fields they read.  Each
+    integral is summed in node order.
     """
     box = face.param_box
     _check_top_degree(forms, box)
     pieces = face_boundary_pieces(face)
-    join = isinstance(face.to_chart, Insertion)
-    passes: List[List[Optional[int]]] = []  # piece indices; None stands for the face's nodes
-    shared: List[Optional[int]] = []
-    for i, piece in enumerate(pieces):
-        if piece.boxface.fixed_value == 0.0 or (piece.param_box is None and not join):
-            passes.append([i])
+    parts = []  # (nodes, weights) of each piece, None weights for a point, then the face's
+    for piece in pieces:
+        if piece.param_box is None:
+            parts.append((np.array([piece.point]), None))
             continue
-        if not shared:
-            passes.append(shared)
-        shared.append(i)
-    if join and shared:
-        shared.append(None)
-    else:
-        passes.append([None])
+        nodes, weights = rule.nodes_weights(piece.param_box)
+        parts.append((np.insert(nodes, piece.boxface.axis, piece.boxface.fixed_value, axis=1),
+                      weights))
+    parts.append(rule.nodes_weights(box))
     full = tuple(range(box.dim))
-    columns = {key: c for c, key in enumerate(edge_form.tuples)}
-    face_values: List[float] = []
-    out = [0.0] * len(pieces)
-    for group in passes:
-        nodes, weights = [], []
-        for i in group:
-            if i is None:
-                part, part_weights = rule.nodes_weights(box)
-            elif pieces[i].param_box is None:
-                part, part_weights = np.array([pieces[i].point]), None
-            else:
-                bf = pieces[i].boxface
-                part, part_weights = rule.nodes_weights(pieces[i].param_box)
-                part = np.insert(part, bf.axis, bf.fixed_value, axis=1)
-            nodes.append(part)
-            weights.append(part_weights)
-        reads = forms if None in group else []
-        edge = 0 if group == [None] else len(edge_form.tuples)
-
-        def read(point):
-            values = [form.value_at(point).coefficient(full) for form in reads]
-            return values + edge_form.coeffs.values_on(point) if edge else values
-
-        values = on_nodes(read, np.concatenate(nodes), len(reads) + edge)
-        start = 0
-        for i, part, part_weights in zip(group, nodes, weights):
-            rows = values[start:start + len(part)]
-            start += len(part)
-            if i is None:
-                part_weights = part_weights.tolist()
-                face_values = [face.sign * _weighted_sum(part_weights, rows[:, c].tolist())
-                               for c in range(len(reads))]
-                continue
-            column = columns.get(tuple_omitting(edge_form.dim, pieces[i].boxface.axis))
-            read_values = ([0.0] * len(part) if column is None
-                           else rows[:, len(reads) + column].tolist())
-            value = (read_values[0] if part_weights is None
-                     else _weighted_sum(part_weights.tolist(), read_values))
-            out[i] = pieces[i].sign * value
+    values = on_nodes(
+        lambda point: [form.value_at(point).coefficient(full) for form in forms]
+        + edge_form.coeffs.values_on(point),
+        np.concatenate([nodes for nodes, _ in parts]), len(forms) + len(edge_form.tuples),
+    )
+    columns = {key: len(forms) + c for c, key in enumerate(edge_form.tuples)}
+    out = []
+    start = 0
+    for piece, (nodes, weights) in zip(pieces, parts):
+        rows = values[start:start + len(nodes)]
+        start += len(nodes)
+        column = columns.get(tuple_omitting(edge_form.dim, piece.boxface.axis))
+        read = [0.0] * len(nodes) if column is None else rows[:, column].tolist()
+        value = read[0] if weights is None else _weighted_sum(weights.tolist(), read)
+        out.append(piece.sign * value)
+    weights = parts[-1][1].tolist()
+    face_values = [face.sign * _weighted_sum(weights, values[start:, c].tolist())
+                   for c in range(len(forms))]
     return face_values, out

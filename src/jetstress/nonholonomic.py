@@ -194,8 +194,7 @@ def second_contraction(arr: np.ndarray) -> List[FormValue]:
                 # Basis form omits axes j < i.
                 key = tuple(a for a in range(n) if a not in (i, j))
                 val = ((-1.0) ** (i + j)) * (arr[alpha, i, j] - arr[alpha, j, i])
-                if val != 0.0:
-                    coeffs[key] = coeffs.get(key, 0.0) + val
+                coeffs[key] = coeffs.get(key, 0.0) + val
         out.append(FormValue(n, n - 2, coeffs))
     return out
 

@@ -53,12 +53,11 @@ def _solve_linear_series(
     node picks its own pivot; nodes that pick different rows are split into
     groups (:class:`BatchSplit`), and a vanishing pivot at any node is singular.
 
-    Step ``col`` updates only the live columns of ``m``, those after ``col``.
-    No later step reads an eliminated column: its entries are 1 or 0 up to
-    roundoff, and computing them would put that roundoff into the batch,
-    exactly zero at some nodes only, which splits the batch for nothing.
-    Every entry that is read gets the operations of a full-row update, so
-    each result keeps its bits.
+    Step ``col`` updates only the live columns of ``m``, those after ``col``:
+    no later step reads an eliminated column, whose entries are 1 or 0 up to
+    roundoff, so computing them would be wasted work.  Every entry that is
+    read gets the operations of a full-row update, so each result keeps its
+    bits.
     """
     size = len(matrix)
     m = [row[:] for row in matrix]

@@ -8,25 +8,26 @@ checks are limited only by quadrature error.
 
 A coefficient is a float, or a numpy array holding one value per node of a
 batch of expansion points.  A float is a batch of one, so one engine serves
-both.  Elementwise ``+``, ``-`` and ``*`` are the same IEEE operations on
-arrays as on floats, so each node of a batched result has the bits of the
-one-node result, provided the dict holds the same keys in the same order at
-every node.  Two things could break that, and both stop the batch with
-:class:`BatchSplit`: a coefficient that is exactly zero at some nodes but
-not at all (one-node arithmetic drops it, and a key dropped and re-added
-moves to the end of the dict), and a branch on values that differs across
-nodes.  Each node-array coefficient is tested for zeros with one
-``np.count_nonzero``.
+both.  Which keys a series holds, and in which order, depends on the
+computation alone, never on coefficient values: no operation drops a
+coefficient, an exact zero included.  So one computation builds the same
+dict at one node as over a batch, and as elementwise ``+``, ``-`` and ``*``
+are the same IEEE operations on arrays as on floats, each node of a batched
+result has the bits of the one-node result, signed zeros included
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).  A
+branch on values that differs across nodes would break that; the one the
+package takes, a pivot choice, stops the batch with :class:`BatchSplit`.
 
-At order 0 a series holds one number, the value of its function: the
-zero-order forward sweep of Taylor arithmetic (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., 2008).  There a product multiplies the
-two constant terms without walking product rows, and
+A shortcut that claims the bits of a general route performs that route's
+operations, ``0.0 + v`` included where the route adds into an absent key:
+it turns -0.0 into 0.0 (IEEE 754-2019, section 6.3), and reports carry the
+sign of a zero.  At order 0 a series holds one number, the value of its
+function: the zero-order forward sweep of Taylor arithmetic.  There a
+product multiplies the two constant terms without walking product rows, and
 :meth:`Coordinates.polynomial` computes a monomial table's value from the
 constant terms of its powers and wraps it once.  Both perform the IEEE
-operations of the general route on that number, in its order, and keep,
-drop or split on each result by the same zero test; with one key there is
-no key order to keep, so the bits are those of the general route.
+operations of the general route on that number, in its order, so the bits
+are those of the general route.
 
 The analytic primitives call ``math`` once per node and function, because
 numpy's transcendental ufuncs differ from ``math`` in the last bit on some
@@ -129,7 +130,8 @@ _PRODUCT_ROWS: Dict[int, Dict[Exponents, _ProductRow]] = {}
 
 
 class BatchSplit(Exception):
-    """A batch of nodes must be evaluated again in groups.
+    """A batch of nodes must be evaluated again in groups: its nodes take
+    different branches on their values (a Gauss-Jordan pivot).
 
     ``labels`` holds one entry per node of the batch; nodes with equal labels
     take the same path through the engine and can share a batch.  Not a
@@ -154,31 +156,6 @@ def _coefficient(value):
     return value if per_node(value) else float(value)
 
 
-def _kept(value):
-    """``value`` if a series keeps it as a coefficient, None if it drops it
-    (it is zero, at every node); raise ``BatchSplit`` on a value that is
-    exactly zero at some nodes only."""
-    if value.__class__ is float or not per_node(value):
-        return value if value != 0.0 else None
-    nonzero = np.count_nonzero(value)
-    if nonzero == value.size:
-        return value
-    if nonzero:
-        raise BatchSplit(value == 0.0)
-    return None
-
-
-def _without_zero_nodes(coeffs: Dict[Exponents, object]) -> Dict[Exponents, object]:
-    """Drop the keys that are zero at every node; raise ``BatchSplit`` on a key
-    that is exactly zero at some nodes only."""
-    out = {}
-    for key, val in coeffs.items():
-        val = _kept(val)
-        if val is not None:
-            out[key] = val
-    return out
-
-
 def _any_node(condition) -> bool:
     """A per-node condition (a bool or a bool array) holds at some node."""
     return condition if condition.__class__ is bool else bool(condition.any())
@@ -188,8 +165,9 @@ class TruncatedSeries:
     """Polynomial in offsets ``dx = x - x0`` truncated at a fixed total order.
 
     Coefficients are kept in a dict keyed by exponent tuples; absent keys are
-    zero.  Series of different ``dim`` or ``order`` never mix.  ``batch`` is
-    true when a coefficient may hold one value per node of a batch.
+    zero, and a zero coefficient keeps its key.  Series of different ``dim``
+    or ``order`` never mix.  ``batch`` is true when a coefficient may hold one
+    value per node of a batch.
     """
 
     __slots__ = ("dim", "order", "coeffs", "batch")
@@ -207,8 +185,7 @@ class TruncatedSeries:
                     raise ValueError(f"exponent tuple {key} does not match dim {dim}")
                 if sum(key) > order:
                     raise ValueError(f"exponent tuple {key} above order {order}")
-                if val != 0.0:
-                    self.coeffs[key] = float(val)
+                self.coeffs[key] = float(val)
 
     @classmethod
     def _trusted(
@@ -218,13 +195,8 @@ class TruncatedSeries:
 
         Its keys are exponent tuples of length ``dim`` within ``order`` and its
         values floats, or with ``batch`` floats and node arrays, so the key
-        checks of the constructor are skipped; zero values are dropped in
-        insertion order, as the constructor drops them.
+        checks of the constructor are skipped.
         """
-        if batch:
-            coeffs = _without_zero_nodes(coeffs)
-        elif 0.0 in coeffs.values():
-            coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
         out = object.__new__(cls)
         out.dim = dim
         out.order = order
@@ -317,10 +289,10 @@ class TruncatedSeries:
         self._check_compatible(other)
         cap = self.order
         if not cap:
-            # At order 0 each side holds at most the constant key, and the row
-            # walk's 0.0 + va * vb differs from va * vb only in the sign of a
-            # zero, which is dropped either way.
-            out = {k: va * vb for k, va in self.coeffs.items() for vb in other.coeffs.values()}
+            # At order 0 each side holds at most the constant key: the row
+            # walk's one step, 0.0 + va * vb (which turns -0.0 into 0.0).
+            out = {k: 0.0 + va * vb for k, va in self.coeffs.items()
+                   for vb in other.coeffs.values()}
             return TruncatedSeries._trusted(self.dim, 0, out, self.batch or other.batch)
         rows = _PRODUCT_ROWS.get(cap)
         if rows is None:
@@ -384,6 +356,13 @@ class TruncatedSeries:
                 out[new_key] = out.get(new_key, 0.0) + val * e
         return TruncatedSeries._trusted(self.dim, new_order, out, self.batch)
 
+    def offset(self) -> "TruncatedSeries":
+        """The series less its value: every key but the constant one, so
+        ``compose`` can substitute it."""
+        out = dict(self.coeffs)
+        out.pop(_zero_exponents(self.dim), None)
+        return TruncatedSeries._trusted(self.dim, self.order, out, self.batch)
+
     def truncate(self, order: int) -> "TruncatedSeries":
         if order == self.order:
             return self
@@ -394,11 +373,11 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.dim, order, out, self.batch)
 
     def compose(self, offsets: Sequence["TruncatedSeries"]) -> "TruncatedSeries":
-        """Substitute each offset variable by a series with zero constant term.
+        """Substitute each offset variable by a series with no constant key.
 
-        `offsets[i]` replaces ``dx_i``; all offsets must share dim/order, which
-        become the dim/order of the result.  Truncation stays exact because the
-        substituted series carry no constant part.
+        `offsets[i]` replaces ``dx_i`` (see :meth:`offset`); all offsets must
+        share dim/order, which become the dim/order of the result.  Truncation
+        stays exact because the substituted series carry no constant part.
         """
         if len(offsets) != self.dim:
             raise ValueError(f"need {self.dim} offset series, got {len(offsets)}")
@@ -412,8 +391,8 @@ class TruncatedSeries:
         for off in offsets:
             if off.dim != inner_dim or off.order != inner_order:
                 raise ValueError("offset series must share dim and order")
-            if _any_node(off.value != 0.0):
-                raise ValueError("offset series must have exactly zero constant term")
+            if _zero_exponents(inner_dim) in off.coeffs:
+                raise ValueError("offset series must have no constant term")
         # Cache powers of each offset as needed.
         powers: list[Dict[int, TruncatedSeries]] = [{1: off} for off in offsets]
 
@@ -423,8 +402,6 @@ class TruncatedSeries:
                 cache[e] = power(axis, e - 1) * cache[1]
             return cache[e]
 
-        # The sum starts from the first term: 0.0 + v is v, and the engine
-        # holds no zero coefficient, so the bits and key order are the same.
         result = None
         for key, val in self.coeffs.items():
             term = None
@@ -481,9 +458,8 @@ class Coordinates(list):
         """The sum, in table order, of the monomials ``terms`` =
         ``[(coefficient, [(axis, exponent), ...]), ...]`` (exponents positive).
 
-        A monomial starts as ``power * coefficient``, which gives the bits and
-        key order of ``constant(coefficient) * power``, and is multiplied by
-        its other powers in order; the powers come from the memo.
+        A monomial starts as ``power * coefficient`` and is multiplied by its
+        other powers in order; the powers come from the memo.
         """
         dim, order = self[0].dim, self[0].order
         if not order:
@@ -503,11 +479,11 @@ class Coordinates(list):
     def _polynomial_value(self, terms) -> TruncatedSeries:
         """:meth:`polynomial` at order 0, where every series holds one number
         or none.  Each step is the IEEE operation the series route performs on
-        that number, on the constant terms of the same memoized powers, and
-        keeps or drops (or splits on) its result by the series route's zero
-        test; a step whose operand the series route has dropped is skipped, as
-        that route skips it.  The first term stands for ``0.0 + term``, which
-        has its bits.  Only the result is wrapped as a series.
+        that number, on the constant terms of the same memoized powers: a
+        product is ``0.0 + term * value``, and the first term enters the sum
+        as ``0.0 + term``.  A power that holds no key makes its monomial hold
+        none, which the sum skips, as the series route does.  Only the result
+        is wrapped as a series.
         """
         zero = _zero_exponents(self[0].dim)
         total = None
@@ -515,14 +491,14 @@ class Coordinates(list):
             if factors:
                 term = self.power(*factors[0]).coeffs.get(zero)
                 if term is not None:
-                    term = _kept(term * coef)
+                    term = term * coef
                 for axis, e in factors[1:]:
                     value = self.power(axis, e).coeffs.get(zero)
-                    term = None if term is None or value is None else _kept(term * value)
+                    term = None if term is None or value is None else 0.0 + term * value
             else:
-                term = _kept(coef)
+                term = coef
             if term is not None:
-                total = term if total is None else _kept(total + term)
+                total = 0.0 + term if total is None else total + term
         coeffs = {} if total is None else {zero: total}
         return TruncatedSeries._trusted(len(zero), 0, coeffs, per_node(total))
 
@@ -547,7 +523,7 @@ def _reject(condition, message: str) -> None:
 def _compose_analytic(u: TruncatedSeries, derivs: Sequence[float]) -> TruncatedSeries:
     """Horner evaluation of sum_m derivs[m]/m! * (u - u0)^m."""
     order = u.order
-    h = u - u.value
+    h = u.offset()
     result = TruncatedSeries.constant(u.dim, order, derivs[order] / math.factorial(order))
     for m in range(order - 1, -1, -1):
         result = result * h + derivs[m] / math.factorial(m)

@@ -78,7 +78,7 @@ def form_from_components(dim: int, degree: int, components) -> FormField:
 
 def series_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """``a * b`` by the walk over every pair of keys that the product takes
-    above order 0, with the series' own zero test (and batch split)."""
+    above order 0."""
     out: Dict[Tuple[int, ...], object] = {}
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
@@ -135,8 +135,7 @@ def solve_linear_series_full_rows(
     """Gauss-Jordan elimination that updates whole rows of the matrix.
 
     It also computes the eliminated columns, 1 and 0 up to roundoff, which no
-    later step reads; over a batch of nodes that roundoff can be exactly zero
-    at some nodes only and split the batch.
+    later step reads.
     """
     size = len(matrix)
     m = [row[:] for row in matrix]
@@ -307,7 +306,7 @@ def pullback_by_composition(
     def evaluator(point, order):
         mseries = mapping.series_on(point, order + 1)
         center = tuple(s.value for s in mseries)
-        offsets = [(s - s.value).truncate(order) for s in mseries]
+        offsets = [s.offset().truncate(order) for s in mseries]
         jac = [[m.partial(a) for a in range(src_dim)] for m in mseries]
         minors = [
             [series_det([[jac[i][a] for a in ks] for i in kt]) if ks else None

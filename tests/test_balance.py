@@ -468,20 +468,14 @@ def test_balance2_reads_each_point_set_in_one_pass(monkeypatch, lower):
     # One pass over the body's nodes, for the interior power and the div-div term.
     assert [p.shape[1] for p in passes].count(3) == 1 and passes[0].shape[1] == 3
     face_level = passes[1:]
-    for face in boundary_faces(body):
+    faces = boundary_faces(body)
+    assert len(face_level) == len(faces)
+    for face, nodes in zip(faces, face_level):
+        # One pass per face reads its four pieces' 5-node sets, on the face's
+        # boundary, then the face's 25 nodes, for the edge terms and both
+        # face terms; a piece pinned at 0.0 joins it as the others do.
         box = face.param_box
-        pinned_at_zero = sum(piece.boxface.fixed_value == 0.0
-                             for piece in face_boundary_pieces(face))
-        mine = face_level[:1 + pinned_at_zero]
-        del face_level[:1 + pinned_at_zero]
-        on_boundary = [np.isin(p, box.lower + box.upper).any(axis=1) for p in mine]
-        # Each piece pinned at 0.0 takes a pass of its own, on the face's boundary.
-        alone = [p for p, edge in zip(mine, on_boundary) if edge.all()]
-        assert len(alone) == pinned_at_zero and all(len(p) == 5 for p in alone)
-        # One pass reads the other pieces' nodes, then the face's own, for
-        # the edge terms and both face terms.
-        (merged, edge), = [(p, e) for p, e in zip(mine, on_boundary) if not e.all()]
-        joined = 5 * (4 - pinned_at_zero)
-        assert len(merged) == joined + 5 ** 2
-        assert edge[:joined].all() and not edge[joined:].any()
-    assert face_level == []
+        assert len(face_boundary_pieces(face)) == 4
+        edge = np.isin(nodes, box.lower + box.upper).any(axis=1)
+        assert len(nodes) == 4 * 5 + 5 ** 2
+        assert edge[:20].all() and not edge[20:].any()

@@ -1,5 +1,6 @@
 """Smooth fields: exact jets, the finite-difference oracle, and field algebra."""
 
+import itertools
 import math
 import random
 
@@ -327,12 +328,10 @@ def test_a_batched_primitive_raises_the_message_of_its_one_invalid_node(text, ba
     nodes = np.array([[0.75], [0.9], [bad], [0.8]])
     with pytest.raises(ValueError) as one_node:
         field.values_at(nodes[2])
-    if bad < 0.0:
-        # The batch itself stops on the invalid node.  (A constant term that
-        # is exactly zero at one node splits the batch before that.)
-        with pytest.raises(ValueError) as batch:
-            field.values_on((nodes[:, 0],))
-        assert str(batch.value) == str(one_node.value)
+    # The batch itself stops on the invalid node.
+    with pytest.raises(ValueError) as batch:
+        field.values_on((nodes[:, 0],))
+    assert str(batch.value) == str(one_node.value)
     with pytest.raises(ValueError) as through_on_nodes:
         on_nodes(lambda point: field.values_on(point)[0], nodes)
     assert str(through_on_nodes.value) == str(one_node.value)
@@ -376,13 +375,49 @@ def test_a_stored_order_truncates_to_a_fresh_lower_order(data, name, high, nodes
         for _ in range(2)
     )
     with np.errstate(all="ignore"):
-        try:
-            stored = field.series_on(point, high)
-        except BatchSplit:
-            return  # a partial zero: on_nodes evaluates these nodes in groups
+        stored = field.series_on(point, high)
         fresh = field.series_on(point, low)
         served = fields._evaluate_batch(
             lambda p: (field.series_on(p, high), field.series_on(p, low))[1], point)
     want = _keys_and_bits(fresh)
     assert _keys_and_bits([s.truncate(low) for s in stored]) == want
     assert _keys_and_bits(served) == want
+
+
+# -- batch independence ----------------------------------------------------------
+
+# Exact zeros of both signs, a value whose square underflows to 0.0, and a
+# few values drawn often, so nodes share coordinates.
+BATCH_COORDINATE = st.sampled_from([0.0, -0.0, 0.5, -1.25, 1e-170]) | st.floats(-2.0, 2.0)
+BATCH_FIELDS = {
+    "monomial": SmoothField.from_polynomials(
+        2, [[((2, 1), 0.7), ((0, 3), -1.3), ((1, 0), 0.4), ((0, 0), -0.0)],
+            [((1, 1), -2.0), ((2, 0), 0.0), ((0, 0), 1.5)]]),
+    "expression": SmoothField.from_expressions(
+        2, ["sin(x1)*x2 - x1*x2^2", "exp(x2)*x1 + sqrt(1 + x1^2)*x2 - 0.5*x2", "-(x1*x2)"]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(BATCH_FIELDS)), order=st.integers(0, 2))
+def test_a_node_value_does_not_depend_on_the_nodes_that_share_its_batch(data, name, order):
+    field = BATCH_FIELDS[name]
+    keys = [k for k in itertools.product(range(order + 1), repeat=2) if sum(k) <= order]
+
+    def read(point):
+        return [s.coefficient(k) for s in field.series_on(point, order) for k in keys]
+
+    rows = data.draw(st.lists(st.tuples(BATCH_COORDINATE, BATCH_COORDINATE), min_size=2,
+                              max_size=8))
+    nodes = np.array(rows + rows[:data.draw(st.integers(0, 2))])  # some nodes twice
+    width = field.ncomp * len(keys)
+    whole = on_nodes(read, nodes, width)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(nodes) - 1))))
+    regrouped = np.concatenate([on_nodes(read, part, width) for part in np.split(nodes, cuts)])
+    one_node = [read(tuple(float(c) for c in node)) for node in nodes]
+
+    def hexed(values):
+        return [[float(v).hex() for v in row] for row in values]
+
+    assert hexed(whole) == hexed(one_node)
+    assert hexed(regrouped) == hexed(one_node)

@@ -4,9 +4,10 @@ At order 0 a series holds one number.  Monomial leaves
 (``Coordinates.polynomial``) and products compute that number directly;
 ``oracles.monomial_series_route`` and ``oracles.series_product`` build one
 series per step, each product by the walk over every pair of keys.  Both
-must give the same keys and bits, or split a batch of nodes with the same
-labels.  Coordinates include exact zeros of both signs, values whose powers
-underflow to zero at some nodes only, and values whose powers overflow.
+must give the same keys and bits, signed zeros included, and neither may
+split a batch of nodes.  Coordinates include exact zeros of both signs,
+values whose powers underflow to zero at some nodes only, and values whose
+powers overflow.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetstress.fields import SmoothField, coordinate_series, monomial_map, on_nodes
-from jetstress.taylor import BatchSplit, TruncatedSeries
+from jetstress.taylor import TruncatedSeries
 from oracles import monomial_series_route, series_product
 
 COORDINATE = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 5e-324, 1e160, -1e160]) | st.floats(-4.0, 4.0)
@@ -41,11 +42,8 @@ def bits(value):
 
 
 def outcome(evaluate):
-    """Keys and bits of ``evaluate()``, or the labels of the split it raises."""
-    try:
-        series = evaluate()
-    except BatchSplit as split:
-        return "split", split.labels.tolist()
+    """Keys and bits of ``evaluate()``."""
+    series = evaluate()
     return series.dim, series.order, [(k, bits(v)) for k, v in series.coeffs.items()]
 
 
@@ -83,7 +81,8 @@ def test_monomial_leaf_on_a_batch_is_the_series_route(data, dim, nodes):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 3), nodes=st.integers(2, 6))
 def test_on_nodes_gives_each_node_its_series_route_bits(data, dim, nodes):
-    # Some nodes have a zero coordinate and others not, so the batch splits.
+    # Some nodes have a zero coordinate and others not; the batch holds the
+    # same keys at every node all the same.
     component_tables = data.draw(st.lists(tables(dim), min_size=1, max_size=3))
     grid = np.array([[data.draw(COORDINATE) for _ in range(dim)] for _ in range(nodes)])
     field = SmoothField.from_series_maps(dim, [monomial_map(t) for t in component_tables])

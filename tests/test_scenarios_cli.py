@@ -359,6 +359,24 @@ def test_the_patch_is_checked_at_the_order_in_use_only(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--quad-order", "10", "--report", report]) == 0
 
 
+@pytest.mark.parametrize("patch", [["x2", "x1"], ["1 - x1", "x2"]])
+def test_a_patch_that_reverses_orientation_exits_2(tmp_path, capsys, patch):
+    # Each patch maps the unit square onto itself with det -1: loaded, it
+    # would flip the sign of every term of the balance, which still closes.
+    doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["geometry"]["patch"] = patch
+    doc["checks"] = ["balance1"]
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "r.jsonl"
+    message = "body patch map reverses orientation at a quadrature node\n"
+    assert main(["run", "--scenario", str(path), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: geometry.patch: " + message
+    assert main(["run", "--scenario", str(path), "--quad-order", "3", "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: --quad-order: " + message
+    assert not report.exists()
+
+
 def test_cauchy_on_a_patched_body_is_rejected_at_load(tmp_path):
     path = _patched_square(tmp_path, ["balance1", "cauchy"])
     with pytest.raises(ScenarioError, match="checks.cauchy"):
@@ -487,9 +505,10 @@ def test_a_non_finite_result_exits_2_and_writes_no_report(tmp_path, capfd, recwa
     assert captured.out == ""
     assert not report.exists()
     # Without balance1 the first record in report order names its NaN term.
+    # On x1 = 0 the kept zero of x1 times the infinite coefficient is NaN.
     checks = ["--check", "jet-oracle", "--check", "cauchy"]
     assert main(["run", "--scenario", str(scenario), "--report", str(report), *checks]) == 2
-    assert capfd.readouterr().err == "error: checks.cauchy: term 'x1-upper' is not finite\n"
+    assert capfd.readouterr().err == "error: checks.cauchy: term 'x1-lower' is not finite\n"
     assert not report.exists()
     assert not recwarn.list  # the oracle's inf - inf stays quiet
 

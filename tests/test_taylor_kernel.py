@@ -3,8 +3,9 @@
 The reference below is the straightforward dict arithmetic the kernel must
 reproduce: every coefficient, compared through ``float.hex``, and the key
 insertion order of every result.  It shares no code with ``taylor.py``.
-A batched series, one array per coefficient, must give at each node what
-the one-node series gives there.
+No operation drops a key, a zero included.  A batched series, one array per
+coefficient, must give at each node what the one-node series gives there,
+keys and signed zeros included, and never split.
 """
 
 import itertools
@@ -17,14 +18,14 @@ from hypothesis import strategies as st
 
 from jetstress import taylor
 from jetstress.fields import SmoothField, on_nodes
-from jetstress.taylor import BatchSplit, TruncatedSeries
+from jetstress.taylor import TruncatedSeries
 
 # -- reference loops on (dim, order, coeffs) ---------------------------------------
 
 
 def ref_series(dim, order, coeffs):
-    """The public constructor's filter: zeros dropped, insertion order kept."""
-    return (dim, order, {k: float(v) for k, v in coeffs.items() if v != 0.0})
+    """The public constructor: every value a float, zeros kept, insertion order kept."""
+    return (dim, order, {k: float(v) for k, v in coeffs.items()})
 
 
 def ref_mul(a, b):
@@ -97,8 +98,10 @@ def ref_truncate(a, order):
 
 
 def ref_compose(a, offsets):
+    """Each term starts as its first power scaled by the coefficient (the
+    constant key as a constant), and the sum starts from the first term."""
     inner_dim, inner_order = offsets[0][0], offsets[0][1]
-    powers = [{0: ref_constant(inner_dim, inner_order, 1.0), 1: off} for off in offsets]
+    powers = [{1: off} for off in offsets]
 
     def power(axis, e):
         cache = powers[axis]
@@ -106,14 +109,17 @@ def ref_compose(a, offsets):
             cache[e] = ref_mul(power(axis, e - 1), cache[1])
         return cache[e]
 
-    result = ref_series(inner_dim, inner_order, {})
+    result = None
     for key, val in a[2].items():
-        term = ref_constant(inner_dim, inner_order, val)
+        term = None
         for axis, e in enumerate(key):
             if e:
-                term = ref_mul(term, power(axis, e))
-        result = ref_add(result, term)
-    return result
+                term = ref_scale(power(axis, e), val) if term is None else ref_mul(
+                    term, power(axis, e))
+        if term is None:
+            term = ref_constant(inner_dim, inner_order, val)
+        result = term if result is None else ref_add(result, term)
+    return ref_series(inner_dim, inner_order, {}) if result is None else result
 
 
 # -- helpers -----------------------------------------------------------------------
@@ -288,11 +294,13 @@ ANALYTIC = {
 ANALYTIC["power"] = lambda u: taylor.power_series(u, 1.5)
 
 NONZERO = st.floats(0.125, 4.0) | st.floats(-4.0, -0.125)
+VALUE = NONZERO | st.sampled_from([0.0, -0.0])
 
 
 @st.composite
 def node_tables(draw, dim, order, nodes, constant=None):
-    """Keys in a drawn order, each with one nonzero value per node.
+    """Keys in a drawn order, each with one value per node, exact zeros of
+    both signs among them.
 
     ``constant``: None leaves the constant term to the draw, True puts it in
     with positive values, False leaves it out.
@@ -302,19 +310,14 @@ def node_tables(draw, dim, order, nodes, constant=None):
     zero = (0,) * dim
     if constant and zero not in keys:
         keys.append(zero)
-    return {k: [abs(draw(NONZERO)) if constant and k == zero else draw(NONZERO)
+    return {k: [abs(draw(NONZERO)) if constant and k == zero else draw(VALUE)
                 for _ in range(nodes)] for k in keys}
 
 
 def batched(dim, order, table):
-    """The batched series of ``table``, built by public arithmetic; each step
-    adds a nonzero value to an absent key or multiplies it by 1.0, so the
-    values and the key order are those of the table."""
-    out = TruncatedSeries.zero(dim, order)
-    for key, column in table.items():
-        out = out + TruncatedSeries.constant(dim, order, np.array(column)) * TruncatedSeries(
-            dim, order, {key: 1.0})
-    return out
+    """The batched series of ``table``: its keys in order, one array each."""
+    return TruncatedSeries._trusted(
+        dim, order, {k: np.array(column) for k, column in table.items()}, batch=True)
 
 
 def at_node(table, i):
@@ -329,13 +332,8 @@ def node_bits(series, i):
 
 
 def assert_nodes_match(batch_fn, node_fn, nodes):
-    """Every node of ``batch_fn()`` has the bits and key order of ``node_fn(i)``,
-    unless the batch splits at a coefficient that is zero at some nodes only."""
-    try:
-        got = batch_fn()
-    except BatchSplit as split:
-        assert split.labels.shape == (nodes,) and 0 < split.labels.sum() < nodes
-        return
+    """Every node of ``batch_fn()`` has the bits and key order of ``node_fn(i)``."""
+    got = batch_fn()
     assert got.batch
     for i in range(nodes):
         assert node_bits(got, i) == bits(node_fn(i))
@@ -392,14 +390,18 @@ def test_each_node_of_a_batched_compose_is_the_one_node_result(data, dim, inner_
     )
 
 
-def test_a_coefficient_zero_at_some_nodes_splits_the_batch():
+def test_a_coefficient_zero_at_some_nodes_keeps_its_key_at_every_node():
     centers = np.array([0.25, 0.5, 0.75])
-    with pytest.raises(BatchSplit) as split:
-        TruncatedSeries.variable(1, 2, 0, centers) - 0.5
-    assert split.value.labels.tolist() == [False, True, False]
-    # Zero at every node: dropped, as one-node arithmetic drops it.
-    same = TruncatedSeries.variable(1, 2, 0, np.full(3, 0.5)) - 0.5
-    assert list(same.coeffs) == [(1,)]
+    got = TruncatedSeries.variable(1, 2, 0, centers) - 0.5
+    assert list(got.coeffs) == [(0,), (1,)]
+    assert [v.hex() for v in got.coeffs[(0,)]] == ["-0x1.0000000000000p-2", "0x0.0p+0",
+                                                   "0x1.0000000000000p-2"]
+    # One node keeps the zero too, so it holds the batch's keys.
+    one = TruncatedSeries.variable(1, 2, 0, 0.5) - 0.5
+    assert bits(one) == node_bits(got, 1)
+    # Zero at every node, or a zero built by the validating constructor: kept.
+    assert list((TruncatedSeries.variable(1, 2, 0, np.full(3, 0.5)) - 0.5).coeffs) == [(0,), (1,)]
+    assert list(TruncatedSeries(1, 2, {(2,): 0.0, (0,): -0.0}).coeffs) == [(2,), (0,)]
 
 
 ZERO_ON_A_LINE = {
@@ -412,8 +414,8 @@ ZERO_ON_A_LINE = {
 @pytest.mark.parametrize("name", sorted(ZERO_ON_A_LINE))
 @pytest.mark.parametrize("derivative", [(0, 0), (1, 0), (0, 1)])
 def test_nodes_where_a_value_is_zero_keep_the_one_node_bits(name, derivative):
-    # At x1 = 0.5 a factor is exactly zero; a batch that kept its key would
-    # negate it to -0.0 where one node reports an absent 0.0.
+    # At x1 = 0.5 a factor is exactly zero, and its negation -0.0, at one
+    # node as in the batch: both keep its key.
     field = ZERO_ON_A_LINE[name]
     nodes = np.array([[x1, x2] for x1 in (0.25, 0.5, 0.75) for x2 in (0.1, 0.5, 0.9)])
 

@@ -3,12 +3,12 @@
 ``surface._solve_linear_series`` updates only the columns a later step reads.
 ``oracles.solve_linear_series_full_rows`` updates whole rows, as the solver
 once did; every entry the solver returns must carry the reference's bits and
-key order, at one point and at each node of a batch.  Over a batch, the
-eliminated columns the reference computes can be exactly zero at some nodes
-only, which split the batch for nothing; the solver must not split there.
+key order, at one point and at each node of a batch.  A batch splits only
+where its nodes pick different pivots (``surface._pivot_row``).
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstress import fields, surface, taylor
+from jetstress import fields
 from jetstress.balance import edge_assembly
 from jetstress.cli import main
 from jetstress.geometry import QuadratureRule
 from jetstress.nonholonomic import nh_divergence, nh_traction
-from jetstress.scenarios import load_scenario
+from jetstress.scenarios import generate_scenario, load_scenario, run_checks
 from jetstress.stress import traction_action, traction_projection
 from jetstress.surface import _solve_linear_series
 from jetstress.taylor import BatchSplit, TruncatedSeries
@@ -155,19 +155,19 @@ def test_each_node_of_a_batched_solve_is_full_row_elimination_at_that_node(
 
 def test_an_eliminated_column_that_cancels_at_some_nodes_does_not_split():
     # 2 * (1/2) is exactly 1 and 49 * (1/49) is not, so below the pivot the
-    # full-row update leaves 1 - 1 * (49 * (1/49)), a zero at the first node only.
+    # full-row update leaves 1 - 1 * (49 * (1/49)), a zero at the first node
+    # only.  Neither solve splits on it, and each node gets its own bits.
     pivot = TruncatedSeries.constant(1, 1, np.array([2.0, 49.0]))
     one = TruncatedSeries.constant(1, 1, 1.0)
     matrix = [[pivot, one], [one, TruncatedSeries(1, 1, {(0,): 3.0, (1,): 0.5})]]
     rhs = [[TruncatedSeries(1, 1, {(0,): 0.75, (1,): -1.0})], [TruncatedSeries.constant(1, 1, 5.0)]]
-    with pytest.raises(BatchSplit):
-        solve_linear_series_full_rows(matrix, rhs)
-    got = _solve_linear_series(matrix, rhs)
-    for i, p in enumerate((2.0, 49.0)):
-        m = [[TruncatedSeries.constant(1, 1, p), matrix[0][1]], matrix[1]]
-        want = solve_linear_series_full_rows(m, rhs)
-        assert [[bits(s, i) for s in row] for row in got] == [
-            [bits(s) for s in row] for row in want]
+    for solve in (_solve_linear_series, solve_linear_series_full_rows):
+        got = solve(matrix, rhs)
+        for i, p in enumerate((2.0, 49.0)):
+            m = [[TruncatedSeries.constant(1, 1, p), matrix[0][1]], matrix[1]]
+            want = solve_linear_series_full_rows(m, rhs)
+            assert [[bits(s, i) for s in row] for row in got] == [
+                [bits(s) for s in row] for row in want]
 
 
 # -- batches of face nodes ---------------------------------------------------------
@@ -193,24 +193,15 @@ def count_regroupings(monkeypatch):
 
 
 def record_splits(monkeypatch):
-    """Names of the functions that raise ``BatchSplit``, one per split:
-    ``_without_zero_nodes`` for a partial zero, ``_pivot_row`` for a pivot."""
+    """The name of the function that raises each ``BatchSplit``, one per split."""
     raised = []
+    original = BatchSplit.__init__
 
-    def recording(module, name):
-        original = getattr(module, name)
+    def recording(self, labels):
+        raised.append(sys._getframe(1).f_code.co_name)
+        original(self, labels)
 
-        def wrapped(*args):
-            try:
-                return original(*args)
-            except BatchSplit:
-                raised.append(name)
-                raise
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    recording(taylor, "_without_zero_nodes")
-    recording(surface, "_pivot_row")
+    monkeypatch.setattr(BatchSplit, "__init__", recording)
     return raised
 
 
@@ -265,13 +256,14 @@ def _run(doc, tmp_path):
     assert main(["run", "--scenario", str(scenario), "--report", str(tmp_path / "r.jsonl")]) == 0
 
 
-def test_odd_quad_order_still_splits_on_a_partial_zero(monkeypatch, tmp_path):
+def test_odd_quad_order_does_not_split_on_a_partial_zero(monkeypatch, tmp_path):
+    # Order 5 puts nodes on x = 0.5, where coefficients are exactly zero.
     doc = json.loads((SCENARIOS / "cube-order2.json").read_text(encoding="utf-8"))
     doc["geometry"]["quad_order"] = 5
     counts = count_regroupings(monkeypatch)
     raised = record_splits(monkeypatch)
     _run(doc, tmp_path)
-    assert "_without_zero_nodes" in raised and counts["groups"] > 0
+    assert raised == [] and counts["groups"] == 0 and counts["batches"] > 0
 
 
 def test_closed_disk_still_splits_on_a_pivot(monkeypatch, tmp_path):
@@ -279,4 +271,24 @@ def test_closed_disk_still_splits_on_a_pivot(monkeypatch, tmp_path):
     counts = count_regroupings(monkeypatch)
     raised = record_splits(monkeypatch)
     _run(doc, tmp_path)
-    assert "_pivot_row" in raised and counts["groups"] > 0
+    assert raised and set(raised) == {"_pivot_row"} and counts["groups"] > 0
+
+
+def _split_guard_documents():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if path.stem != "malformed":
+            for quad_order in (None, 5, 7):
+                yield load_scenario(doc, quad_order)
+    for n, d in ((2, 2), (3, 2), (4, 1)):
+        yield load_scenario(generate_scenario(3, n, d, 3))
+
+
+def test_only_a_pivot_splits_a_batch(monkeypatch):
+    # The 7 bundled scenarios that load, at their own order, 5 and 7, and
+    # generated documents: every split comes from a pivot choice (the
+    # disk's metric normal), none from a value.
+    raised = record_splits(monkeypatch)
+    for scenario in _split_guard_documents():
+        run_checks(scenario)
+    assert raised and set(raised) == {"_pivot_row"}
