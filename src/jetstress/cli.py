@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
 
@@ -30,7 +31,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Built on the first call and kept for the process: each parse starts a new
+# namespace from the defaults, and the repeatable options copy their default
+# list before they append to it, so one call leaks nothing into the next.
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetstress",
         description="Run identity-check scenarios for jet-based stress analysis.",
@@ -135,7 +140,7 @@ def _cmd_generate(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

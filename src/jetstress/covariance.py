@@ -11,11 +11,11 @@ transform cleanly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import JetValue, TensorField, jet_extension
+from .fields import JetValue, TensorField, jets_on, on_nodes
 from .geometry import FormValue, TransitionMap, pullback_form_value, tuple_omitting
 from .nonholonomic import VariationalStress2
 from .stress import VariationalStress1
@@ -65,28 +65,36 @@ class FrameChange:
     def dim(self) -> int:
         return self.transition.dim
 
-    def frame_jets(self, point: Sequence[float]):
-        """Value, gradient, and Hessian arrays of the frame change at a point."""
-        d, n = self.fiber_dim, self.dim
-        if self.frame is None:
-            return np.eye(d), np.zeros((d, d, n)), np.zeros((d, d, n, n))
-        jet = jet_extension(self.frame.field, point, 2)
-        return tuple(jet.array(p).reshape((d, d) + (n,) * p) for p in range(3))
+    def at_points(self, points: Sequence[Sequence[float]]) -> List[PointChange]:
+        """The jets of the transition, its inverse, and the frame at each point.
 
-    def at(self, point: Sequence[float]) -> PointChange:
-        """The jets of the transition, its inverse, and the frame at ``point``."""
-        x = tuple(point)
-        forward = jet_extension(self.transition.forward, point, 1)
-        jac = forward.array(1)
-        det = float(np.linalg.det(jac))
-        if abs(det) < 1e-12:
-            raise ValueError(f"transition is singular at {x}")
-        xp = tuple(forward.array(0))
-        _, dx, ddx = self.transition.inverse_jets(xp)
-        a0, a1, a2 = self.frame_jets(point)
-        if abs(np.linalg.det(a0)) < 1e-12:
-            raise ValueError(f"frame change is singular at {x}")
-        return PointChange(x, xp, jac, det, dx, ddx, a0, a1, a2)
+        Each field is read once over all the points: the forward map at order
+        1, the inverse at order 2 at the images, the frame at order 2.  The
+        points are then checked in order, the transition before the frame.
+        """
+        d, n = self.fiber_dim, self.dim
+        forward = jets_on(self.transition.forward, points, 1)
+        jacs = np.array([jet.array(1) for jet in forward]).reshape(-1, n, n)
+        xps = [tuple(jet.array(0)) for jet in forward]
+        inverse = jets_on(self.transition.inverse, xps, 2)
+        if self.frame is None:
+            frames = [(np.eye(d), np.zeros((d, d, n)), np.zeros((d, d, n, n)))] * len(xps)
+        else:
+            frames = [
+                tuple(jet.array(p).reshape((d, d) + (n,) * p) for p in range(3))
+                for jet in jets_on(self.frame.field, points, 2)
+            ]
+        frame_dets = np.linalg.det(np.array([a[0] for a in frames]).reshape(-1, d, d))
+        out = []
+        for k, (point, det) in enumerate(zip(points, np.linalg.det(jacs))):
+            x = tuple(point)
+            if abs(det) < 1e-12:
+                raise ValueError(f"transition is singular at {x}")
+            if abs(frame_dets[k]) < 1e-12:
+                raise ValueError(f"frame change is singular at {x}")
+            dx, ddx = inverse[k].array(1), inverse[k].array(2)
+            out.append(PointChange(x, xps[k], jacs[k], float(det), dx, ddx, *frames[k]))
+        return out
 
 
 def _jet_law(pc: PointChange, jet: JetValue) -> JetValue:
@@ -109,12 +117,16 @@ def _jet_law(pc: PointChange, jet: JetValue) -> JetValue:
     return JetValue(jet.dim, jet.fiber_dim, 2, (up, dup, ddup))
 
 
-def _primed_blocks(stress, xp: Tuple[float, ...]) -> Tuple[np.ndarray, ...]:
-    """Each block of a primed stress, read once at the image point."""
+def _primed_blocks(stress, xps: Sequence[Tuple[float, ...]]) -> List[Tuple[np.ndarray, ...]]:
+    """Each block of a primed stress at each image point, from one read per block."""
     blocks = (stress.s0, stress.s1)
     if isinstance(stress, VariationalStress2):
         blocks += (stress.s2,)
-    return tuple(block.at(xp) for block in blocks)
+    values = [
+        on_nodes(block.field.values_on, xps, width=block.field.ncomp).reshape((-1,) + block.shape)
+        for block in blocks
+    ]
+    return list(zip(*values))
 
 
 def _top_gradient_terms(pc: PointChange, s2p: np.ndarray):
@@ -266,9 +278,11 @@ def invariance_check(
     the primed chart; velocities in the unprimed chart.  Invariant quantities
     report gaps at roundoff level, while the component-pair (naive)
     contraction reports its actual defect together with the gap to the
-    predicted extra term.  One pass serves every quantity: each sample makes
-    one ``change.at``, one read and one law per stress order in use, and one
-    velocity jet and its law if any quantity pairs a velocity.
+    predicted extra term.  One pass serves every quantity: each field is read
+    once over all the samples (the frame change in :meth:`FrameChange.at_points`,
+    each primed block in use at the image points, the velocity jets if any
+    quantity pairs a velocity), and each sample runs one law per stress order
+    in use, the velocity's law, and each quantity's gaps.
     """
     stresses = {1: primed_stress1, 2: primed_stress2}
     selected = []
@@ -283,16 +297,17 @@ def invariance_check(
     orders = sorted({q.order for q in selected})
     paired = any(q.paired for q in selected)
     gaps_by_term: Dict[str, list] = {term: [0.0] for q in selected for term in q.terms}
-    for x in samples:
-        pc = change.at(x)
-        primed = {order: _primed_blocks(stresses[order], pc.xp) for order in orders}
-        unprimed = {order: _stress_law(pc, blocks) for order, blocks in primed.items()}
+    changes = change.at_points(samples)
+    xps = [pc.xp for pc in changes]
+    primed = {order: _primed_blocks(stresses[order], xps) for order in orders}
+    velocity_jets = jets_on(velocity.field, samples, 2) if paired else ()
+    for k, pc in enumerate(changes):
+        unprimed = {order: _stress_law(pc, blocks[k]) for order, blocks in primed.items()}
         jets = ()
         if paired:
-            jet_un = jet_extension(velocity.field, pc.x, 2)
-            jets = jet_un, _jet_law(pc, jet_un)
+            jets = velocity_jets[k], _jet_law(pc, velocity_jets[k])
         for q in selected:
-            gaps = q.gaps(pc, primed[q.order], unprimed[q.order], *jets)
+            gaps = q.gaps(pc, primed[q.order][k], unprimed[q.order], *jets)
             for term, gap in zip(q.terms, gaps):
                 gaps_by_term[term].append(gap)
     # numpy's max, unlike Python's, keeps a NaN gap.

@@ -55,6 +55,7 @@ __all__ = [
     "pair",
     "linear_field",
     "monomial_map",
+    "jets_on",
     "jet_extension",
     "finite_difference_jet",
 ]
@@ -144,9 +145,9 @@ def on_nodes(
     - a batch that raises :class:`BatchSplit` (its nodes pick different
       pivots) is evaluated again in groups of like nodes, a group of one as
       plain floats;
-    - a batch that raises ``ValueError`` or ``ArithmeticError`` is evaluated
-      again node by node in order, so the first failing node raises its own
-      error.
+    - a batch of several nodes that raises ``ValueError`` or
+      ``ArithmeticError`` is evaluated again node by node in order, so the
+      first failing node raises its own error.
     While a batch is evaluated, :meth:`SmoothField.series_on` keeps each
     field's series at the batch's coordinates, so a sub-field that several
     parts of ``fn`` read is evaluated once per batch.
@@ -158,6 +159,8 @@ def on_nodes(
         try:
             _fill(fn, nodes, index, out)
         except (ValueError, ArithmeticError):
+            if len(index) == 1:  # already the node's own error
+                raise
             for i in index:
                 out[i] = fn(tuple(float(c) for c in nodes[i]))
     return out
@@ -565,36 +568,49 @@ class JetValue:
         )
         return cls(dim, fiber_dim, order, arrays)
 
-    @classmethod
-    def from_series(cls, series: Sequence[TruncatedSeries], order: int) -> "JetValue":
-        dim = series[0].dim
-        d = len(series)
-        arrays = [np.zeros((d,) + (dim,) * p) for p in range(order + 1)]
-        for alpha, s in enumerate(series):
-            for exps, coef in s.coeffs.items():
-                p, factorial, slots = _derivative_slots(exps)
-                if p > order:
-                    continue
-                value = coef * factorial
-                for slot in slots:
-                    arrays[p][(alpha,) + slot] = value
-        return cls(dim, d, order, tuple(arrays))
-
 
 @lru_cache(maxsize=None)
-def _derivative_slots(exps: Tuple[int, ...]) -> Tuple[int, int, Tuple[Tuple[int, ...], ...]]:
-    """Order, I!, and every derivative-array slot of the Taylor coefficient ``exps``."""
-    index = MultiIndex(exps)
-    slots = tuple(sorted(set(itertools.permutations(index.axes()))))
-    return index.order, index.factorial(), slots
+def _jet_layout(dim: int, order: int) -> Tuple[List[Tuple[int, ...]], List[Tuple[np.ndarray, np.ndarray]]]:
+    """The exponents of every Taylor coefficient of order <= ``order``; and per
+    derivative order p, for each slot of the (n,)*p array, the position of
+    the coefficient that fills it in that list, and its I!."""
+    keys = [e for e in itertools.product(range(order + 1), repeat=dim) if sum(e) <= order]
+    slots = []
+    for p in range(order + 1):
+        exps = [tuple(slot.count(a) for a in range(dim))
+                for slot in itertools.product(range(dim), repeat=p)]
+        slots.append((np.array([keys.index(e) for e in exps], dtype=int),
+                      np.array([MultiIndex(e).factorial() for e in exps], dtype=float)))
+    return keys, slots
+
+
+def jets_on(field: SmoothField, nodes: Sequence[Sequence[float]], order: int) -> List[JetValue]:
+    """Exact derivative arrays of ``field`` up to ``order`` at each row of ``nodes``.
+
+    One :func:`on_nodes` read takes every Taylor coefficient at every node;
+    each slot of a derivative array is its coefficient times I!, and a
+    coefficient the series does not hold reads 0.0.  Each node's arrays are
+    C-contiguous, as one-point arrays are: ``numpy.sum`` and ``einsum`` may
+    add in another order over another memory layout.
+    """
+    if order < 0:
+        raise ValueError("jet order must be >= 0")
+    n, d = field.dim, field.ncomp
+    keys, slots = _jet_layout(n, order)
+
+    def coefficients(point: Point) -> List[Any]:
+        return [s.coeffs.get(k, 0.0) for s in field.series_on(point, order) for k in keys]
+
+    table = on_nodes(coefficients, nodes, width=d * len(keys)).reshape(-1, d, len(keys))
+    arrays = [(np.take(table, columns, axis=2) * factorials).reshape((len(table), d) + (n,) * p)
+              for p, (columns, factorials) in enumerate(slots)]
+    return [JetValue(n, d, order, tuple(a[k] for a in arrays)) for k in range(len(table))]
 
 
 def jet_extension(field: SmoothField, point: Sequence[float], order: int) -> JetValue:
-    """Exact derivative arrays of ``field`` at ``point`` up to ``order``."""
-    if order < 0:
-        raise ValueError("jet order must be >= 0")
-    series = field.series_at(point, order)
-    return JetValue.from_series(series, order)
+    """Exact derivative arrays of ``field`` at ``point`` up to ``order``: the
+    one-node case of :func:`jets_on`."""
+    return jets_on(field, [point], order)[0]
 
 
 # An overflowing field makes inf and NaN differences: the oracle reports them

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import SmoothField, as_point, jet_extension, linear_field, on_nodes
+from .fields import SmoothField, as_point, jets_on, linear_field, on_nodes
 from .taylor import TruncatedSeries, per_node
 
 __all__ = [
@@ -121,33 +121,25 @@ class TransitionMap:
     def dim(self) -> int:
         return self.forward.dim
 
-    def forward_jacobian(self, point: Sequence[float]) -> np.ndarray:
-        """d(primed)/d(unprimed) at an unprimed point."""
-        return jet_extension(self.forward, point, 1).array(1)
-
-    def jacobian_det(self, point: Sequence[float]) -> float:
-        return float(np.linalg.det(self.forward_jacobian(point)))
-
-    def inverse_jets(self, primed_point: Sequence[float]):
-        """Values, first, and second derivatives of the inverse at a primed point.
-
-        Returns (x, dx, ddx) with dx[i, ip] = d x^i / d x'^ip and
-        ddx[i, ip, jp] the symmetric second derivatives.
-        """
-        return jet_extension(self.inverse, primed_point, 2).arrays
-
     def check_roundtrip(
         self, points: Sequence[Sequence[float]], tol: float = 1e-10
     ) -> float:
-        """Largest defect of inverse(forward(x)) = x over the sample points; NaN fails."""
-        defects = [0.0]
-        for x in points:
-            xp = self.forward.values_at(x)
-            back = self.inverse.values_at(tuple(xp))
-            defects.append(np.max(np.abs(back - np.asarray(x))))
-            if abs(self.jacobian_det(x)) < 1e-12:
+        """Largest defect of inverse(forward(x)) = x over the sample points; NaN fails.
+
+        The forward values and Jacobians come from one read of the forward
+        map over all the points, the inverse values from one read at their
+        images; a singular Jacobian raises at the first point that has one.
+        """
+        n = self.dim
+        xs = np.asarray(points, dtype=float).reshape(-1, n)
+        forward = jets_on(self.forward, xs, 1)
+        jacs = np.array([jet.array(1) for jet in forward]).reshape(-1, n, n)
+        xps = np.array([jet.array(0) for jet in forward]).reshape(-1, n)
+        back = on_nodes(self.inverse.values_on, xps, width=n)
+        for x, det in zip(points, np.linalg.det(jacs)):
+            if abs(det) < 1e-12:
                 raise ValueError(f"transition jacobian is singular at {tuple(x)}")
-        worst = float(np.max(defects))
+        worst = float(np.max(np.abs(back - xs), initial=0.0))
         if not worst <= tol:
             raise ValueError(f"transition roundtrip defect {worst:.2e} exceeds {tol:.1e}")
         return worst
@@ -213,7 +205,9 @@ class FormValue:
     """An alternating p-covector: coefficients on strictly increasing index tuples.
 
     A coefficient may hold one value per node of a batch (``FormField.value_at``
-    on node arrays); only ``coefficient`` reads such a value.
+    on node arrays, or :func:`jetstress.nonholonomic.second_contraction` on a
+    block of nodes); ``coefficient``, ``+``, ``-``, ``scale`` and ``max_abs``
+    take such values, each node's result with the bits of its one-node form.
     """
 
     __slots__ = ("dim", "degree", "coeffs")
@@ -265,7 +259,10 @@ class FormValue:
         return self + other.scale(-1.0)
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        """The largest |coefficient| over every key and node, 0.0 for none; NaN
+        if any is NaN (numpy's max keeps it, where Python's drops a later one)."""
+        return float(np.max([np.max(np.abs(v), initial=0.0) for v in self.coeffs.values()],
+                            initial=0.0))
 
     def max_abs_diff(self, other: "FormValue") -> float:
         return (self - other).max_abs()

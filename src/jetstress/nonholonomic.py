@@ -178,12 +178,13 @@ def nh_divergence(stress: NonHolonomicStress) -> VariationalStress1:
 
 def second_contraction(arr: np.ndarray) -> List[FormValue]:
     """Contract both slots of a top-block value ``arr``, shape (d, n, n), into
-    the volume form.
+    the volume form; a block of shape (d, n, n, nodes) gives one coefficient
+    per node, each with the bits of its one-node form.
 
     Returns one (n-2)-form per fiber component; identically zero whenever the
     block is symmetric.
     """
-    d, n, _ = arr.shape
+    d, n = arr.shape[:2]
     if n < 2:
         raise ValueError("second contraction needs chart dimension >= 2")
     out = []
@@ -200,8 +201,9 @@ def second_contraction(arr: np.ndarray) -> List[FormValue]:
 
 
 def second_contraction_brute_force(arr: np.ndarray) -> List[FormValue]:
-    """Oracle: apply two interior products to the volume form, term by term."""
-    d, n, _ = arr.shape
+    """Oracle: apply two interior products to the volume form, term by term;
+    ``arr`` as for :func:`second_contraction`."""
+    d, n = arr.shape[:2]
     if n < 2:
         raise ValueError("second contraction needs chart dimension >= 2")
     vol = FormValue.volume(n)

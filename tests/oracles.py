@@ -259,7 +259,7 @@ def transform_jet2(jet: JetValue, change: FrameChange, point: Sequence[float]) -
         raise ValueError("second-order transformation needs an order-2 jet")
     if jet.dim != change.dim or jet.fiber_dim != change.fiber_dim:
         raise ValueError("jet shape does not match the frame change")
-    return _jet_law(change.at(point), jet)
+    return _jet_law(change.at_points([point])[0], jet)
 
 
 def transform_stress2(
@@ -267,23 +267,23 @@ def transform_stress2(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unprimed second-order stress components at a point, from primed fields
     read at the image of ``point``."""
-    pc = change.at(point)
-    return _stress_law(pc, _primed_blocks(primed, pc.xp))
+    pc = change.at_points([point])[0]
+    return _stress_law(pc, _primed_blocks(primed, [pc.xp])[0])
 
 
 def transform_stress1(
     primed: VariationalStress1, change: FrameChange, point: Sequence[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Unprimed first-order stress components at a point, from primed fields."""
-    pc = change.at(point)
-    return _stress_law(pc, _primed_blocks(primed, pc.xp))
+    pc = change.at_points([point])[0]
+    return _stress_law(pc, _primed_blocks(primed, [pc.xp])[0])
 
 
 def predicted_contraction_defect(
     primed: VariationalStress2, change: FrameChange, point: Sequence[float]
 ) -> np.ndarray:
     """The extra term the gradient-block law deposits on the scalar block."""
-    pc = change.at(point)
+    pc = change.at_points([point])[0]
     return _contraction_defect(pc, primed.s2.at(pc.xp))
 
 

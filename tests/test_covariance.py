@@ -6,7 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetstress import covariance
 from jetstress.covariance import FrameChange, invariance_check
 from oracles import (
     predicted_contraction_defect,
@@ -206,8 +209,8 @@ def test_stress1_affine_weight():
     )
     x = (0.3, 0.5)
     xp = tuple(change.transition.forward.values_at(x))
-    jac_det = change.transition.jacobian_det(x)
-    _, dx, _ = change.transition.inverse_jets(xp)
+    jac_det = np.linalg.det(jet_extension(change.transition.forward, x, 1).array(1))
+    dx = jet_extension(change.transition.inverse, xp, 2).array(1)
     _, s1 = transform_stress1(primed, change, x)
     expected = jac_det * np.einsum("BI,iI->Bi", primed.s1.at(xp), dx)
     assert np.allclose(s1, expected, atol=1e-13)
@@ -344,23 +347,26 @@ def test_invariance_check_evaluates_each_jet_once_per_sample(quantity):
         [quantity], change, SAMPLES_2D,
         primed_stress1=primed1, primed_stress2=primed2, velocity=velocity,
     )
-    k = len(SAMPLES_2D)
-    assert counts["forward"] == counts["inverse"] == counts["frame"] == k
-    assert max(counts.values()) <= k, dict(counts)
+    # One read of each field serves every sample of the check.
+    order, paired = covariance.QUANTITIES[quantity].order, covariance.QUANTITIES[quantity].paired
+    blocks = {1: {"1.s0", "1.s1"}, 2: {"2.s0", "2.s1", "2.s2"}}[order]
+    assert set(counts) == {"forward", "inverse", "frame"} | blocks | ({"velocity"} if paired else set())
+    assert set(counts.values()) == {1}, dict(counts)
 
 
 def test_covariance_check_reads_each_sample_once_for_every_quantity(monkeypatch):
     # Every quantity runs at once here, so the two stresses and the velocity
-    # could each be read once per quantity; one pass reads each once.
+    # could each be read once per quantity, or once per sample; one pass
+    # reads each field once for the whole check.
     scenario = load_scenario(generate_scenario(3, 2, 2, 3))
     counts = collections.Counter()
-    frame_change_at = FrameChange.at
+    frame_change_at_points = FrameChange.at_points
 
-    def counted_at(change, point):
-        counts["FrameChange.at"] += 1
-        return frame_change_at(change, point)
+    def counted_at_points(change, points):
+        counts["FrameChange.at_points"] += 1
+        return frame_change_at_points(change, points)
 
-    monkeypatch.setattr(FrameChange, "at", counted_at)
+    monkeypatch.setattr(FrameChange, "at_points", counted_at_points)
     s1, s2 = scenario.stress1, scenario.stress2
     scenario.stress1 = VariationalStress1(
         counted_tensor(s1.s0, "1.s0", counts), counted_tensor(s1.s1, "1.s1", counts)
@@ -376,10 +382,50 @@ def test_covariance_check_reads_each_sample_once_for_every_quantity(monkeypatch)
         "action1", "traction1", "action2",
         "naive_magnitude", "naive_match_defect", "vertical_invariance",
     ]
-    k = len(scenario.covariance_samples)
-    assert counts.pop("FrameChange.at") == k
+    assert len(scenario.covariance_samples) > 1
+    assert counts.pop("FrameChange.at_points") == 1
     assert set(counts) == {"1.s0", "1.s1", "2.s0", "2.s1", "2.s2", "velocity"}
-    assert max(counts.values()) <= k, dict(counts)
+    assert set(counts.values()) == {1}, dict(counts)
+
+
+def _batch_inputs():
+    rng = random.Random(53)
+    frame = tensor_poly(
+        2, (2, 2),
+        [[((0, 0), 1.0), ((1, 0), 0.2)], [((0, 1), 0.1)],
+         [((1, 1), 0.05)], [((0, 0), 1.0), ((0, 1), -0.15)]],
+    )
+    return dict(
+        change=FrameChange(quadratic_transition(), 2, frame),
+        primed_stress1=VariationalStress1(
+            tensor_poly(2, (2,), [random_poly_table(rng, 2, 2) for _ in range(2)]),
+            tensor_poly(2, (2, 2), [random_poly_table(rng, 2, 2) for _ in range(4)]),
+        ),
+        primed_stress2=random_stress2_primed(rng, 2, 2, 2),
+        velocity=tensor_poly(2, (2,), [random_poly_table(rng, 2, 3) for _ in range(2)]),
+    )
+
+
+BATCH_INPUTS = _batch_inputs()
+SAMPLE = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), samples=st.lists(SAMPLE | st.sampled_from(SAMPLES_2D), min_size=1,
+                                         max_size=6))
+def test_invariance_check_over_samples_is_the_max_of_its_one_sample_checks(data, samples):
+    # Reading every sample in one batch changes no bit of any term, in any
+    # order of the samples.
+    reordered = data.draw(st.permutations(samples))
+    batched = invariance_check(list(covariance.QUANTITIES), samples=samples, **BATCH_INPUTS)
+    singles = [invariance_check(list(covariance.QUANTITIES), samples=[x], **BATCH_INPUTS)
+               for x in samples]
+    assert list(batched) == list(singles[0])
+    for term, value in batched.items():
+        want = float(np.max([one[term] for one in singles])).hex()
+        assert value.hex() == want
+    again = invariance_check(list(covariance.QUANTITIES), samples=reordered, **BATCH_INPUTS)
+    assert {t: v.hex() for t, v in again.items()} == {t: v.hex() for t, v in batched.items()}
 
 
 def singular_change():

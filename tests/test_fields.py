@@ -16,10 +16,11 @@ from jetstress.fields import (
     fibre_sum,
     finite_difference_jet,
     jet_extension,
+    jets_on,
     on_nodes,
 )
 from jetstress.geometry import FormField
-from jetstress.taylor import BatchSplit
+from jetstress.taylor import BatchSplit, MultiIndex
 
 
 def test_monomial_jet_one_dim():
@@ -421,3 +422,50 @@ def test_a_node_value_does_not_depend_on_the_nodes_that_share_its_batch(data, na
 
     assert hexed(whole) == hexed(one_node)
     assert hexed(regrouped) == hexed(one_node)
+
+
+def _jet_from_series(series, order):
+    """Derivative arrays from one point's series: each coefficient times I!
+    in every slot of its derivative array, 0.0 where the series has no key."""
+    dim, d = series[0].dim, len(series)
+    arrays = [np.zeros((d,) + (dim,) * p) for p in range(order + 1)]
+    for alpha, s in enumerate(series):
+        for exps, coef in s.coeffs.items():
+            index = MultiIndex(exps)
+            for slot in set(itertools.permutations(index.axes())):
+                arrays[index.order][(alpha,) + slot] = coef * index.factorial()
+    return arrays
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(BATCH_FIELDS)), order=st.integers(0, 3))
+def test_jets_on_gives_each_node_the_bits_of_its_one_point_jet(data, name, order):
+    field = BATCH_FIELDS[name]
+    rows = data.draw(st.lists(st.tuples(BATCH_COORDINATE, BATCH_COORDINATE), min_size=1,
+                              max_size=6))
+    jets = jets_on(field, rows, order)
+    assert len(jets) == len(rows)
+
+    def hexed(arrays):
+        return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
+
+    for row, jet in zip(rows, jets):
+        assert (jet.dim, jet.fiber_dim, jet.order) == (2, field.ncomp, order)
+        assert all(a.flags.c_contiguous for a in jet.arrays)
+        want = hexed(_jet_from_series(field.series_at(row, order), order))
+        assert hexed(jet.arrays) == want
+        assert hexed(jet_extension(field, row, order).arrays) == want
+
+
+def test_a_failing_one_point_jet_evaluates_its_field_once():
+    base = SmoothField.from_expressions(2, ["log(x1)"])
+    calls = []
+
+    def evaluator(point, order):
+        calls.append(point)
+        return base.series_at(point, order)
+
+    with pytest.raises(ValueError, match="positive constant term"):
+        jet_extension(SmoothField(2, 1, evaluator), (-1.0, 0.5), 1)
+    assert calls == [(-1.0, 0.5)]
+

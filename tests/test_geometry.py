@@ -1,6 +1,7 @@
 """Forms, interior products, pullbacks, quadrature, faces, edges, and Stokes."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -24,6 +25,24 @@ from jetstress.geometry import (
 )
 
 from oracles import _integral, edges, form_from_components
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(0,): 1.0, (1,): math.nan},
+    {(0,): math.nan, (1,): 1.0},
+    {(0,): np.array([1.0, -2.0]), (1,): np.array([0.5, math.nan])},
+    {(0,): np.array([math.nan, -2.0]), (1,): np.array([0.5, 3.0])},
+])
+def test_max_abs_keeps_a_nan_in_any_position(coeffs):
+    assert math.isnan(FormValue(2, 1, coeffs).max_abs())
+
+
+def test_max_abs_reads_every_node():
+    assert FormValue(2, 1).max_abs() == 0.0
+    assert FormValue(2, 1, {(0,): -0.0}).max_abs() == 0.0
+    form = FormValue(2, 1, {(0,): np.array([1.0, -4.0]), (1,): np.array([-3.0, 2.0])})
+    assert form.max_abs() == 4.0
+    assert form.max_abs_diff(form.scale(0.5)) == 2.0
 
 
 def unit_chart(n):

@@ -1,10 +1,13 @@
 """Non-holonomic stresses: action, lifts, traction, divergence, contractions."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetstress.bundles import IteratedJetValue, JetSectionField, include_holonomic
 from jetstress.fields import SmoothField, TensorField, jet_extension
@@ -299,3 +302,27 @@ def test_second_contraction_matches_brute_force_exactly():
             assert fast[0].max_abs_diff(brute[0]) == 0.0
     with pytest.raises(ValueError):
         second_contraction(tensor_const(1, (1, 1, 1), [[[1.0]]]).at((0.5,)))
+
+
+def _form_bits(form, node=None):
+    """Each key of a form with the hex of its coefficient, at one node of a batch."""
+    return {key: float(v if node is None else v[node]).hex() for key, v in form.coeffs.items()}
+
+
+# Signed zeros, infinities and NaN as well as ordinary entries.
+ENTRY = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3), d=st.integers(1, 2), nodes=st.integers(1, 5))
+def test_a_batched_second_contraction_gives_each_node_its_one_point_form(data, n, d, nodes):
+    entries = data.draw(st.lists(ENTRY, min_size=d * n * n * nodes, max_size=d * n * n * nodes))
+    block = np.array(entries).reshape(d, n, n, nodes)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        batched = (second_contraction(block), second_contraction_brute_force(block))
+        for k in range(nodes):
+            single = (second_contraction(block[..., k].copy()),
+                      second_contraction_brute_force(block[..., k].copy()))
+            for many, one in zip(batched, single):
+                assert [_form_bits(f, k) for f in many] == [_form_bits(f) for f in one]
+

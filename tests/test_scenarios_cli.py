@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetstress import geometry, scenarios
+from jetstress import cli, geometry, scenarios
 from jetstress.cli import main
 from jetstress.exprs import MAX_DEPTH
 from jetstress.fields import SmoothField, TensorField
@@ -205,6 +205,28 @@ def test_cli_check_selection_and_overrides(tmp_path):
     # Selecting a check the scenario does not configure is rejected.
     assert main(["run", "--scenario", str(SCENARIOS / "square-order1.json"),
                  "--check", "balance2"]) == 2
+
+
+def test_cli_calls_share_one_parser_and_no_option_values(tmp_path):
+    # The parser is built once per process; a repeatable option of one call
+    # must not carry into the next.
+    square = str(SCENARIOS / "square-order1.json")
+
+    def run(*options):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--scenario", square, *options, "--report", str(out)]) == 0
+        return {r["check"]: r for r in map(json.loads, out.read_text().splitlines())}
+
+    first = run("--check", "balance1", "--tol-override", "balance1=1e-8")
+    assert list(first) == ["balance1", "summary"] and first["balance1"]["tolerance"] == 1e-8
+    second = run("--check", "cauchy", "--check", "jet-oracle", "--tol-override", "cauchy=1e-7")
+    assert list(second) == ["cauchy", "jet-oracle", "summary"]
+    assert second["cauchy"]["tolerance"] == 1e-7
+    assert second["jet-oracle"]["tolerance"] == DEFAULT_TOLERANCES["jet-oracle"]
+    third = run()
+    assert list(third) == ["balance1", "cauchy", "div-consistency", "jet-oracle", "summary"]
+    assert all(third[c]["tolerance"] == DEFAULT_TOLERANCES[c] for c in list(third)[:-1])
+    assert cli._parser() is cli._parser()
 
 
 def test_cli_generate_roundtrip(tmp_path, capsys):
@@ -541,6 +563,25 @@ def test_lambda_invariance_evaluates_each_leaf_block_once_per_batch(monkeypatch)
     assert report.passed
     assert {name for name, _, _ in calls} == {"s0", "s1", "s2", "u"}
     assert set(calls.values()) == {1}
+
+
+def test_second_contraction_zero_gap_stops_at_the_first_asymmetric_point(monkeypatch):
+    # x3 is asymmetric by x1: within the 1e-12 symmetry tolerance at small x1.
+    # The zero gap reads the points before the first asymmetric one (x1 =
+    # 0.5), not the nearly symmetric point after it.
+    doc = json.loads((SCENARIOS / "symmetric-contraction.json").read_text())
+    doc["stress"]["raw"]["x3"] = [[["x1^2", "x1"], ["0", "x2^2 - 0.5"]]]
+    scenario = load_scenario(doc)
+    points = [(1e-13, 0.2), (5e-13, 0.4), (0.5, 0.5), (8e-13, 0.6)]
+    monkeypatch.setattr(scenarios, "_sample_points", lambda scenario, count: points)
+    record, = run_checks(scenario, ["second-contraction"]).records
+    assert record.terms == {"oracle_gap": 0.0, "symmetric": 0.0, "zero_gap": 5e-13}
+    assert record.residual == 0.0
+    # With no asymmetric point, every point counts.
+    del points[2]
+    record, = run_checks(scenario, ["second-contraction"]).records
+    assert record.terms == {"oracle_gap": 0.0, "symmetric": 1.0, "zero_gap": 8e-13}
+    assert record.residual == 8e-13
 
 
 def test_uncomputable_covariance_quantities_are_rejected_at_load():
