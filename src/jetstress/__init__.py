@@ -63,7 +63,6 @@ from .surface import (
     vertical_projection,
 )
 from .balance import (
-    BalanceReport,
     div_div,
     edge_assembly,
     first_integration_by_parts,

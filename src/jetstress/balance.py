@@ -10,7 +10,6 @@ headline number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .bundles import JetSectionField
@@ -34,7 +33,7 @@ from .nonholonomic import (
     nh_divergence,
     nh_traction,
 )
-from .reports import CheckRecord, relative_residual
+from .reports import relative_residual
 from .stress import (
     divergence,
     pairing_volume_form,
@@ -45,7 +44,6 @@ from .stress import (
 from .surface import TransversalField, face_split, surface_divergence, tangent_traction
 
 __all__ = [
-    "BalanceReport",
     "first_integration_by_parts",
     "div_div",
     "edge_assembly",
@@ -54,51 +52,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class BalanceReport:
-    """Term-by-term record of the second-order power identity."""
-
-    interior_action: float
-    edge_terms: Dict[str, float]
-    face_divergence_terms: Dict[str, float]
-    boundary_div_term: float
-    div_div_term: float
-    residual: float
-    relative_residual: float
-
-    @property
-    def edge_sum(self) -> float:
-        return sum(self.edge_terms.values())
-
-    @property
-    def face_divergence_sum(self) -> float:
-        return sum(self.face_divergence_terms.values())
-
-    def terms(self) -> Dict[str, float]:
-        """The ``balance2`` record terms: lhs, the four groups, the residual, each edge and face."""
-        terms = {
-            "lhs": self.interior_action,
-            "edge_sum": self.edge_sum,
-            "face_div_sum": self.face_divergence_sum,
-            "boundary_div": self.boundary_div_term,
-            "div_div": self.div_div_term,
-            "residual_abs": self.residual,
-        }
-        for key, value in self.edge_terms.items():
-            terms[f"edge:{key}"] = value
-        for key, value in self.face_divergence_terms.items():
-            terms[f"facediv:{key}"] = value
-        return terms
-
-
 def first_integration_by_parts(
     stress: NonHolonomicStress,
     section: JetSectionField,
     body: Body,
     rule: QuadratureRule,
-    tolerance: float = 1e-10,
-) -> CheckRecord:
-    """Interior action equals boundary-stress power minus divergence power."""
+) -> Tuple[Dict[str, float], float]:
+    """Interior action equals boundary-stress power minus divergence power:
+    the terms and the relative residual."""
     lhs, interior = integrate_over(
         [nh_action_form(stress, section), section_pairing_form(nh_divergence(stress), section)],
         body, rule,
@@ -106,12 +67,8 @@ def first_integration_by_parts(
     boundary_form = hyper_surface_action(nh_traction(stress), section)
     boundary = sum(integrate_over([boundary_form], f, rule)[0] for f in boundary_faces(body))
     residual = abs(lhs - (boundary - interior))
-    return CheckRecord(
-        "first-integration-by-parts",
-        {"lhs": lhs, "boundary": boundary, "interior": interior, "residual_abs": residual},
-        relative_residual(residual, lhs, boundary, interior),
-        tolerance,
-    )
+    terms = {"lhs": lhs, "boundary": boundary, "interior": interior, "residual_abs": residual}
+    return terms, relative_residual(residual, lhs, boundary, interior)
 
 
 def div_div(stress: NonHolonomicStress) -> TensorField:
@@ -138,6 +95,8 @@ def edge_assembly(
     transversal.  Each face's fields are built once (see
     :func:`jetstress.surface.face_split`), and one pass reads the face's
     nodes and its edge pieces' (see :func:`jetstress.geometry.integrate_face`).
+    A ``ValueError`` from a face's pass is raised again with the face label
+    in front.
     """
     n = body.dim
     edge_terms: Dict[str, float] = {}
@@ -145,10 +104,13 @@ def edge_assembly(
     boundary_terms: Dict[str, float] = {}
     for face in boundary_faces(body):
         transversal = (transversals or {}).get(face.label) or TransversalField.coordinate(face)
-        split = face_split(surface_stress, face, transversal, velocity)
-        forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
-        tau_u = traction_action(tangent_traction(split), split.velocity)
-        values, piece_values = integrate_face(forms, tau_u, face, rule)
+        try:
+            split = face_split(surface_stress, face, transversal, velocity)
+            forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
+            tau_u = traction_action(tangent_traction(split), split.velocity)
+            values, piece_values = integrate_face(forms, tau_u, face, rule)
+        except ValueError as exc:
+            raise ValueError(f"{face.label}: {exc}") from exc
         face_terms[face.label], boundary_terms[face.label] = values
         face_axes = [a for a in range(n) if a != face.boxface.axis]
         for piece, value in zip(box_faces(face.param_box), piece_values):
@@ -164,7 +126,7 @@ def verify_balance_order2(
     body: Body,
     transversals: Optional[Dict[str, TransversalField]] = None,
     rule: QuadratureRule = QuadratureRule(6),
-) -> BalanceReport:
+) -> Tuple[Dict[str, float], float]:
     """Full second-order identity: interior power against its four groups.
 
     interior = edges - face divergences - boundary divergence traction
@@ -173,7 +135,8 @@ def verify_balance_order2(
     Each point set is read once: the body's nodes for the interior power and
     the twice-iterated divergence, each face's nodes for its surface
     divergence and boundary divergence traction, and each face's edge pieces
-    together.
+    together.  Returns the terms, each edge's and each face's included, and
+    the relative residual.
     """
     section = JetSectionField.from_velocity(velocity)
     lhs, dd_term = integrate_over(
@@ -189,15 +152,11 @@ def verify_balance_order2(
 
     edges, faces = sum(edge_terms.values()), sum(face_terms.values())
     residual = abs(lhs - (edges - faces - boundary_div + dd_term))
-    return BalanceReport(
-        interior_action=lhs,
-        edge_terms=edge_terms,
-        face_divergence_terms=face_terms,
-        boundary_div_term=boundary_div,
-        div_div_term=dd_term,
-        residual=residual,
-        relative_residual=relative_residual(residual, lhs, edges, faces, boundary_div, dd_term),
-    )
+    terms = {"lhs": lhs, "edge_sum": edges, "face_div_sum": faces,
+             "boundary_div": boundary_div, "div_div": dd_term, "residual_abs": residual}
+    terms.update((f"edge:{key}", value) for key, value in edge_terms.items())
+    terms.update((f"facediv:{key}", value) for key, value in face_terms.items())
+    return terms, relative_residual(residual, lhs, edges, faces, boundary_div, dd_term)
 
 
 def closed_boundary_exact_term(

@@ -94,11 +94,10 @@ class Box:
 
 @dataclass(frozen=True)
 class Chart:
-    """A named coordinate patch with box extent."""
+    """A coordinate patch with box extent."""
 
     dim: int
     box: Box
-    name: str = "chart"
 
     def __post_init__(self):
         if self.box.dim != self.dim:
@@ -121,10 +120,9 @@ class TransitionMap:
     def dim(self) -> int:
         return self.forward.dim
 
-    def check_roundtrip(
-        self, points: Sequence[Sequence[float]], tol: float = 1e-10
-    ) -> float:
-        """Largest defect of inverse(forward(x)) = x over the sample points; NaN fails.
+    def check_roundtrip(self, points: Sequence[Sequence[float]]) -> float:
+        """Largest defect of inverse(forward(x)) = x over the sample points; a
+        defect above 1e-10 or NaN fails.
 
         The forward values and Jacobians come from one read of the forward
         map over all the points, the inverse values from one read at their
@@ -140,8 +138,8 @@ class TransitionMap:
             if abs(det) < 1e-12:
                 raise ValueError(f"transition jacobian is singular at {tuple(x)}")
         worst = float(np.max(np.abs(back - xs), initial=0.0))
-        if not worst <= tol:
-            raise ValueError(f"transition roundtrip defect {worst:.2e} exceeds {tol:.1e}")
+        if not worst <= 1e-10:
+            raise ValueError(f"transition roundtrip defect {worst:.2e} exceeds 1.0e-10")
         return worst
 
 
@@ -418,7 +416,7 @@ def _selected_coefficients(
                     new = rename[key]
                     if new is not None:
                         kept[new] = 0.0 + val
-                out.append(TruncatedSeries._trusted(src_dim, order, kept, s.batch))
+                out.append(TruncatedSeries._trusted(src_dim, order, kept))
         return out
 
     return SmoothField(src_dim, groups * len(source_tuples), evaluator)

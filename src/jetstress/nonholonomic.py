@@ -90,10 +90,11 @@ class VariationalStress2:
     def fiber_dim(self) -> int:
         return self.s0.shape[0]
 
-    def check_symmetry(self, points: Sequence[Sequence[float]], tol: float = 1e-12) -> None:
+    def check_symmetry(self, points: Sequence[Sequence[float]]) -> None:
+        """Raise at the first point where the top block's asymmetry exceeds 1e-10."""
         for x in points:
             arr = self.s2.at(x)
-            if np.max(np.abs(arr - np.transpose(arr, (0, 2, 1)))) > tol:
+            if np.max(np.abs(arr - np.transpose(arr, (0, 2, 1)))) > 1e-10:
                 raise ValueError(f"top block is not symmetric at {tuple(x)}")
 
 

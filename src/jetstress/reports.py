@@ -1,4 +1,5 @@
-"""Structured check records shared by the verification routines and the CLI."""
+"""Check records, which ``scenarios.run_checks`` makes, and the run report the
+CLI writes."""
 
 from __future__ import annotations
 

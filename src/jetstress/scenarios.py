@@ -339,7 +339,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
         if not 0.0 <= split <= 1.0:
             raise ScenarioError("stress.order2.split: must lie in [0, 1]")
         with _keyed("stress.order2.s2"):
-            scenario.stress2.check_symmetry([tuple(body_box.center())], tol=1e-10)
+            scenario.stress2.check_symmetry([tuple(body_box.center())])
         scenario.nh_stress = lift_second_order(scenario.stress2, split)
     if "raw" in stress_block:  # a raw representative takes the place of the lift
         blk = _block(stress_block, "raw", "stress")
@@ -446,8 +446,8 @@ def _worst(values: Sequence[float]) -> float:
     return float(np.max(values))
 
 
-def _sample_points(scenario: Scenario, count: int, seed: int = 12345) -> List[Tuple[float, ...]]:
-    rng = random.Random(seed)
+def _sample_points(scenario: Scenario, count: int) -> List[Tuple[float, ...]]:
+    rng = random.Random(12345)
     box = scenario.body.box
     return [
         tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper))
@@ -456,21 +456,19 @@ def _sample_points(scenario: Scenario, count: int, seed: int = 12345) -> List[Tu
 
 
 def _run_balance1(scenario: Scenario) -> _Result:
-    record = verify_balance_order1(
+    return verify_balance_order1(
         scenario.stress1, scenario.velocity, scenario.body, QuadratureRule(scenario.quad_order)
     )
-    return record.terms, record.residual
 
 
 def _run_balance2(scenario: Scenario) -> _Result:
-    report = verify_balance_order2(
+    return verify_balance_order2(
         scenario.nh_stress,
         scenario.velocity,
         scenario.body,
         scenario.transversals,
         QuadratureRule(scenario.quad_order),
     )
-    return report.terms(), report.relative_residual
 
 
 def _run_cauchy(scenario: Scenario) -> _Result:

@@ -166,17 +166,16 @@ class TruncatedSeries:
 
     Coefficients are kept in a dict keyed by exponent tuples; absent keys are
     zero, and a zero coefficient keeps its key.  Series of different ``dim``
-    or ``order`` never mix.  ``batch`` is true when a coefficient may hold one
-    value per node of a batch.
+    or ``order`` never mix.  A coefficient is a float, or a node array that
+    holds one value per node of a batch.
     """
 
-    __slots__ = ("dim", "order", "coeffs", "batch")
+    __slots__ = ("dim", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, coeffs: Mapping[Exponents, float] | None = None):
         _check_shape(dim, order)
         self.dim = dim
         self.order = order
-        self.batch = False
         self.coeffs: Dict[Exponents, float] = {}
         if coeffs:
             for key, val in coeffs.items():
@@ -188,20 +187,17 @@ class TruncatedSeries:
                 self.coeffs[key] = float(val)
 
     @classmethod
-    def _trusted(
-        cls, dim: int, order: int, coeffs: Dict[Exponents, float], batch: bool = False
-    ) -> "TruncatedSeries":
+    def _trusted(cls, dim: int, order: int, coeffs: Dict[Exponents, float]) -> "TruncatedSeries":
         """Wrap a fresh dict the engine computed from series it already holds.
 
         Its keys are exponent tuples of length ``dim`` within ``order`` and its
-        values floats, or with ``batch`` floats and node arrays, so the key
-        checks of the constructor are skipped.
+        values floats or node arrays, so the key checks of the constructor are
+        skipped.
         """
         out = object.__new__(cls)
         out.dim = dim
         out.order = order
         out.coeffs = coeffs
-        out.batch = batch
         return out
 
     # -- constructors ------------------------------------------------------
@@ -216,7 +212,7 @@ class TruncatedSeries:
         """The constant ``value``: a float, or one value per node of a batch."""
         _check_shape(dim, order)
         value = _coefficient(value)
-        return cls._trusted(dim, order, {_zero_exponents(dim): value}, value.__class__ is not float)
+        return cls._trusted(dim, order, {_zero_exponents(dim): value})
 
     @classmethod
     def variable(cls, dim: int, order: int, axis: int, center: float) -> "TruncatedSeries":
@@ -229,7 +225,7 @@ class TruncatedSeries:
             exps = [0] * dim
             exps[axis] = 1
             coeffs[tuple(exps)] = 1.0
-        return cls._trusted(dim, order, coeffs, center.__class__ is not float)
+        return cls._trusted(dim, order, coeffs)
 
     # -- accessors ---------------------------------------------------------
 
@@ -256,20 +252,18 @@ class TruncatedSeries:
             out = dict(self.coeffs)
             key = _zero_exponents(self.dim)
             out[key] = out.get(key, 0.0) + other
-            return TruncatedSeries._trusted(
-                self.dim, self.order, out, self.batch or other.__class__ is not float
-            )
+            return TruncatedSeries._trusted(self.dim, self.order, out)
         self._check_compatible(other)
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
             out[key] = out.get(key, 0.0) + val
-        return TruncatedSeries._trusted(self.dim, self.order, out, self.batch or other.batch)
+        return TruncatedSeries._trusted(self.dim, self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = {k: -v for k, v in self.coeffs.items()}
-        return TruncatedSeries._trusted(self.dim, self.order, neg, self.batch)
+        return TruncatedSeries._trusted(self.dim, self.order, neg)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -282,10 +276,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             c = _coefficient(other)
-            return TruncatedSeries._trusted(
-                self.dim, self.order, {k: v * c for k, v in self.coeffs.items()},
-                self.batch or c.__class__ is not float,
-            )
+            out = {k: v * c for k, v in self.coeffs.items()}
+            return TruncatedSeries._trusted(self.dim, self.order, out)
         self._check_compatible(other)
         cap = self.order
         if not cap:
@@ -293,7 +285,7 @@ class TruncatedSeries:
             # walk's one step, 0.0 + va * vb (which turns -0.0 into 0.0).
             out = {k: 0.0 + va * vb for k, va in self.coeffs.items()
                    for vb in other.coeffs.values()}
-            return TruncatedSeries._trusted(self.dim, 0, out, self.batch or other.batch)
+            return TruncatedSeries._trusted(self.dim, 0, out)
         rows = _PRODUCT_ROWS.get(cap)
         if rows is None:
             rows = _PRODUCT_ROWS[cap] = {}
@@ -308,7 +300,7 @@ class TruncatedSeries:
                 key = row[kb]
                 if key is not None:
                     out[key] = get(key, 0.0) + va * vb
-        return TruncatedSeries._trusted(self.dim, cap, out, self.batch or other.batch)
+        return TruncatedSeries._trusted(self.dim, cap, out)
 
     __rmul__ = __mul__
 
@@ -354,23 +346,23 @@ class TruncatedSeries:
             new_key = key[:axis] + (e - 1,) + key[axis + 1 :]
             if sum(new_key) <= new_order:
                 out[new_key] = out.get(new_key, 0.0) + val * e
-        return TruncatedSeries._trusted(self.dim, new_order, out, self.batch)
+        return TruncatedSeries._trusted(self.dim, new_order, out)
 
     def offset(self) -> "TruncatedSeries":
         """The series less its value: every key but the constant one, so
         ``compose`` can substitute it."""
         out = dict(self.coeffs)
         out.pop(_zero_exponents(self.dim), None)
-        return TruncatedSeries._trusted(self.dim, self.order, out, self.batch)
+        return TruncatedSeries._trusted(self.dim, self.order, out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order == self.order:
             return self
         if order > self.order:
-            return TruncatedSeries._trusted(self.dim, order, dict(self.coeffs), self.batch)
+            return TruncatedSeries._trusted(self.dim, order, dict(self.coeffs))
         _check_shape(self.dim, order)
         out = {k: v for k, v in self.coeffs.items() if sum(k) <= order}
-        return TruncatedSeries._trusted(self.dim, order, out, self.batch)
+        return TruncatedSeries._trusted(self.dim, order, out)
 
     def compose(self, offsets: Sequence["TruncatedSeries"]) -> "TruncatedSeries":
         """Substitute each offset variable by a series with no constant key.
@@ -500,7 +492,7 @@ class Coordinates(list):
             if term is not None:
                 total = 0.0 + term if total is None else total + term
         coeffs = {} if total is None else {zero: total}
-        return TruncatedSeries._trusted(len(zero), 0, coeffs, per_node(total))
+        return TruncatedSeries._trusted(len(zero), 0, coeffs)
 
 
 # -- composition with univariate analytic primitives -------------------------

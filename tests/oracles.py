@@ -85,7 +85,7 @@ def series_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             key = tuple(x + y for x, y in zip(ka, kb))
             if sum(key) <= a.order:
                 out[key] = out.get(key, 0.0) + va * vb
-    return TruncatedSeries._trusted(a.dim, a.order, out, a.batch or b.batch)
+    return TruncatedSeries._trusted(a.dim, a.order, out)
 
 
 def series_power(base: TruncatedSeries, exponent: int) -> TruncatedSeries:

@@ -9,8 +9,11 @@ import pytest
 
 import jetstress.balance
 import jetstress.scenarios
+from jetstress.balance import verify_balance_order2
 from jetstress.cli import main
-from jetstress.scenarios import CHECK_IDS, load_scenario, run_checks
+from jetstress.geometry import QuadratureRule
+from jetstress.scenarios import CHECK_IDS, generate_scenario, load_scenario, run_checks
+from jetstress.stress import verify_balance_order1
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -111,6 +114,40 @@ def test_balance2_integrates_the_interior_power_once(monkeypatch):
     scenario = load_scenario((SCENARIOS / "cube-order2.json").read_text())
     run_checks(scenario, ["balance2"])
     assert len(calls) == 1
+
+
+# Every bundled document that configures a balance (malformed.json does not
+# load), and generated n = 3 and n = 4 documents, which configure both.
+BALANCE_DOCUMENTS = {
+    path.name: path.read_text() for path in SCENARIOS.glob("*.json")
+    if path.name != "malformed.json"
+    and {"balance1", "balance2"} & set(json.loads(path.read_text())["checks"])
+}
+BALANCE_DOCUMENTS.update(generated_n3=generate_scenario(3, 3, 1, 2),
+                         generated_n4=generate_scenario(3, 4, 1, 2))
+
+
+def _hex(terms, residual):
+    return {key: value.hex() for key, value in terms.items()}, residual.hex()
+
+
+@pytest.mark.parametrize("name", sorted(BALANCE_DOCUMENTS))
+def test_a_balance_record_holds_the_routine_result_and_the_scenario_tolerance(name):
+    scenario = load_scenario(BALANCE_DOCUMENTS[name])
+    rule = QuadratureRule(scenario.quad_order)
+    direct = {
+        "balance1": lambda: verify_balance_order1(
+            scenario.stress1, scenario.velocity, scenario.body, rule),
+        "balance2": lambda: verify_balance_order2(
+            scenario.nh_stress, scenario.velocity, scenario.body, scenario.transversals, rule),
+    }
+    cids = [cid for cid in scenario.checks if cid in direct]
+    assert cids
+    for i, cid in enumerate(cids):
+        scenario.tolerances[cid] = 0.125 * (i + 1)
+    for record in run_checks(scenario, cids).records:
+        assert _hex(record.terms, record.residual) == _hex(*direct[record.check_id]())
+        assert record.tolerance == scenario.tolerances[record.check_id]
 
 
 def test_tracer_spans_match_the_check_ids():

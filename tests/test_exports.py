@@ -1,12 +1,17 @@
 """Every name in a ``jetstress`` module's ``__all__`` resolves on that module,
-so a deleted or renamed helper cannot leave a stale export behind."""
+and the README's library example runs, so a deleted or renamed helper or a
+changed signature cannot leave a stale export or example behind."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import jetstress
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(jetstress.__path__, "jetstress."))
 
@@ -21,3 +26,12 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_the_readme_library_example_runs(capsys):
+    section = README.read_text().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["residual"] <= 1e-10
+    assert capsys.readouterr().out.strip()

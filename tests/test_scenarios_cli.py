@@ -479,18 +479,29 @@ def _square_with_velocity(u):
     return doc
 
 
+def _degenerate_corner_patch():
+    # The patch's x2 slope is 5e-324 at x2 = 0, so the tangent of face
+    # x1-lower vanishes at its corner node and its frame solve is singular.
+    doc = generate_scenario(3, 2, 1, 2)
+    doc["geometry"]["patch"] = ["1.0*x1", "5e-324*x2 + 1.0*x2^2"]
+    doc["checks"] = ["balance1", "balance2"]
+    return doc
+
+
 EVALUATION_ERRORS = [
     (_square_with_velocity(["log(x1 - 2)"]), "checks.balance1: "),
     (_square_with_velocity(["1/(x1-x1)"]), "checks.balance1: "),
-    (_order2_square_with_transversal({"vector": ["0", "1"]}), "checks.balance2: "),
+    (_order2_square_with_transversal({"vector": ["0", "1"]}), "checks.balance2: x1-upper: "),
     (_order2_square_with_transversal({"metric": [["0", "1"], ["1", "0"]]}),
      "transversals.x1-upper: "),
+    (_degenerate_corner_patch(), "checks.balance2: x1-lower: "),
 ]
 
 
 @pytest.mark.parametrize(
     "doc, prefix", EVALUATION_ERRORS,
-    ids=["log-of-negative", "reciprocal-of-zero", "tangent-transversal", "indefinite-metric"],
+    ids=["log-of-negative", "reciprocal-of-zero", "tangent-transversal", "indefinite-metric",
+         "degenerate-corner"],
 )
 def test_evaluation_error_exits_2_naming_the_key(tmp_path, capsys, doc, prefix):
     scenario = tmp_path / "bad.json"
@@ -501,6 +512,18 @@ def test_evaluation_error_exits_2_naming_the_key(tmp_path, capsys, doc, prefix):
     assert err.startswith(f"error: {prefix}")
     assert "Traceback" not in err
     assert not report.exists()
+
+
+def test_a_degenerate_corner_patch_still_loads_and_runs_balance1(tmp_path):
+    # balance1 solves no face frame, so the patch is not rejected at load:
+    # balance1 alone passes on the same document.
+    scenario = tmp_path / "corner.json"
+    scenario.write_text(json.dumps(_degenerate_corner_patch()))
+    report = tmp_path / "report.jsonl"
+    argv = ["run", "--scenario", str(scenario), "--report", str(report), "--check", "balance1"]
+    assert main(argv) == 0
+    record = json.loads(report.read_text().splitlines()[0])
+    assert record["check"] == "balance1" and record["residual"] == 0.0
 
 
 def test_analytic_overflow_exits_2_naming_the_check(tmp_path, capsys):

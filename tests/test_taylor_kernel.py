@@ -316,8 +316,8 @@ def node_tables(draw, dim, order, nodes, constant=None):
 
 def batched(dim, order, table):
     """The batched series of ``table``: its keys in order, one array each."""
-    return TruncatedSeries._trusted(
-        dim, order, {k: np.array(column) for k, column in table.items()}, batch=True)
+    columns = {k: np.array(column) for k, column in table.items()}
+    return TruncatedSeries._trusted(dim, order, columns)
 
 
 def at_node(table, i):
@@ -334,7 +334,6 @@ def node_bits(series, i):
 def assert_nodes_match(batch_fn, node_fn, nodes):
     """Every node of ``batch_fn()`` has the bits and key order of ``node_fn(i)``."""
     got = batch_fn()
-    assert got.batch
     for i in range(nodes):
         assert node_bits(got, i) == bits(node_fn(i))
 

@@ -92,9 +92,8 @@ def at_node(dim, order, system, i):
 
 def batched(dim, order, system, index):
     """Series whose coefficients hold the values of the nodes in ``index``."""
-    return [[TruncatedSeries._trusted(
-        dim, order, {k: np.array(v)[index] for k, v in t.items()}, batch=True)
-        for t in row] for row in system]
+    return [[TruncatedSeries._trusted(dim, order, {k: np.array(v)[index] for k, v in t.items()})
+             for t in row] for row in system]
 
 
 def bits(series, i=None):
