@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import JetValue, TensorField, jets_on, on_nodes
-from .geometry import FormValue, TransitionMap, pullback_form_value, tuple_omitting
+from .geometry import TransitionMap, tuple_omitting
 from .nonholonomic import VariationalStress2
 from .stress import VariationalStress1
 
@@ -35,7 +35,9 @@ class PointChange:
     ``xp`` is the image of ``x``; ``jac`` is d(primed)/d(unprimed) at ``x``
     with determinant ``det``; ``dx[i, ip]`` and ``ddx[i, ip, jp]`` are the
     first and second derivatives of the inverse at ``xp``; ``a0``, ``a1``,
-    ``a2`` are the value, gradient, and Hessian of the frame change at ``x``.
+    ``a2`` are the value, gradient, and Hessian of the frame change at ``x``;
+    ``minors`` as :func:`_minors`.  Arrays are kept C-contiguous: ``einsum``
+    adds in memory order, so a strided view would change a law's bits.
     """
 
     x: Tuple[float, ...]
@@ -47,6 +49,11 @@ class PointChange:
     a0: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
+    minors: np.ndarray
+
+    def __post_init__(self):
+        for name in ("jac", "dx", "ddx", "a0", "a1", "a2", "minors"):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,9 @@ class FrameChange:
         """The jets of the transition, its inverse, and the frame at each point.
 
         Each field is read once over all the points: the forward map at order
-        1, the inverse at order 2 at the images, the frame at order 2.  The
-        points are then checked in order, the transition before the frame.
+        1, the inverse at order 2 at the images, the frame at order 2, and every
+        Jacobian minor from one stacked determinant.  The points are then
+        checked in order, the transition before the frame.
         """
         d, n = self.fiber_dim, self.dim
         forward = jets_on(self.transition.forward, points, 1)
@@ -85,6 +93,7 @@ class FrameChange:
                 for jet in jets_on(self.frame.field, points, 2)
             ]
         frame_dets = np.linalg.det(np.array([a[0] for a in frames]).reshape(-1, d, d))
+        minors = _minors(jacs)
         out = []
         for k, (point, det) in enumerate(zip(points, np.linalg.det(jacs))):
             x = tuple(point)
@@ -93,12 +102,19 @@ class FrameChange:
             if abs(frame_dets[k]) < 1e-12:
                 raise ValueError(f"frame change is singular at {x}")
             dx, ddx = inverse[k].array(1), inverse[k].array(2)
-            out.append(PointChange(x, xps[k], jacs[k], float(det), dx, ddx, *frames[k]))
+            out.append(PointChange(x, xps[k], jacs[k], float(det), dx, ddx, *frames[k], minors[k]))
         return out
 
 
+def _minors(jacs: np.ndarray) -> np.ndarray:
+    """``[k, j, i]``: the minor of ``jacs[k]`` without row j and column i, all from one det."""
+    n = jacs.shape[-1]
+    keep = np.array([tuple_omitting(n, i) for i in range(n)], dtype=int).reshape(n, n - 1)
+    return np.linalg.det(jacs[:, keep[:, None, :, None], keep[None, :, None, :]])
+
+
 def _jet_law(pc: PointChange, jet: JetValue) -> JetValue:
-    u, du, ddu = jet.array(0), jet.array(1), jet.array(2)
+    u, du, ddu = (np.ascontiguousarray(jet.array(p)) for p in range(3))
     a0, a1, a2, dx = pc.a0, pc.a1, pc.a2, pc.dx
     up = a0 @ u
     # First derivatives: (A_{,i} u + A u_{,i}) x^i_{,i'}.
@@ -135,6 +151,7 @@ def _top_gradient_terms(pc: PointChange, s2p: np.ndarray):
     The two symmetric routes through one frame derivative, then the second
     derivatives of the inverse transition.
     """
+    s2p = np.ascontiguousarray(s2p)
     return (
         np.einsum("BIJ,Baj,jI,iJ->ai", s2p, pc.a1, pc.dx, pc.dx),
         np.einsum("BIJ,Baj,jJ,iI->ai", s2p, pc.a1, pc.dx, pc.dx),
@@ -142,13 +159,14 @@ def _top_gradient_terms(pc: PointChange, s2p: np.ndarray):
     )
 
 
-def _stress_law(pc: PointChange, primed: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+def _stress_law(pc: PointChange, primed: Sequence[np.ndarray], top=None) -> Tuple[np.ndarray, ...]:
     """Unprimed stress blocks at ``pc.x`` from the primed blocks read at ``pc.xp``.
 
     Matching the power density for every velocity fixes every block,
     including the value block.  Two blocks give the first-order law: the
-    same law without the top block.
+    same law without the top block; three need its :func:`_top_gradient_terms`.
     """
+    primed = [np.ascontiguousarray(block) for block in primed]
     s0p, s1p = primed[:2]
     # Value block: everything the chain rule deposits on plain velocity values.
     value = np.einsum("B,Ba->a", s0p, pc.a0) + np.einsum("BI,Bai,iI->a", s1p, pc.a1, pc.dx)
@@ -161,28 +179,22 @@ def _stress_law(pc: PointChange, primed: Sequence[np.ndarray]) -> Tuple[np.ndarr
         + np.einsum("BIJ,Baij,iI,jJ->a", s2p, pc.a2, pc.dx, pc.dx)
         + np.einsum("BIJ,Bai,iIJ->a", s2p, pc.a1, pc.ddx)
     )
-    t1, t2, t3 = _top_gradient_terms(pc, s2p)
+    t1, t2, t3 = top
     # Hessian block: purely tensorial with the volume weight.
-    top = np.einsum("BIJ,Ba,iI,jJ->aij", s2p, pc.a0, pc.dx, pc.dx)
-    return pc.det * value, pc.det * (gradient + t1 + t2 + t3), pc.det * top
+    hessian = np.einsum("BIJ,Ba,iI,jJ->aij", s2p, pc.a0, pc.dx, pc.dx)
+    return pc.det * value, pc.det * (gradient + t1 + t2 + t3), pc.det * hessian
 
 
-def _from_hatted(values: Sequence[float]) -> FormValue:
-    """The (n-1)-covector with the given coefficients on the contracted-volume basis."""
-    n = len(values)
-    coeffs = {tuple_omitting(n, i): v * (-1.0) ** i for i, v in enumerate(values)}
-    return FormValue(n, n - 1, coeffs)
+def _pullback(coeffs: np.ndarray, minors: np.ndarray) -> np.ndarray:
+    """(n-1)-covectors, ``coeffs[..., j]`` on the index tuple that omits j, pulled
+    back through a Jacobian with these minors: ``0.0 + sum_j coeffs[..., j] *
+    minors[j, i]``, added in order of j."""
+    return sum((coeffs[..., j, None] * minors[j] for j in range(len(minors))), 0.0)
 
 
-def _form_to_hatted(form: FormValue) -> np.ndarray:
-    """Coefficients of an (n-1)-covector on the contracted-volume basis."""
-    n = form.dim
-    return np.array([(-1.0) ** i * form.coefficient(tuple_omitting(n, i)) for i in range(n)])
-
-
-def _traction_covector(s1: np.ndarray, u: np.ndarray) -> FormValue:
-    """The traction density s1(., u) as an (n-1)-covector."""
-    return _from_hatted([float(np.sum(s1[:, j] * u)) for j in range(s1.shape[1])])
+def _traction_coeffs(s1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The traction density s1(., u) as an (n-1)-covector's coefficients."""
+    return np.array([float(np.sum(s1[:, j] * u)) * (-1.0) ** j for j in range(s1.shape[1])])
 
 
 def _naive_blocks_mapped(
@@ -197,42 +209,39 @@ def _naive_blocks_mapped(
     """
     # Pull each primed basis (n-1)-covector back and express it on the
     # unprimed contracted-volume basis: rows are primed axes.
-    basis_map = np.array([
-        _form_to_hatted(pullback_form_value(_from_hatted(unit), pc.jac))
-        for unit in np.eye(len(pc.xp))
-    ])
+    signs = np.array([(-1.0) ** i for i in range(len(pc.xp))])
+    basis_map = _pullback(np.eye(len(pc.xp)) * signs, pc.minors) * signs
+    s1p, s2p = np.ascontiguousarray(s1p), np.ascontiguousarray(s2p)
     scalar = np.einsum("BI,Ba,Ii->ai", s1p, pc.a0, basis_map)
     vector = np.einsum("BIJ,Ba,jJ,Ii->aji", s2p, pc.a0, pc.dx, basis_map)
     return scalar, vector
 
 
-def _contraction_defect(pc: PointChange, s2p: np.ndarray) -> np.ndarray:
-    t1, t2, t3 = _top_gradient_terms(pc, s2p)
-    return pc.det * (t1 + t2 + t3)
-
-
 def _density(blocks: Sequence[np.ndarray], jet: JetValue) -> float:
     """Power density: each stress block summed against the jet array of its order."""
-    terms = [np.sum(block * jet.array(p)) for p, block in enumerate(blocks)]
+    terms = [np.sum(np.ascontiguousarray(block * jet.array(p))) for p, block in enumerate(blocks)]
     return float(sum(terms[1:], terms[0]))
 
 
 # A quantity's law maps, at one sample, the frame change, the primed blocks
-# of its stress, the unprimed blocks they give and the velocity jets in both
+# of its stress, the unprimed blocks they give, the top block's gradient
+# terms if a second-order stress is in use, and the velocity jets in both
 # charts, if some quantity pairs a velocity, to one gap per record term.
-def _action_gaps(pc: PointChange, primed, unprimed, jet_un, jet_pr) -> Tuple[float]:
+def _action_gaps(pc: PointChange, primed, unprimed, top, jet_un, jet_pr) -> Tuple[float]:
     return (abs(_density(unprimed, jet_un) - pc.det * _density(primed, jet_pr)),)
 
 
-def _traction_gaps(pc: PointChange, primed, unprimed, jet_un, jet_pr) -> Tuple[float]:
-    mapped = pullback_form_value(_traction_covector(primed[1], jet_pr.array(0)), pc.jac)
-    return (_traction_covector(unprimed[1], jet_un.array(0)).max_abs_diff(mapped),)
+def _traction_gaps(pc: PointChange, primed, unprimed, top, jet_un, jet_pr) -> Tuple[float]:
+    mapped = _pullback(_traction_coeffs(primed[1], jet_pr.array(0)), pc.minors)
+    gap = _traction_coeffs(unprimed[1], jet_un.array(0)) - mapped
+    return (float(np.max(np.abs(gap), initial=0.0)),)
 
 
-def _naive_gaps(pc: PointChange, primed, unprimed, *jets) -> Tuple[float, float, float]:
+def _naive_gaps(pc: PointChange, primed, unprimed, top, *jets) -> Tuple[float, float, float]:
     scalar_mapped, vector_mapped = _naive_blocks_mapped(pc, primed[1], primed[2])
     scalar_gap = unprimed[1] - scalar_mapped
-    predicted = _contraction_defect(pc, primed[2])
+    t1, t2, t3 = top
+    predicted = pc.det * (t1 + t2 + t3)
     return tuple(float(np.max(np.abs(gap))) for gap in (
         scalar_gap,
         scalar_gap - predicted,
@@ -282,7 +291,8 @@ def invariance_check(
     once over all the samples (the frame change in :meth:`FrameChange.at_points`,
     each primed block in use at the image points, the velocity jets if any
     quantity pairs a velocity), and each sample runs one law per stress order
-    in use, the velocity's law, and each quantity's gaps.
+    in use (the top block's gradient terms shared), the velocity's law, and
+    each quantity's gaps.
     """
     stresses = {1: primed_stress1, 2: primed_stress2}
     selected = []
@@ -302,12 +312,13 @@ def invariance_check(
     primed = {order: _primed_blocks(stresses[order], xps) for order in orders}
     velocity_jets = jets_on(velocity.field, samples, 2) if paired else ()
     for k, pc in enumerate(changes):
-        unprimed = {order: _stress_law(pc, blocks[k]) for order, blocks in primed.items()}
+        top = _top_gradient_terms(pc, primed[2][k][2]) if 2 in primed else None
+        unprimed = {order: _stress_law(pc, blocks[k], top) for order, blocks in primed.items()}
         jets = ()
         if paired:
             jets = velocity_jets[k], _jet_law(pc, velocity_jets[k])
         for q in selected:
-            gaps = q.gaps(pc, primed[q.order][k], unprimed[q.order], *jets)
+            gaps = q.gaps(pc, primed[q.order][k], unprimed[q.order], top, *jets)
             for term, gap in zip(q.terms, gaps):
                 gaps_by_term[term].append(gap)
     # numpy's max, unlike Python's, keeps a NaN gap.

@@ -34,6 +34,7 @@ by several parts of the function is evaluated once.
 from __future__ import annotations
 
 import itertools
+import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
@@ -401,7 +402,7 @@ class SmoothField:
 
 
 def _size(shape: Tuple[int, ...]) -> int:
-    return int(np.prod(shape)) if shape else 1
+    return math.prod(shape)
 
 
 @dataclass(frozen=True)
@@ -574,6 +575,8 @@ def _jet_layout(dim: int, order: int) -> Tuple[List[Tuple[int, ...]], List[Tuple
     """The exponents of every Taylor coefficient of order <= ``order``; and per
     derivative order p, for each slot of the (n,)*p array, the position of
     the coefficient that fills it in that list, and its I!."""
+    if order < 0:
+        raise ValueError("jet order must be >= 0")
     keys = [e for e in itertools.product(range(order + 1), repeat=dim) if sum(e) <= order]
     slots = []
     for p in range(order + 1):
@@ -593,24 +596,28 @@ def jets_on(field: SmoothField, nodes: Sequence[Sequence[float]], order: int) ->
     C-contiguous, as one-point arrays are: ``numpy.sum`` and ``einsum`` may
     add in another order over another memory layout.
     """
-    if order < 0:
-        raise ValueError("jet order must be >= 0")
-    n, d = field.dim, field.ncomp
-    keys, slots = _jet_layout(n, order)
-
-    def coefficients(point: Point) -> List[Any]:
-        return [s.coeffs.get(k, 0.0) for s in field.series_on(point, order) for k in keys]
-
-    table = on_nodes(coefficients, nodes, width=d * len(keys)).reshape(-1, d, len(keys))
-    arrays = [(np.take(table, columns, axis=2) * factorials).reshape((len(table), d) + (n,) * p)
-              for p, (columns, factorials) in enumerate(slots)]
-    return [JetValue(n, d, order, tuple(a[k] for a in arrays)) for k in range(len(table))]
+    return _jets(field, order, lambda read, width: on_nodes(read, nodes, width=width))
 
 
 def jet_extension(field: SmoothField, point: Sequence[float], order: int) -> JetValue:
     """Exact derivative arrays of ``field`` at ``point`` up to ``order``: the
-    one-node case of :func:`jets_on`."""
-    return jets_on(field, [point], order)[0]
+    one-node case of :func:`jets_on`, from one series read at the point."""
+    return _jets(field, order, lambda read, width: [read(as_point(point))])[0]
+
+
+def _jets(field: SmoothField, order: int, table: Callable) -> List[JetValue]:
+    """The jets of the rows ``table(read, width)`` gives, ``read`` listing the
+    ``width`` Taylor coefficients at one point, component-major."""
+    n, d = field.dim, field.ncomp
+    keys, slots = _jet_layout(n, order)
+
+    def read(point: Point) -> List[Any]:
+        return [s.coeffs.get(k, 0.0) for s in field.series_on(point, order) for k in keys]
+
+    rows = np.asarray(table(read, d * len(keys)), dtype=float).reshape(-1, d, len(keys))
+    arrays = [(np.take(rows, columns, axis=2) * factorials).reshape((len(rows), d) + (n,) * p)
+              for p, (columns, factorials) in enumerate(slots)]
+    return [JetValue(n, d, order, tuple(a[k] for a in arrays)) for k in range(len(rows))]
 
 
 # An overflowing field makes inf and NaN differences: the oracle reports them

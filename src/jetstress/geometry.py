@@ -31,7 +31,6 @@ __all__ = [
     "FacePatch",
     "Insertion",
     "interior_product",
-    "pullback_form_value",
     "pullback_coefficients",
     "integrate",
     "integrate_over",
@@ -306,26 +305,6 @@ def series_det(matrix: List[List[TruncatedSeries]]) -> TruncatedSeries:
             term = -term
         total = term if total is None else total + term
     return total
-
-
-def pullback_form_value(form: FormValue, jacobian: np.ndarray) -> FormValue:
-    """Pull a p-covector back through a linear map with the given Jacobian.
-
-    ``jacobian[i][a]`` is the derivative of target coordinate ``i`` with
-    respect to source coordinate ``a``; the result lives on the source.
-    """
-    target_dim, source_dim = jacobian.shape
-    if target_dim != form.dim:
-        raise ValueError("jacobian rows must match the form dimension")
-    degree = form.degree
-    out: Dict[IndexTuple, float] = {}
-    for key_src in increasing_tuples(source_dim, degree):
-        total = 0.0
-        for key_tgt, val in form.coeffs.items():
-            sub = jacobian[np.ix_(key_tgt, key_src)]
-            total += val * (np.linalg.det(sub) if degree else 1.0)
-        out[key_src] = total
-    return FormValue(source_dim, degree, out)
 
 
 def pullback_coefficients(

@@ -25,7 +25,8 @@ sign of a zero.  At order 0 a series holds one number, the value of its
 function: the zero-order forward sweep of Taylor arithmetic.  There a
 product multiplies the two constant terms without walking product rows, and
 :meth:`Coordinates.polynomial` computes a monomial table's value from the
-constant terms of its powers and wraps it once.  Both perform the IEEE
+values of its powers and wraps it once; a power's value takes the binary
+exponentiation steps of ``**`` on plain numbers.  Both perform the IEEE
 operations of the general route on that number, in its order, so the bits
 are those of the general route.
 
@@ -424,14 +425,16 @@ class Coordinates(list):
     """The coordinate series about one point, with a memo of their powers.
 
     ``power(axis, e)`` is ``self[axis] ** e``, computed on first use and then
-    shared by every map evaluated on these coordinates.
+    shared by every map evaluated on these coordinates; so is its order-0
+    value, ``power_value(axis, e)``.
     """
 
-    __slots__ = ("_powers",)
+    __slots__ = ("_powers", "_values")
 
     def __init__(self, series: Iterable[TruncatedSeries] = ()):
         super().__init__(series)
         self._powers: Dict[Tuple[int, int], TruncatedSeries] = {}
+        self._values: Dict[Tuple[int, int], object] = {}
 
     @classmethod
     def of(cls, variables: Sequence[TruncatedSeries]) -> "Coordinates":
@@ -443,6 +446,23 @@ class Coordinates(list):
         if out is None:
             out = self._powers[axis, e] = self[axis] ** e
         return out
+
+    def power_value(self, axis: int, e: int):
+        """The constant term of ``self[axis] ** e`` (e >= 1), None if it holds
+        none: the steps of ``__pow__`` on a float or node array, each product
+        ``0.0 + a * b``, with no series built."""
+        key = (axis, e)
+        if key in self._values:
+            return self._values[key]
+        base = self[axis].coeffs.get(_zero_exponents(self[axis].dim))
+        result = None
+        while base is not None:
+            if e & 1:
+                result = base if result is None else 0.0 + result * base
+            e >>= 1
+            base = 0.0 + base * base if e else None
+        self._values[key] = result
+        return result
 
     def polynomial(
         self, terms: Sequence[Tuple[float, Sequence[Tuple[int, int]]]]
@@ -471,21 +491,21 @@ class Coordinates(list):
     def _polynomial_value(self, terms) -> TruncatedSeries:
         """:meth:`polynomial` at order 0, where every series holds one number
         or none.  Each step is the IEEE operation the series route performs on
-        that number, on the constant terms of the same memoized powers: a
-        product is ``0.0 + term * value``, and the first term enters the sum
-        as ``0.0 + term``.  A power that holds no key makes its monomial hold
-        none, which the sum skips, as the series route does.  Only the result
-        is wrapped as a series.
+        that number, on the memoized values of the powers
+        (:meth:`power_value`): a product is ``0.0 + term * value``, and the
+        first term enters the sum as ``0.0 + term``.  A power that holds no
+        key makes its monomial hold none, which the sum skips, as the series
+        route does.  Only the result is wrapped as a series.
         """
         zero = _zero_exponents(self[0].dim)
         total = None
         for coef, factors in terms:
             if factors:
-                term = self.power(*factors[0]).coeffs.get(zero)
+                term = self.power_value(*factors[0])
                 if term is not None:
                     term = term * coef
                 for axis, e in factors[1:]:
-                    value = self.power(axis, e).coeffs.get(zero)
+                    value = self.power_value(axis, e)
                     term = None if term is None or value is None else 0.0 + term * value
             else:
                 term = coef

@@ -12,7 +12,9 @@ each product a walk over every pair of keys, in place of the order-0 value
 path of monomial leaves and products (``monomial_series_route``,
 ``series_product``), and the general pullback, a composition with the map
 times its Jacobian minors, in place of the key selection through a box
-face's insertion (``pullback_by_composition``), and each face's edge pieces
+face's insertion (``pullback_by_composition``), and one ``det`` per minor
+of a covector's pullback at one sample in place of the covariance laws'
+stacked minors (``pullback_form_value``), and each face's edge pieces
 and face terms read in passes of their own, from fields built per term, in
 place of the face pass (``edge_assembly_by_piece``).
 ``form_from_components`` builds test forms from one field per index tuple.
@@ -34,10 +36,10 @@ import numpy as np
 from jetstress.bundles import IteratedJetValue
 from jetstress.covariance import (
     FrameChange,
-    _contraction_defect,
     _jet_law,
     _primed_blocks,
     _stress_law,
+    _top_gradient_terms,
 )
 from jetstress.fields import JetValue, SmoothField, TensorField, on_nodes, pair
 from jetstress.geometry import (
@@ -50,6 +52,7 @@ from jetstress.geometry import (
     boundary_faces,
     face_boundary_pieces,
     face_label,
+    increasing_tuples,
     series_det,
 )
 from jetstress.nonholonomic import NonHolonomicStress, VariationalStress2
@@ -268,7 +271,8 @@ def transform_stress2(
     """Unprimed second-order stress components at a point, from primed fields
     read at the image of ``point``."""
     pc = change.at_points([point])[0]
-    return _stress_law(pc, _primed_blocks(primed, [pc.xp])[0])
+    blocks = _primed_blocks(primed, [pc.xp])[0]
+    return _stress_law(pc, blocks, _top_gradient_terms(pc, blocks[2]))
 
 
 def transform_stress1(
@@ -284,7 +288,29 @@ def predicted_contraction_defect(
 ) -> np.ndarray:
     """The extra term the gradient-block law deposits on the scalar block."""
     pc = change.at_points([point])[0]
-    return _contraction_defect(pc, primed.s2.at(pc.xp))
+    t1, t2, t3 = _top_gradient_terms(pc, primed.s2.at(pc.xp))
+    return pc.det * (t1 + t2 + t3)
+
+
+def pullback_form_value(form: FormValue, jacobian: np.ndarray) -> FormValue:
+    """Pull a p-covector back through a linear map with the given Jacobian,
+    one ``np.ix_`` minor and one ``det`` per pair of keys.
+
+    ``jacobian[i][a]`` is the derivative of target coordinate ``i`` with
+    respect to source coordinate ``a``; the result lives on the source.
+    """
+    target_dim, source_dim = jacobian.shape
+    if target_dim != form.dim:
+        raise ValueError("jacobian rows must match the form dimension")
+    degree = form.degree
+    out: Dict[Tuple[int, ...], float] = {}
+    for key_src in increasing_tuples(source_dim, degree):
+        total = 0.0
+        for key_tgt, val in form.coeffs.items():
+            sub = jacobian[np.ix_(key_tgt, key_src)]
+            total += val * (np.linalg.det(sub) if degree else 1.0)
+        out[key_src] = total
+    return FormValue(source_dim, degree, out)
 
 
 # -- the general pullback and the per-piece edge assembly -------------------------

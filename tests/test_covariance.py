@@ -1,6 +1,7 @@
 """Chart/frame transformation laws and the contraction non-invariance result."""
 
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -13,13 +14,14 @@ from jetstress import covariance
 from jetstress.covariance import FrameChange, invariance_check
 from oracles import (
     predicted_contraction_defect,
+    pullback_form_value,
     transform_jet2,
     transform_stress1,
     transform_stress2,
     transformed_velocity_field,
 )
-from jetstress.fields import SmoothField, TensorField, jet_extension
-from jetstress.geometry import TransitionMap
+from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
+from jetstress.geometry import FormValue, TransitionMap
 from jetstress.nonholonomic import VariationalStress2
 from jetstress.scenarios import generate_scenario, load_scenario, run_checks
 from jetstress.stress import VariationalStress1
@@ -463,3 +465,100 @@ def _singular_laws():
 def test_every_law_rejects_a_singular_transition(law):
     with pytest.raises(ValueError, match="singular"):
         _singular_laws()[law](singular_change())
+
+
+# -- the stacked minors and the layout of the laws' inputs ---------------------
+
+# Entries where a zero coefficient times a minor is NaN, or a minor overflows,
+# underflows or carries a signed zero.
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324]
+
+
+def _entries(data, size):
+    """``size`` random values, each replaced by a special one with some chance."""
+    values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-4, 4, size)
+    picks = data.draw(st.lists(st.none() | st.sampled_from(SPECIAL), min_size=size, max_size=size))
+    return np.array([v if pick is None else pick for v, pick in zip(values, picks)])
+
+
+def _bits(value):
+    return "nan" if np.isnan(value) else float(value).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), count=st.integers(1, 6))
+def test_stacked_minor_pullback_equals_the_per_sample_oracle(data, n, count):
+    # The covariance laws pull (n-1)-covectors back through minors of one
+    # stacked det; each coefficient has the bits of the one-sample pullback
+    # with an np.ix_ minor and a det per key pair, NaN matching NaN.
+    jacs = _entries(data, count * n * n).reshape(count, n, n)
+    signs = np.array([(-1.0) ** i for i in range(n)])
+    # The basis units of the naive contraction, then a traction.
+    rows = np.vstack([np.eye(n) * signs, _entries(data, n)])
+    keys = [tuple(i for i in range(n) if i != j) for j in range(n)]
+    with np.errstate(all="ignore"):
+        minors = covariance._minors(jacs)
+        for k in range(count):
+            pulled = covariance._pullback(rows, minors[k])
+            for r, row in enumerate(rows):
+                form = FormValue(n, n - 1, dict(zip(keys, row)))
+                oracle = pullback_form_value(form, jacs[k])
+                assert [_bits(v) for v in pulled[r]] == [
+                    _bits(oracle.coefficient(key)) for key in keys
+                ]
+
+
+def test_a_covariance_check_takes_every_minor_from_one_det(monkeypatch):
+    shapes = []
+    det = np.linalg.det
+
+    def counted_det(a):
+        shapes.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    for samples in (SAMPLES_2D[:1], SAMPLES_2D * 3):
+        shapes.clear()
+        invariance_check(list(QUANTITIES), samples=samples, **BATCH_INPUTS)
+        assert [s for s in shapes if len(s) == 5] == [(len(samples), 2, 2, 1, 1)]
+        assert len(shapes) == 3  # the Jacobians, the frames, the minors
+
+
+def _strided(a):
+    """A view with the values of ``a`` whose memory runs in reverse axis order, with gaps."""
+    a = np.asarray(a)
+    wide = np.empty(a.shape[::-1] + (2,))
+    wide[..., 0] = a.T
+    return wide[..., 0].T
+
+
+def test_the_laws_give_the_same_bits_on_strided_inputs():
+    # numpy's sum and einsum add in memory order: the laws make their inputs
+    # C-contiguous, so a strided view changes no bit.
+    inputs = BATCH_INPUTS
+    x = SAMPLES_2D[1]
+    pc = inputs["change"].at_points([x])[0]
+    arrays = ("jac", "dx", "ddx", "a0", "a1", "a2", "minors")
+    pc_strided = dataclasses.replace(pc, **{name: _strided(getattr(pc, name)) for name in arrays})
+    primed = {
+        order: covariance._primed_blocks(inputs[f"primed_stress{order}"], [pc.xp])[0]
+        for order in (1, 2)
+    }
+    jet = jet_extension(inputs["velocity"].field, x, 2)
+    jet_strided = JetValue(jet.dim, jet.fiber_dim, 2, tuple(_strided(a) for a in jet.arrays))
+
+    def run(pc, primed, jet):
+        top = covariance._top_gradient_terms(pc, primed[2][2])
+        unprimed = {order: covariance._stress_law(pc, blocks, top)
+                    for order, blocks in primed.items()}
+        jet_pr = covariance._jet_law(pc, jet)
+        out = [a.tobytes() for blocks in unprimed.values() for a in blocks]
+        out += [a.tobytes() for a in jet_pr.arrays]
+        for q in covariance.QUANTITIES.values():
+            out += [_bits(g) for g in q.gaps(pc, primed[q.order], unprimed[q.order], top,
+                                             jet, jet_pr)]
+        return out
+
+    strided = {order: tuple(_strided(b) for b in blocks) for order, blocks in primed.items()}
+    assert not strided[2][2].flags.c_contiguous and not jet_strided.array(2).flags.c_contiguous
+    assert run(pc_strided, strided, jet_strided) == run(pc, primed, jet)

@@ -454,7 +454,41 @@ def test_jets_on_gives_each_node_the_bits_of_its_one_point_jet(data, name, order
         assert all(a.flags.c_contiguous for a in jet.arrays)
         want = hexed(_jet_from_series(field.series_at(row, order), order))
         assert hexed(jet.arrays) == want
-        assert hexed(jet_extension(field, row, order).arrays) == want
+        one = jet_extension(field, row, order)
+        assert all(a.flags.c_contiguous for a in one.arrays)
+        assert hexed(one.arrays) == want
+
+
+def test_a_one_point_jet_reads_its_series_once_without_a_batch(monkeypatch):
+    field = BATCH_FIELDS["expression"]
+    reads = []
+    series_on = SmoothField.series_on
+
+    def recorded(self, point, order):
+        reads.append((point, order))
+        return series_on(self, point, order)
+
+    monkeypatch.setattr(SmoothField, "series_on", recorded)
+    monkeypatch.setattr(fields, "on_nodes", None)
+    jet_extension(field, (0.25, 2), 2)
+    assert reads == [((0.25, 2.0), 2)] and type(reads[0][0][1]) is float
+
+
+def test_the_jet_oracle_check_reads_one_jet_per_sample_point(monkeypatch):
+    # The per-layer trace counts jet_extension calls; the check keeps one
+    # one-point jet per sample, next to its finite-difference oracle.
+    from jetstress import scenarios
+
+    scenario = scenarios.load_scenario(scenarios.generate_scenario(3, 2, 2, 3))
+    calls = []
+
+    def counted(field, point, order):
+        calls.append(point)
+        return jet_extension(field, point, order)
+
+    monkeypatch.setattr(scenarios, "jet_extension", counted)
+    scenarios.run_checks(scenario, ["jet-oracle"])
+    assert calls == scenarios._sample_points(scenario, 5)
 
 
 def test_a_failing_one_point_jet_evaluates_its_field_once():

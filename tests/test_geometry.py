@@ -21,10 +21,9 @@ from jetstress.geometry import (
     integrate,
     integrate_over,
     interior_product,
-    pullback_form_value,
 )
 
-from oracles import _integral, edges, form_from_components
+from oracles import _integral, edges, form_from_components, pullback_form_value
 
 
 @pytest.mark.parametrize("coeffs", [

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetstress.fields import SmoothField, coordinate_series, monomial_map, on_nodes
-from jetstress.taylor import TruncatedSeries
+from jetstress.taylor import Coordinates, TruncatedSeries
 from oracles import monomial_series_route, series_product
 
 COORDINATE = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 5e-324, 1e160, -1e160]) | st.floats(-4.0, 4.0)
@@ -36,6 +36,8 @@ def tables(draw, dim):
 
 
 def bits(value):
+    if value is None:
+        return None
     if np.ndim(value):
         return "nodes", tuple(float(v).hex() for v in value)
     return type(value).__name__, float(value).hex()
@@ -118,3 +120,28 @@ def test_order0_product_is_the_row_walk(data, dim, nodes):
         assert outcome(lambda: chain(lambda a, b: a * b)) == outcome(lambda: chain(series_product))
         assert outcome(lambda: factors[1] * factors[0]) == \
             outcome(lambda: series_product(factors[1], factors[0]))
+
+
+POWER_BASE = COORDINATE | st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), nodes=st.integers(2, 5),
+       exponents=st.lists(st.integers(1, 9), min_size=1, max_size=4))
+def test_order0_power_value_is_the_series_power(data, dim, nodes, exponents):
+    # The value of x ** e, a float or one per node, from the steps of ** on
+    # plain numbers; a series that holds no key has no value.
+    kind = data.draw(st.sampled_from(["absent", "float", "nodes"]))
+    axis = data.draw(st.integers(0, dim - 1))
+    zero = (0,) * dim
+    series = [TruncatedSeries.zero(dim, 0) for _ in range(dim)]
+    if kind == "float":
+        series[axis] = TruncatedSeries.constant(dim, 0, data.draw(POWER_BASE))
+    elif kind == "nodes":
+        values = np.array([data.draw(POWER_BASE) for _ in range(nodes)])
+        series[axis] = TruncatedSeries.constant(dim, 0, values)
+    coordinates = Coordinates(series)
+    with np.errstate(all="ignore"):
+        for e in exponents:  # repeats read the memo
+            want = (series[axis] ** e).coeffs.get(zero)
+            assert bits(coordinates.power_value(axis, e)) == bits(want)
