@@ -19,6 +19,7 @@ EXIT_CODES = {
     "cube-order2": 0,
     "disk-closed": 0,
     "failing-tolerance": 1,
+    "grammar": 0,
     "patched-metric": 0,
     "square-order1": 0,
     "symmetric-contraction": 0,
