@@ -3,9 +3,24 @@
 A component is either a monomial table ``[(exponents, coefficient), ...]``
 or a string over coordinates ``x1..xn`` combined with ``+ - * / ^``,
 parentheses, numeric literals, ``pi``/``e``, and the analytic primitives
-``sin cos tan exp log sqrt sinh cosh tanh``.  Expressions are evaluated
-directly in truncated Taylor arithmetic, so derivatives of expression
-fields are exact.
+``sin cos tan exp log sqrt sinh cosh tanh``.  :func:`parse_expression`
+parses a string and compiles its tree once, at load, into two sets of
+closures.  Above order 0 they compute in truncated Taylor arithmetic, so the
+derivatives of expression fields are exact; at order 0, where a series holds
+one number, they compute that number on plain values (a float or a node
+array) and wrap one series at the end.
+
+Each step performs the IEEE operation that walking the tree node by node in
+series arithmetic performs, in the same order, so the bits are that walk's,
+signed zeros included (see :mod:`jetstress.taylor`): at order 0 a product is
+``0.0 + a * b``, ``a - b`` is ``a + (-b)``, ``a / b`` is
+``0.0 + a * reciprocal_value(b)``, a power takes the steps of ``**`` and a
+call is its primitive's order-0 value.  A constant operand stays a float:
+above order 0, ``c * X`` and ``X * c`` are ``X.constant_times(c)``,
+``c + X`` is ``X.constant_plus(c)`` and ``X + c`` adds ``c`` into the
+constant key; ``+``, ``-``, ``*`` and unary ``-`` of two constants fold at
+load, to their value at every order.  A call, power or quotient of a
+constant does not fold: its bits depend on the order.
 """
 
 from __future__ import annotations
@@ -18,14 +33,25 @@ from .taylor import (
     Coordinates,
     TruncatedSeries,
     cos_series,
+    cos_value,
     cosh_series,
+    cosh_value,
     exp_series,
+    exp_value,
+    integer_power_value,
     log_series,
+    log_value,
+    reciprocal_value,
     sin_series,
+    sin_value,
     sinh_series,
+    sinh_value,
     sqrt_series,
+    sqrt_value,
     tan_series,
+    tan_value,
     tanh_series,
+    tanh_value,
 )
 
 __all__ = ["parse_expression", "ExpressionError", "FUNCTIONS"]
@@ -42,6 +68,19 @@ FUNCTIONS: dict[str, Callable[[TruncatedSeries], TruncatedSeries]] = {
     "tanh": tanh_series,
 }
 
+# Each primitive's order-0 value: the constant term of its series at order 0.
+_VALUES = {
+    "sin": sin_value,
+    "cos": cos_value,
+    "tan": tan_value,
+    "exp": exp_value,
+    "log": log_value,
+    "sqrt": sqrt_value,
+    "sinh": sinh_value,
+    "cosh": cosh_value,
+    "tanh": tanh_value,
+}
+
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _TOKEN_RE = re.compile(
@@ -56,9 +95,11 @@ class ExpressionError(ValueError):
 
 
 # Deepest expression accepted: both the parser's nesting (parentheses, calls,
-# signs and exponents) and the depth of the tree it builds, which
-# :func:`_evaluate` walks recursively.  Far below Python's recursion limit,
-# even with the parser's five frames per nesting level.
+# signs and exponents) and the depth of the tree it builds.  The compiled
+# closures nest as deep as the tree (twice as deep along a chain of ``-``,
+# each an add of a negation), and so do the compiler's calls, so the limit
+# bounds recursion at load and at evaluation.  Far below Python's recursion
+# limit, even with the parser's five frames per nesting level.
 MAX_DEPTH = 100
 
 
@@ -208,36 +249,80 @@ class _Parser:
         raise ExpressionError(f"unexpected token {value!r}")
 
 
-def _evaluate(node, variables: Coordinates) -> TruncatedSeries:
+def _compile(node, zero):
+    """``node`` compiled for both routes: (order 0, order >= 1).
+
+    Each is a float for a constant, else a closure from the coordinates to
+    the node's value (a float or a node array) or to its series.  ``-`` is
+    ``a + (-b)``, the steps the series route takes for it.
+    """
     op = node[0]
     if op == "const":
-        return TruncatedSeries.constant(variables[0].dim, variables[0].order, node[1])
+        return node[1], node[1]
     if op == "var":
-        return variables[node[1]]
-    if op == "neg":
-        return -_evaluate(node[1], variables)
-    if op == "add":
-        return _evaluate(node[1], variables) + _evaluate(node[2], variables)
+        axis = node[1]
+        return (lambda v: v[axis].coeffs[zero]), (lambda v: v[axis])
     if op == "sub":
-        return _evaluate(node[1], variables) - _evaluate(node[2], variables)
-    if op == "mul":
-        return _evaluate(node[1], variables) * _evaluate(node[2], variables)
-    if op == "div":
-        return _evaluate(node[1], variables) / _evaluate(node[2], variables)
+        return _compile(("add", node[1], ("neg", node[2])), zero)
+    if op == "neg":
+        a, x = _compile(node[1], zero)
+        if a.__class__ is float:
+            return -a, -a
+        return (lambda v: -a(v)), (lambda v: -x(v))
     if op == "pow":
-        if node[1][0] == "var":
-            return variables.power(node[1][1], node[2])
-        return _evaluate(node[1], variables) ** node[2]
+        base, e = node[1], node[2]
+        if base[0] == "var":
+            axis = base[1]
+            return (lambda v: v.power_value(axis, e)), (lambda v: v.power(axis, e))
+        a, x = _operands(*_compile(base, zero))
+        return (lambda v: integer_power_value(a(v), e)), (lambda v: x(v) ** e)
     if op == "call":
-        return FUNCTIONS[node[1]](_evaluate(node[2], variables))
-    raise ExpressionError(f"unknown node {op!r}")  # pragma: no cover
+        a, x = _operands(*_compile(node[2], zero))
+        value, series = _VALUES[node[1]], FUNCTIONS[node[1]]
+        return (lambda v: value(a(v))), (lambda v: series(x(v)))
+    (a, x), (b, y) = _compile(node[1], zero), _compile(node[2], zero)
+    if op == "div":
+        (a, x), (b, y) = _operands(a, x), _operands(b, y)
+        return (lambda v: 0.0 + a(v) * reciprocal_value(b(v))), (lambda v: x(v) / y(v))
+    left, right = a.__class__ is float, b.__class__ is float
+    if op == "add":
+        if left and right:
+            return a + b, a + b
+        if left:
+            return (lambda v: a + b(v)), (lambda v: y(v).constant_plus(a))
+        if right:
+            return (lambda v: a(v) + b), (lambda v: x(v) + b)
+        return (lambda v: a(v) + b(v)), (lambda v: x(v) + y(v))
+    if left and right:
+        return 0.0 + a * b, 0.0 + a * b
+    if left:
+        return (lambda v: 0.0 + a * b(v)), (lambda v: y(v).constant_times(a))
+    if right:
+        return (lambda v: 0.0 + a(v) * b), (lambda v: x(v).constant_times(b))
+    return (lambda v: 0.0 + a(v) * b(v)), (lambda v: x(v) * y(v))
+
+
+def _operands(value, series):
+    """Both routes of an operand of a call, power or quotient as closures: a
+    constant is its value at order 0 and the constant series above it."""
+    if value.__class__ is not float:
+        return value, series
+    return (lambda v: value), (lambda v: TruncatedSeries.constant(v[0].dim, v[0].order, value))
 
 
 def parse_expression(text: str, dim: int) -> Callable[[Sequence[TruncatedSeries]], TruncatedSeries]:
-    """Compile an expression string into a series-level evaluator."""
+    """Parse an expression string and compile it into a series-level evaluator."""
     tree = _Parser(_tokenize(text), dim).parse()
+    zero = (0,) * dim
+    value, series = _compile(tree, zero)
 
     def evaluator(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        return _evaluate(tree, Coordinates.of(variables))
+        variables = Coordinates.of(variables)
+        order = variables[0].order
+        if series.__class__ is float:
+            return TruncatedSeries.constant(dim, order, series)
+        if order:
+            return series(variables)
+        return TruncatedSeries._trusted(dim, 0, {zero: value(variables)})
 
     return evaluator

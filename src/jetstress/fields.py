@@ -6,7 +6,8 @@ series per component.  Fields built from monomial tables (through
 :func:`monomial_map`, which scenario files use too) or expression strings
 differentiate exactly, and so does every field derived from them.  Reading
 values (order 0), a monomial leaf computes each component's number from its
-powers' constant terms and wraps it in one series, with the bits of the
+powers' constant terms, and an expression leaf from plain values (see
+:mod:`jetstress.exprs`); each wraps it in one series, with the bits of the
 series built step by step (see :mod:`jetstress.taylor`).
 
 A :class:`TensorField` lays a row-major tensor shape over those components.
@@ -43,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exprs import parse_expression
-from .taylor import BatchSplit, Coordinates, MultiIndex, TruncatedSeries, per_node
+from .taylor import BatchSplit, Coordinates, MultiIndex, TruncatedSeries, _coefficient, per_node
 
 __all__ = [
     "BATCH",
@@ -209,8 +210,15 @@ def fibre_sum(terms: Sequence[Any]) -> Any:
 
 
 def coordinate_series(point: Sequence[float], order: int) -> Coordinates:
-    """Identity chart functions expanded about ``point``, with their power memo."""
+    """Identity chart functions expanded about ``point``, with their power memo.
+
+    At order 0 each is the one-key series of its coordinate's value, built
+    without the shape checks of :meth:`TruncatedSeries.variable`.
+    """
     dim = len(point)
+    if not order:
+        zero = (0,) * dim
+        return Coordinates(TruncatedSeries._trusted(dim, 0, {zero: _coefficient(c)}) for c in point)
     return Coordinates(
         TruncatedSeries.variable(dim, order, axis, point[axis]) for axis in range(dim)
     )

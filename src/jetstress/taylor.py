@@ -26,9 +26,12 @@ function: the zero-order forward sweep of Taylor arithmetic.  There a
 product multiplies the two constant terms without walking product rows, and
 :meth:`Coordinates.polynomial` computes a monomial table's value from the
 values of its powers and wraps it once; a power's value takes the binary
-exponentiation steps of ``**`` on plain numbers.  Both perform the IEEE
-operations of the general route on that number, in its order, so the bits
-are those of the general route.
+exponentiation steps of ``**`` on plain numbers
+(:func:`integer_power_value`), and each analytic primitive's value is one
+function (``sin_value``, ``reciprocal_value``, ...) that its series form
+reads too; compiled expressions (:mod:`jetstress.exprs`) compute on these.
+All perform the IEEE operations of the general route on that number, in its
+order, so the bits are those of the general route.
 
 The analytic primitives call ``math`` once per node and function, because
 numpy's transcendental ufuncs differ from ``math`` in the last bit on some
@@ -61,6 +64,17 @@ __all__ = [
     "tanh_series",
     "reciprocal_series",
     "power_series",
+    "sin_value",
+    "cos_value",
+    "tan_value",
+    "exp_value",
+    "log_value",
+    "sqrt_value",
+    "sinh_value",
+    "cosh_value",
+    "tanh_value",
+    "reciprocal_value",
+    "integer_power_value",
 ]
 
 Exponents = Tuple[int, ...]
@@ -305,6 +319,23 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def constant_times(self, c) -> "TruncatedSeries":
+        """``TruncatedSeries.constant(c) * self`` with ``c`` kept a float or
+        node array: the product walk's ``0.0 + c * v`` at each key, in this
+        series' key order."""
+        out = {k: 0.0 + c * v for k, v in self.coeffs.items()}
+        return TruncatedSeries._trusted(self.dim, self.order, out)
+
+    def constant_plus(self, c) -> "TruncatedSeries":
+        """``TruncatedSeries.constant(c) + self`` with ``c`` kept a float or
+        node array: the constant key first, holding ``c``, then each key of
+        this series added in (``0.0 + v`` where ``c`` has none)."""
+        out = {_zero_exponents(self.dim): c}
+        get = out.get
+        for key, val in self.coeffs.items():
+            out[key] = get(key, 0.0) + val
+        return TruncatedSeries._trusted(self.dim, self.order, out)
+
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = _coefficient(other)
@@ -448,19 +479,13 @@ class Coordinates(list):
         return out
 
     def power_value(self, axis: int, e: int):
-        """The constant term of ``self[axis] ** e`` (e >= 1), None if it holds
-        none: the steps of ``__pow__`` on a float or node array, each product
-        ``0.0 + a * b``, with no series built."""
+        """The constant term of ``self[axis] ** e``, None if it holds none
+        (see :func:`integer_power_value`), with no series built."""
         key = (axis, e)
         if key in self._values:
             return self._values[key]
         base = self[axis].coeffs.get(_zero_exponents(self[axis].dim))
-        result = None
-        while base is not None:
-            if e & 1:
-                result = base if result is None else 0.0 + result * base
-            e >>= 1
-            base = 0.0 + base * base if e else None
+        result = None if base is None else integer_power_value(base, e)
         self._values[key] = result
         return result
 
@@ -532,38 +557,116 @@ def _reject(condition, message: str) -> None:
         raise ValueError(message)
 
 
+def integer_power_value(base, e: int):
+    """The value of ``u ** e`` at order 0, where ``u`` holds the one value
+    ``base`` (a float or a node array): the steps of ``__pow__`` on plain
+    numbers, each product ``0.0 + a * b``; a negative ``e`` starts from
+    :func:`reciprocal_value`."""
+    if e < 0:
+        return integer_power_value(reciprocal_value(base), -e)
+    if not e:
+        return 1.0
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else 0.0 + result * base
+        e >>= 1
+        if not e:
+            return result
+        base = 0.0 + base * base
+
+
+# -- order-0 values of the analytic primitives ---------------------------------
+#
+# Each is the constant term of its ``*_series`` at order 0, where
+# ``_compose_analytic`` wraps ``derivs[0] / 0!``, the same bits as
+# ``derivs[0]``; the series forms take ``derivs[0]`` from here.
+
+
+def sin_value(u0):
+    return _each(math.sin, u0)
+
+
+def cos_value(u0):
+    return _each(math.cos, u0)
+
+
+def exp_value(u0):
+    return _each(math.exp, u0)
+
+
+def sinh_value(u0):
+    return _each(math.sinh, u0)
+
+
+def cosh_value(u0):
+    return _each(math.cosh, u0)
+
+
+def log_value(u0):
+    _reject(u0 <= 0.0, "log of a series requires a positive constant term")
+    return _each(math.log, u0)
+
+
+def reciprocal_value(u0):
+    _reject(u0 == 0.0, "cannot invert a series with zero constant term")
+    return _each(lambda v: 1.0 / v ** 1, u0)
+
+
+def _fractional_power_value(u0, exponent: float):
+    _reject(u0 <= 0.0, "fractional power of a series requires a positive constant term")
+    return _each(lambda v: 1.0 * v ** exponent, u0)
+
+
+def sqrt_value(u0):
+    return _fractional_power_value(u0, 0.5)
+
+
+# tan and tanh: their series forms' order-0 product, 0.0 + a * b.
+def tan_value(u0):
+    return 0.0 + sin_value(u0) * reciprocal_value(cos_value(u0))
+
+
+def tanh_value(u0):
+    return 0.0 + sinh_value(u0) * reciprocal_value(cosh_value(u0))
+
+
 def _compose_analytic(u: TruncatedSeries, derivs: Sequence[float]) -> TruncatedSeries:
-    """Horner evaluation of sum_m derivs[m]/m! * (u - u0)^m."""
+    """Horner evaluation of sum_m derivs[m]/m! * (u - u0)^m, from the constant
+    series of the top coefficient; its first product keeps that constant a
+    float (:meth:`TruncatedSeries.constant_times`)."""
     order = u.order
+    top = _coefficient(derivs[order] / math.factorial(order))
+    if not order:
+        return TruncatedSeries._trusted(u.dim, 0, {_zero_exponents(u.dim): top})
     h = u.offset()
-    result = TruncatedSeries.constant(u.dim, order, derivs[order] / math.factorial(order))
-    for m in range(order - 1, -1, -1):
+    result = h.constant_times(top) + derivs[order - 1] / math.factorial(order - 1)
+    for m in range(order - 2, -1, -1):
         result = result * h + derivs[m] / math.factorial(m)
     return result
 
 
 def sin_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
-    s, c = _each(math.sin, u0), _each(math.cos, u0)
+    s, c = sin_value(u0), cos_value(u0)
     cycle = (s, c, -s, -c)
     return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
 
 
 def cos_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
-    s, c = _each(math.sin, u0), _each(math.cos, u0)
+    s, c = sin_value(u0), cos_value(u0)
     cycle = (c, -s, -c, s)
     return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
-    return _compose_analytic(u, [_each(math.exp, u.value)] * (u.order + 1))
+    return _compose_analytic(u, [exp_value(u.value)] * (u.order + 1))
 
 
 def log_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
-    _reject(u0 <= 0.0, "log of a series requires a positive constant term")
-    derivs = [_each(math.log, u0)]
+    derivs = [log_value(u0)]
     for m in range(1, u.order + 1):
         scale = (-1.0) ** (m - 1) * math.factorial(m - 1)
         derivs.append(_each(lambda v: scale / v**m, u0))
@@ -572,9 +675,8 @@ def log_series(u: TruncatedSeries) -> TruncatedSeries:
 
 def reciprocal_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
-    _reject(u0 == 0.0, "cannot invert a series with zero constant term")
-    derivs = []
-    for m in range(u.order + 1):
+    derivs = [reciprocal_value(u0)]
+    for m in range(1, u.order + 1):
         scale = (-1.0) ** m * math.factorial(m)
         derivs.append(_each(lambda v: scale / v ** (m + 1), u0))
     return _compose_analytic(u, derivs)
@@ -582,12 +684,11 @@ def reciprocal_series(u: TruncatedSeries) -> TruncatedSeries:
 
 def power_series(u: TruncatedSeries, exponent: float) -> TruncatedSeries:
     u0 = u.value
-    _reject(u0 <= 0.0, "fractional power of a series requires a positive constant term")
-    derivs = []
+    derivs = [_fractional_power_value(u0, exponent)]
     fall = 1.0
-    for m in range(u.order + 1):
+    for m in range(1, u.order + 1):
+        fall *= exponent - (m - 1)
         derivs.append(_each(lambda v: fall * v ** (exponent - m), u0))
-        fall *= exponent - m
     return _compose_analytic(u, derivs)
 
 
@@ -601,13 +702,13 @@ def tan_series(u: TruncatedSeries) -> TruncatedSeries:
 
 def sinh_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
-    cycle = (_each(math.sinh, u0), _each(math.cosh, u0))
+    cycle = (sinh_value(u0), cosh_value(u0))
     return _compose_analytic(u, [cycle[m % 2] for m in range(u.order + 1)])
 
 
 def cosh_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
-    cycle = (_each(math.cosh, u0), _each(math.sinh, u0))
+    cycle = (cosh_value(u0), sinh_value(u0))
     return _compose_analytic(u, [cycle[m % 2] for m in range(u.order + 1)])
 
 

@@ -10,7 +10,9 @@ place of the solver that updates live columns only
 (``solve_linear_series_full_rows``), and one series per arithmetic step,
 each product a walk over every pair of keys, in place of the order-0 value
 path of monomial leaves and products (``monomial_series_route``,
-``series_product``), and the general pullback, a composition with the map
+``series_product``), and the expression tree walked node by node, one
+series per node, in place of the closures ``parse_expression`` compiles
+(``_evaluate``), and the general pullback, a composition with the map
 times its Jacobian minors, in place of the key selection through a box
 face's insertion (``pullback_by_composition``), and one ``det`` per minor
 of a covector's pullback at one sample in place of the covariance laws'
@@ -64,7 +66,8 @@ from jetstress.surface import (
     face_velocity,
     transversal_decomposition,
 )
-from jetstress.taylor import TruncatedSeries, reciprocal_series
+from jetstress.exprs import FUNCTIONS, ExpressionError
+from jetstress.taylor import Coordinates, TruncatedSeries, reciprocal_series
 
 
 def form_from_components(dim: int, degree: int, components) -> FormField:
@@ -130,6 +133,34 @@ def monomial_series_route(table):
         return total
 
     return evaluate
+
+
+# An expression tree walked node by node at every call, each node a series
+# and each constant the constant series: the route that ``parse_expression``'s
+# compiled closures must reproduce bit for bit, at every order.
+def _evaluate(node, variables: Coordinates) -> TruncatedSeries:
+    op = node[0]
+    if op == "const":
+        return TruncatedSeries.constant(variables[0].dim, variables[0].order, node[1])
+    if op == "var":
+        return variables[node[1]]
+    if op == "neg":
+        return -_evaluate(node[1], variables)
+    if op == "add":
+        return _evaluate(node[1], variables) + _evaluate(node[2], variables)
+    if op == "sub":
+        return _evaluate(node[1], variables) - _evaluate(node[2], variables)
+    if op == "mul":
+        return _evaluate(node[1], variables) * _evaluate(node[2], variables)
+    if op == "div":
+        return _evaluate(node[1], variables) / _evaluate(node[2], variables)
+    if op == "pow":
+        if node[1][0] == "var":
+            return variables.power(node[1][1], node[2])
+        return _evaluate(node[1], variables) ** node[2]
+    if op == "call":
+        return FUNCTIONS[node[1]](_evaluate(node[2], variables))
+    raise ExpressionError(f"unknown node {op!r}")  # pragma: no cover
 
 
 def solve_linear_series_full_rows(

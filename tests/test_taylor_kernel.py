@@ -9,6 +9,7 @@ keys and signed zeros included, and never split.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -66,6 +67,17 @@ def ref_neg(a):
 
 def ref_constant(dim, order, value):
     return ref_series(dim, order, {(0,) * dim: value})
+
+
+def ref_compose_analytic(u, derivs):
+    """Horner from the constant series of the top coefficient:
+    sum_m derivs[m]/m! * (u - u0)^m."""
+    dim, order, coeffs = u
+    h = ref_series(dim, order, {k: v for k, v in coeffs.items() if any(k)})
+    result = ref_constant(dim, order, derivs[order] / math.factorial(order))
+    for m in range(order - 1, -1, -1):
+        result = ref_add_scalar(ref_mul(result, h), derivs[m] / math.factorial(m))
+    return result
 
 
 def ref_pow(a, e):
@@ -172,6 +184,10 @@ def test_arithmetic_matches_reference_bit_for_bit(seed, dim, order):
         assert bits(a * c) == bits(ref_scale(ra, c))
         assert bits(c * a) == bits(ref_scale(ra, c))
         assert bits(a + c) == bits(ref_add_scalar(ra, c))
+        assert bits(a.constant_times(c)) == bits(ref_mul(ref_constant(dim, order, c), ra))
+        assert bits(a.constant_plus(c)) == bits(ref_add(ref_constant(dim, order, c), ra))
+        derivs = [rng.choice(DYADIC + (-0.0, rng.uniform(-3.0, 3.0))) for _ in range(order + 1)]
+        assert bits(taylor._compose_analytic(a, derivs)) == bits(ref_compose_analytic(ra, derivs))
         for e in range(5):
             assert bits(a ** e) == bits(ref_pow(ra, e))
         for axis in range(dim):
