@@ -636,28 +636,39 @@ def _compose_analytic(u: TruncatedSeries, derivs: Sequence[float]) -> TruncatedS
     series of the top coefficient; its first product keeps that constant a
     float (:meth:`TruncatedSeries.constant_times`)."""
     order = u.order
-    top = _coefficient(derivs[order] / math.factorial(order))
+    top = _coefficient(_taylor_coefficient(derivs, order))
     if not order:
         return TruncatedSeries._trusted(u.dim, 0, {_zero_exponents(u.dim): top})
     h = u.offset()
-    result = h.constant_times(top) + derivs[order - 1] / math.factorial(order - 1)
+    result = h.constant_times(top) + _taylor_coefficient(derivs, order - 1)
     for m in range(order - 2, -1, -1):
-        result = result * h + derivs[m] / math.factorial(m)
+        result = result * h + _taylor_coefficient(derivs, m)
     return result
+
+
+def _taylor_coefficient(derivs, m: int):
+    """``derivs[m] / m!``; dividing by 0! = 1! = 1 is exact, so it is skipped."""
+    return derivs[m] if m < 2 else derivs[m] / math.factorial(m)
+
+
+def _cycle(f, df, order: int) -> list:
+    """The derivatives 0..order of f, with f'' = -f: f, f', -f, -f', f, ...;
+    each negation is exact, so an entry is negated only when it is used."""
+    derivs = [f, df][: order + 1]
+    while len(derivs) <= order:
+        derivs.append(-derivs[-2])
+    return derivs
 
 
 def sin_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
-    s, c = sin_value(u0), cos_value(u0)
-    cycle = (s, c, -s, -c)
-    return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
+    return _compose_analytic(u, _cycle(sin_value(u0), cos_value(u0), u.order))
 
 
 def cos_series(u: TruncatedSeries) -> TruncatedSeries:
     u0 = u.value
     s, c = sin_value(u0), cos_value(u0)
-    cycle = (c, -s, -c, s)
-    return _compose_analytic(u, [cycle[m % 4] for m in range(u.order + 1)])
+    return _compose_analytic(u, _cycle(c, -s, u.order))
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
