@@ -16,13 +16,15 @@ from .bundles import JetSectionField
 from .fields import TensorField
 from .geometry import (
     Body,
+    FaceError,
     FacePatch,
     FormField,
     QuadratureRule,
-    boundary_faces,
     box_faces,
+    face_groups,
     face_label,
-    integrate,
+    integrate,  # noqa: F401  (perfbench/tests check that tracing rebinds it here)
+    integrate_boundary,
     integrate_face,
     integrate_over,
 )
@@ -65,7 +67,7 @@ def first_integration_by_parts(
         body, rule,
     )
     boundary_form = hyper_surface_action(nh_traction(stress), section)
-    boundary = sum(integrate_over([boundary_form], f, rule)[0] for f in boundary_faces(body))
+    boundary = sum(values[0] for values in integrate_boundary([boundary_form], body, rule))
     residual = abs(lhs - (boundary - interior))
     terms = {"lhs": lhs, "boundary": boundary, "interior": interior, "residual_abs": residual}
     return terms, relative_residual(residual, lhs, boundary, interior)
@@ -92,31 +94,39 @@ def edge_assembly(
     Each face contributes through its own induced boundary orientation; the
     per-edge sums are exactly the interactions two adjacent faces share.  A
     face's transversal is ``transversals[face.label]``, or its coordinate
-    transversal.  Each face's fields are built once (see
-    :func:`jetstress.surface.face_split`), and one pass reads the face's
-    nodes and its edge pieces' (see :func:`jetstress.geometry.integrate_face`).
-    A ``ValueError`` from a face's pass is raised again with the face label
-    in front.
+    transversal.  The faces go in the groups of
+    :func:`jetstress.geometry.face_groups`: the two faces of an axis form one
+    group unless either has a transversal of its own (one that is not a
+    coordinate transversal), since the coordinate transversal is the one
+    transversal a face of both sides can read per node.  Each group's fields
+    are built once (see :func:`jetstress.surface.face_split`), and one pass
+    reads each face's edge pieces and nodes in turn (see
+    :func:`jetstress.geometry.integrate_face`).  A ``ValueError`` from a
+    group is raised again with the label of its face in front.
     """
     n = body.dim
+    own = {label: t for label, t in (transversals or {}).items()
+           if t is not None and not t.is_coordinate}
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
     boundary_terms: Dict[str, float] = {}
-    for face in boundary_faces(body):
-        transversal = (transversals or {}).get(face.label) or TransversalField.coordinate(face)
+    for face, members in face_groups(body, own):
+        transversal = own.get(face.label) or TransversalField.coordinate(face)
         try:
             split = face_split(surface_stress, face, transversal, velocity)
             forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
             tau_u = traction_action(tangent_traction(split), split.velocity)
-            values, piece_values = integrate_face(forms, tau_u, face, rule)
+            results = integrate_face(forms, tau_u, face, members, rule)
         except ValueError as exc:
-            raise ValueError(f"{face.label}: {exc}") from exc
-        face_terms[face.label], boundary_terms[face.label] = values
+            failed = exc.face if isinstance(exc, FaceError) else members[0]
+            raise ValueError(f"{failed.label}: {exc}") from exc
         face_axes = [a for a in range(n) if a != face.boxface.axis]
-        for piece, value in zip(box_faces(face.param_box), piece_values):
-            other = face_label(face_axes[piece.axis], piece.side)
-            key = "|".join(sorted([face.label, other]))
-            edge_terms[key] = edge_terms.get(key, 0.0) + face.sign * value
+        for member, (values, piece_values) in zip(members, results):
+            face_terms[member.label], boundary_terms[member.label] = values
+            for piece, value in zip(box_faces(face.param_box), piece_values):
+                other = face_label(face_axes[piece.axis], piece.side)
+                key = "|".join(sorted([member.label, other]))
+                edge_terms[key] = edge_terms.get(key, 0.0) + member.sign * value
     return edge_terms, face_terms, boundary_terms
 
 
@@ -133,10 +143,11 @@ def verify_balance_order2(
     + twice-iterated divergence.
 
     Each point set is read once: the body's nodes for the interior power and
-    the twice-iterated divergence, each face's nodes for its surface
-    divergence and boundary divergence traction, and each face's edge pieces
-    together.  Returns the terms, each edge's and each face's included, and
-    the relative residual.
+    the twice-iterated divergence, then each face's edge pieces and nodes for
+    its edge terms, surface divergence and boundary divergence traction, the
+    two faces of an axis in one pass (see :func:`edge_assembly`).  Returns
+    the terms, each edge's and each face's included, and the relative
+    residual.
     """
     section = JetSectionField.from_velocity(velocity)
     lhs, dd_term = integrate_over(
@@ -169,14 +180,14 @@ def closed_boundary_exact_term(
     """The exact term over a closed boundary patch: both routes to (near) zero.
 
     Returns the quadrature of d(tau(u)) over the patch and the endpoint
-    defect of tau(u) (exact cancellation for a closed curve).
+    defect of tau(u) (exact cancellation for a closed curve), both from the
+    patch's one face pass (see :func:`jetstress.geometry.integrate_face`).
     """
     if face.param_dim != 1:
         raise ValueError("closed-boundary patches are supported for curves only")
     split = face_split(surface_stress, face, transversal, velocity)
     tau_u = traction_action(tangent_traction(split), split.velocity)
-    [quadrature_value] = integrate([tau_u.exterior_derivative()], face.param_box, rule, face.sign)
-    lo = (face.param_box.lower[0],)
-    hi = (face.param_box.upper[0],)
-    endpoint_defect = tau_u.value_at(hi).coefficient(()) - tau_u.value_at(lo).coefficient(())
-    return quadrature_value, endpoint_defect
+    [([quadrature_value], [at_lower, at_upper])] = integrate_face(
+        [tau_u.exterior_derivative()], tau_u, face, [face], rule)
+    # The endpoint pieces carry signs -1.0 and 1.0: their sum is tau(u)(hi) - tau(u)(lo).
+    return quadrature_value, at_upper + at_lower

@@ -107,23 +107,6 @@ def _too_deep() -> ExpressionError:
     return ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
 
 
-def _tree_depth(tree) -> int:
-    """Levels of an expression tree, counted without recursion."""
-    deepest = 0
-    stack = [(tree, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        op = node[0]
-        if op in ("neg", "pow"):
-            stack.append((node[1], depth + 1))
-        elif op == "call":
-            stack.append((node[2], depth + 1))
-        elif op not in ("const", "var"):
-            stack.extend([(node[1], depth + 1), (node[2], depth + 1)])
-    return deepest
-
-
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     tokens = []
     pos = 0
@@ -132,17 +115,18 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
         if not match or match.end() == pos:
             raise ExpressionError(f"unexpected character at {text[pos:]!r}")
         pos = match.end()
-        for kind in ("num", "name", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
+        kind = match.lastgroup  # the one alternative that matched
+        tokens.append((kind, match[kind]))
     tokens.append(("end", ""))
     return tokens
 
 
 class _Parser:
-    """Recursive descent over +,-,*,/ and right-associative ^ (alias **)."""
+    """Recursive descent over +,-,*,/ and right-associative ^ (alias **).
+
+    Each rule returns its tree and the tree's depth in levels, so the depth
+    limit is checked once the whole input has parsed, without a second walk.
+    """
 
     def __init__(self, tokens: List[Tuple[str, str]], dim: int):
         self.tokens = tokens
@@ -164,28 +148,28 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}, found {value!r}")
 
     def parse(self):
-        node = self.sum()
+        node, depth = self.sum()
         if self.peek()[0] != "end":
             raise ExpressionError(f"trailing input at {self.peek()[1]!r}")
-        if _tree_depth(node) > MAX_DEPTH:
+        if depth > MAX_DEPTH:
             raise _too_deep()
         return node
 
     def sum(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.advance()
-            right = self.term()
-            node = ("add" if op == "+" else "sub", node, right)
-        return node
+            right, right_depth = self.term()
+            node, depth = ("add" if op == "+" else "sub", node, right), 1 + max(depth, right_depth)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.advance()
-            right = self.factor()
-            node = ("mul" if op == "*" else "div", node, right)
-        return node
+            right, right_depth = self.factor()
+            node, depth = ("mul" if op == "*" else "div", node, right), 1 + max(depth, right_depth)
+        return node, depth
 
     def factor(self):
         if self.nesting >= MAX_DEPTH:
@@ -200,39 +184,40 @@ class _Parser:
         kind, value = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return ("neg", self.factor())
+            node, depth = self.factor()
+            return ("neg", node), depth + 1
         if kind == "op" and value == "+":
             self.advance()
             return self.factor()
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         kind, value = self.peek()
         if kind == "op" and value in ("^", "**"):
             self.advance()
-            exponent = self.factor()
+            exponent, _ = self.factor()
             if exponent[0] == "neg" and exponent[1][0] == "const":
                 exponent = ("const", -exponent[1][1])
             if exponent[0] != "const" or exponent[1] != int(exponent[1]):
                 raise ExpressionError("exponents must be integer literals")
-            return ("pow", base, int(exponent[1]))
-        return base
+            return ("pow", base, int(exponent[1])), depth + 1
+        return base, depth
 
     def atom(self):
         kind, value = self.advance()
         if kind == "num":
             if not math.isfinite(float(value)):
                 raise ExpressionError(f"numeric literal {value!r} is not a finite number")
-            return ("const", float(value))
+            return ("const", float(value)), 1
         if kind == "name":
             if value in _CONSTANTS:
-                return ("const", _CONSTANTS[value])
+                return ("const", _CONSTANTS[value]), 1
             if value in FUNCTIONS:
                 self.expect("(")
-                arg = self.sum()
+                arg, depth = self.sum()
                 self.expect(")")
-                return ("call", value, arg)
+                return ("call", value, arg), depth + 1
             var = re.fullmatch(r"x(\d+)", value)
             if var:
                 axis = int(var.group(1)) - 1
@@ -240,12 +225,12 @@ class _Parser:
                     raise ExpressionError(
                         f"variable {value} out of range for dimension {self.dim}"
                     )
-                return ("var", axis)
+                return ("var", axis), 1
             raise ExpressionError(f"unknown identifier {value!r}")
         if kind == "op" and value == "(":
-            node = self.sum()
+            node, depth = self.sum()
             self.expect(")")
-            return node
+            return node, depth
         raise ExpressionError(f"unexpected token {value!r}")
 
 

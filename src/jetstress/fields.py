@@ -212,15 +212,18 @@ def fibre_sum(terms: Sequence[Any]) -> Any:
 def coordinate_series(point: Sequence[float], order: int) -> Coordinates:
     """Identity chart functions expanded about ``point``, with their power memo.
 
-    At order 0 each is the one-key series of its coordinate's value, built
-    without the shape checks of :meth:`TruncatedSeries.variable`.
+    Each is the series :meth:`TruncatedSeries.variable` builds, its keys in
+    that order (the coordinate's value, then above order 0 the unit key
+    holding 1.0), built without its shape checks.
     """
     dim = len(point)
+    zero = (0,) * dim
     if not order:
-        zero = (0,) * dim
         return Coordinates(TruncatedSeries._trusted(dim, 0, {zero: _coefficient(c)}) for c in point)
     return Coordinates(
-        TruncatedSeries.variable(dim, order, axis, point[axis]) for axis in range(dim)
+        TruncatedSeries._trusted(
+            dim, order, {zero: _coefficient(c), zero[:axis] + (1,) + zero[axis + 1:]: 1.0})
+        for axis, c in enumerate(point)
     )
 
 

@@ -10,9 +10,10 @@ face carry the orientation the face induces on them.
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,12 +31,16 @@ __all__ = [
     "Body",
     "FacePatch",
     "Insertion",
+    "FaceError",
     "interior_product",
     "pullback_coefficients",
     "integrate",
     "integrate_over",
     "integrate_face",
+    "integrate_boundary",
+    "on_faces",
     "boundary_faces",
+    "face_groups",
     "increasing_tuples",
     "tuple_omitting",
 ]
@@ -457,16 +462,41 @@ class FormField:
 # -- bodies and faces ---------------------------------------------------------
 
 
+# The side a face pass reads at each node: 0.0 (lower) or 1.0 (upper), a float
+# at one node and a node array over a batch; None outside a face pass.  Each
+# evaluation of :func:`on_faces` sets it, as ``fields._MEMO`` is set per batch.
+_SIDE: ContextVar[Any] = ContextVar("face_side", default=None)
+
+
+def _pick(side: Optional[int], lower: float, upper: float) -> Any:
+    """``lower`` on side 0 and ``upper`` on side 1; for side None, on the
+    side the open face pass reads, one value per node over a batch.  A node
+    array holds the very float a face of one side reads, and arrays and
+    floats take the same IEEE operations, so each node computes what its
+    own face's pass computes."""
+    if side is None:
+        side = _SIDE.get()
+        if side is None:
+            raise RuntimeError("a face of both sides is read outside a face pass")
+        if per_node(side):
+            return np.where(side != 0.0, upper, lower)
+    return upper if side else lower
+
+
 @dataclass(frozen=True)
 class BoxFace:
-    """One facet of a box, with the orientation Stokes induces on it."""
+    """One facet of a box, with the orientation Stokes induces on it; side
+    None is both facets of the axis, each node on the side its face pass
+    reads (see :func:`on_faces`)."""
 
     box: Box
     axis: int
-    side: int  # 0 lower, 1 upper
+    side: Optional[int]  # 0 lower, 1 upper, None both
 
     @property
-    def sign(self) -> float:
+    def sign(self) -> Optional[float]:
+        if self.side is None:
+            return None
         base = (-1.0) ** self.axis
         return base if self.side else -base
 
@@ -475,8 +505,12 @@ class BoxFace:
         return self.box.drop_axis(self.axis)
 
     @property
-    def fixed_value(self) -> float:
-        return self.box.upper[self.axis] if self.side else self.box.lower[self.axis]
+    def fixed_value(self) -> Any:
+        return self.pick(self.box.lower[self.axis], self.box.upper[self.axis])
+
+    def pick(self, lower: float, upper: float) -> Any:
+        """``lower`` on the lower facet and ``upper`` on the upper one."""
+        return _pick(self.side, lower, upper)
 
     def point(self) -> Tuple[float, ...]:
         """Only valid for 1-dim parents: the endpoint this face pins."""
@@ -550,7 +584,7 @@ class FacePatch:
     chart: Chart
     param_box: Optional[Box]  # None means a 0-dimensional patch
     to_chart: Optional[SmoothField]
-    sign: float
+    sign: Optional[float]  # None for both faces of an axis: each keeps its own
     boxface: Optional[BoxFace] = None
     point: Optional[Tuple[float, ...]] = None  # 0-dim patch: its point in its parent's coordinates
 
@@ -574,24 +608,49 @@ def _facets(
     """The oriented facets of ``box``, two per axis, carried into the chart by
     ``patch`` (the identity when None), each labelled ``prefix`` plus its
     face label."""
-    out = []
-    for bf in box_faces(box):
-        label = prefix + face_label(bf.axis, bf.side)
-        if box.dim == 1:
-            pt = bf.point()
-            pt = tuple(patch.values_at(pt)) if patch is not None else pt
-            out.append(FacePatch(label, chart, None, None, bf.sign, boxface=bf, point=pt))
-            continue
-        mapping = bf.insertion()
-        if patch is not None:
-            mapping = patch.compose(mapping)
-        out.append(FacePatch(label, chart, bf.param_box, mapping, bf.sign, boxface=bf))
-    return out
+    return [_facet(bf, chart, patch, prefix + face_label(bf.axis, bf.side))
+            for bf in box_faces(box)]
+
+
+def _facet(bf: BoxFace, chart: Chart, patch: Optional[SmoothField], label: str) -> FacePatch:
+    if bf.box.dim == 1:
+        pt = bf.point()
+        pt = tuple(patch.values_at(pt)) if patch is not None else pt
+        return FacePatch(label, chart, None, None, bf.sign, boxface=bf, point=pt)
+    mapping = bf.insertion()
+    if patch is not None:
+        mapping = patch.compose(mapping)
+    return FacePatch(label, chart, bf.param_box, mapping, bf.sign, boxface=bf)
 
 
 def boundary_faces(body: Body) -> List[FacePatch]:
     """The 2n oriented facets whose signed sum realizes the Stokes boundary."""
     return _facets(body.box, body.chart, body.patch)
+
+
+FaceGroup = Tuple[FacePatch, List[FacePatch]]
+
+
+def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
+    """The boundary faces of ``body`` in order, in the groups one face pass
+    reads: each group is the face whose maps the pass reads and the faces
+    whose nodes it reads (see :func:`on_faces`).
+
+    The two faces of an axis of a body of dim >= 2 form one group, read
+    through the face of both sides of the axis (its ``boxface.side`` is
+    None), unless either label is in ``alone``.  Every other face is a group
+    of its own, read through itself.
+    """
+    faces = boundary_faces(body)
+    groups: List[FaceGroup] = []
+    for lower, upper in zip(faces[::2], faces[1::2]):
+        if body.dim == 1 or lower.label in alone or upper.label in alone:
+            groups += [(lower, [lower]), (upper, [upper])]
+            continue
+        axis = lower.boxface.axis
+        both = _facet(BoxFace(body.box, axis, None), body.chart, body.patch, f"x{axis + 1}")
+        groups.append((both, [lower, upper]))
+    return groups
 
 
 def face_boundary_pieces(face: FacePatch) -> List[FacePatch]:
@@ -622,12 +681,13 @@ class _Renaming(dict):
 class Insertion(SmoothField):
     """A map of a lower box into ``box``: the point's coordinates go, in order,
     to the ``free`` axes, and each axis of ``fixed`` is pinned at its lower
-    (side 0) or upper (side 1) bound.  A pullback through it selects keys
-    (see :func:`pullback_coefficients`)."""
+    (side 0) or upper (side 1) bound, or for side None at the bound of the
+    side the face pass reads (see :func:`on_faces`).  A pullback through it
+    selects keys (see :func:`pullback_coefficients`)."""
 
     __slots__ = ("free", "renamed")
 
-    def __init__(self, box: Box, fixed: Dict[int, int]):
+    def __init__(self, box: Box, fixed: Dict[int, Optional[int]]):
         dim = box.dim
         inner_dim = dim - len(fixed)
 
@@ -636,7 +696,7 @@ class Insertion(SmoothField):
             src = 0
             for axis in range(dim):
                 if axis in fixed:
-                    value = box.upper[axis] if fixed[axis] else box.lower[axis]
+                    value = _pick(fixed[axis], box.lower[axis], box.upper[axis])
                     series.append(TruncatedSeries.constant(inner_dim, order, value))
                 else:
                     series.append(TruncatedSeries.variable(inner_dim, order, src, point[src]))
@@ -675,17 +735,36 @@ def integrate_over(
     """The integral of each chart form over a body (volume forms) or a face
     ((n-1)-forms): each is pulled back through the region's map, the body's
     patch if it has one or the face's ``to_chart``, and all are integrated
-    over its parameter box in one pass (see :func:`integrate`), times the
-    face's sign.  A point face, of a 1-dim body, gives each 0-form's value
-    at its point times its sign."""
+    over its parameter box in one pass (see :func:`integrate`, and for a face
+    :func:`integrate_face`), times the face's sign.  A point face, of a 1-dim
+    body, gives each 0-form's value at its point times its sign."""
     if isinstance(region, Body):
         if region.patch is not None:
             forms = [form.pullback(region.patch) for form in forms]
         return integrate(forms, region.box, rule)
-    if region.param_box is None:
-        return [region.sign * form.value_at(region.point).coefficient(()) for form in forms]
-    forms = [form.pullback(region.to_chart) for form in forms]
-    return integrate(forms, region.param_box, rule, region.sign)
+    [(values, _)] = integrate_face(_face_forms(forms, region), None, region, [region], rule)
+    return values
+
+
+def integrate_boundary(
+    forms: Sequence[FormField], body: Body, rule: QuadratureRule
+) -> List[List[float]]:
+    """Each boundary face's :func:`integrate_over` of the chart (n-1)-forms,
+    in face order; the faces of a group of :func:`face_groups` share the
+    pulled-back forms and one pass (see :func:`integrate_face`)."""
+    out = []
+    for face, members in face_groups(body):
+        results = integrate_face(_face_forms(forms, face), None, face, members, rule)
+        out += [values for values, _ in results]
+    return out
+
+
+def _face_forms(forms: Sequence[FormField], face: FacePatch) -> List[FormField]:
+    """Chart forms pulled back through the face's map; a point face reads
+    them at its point as they are."""
+    if face.param_box is None:
+        return list(forms)
+    return [form.pullback(face.to_chart) for form in forms]
 
 
 def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
@@ -707,25 +786,31 @@ def _weighted_sum(weights: List[float], values: List[float]) -> float:
 
 
 def integrate_face(
-    forms: Sequence[FormField], edge_form: FormField, face: FacePatch, rule: QuadratureRule
-) -> Tuple[List[float], List[float]]:
-    """The integral of each top-degree form of the face over it, as
-    ``integrate(forms, face.param_box, rule, face.sign)``, and of the face
-    form ``edge_form``, one degree lower, over each piece of
-    :func:`face_boundary_pieces`, in its order, times the piece's sign.
+    forms: Sequence[FormField],
+    edge_form: Optional[FormField],
+    face: FacePatch,
+    members: Sequence[FacePatch],
+    rule: QuadratureRule,
+) -> List[Tuple[List[float], List[float]]]:
+    """For each of ``members``, the faces that one pass reads through
+    ``face`` (a group of :func:`face_groups`, or ``[face]``): the integral
+    over it of each top-degree form of ``face``, times its sign, and of the
+    face form ``edge_form``, one degree lower, over each piece of
+    :func:`face_boundary_pieces`, in its order, times the piece's sign.  An
+    ``edge_form`` of None gives no pieces.  A point face reads each chart
+    0-form at its point, times its sign.
 
     A piece pulls ``edge_form`` back through its insertion, whose minor on the
     piece's free tuple is the constant 1.0 and on every other tuple the zero
     series; so the pullback is the coefficient on the free tuple, with its
-    bits.  One pass of :func:`jetstress.fields.on_nodes` reads every piece's
-    nodes, written in face coordinates (one node for an endpoint of a 1-dim
-    face), then the face's nodes, and reads every form and the coefficients
-    of ``edge_form`` at each, so they share the sub-fields they read.  Each
-    integral is summed in node order.
+    bits.  One pass of :func:`on_faces` reads, for each member in turn, every
+    piece's nodes, written in face coordinates (one node for an endpoint of
+    a 1-dim face), then the face's nodes, and reads every form and the
+    coefficients of ``edge_form`` at each, so they share the sub-fields they
+    read.  Each integral is summed over its member's nodes, in node order.
     """
     box = face.param_box
-    _check_top_degree(forms, box)
-    pieces = face_boundary_pieces(face)
+    pieces = [] if edge_form is None else face_boundary_pieces(face)
     parts = []  # (nodes, weights) of each piece, None weights for a point, then the face's
     for piece in pieces:
         if piece.param_box is None:
@@ -734,24 +819,84 @@ def integrate_face(
         nodes, weights = rule.nodes_weights(piece.param_box)
         parts.append((np.insert(nodes, piece.boxface.axis, piece.boxface.fixed_value, axis=1),
                       weights))
-    parts.append(rule.nodes_weights(box))
-    full = tuple(range(box.dim))
-    values = on_nodes(
-        lambda point: [form.value_at(point).coefficient(full) for form in forms]
-        + edge_form.coeffs.values_on(point),
-        np.concatenate([nodes for nodes, _ in parts]), len(forms) + len(edge_form.tuples),
-    )
-    columns = {key: len(forms) + c for c, key in enumerate(edge_form.tuples)}
+    if box is None:
+        parts.append((np.array([face.point]), None))
+    else:
+        _check_top_degree(forms, box)
+        parts.append(rule.nodes_weights(box))
+    full = tuple(range(face.param_dim))
+    edge_tuples = [] if edge_form is None else edge_form.tuples
+
+    def read(point):
+        values = [form.value_at(point).coefficient(full) for form in forms]
+        return values if edge_form is None else values + edge_form.coeffs.values_on(point)
+
+    stacked = np.concatenate([nodes for nodes, _ in parts])
+    columns = {key: len(forms) + c for c, key in enumerate(edge_tuples)}
     out = []
-    start = 0
-    for piece, (nodes, weights) in zip(pieces, parts):
-        rows = values[start:start + len(nodes)]
-        start += len(nodes)
-        column = columns.get(tuple_omitting(edge_form.dim, piece.boxface.axis))
-        read = [0.0] * len(nodes) if column is None else rows[:, column].tolist()
-        value = read[0] if weights is None else _weighted_sum(weights.tolist(), read)
-        out.append(piece.sign * value)
-    weights = parts[-1][1].tolist()
-    face_values = [face.sign * _weighted_sum(weights, values[start:, c].tolist())
-                   for c in range(len(forms))]
-    return face_values, out
+    passes = on_faces(read, members, stacked, len(forms) + len(edge_tuples))
+    for member, values in zip(members, passes):
+        piece_values = []
+        start = 0
+        for piece, (nodes, weights) in zip(pieces, parts):
+            rows = values[start:start + len(nodes)]
+            start += len(nodes)
+            column = columns.get(tuple_omitting(edge_form.dim, piece.boxface.axis))
+            read_values = [0.0] * len(nodes) if column is None else rows[:, column].tolist()
+            piece_values.append(piece.sign * _summed(weights, read_values))
+        weights = parts[-1][1]
+        face_values = [member.sign * _summed(weights, values[start:, c].tolist())
+                       for c in range(len(forms))]
+        out.append((face_values, piece_values))
+    return out
+
+
+def _summed(weights: Optional[np.ndarray], values: List[float]) -> float:
+    """The weighted sum in node order, or the one value of a point (weights None)."""
+    return values[0] if weights is None else _weighted_sum(weights.tolist(), values)
+
+
+class FaceError(ValueError):
+    """A ``ValueError`` at a node of a face pass, with its message; ``face``
+    is the face the node lies on."""
+
+    def __init__(self, face: FacePatch, error: ValueError):
+        super().__init__(str(error))
+        self.face = face
+
+
+def on_faces(
+    fn: Callable[[Tuple], Any],
+    faces: Sequence[FacePatch],
+    nodes: np.ndarray,
+    width: Optional[int] = None,
+) -> List[np.ndarray]:
+    """``fn`` at every row of ``nodes`` on each of ``faces`` in turn (a group
+    of :func:`face_groups`), from one pass of
+    :func:`jetstress.fields.on_nodes`: each face's rows of results.
+
+    Each row of the pass carries one more column, its face's position in
+    ``faces``, for a pair its side.  The pass splits it off and opens it as
+    the side while ``fn`` reads the rest, so a face of both sides reads each
+    node on its own side (see :meth:`BoxFace.pick`) with the operations of
+    that face's own pass.  A ``ValueError`` at a node is raised again as
+    :class:`FaceError`, naming the node's face.
+    """
+    sides = np.repeat(np.arange(len(faces), dtype=float), len(nodes))
+    failed = [0]  # the face of the last node read alone: the one a ValueError comes from
+
+    def read(point):
+        side = point[-1]
+        if not per_node(side):
+            failed[0] = int(side)
+        token = _SIDE.set(side)
+        try:
+            return fn(point[:-1])
+        finally:
+            _SIDE.reset(token)
+
+    try:
+        values = on_nodes(read, np.column_stack([np.tile(nodes, (len(faces), 1)), sides]), width)
+    except ValueError as exc:
+        raise FaceError(faces[failed[0]], exc) from exc
+    return np.split(values, len(faces))

@@ -134,6 +134,7 @@ class TransversalField:
             raise ValueError("transversal components must be (n,) over the face parameters")
         self.face = face
         self.n_field = n_field
+        self.is_coordinate = False  # set by :meth:`coordinate`
 
     @classmethod
     def axis(cls, face: FacePatch, axis: int, sign: float = 1.0) -> "TransversalField":
@@ -145,10 +146,22 @@ class TransversalField:
 
     @classmethod
     def coordinate(cls, face: FacePatch) -> "TransversalField":
-        """Outward coordinate transversal of a box face."""
-        if face.boxface is None:
+        """Outward coordinate transversal of a box face: on a face of both
+        sides of an axis, each node's sign is its own side's (see
+        :meth:`jetstress.geometry.BoxFace.pick`)."""
+        boxface = face.boxface
+        if boxface is None:
             raise ValueError("coordinate transversal needs a box face")
-        return cls.axis(face, face.boxface.axis, 1.0 if face.boxface.side else -1.0)
+        n, q = face.chart.dim, face.param_dim
+
+        def evaluator(point, order):
+            sign = boxface.pick(-1.0, 1.0)
+            return [TruncatedSeries.constant(q, order, sign if a == boxface.axis else 0.0)
+                    for a in range(n)]
+
+        out = cls(face, TensorField(SmoothField(q, n, evaluator), (n,)))
+        out.is_coordinate = True
+        return out
 
     @classmethod
     def from_ambient_field(cls, face: FacePatch, field: TensorField) -> "TransversalField":

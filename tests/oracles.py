@@ -18,7 +18,10 @@ face's insertion (``pullback_by_composition``), and one ``det`` per minor
 of a covector's pullback at one sample in place of the covariance laws'
 stacked minors (``pullback_form_value``), and each face's edge pieces
 and face terms read in passes of their own, from fields built per term, in
-place of the face pass (``edge_assembly_by_piece``).
+place of the face pass (``edge_assembly_by_piece``), and every face read
+in a pass of its own, through its own fields, in place of the pass the two
+faces of an axis share (``faces_alone``, which ``read_faces_alone`` puts in
+place of ``face_groups``).
 ``form_from_components`` builds test forms from one field per index tuple.
 
 The law pins (``transform_jet2``, ``transform_stress1``,
@@ -35,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from jetstress import balance, geometry, scenarios
 from jetstress.bundles import IteratedJetValue
 from jetstress.covariance import (
     FrameChange,
@@ -48,6 +52,7 @@ from jetstress.geometry import (
     Body,
     Box,
     BoxFace,
+    FacePatch,
     FormField,
     FormValue,
     QuadratureRule,
@@ -466,3 +471,16 @@ def edge_assembly_by_piece(
         boundary_terms[face.label] = _integral(
             _pulled_back(boundary_form, face.to_chart), face.param_box, rule, face.sign)
     return edge_terms, face_terms, boundary_terms
+
+
+def faces_alone(body: Body, alone=()) -> List[Tuple[FacePatch, List[FacePatch]]]:
+    """``geometry.face_groups`` with every face a group of its own, read
+    through itself: each face in the pass it had before faces were paired."""
+    return [(face, [face]) for face in boundary_faces(body)]
+
+
+def read_faces_alone(monkeypatch) -> None:
+    """Put :func:`faces_alone` in place of ``face_groups`` wherever the
+    library groups faces: ``balance2``, ``balance1`` and ``cauchy``."""
+    for module in (geometry, balance, scenarios):
+        monkeypatch.setattr(module, "face_groups", faces_alone)

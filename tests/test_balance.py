@@ -465,17 +465,33 @@ def test_balance2_reads_each_point_set_in_one_pass(monkeypatch, lower):
     doc = json.loads((SCENARIOS / "cube-order2.json").read_text(encoding="utf-8"))
     doc["geometry"]["chart_box"] = doc["geometry"]["body_box"] = [[lower, 1.5]] * 3
     body, passes = _balance2_passes(monkeypatch, doc)
-    # One pass over the body's nodes, for the interior power and the div-div term.
-    assert [p.shape[1] for p in passes].count(3) == 1 and passes[0].shape[1] == 3
-    face_level = passes[1:]
+    # One pass over the body's nodes, for the interior power and the div-div
+    # term, then one pass per axis.
+    assert len(passes) == 1 + 3 and len(passes[0]) == 5 ** 3
     faces = boundary_faces(body)
-    assert len(face_level) == len(faces)
-    for face, nodes in zip(faces, face_level):
-        # One pass per face reads its four pieces' 5-node sets, on the face's
-        # boundary, then the face's 25 nodes, for the edge terms and both
-        # face terms; a piece pinned at 0.0 joins it as the others do.
-        box = face.param_box
-        assert len(face_boundary_pieces(face)) == 4
-        edge = np.isin(nodes, box.lower + box.upper).any(axis=1)
-        assert len(nodes) == 4 * 5 + 5 ** 2
+    for axis, nodes in enumerate(passes[1:]):
+        lower_face, upper_face = faces[2 * axis], faces[2 * axis + 1]
+        # The pass reads the lower face's four pieces' 5-node sets, on the
+        # face's boundary, then its 25 nodes, for the edge terms and both face
+        # terms, then the same nodes of the upper face; a last column holds
+        # each node's side.  A piece pinned at 0.0 joins it as the others do.
+        assert len(face_boundary_pieces(lower_face)) == 4
+        assert nodes.shape == (2 * (4 * 5 + 5 ** 2), 3)
+        coords, sides = nodes[:, :2], nodes[:, 2]
+        assert (sides[:45] == 0.0).all() and (sides[45:] == 1.0).all()
+        assert (coords[:45] == coords[45:]).all()
+        box = lower_face.param_box
+        edge = np.isin(coords[:45], box.lower + box.upper).any(axis=1)
         assert edge[:20].all() and not edge[20:].any()
+        assert upper_face.param_box == box
+
+
+def test_a_face_with_its_own_transversal_keeps_its_own_pass(monkeypatch):
+    doc = json.loads((SCENARIOS / "cube-order2.json").read_text(encoding="utf-8"))
+    doc["transversals"] = {"x1-upper": {"vector": ["1", "0.2*x2", "0.25*x1"]},
+                           "x3-lower": "coordinate"}
+    _, passes = _balance2_passes(monkeypatch, doc)
+    # The body, then x1-lower and x1-upper one pass each; a coordinate
+    # transversal pairs as no transversal does, so x2 and x3 share theirs.
+    assert [len(nodes) for nodes in passes] == [5 ** 3, 45, 45, 90, 90]
+    assert all((nodes[:, 2] == 0.0).all() for nodes in passes[1:3])

@@ -7,6 +7,9 @@ two must agree in every bit and in key order.  ``balance.edge_assembly``
 builds each face's fields once and reads a box face and its edge pieces in
 one pass; ``oracles.edge_assembly_by_piece`` builds the fields of each term
 apart and reads each term in its own pass, and every term must keep its bits.
+The two faces of an axis share their fields and one pass; read through
+``oracles.faces_alone``, each face has a pass of its own, and every face
+term, edge piece and Cauchy gap must keep its bits and key order.
 """
 
 import itertools
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstress import balance, geometry, surface
+from jetstress import balance, geometry, scenarios, surface
 from jetstress.balance import edge_assembly
 from jetstress.exprs import parse_expression
 from jetstress.fields import SmoothField, monomial_map
@@ -35,7 +38,7 @@ from jetstress.nonholonomic import nh_divergence, nh_traction
 from jetstress.scenarios import generate_scenario, load_scenario
 from jetstress.stress import traction_action, traction_projection
 
-from oracles import edge_assembly_by_piece, pullback_by_composition
+from oracles import edge_assembly_by_piece, pullback_by_composition, read_faces_alone
 from test_transversal_solve import curved_cube
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -162,5 +165,76 @@ def test_each_face_builds_its_fields_once(monkeypatch):
         monkeypatch.setattr(module, name, spy)
     *args, boundary_form = _assembly_inputs(DOCUMENTS["cube-order2"])
     edge_assembly(*args, boundary_form=boundary_form)
-    labels = [face.label for face in boundary_faces(args[2])]
-    assert calls == {name: labels for name in calls}
+    # Once per axis: the two faces of each share one face of both sides.
+    assert calls == {name: ["x1", "x2", "x3"] for name in calls}
+
+
+# -- the pass two faces share ------------------------------------------------------
+
+BOUNDS = st.sampled_from([[0.0, 1.0], [-0.5, 0.0], [0.25, 1.5], [-1.0, 0.75]])
+
+
+@st.composite
+def face_documents(draw):
+    """A generated document on a box with some bound at 0.0, n = 2 to 4, its
+    fields monomial tables or, for the velocity and the raw x0 block,
+    expressions with sin, exp and sqrt; patched or not."""
+    n = draw(st.integers(2, 4))
+    doc = generate_scenario(draw(st.integers(0, 10 ** 6)), n, 1 if n == 4 else 2,
+                            draw(st.integers(1, 3)))
+    bounds = [draw(BOUNDS) for _ in range(n)]
+    bounds[draw(st.integers(0, n - 1))] = [0.0, 1.0]
+    doc["geometry"] = {"chart_box": [[-3.0, 3.0]] * n, "body_box": bounds,
+                       "quad_order": draw(st.integers(1, 3 if n == 4 else 4))}
+    doc["checks"] = ["balance1", "balance2"]  # cauchy refuses a patch at load: it runs apart
+    if draw(st.booleans()):
+        doc["geometry"]["patch"] = [f"x{i + 1} + 0.1*x{(i + 1) % n + 1}^2" for i in range(n)]
+    if draw(st.booleans()):
+        fields = doc["stress"]["raw"]["x0"] + doc["velocity"]["u"]
+        for k in range(len(fields)):
+            fields[k] = draw(st.sampled_from(EXPRESSIONS)).format(n=draw(st.integers(1, n)))
+        d = len(doc["velocity"]["u"])
+        doc["stress"]["raw"]["x0"], doc["velocity"]["u"] = fields[:d], fields[d:]
+    return doc
+
+
+def _face_reads(scenario, rule):
+    """Each face's terms and edge pieces as ``integrate_face`` returns them to
+    ``edge_assembly``, the assembly's terms, balance1's face integrals and
+    cauchy's gaps, every value as its bits, in the order each is made."""
+    passes = {}
+    real = balance.integrate_face
+
+    def spy(forms, edge_form, face, members, rule):
+        results = real(forms, edge_form, face, members, rule)
+        for member, (values, pieces) in zip(members, results):
+            passes[member.label] = [[v.hex() for v in values], [v.hex() for v in pieces]]
+        return results
+
+    stress, velocity = scenario.nh_stress, scenario.velocity
+    sigma_div_u = traction_action(traction_projection(nh_divergence(stress)), velocity)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(balance, "integrate_face", spy)
+        terms = edge_assembly(nh_traction(stress), velocity, scenario.body, None, rule,
+                              boundary_form=sigma_div_u)
+    sigma_w = traction_action(traction_projection(scenario.stress1), velocity)
+    balance1 = geometry.integrate_boundary([sigma_w], scenario.body, rule)
+    gaps = scenarios._run_cauchy(scenario)[0]
+    return (list(passes.items()), [[(k, v.hex()) for k, v in group.items()] for group in terms],
+            [[v.hex() for v in values] for values in balance1],
+            [(k, v.hex()) for k, v in gaps.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=face_documents())
+def test_two_faces_in_one_pass_keep_the_bits_of_a_pass_each(doc):
+    scenario = load_scenario(doc)
+    rule = QuadratureRule(scenario.quad_order)
+    shared = _face_reads(scenario, rule)
+    with pytest.MonkeyPatch.context() as patch:
+        read_faces_alone(patch)
+        alone = _face_reads(scenario, rule)
+    assert shared == alone
+    # The shared route pairs the faces of every axis.
+    groups = geometry.face_groups(scenario.body)
+    assert [len(members) for _, members in groups] == [2] * scenario.body.dim

@@ -13,6 +13,7 @@ from jetstress import fields
 from jetstress.fields import (
     SmoothField,
     TensorField,
+    coordinate_series,
     fibre_sum,
     finite_difference_jet,
     jet_extension,
@@ -20,7 +21,7 @@ from jetstress.fields import (
     on_nodes,
 )
 from jetstress.geometry import FormField
-from jetstress.taylor import BatchSplit, MultiIndex
+from jetstress.taylor import BatchSplit, MultiIndex, TruncatedSeries
 
 
 def test_monomial_jet_one_dim():
@@ -503,3 +504,18 @@ def test_a_failing_one_point_jet_evaluates_its_field_once():
         jet_extension(SmoothField(2, 1, evaluator), (-1.0, 0.5), 1)
     assert calls == [(-1.0, 0.5)]
 
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_coordinate_series_is_the_variable_series(order):
+    # Each coordinate, a float or one value per node, is the series
+    # ``TruncatedSeries.variable`` builds: its keys in order, its values.
+    point = (0.5, np.array([-0.0, 1.25, 3.0]), -2.0)
+    got = coordinate_series(point, order)
+    for axis, series in enumerate(got):
+        want = TruncatedSeries.variable(3, order, axis, point[axis])
+        assert (series.dim, series.order) == (want.dim, want.order)
+        assert list(series.coeffs) == list(want.coeffs)
+        for key, value in want.coeffs.items():
+            assert np.array_equal(np.signbit(series.coeffs[key]), np.signbit(value))
+            assert np.array_equal(series.coeffs[key], value)

@@ -479,6 +479,13 @@ def _square_with_velocity(u):
     return doc
 
 
+def _order2_square_with_velocity(u):
+    # x1-upper's coordinate transversal pairs it with x1-lower in one pass.
+    doc = _order2_square_with_transversal("coordinate")
+    doc["velocity"]["u"] = u
+    return doc
+
+
 def _degenerate_corner_patch():
     # The patch's x2 slope is 5e-324 at x2 = 0, so the tangent of face
     # x1-lower vanishes at its corner node and its frame solve is singular.
@@ -495,13 +502,14 @@ EVALUATION_ERRORS = [
     (_order2_square_with_transversal({"metric": [["0", "1"], ["1", "0"]]}),
      "transversals.x1-upper: "),
     (_degenerate_corner_patch(), "checks.balance2: x1-lower: "),
+    (_order2_square_with_velocity(["log(1 - x1)"]), "checks.balance2: x1-upper: "),
 ]
 
 
 @pytest.mark.parametrize(
     "doc, prefix", EVALUATION_ERRORS,
     ids=["log-of-negative", "reciprocal-of-zero", "tangent-transversal", "indefinite-metric",
-         "degenerate-corner"],
+         "degenerate-corner", "upper-face-of-a-pair"],
 )
 def test_evaluation_error_exits_2_naming_the_key(tmp_path, capsys, doc, prefix):
     scenario = tmp_path / "bad.json"
