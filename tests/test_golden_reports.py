@@ -128,7 +128,8 @@ def _generated_report(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_generated_report_matches_golden(name, tmp_path):
-    assert _generated_report(name, tmp_path) == (GOLDEN / "generated" / f"{name}.jsonl").read_bytes()
+    golden = GOLDEN / "generated" / f"{name}.jsonl"
+    assert _generated_report(name, tmp_path) == golden.read_bytes()
 
 
 def test_every_generated_golden_has_a_case():
