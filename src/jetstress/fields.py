@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exprs import parse_expression
-from .taylor import BatchSplit, Coordinates, MultiIndex, TruncatedSeries, _coefficient, per_node
+from .taylor import Coordinates, MultiIndex, TruncatedSeries, _coefficient, per_node
 
 __all__ = [
     "BATCH",
@@ -141,49 +141,35 @@ def on_nodes(
     of ``width`` such values, and the result has one row of them per node.
     The nodes go in batches of at most ``BATCH``, and each node's values have
     the bits of its one-node evaluation, signed zeros included, whichever
-    nodes share its batch: a series holds the same keys at one node as over
-    a batch (see :mod:`jetstress.taylor`).  Two things evaluate a batch
-    again:
-    - a batch that raises :class:`BatchSplit` (its nodes pick different
-      pivots) is evaluated again in groups of like nodes, a group of one as
-      plain floats;
-    - a batch of several nodes that raises ``ValueError`` or
-      ``ArithmeticError`` is evaluated again node by node in order, so the
-      first failing node raises its own error.
-    While a batch is evaluated, :meth:`SmoothField.series_on` keeps each
-    field's series at the batch's coordinates, so a sub-field that several
-    parts of ``fn`` read is evaluated once per batch.
+    nodes share its batch (see :mod:`jetstress.taylor`).  A batch is
+    evaluated once; one that raises ``ValueError`` or ``ArithmeticError`` (a
+    domain error, or pivot rows of different layouts in the transversal
+    solve) is evaluated again node by node in order, so the first failing
+    node raises its own error.  While a batch is evaluated,
+    :meth:`SmoothField.series_on` keeps each field's series at the batch's
+    coordinates, so a sub-field that several parts of ``fn`` read is
+    evaluated once per batch.
     """
     nodes = np.asarray(nodes, dtype=float)
     out = np.empty(len(nodes) if width is None else (len(nodes), width))
     for start in range(0, len(nodes), BATCH):
-        index = np.arange(start, min(start + BATCH, len(nodes)))
-        try:
-            _fill(fn, nodes, index, out)
-        except (ValueError, ArithmeticError):
-            if len(index) == 1:  # already the node's own error
-                raise
-            for i in index:
-                out[i] = fn(tuple(float(c) for c in nodes[i]))
+        batch = nodes[start:start + BATCH]
+        rows = slice(start, start + len(batch))
+        values = None  # a batch of one is read as its node
+        if len(batch) > 1:
+            try:
+                values = _evaluate_batch(fn, tuple(batch.T.copy()))
+            except (ValueError, ArithmeticError):
+                pass
+        if values is None:
+            for i, node in enumerate(batch, start):
+                out[i] = fn(tuple(float(c) for c in node))
+        elif width is None:
+            out[rows] = values
+        else:
+            for column, value in enumerate(values):
+                out[rows, column] = value
     return out
-
-
-def _fill(fn: Callable[[Point], Any], nodes: np.ndarray, index: np.ndarray, out: np.ndarray):
-    if len(index) == 1:
-        out[index[0]] = fn(tuple(float(c) for c in nodes[index[0]]))
-        return
-    point = tuple(nodes[index, axis] for axis in range(nodes.shape[1]))
-    try:
-        values = _evaluate_batch(fn, point)
-    except BatchSplit as split:
-        for label in np.unique(split.labels):
-            _fill(fn, nodes, index[split.labels == label], out)
-        return
-    if out.ndim == 1:
-        out[index] = values
-    else:
-        for column, value in enumerate(values):
-            out[index, column] = value
 
 
 def _evaluate_batch(fn: Callable[[Point], Any], point: Point) -> Any:

@@ -464,7 +464,8 @@ class FormField:
 
 # The side a face pass reads at each node: 0.0 (lower) or 1.0 (upper), a float
 # at one node and a node array over a batch; None outside a face pass.  Each
-# evaluation of :func:`on_faces` sets it, as ``fields._MEMO`` is set per batch.
+# evaluation of :func:`on_faces` sets it, as ``fields._MEMO`` is set per batch;
+# sides that pick different pivot rows share the batch (``surface._swap_per_node``).
 _SIDE: ContextVar[Any] = ContextVar("face_side", default=None)
 
 

@@ -140,20 +140,20 @@ def _exponent(value: Any) -> int:
     return int(value)
 
 
-def _flatten(specs: Any, shape: Tuple[int, ...], key: str) -> List[Any]:
+def _flatten(specs: Any, shape: Tuple[int, ...], key: str) -> List[Tuple[Any, str]]:
+    """Each component of a nested list in row-major order, with its key path."""
     if not shape:
-        return [specs]
+        return [(specs, key)]
     if not isinstance(specs, list) or len(specs) != shape[0]:
         raise ScenarioError(f"{key}: expected a list of length {shape[0]}")
-    out: List[Any] = []
+    out: List[Tuple[Any, str]] = []
     for idx, item in enumerate(specs):
         out.extend(_flatten(item, shape[1:], f"{key}[{idx}]"))
     return out
 
 
 def parse_tensor(specs: Any, dim: int, shape: Tuple[int, ...], key: str) -> TensorField:
-    flat = _flatten(specs, shape, key)
-    maps = [_component_map(s, dim, f"{key}#{i}") for i, s in enumerate(flat)]
+    maps = [_component_map(spec, dim, at) for spec, at in _flatten(specs, shape, key)]
     return TensorField(SmoothField.from_series_maps(dim, maps), shape)
 
 

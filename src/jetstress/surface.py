@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .nonholonomic import HyperSurfaceStress
 from .stress import TractionStress, VariationalStress1, divergence, traction_projection
-from .taylor import BatchSplit, TruncatedSeries, power_series, reciprocal_series
+from .taylor import TruncatedSeries, power_series, reciprocal_series
 
 __all__ = [
     "TransversalField",
@@ -48,27 +48,26 @@ def _solve_linear_series(
 ) -> List[List[TruncatedSeries]]:
     """Gauss-Jordan elimination over truncated series, multiple right-hand sides.
 
-    Pivots on the constant terms; a vanishing pivot means the transversality
-    system is singular at the evaluation point.  Over a batch of nodes each
-    node picks its own pivot; nodes that pick different rows are split into
-    groups (:class:`BatchSplit`), and a vanishing pivot at any node is singular.
-
-    Step ``col`` updates only the live columns of ``m``, those after ``col``:
-    no later step reads an eliminated column, whose entries are 1 or 0 up to
-    roundoff, so computing them would be wasted work.  Every entry that is
-    read gets the operations of a full-row update, so each result keeps its
-    bits.
+    Partial pivoting on the constant terms (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., 2013, section 3.4): over a batch each node picks
+    its own pivot row (:func:`_swap_per_node`), and a vanishing pivot at any
+    node means the transversality system is singular.  Step ``col`` updates
+    only the live columns of ``m``, those after ``col``: no later step reads
+    an eliminated column (1 or 0 up to roundoff), and every entry that is
+    read gets the operations of a full-row update, so it keeps its bits.
     """
     size = len(matrix)
     m = [row[:] for row in matrix]
     r = [row[:] for row in rhs]
     for col in range(size):
         piv = _pivot_row([abs(m[k][col].value) for k in range(col, size)]) + col
-        if np.any(abs(m[piv][col].value) < 1e-13):
-            raise ValueError("transversality system is singular at a sample point")
-        if piv != col:
+        if np.ndim(piv):
+            _swap_per_node(m, r, col, piv)
+        elif piv != col:
             m[col], m[piv] = m[piv], m[col]
             r[col], r[piv] = r[piv], r[col]
+        if np.any(abs(m[col][col].value) < 1e-13):
+            raise ValueError("transversality system is singular at a sample point")
         inv = reciprocal_series(m[col][col])
         live = slice(col + 1, size)
         m[col][live] = [e * inv for e in m[col][live]]
@@ -82,12 +81,10 @@ def _solve_linear_series(
     return r
 
 
-def _pivot_row(magnitudes: List) -> int:
-    """The first row of largest magnitude, as ``max`` picks it, at every node.
-
-    Each magnitude is a float or one value per node; a later row wins only
-    where it is strictly larger, so ties and NaN go as they go for ``max``.
-    """
+def _pivot_row(magnitudes: List):
+    """The first row of largest magnitude, as ``max`` picks it: an int, or one
+    row per node where the nodes of a batch disagree.  A later row wins only
+    where it is strictly larger, so ties and NaN go as they go for ``max``."""
     best, top = 0, magnitudes[0]
     for k, value in enumerate(magnitudes[1:], 1):
         larger = value > top
@@ -96,8 +93,33 @@ def _pivot_row(magnitudes: List) -> int:
         elif larger:
             best, top = k, value
     if np.ndim(best) and np.any(best != best[0]):
-        raise BatchSplit(best)
+        return best
     return int(np.ravel(best)[0])
+
+
+def _swap_per_node(m: List[List[TruncatedSeries]], r: List[List[TruncatedSeries]], col: int, piv):
+    """Swap row ``col`` with row ``piv[i]`` at each node ``i`` in the entries
+    read from step ``col`` on.  Each coefficient becomes an ``np.where`` of the
+    two rows', which gives every node the bits of its own swap; that needs
+    both rows to hold the same keys in the same order in every entry, and
+    otherwise an ``ArithmeticError`` sends the batch node by node."""
+    live = len(m) - col
+    for k in sorted(set(piv.tolist()) - {col}):
+        at = piv == k
+        top, row = m[col][col:] + r[col], m[k][col:] + r[k]
+        if any(list(a.coeffs) != list(b.coeffs) for a, b in zip(top, row)):
+            raise ArithmeticError("nodes of a batch pick pivot rows of different layouts")
+        top, row = ([_pick(at, a, b) for a, b in zip(top, row)],
+                    [_pick(at, b, a) for a, b in zip(top, row)])
+        m[col][col:], r[col] = top[:live], top[live:]
+        m[k][col:], r[k] = row[:live], row[live:]
+
+
+def _pick(at, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """``b`` at the nodes in ``at`` and ``a`` elsewhere, in the keys of both."""
+    pairs = zip(a.coeffs.items(), b.coeffs.values())
+    return TruncatedSeries._trusted(
+        a.dim, a.order, {key: np.where(at, vb, va) for (key, va), vb in pairs})
 
 
 def _tangent_basis_series(

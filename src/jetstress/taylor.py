@@ -16,7 +16,7 @@ are the same IEEE operations on arrays as on floats, each node of a batched
 result has the bits of the one-node result, signed zeros included
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).  A
 branch on values that differs across nodes would break that; the one the
-package takes, a pivot choice, stops the batch with :class:`BatchSplit`.
+package takes, the pivot row of the transversal solve, each node takes in it.
 
 A shortcut that claims the bits of a general route performs that route's
 operations, ``0.0 + v`` included where the route adds into an absent key:
@@ -50,7 +50,6 @@ import numpy as np
 __all__ = [
     "MultiIndex",
     "TruncatedSeries",
-    "BatchSplit",
     "per_node",
     "Coordinates",
     "sin_series",
@@ -142,20 +141,6 @@ class _ProductRow(dict):
 # depend on their keys alone, so every series shares them; a cap holds at
 # most C(n+cap, cap)**2 of them per dimension n.
 _PRODUCT_ROWS: Dict[int, Dict[Exponents, _ProductRow]] = {}
-
-
-class BatchSplit(Exception):
-    """A batch of nodes must be evaluated again in groups: its nodes take
-    different branches on their values (a Gauss-Jordan pivot).
-
-    ``labels`` holds one entry per node of the batch; nodes with equal labels
-    take the same path through the engine and can share a batch.  Not a
-    ``ValueError``, so no error-keying context catches it.
-    """
-
-    def __init__(self, labels):
-        super().__init__("batch nodes take different paths")
-        self.labels = labels
 
 
 def per_node(value) -> bool:
@@ -447,8 +432,9 @@ class TruncatedSeries:
             default=0.0,
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        terms = ", ".join(f"{k}: {v:g}" for k, v in sorted(self.coeffs.items()))
+    def __repr__(self) -> str:  # a node array prints as the list of its values
+        terms = ", ".join(f"{k}: {v.tolist() if per_node(v) else format(v, 'g')}"
+                          for k, v in sorted(self.coeffs.items()))
         return f"TruncatedSeries(dim={self.dim}, order={self.order}, {{{terms}}})"
 
 

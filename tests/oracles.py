@@ -67,7 +67,6 @@ from jetstress.stress import TractionStress, VariationalStress1, traction_action
 from jetstress.surface import (
     RestrictedSurfaceStress,
     TransversalField,
-    _pivot_row,
     face_velocity,
     transversal_decomposition,
 )
@@ -171,17 +170,19 @@ def _evaluate(node, variables: Coordinates) -> TruncatedSeries:
 def solve_linear_series_full_rows(
     matrix: List[List[TruncatedSeries]], rhs: List[List[TruncatedSeries]]
 ) -> List[List[TruncatedSeries]]:
-    """Gauss-Jordan elimination that updates whole rows of the matrix.
+    """Gauss-Jordan elimination at one point that updates whole rows of the matrix.
 
     It also computes the eliminated columns, 1 and 0 up to roundoff, which no
-    later step reads.
+    later step reads.  Its pivot is the first row of largest magnitude, as
+    ``max`` picks it; every coefficient is one float, so a batch is solved
+    one node at a time.
     """
     size = len(matrix)
     m = [row[:] for row in matrix]
     r = [row[:] for row in rhs]
     for col in range(size):
-        piv = _pivot_row([abs(m[k][col].value) for k in range(col, size)]) + col
-        if np.any(abs(m[piv][col].value) < 1e-13):
+        piv = max(range(col, size), key=lambda k: abs(float(m[k][col].value)))
+        if abs(m[piv][col].value) < 1e-13:
             raise ValueError("transversality system is singular at a sample point")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]

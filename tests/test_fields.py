@@ -21,7 +21,7 @@ from jetstress.fields import (
     on_nodes,
 )
 from jetstress.geometry import FormField
-from jetstress.taylor import BatchSplit, MultiIndex, TruncatedSeries
+from jetstress.taylor import MultiIndex, TruncatedSeries
 
 
 def test_monomial_jet_one_dim():
@@ -290,21 +290,24 @@ def test_content_equal_coordinates_share_a_memo_entry():
     assert got.tolist() == [leaf.values_at(node)[0] for node in nodes]
 
 
-def test_a_batch_that_splits_leaves_no_memo_entry():
+def test_a_batch_that_falls_back_node_by_node_leaves_no_memo_entry():
+    # A batch whose nodes pick pivot rows of different layouts raises
+    # ArithmeticError; its nodes are read again one at a time, outside any memo.
     leaf, calls = _counted(SmoothField.from_expressions(1, ["exp(x1)"]))
     opened = []
 
     def value(point):
-        opened.append(len(fields._MEMO.get()))
+        memo = fields._MEMO.get()
+        opened.append(None if memo is None else len(memo))
         out = leaf.values_on(point)[0]
         if np.size(point[0]) == 4:
-            raise BatchSplit(np.array([0, 1, 0, 1]))
+            raise ArithmeticError("nodes of a batch pick pivot rows of different layouts")
         return out
 
     nodes = np.array([[0.1], [0.2], [0.3], [0.4]])
     got = on_nodes(value, nodes)
-    assert opened == [0, 0, 0]
-    assert calls == [4, 2, 2]
+    assert opened == [0, None, None, None, None]
+    assert calls == [4, 1, 1, 1, 1]
     assert fields._MEMO.get() is None
     assert got.tolist() == [math.exp(x) for x in (0.1, 0.2, 0.3, 0.4)]
 

@@ -712,12 +712,12 @@ def test_booleans_and_non_finite_numbers_are_rejected(path, value, key):
 
 
 @pytest.mark.parametrize("spec, message", [
-    (True, "velocity.u#0: expected a number, got True"),
-    (float("nan"), "velocity.u#0: expected a number, got nan"),
-    (float("inf"), "velocity.u#0: expected a number, got inf"),
-    ({"expr": float("-inf")}, "velocity.u#0: expected a number, got -inf"),
-    ({"monomials": [[[1, 0], float("nan")]]}, "velocity.u#0: bad monomial entry [[1, 0], nan]"),
-    ({"monomials": [[[1, 0], True]]}, "velocity.u#0: bad monomial entry [[1, 0], True]"),
+    (True, "velocity.u[0]: expected a number, got True"),
+    (float("nan"), "velocity.u[0]: expected a number, got nan"),
+    (float("inf"), "velocity.u[0]: expected a number, got inf"),
+    ({"expr": float("-inf")}, "velocity.u[0]: expected a number, got -inf"),
+    ({"monomials": [[[1, 0], float("nan")]]}, "velocity.u[0]: bad monomial entry [[1, 0], nan]"),
+    ({"monomials": [[[1, 0], True]]}, "velocity.u[0]: bad monomial entry [[1, 0], True]"),
 ])
 def test_constant_components_must_be_finite_numbers(tmp_path, capsys, spec, message):
     doc = json.loads((SCENARIOS / "square-order1.json").read_text())
@@ -731,12 +731,12 @@ def test_constant_components_must_be_finite_numbers(tmp_path, capsys, spec, mess
 
 
 @pytest.mark.parametrize("table, message", [
-    (3, "stress.order1.s0#0: monomial table must be a list, got 3"),
-    (None, "stress.order1.s0#0: monomial table must be a list, got None"),
-    ({"x": 1}, "stress.order1.s0#0: monomial table must be a list, got {'x': 1}"),
-    ([[[1.5, 0], 2.0]], "stress.order1.s0#0: bad monomial entry [[1.5, 0], 2.0]"),
-    ([[[True, 0], 2.0]], "stress.order1.s0#0: bad monomial entry [[True, 0], 2.0]"),
-    ([[[1, "2"], 2.0]], "stress.order1.s0#0: bad monomial entry [[1, '2'], 2.0]"),
+    (3, "stress.order1.s0[0]: monomial table must be a list, got 3"),
+    (None, "stress.order1.s0[0]: monomial table must be a list, got None"),
+    ({"x": 1}, "stress.order1.s0[0]: monomial table must be a list, got {'x': 1}"),
+    ([[[1.5, 0], 2.0]], "stress.order1.s0[0]: bad monomial entry [[1.5, 0], 2.0]"),
+    ([[[True, 0], 2.0]], "stress.order1.s0[0]: bad monomial entry [[True, 0], 2.0]"),
+    ([[[1, "2"], 2.0]], "stress.order1.s0[0]: bad monomial entry [[1, '2'], 2.0]"),
 ])
 def test_a_bad_monomial_table_exits_2(tmp_path, capsys, table, message):
     doc = json.loads((SCENARIOS / "square-order1.json").read_text())
@@ -773,7 +773,7 @@ def test_expression_literals_must_be_finite(tmp_path, capsys, spec, literal):
     report = tmp_path / "r.jsonl"
     assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
     assert capsys.readouterr().err == (
-        f"error: velocity.u#0: numeric literal {literal!r} is not a finite number\n")
+        f"error: velocity.u[0]: numeric literal {literal!r} is not a finite number\n")
     assert not report.exists()
 
 
@@ -790,7 +790,7 @@ def test_a_deeply_nested_expression_exits_2(tmp_path, capsys, spec):
     report = tmp_path / "r.jsonl"
     assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 2
     assert capsys.readouterr().err == (
-        f"error: velocity.u#0: expression nested deeper than {MAX_DEPTH} levels\n")
+        f"error: velocity.u[0]: expression nested deeper than {MAX_DEPTH} levels\n")
     assert not report.exists()
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from jetstress.taylor import (
@@ -156,3 +157,11 @@ def test_integer_negative_power():
     inv2 = u**-2
     direct = reciprocal_series(u * u)
     assert inv2.max_abs_diff(direct) < 1e-15
+
+
+def test_repr_prints_floats_with_g_and_node_arrays_as_lists():
+    one = TruncatedSeries(2, 1, {(1, 0): 0.25, (0, 0): 1.5})
+    assert repr(one) == "TruncatedSeries(dim=2, order=1, {(0, 0): 1.5, (1, 0): 0.25})"
+    batch = TruncatedSeries._trusted(
+        1, 1, {(0,): np.array([0.5, -0.0]), (1,): 2.0})
+    assert repr(batch) == "TruncatedSeries(dim=1, order=1, {(0,): [0.5, -0.0], (1,): 2})"
