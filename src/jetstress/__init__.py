@@ -18,7 +18,6 @@ from .geometry import (
     TransitionMap,
     boundary_faces,
     integrate,
-    integrate_over,
     interior_product,
 )
 from .bundles import (

@@ -23,10 +23,8 @@ from .geometry import (
     box_faces,
     face_groups,
     face_label,
-    integrate,  # noqa: F401  (perfbench/tests check that tracing rebinds it here)
+    integrate,
     integrate_boundary,
-    integrate_face,
-    integrate_over,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -62,7 +60,7 @@ def first_integration_by_parts(
 ) -> Tuple[Dict[str, float], float]:
     """Interior action equals boundary-stress power minus divergence power:
     the terms and the relative residual."""
-    lhs, interior = integrate_over(
+    [[lhs, interior]] = integrate(
         [nh_action_form(stress, section), section_pairing_form(nh_divergence(stress), section)],
         body, rule,
     )
@@ -82,8 +80,8 @@ def edge_assembly(
     surface_stress,
     velocity: TensorField,
     body: Body,
-    transversals: Optional[Dict[str, TransversalField]] = None,
-    rule: QuadratureRule = QuadratureRule(6),
+    transversals: Optional[Dict[str, TransversalField]],
+    rule: QuadratureRule,
     *,
     boundary_form: FormField,
 ) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, float]]:
@@ -101,7 +99,7 @@ def edge_assembly(
     transversal a face of both sides can read per node.  Each group's fields
     are built once (see :func:`jetstress.surface.face_split`), and one pass
     reads each face's edge pieces and nodes in turn (see
-    :func:`jetstress.geometry.integrate_face`).  A ``ValueError`` from a
+    :func:`jetstress.geometry.integrate`).  A ``ValueError`` from a
     group is raised again with the label of its face in front.
     """
     n = body.dim
@@ -116,13 +114,13 @@ def edge_assembly(
             split = face_split(surface_stress, face, transversal, velocity)
             forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
             tau_u = traction_action(tangent_traction(split), split.velocity)
-            results = integrate_face(forms, tau_u, face, members, rule)
+            results = integrate(forms, face, rule, members, tau_u)
         except ValueError as exc:
             failed = exc.face if isinstance(exc, FaceError) else members[0]
             raise ValueError(f"{failed.label}: {exc}") from exc
         face_axes = [a for a in range(n) if a != face.boxface.axis]
-        for member, (values, piece_values) in zip(members, results):
-            face_terms[member.label], boundary_terms[member.label] = values
+        for member, values in zip(members, results):
+            face_terms[member.label], boundary_terms[member.label], *piece_values = values
             for piece, value in zip(box_faces(face.param_box), piece_values):
                 other = face_label(face_axes[piece.axis], piece.side)
                 key = "|".join(sorted([member.label, other]))
@@ -134,8 +132,8 @@ def verify_balance_order2(
     stress: NonHolonomicStress,
     velocity: TensorField,
     body: Body,
-    transversals: Optional[Dict[str, TransversalField]] = None,
-    rule: QuadratureRule = QuadratureRule(6),
+    transversals: Optional[Dict[str, TransversalField]],
+    rule: QuadratureRule,
 ) -> Tuple[Dict[str, float], float]:
     """Full second-order identity: interior power against its four groups.
 
@@ -150,7 +148,7 @@ def verify_balance_order2(
     residual.
     """
     section = JetSectionField.from_velocity(velocity)
-    lhs, dd_term = integrate_over(
+    [[lhs, dd_term]] = integrate(
         [nh_action_form(stress, section), pairing_volume_form(div_div(stress), velocity)],
         body, rule,
     )
@@ -175,19 +173,19 @@ def closed_boundary_exact_term(
     velocity: TensorField,
     face: FacePatch,
     transversal: TransversalField,
-    rule: QuadratureRule = QuadratureRule(64),
+    rule: QuadratureRule,
 ) -> Tuple[float, float]:
     """The exact term over a closed boundary patch: both routes to (near) zero.
 
     Returns the quadrature of d(tau(u)) over the patch and the endpoint
     defect of tau(u) (exact cancellation for a closed curve), both from the
-    patch's one face pass (see :func:`jetstress.geometry.integrate_face`).
+    patch's one face pass (see :func:`jetstress.geometry.integrate`).
     """
     if face.param_dim != 1:
         raise ValueError("closed-boundary patches are supported for curves only")
     split = face_split(surface_stress, face, transversal, velocity)
     tau_u = traction_action(tangent_traction(split), split.velocity)
-    [([quadrature_value], [at_lower, at_upper])] = integrate_face(
-        [tau_u.exterior_derivative()], tau_u, face, [face], rule)
+    [[quadrature_value, at_lower, at_upper]] = integrate(
+        [tau_u.exterior_derivative()], face, rule, edge_form=tau_u)
     # The endpoint pieces carry signs -1.0 and 1.0: their sum is tau(u)(hi) - tau(u)(lo).
     return quadrature_value, at_upper + at_lower

@@ -16,6 +16,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from .scenarios import (
     CHECK_IDS,
     Scenario,
@@ -113,10 +115,14 @@ def _cmd_run(args) -> int:
         print(f"error: scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        scenario = load_scenario(text, args.quad_order)
-        _apply_tolerance_overrides(scenario, args)
-        selected = _selected_checks(scenario, args)
-        report = run_checks(scenario, selected)
+        # Overflowing arithmetic makes inf and NaN without a warning: a run
+        # reports them as a keyed message or as values, so stderr holds only
+        # that message.
+        with np.errstate(all="ignore"):
+            scenario = load_scenario(text, args.quad_order)
+            _apply_tolerance_overrides(scenario, args)
+            selected = _selected_checks(scenario, args)
+            report = run_checks(scenario, selected)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

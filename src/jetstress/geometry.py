@@ -4,7 +4,9 @@ Bodies are reference boxes carried into a chart by an optional smooth patch
 map, so integration always happens on boxes with tensor-product
 Gauss-Legendre rules.  Boundary faces carry the orientation induced by the
 body (outward for the standard volume form), and the boundary pieces of a
-face carry the orientation the face induces on them.
+face carry the orientation the face induces on them.  One routine,
+:func:`integrate`, reads and sums every integral: over a body, a face, the
+two faces of an axis in one pass, and a face's boundary pieces.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ __all__ = [
     "interior_product",
     "pullback_coefficients",
     "integrate",
-    "integrate_over",
-    "integrate_face",
     "integrate_boundary",
     "on_faces",
     "boundary_faces",
@@ -713,59 +713,100 @@ class Insertion(SmoothField):
 
 
 def integrate(
-    forms: Sequence[FormField], box: Box, rule: QuadratureRule, sign: float = 1.0
-) -> List[float]:
-    """The integral of each top-degree form over one parameter box, times
-    ``sign``, from one pass over the nodes, so the forms share the sub-fields
-    they read (see :func:`jetstress.fields.on_nodes`).  Each integral is
-    summed on its own, in node order."""
-    _check_top_degree(forms, box)
-    full = tuple(range(box.dim))
-    nodes, weights = rule.nodes_weights(box)
-    values = on_nodes(
-        lambda point: [form.value_at(point).coefficient(full) for form in forms],
-        nodes, len(forms),
-    )
-    weights = weights.tolist()
-    return [sign * _weighted_sum(weights, column) for column in values.T.tolist()]
+    forms: Sequence[FormField],
+    region: Union[Body, FacePatch],
+    rule: QuadratureRule,
+    members: Optional[Sequence[FacePatch]] = None,
+    edge_form: Optional[FormField] = None,
+) -> List[List[float]]:
+    """The integrals of ``forms`` over ``region``, a body or a face, from one
+    pass over its nodes, so the forms share the sub-fields they read (see
+    :func:`jetstress.fields.on_nodes`).
 
+    A body's forms are chart volume forms, pulled back through its patch if
+    it has one, and its sign is 1.0; its one list comes from one pass of
+    :func:`jetstress.fields.on_nodes`.  A face's forms are top-degree forms
+    on its parameters; a point face, of a 1-dim body, reads each chart
+    0-form at its point.  A face gives one list for each of ``members``, the
+    faces that one pass reads through it (a group of :func:`face_groups`;
+    None is ``[region]``).  Each list holds each form's integral times the
+    member's sign, then the integral of the face form ``edge_form``, one
+    degree lower, over each piece of :func:`face_boundary_pieces`, in its
+    order, times the piece's sign.  An ``edge_form`` of None gives no pieces.
 
-def integrate_over(
-    forms: Sequence[FormField], region: Union[Body, FacePatch], rule: QuadratureRule
-) -> List[float]:
-    """The integral of each chart form over a body (volume forms) or a face
-    ((n-1)-forms): each is pulled back through the region's map, the body's
-    patch if it has one or the face's ``to_chart``, and all are integrated
-    over its parameter box in one pass (see :func:`integrate`, and for a face
-    :func:`integrate_face`), times the face's sign.  A point face, of a 1-dim
-    body, gives each 0-form's value at its point times its sign."""
+    A piece pulls ``edge_form`` back through its insertion, whose minor on the
+    piece's free tuple is the constant 1.0 and on every other tuple the zero
+    series; so the pullback is the coefficient on the free tuple, with its
+    bits.  One pass of :func:`on_faces` reads, for each member in turn, every
+    piece's nodes, written in face coordinates (one node for an endpoint of
+    a 1-dim face), then the face's nodes, and reads every form and the
+    coefficients of ``edge_form`` at each.  Each integral is summed over its
+    member's nodes, in node order.
+    """
     if isinstance(region, Body):
         if region.patch is not None:
             forms = [form.pullback(region.patch) for form in forms]
-        return integrate(forms, region.box, rule)
-    [(values, _)] = integrate_face(_face_forms(forms, region), None, region, [region], rule)
-    return values
+        box = region.box
+    else:
+        box = region.param_box
+    pieces = [] if edge_form is None else face_boundary_pieces(region)
+    parts = []  # (nodes, weights) of each piece, None weights for a point, then the region's
+    for piece in pieces:
+        if piece.param_box is None:
+            parts.append((np.array([piece.point]), None))
+            continue
+        nodes, weights = rule.nodes_weights(piece.param_box)
+        parts.append((np.insert(nodes, piece.boxface.axis, piece.boxface.fixed_value, axis=1),
+                      weights))
+    if box is None:
+        parts.append((np.array([region.point]), None))
+        full = ()
+    else:
+        _check_top_degree(forms, box)
+        parts.append(rule.nodes_weights(box))
+        full = tuple(range(box.dim))
+    edge_tuples = [] if edge_form is None else edge_form.tuples
+    columns = {key: len(forms) + c for c, key in enumerate(edge_tuples)}
+
+    def read(point):
+        values = [form.value_at(point).coefficient(full) for form in forms]
+        return values if edge_form is None else values + edge_form.coeffs.values_on(point)
+
+    stacked = np.concatenate([nodes for nodes, _ in parts])
+    width = len(forms) + len(edge_tuples)
+    if isinstance(region, Body):
+        signs, passes = [1.0], [on_nodes(read, stacked, width)]
+    else:
+        members = [region] if members is None else members
+        signs = [member.sign for member in members]
+        passes = on_faces(read, members, stacked, width)
+    out = []
+    for sign, values in zip(signs, passes):
+        piece_sums, start = [], 0
+        for piece, (nodes, weights) in zip(pieces, parts):
+            rows = values[start:start + len(nodes)]
+            start += len(nodes)
+            column = columns.get(tuple_omitting(edge_form.dim, piece.boxface.axis))
+            total = 0.0 if column is None else _node_sum(weights, rows[:, column])
+            piece_sums.append(piece.sign * total)
+        weights = parts[-1][1]
+        out.append([sign * _node_sum(weights, values[start:, c]) for c in range(len(forms))]
+                   + piece_sums)
+    return out
 
 
 def integrate_boundary(
     forms: Sequence[FormField], body: Body, rule: QuadratureRule
 ) -> List[List[float]]:
-    """Each boundary face's :func:`integrate_over` of the chart (n-1)-forms,
-    in face order; the faces of a group of :func:`face_groups` share the
-    pulled-back forms and one pass (see :func:`integrate_face`)."""
+    """Each boundary face's :func:`integrate` of the chart (n-1)-forms, in
+    face order.  The faces of a group of :func:`face_groups` share the forms
+    pulled back through the group's face map, and one pass; a point face
+    reads them at its point as they are."""
     out = []
     for face, members in face_groups(body):
-        results = integrate_face(_face_forms(forms, face), None, face, members, rule)
-        out += [values for values, _ in results]
+        pulled = forms if face.param_box is None else [f.pullback(face.to_chart) for f in forms]
+        out += integrate(pulled, face, rule, members)
     return out
-
-
-def _face_forms(forms: Sequence[FormField], face: FacePatch) -> List[FormField]:
-    """Chart forms pulled back through the face's map; a point face reads
-    them at its point as they are."""
-    if face.param_box is None:
-        return list(forms)
-    return [form.pullback(face.to_chart) for form in forms]
 
 
 def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
@@ -778,83 +819,17 @@ def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
             raise ValueError("form must live on the patch parameters")
 
 
-def _weighted_sum(weights: List[float], values: List[float]) -> float:
-    # A loop in node order: numpy's sum and dot add pairwise, in another order.
+def _node_sum(weights: Optional[np.ndarray], values: np.ndarray) -> float:
+    """The sum of ``weight * value``, added in a loop in node order (numpy's
+    sum and dot add pairwise, in another order); a point (weights None)
+    gives its one value."""
+    values = values.tolist()
+    if weights is None:
+        return values[0]
     total = 0.0
-    for w, value in zip(weights, values):
+    for w, value in zip(weights.tolist(), values):
         total += w * value
     return total
-
-
-def integrate_face(
-    forms: Sequence[FormField],
-    edge_form: Optional[FormField],
-    face: FacePatch,
-    members: Sequence[FacePatch],
-    rule: QuadratureRule,
-) -> List[Tuple[List[float], List[float]]]:
-    """For each of ``members``, the faces that one pass reads through
-    ``face`` (a group of :func:`face_groups`, or ``[face]``): the integral
-    over it of each top-degree form of ``face``, times its sign, and of the
-    face form ``edge_form``, one degree lower, over each piece of
-    :func:`face_boundary_pieces`, in its order, times the piece's sign.  An
-    ``edge_form`` of None gives no pieces.  A point face reads each chart
-    0-form at its point, times its sign.
-
-    A piece pulls ``edge_form`` back through its insertion, whose minor on the
-    piece's free tuple is the constant 1.0 and on every other tuple the zero
-    series; so the pullback is the coefficient on the free tuple, with its
-    bits.  One pass of :func:`on_faces` reads, for each member in turn, every
-    piece's nodes, written in face coordinates (one node for an endpoint of
-    a 1-dim face), then the face's nodes, and reads every form and the
-    coefficients of ``edge_form`` at each, so they share the sub-fields they
-    read.  Each integral is summed over its member's nodes, in node order.
-    """
-    box = face.param_box
-    pieces = [] if edge_form is None else face_boundary_pieces(face)
-    parts = []  # (nodes, weights) of each piece, None weights for a point, then the face's
-    for piece in pieces:
-        if piece.param_box is None:
-            parts.append((np.array([piece.point]), None))
-            continue
-        nodes, weights = rule.nodes_weights(piece.param_box)
-        parts.append((np.insert(nodes, piece.boxface.axis, piece.boxface.fixed_value, axis=1),
-                      weights))
-    if box is None:
-        parts.append((np.array([face.point]), None))
-    else:
-        _check_top_degree(forms, box)
-        parts.append(rule.nodes_weights(box))
-    full = tuple(range(face.param_dim))
-    edge_tuples = [] if edge_form is None else edge_form.tuples
-
-    def read(point):
-        values = [form.value_at(point).coefficient(full) for form in forms]
-        return values if edge_form is None else values + edge_form.coeffs.values_on(point)
-
-    stacked = np.concatenate([nodes for nodes, _ in parts])
-    columns = {key: len(forms) + c for c, key in enumerate(edge_tuples)}
-    out = []
-    passes = on_faces(read, members, stacked, len(forms) + len(edge_tuples))
-    for member, values in zip(members, passes):
-        piece_values = []
-        start = 0
-        for piece, (nodes, weights) in zip(pieces, parts):
-            rows = values[start:start + len(nodes)]
-            start += len(nodes)
-            column = columns.get(tuple_omitting(edge_form.dim, piece.boxface.axis))
-            read_values = [0.0] * len(nodes) if column is None else rows[:, column].tolist()
-            piece_values.append(piece.sign * _summed(weights, read_values))
-        weights = parts[-1][1]
-        face_values = [member.sign * _summed(weights, values[start:, c].tolist())
-                       for c in range(len(forms))]
-        out.append((face_values, piece_values))
-    return out
-
-
-def _summed(weights: Optional[np.ndarray], values: List[float]) -> float:
-    """The weighted sum in node order, or the one value of a point (weights None)."""
-    return values[0] if weights is None else _weighted_sum(weights.tolist(), values)
 
 
 class FaceError(ValueError):

@@ -288,7 +288,7 @@ def test_criterion_08_representation_invariance():
     results = {}
     for split in (0.0, 0.5, 1.0):
         lifted = lift_second_order(s2, split)
-        values[split] = integrate([nh_action_form(lifted, section)], body.box, rule)[0]
+        [[values[split]]] = integrate([nh_action_form(lifted, section)], body, rule)
         results[split] = verify_balance_order2(lifted, velocity, body, None, rule)
     gap = max(abs(values[0.0] - values[0.5]), abs(values[0.0] - values[1.0]))
     assert gap <= 1e-13

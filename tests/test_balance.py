@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetstress import geometry
+import jetstress.stress
+from jetstress import balance, geometry, scenarios
 from jetstress.bundles import JetSectionField
 from jetstress.fields import SmoothField, TensorField
 from jetstress.geometry import (
@@ -199,7 +200,7 @@ def test_edge_assembly_square_against_face_stokes():
     rng = random.Random(47)
     rule = QuadratureRule(6)
     body = unit_body(2)
-    from jetstress.geometry import integrate_over
+    from jetstress.geometry import integrate_boundary
     from jetstress.nonholonomic import hyper_surface_action
 
     for _ in range(5):
@@ -210,7 +211,7 @@ def test_edge_assembly_square_against_face_stokes():
         pairing = hyper_surface_action(Y, section)
         edge_terms, face_terms, _ = edge_assembly(Y, u, body, None, rule, boundary_form=pairing)
         boundary_pairing = sum(
-            integrate_over([pairing], f, rule)[0] for f in boundary_faces(body)
+            values[0] for values in integrate_boundary([pairing], body, rule)
         )
         total = sum(edge_terms.values()) - sum(face_terms.values())
         assert abs(boundary_pairing - total) < 1e-10
@@ -224,7 +225,7 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
     from jetstress.geometry import (
         boundary_faces as faces_of,
         face_boundary_pieces,
-        integrate_over,
+        integrate,
     )
     from oracles import edges as edges_of
     from jetstress.stress import traction_action
@@ -254,9 +255,12 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
                 p = face_axes.index(axis)
                 for piece in face_boundary_pieces(face):
                     if piece.boxface.axis == p and piece.boxface.side == side:
-                        # integrate_over applies the piece sign;
-                        # divide it out and use the edges() record instead.
-                        raw = integrate_over([tau_u], piece, rule)[0] / piece.sign
+                        # integrate applies the piece sign; divide it out
+                        # and use the edges() record instead.  A point piece
+                        # reads the face form at its point as it is.
+                        forms = [tau_u] if piece.param_box is None else [
+                            tau_u.pullback(piece.to_chart)]
+                        raw = integrate(forms, piece, rule)[0][0] / piece.sign
                         total += edge.face_signs[label] * raw
             key = "|".join(sorted(edge.labels))
             recomputed[key] = total
@@ -290,7 +294,7 @@ def test_balance_order2_zero_and_value_only():
         tensor_const(n, (d, n), np.zeros((1, 2))),
         tensor_const(n, (d, n, n), np.zeros((1, 2, 2))),
     )
-    terms, _ = verify_balance_order2(zero, u, body)
+    terms, _ = verify_balance_order2(zero, u, body, None, QuadratureRule(6))
     assert terms["lhs"] == pytest.approx(0.0, abs=1e-15)
     assert terms["residual_abs"] < 1e-14
 
@@ -301,7 +305,7 @@ def test_balance_order2_zero_and_value_only():
         tensor_const(n, (d, n), np.zeros((1, 2))),
         tensor_const(n, (d, n, n), np.zeros((1, 2, 2))),
     )
-    terms2, _ = verify_balance_order2(value_only, u, body)
+    terms2, _ = verify_balance_order2(value_only, u, body, None, QuadratureRule(6))
     assert terms2["edge_sum"] == pytest.approx(0.0, abs=1e-13)
     assert terms2["face_div_sum"] == pytest.approx(0.0, abs=1e-13)
     assert terms2["boundary_div"] == pytest.approx(0.0, abs=1e-13)
@@ -363,7 +367,8 @@ def test_lhs_invariant_under_lift_split():
     values = []
     for split in (0.0, 0.5, 1.0):
         lifted = lift_second_order(s2, split)
-        values.append(integrate([nh_action_form(lifted, section)], body.box, rule)[0])
+        [[value]] = integrate([nh_action_form(lifted, section)], body, rule)
+        values.append(value)
     assert abs(values[0] - values[1]) < 1e-13
     assert abs(values[1] - values[2]) < 1e-13
     # The full identity holds for every split, with identical lhs.
@@ -495,3 +500,43 @@ def test_a_face_with_its_own_transversal_keeps_its_own_pass(monkeypatch):
     # transversal pairs as no transversal does, so x2 and x3 share theirs.
     assert [len(nodes) for nodes in passes] == [5 ** 3, 45, 45, 90, 90]
     assert all((nodes[:, 2] == 0.0).all() for nodes in passes[1:3])
+
+@pytest.mark.parametrize("name, check", [
+    ("square-order1", "balance1"), ("patched-metric", "balance1"),
+    ("cube-order2", "balance2"), ("patched-metric", "balance2"),
+    ("disk-closed", "stokes-closed"), ("cube-order2", "lambda-invariance"),
+])
+def test_every_quadrature_pass_of_a_check_is_one_call_of_integrate(monkeypatch, name, check):
+    # Each pass over quadrature nodes, and each rule's nodes, are read inside
+    # a call of geometry.integrate, one pass per call: body, face, face pair
+    # and edge pieces alike.
+    scenario = load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    real_integrate, real_on_nodes = geometry.integrate, geometry.on_nodes
+    real_nodes_weights = geometry.QuadratureRule.nodes_weights
+    calls, inside, passes, outside = [0], [0], [], []
+
+    def integrate(*args, **kwargs):
+        calls[0] += 1
+        inside[0] += 1
+        try:
+            return real_integrate(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def on_nodes(fn, nodes, width=None):
+        passes.append(inside[0])
+        return real_on_nodes(fn, nodes, width)
+
+    def nodes_weights(rule, box):
+        if not inside[0]:
+            outside.append(box)
+        return real_nodes_weights(rule, box)
+
+    for module in (geometry, balance, jetstress.stress, scenarios):
+        monkeypatch.setattr(module, "integrate", integrate)
+    monkeypatch.setattr(geometry, "on_nodes", on_nodes)
+    monkeypatch.setattr(geometry.QuadratureRule, "nodes_weights", nodes_weights)
+    run_checks(scenario, [check])
+    assert calls[0] > 0
+    assert passes == [1] * calls[0]
+    assert outside == []

@@ -199,22 +199,22 @@ def face_documents(draw):
 
 
 def _face_reads(scenario, rule):
-    """Each face's terms and edge pieces as ``integrate_face`` returns them to
+    """Each face's terms and edge pieces as ``integrate`` returns them to
     ``edge_assembly``, the assembly's terms, balance1's face integrals and
     cauchy's gaps, every value as its bits, in the order each is made."""
     passes = {}
-    real = balance.integrate_face
+    real = balance.integrate
 
-    def spy(forms, edge_form, face, members, rule):
-        results = real(forms, edge_form, face, members, rule)
-        for member, (values, pieces) in zip(members, results):
-            passes[member.label] = [[v.hex() for v in values], [v.hex() for v in pieces]]
+    def spy(forms, region, rule, members=None, edge_form=None):
+        results = real(forms, region, rule, members, edge_form)
+        for member, values in zip(members, results):
+            passes[member.label] = [v.hex() for v in values]
         return results
 
     stress, velocity = scenario.nh_stress, scenario.velocity
     sigma_div_u = traction_action(traction_projection(nh_divergence(stress)), velocity)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(balance, "integrate_face", spy)
+        patch.setattr(balance, "integrate", spy)
         terms = edge_assembly(nh_traction(stress), velocity, scenario.body, None, rule,
                               boundary_form=sigma_div_u)
     sigma_w = traction_action(traction_projection(scenario.stress1), velocity)

@@ -18,6 +18,7 @@ import math
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,7 @@ def mutants(draw):
     return doc
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=10_000,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=mutants())

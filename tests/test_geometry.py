@@ -19,7 +19,7 @@ from jetstress.geometry import (
     face_boundary_pieces,
     increasing_tuples,
     integrate,
-    integrate_over,
+    integrate_boundary,
     interior_product,
 )
 
@@ -93,11 +93,11 @@ def test_double_interior_product_antisymmetry():
 
 def test_integrate_constant_and_linear():
     vol = constant_form_field(2, 2, {(0, 1): 1.0})
-    assert integrate([vol], Box.unit(2), QuadratureRule(4))[0] == pytest.approx(1.0)
+    assert integrate([vol], unit_body(2), QuadratureRule(4)) == [[pytest.approx(1.0)]]
     linear = form_from_components(
         2, 2, {(0, 1): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
     )
-    assert integrate([linear], Box.unit(2), QuadratureRule(4))[0] == pytest.approx(0.5)
+    assert integrate([linear], unit_body(2), QuadratureRule(4)) == [[pytest.approx(0.5)]]
 
 
 def test_gauss_exactness_vs_antiderivative():
@@ -110,12 +110,12 @@ def test_gauss_exactness_vs_antiderivative():
         form = form_from_components(
             1, 1, {(0,): SmoothField.from_polynomials(1, [table])}
         )
-        value = integrate([form], Box((0.0,), (1.0,)), QuadratureRule(q))[0]
+        [[value]] = integrate([form], unit_body(1), QuadratureRule(q))
         exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
         assert abs(value - exact) < 1e-13
 
     with pytest.raises(ValueError):
-        integrate([constant_form_field(2, 1, {(0,): 1.0})], Box.unit(2), QuadratureRule(2))
+        integrate([constant_form_field(2, 1, {(0,): 1.0})], unit_body(2), QuadratureRule(2))
 
 
 # -- pullback and restriction ---------------------------------------------------
@@ -188,9 +188,9 @@ def test_square_faces_and_hand_stokes():
         2, 1, {(1,): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
-    boundary = sum(integrate_over([omega], f, rule)[0] for f in faces)
+    boundary = sum(integrate([omega.pullback(f.to_chart)], f, rule)[0][0] for f in faces)
     assert boundary == pytest.approx(1.0, abs=1e-13)
-    interior = integrate([omega.exterior_derivative()], body.box, rule)[0]
+    [[interior]] = integrate([omega.exterior_derivative()], body, rule)
     assert interior == pytest.approx(1.0, abs=1e-13)
 
 
@@ -202,7 +202,7 @@ def test_cube_faces_and_hand_stokes():
         3, 2, {(1, 2): SmoothField.from_polynomials(3, [[((1, 0, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
-    boundary = sum(integrate_over([omega], f, rule)[0] for f in faces)
+    boundary = sum(integrate([omega.pullback(f.to_chart)], f, rule)[0][0] for f in faces)
     assert boundary == pytest.approx(1.0, abs=1e-13)
 
 
@@ -210,7 +210,7 @@ def test_closed_constant_form_sums_to_zero():
     body = unit_body(2)
     omega = constant_form_field(2, 1, {(1,): 1.0})  # constant dx2 is closed
     rule = QuadratureRule(3)
-    total = sum(integrate_over([omega], f, rule)[0] for f in boundary_faces(body))
+    total = sum(values[0] for values in integrate_boundary([omega], body, rule))
     assert abs(total) < 1e-14
 
 
@@ -230,8 +230,8 @@ def test_stokes_random_polynomial_forms():
                         table.append((exps, rng.uniform(-1, 1)))
                 comps[t] = SmoothField.from_polynomials(n, [table or [((0,) * n, 0.0)]])
             omega = form_from_components(n, n - 1, comps)
-            interior = integrate([omega.exterior_derivative()], body.box, rule)[0]
-            boundary = sum(integrate_over([omega], f, rule)[0] for f in faces)
+            [[interior]] = integrate([omega.exterior_derivative()], body, rule)
+            boundary = sum(values[0] for values in integrate_boundary([omega], body, rule))
             scale = max(1.0, abs(interior), abs(boundary))
             assert abs(interior - boundary) / scale < 1e-10
             count += 1
@@ -249,13 +249,12 @@ def test_stokes_on_patched_body():
          (1,): SmoothField.from_polynomials(2, [[((2, 0), 0.5), ((1, 1), 1.0)]])},
     )
     rule = QuadratureRule(8)
-    domega = omega.exterior_derivative().pullback(body.chart_map())
-    interior = integrate([domega], body.box, rule)[0]
-    boundary = sum(integrate_over([omega], f, rule)[0] for f in boundary_faces(body))
+    [[interior]] = integrate([omega.exterior_derivative()], body, rule)
+    boundary = sum(values[0] for values in integrate_boundary([omega], body, rule))
     assert abs(interior - boundary) < 1e-12
 
 
-# -- integrate_over ------------------------------------------------------------------
+# -- integrate over a region ----------------------------------------------------------
 
 # Two forms per region, so one pass serves both; analytic coefficients, so the
 # sums carry bits a slip in the pullback, the box or the sign would change.
@@ -289,6 +288,8 @@ def _region_forms(kind):
 def test_integrate_over_is_the_explicit_route(kind):
     # The explicit route: pull each form back through the region's map, make
     # one pass over the parameter box for it alone, and multiply by the sign.
+    # ``integrate`` pulls a body's chart forms back itself; a face's forms
+    # come on its parameters, and a point face's are read at its point.
     region, forms = _region_forms(kind)
     rule = QuadratureRule(5)
     if kind == "point face":
@@ -297,9 +298,9 @@ def test_integrate_over_is_the_explicit_route(kind):
         mapping = region.patch or SmoothField.coordinates(2)
         want = [_integral(form.pullback(mapping), region.box, rule, 1.0) for form in forms]
     else:
-        want = [_integral(form.pullback(region.to_chart), region.param_box, rule, region.sign)
-                for form in forms]
-    got = integrate_over(forms, region, rule)
+        forms = [form.pullback(region.to_chart) for form in forms]
+        want = [_integral(form, region.param_box, rule, region.sign) for form in forms]
+    [got] = integrate(forms, region, rule)
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert all(v != 0.0 for v in got)
 
@@ -338,7 +339,8 @@ def test_edge_signs_cancel_global_forms():
         restricted = eta.pullback(face.to_chart)
         for piece in face_boundary_pieces(face):
             pulled = restricted.pullback(piece.to_chart)
-            total += face.sign * integrate([pulled], piece.param_box, rule, piece.sign)[0]
+            # A piece is a region of its own: integrate applies its sign.
+            total += face.sign * integrate([pulled], piece, rule)[0][0]
     assert abs(total) < 1e-12
 
 

@@ -14,10 +14,9 @@ from jetstress.geometry import (
     Box,
     Chart,
     QuadratureRule,
-    boundary_faces,
     increasing_tuples,
     integrate,
-    integrate_over,
+    integrate_boundary,
 )
 from jetstress.stress import (
     VariationalStress1,
@@ -163,7 +162,7 @@ def test_stokes_with_nonunit_boxes():
         }
         omega = form_from_components(2, 1, comps)
         rule = QuadratureRule(6)
-        interior = integrate([omega.exterior_derivative()], body.box, rule)[0]
-        boundary = sum(integrate_over([omega], f, rule)[0] for f in boundary_faces(body))
+        [[interior]] = integrate([omega.exterior_derivative()], body, rule)
+        boundary = sum(values[0] for values in integrate_boundary([omega], body, rule))
         scale = max(1.0, abs(interior))
         assert abs(interior - boundary) / scale < 1e-12

@@ -566,6 +566,20 @@ def test_a_non_finite_result_exits_2_and_writes_no_report(tmp_path, capfd, recwa
     assert not recwarn.list  # the oracle's inf - inf stays quiet
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_law_prints_only_the_keyed_message(tmp_path, capfd):
+    # The covariance laws overflow in their per-sample arithmetic, outside
+    # any node batch; the run's stderr holds the keyed message alone.
+    doc = json.loads((SCENARIOS / "covariance-quadratic.json").read_text(encoding="utf-8"))
+    doc["stress"]["order2"]["s2"][0][1][1] = -1e308
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    captured = capfd.readouterr()
+    assert captured.err == "error: checks.covariance: term 'action2' is not finite\n"
+    assert captured.out == ""
+
+
 def test_report_lines_refuse_a_value_json_cannot_spell():
     scenario = load_fixture("square-order1.json")
     scenario.velocity = TensorField(SmoothField.constant(2, [math.nan]), (1,))
