@@ -11,7 +11,6 @@ dedicated containers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
@@ -30,19 +29,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BundleSpec:
     """Base and fiber dimensions; fiber frame changes go through ``FrameChange``."""
 
-    base_dim: int
-    fiber_dim: int
+    __slots__ = ("base_dim", "fiber_dim")
 
-    def __post_init__(self):
-        if self.base_dim < 1 or self.fiber_dim < 1:
+    def __init__(self, base_dim: int, fiber_dim: int):
+        if base_dim < 1 or fiber_dim < 1:
             raise ValueError("bundle dimensions must be positive")
+        self.base_dim, self.fiber_dim = base_dim, fiber_dim
 
 
-@dataclass(frozen=True)
 class IteratedJetValue:
     """Pointwise data of a first jet of a first-jet section.
 
@@ -50,16 +47,14 @@ class IteratedJetValue:
     b3: (d, n, n) derivatives of b1, not necessarily symmetric.
     """
 
-    b0: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
+    __slots__ = ("b0", "b1", "b2", "b3")
 
-    def __post_init__(self):
-        d = self.b0.shape[0]
-        n = self.b1.shape[1]
-        if self.b1.shape != (d, n) or self.b2.shape != (d, n) or self.b3.shape != (d, n, n):
+    def __init__(self, b0: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray):
+        d = b0.shape[0]
+        n = b1.shape[1]
+        if b1.shape != (d, n) or b2.shape != (d, n) or b3.shape != (d, n, n):
             raise ValueError("iterated jet blocks have inconsistent shapes")
+        self.b0, self.b1, self.b2, self.b3 = b0, b1, b2, b3
 
 
 class JetSectionField:

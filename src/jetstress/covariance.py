@@ -10,7 +10,6 @@ transform cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PointChange:
     """Every jet of a frame change that the laws below read at one point.
 
@@ -40,33 +38,27 @@ class PointChange:
     adds in memory order, so a strided view would change a law's bits.
     """
 
-    x: Tuple[float, ...]
-    xp: Tuple[float, ...]
-    jac: np.ndarray
-    det: float
-    dx: np.ndarray
-    ddx: np.ndarray
-    a0: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    minors: np.ndarray
+    __slots__ = ("x", "xp", "jac", "det", "dx", "ddx", "a0", "a1", "a2", "minors")
 
-    def __post_init__(self):
-        for name in ("jac", "dx", "ddx", "a0", "a1", "a2", "minors"):
-            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name)))
+    def __init__(self, x: Tuple[float, ...], xp: Tuple[float, ...], jac: np.ndarray, det: float,
+                 dx: np.ndarray, ddx: np.ndarray, a0: np.ndarray, a1: np.ndarray,
+                 a2: np.ndarray, minors: np.ndarray):
+        self.x, self.xp, self.det = x, xp, det
+        self.jac, self.dx, self.ddx, self.a0, self.a1, self.a2, self.minors = (
+            np.ascontiguousarray(a) for a in (jac, dx, ddx, a0, a1, a2, minors))
 
 
-@dataclass(frozen=True)
 class FrameChange:
-    """A chart transition together with an optional fiber frame change."""
+    """A chart transition together with an optional fiber frame change;
+    ``frame`` is a (d, d) field over the unprimed chart."""
 
-    transition: TransitionMap
-    fiber_dim: int
-    frame: Optional[TensorField] = None  # (d, d) over the unprimed chart
+    __slots__ = ("transition", "fiber_dim", "frame")
 
-    def __post_init__(self):
-        if self.frame is not None and self.frame.shape != (self.fiber_dim, self.fiber_dim):
+    def __init__(self, transition: TransitionMap, fiber_dim: int,
+                 frame: Optional[TensorField] = None):
+        if frame is not None and frame.shape != (fiber_dim, fiber_dim):
             raise ValueError("frame change must be a (d, d) field")
+        self.transition, self.fiber_dim, self.frame = transition, fiber_dim, frame
 
     @property
     def dim(self) -> int:
@@ -249,15 +241,15 @@ def _naive_gaps(pc: PointChange, primed, unprimed, top, *jets) -> Tuple[float, f
     ))
 
 
-@dataclass(frozen=True)
 class Quantity:
     """The order of the primed stress a quantity reads, whether it pairs a
     velocity, its record term names, and its law."""
 
-    order: int
-    paired: bool
-    terms: Tuple[str, ...]
-    gaps: Callable[..., Tuple[float, ...]]
+    __slots__ = ("order", "paired", "terms", "gaps")
+
+    def __init__(self, order: int, paired: bool, terms: Tuple[str, ...],
+                 gaps: Callable[..., Tuple[float, ...]]):
+        self.order, self.paired, self.terms, self.gaps = order, paired, terms, gaps
 
 
 # Every quantity the covariance check can select.  The naive contraction

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -402,20 +401,19 @@ def _size(shape: Tuple[int, ...]) -> int:
     return math.prod(shape)
 
 
-@dataclass(frozen=True)
 class TensorField:
     """A SmoothField with a tensor shape layered on its flat component list.
 
     Components are stored row-major: ``component index = ravel(shape index)``.
     """
 
-    field: SmoothField
-    shape: Tuple[int, ...]
+    __slots__ = ("field", "shape")
 
-    def __post_init__(self):
-        if _size(self.shape) != self.field.ncomp:
-            raise ValueError(f"shape {self.shape} needs {_size(self.shape)} components, "
-                             f"field has {self.field.ncomp}")
+    def __init__(self, field: SmoothField, shape: Tuple[int, ...]):
+        if _size(shape) != field.ncomp:
+            raise ValueError(f"shape {shape} needs {_size(shape)} components, "
+                             f"field has {field.ncomp}")
+        self.field, self.shape = field, shape
 
     @property
     def dim(self) -> int:
@@ -541,7 +539,6 @@ def pair(blocks: Sequence[Tuple]) -> TensorField:
     return TensorField(SmoothField(n, len(table), evaluator), out_shape)
 
 
-@dataclass(frozen=True)
 class JetValue:
     """Pointwise derivative arrays of a field up to a given order.
 
@@ -549,22 +546,15 @@ class JetValue:
     trailing axes by construction.
     """
 
-    dim: int
-    fiber_dim: int
-    order: int
-    arrays: Tuple[np.ndarray, ...]
+    __slots__ = ("dim", "fiber_dim", "order", "arrays")
+
+    def __init__(self, dim: int, fiber_dim: int, order: int, arrays: Tuple[np.ndarray, ...]):
+        self.dim, self.fiber_dim, self.order, self.arrays = dim, fiber_dim, order, arrays
 
     def array(self, p: int) -> np.ndarray:
         if not 0 <= p <= self.order:
             raise ValueError(f"order {p} outside jet range 0..{self.order}")
         return self.arrays[p]
-
-    @classmethod
-    def zero(cls, dim: int, fiber_dim: int, order: int) -> "JetValue":
-        arrays = tuple(
-            np.zeros((fiber_dim,) + (dim,) * p) for p in range(order + 1)
-        )
-        return cls(dim, fiber_dim, order, arrays)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -59,19 +58,25 @@ def tuple_omitting(dim: int, axis: int) -> IndexTuple:
 # -- basic containers ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned product of closed intervals."""
+    """Axis-aligned product of closed intervals; two boxes with the same
+    bounds are equal."""
 
-    lower: Tuple[float, ...]
-    upper: Tuple[float, ...]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
+    def __init__(self, lower: Tuple[float, ...], upper: Tuple[float, ...]):
+        if len(lower) != len(upper):
             raise ValueError("box bounds must have equal length")
-        for lo, hi in zip(self.lower, self.upper):
+        for lo, hi in zip(lower, upper):
             if not lo < hi:
                 raise ValueError(f"box needs lower < upper per axis, got [{lo}, {hi}]")
+        self.lower, self.upper = lower, upper
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Box) and (self.lower, self.upper) == (other.lower, other.upper)
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper))
 
     @property
     def dim(self) -> int:
@@ -88,37 +93,32 @@ class Box:
         return tuple((lo + hi) / 2.0 for lo, hi in zip(self.lower, self.upper))
 
     @classmethod
-    def unit(cls, dim: int) -> "Box":
-        return cls((0.0,) * dim, (1.0,) * dim)
-
-    @classmethod
     def from_bounds(cls, bounds: Sequence[Sequence[float]]) -> "Box":
         return cls(tuple(float(b[0]) for b in bounds), tuple(float(b[1]) for b in bounds))
 
 
-@dataclass(frozen=True)
 class Chart:
     """A coordinate patch with box extent."""
 
-    dim: int
-    box: Box
+    __slots__ = ("dim", "box")
 
-    def __post_init__(self):
-        if self.box.dim != self.dim:
+    def __init__(self, dim: int, box: Box):
+        if box.dim != dim:
             raise ValueError("chart box dimension mismatch")
+        self.dim, self.box = dim, box
 
 
-@dataclass(frozen=True)
 class TransitionMap:
-    """A chart change given by both directions, with jets of each available."""
+    """A chart change given by both directions, with jets of each available:
+    ``forward`` maps unprimed to primed coordinates, ``inverse`` back."""
 
-    forward: SmoothField  # unprimed -> primed
-    inverse: SmoothField  # primed -> unprimed
+    __slots__ = ("forward", "inverse")
 
-    def __post_init__(self):
-        n = self.forward.dim
-        if self.forward.ncomp != n or self.inverse.dim != n or self.inverse.ncomp != n:
+    def __init__(self, forward: SmoothField, inverse: SmoothField):
+        n = forward.dim
+        if forward.ncomp != n or inverse.dim != n or inverse.ncomp != n:
             raise ValueError("transition maps must be square and of equal dimension")
+        self.forward, self.inverse = forward, inverse
 
     @property
     def dim(self) -> int:
@@ -153,15 +153,15 @@ class TransitionMap:
 NODE_BUDGET = 4096
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Tensor-product Gauss-Legendre rule, one order for every axis."""
 
-    order: int
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int):
+        if order < 1:
             raise ValueError("quadrature order must be >= 1")
+        self.order = order
 
     def check_budget(self, dim: int) -> None:
         """Raise unless ``order**dim`` nodes fit ``NODE_BUDGET``; builds no node."""
@@ -484,15 +484,15 @@ def _pick(side: Optional[int], lower: float, upper: float) -> Any:
     return upper if side else lower
 
 
-@dataclass(frozen=True)
 class BoxFace:
-    """One facet of a box, with the orientation Stokes induces on it; side
-    None is both facets of the axis, each node on the side its face pass
-    reads (see :func:`on_faces`)."""
+    """One facet of a box, with the orientation Stokes induces on it; side 0
+    is the lower facet, 1 the upper, and None both facets of the axis, each
+    node on the side its face pass reads (see :func:`on_faces`)."""
 
-    box: Box
-    axis: int
-    side: Optional[int]  # 0 lower, 1 upper, None both
+    __slots__ = ("box", "axis", "side")
+
+    def __init__(self, box: Box, axis: int, side: Optional[int]):
+        self.box, self.axis, self.side = box, axis, side
 
     @property
     def sign(self) -> Optional[float]:
@@ -529,28 +529,21 @@ def box_faces(box: Box) -> List[BoxFace]:
     return [BoxFace(box, axis, side) for axis in range(box.dim) for side in (0, 1)]
 
 
-@dataclass(frozen=True)
 class Body:
     """An oriented n-box region, optionally pushed into the chart by a patch map."""
 
-    chart: Chart
-    box: Box
-    patch: Optional[SmoothField] = None
+    __slots__ = ("chart", "box", "patch")
 
-    def __post_init__(self):
-        if self.box.dim != self.chart.dim:
+    def __init__(self, chart: Chart, box: Box, patch: Optional[SmoothField] = None):
+        if box.dim != chart.dim:
             raise ValueError("body box dimension must match the chart")
-        if self.patch is not None and (
-            self.patch.dim != self.chart.dim or self.patch.ncomp != self.chart.dim
-        ):
+        if patch is not None and (patch.dim != chart.dim or patch.ncomp != chart.dim):
             raise ValueError("patch map must be chart-dim to chart-dim")
+        self.chart, self.box, self.patch = chart, box, patch
 
     @property
     def dim(self) -> int:
         return self.chart.dim
-
-    def chart_map(self) -> SmoothField:
-        return self.patch if self.patch is not None else SmoothField.coordinates(self.dim)
 
     def check_embedding(self, rule: QuadratureRule) -> float:
         """Smallest det of the patch Jacobian over quadrature nodes (1.0 if no
@@ -577,26 +570,25 @@ class Body:
         return np.linalg.det(jac)
 
 
-@dataclass(frozen=True)
 class FacePatch:
-    """A boundary face: a parameterized (n-1)-patch with induced orientation."""
+    """A boundary face: a parameterized (n-1)-patch with induced orientation.
 
-    label: str
-    chart: Chart
-    param_box: Optional[Box]  # None means a 0-dimensional patch
-    to_chart: Optional[SmoothField]
-    sign: Optional[float]  # None for both faces of an axis: each keeps its own
-    boxface: Optional[BoxFace] = None
-    point: Optional[Tuple[float, ...]] = None  # 0-dim patch: its point in its parent's coordinates
+    ``param_box`` is None for a 0-dimensional patch, whose ``point`` is its
+    point in its parent's coordinates; ``sign`` is None for both faces of an
+    axis, as each keeps its own.
+    """
+
+    __slots__ = ("label", "chart", "param_box", "to_chart", "sign", "boxface", "point")
+
+    def __init__(self, label: str, chart: Chart, param_box: Optional[Box],
+                 to_chart: Optional[SmoothField], sign: Optional[float],
+                 boxface: Optional[BoxFace] = None, point: Optional[Tuple[float, ...]] = None):
+        self.label, self.chart, self.param_box, self.to_chart = label, chart, param_box, to_chart
+        self.sign, self.boxface, self.point = sign, boxface, point
 
     @property
     def param_dim(self) -> int:
         return self.param_box.dim if self.param_box is not None else 0
-
-    def chart_point(self, param_point: Sequence[float]) -> Tuple[float, ...]:
-        if self.param_box is None:
-            return self.point
-        return tuple(self.to_chart.values_at(param_point))
 
 
 def face_label(axis: int, side: int) -> str:

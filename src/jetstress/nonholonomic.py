@@ -13,7 +13,6 @@ follow by iterating that step with a jet bundle as the fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -37,27 +36,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class NonHolonomicStress:
     """Dual of the iterated jet blocks, valued in chart volume densities.
 
     x0: (d,), x1: (d, n), x2: (d, n), x3: (d, n, n); x3 is unconstrained.
     """
 
-    x0: TensorField
-    x1: TensorField
-    x2: TensorField
-    x3: TensorField
+    __slots__ = ("x0", "x1", "x2", "x3")
 
-    def __post_init__(self):
-        d = self.x0.shape[0]
-        n = self.x1.shape[1]
+    def __init__(self, x0: TensorField, x1: TensorField, x2: TensorField, x3: TensorField):
+        d = x0.shape[0]
+        n = x1.shape[1]
         expected = [(d,), (d, n), (d, n), (d, n, n)]
-        actual = [self.x0.shape, self.x1.shape, self.x2.shape, self.x3.shape]
+        actual = [x0.shape, x1.shape, x2.shape, x3.shape]
         if actual != expected:
             raise ValueError(f"stress blocks have shapes {actual}, expected {expected}")
-        if any(f.dim != self.x0.dim for f in (self.x1, self.x2, self.x3)):
+        if any(f.dim != x0.dim for f in (x1, x2, x3)):
             raise ValueError("stress blocks live on different chart dimensions")
+        self.x0, self.x1, self.x2, self.x3 = x0, x1, x2, x3
 
     @property
     def dim(self) -> int:
@@ -68,19 +64,20 @@ class NonHolonomicStress:
         return self.x0.shape[0]
 
 
-@dataclass(frozen=True)
 class VariationalStress2:
-    """Second-order stress with a symmetric top block."""
+    """Second-order stress with a symmetric top block.
 
-    s0: TensorField  # (d,)
-    s1: TensorField  # (d, n)
-    s2: TensorField  # (d, n, n), symmetric
+    s0: (d,), s1: (d, n), s2: (d, n, n), symmetric.
+    """
 
-    def __post_init__(self):
-        d = self.s0.shape[0]
-        n = self.s1.shape[1]
-        if self.s1.shape != (d, n) or self.s2.shape != (d, n, n):
+    __slots__ = ("s0", "s1", "s2")
+
+    def __init__(self, s0: TensorField, s1: TensorField, s2: TensorField):
+        d = s0.shape[0]
+        n = s1.shape[1]
+        if s1.shape != (d, n) or s2.shape != (d, n, n):
             raise ValueError("second-order stress blocks have inconsistent shapes")
+        self.s0, self.s1, self.s2 = s0, s1, s2
 
     @property
     def dim(self) -> int:
@@ -98,16 +95,18 @@ class VariationalStress2:
                 raise ValueError(f"top block is not symmetric at {tuple(x)}")
 
 
-@dataclass(frozen=True)
 class HyperSurfaceStress:
     """Boundary-density stress pairing with first-jet values.
 
-    y0[alpha, j] and y1[alpha, i, j] are coefficients on the basis form that
-    omits axis j; the i slot pairs with jet derivative components.
+    y0[alpha, j] (shape (d, n)) and y1[alpha, i, j] (shape (d, n, n)) are
+    coefficients on the basis form that omits axis j; the i slot pairs with
+    jet derivative components.
     """
 
-    y0: TensorField  # (d, n)
-    y1: TensorField  # (d, n, n)
+    __slots__ = ("y0", "y1")
+
+    def __init__(self, y0: TensorField, y1: TensorField):
+        self.y0, self.y1 = y0, y1
 
     @property
     def dim(self) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
@@ -15,14 +14,14 @@ def relative_residual(residual: float, *terms: float) -> float:
     return residual / max([1.0] + [abs(term) for term in terms])
 
 
-@dataclass
 class CheckRecord:
     """One verified identity: named terms, residual, tolerance, verdict."""
 
-    check_id: str
-    terms: Dict[str, float]
-    residual: float
-    tolerance: float
+    __slots__ = ("check_id", "terms", "residual", "tolerance")
+
+    def __init__(self, check_id: str, terms: Dict[str, float], residual: float, tolerance: float):
+        self.check_id, self.terms, self.residual, self.tolerance = (
+            check_id, terms, residual, tolerance)
 
     @property
     def passed(self) -> bool:
@@ -39,12 +38,15 @@ class CheckRecord:
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
-@dataclass
 class RunReport:
-    """All records from one scenario run plus the overall verdict."""
+    """All records from one scenario run plus the overall verdict; with no
+    ``records`` given, it starts with an empty list of its own."""
 
-    scenario_digest: str
-    records: List[CheckRecord] = field(default_factory=list)
+    __slots__ = ("scenario_digest", "records")
+
+    def __init__(self, scenario_digest: str, records: Optional[List[CheckRecord]] = None):
+        self.scenario_digest = scenario_digest
+        self.records = [] if records is None else records
 
     @property
     def passed(self) -> bool:

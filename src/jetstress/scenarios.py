@@ -14,7 +14,6 @@ import json
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -159,29 +158,44 @@ def parse_tensor(specs: Any, dim: int, shape: Tuple[int, ...], key: str) -> Tens
 # -- scenario object ----------------------------------------------------------
 
 
-@dataclass
 class Scenario:
-    """Validated scenario: parsed fields plus the raw document digest."""
+    """Validated scenario: parsed fields plus the raw document digest.
 
-    raw: Dict[str, Any]
-    digest: str
-    bundle: BundleSpec
-    body: Body
-    quad_order: int
-    checks: List[str]
-    tolerances: Dict[str, float]
-    stress1: Optional[VariationalStress1] = None
-    stress2: Optional[VariationalStress2] = None
-    nh_stress: Optional[NonHolonomicStress] = None  # raw block, else the lift of stress2
-    velocity: Optional[TensorField] = None
-    section: Optional[JetSectionField] = None
-    transversals: Optional[Dict[str, TransversalField]] = None
-    frame_change: Optional[FrameChange] = None
-    covariance_samples: List[Tuple[float, ...]] = field(default_factory=list)
-    covariance_quantities: Optional[List[str]] = None
-    expect_noninvariant: bool = False
-    closed_face: Optional[FacePatch] = None
-    closed_transversal: Optional[TransversalField] = None
+    ``nh_stress`` is the raw block, else the lift of ``stress2``; with no
+    ``covariance_samples`` given, the scenario starts with an empty list of
+    its own.
+    """
+
+    __slots__ = (
+        "raw", "digest", "bundle", "body", "quad_order", "checks", "tolerances", "stress1",
+        "stress2", "nh_stress", "velocity", "section", "transversals", "frame_change",
+        "covariance_samples", "covariance_quantities", "expect_noninvariant", "closed_face",
+        "closed_transversal",
+    )
+
+    def __init__(
+        self, raw: Dict[str, Any], digest: str, bundle: BundleSpec, body: Body,
+        quad_order: int, checks: List[str], tolerances: Dict[str, float],
+        stress1: Optional[VariationalStress1] = None,
+        stress2: Optional[VariationalStress2] = None,
+        nh_stress: Optional[NonHolonomicStress] = None,
+        velocity: Optional[TensorField] = None, section: Optional[JetSectionField] = None,
+        transversals: Optional[Dict[str, TransversalField]] = None,
+        frame_change: Optional[FrameChange] = None,
+        covariance_samples: Optional[List[Tuple[float, ...]]] = None,
+        covariance_quantities: Optional[List[str]] = None, expect_noninvariant: bool = False,
+        closed_face: Optional[FacePatch] = None,
+        closed_transversal: Optional[TransversalField] = None,
+    ):
+        self.raw, self.digest, self.bundle, self.body = raw, digest, bundle, body
+        self.quad_order, self.checks, self.tolerances = quad_order, checks, tolerances
+        self.stress1, self.stress2, self.nh_stress = stress1, stress2, nh_stress
+        self.velocity, self.section, self.transversals = velocity, section, transversals
+        self.frame_change = frame_change
+        self.covariance_samples = [] if covariance_samples is None else covariance_samples
+        self.covariance_quantities = covariance_quantities
+        self.expect_noninvariant = expect_noninvariant
+        self.closed_face, self.closed_transversal = closed_face, closed_transversal
 
 
 def _path(parent: Optional[str], key: str) -> str:
@@ -607,15 +621,16 @@ _VELOCITY = _needs("a velocity.u block", lambda s: s.velocity is not None)
 _PLANE = _needs("a chart dimension n >= 2", lambda s: s.body.dim >= 2)
 
 
-@dataclass(frozen=True)
 class _Check:
     """One check id: its default tolerance, its requirements in the order
     they are tested at load time, and its runner, which returns the
     record's terms and residual."""
 
-    tolerance: float
-    requires: Tuple[_Requirement, ...]
-    run: Callable[[Scenario], _Result]
+    __slots__ = ("tolerance", "requires", "run")
+
+    def __init__(self, tolerance: float, requires: Tuple[_Requirement, ...],
+                 run: Callable[[Scenario], _Result]):
+        self.tolerance, self.requires, self.run = tolerance, requires, run
 
 
 _CHECKS: Dict[str, _Check] = {

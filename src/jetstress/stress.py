@@ -9,7 +9,6 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class VariationalStress1:
     """First-order stress components relative to the chart volume form.
 
@@ -50,15 +48,15 @@ class VariationalStress1:
     with velocity gradients.
     """
 
-    s0: TensorField
-    s1: TensorField
+    __slots__ = ("s0", "s1")
 
-    def __post_init__(self):
-        d = self.s0.shape[0]
-        if len(self.s0.shape) != 1 or len(self.s1.shape) != 2:
+    def __init__(self, s0: TensorField, s1: TensorField):
+        d = s0.shape[0]
+        if len(s0.shape) != 1 or len(s1.shape) != 2:
             raise ValueError("expected shapes (d,) and (d, n)")
-        if self.s1.shape != (d, self.s0.dim) or self.s1.dim != self.s0.dim:
+        if s1.shape != (d, s0.dim) or s1.dim != s0.dim:
             raise ValueError("stress component shapes are inconsistent")
+        self.s0, self.s1 = s0, s1
 
     @property
     def dim(self) -> int:
@@ -69,11 +67,14 @@ class VariationalStress1:
         return self.s0.shape[0]
 
 
-@dataclass(frozen=True)
 class TractionStress:
-    """Boundary-density stress: sigma[alpha, j] multiplies the form omitting axis j."""
+    """Boundary-density stress: sigma[alpha, j] (shape (d, n)) multiplies the
+    form omitting axis j."""
 
-    sigma: TensorField  # shape (d, n)
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: TensorField):
+        self.sigma = sigma
 
     @property
     def dim(self) -> int:
@@ -84,11 +85,13 @@ class TractionStress:
         return self.sigma.shape[0]
 
 
-@dataclass(frozen=True)
 class BodyForce:
-    """Volume-force density paired with velocity values."""
+    """Volume-force density (shape (d,)) paired with velocity values."""
 
-    b: TensorField  # shape (d,)
+    __slots__ = ("b",)
+
+    def __init__(self, b: TensorField):
+        self.b = b
 
 
 def action_form(stress: VariationalStress1, velocity: TensorField) -> FormField:

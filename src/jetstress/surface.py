@@ -9,7 +9,6 @@ traction and the surface divergence well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -260,7 +259,6 @@ class TransversalField:
         return worst
 
 
-@dataclass(frozen=True)
 class RestrictedSurfaceStress:
     """A boundary stress pulled onto face parameters, still pairing ambient jets.
 
@@ -268,9 +266,10 @@ class RestrictedSurfaceStress:
     components; both are densities on the face volume element.
     """
 
-    face: FacePatch
-    z0: TensorField
-    z1: TensorField
+    __slots__ = ("face", "z0", "z1")
+
+    def __init__(self, face: FacePatch, z0: TensorField, z1: TensorField):
+        self.face, self.z0, self.z1 = face, z0, z1
 
     @property
     def fiber_dim(self) -> int:
@@ -368,17 +367,20 @@ def transversal_decomposition(
     return TensorField(tangent, (d, q)), TensorField(normal, (d,))
 
 
-@dataclass(frozen=True)
 class FaceSplit:
     """The fields of one face that :func:`tangent_traction` and
-    :func:`surface_divergence` read, built once by :func:`face_split`."""
+    :func:`surface_divergence` read, built once by :func:`face_split`:
+    ``tangent`` (d, n-1) is the tangent part in the face frame, ``normal``
+    (d,) the transversal coefficient, and ``velocity`` and ``gradient`` the
+    chart velocity and its chart gradient composed onto the face."""
 
-    restricted: RestrictedSurfaceStress
-    tangent: TensorField  # (d, n-1): the tangent part in the face frame
-    normal: TensorField  # (d,): the transversal coefficient
-    transversal: TransversalField
-    velocity: TensorField  # the chart velocity composed onto the face
-    gradient: TensorField  # its chart gradient composed onto the face
+    __slots__ = ("restricted", "tangent", "normal", "transversal", "velocity", "gradient")
+
+    def __init__(self, restricted: RestrictedSurfaceStress, tangent: TensorField,
+                 normal: TensorField, transversal: TransversalField, velocity: TensorField,
+                 gradient: TensorField):
+        self.restricted, self.tangent, self.normal = restricted, tangent, normal
+        self.transversal, self.velocity, self.gradient = transversal, velocity, gradient
 
 
 def face_split(

@@ -23,6 +23,9 @@ in a pass of its own, through its own fields, in place of the pass the two
 faces of an axis share (``faces_alone``, which ``read_faces_alone`` puts in
 place of ``face_groups``).
 ``form_from_components`` builds test forms from one field per index tuple.
+``unit_box``, ``zero_jet``, ``chart_map`` and ``chart_point`` build and read
+the plain objects that only the tests need: the unit box, the zero jet, a
+body's chart map, and a face's chart point.
 
 The law pins (``transform_jet2``, ``transform_stress1``,
 ``transform_stress2``, ``predicted_contraction_defect``) read one frame
@@ -72,6 +75,29 @@ from jetstress.surface import (
 )
 from jetstress.exprs import FUNCTIONS, ExpressionError
 from jetstress.taylor import Coordinates, TruncatedSeries, reciprocal_series
+
+
+def unit_box(dim: int) -> Box:
+    """The box [0, 1]^dim."""
+    return Box((0.0,) * dim, (1.0,) * dim)
+
+
+def zero_jet(dim: int, fiber_dim: int, order: int) -> JetValue:
+    """The jet whose arrays are all zero, up to ``order``."""
+    arrays = tuple(np.zeros((fiber_dim,) + (dim,) * p) for p in range(order + 1))
+    return JetValue(dim, fiber_dim, order, arrays)
+
+
+def chart_map(body: Body) -> SmoothField:
+    """The body's patch map, or the chart's coordinates when it has none."""
+    return body.patch if body.patch is not None else SmoothField.coordinates(body.dim)
+
+
+def chart_point(face: FacePatch, param_point: Sequence[float]) -> Tuple[float, ...]:
+    """A face's parameter point in the chart; a 0-dimensional face's own point."""
+    if face.param_box is None:
+        return face.point
+    return tuple(face.to_chart.values_at(param_point))
 
 
 def form_from_components(dim: int, degree: int, components) -> FormField:
@@ -275,13 +301,13 @@ def edges(body: Body) -> List[Edge]:
         if n == 2:
             corner = [box.upper[a] if side else box.lower[a]
                       for a, side in sorted({axis_i: side_i, axis_j: side_j}.items())]
-            chart_pt = body.chart_map().values_at(corner)
+            chart_pt = chart_map(body).values_at(corner)
             out.append(Edge(labels, None, None, tuple(chart_pt), signs))
             continue
         # Pin axis_i, then axis_j inside the face: the remaining axes keep their order.
         outer = BoxFace(box, axis_i, side_i)
         inner = BoxFace(outer.param_box, axis_j - 1, side_j)
-        mapping = body.chart_map().compose(outer.insertion().compose(inner.insertion()))
+        mapping = chart_map(body).compose(outer.insertion().compose(inner.insertion()))
         out.append(Edge(labels, inner.param_box, mapping, None, signs))
     return out
 

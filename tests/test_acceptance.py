@@ -53,6 +53,8 @@ from jetstress.stress import (
 )
 from jetstress.surface import TransversalField
 
+from oracles import chart_point, unit_box
+
 
 def tensor_poly(dim, shape, tables):
     return TensorField(SmoothField.from_polynomials(dim, tables), shape)
@@ -96,7 +98,7 @@ def random_section(rng, n, d, degree):
 
 
 def unit_body(n):
-    return Body(Chart(n, Box.unit(n)), Box.unit(n))
+    return Body(Chart(n, unit_box(n)), unit_box(n))
 
 
 def report(index, name, detail):
@@ -153,7 +155,7 @@ def test_criterion_03_cauchy_on_cube_faces():
         for y in nodes:
             y = tuple(y)
             via_pullback = density.value_at(y).coefficient((0, 1))
-            pt = face.chart_point(y)
+            pt = chart_point(face, y)
             direct = float(np.sum(sigma.sigma.at(pt)[:, axis] * velocity.at(pt)))
             worst = max(worst, abs(via_pullback - direct))
     assert worst <= 1e-11

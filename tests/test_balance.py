@@ -42,6 +42,8 @@ from jetstress.scenarios import load_scenario, run_checks
 from jetstress.stress import divergence, surface_force, traction_projection
 from jetstress.surface import TransversalField
 
+from oracles import unit_box
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -80,7 +82,7 @@ def random_velocity(rng, n, d, degree):
 
 
 def unit_body(n):
-    return Body(Chart(n, Box.unit(n)), Box.unit(n))
+    return Body(Chart(n, unit_box(n)), unit_box(n))
 
 
 def zero_form(n):
@@ -387,7 +389,7 @@ def test_balance_order2_curved_body():
     rng = random.Random(79)
     chart = Chart(2, Box((-1.0, -1.0), (2.0, 2.0)))
     patch = SmoothField.from_expressions(2, ["x1 + 0.2*x2^2", "x2 - 0.1*x1^2"])
-    body = Body(chart, Box.unit(2), patch=patch)
+    body = Body(chart, unit_box(2), patch=patch)
     body.check_embedding(QuadratureRule(4))
     stress = random_nh_stress(rng, 2, 1, 2)
     u = random_velocity(rng, 2, 1, 2)

@@ -38,7 +38,12 @@ from jetstress.nonholonomic import nh_divergence, nh_traction
 from jetstress.scenarios import generate_scenario, load_scenario
 from jetstress.stress import traction_action, traction_projection
 
-from oracles import edge_assembly_by_piece, pullback_by_composition, read_faces_alone
+from oracles import (
+    edge_assembly_by_piece,
+    pullback_by_composition,
+    read_faces_alone,
+    unit_box,
+)
 from test_transversal_solve import curved_cube
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -106,7 +111,7 @@ def test_key_selection_is_the_general_pullback(data, n, order):
 
 def test_a_patched_face_keeps_the_general_pullback():
     patch = SmoothField.from_expressions(2, ["x1 + 0.1*x2^2", "x2 + 0.2*x1"])
-    face = boundary_faces(geometry.Body(geometry.Chart(2, Box.unit(2)), Box.unit(2), patch))[1]
+    face = boundary_faces(geometry.Body(geometry.Chart(2, unit_box(2)), unit_box(2), patch))[1]
     assert not isinstance(face.to_chart, Insertion)
 
 

@@ -1,6 +1,5 @@
 """Scenario loading, validation, check execution, determinism, exit codes."""
 
-import dataclasses
 import json
 import math
 import re
@@ -430,8 +429,9 @@ def test_a_check_that_needs_a_plane_rejects_an_interval_at_load(
     tmp_path, capsys, monkeypatch, check
 ):
     ran = []
-    monkeypatch.setitem(scenarios._CHECKS, check, dataclasses.replace(
-        scenarios._CHECKS[check], run=lambda scenario: ran.append(check)))
+    old = scenarios._CHECKS[check]
+    monkeypatch.setitem(scenarios._CHECKS, check, scenarios._Check(
+        old.tolerance, old.requires, lambda scenario: ran.append(check)))
     report = tmp_path / "r.jsonl"
     argv = ["run", "--scenario", str(_interval(tmp_path, check)), "--report", str(report)]
     assert main(argv) == 2
@@ -830,8 +830,9 @@ def test_a_duplicate_check_id_in_the_document_exits_2(tmp_path, capsys):
 
 def test_a_repeated_check_option_exits_2(tmp_path, capsys, monkeypatch):
     ran = []
-    monkeypatch.setitem(scenarios._CHECKS, "cauchy", dataclasses.replace(
-        scenarios._CHECKS["cauchy"], run=lambda scenario: ran.append("cauchy")))
+    old = scenarios._CHECKS["cauchy"]
+    monkeypatch.setitem(scenarios._CHECKS, "cauchy", scenarios._Check(
+        old.tolerance, old.requires, lambda scenario: ran.append("cauchy")))
     report = tmp_path / "r.jsonl"
     argv = ["run", "--scenario", str(SCENARIOS / "square-order1.json"), "--report", str(report),
             "--check", "cauchy", "--check", "balance1", "--check", "balance1"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
-from jetstress.geometry import Body, Box, Chart, QuadratureRule, boundary_faces
+from jetstress.geometry import Body, Chart, QuadratureRule, boundary_faces
 from jetstress.stress import (
     VariationalStress1,
     action_form,
@@ -19,7 +19,7 @@ from jetstress.stress import (
     traction_projection,
     verify_balance_order1,
 )
-from oracles import stress_action
+from oracles import stress_action, unit_box, zero_jet
 
 
 def tensor(dim, shape, tables):
@@ -48,7 +48,7 @@ def random_velocity(rng, n, d, degree):
 
 
 def unit_body(n):
-    return Body(Chart(n, Box.unit(n)), Box.unit(n))
+    return Body(Chart(n, unit_box(n)), unit_box(n))
 
 
 def test_stress_action_single_term():
@@ -57,7 +57,7 @@ def test_stress_action_single_term():
     jet = jet_extension(u.field, (0.3, 0.4), 1)
     val = stress_action(stress, jet, (0.3, 0.4))
     assert val.coefficient((0, 1)) == pytest.approx(1.0)
-    zero = stress_action(stress, JetValue.zero(2, 1, 1), (0.3, 0.4))
+    zero = stress_action(stress, zero_jet(2, 1, 1), (0.3, 0.4))
     assert zero.max_abs() == 0.0
 
 

@@ -30,7 +30,7 @@ from jetstress.surface import (
     transversal_decomposition,
     vertical_projection,
 )
-from oracles import face_jet_pairing
+from oracles import face_jet_pairing, unit_box
 
 
 def tensor_const(dim, shape, values):
@@ -57,7 +57,7 @@ def random_nh_stress(rng, n, d, degree):
 
 
 def unit_faces(n):
-    body = Body(Chart(n, Box.unit(n)), Box.unit(n))
+    body = Body(Chart(n, unit_box(n)), unit_box(n))
     return {f.label: f for f in boundary_faces(body)}
 
 
@@ -319,7 +319,7 @@ def test_surface_divergence_defining_relation():
     rng = random.Random(21)
     for n in (2, 3):
         d = 1
-        body = Body(Chart(n, Box.unit(n)), Box.unit(n))
+        body = Body(Chart(n, unit_box(n)), unit_box(n))
         faces = boundary_faces(body)
         stress = random_nh_stress(rng, n, d, 2)
         Y = nh_traction(stress)
@@ -395,7 +395,7 @@ def test_tangent_edge_force_balance_on_face():
     restricted = RestrictedSurfaceStress(face, z0, z1)
     assert is_tangent(restricted)
     tau, div, reduced = tangent_edge_force(restricted)
-    face_body = Body(Chart(2, Box.unit(2)), Box.unit(2))
+    face_body = Body(Chart(2, unit_box(2)), unit_box(2))
     u_face = tensor_poly(2, (1,), [random_poly_table(rng, 2, 2)])
     _, residual = verify_balance_order1(reduced, u_face, face_body, QuadratureRule(5))
     assert residual < 1e-10
