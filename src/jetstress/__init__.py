@@ -21,7 +21,6 @@ from .geometry import (
     interior_product,
 )
 from .bundles import (
-    BundleSpec,
     HolonomyClass,
     IteratedJetValue,
     JetSectionField,
@@ -30,8 +29,6 @@ from .bundles import (
     symmetrize_iterated,
 )
 from .stress import (
-    BodyForce,
-    TractionStress,
     VariationalStress1,
     body_force,
     divergence,

@@ -16,10 +16,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .fields import JetValue, TensorField, jet_extension
+from .fields import Blocks, JetValue, TensorField, jet_extension
 
 __all__ = [
-    "BundleSpec",
     "IteratedJetValue",
     "JetSectionField",
     "HolonomyClass",
@@ -27,17 +26,6 @@ __all__ = [
     "symmetrize_iterated",
     "holonomy_class",
 ]
-
-
-class BundleSpec:
-    """Base and fiber dimensions; fiber frame changes go through ``FrameChange``."""
-
-    __slots__ = ("base_dim", "fiber_dim")
-
-    def __init__(self, base_dim: int, fiber_dim: int):
-        if base_dim < 1 or fiber_dim < 1:
-            raise ValueError("bundle dimensions must be positive")
-        self.base_dim, self.fiber_dim = base_dim, fiber_dim
 
 
 class IteratedJetValue:
@@ -57,34 +45,19 @@ class IteratedJetValue:
         self.b0, self.b1, self.b2, self.b3 = b0, b1, b2, b3
 
 
-class JetSectionField:
+class JetSectionField(Blocks):
     """A section of the first-jet bundle given by its two component fields.
 
     ``a0`` has shape (d,), ``a1`` shape (d, n).  The section is compatible
     (holonomic) exactly when a1 equals the derivative of a0.
     """
 
-    def __init__(self, a0: TensorField, a1: TensorField):
-        if len(a0.shape) != 1 or len(a1.shape) != 2:
-            raise ValueError("expected shapes (d,) and (d, n)")
-        if a1.shape != (a0.shape[0], a0.dim) or a0.dim != a1.dim:
-            raise ValueError("jet section blocks have inconsistent shapes")
-        self.a0 = a0
-        self.a1 = a1
-
-    @property
-    def dim(self) -> int:
-        return self.a0.dim
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.a0.shape[0]
+    __slots__ = ("a0", "a1")
+    LAYOUT = (("a0", 0), ("a1", 1))
 
     @classmethod
     def from_velocity(cls, u: TensorField) -> "JetSectionField":
         """The compatible section induced by a velocity field (a1 = grad a0)."""
-        if len(u.shape) != 1:
-            raise ValueError("velocity field must have shape (d,)")
         return cls(u, u.gradient())
 
     def iterated_jet_at(self, point: Sequence[float]) -> IteratedJetValue:
@@ -136,16 +109,14 @@ def holonomy_class(
     b2 = d(a0) by construction, so the derivative-slot condition is base
     compatibility again.
     """
-    base_residual = 0.0
-    sym_residual = 0.0
-    for x in sample_points:
-        it = section.iterated_jet_at(x)
-        base_residual = max(base_residual, float(np.max(np.abs(it.b2 - it.b1))))
-        sym_residual = max(
-            sym_residual, float(np.max(np.abs(it.b3 - np.transpose(it.b3, (0, 2, 1)))))
-        )
-    if base_residual > tol:
+    jets = [section.iterated_jet_at(x) for x in sample_points]
+    base_residual = np.max([np.abs(it.b2 - it.b1).max() for it in jets], initial=0.0)
+    sym_residual = np.max(
+        [np.abs(it.b3 - np.transpose(it.b3, (0, 2, 1))).max() for it in jets], initial=0.0
+    )
+    # numpy's max keeps a NaN residual, and a NaN exceeds every bound.
+    if not base_residual <= tol:
         return HolonomyClass.NONE
-    if sym_residual > tol:
+    if not sym_residual <= tol:
         return HolonomyClass.SEMI_HOLONOMIC
     return HolonomyClass.HOLONOMIC

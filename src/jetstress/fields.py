@@ -21,7 +21,9 @@ The stress identities are written in four operations on it:
   block (C, A, 1) pairs C with the gradient of A.
 
 Each operation builds its flat index table once, when it is constructed,
-and evaluates each input field once per (point, order).
+and evaluates each input field once per (point, order).  A stress or a
+jet section is a :class:`Blocks` record: named tensor fields of shapes
+``(d,) + (n,)*k``, declared once in its ``LAYOUT``.
 
 A point is a tuple of coordinates, each a float, or for a batch of nodes an
 array with one value per node (see :mod:`jetstress.taylor`).
@@ -52,6 +54,7 @@ __all__ = [
     "as_point",
     "SmoothField",
     "TensorField",
+    "Blocks",
     "JetValue",
     "pair",
     "linear_field",
@@ -472,6 +475,41 @@ class TensorField:
             flat = int(np.ravel_multi_index(src, self.shape))
             rows.append([(flat, None, -1.0 if odd else None)])
         return TensorField(linear_field(self.field, 0, rows), out_shape)
+
+
+class Blocks:
+    """A record of tensor blocks over one chart.
+
+    A subclass declares ``LAYOUT``: the name of each block, in constructor
+    order, with its number k of chart axes.  Every block has shape
+    ``(d,) + (n,)*k`` and lives on the chart of dimension n; d and n are read
+    from the first block.
+    """
+
+    __slots__ = ()
+    LAYOUT: Tuple[Tuple[str, int], ...] = ()
+
+    def __init__(self, *blocks: TensorField):
+        first = blocks[0]
+        d = first.shape[0] if first.shape else None  # no shape matches a missing d
+        n = first.dim
+        expected = [(d,) + (n,) * k for _, k in self.LAYOUT]
+        actual = [block.shape for block in blocks]
+        if actual != expected or any(block.dim != n for block in blocks):
+            raise ValueError(
+                f"{type(self).__name__} blocks have shapes {actual} on chart dimensions "
+                f"{[block.dim for block in blocks]}, expected {expected} on dimension {n}"
+            )
+        for (name, _), block in zip(self.LAYOUT, blocks):
+            setattr(self, name, block)
+
+    @property
+    def dim(self) -> int:
+        return getattr(self, self.LAYOUT[0][0]).dim
+
+    @property
+    def fiber_dim(self) -> int:
+        return getattr(self, self.LAYOUT[0][0]).shape[0]
 
 
 def pair(blocks: Sequence[Tuple]) -> TensorField:

@@ -18,7 +18,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .bundles import JetSectionField
-from .fields import TensorField, pair
+from .fields import Blocks, TensorField, pair
 from .geometry import FormField, FormValue, interior_product
 from .stress import VariationalStress1
 
@@ -36,66 +36,35 @@ __all__ = [
 ]
 
 
-class NonHolonomicStress:
+class NonHolonomicStress(Blocks):
     """Dual of the iterated jet blocks, valued in chart volume densities.
 
     x0: (d,), x1: (d, n), x2: (d, n), x3: (d, n, n); x3 is unconstrained.
     """
 
     __slots__ = ("x0", "x1", "x2", "x3")
-
-    def __init__(self, x0: TensorField, x1: TensorField, x2: TensorField, x3: TensorField):
-        d = x0.shape[0]
-        n = x1.shape[1]
-        expected = [(d,), (d, n), (d, n), (d, n, n)]
-        actual = [x0.shape, x1.shape, x2.shape, x3.shape]
-        if actual != expected:
-            raise ValueError(f"stress blocks have shapes {actual}, expected {expected}")
-        if any(f.dim != x0.dim for f in (x1, x2, x3)):
-            raise ValueError("stress blocks live on different chart dimensions")
-        self.x0, self.x1, self.x2, self.x3 = x0, x1, x2, x3
-
-    @property
-    def dim(self) -> int:
-        return self.x0.dim
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.x0.shape[0]
+    LAYOUT = (("x0", 0), ("x1", 1), ("x2", 1), ("x3", 2))
 
 
-class VariationalStress2:
+class VariationalStress2(Blocks):
     """Second-order stress with a symmetric top block.
 
     s0: (d,), s1: (d, n), s2: (d, n, n), symmetric.
     """
 
     __slots__ = ("s0", "s1", "s2")
-
-    def __init__(self, s0: TensorField, s1: TensorField, s2: TensorField):
-        d = s0.shape[0]
-        n = s1.shape[1]
-        if s1.shape != (d, n) or s2.shape != (d, n, n):
-            raise ValueError("second-order stress blocks have inconsistent shapes")
-        self.s0, self.s1, self.s2 = s0, s1, s2
-
-    @property
-    def dim(self) -> int:
-        return self.s0.dim
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.s0.shape[0]
+    LAYOUT = (("s0", 0), ("s1", 1), ("s2", 2))
 
     def check_symmetry(self, points: Sequence[Sequence[float]]) -> None:
-        """Raise at the first point where the top block's asymmetry exceeds 1e-10."""
+        """Raise at the first point where the top block's asymmetry exceeds
+        1e-10 or is NaN."""
         for x in points:
             arr = self.s2.at(x)
-            if np.max(np.abs(arr - np.transpose(arr, (0, 2, 1)))) > 1e-10:
+            if not np.max(np.abs(arr - np.transpose(arr, (0, 2, 1)))) <= 1e-10:
                 raise ValueError(f"top block is not symmetric at {tuple(x)}")
 
 
-class HyperSurfaceStress:
+class HyperSurfaceStress(Blocks):
     """Boundary-density stress pairing with first-jet values.
 
     y0[alpha, j] (shape (d, n)) and y1[alpha, i, j] (shape (d, n, n)) are
@@ -104,17 +73,7 @@ class HyperSurfaceStress:
     """
 
     __slots__ = ("y0", "y1")
-
-    def __init__(self, y0: TensorField, y1: TensorField):
-        self.y0, self.y1 = y0, y1
-
-    @property
-    def dim(self) -> int:
-        return self.y0.dim
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.y0.shape[0]
+    LAYOUT = (("y0", 1), ("y1", 2))
 
 
 def nh_action_form(stress: NonHolonomicStress, section: JetSectionField) -> FormField:

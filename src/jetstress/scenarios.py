@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .balance import closed_boundary_exact_term, verify_balance_order2
-from .bundles import BundleSpec, JetSectionField
+from .bundles import JetSectionField
 from .covariance import QUANTITIES, FrameChange, invariance_check
 from .exprs import parse_expression
 from .fields import (
@@ -159,43 +159,29 @@ def parse_tensor(specs: Any, dim: int, shape: Tuple[int, ...], key: str) -> Tens
 
 
 class Scenario:
-    """Validated scenario: parsed fields plus the raw document digest.
+    """Validated scenario: parsed fields plus the document digest.
 
-    ``nh_stress`` is the raw block, else the lift of ``stress2``; with no
-    ``covariance_samples`` given, the scenario starts with an empty list of
-    its own.
+    The loader sets each optional block it reads; a block the document
+    leaves out stays ``None``, the covariance samples an empty list and
+    ``expect_noninvariant`` false.  ``nh_stress`` is the raw block, else the
+    lift of ``stress2``.
     """
 
     __slots__ = (
-        "raw", "digest", "bundle", "body", "quad_order", "checks", "tolerances", "stress1",
-        "stress2", "nh_stress", "velocity", "section", "transversals", "frame_change",
-        "covariance_samples", "covariance_quantities", "expect_noninvariant", "closed_face",
-        "closed_transversal",
+        "digest", "body", "quad_order", "checks", "tolerances", "stress1", "stress2",
+        "nh_stress", "velocity", "section", "transversals", "frame_change", "covariance_samples",
+        "covariance_quantities", "expect_noninvariant", "closed_face", "closed_transversal",
     )
 
-    def __init__(
-        self, raw: Dict[str, Any], digest: str, bundle: BundleSpec, body: Body,
-        quad_order: int, checks: List[str], tolerances: Dict[str, float],
-        stress1: Optional[VariationalStress1] = None,
-        stress2: Optional[VariationalStress2] = None,
-        nh_stress: Optional[NonHolonomicStress] = None,
-        velocity: Optional[TensorField] = None, section: Optional[JetSectionField] = None,
-        transversals: Optional[Dict[str, TransversalField]] = None,
-        frame_change: Optional[FrameChange] = None,
-        covariance_samples: Optional[List[Tuple[float, ...]]] = None,
-        covariance_quantities: Optional[List[str]] = None, expect_noninvariant: bool = False,
-        closed_face: Optional[FacePatch] = None,
-        closed_transversal: Optional[TransversalField] = None,
-    ):
-        self.raw, self.digest, self.bundle, self.body = raw, digest, bundle, body
+    def __init__(self, digest: str, body: Body, quad_order: int, checks: List[str],
+                 tolerances: Dict[str, float]):
+        self.digest, self.body = digest, body
         self.quad_order, self.checks, self.tolerances = quad_order, checks, tolerances
-        self.stress1, self.stress2, self.nh_stress = stress1, stress2, nh_stress
-        self.velocity, self.section, self.transversals = velocity, section, transversals
-        self.frame_change = frame_change
-        self.covariance_samples = [] if covariance_samples is None else covariance_samples
-        self.covariance_quantities = covariance_quantities
-        self.expect_noninvariant = expect_noninvariant
-        self.closed_face, self.closed_transversal = closed_face, closed_transversal
+        self.stress1 = self.stress2 = self.nh_stress = self.velocity = self.section = None
+        self.transversals = self.frame_change = self.covariance_quantities = None
+        self.covariance_samples: List[Tuple[float, ...]] = []
+        self.expect_noninvariant = False
+        self.closed_face = self.closed_transversal = None
 
 
 def _path(parent: Optional[str], key: str) -> str:
@@ -222,6 +208,16 @@ def _block(doc: Dict[str, Any], key: str, parent: Optional[str] = None) -> Dict[
     if not isinstance(value, dict):
         raise ScenarioError(f"{_path(parent, key)}: expected an object")
     return value
+
+
+def _record(record: type, doc: Dict[str, Any], parent: str, key: str, n: int, d: int) -> Any:
+    """The ``record`` (a :class:`jetstress.fields.Blocks` kind) in the object
+    ``doc[key]``: each block of its ``LAYOUT`` read by name at shape
+    ``(d,) + (n,)*k``."""
+    blk, path = _block(doc, key, parent), _path(parent, key)
+    return record(*(
+        _required_tensor(blk, path, name, n, (d,) + (n,) * k) for name, k in record.LAYOUT
+    ))
 
 
 def _is_count(value: Any) -> bool:
@@ -330,50 +326,27 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
         if tolerances[key] < 0.0:
             raise ScenarioError(f"tolerances.{key}: must be >= 0, got {value!r}")
 
-    scenario = Scenario(
-        raw=doc, digest=digest, bundle=BundleSpec(n, d), body=body,
-        quad_order=quad_order, checks=list(checks), tolerances=tolerances,
-    )
+    scenario = Scenario(digest, body, quad_order, list(checks), tolerances)
 
     stress_block = _block(doc, "stress")
     if "order1" in stress_block:
-        blk = _block(stress_block, "order1", "stress")
-        scenario.stress1 = VariationalStress1(
-            _required_tensor(blk, "stress.order1", "s0", n, (d,)),
-            _required_tensor(blk, "stress.order1", "s1", n, (d, n)),
-        )
+        scenario.stress1 = _record(VariationalStress1, stress_block, "stress", "order1", n, d)
     if "order2" in stress_block:
-        blk = _block(stress_block, "order2", "stress")
-        s2 = _required_tensor(blk, "stress.order2", "s2", n, (d, n, n))
-        scenario.stress2 = VariationalStress2(
-            _required_tensor(blk, "stress.order2", "s0", n, (d,)),
-            _required_tensor(blk, "stress.order2", "s1", n, (d, n)),
-            s2,
-        )
-        split = _number(blk.get("split", 1.0), "stress.order2.split")
+        scenario.stress2 = _record(VariationalStress2, stress_block, "stress", "order2", n, d)
+        split = _number(stress_block["order2"].get("split", 1.0), "stress.order2.split")
         if not 0.0 <= split <= 1.0:
             raise ScenarioError("stress.order2.split: must lie in [0, 1]")
         with _keyed("stress.order2.s2"):
             scenario.stress2.check_symmetry([tuple(body_box.center())])
         scenario.nh_stress = lift_second_order(scenario.stress2, split)
     if "raw" in stress_block:  # a raw representative takes the place of the lift
-        blk = _block(stress_block, "raw", "stress")
-        scenario.nh_stress = NonHolonomicStress(
-            _required_tensor(blk, "stress.raw", "x0", n, (d,)),
-            _required_tensor(blk, "stress.raw", "x1", n, (d, n)),
-            _required_tensor(blk, "stress.raw", "x2", n, (d, n)),
-            _required_tensor(blk, "stress.raw", "x3", n, (d, n, n)),
-        )
+        scenario.nh_stress = _record(NonHolonomicStress, stress_block, "stress", "raw", n, d)
 
     velocity_block = _block(doc, "velocity")
     if "u" in velocity_block:
         scenario.velocity = parse_tensor(velocity_block["u"], n, (d,), "velocity.u")
     if "section" in velocity_block:
-        blk = _block(velocity_block, "section", "velocity")
-        scenario.section = JetSectionField(
-            _required_tensor(blk, "velocity.section", "a0", n, (d,)),
-            _required_tensor(blk, "velocity.section", "a1", n, (d, n)),
-        )
+        scenario.section = _record(JetSectionField, velocity_block, "velocity", "section", n, d)
 
     transversal_block = _block(doc, "transversals")
     if transversal_block:
@@ -491,7 +464,7 @@ def _run_cauchy(scenario: Scenario) -> _Result:
     velocity = scenario.velocity
     sigma = traction_projection(stress)
     rule = QuadratureRule(scenario.quad_order)
-    n, d = scenario.bundle.base_dim, scenario.bundle.fiber_dim
+    n, d = stress.dim, stress.fiber_dim
     terms: Dict[str, float] = {}
     # The two faces of an axis share the density and one pass (see face_groups).
     for face, members in face_groups(scenario.body):
@@ -501,7 +474,7 @@ def _run_cauchy(scenario: Scenario) -> _Result:
         def gap(y):
             via_pullback = density.value_at(y).coefficient(tuple(range(n - 1)))
             chart_pt = face.to_chart.values_on(y)
-            s = sigma.sigma.field.values_on(chart_pt)
+            s = sigma.field.values_on(chart_pt)
             u = velocity.field.values_on(chart_pt)
             direct = fibre_sum([s[alpha * n + axis] * u[alpha] for alpha in range(d)])
             return abs(via_pullback - direct)

@@ -14,7 +14,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .bundles import JetSectionField
-from .fields import TensorField, fibre_sum, on_nodes, pair
+from .fields import Blocks, TensorField, fibre_sum, on_nodes, pair
 from .geometry import (
     Body,
     FacePatch,
@@ -27,8 +27,6 @@ from .reports import relative_residual
 
 __all__ = [
     "VariationalStress1",
-    "TractionStress",
-    "BodyForce",
     "action_form",
     "section_pairing_form",
     "traction_projection",
@@ -41,7 +39,7 @@ __all__ = [
 ]
 
 
-class VariationalStress1:
+class VariationalStress1(Blocks):
     """First-order stress components relative to the chart volume form.
 
     ``s0`` (shape (d,)) pairs with velocity values, ``s1`` (shape (d, n))
@@ -49,49 +47,7 @@ class VariationalStress1:
     """
 
     __slots__ = ("s0", "s1")
-
-    def __init__(self, s0: TensorField, s1: TensorField):
-        d = s0.shape[0]
-        if len(s0.shape) != 1 or len(s1.shape) != 2:
-            raise ValueError("expected shapes (d,) and (d, n)")
-        if s1.shape != (d, s0.dim) or s1.dim != s0.dim:
-            raise ValueError("stress component shapes are inconsistent")
-        self.s0, self.s1 = s0, s1
-
-    @property
-    def dim(self) -> int:
-        return self.s0.dim
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.s0.shape[0]
-
-
-class TractionStress:
-    """Boundary-density stress: sigma[alpha, j] (shape (d, n)) multiplies the
-    form omitting axis j."""
-
-    __slots__ = ("sigma",)
-
-    def __init__(self, sigma: TensorField):
-        self.sigma = sigma
-
-    @property
-    def dim(self) -> int:
-        return self.sigma.dim
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.sigma.shape[0]
-
-
-class BodyForce:
-    """Volume-force density (shape (d,)) paired with velocity values."""
-
-    __slots__ = ("b",)
-
-    def __init__(self, b: TensorField):
-        self.b = b
+    LAYOUT = (("s0", 0), ("s1", 1))
 
 
 def action_form(stress: VariationalStress1, velocity: TensorField) -> FormField:
@@ -115,26 +71,23 @@ def section_pairing_form(stress: VariationalStress1, section: JetSectionField) -
     return FormField.volume(pair([(stress.s0, section.a0), (stress.s1, section.a1)]).field)
 
 
-def traction_projection(stress: VariationalStress1) -> TractionStress:
-    """Contract the gradient slot into the volume form; the value slot is dropped.
-
-    Componentwise, the density omitting axis j picks up the sign that moving
-    axis j to the front of the volume form produces.
+def traction_projection(stress: VariationalStress1) -> TensorField:
+    """The traction: the gradient slot contracted into the volume form, the
+    value slot dropped.  Entry [alpha, j] (shape (d, n)) multiplies the form
+    omitting axis j, with the sign that moving axis j to the front of the
+    volume form produces.
     """
-    return TractionStress(stress.s1.signed(1))
+    return stress.s1.signed(1)
 
 
-def traction_action(traction: TractionStress, velocity: TensorField) -> FormField:
-    """The (n-1)-form field sigma(w) on the chart."""
-    n, d = traction.dim, traction.fiber_dim
-    if velocity.shape != (d,) or velocity.dim != n:
+def traction_action(traction: TensorField, velocity: TensorField) -> FormField:
+    """The (n-1)-form field sigma(w) on the chart, for a (d, n) traction sigma."""
+    if velocity.shape != traction.shape[:1] or velocity.dim != traction.dim:
         raise ValueError("velocity shape does not match the traction")
-    return FormField.omitting(pair([(traction.sigma, velocity)]).field)
+    return FormField.omitting(pair([(traction, velocity)]).field)
 
 
-def surface_force(
-    traction: TractionStress, face: FacePatch, velocity: TensorField
-) -> FormField:
+def surface_force(traction: TensorField, face: FacePatch, velocity: TensorField) -> FormField:
     """Generalized boundary force density: the traction action pulled onto a face."""
     if face.param_box is None:
         raise ValueError("surface force needs a face of dimension >= 1")
@@ -146,9 +99,9 @@ def divergence(stress: VariationalStress1) -> TensorField:
     return stress.s1.divergence() - stress.s0
 
 
-def body_force(stress: VariationalStress1) -> BodyForce:
-    """The force density balancing the stress: minus its divergence."""
-    return BodyForce(divergence(stress).scale(-1.0))
+def body_force(stress: VariationalStress1) -> TensorField:
+    """The force density (shape (d,)) balancing the stress: minus its divergence."""
+    return divergence(stress).scale(-1.0)
 
 
 def pairing_volume_form(coefficients: TensorField, velocity: TensorField) -> FormField:
@@ -191,7 +144,7 @@ def verify_balance_order1(
     if body.dim != n:
         raise ValueError("body dimension does not match the stress")
     [[lhs, interior]] = integrate(
-        [action_form(stress, velocity), pairing_volume_form(body_force(stress).b, velocity)],
+        [action_form(stress, velocity), pairing_volume_form(body_force(stress), velocity)],
         body, rule,
     )
 

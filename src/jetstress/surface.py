@@ -23,7 +23,7 @@ from .geometry import (
     tuple_omitting,
 )
 from .nonholonomic import HyperSurfaceStress
-from .stress import TractionStress, VariationalStress1, divergence, traction_projection
+from .stress import VariationalStress1, divergence, traction_projection
 from .taylor import TruncatedSeries, power_series, reciprocal_series
 
 __all__ = [
@@ -398,14 +398,14 @@ def face_split(
                      face_velocity(velocity, face), face_velocity(velocity.gradient(), face))
 
 
-def tangent_traction(split: FaceSplit) -> TractionStress:
+def tangent_traction(split: FaceSplit) -> TensorField:
     """Edge-density traction on the face: contract the tangent part in-face.
 
-    The result is a traction stress over the face parameters whose action on
-    a velocity is an (n-2)-form; restricting it to the face boundary gives
+    The result is a (d, n-1) traction over the face parameters whose action
+    on a velocity is an (n-2)-form; restricting it to the face boundary gives
     the edge force.
     """
-    return TractionStress(split.tangent.signed(1))
+    return split.tangent.signed(1)
 
 
 def face_velocity(velocity: TensorField, face: FacePatch) -> TensorField:
@@ -435,7 +435,7 @@ def tangent_edge_force(
     restricted: RestrictedSurfaceStress,
     tol: float = 1e-9,
     complement_axis: Optional[int] = None,
-) -> Tuple[TractionStress, TensorField, VariationalStress1]:
+) -> Tuple[TensorField, TensorField, VariationalStress1]:
     """Reduce a tangent face stress to an order-1 stress over the face.
 
     Returns its traction (the edge-force density on the face boundary), its

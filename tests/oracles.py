@@ -66,7 +66,7 @@ from jetstress.geometry import (
     series_det,
 )
 from jetstress.nonholonomic import NonHolonomicStress, VariationalStress2
-from jetstress.stress import TractionStress, VariationalStress1, traction_action
+from jetstress.stress import VariationalStress1, traction_action
 from jetstress.surface import (
     RestrictedSurfaceStress,
     TransversalField,
@@ -472,7 +472,7 @@ def edge_assembly_by_piece(
             return (restricted,) + transversal_decomposition(restricted, transversal)
 
         _, tangent, _ = split()
-        tau_u = traction_action(TractionStress(tangent.signed(1)), face_velocity(velocity, face))
+        tau_u = traction_action(tangent.signed(1), face_velocity(velocity, face))
         face_axes = [a for a in range(n) if a != face.boxface.axis]
         for piece in face_boundary_pieces(face):
             piece_boxface = piece.boxface

@@ -156,7 +156,7 @@ def test_criterion_03_cauchy_on_cube_faces():
             y = tuple(y)
             via_pullback = density.value_at(y).coefficient((0, 1))
             pt = chart_point(face, y)
-            direct = float(np.sum(sigma.sigma.at(pt)[:, axis] * velocity.at(pt)))
+            direct = float(np.sum(sigma.at(pt)[:, axis] * velocity.at(pt)))
             worst = max(worst, abs(via_pullback - direct))
     assert worst <= 1e-11
     report(3, "boundary force equals direct density on all cube faces",

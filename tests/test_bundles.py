@@ -163,3 +163,10 @@ def test_holonomy_classification():
     # so the semi-holonomic rung is only reachable through rounding; assert the
     # classifier tolerates exact holonomic input.
     assert holonomy_class(JetSectionField.from_velocity(a0), grid) == HolonomyClass.HOLONOMIC
+
+
+def test_a_nan_in_the_section_is_not_holonomic():
+    # Python's max(0.0, nan) is 0.0; the classifier must not drop the NaN.
+    a0 = tensor1(2, [[((1, 1), 1.0)]])
+    a1 = TensorField(SmoothField.constant(2, [float("nan"), 0.0]), (1, 2))
+    assert holonomy_class(JetSectionField(a0, a1), square_grid()) == HolonomyClass.NONE

@@ -1,7 +1,10 @@
 """Every name in a ``jetstress`` module's ``__all__`` resolves on that module,
-and the README's library example runs, so a deleted or renamed helper or a
-changed signature cannot leave a stale export or example behind."""
+every name the package imports from a module is in that module's
+``__all__``, and the README's library example runs, so a deleted or renamed
+helper or a changed signature cannot leave a stale export or example
+behind."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -26,6 +29,15 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_the_package_exports_only_what_its_modules_export():
+    tree = ast.parse(Path(jetstress.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+    assert len(imports) > 5
+    for node in imports:
+        exported = importlib.import_module(f"jetstress.{node.module}").__all__
+        assert [alias.name for alias in node.names if alias.name not in exported] == []
 
 
 def test_the_readme_library_example_runs(capsys):

@@ -7,6 +7,8 @@ import pytest
 
 from jetstress.bundles import JetSectionField
 from jetstress.fields import SmoothField, TensorField, jet_extension, pair
+from jetstress.nonholonomic import HyperSurfaceStress, NonHolonomicStress, VariationalStress2
+from jetstress.stress import VariationalStress1
 
 TERMS = ("sin({c}*{a}) + {b}", "exp({c}*{b})*{a}", "{c}*cos({a}*{b})", "sqrt(1 + {c}*{a}^2)")
 
@@ -149,3 +151,26 @@ def test_from_velocity_gradient_block(kind, n, d):
     for x in points(rng, n):
         expected = jet_extension(u.field, x, 1).array(1)
         assert np.allclose(section.a1.at(x), expected, rtol=0.0, atol=1e-13)
+
+
+RECORDS = [VariationalStress1, VariationalStress2, NonHolonomicStress, HyperSurfaceStress,
+           JetSectionField]
+
+
+def zero_tensor(n, shape):
+    return TensorField(SmoothField.constant(n, [0.0] * int(np.prod(shape))), shape)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_a_record_takes_the_blocks_of_its_layout(record):
+    n, d = 2, 3
+    blocks = [zero_tensor(n, (d,) + (n,) * k) for _, k in record.LAYOUT]
+    built = record(*blocks)
+    assert (built.dim, built.fiber_dim) == (n, d)
+    assert all(getattr(built, name) is block for (name, _), block in zip(record.LAYOUT, blocks))
+    last = blocks[-1].shape
+    wrong_shape = zero_tensor(n, (d + 1,) + last[1:])
+    other_chart = zero_tensor(n + 1, last)
+    for bad in (wrong_shape, other_chart):
+        with pytest.raises(ValueError, match=record.__name__):
+            record(*blocks[:-1], bad)

@@ -326,3 +326,15 @@ def test_a_batched_second_contraction_gives_each_node_its_one_point_form(data, n
             for many, one in zip(batched, single):
                 assert [_form_bits(f, k) for f in many] == [_form_bits(f) for f in one]
 
+
+
+def test_a_nan_asymmetry_fails_the_symmetry_check():
+    # nan > 1e-10 is false: the check must treat a NaN asymmetry as too large.
+    n, d = 2, 1
+    stress = VariationalStress2(
+        tensor_const(n, (d,), [0.0]),
+        tensor_const(n, (d, n), [[0.0, 0.0]]),
+        tensor_const(n, (d, n, n), [[[0.0, float("nan")], [1.0, 0.0]]]),
+    )
+    with pytest.raises(ValueError, match="not symmetric"):
+        stress.check_symmetry([(0.5, 0.5)])

@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from jetstress.bundles import BundleSpec
 from jetstress.fields import SmoothField, TensorField
 from jetstress.geometry import (
     Body,
@@ -140,14 +139,6 @@ def test_balance_order1_mixed_dims_d2_n3():
     )
     _, residual = verify_balance_order1(stress, w, body, QuadratureRule(4))
     assert residual < 1e-10
-
-
-def test_bundle_spec_validation():
-    assert BundleSpec(2, 3).fiber_dim == 3
-    with pytest.raises(ValueError):
-        BundleSpec(0, 1)
-    with pytest.raises(ValueError):
-        BundleSpec(2, 0)
 
 
 def test_stokes_with_nonunit_boxes():

@@ -10,8 +10,10 @@ import pytest
 
 from jetstress import cli, geometry, scenarios
 from jetstress.cli import main
+from jetstress.bundles import JetSectionField
 from jetstress.exprs import MAX_DEPTH
 from jetstress.fields import SmoothField, TensorField
+from jetstress.nonholonomic import NonHolonomicStress, VariationalStress2
 from jetstress.scenarios import (
     DEFAULT_TOLERANCES,
     ScenarioError,
@@ -21,6 +23,7 @@ from jetstress.scenarios import (
     run_checks,
     scenario_to_json,
 )
+from jetstress.stress import VariationalStress1
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -293,6 +296,8 @@ MALFORMED_DOCUMENTS = [
     ("covariance-quadratic.json", ("covariance", "samples"), [1, 2], "covariance.samples"),
     ("covariance-quadratic.json", ("covariance", "quantities"), "action1",
      "covariance.quantities"),
+    ("square-order1.json", ("bundle", "n"), 0, "bundle.n"),
+    ("square-order1.json", ("bundle", "d"), 0, "bundle.d"),
 ]
 
 
@@ -345,6 +350,36 @@ def test_non_object_block_exits_2_naming_the_full_key(
     scenario.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(scenario)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+LAYOUT_BLOCKS = [
+    ("square-order1.json", ("stress", "order1"), VariationalStress1),
+    ("covariance-quadratic.json", ("stress", "order2"), VariationalStress2),
+    ("cube-order2.json", ("stress", "raw"), NonHolonomicStress),
+    ("square-order1.json", ("velocity", "section"), JetSectionField),
+]
+MISSING_BLOCKS = [
+    (fixture, path, record, name)
+    for fixture, path, record in LAYOUT_BLOCKS for name, _ in record.LAYOUT
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, path, record, name", MISSING_BLOCKS,
+    ids=[".".join(path + (name,)) for _, path, _, name in MISSING_BLOCKS],
+)
+def test_a_missing_layout_block_exits_2_naming_it(tmp_path, capsys, fixture, path, record, name):
+    # No bundled document has a velocity.section: it gets zero blocks at the
+    # shapes its LAYOUT declares.
+    doc = json.loads((SCENARIOS / fixture).read_text())
+    n, d = doc["bundle"]["n"], doc["bundle"]["d"]
+    zeros = {key: np.zeros((d,) + (n,) * k).tolist() for key, k in record.LAYOUT}
+    target = doc[path[0]].setdefault(path[1], zeros)
+    del target[name]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err == f"error: {'.'.join(path)}.{name}: missing required key\n"
 
 
 def _patched_square(tmp_path, checks):

@@ -87,18 +87,18 @@ def test_stress_action_dot_product_oracle():
 def test_traction_projection_signs():
     # n=2: omit axis 1 keeps +s1[:,0]; omit axis 2 flips sign on s1[:,1].
     stress = constant_stress(2, 1, [9.0], [[2.0, 3.0]])
-    sigma = traction_projection(stress).sigma.at((0.5, 0.5))
+    sigma = traction_projection(stress).at((0.5, 0.5))
     assert sigma[0, 0] == pytest.approx(2.0)
     assert sigma[0, 1] == pytest.approx(-3.0)
     # n=3: omitting the middle axis flips the sign.
     stress3 = constant_stress(3, 1, [0.0], [[0.0, 4.0, 0.0]])
-    sigma3 = traction_projection(stress3).sigma.at((0.1, 0.2, 0.3))
+    sigma3 = traction_projection(stress3).at((0.1, 0.2, 0.3))
     assert sigma3[0, 1] == pytest.approx(-4.0)
 
 
 def test_traction_projection_discards_value_slot():
     with_s0 = constant_stress(2, 1, [7.0], [[0.0, 0.0]])
-    sigma = traction_projection(with_s0).sigma.at((0.2, 0.8))
+    sigma = traction_projection(with_s0).at((0.2, 0.8))
     assert np.all(sigma == 0.0)
 
 
@@ -142,8 +142,7 @@ def test_divergence_local_formula():
     # The value slot enters with a minus sign.
     with_s0 = constant_stress(2, 1, [2.0], [[0.0, 0.0]])
     assert divergence(with_s0).at((0.5, 0.5))[0] == pytest.approx(-2.0)
-    bf = body_force(with_s0)
-    assert bf.b.at((0.5, 0.5))[0] == pytest.approx(2.0)
+    assert body_force(with_s0).at((0.5, 0.5))[0] == pytest.approx(2.0)
 
 
 def test_divergence_invariant_route_agrees():

@@ -276,7 +276,7 @@ def test_tangent_traction_signs_and_n2():
     Y = HyperSurfaceStress(tensor_const(n, (d, n), np.zeros((1, 3))), tensor_const(n, (d, n, n), y1))
     tv = TransversalField.coordinate(face)
     tau = tangent_traction(face_split(Y, face, tv, tensor_const(n, (d,), [0.0])))
-    sig = tau.sigma.at((0.5, 0.5))
+    sig = tau.at((0.5, 0.5))
     assert sig[0, 0] == pytest.approx(1.0)  # sign (+) on the first slot
     assert sig[0, 1] == pytest.approx(0.0)
 
@@ -290,7 +290,7 @@ def test_tangent_traction_signs_and_n2():
     )
     tau2 = tangent_traction(face_split(
         Y2, face2, TransversalField.coordinate(face2), tensor_const(2, (1,), [0.0])))
-    assert tau2.sigma.at((0.5,))[0, 0] == pytest.approx(2.5)
+    assert tau2.at((0.5,))[0, 0] == pytest.approx(2.5)
 
 
 def test_surface_divergence_constant_case():
