@@ -15,7 +15,6 @@ from .geometry import (
     FormField,
     FormValue,
     QuadratureRule,
-    TransitionMap,
     boundary_faces,
     integrate,
     interior_product,

@@ -94,17 +94,16 @@ def edge_assembly(
     face's transversal is ``transversals[face.label]``, or its coordinate
     transversal.  The faces go in the groups of
     :func:`jetstress.geometry.face_groups`: the two faces of an axis form one
-    group unless either has a transversal of its own (one that is not a
-    coordinate transversal), since the coordinate transversal is the one
-    transversal a face of both sides can read per node.  Each group's fields
-    are built once (see :func:`jetstress.surface.face_split`), and one pass
-    reads each face's edge pieces and nodes in turn (see
-    :func:`jetstress.geometry.integrate`).  A ``ValueError`` from a
-    group is raised again with the label of its face in front.
+    group unless either has a transversal in ``transversals``, since the
+    coordinate transversal is the one transversal a face of both sides can
+    read per node.  Each group's fields are built once (see
+    :func:`jetstress.surface.face_split`), and one pass reads each face's
+    edge pieces and nodes in turn (see :func:`jetstress.geometry.integrate`).
+    A ``ValueError`` from a group is raised again with the label of its face
+    in front.
     """
     n = body.dim
-    own = {label: t for label, t in (transversals or {}).items()
-           if t is not None and not t.is_coordinate}
+    own = transversals or {}
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
     boundary_terms: Dict[str, float] = {}

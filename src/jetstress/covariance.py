@@ -14,8 +14,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import JetValue, TensorField, jets_on, on_nodes
-from .geometry import TransitionMap, tuple_omitting
+from .fields import JetValue, SmoothField, TensorField, jets_on, on_nodes
+from .geometry import tuple_omitting
 from .nonholonomic import VariationalStress2
 from .stress import VariationalStress1
 
@@ -49,53 +49,59 @@ class PointChange:
 
 
 class FrameChange:
-    """A chart transition together with an optional fiber frame change;
-    ``frame`` is a (d, d) field over the unprimed chart."""
+    """A chart change, given by both directions, together with an optional
+    fiber frame change: ``forward`` maps unprimed to primed coordinates,
+    ``inverse`` back, and ``frame`` is a (d, d) field over the unprimed chart."""
 
-    __slots__ = ("transition", "fiber_dim", "frame")
+    __slots__ = ("forward", "inverse", "fiber_dim", "frame")
 
-    def __init__(self, transition: TransitionMap, fiber_dim: int,
+    def __init__(self, forward: SmoothField, inverse: SmoothField, fiber_dim: int,
                  frame: Optional[TensorField] = None):
+        n = forward.dim
+        if forward.ncomp != n or inverse.dim != n or inverse.ncomp != n:
+            raise ValueError("transition maps must be square and of equal dimension")
         if frame is not None and frame.shape != (fiber_dim, fiber_dim):
             raise ValueError("frame change must be a (d, d) field")
-        self.transition, self.fiber_dim, self.frame = transition, fiber_dim, frame
+        self.forward, self.inverse, self.fiber_dim, self.frame = forward, inverse, fiber_dim, frame
 
     @property
     def dim(self) -> int:
-        return self.transition.dim
+        return self.forward.dim
 
     def at_points(self, points: Sequence[Sequence[float]]) -> List[PointChange]:
         """The jets of the transition, its inverse, and the frame at each point.
 
         Each field is read once over all the points: the forward map at order
         1, the inverse at order 2 at the images, the frame at order 2, and every
-        Jacobian minor from one stacked determinant.  The points are then
-        checked in order, the transition before the frame.
+        Jacobian minor from one stacked determinant.  Then, in this order: the
+        first point with a singular transition Jacobian raises, a roundtrip
+        defect inverse(forward(x)) - x above 1e-10 or NaN raises, and the first
+        point with a singular frame raises.
         """
         d, n = self.fiber_dim, self.dim
-        forward = jets_on(self.transition.forward, points, 1)
-        jacs = np.array([jet.array(1) for jet in forward]).reshape(-1, n, n)
-        xps = [tuple(jet.array(0)) for jet in forward]
-        inverse = jets_on(self.transition.inverse, xps, 2)
-        if self.frame is None:
-            frames = [(np.eye(d), np.zeros((d, d, n)), np.zeros((d, d, n, n)))] * len(xps)
-        else:
-            frames = [
-                tuple(jet.array(p).reshape((d, d) + (n,) * p) for p in range(3))
-                for jet in jets_on(self.frame.field, points, 2)
-            ]
-        frame_dets = np.linalg.det(np.array([a[0] for a in frames]).reshape(-1, d, d))
-        minors = _minors(jacs)
-        out = []
-        for k, (point, det) in enumerate(zip(points, np.linalg.det(jacs))):
-            x = tuple(point)
+        xps, jacs = jets_on(self.forward, points, 1)
+        dets = np.linalg.det(jacs)
+        for x, det in zip(points, dets):
             if abs(det) < 1e-12:
-                raise ValueError(f"transition is singular at {x}")
-            if abs(frame_dets[k]) < 1e-12:
-                raise ValueError(f"frame change is singular at {x}")
-            dx, ddx = inverse[k].array(1), inverse[k].array(2)
-            out.append(PointChange(x, xps[k], jacs[k], float(det), dx, ddx, *frames[k], minors[k]))
-        return out
+                raise ValueError(f"transition jacobian is singular at {tuple(x)}")
+        back, dx, ddx = jets_on(self.inverse, xps, 2)
+        worst = float(np.max(np.abs(back - np.reshape(points, (-1, n))), initial=0.0))
+        if not worst <= 1e-10:
+            raise ValueError(f"transition roundtrip defect {worst:.2e} exceeds 1.0e-10")
+        if self.frame is None:
+            frames = [np.broadcast_to(np.eye(d), (len(xps), d, d))]
+            frames += [np.zeros((len(xps), d, d) + (n,) * p) for p in (1, 2)]
+        else:
+            frames = [a.reshape((-1, d, d) + (n,) * p)
+                      for p, a in enumerate(jets_on(self.frame.field, points, 2))]
+        for x, det in zip(points, np.linalg.det(frames[0])):
+            if abs(det) < 1e-12:
+                raise ValueError(f"frame change is singular at {tuple(x)}")
+        return [
+            PointChange(tuple(x), tuple(xps[k]), jacs[k], float(dets[k]), dx[k], ddx[k],
+                        frames[0][k], frames[1][k], frames[2][k], minors)
+            for k, (x, minors) in enumerate(zip(points, _minors(jacs)))
+        ]
 
 
 def _minors(jacs: np.ndarray) -> np.ndarray:
@@ -267,8 +273,7 @@ QUANTITIES: Dict[str, Quantity] = {
 
 def invariance_check(
     quantities: Sequence[str],
-    change: FrameChange,
-    samples: Sequence[Sequence[float]],
+    changes: Sequence[PointChange],
     primed_stress1: Optional[VariationalStress1] = None,
     primed_stress2: Optional[VariationalStress2] = None,
     velocity: Optional[TensorField] = None,
@@ -279,10 +284,11 @@ def invariance_check(
     the primed chart; velocities in the unprimed chart.  Invariant quantities
     report gaps at roundoff level, while the component-pair (naive)
     contraction reports its actual defect together with the gap to the
-    predicted extra term.  One pass serves every quantity: each field is read
-    once over all the samples (the frame change in :meth:`FrameChange.at_points`,
-    each primed block in use at the image points, the velocity jets if any
-    quantity pairs a velocity), and each sample runs one law per stress order
+    predicted extra term.  ``changes`` are the frame change at each sample,
+    as :meth:`FrameChange.at_points` gives them.  One pass serves every
+    quantity: each field is read once over all the samples (each primed block
+    in use at the image points, the velocity jets at ``pc.x`` if any quantity
+    pairs a velocity), and each sample runs one law per stress order
     in use (the top block's gradient terms shared), the velocity's law, and
     each quantity's gaps.
     """
@@ -299,10 +305,11 @@ def invariance_check(
     orders = sorted({q.order for q in selected})
     paired = any(q.paired for q in selected)
     gaps_by_term: Dict[str, list] = {term: [0.0] for q in selected for term in q.terms}
-    changes = change.at_points(samples)
-    xps = [pc.xp for pc in changes]
-    primed = {order: _primed_blocks(stresses[order], xps) for order in orders}
-    velocity_jets = jets_on(velocity.field, samples, 2) if paired else ()
+    primed = {order: _primed_blocks(stresses[order], [pc.xp for pc in changes])
+              for order in orders}
+    if paired:
+        velocity_jets = [JetValue(velocity.dim, velocity.field.ncomp, 2, rows)
+                         for rows in zip(*jets_on(velocity.field, [pc.x for pc in changes], 2))]
     for k, pc in enumerate(changes):
         top = _top_gradient_terms(pc, primed[2][k][2]) if 2 in primed else None
         unprimed = {order: _stress_law(pc, blocks[k], top) for order, blocks in primed.items()}

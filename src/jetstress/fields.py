@@ -612,27 +612,29 @@ def _jet_layout(dim: int, order: int) -> Tuple[List[Tuple[int, ...]], List[Tuple
     return keys, slots
 
 
-def jets_on(field: SmoothField, nodes: Sequence[Sequence[float]], order: int) -> List[JetValue]:
-    """Exact derivative arrays of ``field`` up to ``order`` at each row of ``nodes``.
+def jets_on(field: SmoothField, nodes: Sequence[Sequence[float]], order: int) -> List[np.ndarray]:
+    """Exact derivative arrays of ``field`` up to ``order`` at every row of ``nodes``.
 
-    One :func:`on_nodes` read takes every Taylor coefficient at every node;
-    each slot of a derivative array is its coefficient times I!, and a
-    coefficient the series does not hold reads 0.0.  Each node's arrays are
-    C-contiguous, as one-point arrays are: ``numpy.sum`` and ``einsum`` may
-    add in another order over another memory layout.
+    Entry p is the stacked array of order p, shaped ``(N, d) + (n,)*p``.  One
+    :func:`on_nodes` read takes every Taylor coefficient at every node; each
+    slot of a derivative array is its coefficient times I!, and a coefficient
+    the series does not hold reads 0.0.  Each node's row is C-contiguous, as
+    a one-point array is: ``numpy.sum`` and ``einsum`` may add in another
+    order over another memory layout.
     """
     return _jets(field, order, lambda read, width: on_nodes(read, nodes, width=width))
 
 
 def jet_extension(field: SmoothField, point: Sequence[float], order: int) -> JetValue:
-    """Exact derivative arrays of ``field`` at ``point`` up to ``order``: the
-    one-node case of :func:`jets_on`, from one series read at the point."""
-    return _jets(field, order, lambda read, width: [read(as_point(point))])[0]
+    """Exact derivative arrays of ``field`` at ``point`` up to ``order``: row 0
+    of the one-node case of :func:`jets_on`, from one series read at the point."""
+    arrays = _jets(field, order, lambda read, width: [read(as_point(point))])
+    return JetValue(field.dim, field.ncomp, order, tuple(a[0] for a in arrays))
 
 
-def _jets(field: SmoothField, order: int, table: Callable) -> List[JetValue]:
-    """The jets of the rows ``table(read, width)`` gives, ``read`` listing the
-    ``width`` Taylor coefficients at one point, component-major."""
+def _jets(field: SmoothField, order: int, table: Callable) -> List[np.ndarray]:
+    """The stacked jets of the rows ``table(read, width)`` gives, ``read``
+    listing the ``width`` Taylor coefficients at one point, component-major."""
     n, d = field.dim, field.ncomp
     keys, slots = _jet_layout(n, order)
 
@@ -640,9 +642,8 @@ def _jets(field: SmoothField, order: int, table: Callable) -> List[JetValue]:
         return [s.coeffs.get(k, 0.0) for s in field.series_on(point, order) for k in keys]
 
     rows = np.asarray(table(read, d * len(keys)), dtype=float).reshape(-1, d, len(keys))
-    arrays = [(np.take(rows, columns, axis=2) * factorials).reshape((len(rows), d) + (n,) * p)
-              for p, (columns, factorials) in enumerate(slots)]
-    return [JetValue(n, d, order, tuple(a[k] for a in arrays)) for k in range(len(rows))]
+    return [(np.take(rows, columns, axis=2) * factorials).reshape((len(rows), d) + (n,) * p)
+            for p, (columns, factorials) in enumerate(slots)]
 
 
 # An overflowing field makes inf and NaN differences: the oracle reports them

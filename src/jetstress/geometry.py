@@ -24,7 +24,6 @@ from .taylor import TruncatedSeries, per_node
 __all__ = [
     "NODE_BUDGET",
     "Chart",
-    "TransitionMap",
     "QuadratureRule",
     "Box",
     "FormValue",
@@ -106,45 +105,6 @@ class Chart:
         if box.dim != dim:
             raise ValueError("chart box dimension mismatch")
         self.dim, self.box = dim, box
-
-
-class TransitionMap:
-    """A chart change given by both directions, with jets of each available:
-    ``forward`` maps unprimed to primed coordinates, ``inverse`` back."""
-
-    __slots__ = ("forward", "inverse")
-
-    def __init__(self, forward: SmoothField, inverse: SmoothField):
-        n = forward.dim
-        if forward.ncomp != n or inverse.dim != n or inverse.ncomp != n:
-            raise ValueError("transition maps must be square and of equal dimension")
-        self.forward, self.inverse = forward, inverse
-
-    @property
-    def dim(self) -> int:
-        return self.forward.dim
-
-    def check_roundtrip(self, points: Sequence[Sequence[float]]) -> float:
-        """Largest defect of inverse(forward(x)) = x over the sample points; a
-        defect above 1e-10 or NaN fails.
-
-        The forward values and Jacobians come from one read of the forward
-        map over all the points, the inverse values from one read at their
-        images; a singular Jacobian raises at the first point that has one.
-        """
-        n = self.dim
-        xs = np.asarray(points, dtype=float).reshape(-1, n)
-        forward = jets_on(self.forward, xs, 1)
-        jacs = np.array([jet.array(1) for jet in forward]).reshape(-1, n, n)
-        xps = np.array([jet.array(0) for jet in forward]).reshape(-1, n)
-        back = on_nodes(self.inverse.values_on, xps, width=n)
-        for x, det in zip(points, np.linalg.det(jacs)):
-            if abs(det) < 1e-12:
-                raise ValueError(f"transition jacobian is singular at {tuple(x)}")
-        worst = float(np.max(np.abs(back - xs), initial=0.0))
-        if not worst <= 1e-10:
-            raise ValueError(f"transition roundtrip defect {worst:.2e} exceeds 1.0e-10")
-        return worst
 
 
 # Most nodes a rule may put on one box, order**dim: order 16 in three
@@ -545,29 +505,22 @@ class Body:
     def dim(self) -> int:
         return self.chart.dim
 
-    def check_embedding(self, rule: QuadratureRule) -> float:
-        """Smallest det of the patch Jacobian over quadrature nodes (1.0 if no
-        patch).  A det of magnitude 1e-12 or less is degenerate, and a negative
-        one reverses the orientation the body's terms are signed by; a NaN
-        determinant is passed over, as ``min`` passes it over."""
-        if self.patch is None:
-            return 1.0
+    def check_embedding(self, rule: QuadratureRule) -> np.ndarray:
+        """The chart points of the rule's nodes on the body, one row per node:
+        the nodes themselves, or their images under the patch, whose Jacobian
+        determinant is checked at each node from the same read.  A det of
+        magnitude 1e-12 or less is degenerate, and a negative one reverses the
+        orientation the body's terms are signed by; a NaN det is passed over."""
         nodes, _ = rule.nodes_weights(self.box)
-        dets = on_nodes(self._jacobian_det, nodes)
+        if self.patch is None:
+            return nodes
+        images, jacs = jets_on(self.patch, nodes, 1)
+        dets = np.linalg.det(jacs)
         if np.any(np.abs(dets) <= 1e-12):
             raise ValueError("body patch map is degenerate at a quadrature node")
         if np.any(dets < 0.0):
             raise ValueError("body patch map reverses orientation at a quadrature node")
-        return float(np.fmin.reduce(dets, initial=np.inf))
-
-    def _jacobian_det(self, point):
-        """det of the patch Jacobian at a point whose coordinates are floats or node arrays."""
-        n = self.dim
-        units = [tuple(int(a == b) for b in range(n)) for a in range(n)]
-        entries = [s.coefficient(unit) for s in self.patch.series_on(point, 1) for unit in units]
-        flat = np.array(np.broadcast_arrays(*entries))  # (n*n,) or (n*n, nodes)
-        jac = np.moveaxis(flat.reshape((n, n) + flat.shape[1:]), (0, 1), (-2, -1))
-        return np.linalg.det(jac)
+        return images
 
 
 class FacePatch:

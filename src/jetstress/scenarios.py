@@ -37,7 +37,6 @@ from .geometry import (
     Chart,
     FacePatch,
     QuadratureRule,
-    TransitionMap,
     boundary_faces,
     face_groups,
     integrate,
@@ -162,14 +161,14 @@ class Scenario:
     """Validated scenario: parsed fields plus the document digest.
 
     The loader sets each optional block it reads; a block the document
-    leaves out stays ``None``, the covariance samples an empty list and
-    ``expect_noninvariant`` false.  ``nh_stress`` is the raw block, else the
-    lift of ``stress2``.
+    leaves out stays ``None``, and ``expect_noninvariant`` false.
+    ``point_changes`` are the covariance block's frame change at each of its
+    samples.  ``nh_stress`` is the raw block, else the lift of ``stress2``.
     """
 
     __slots__ = (
         "digest", "body", "quad_order", "checks", "tolerances", "stress1", "stress2",
-        "nh_stress", "velocity", "section", "transversals", "frame_change", "covariance_samples",
+        "nh_stress", "velocity", "section", "transversals", "point_changes",
         "covariance_quantities", "expect_noninvariant", "closed_face", "closed_transversal",
     )
 
@@ -178,8 +177,7 @@ class Scenario:
         self.digest, self.body = digest, body
         self.quad_order, self.checks, self.tolerances = quad_order, checks, tolerances
         self.stress1 = self.stress2 = self.nh_stress = self.velocity = self.section = None
-        self.transversals = self.frame_change = self.covariance_quantities = None
-        self.covariance_samples: List[Tuple[float, ...]] = []
+        self.transversals = self.point_changes = self.covariance_quantities = None
         self.expect_noninvariant = False
         self.closed_face = self.closed_transversal = None
 
@@ -302,9 +300,13 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
         key = "--quad-order"
         with _keyed(key):
             QuadratureRule(quad_order).check_budget(n)
-    if patch is not None:
-        with _keyed(key):
-            body.check_embedding(QuadratureRule(quad_order))
+    with _keyed(key):
+        chart_nodes = body.check_embedding(QuadratureRule(quad_order))
+    reach = np.array([body_box.lower, body_box.upper]) if patch is None else chart_nodes
+    outside = ~np.all((reach >= chart.box.lower) & (reach <= chart.box.upper), axis=1)
+    if outside.any():
+        point = tuple(float(c) for c in reach[np.argmax(outside)])
+        raise ScenarioError(f"geometry.chart_box: the body reaches {point}, outside the chart box")
 
     checks = _require(doc, "checks")
     if not isinstance(checks, list) or not checks:
@@ -337,7 +339,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
         if not 0.0 <= split <= 1.0:
             raise ScenarioError("stress.order2.split: must lie in [0, 1]")
         with _keyed("stress.order2.s2"):
-            scenario.stress2.check_symmetry([tuple(body_box.center())])
+            scenario.stress2.check_symmetry(chart_nodes)
         scenario.nh_stress = lift_second_order(scenario.stress2, split)
     if "raw" in stress_block:  # a raw representative takes the place of the lift
         scenario.nh_stress = _record(NonHolonomicStress, stress_block, "stress", "raw", n, d)
@@ -357,7 +359,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
                 raise ScenarioError(f"transversals.{label}: unknown face label")
             with _keyed(f"transversals.{label}"):
                 if spec == "coordinate":
-                    fields[label] = TransversalField.coordinate(faces[label])
+                    pass  # the transversal every face reads by default
                 elif isinstance(spec, dict) and "vector" in spec:
                     ambient = parse_tensor(spec["vector"], n, (n,), f"transversals.{label}.vector")
                     fields[label] = TransversalField.from_ambient_field(faces[label], ambient)
@@ -374,7 +376,6 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
     if blk:
         forward = _required_tensor(blk, "covariance", "forward", n, (n,))
         inverse = _required_tensor(blk, "covariance", "inverse", n, (n,))
-        transition = TransitionMap(forward.field, inverse.field)
         frame = None
         if blk.get("frame") is not None:
             frame = parse_tensor(blk["frame"], n, (d, d), "covariance.frame")
@@ -388,10 +389,13 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
                 raise ScenarioError(f"{key}: expected {n} coordinates")
             points.append(tuple(_number(c, key) for c in pt))
         with _keyed("covariance"):
-            transition.check_roundtrip(points)
-        scenario.frame_change = FrameChange(transition, d, frame)
-        scenario.covariance_samples = points
-        scenario.expect_noninvariant = bool(blk.get("expect_noninvariant", False))
+            change = FrameChange(forward.field, inverse.field, d, frame)
+            scenario.point_changes = change.at_points(points)
+        expect = blk.get("expect_noninvariant", False)
+        if not isinstance(expect, bool):
+            raise ScenarioError(
+                f"covariance.expect_noninvariant: expected true or false, got {expect!r}")
+        scenario.expect_noninvariant = expect
         quantities = blk.get("quantities")
         if quantities is not None:
             if not isinstance(quantities, list):
@@ -527,7 +531,7 @@ def _covariance_quantities(scenario: Scenario) -> List[str]:
 
 def _run_covariance(scenario: Scenario) -> _Result:
     terms = invariance_check(
-        _covariance_quantities(scenario), scenario.frame_change, scenario.covariance_samples,
+        _covariance_quantities(scenario), scenario.point_changes,
         scenario.stress1, scenario.stress2, scenario.velocity,
     )
     # Every term except the naive magnitude, the defect itself, is a residual.
@@ -618,7 +622,7 @@ _CHECKS: Dict[str, _Check] = {
     "div-consistency": _Check(1e-11, (_STRESS1, _VELOCITY), _run_div_consistency),
     "second-contraction": _Check(1e-14, (_PLANE, _NH_STRESS), _run_second_contraction),
     "covariance": _Check(1e-10, (
-        _needs("a covariance block", lambda s: s.frame_change is not None),
+        _needs("a covariance block", lambda s: s.point_changes is not None),
         _needs("an order1 or order2 stress block",
                lambda s: s.stress1 is not None or s.stress2 is not None),
         ("covariance.quantities: no selected quantity is computable from the scenario blocks",

@@ -155,7 +155,6 @@ class TransversalField:
             raise ValueError("transversal components must be (n,) over the face parameters")
         self.face = face
         self.n_field = n_field
-        self.is_coordinate = False  # set by :meth:`coordinate`
 
     @classmethod
     def axis(cls, face: FacePatch, axis: int, sign: float = 1.0) -> "TransversalField":
@@ -180,9 +179,7 @@ class TransversalField:
             return [TruncatedSeries.constant(q, order, sign if a == boxface.axis else 0.0)
                     for a in range(n)]
 
-        out = cls(face, TensorField(SmoothField(q, n, evaluator), (n,)))
-        out.is_coordinate = True
-        return out
+        return cls(face, TensorField(SmoothField(q, n, evaluator), (n,)))
 
     @classmethod
     def from_ambient_field(cls, face: FacePatch, field: TensorField) -> "TransversalField":

@@ -29,7 +29,7 @@ body's chart map, and a face's chart point.
 
 The law pins (``transform_jet2``, ``transform_stress1``,
 ``transform_stress2``, ``predicted_contraction_defect``) read one frame
-change at one point through ``FrameChange.at`` and apply the library's
+change at one point through ``FrameChange.at_points`` and apply the library's
 transformation laws to it, so the tests can pin each law by hand values.
 """
 
@@ -255,7 +255,7 @@ def transformed_velocity_field(velocity: TensorField, change: FrameChange) -> Te
     Composes the unprimed field with the inverse transition and applies the
     frame change; jets of the result are the oracle for the chain-rule path.
     """
-    inverse = change.transition.inverse
+    inverse = change.inverse
     u = velocity.compose(inverse)
     if change.frame is None:
         return u

@@ -3,13 +3,15 @@
 import collections
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstress import covariance
+from jetstress import covariance, scenarios
+from jetstress.cli import main
 from jetstress.covariance import FrameChange, invariance_check
 from oracles import (
     predicted_contraction_defect,
@@ -20,10 +22,13 @@ from oracles import (
     transformed_velocity_field,
 )
 from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
-from jetstress.geometry import FormValue, TransitionMap
+from jetstress.geometry import FormValue
 from jetstress.nonholonomic import VariationalStress2
 from jetstress.scenarios import generate_scenario, load_scenario, run_checks
 from jetstress.stress import VariationalStress1
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def tensor_poly(dim, shape, tables):
@@ -40,17 +45,16 @@ def random_poly_table(rng, n, degree, nterms=3):
     return [(rng.choice(pool), rng.uniform(-1, 1)) for _ in range(nterms)]
 
 
+# A transition is its (forward, inverse) pair of maps.
 def identity_transition(n):
     coords = [f"x{i+1}" for i in range(n)]
-    return TransitionMap(
-        SmoothField.from_expressions(n, coords), SmoothField.from_expressions(n, coords)
-    )
+    return SmoothField.from_expressions(n, coords), SmoothField.from_expressions(n, coords)
 
 
 def quadratic_transition():
     forward = SmoothField.from_expressions(2, ["x1 + x2^2", "x2"])
     inverse = SmoothField.from_expressions(2, ["x1 - x2^2", "x2"])
-    return TransitionMap(forward, inverse)
+    return forward, inverse
 
 
 def affine_transition():
@@ -62,11 +66,11 @@ def affine_transition():
         2,
         [f"{a}*(x1 - 0.1) + {b}*x2", f"{c}*(x1 - 0.1) + {d}*x2"],
     )
-    return TransitionMap(forward, inverse)
+    return forward, inverse
 
 
 def scaling_transition_1d(factor):
-    return TransitionMap(
+    return (
         SmoothField.from_expressions(1, [f"{factor}*x1"]),
         SmoothField.from_expressions(1, [f"{1.0/factor}*x1"]),
     )
@@ -76,19 +80,22 @@ SAMPLES_2D = [(0.2, 0.3), (0.5, 0.7), (0.8, 0.4), (0.35, 0.9)]
 
 
 def test_transition_roundtrip_validation():
-    trans = quadratic_transition()
-    assert trans.check_roundtrip(SAMPLES_2D) < 1e-12
-    bad = TransitionMap(
+    forward, inverse = quadratic_transition()
+    changes = FrameChange(forward, inverse, 1).at_points(SAMPLES_2D)
+    assert [pc.x for pc in changes] == SAMPLES_2D
+    assert max(np.max(np.abs(inverse.values_at(pc.xp) - pc.x)) for pc in changes) < 1e-12
+    bad = FrameChange(
         SmoothField.from_expressions(2, ["x1 + x2^2", "x2"]),
         SmoothField.from_expressions(2, ["x1", "x2"]),
+        1,
     )
-    with pytest.raises(ValueError):
-        bad.check_roundtrip(SAMPLES_2D)
+    with pytest.raises(ValueError, match="roundtrip defect"):
+        bad.at_points(SAMPLES_2D)
 
 
 def test_jet_transform_linear_rescaling():
     # x' = 2x with trivial frame: derivatives scale by 1/2 and 1/4.
-    change = FrameChange(scaling_transition_1d(2.0), 1)
+    change = FrameChange(*scaling_transition_1d(2.0), 1)
     u = tensor_poly(1, (1,), [[((2,), 1.0), ((1,), 0.5)]])
     x = (0.6,)
     jet = jet_extension(u.field, x, 2)
@@ -99,7 +106,7 @@ def test_jet_transform_linear_rescaling():
 
 
 def test_jet_transform_identity_change():
-    change = FrameChange(identity_transition(2), 2)
+    change = FrameChange(*identity_transition(2), 2)
     rng = random.Random(5)
     u = tensor_poly(2, (2,), [random_poly_table(rng, 2, 3) for _ in range(2)])
     x = (0.4, 0.7)
@@ -112,7 +119,7 @@ def test_jet_transform_identity_change():
 def test_jet_transform_frame_multiplication():
     # Identity chart, frame A = x1 in one dimension: (Au)' = u + x u'.
     frame = tensor_poly(1, (1, 1), [[((1,), 1.0)]])
-    change = FrameChange(identity_transition(1), 1, frame)
+    change = FrameChange(*identity_transition(1), 1, frame)
     u = tensor_poly(1, (1,), [[((2,), 1.0)]])
     x = (0.8,)
     jet = jet_extension(u.field, x, 2)
@@ -130,11 +137,11 @@ def test_jet_transform_matches_composed_field_oracle():
          [((0, 0), 0.0)], [((0, 0), 1.0), ((1, 0), -0.2)]],
     )
     for trans in (quadratic_transition(), affine_transition()):
-        change = FrameChange(trans, 2, frame)
+        change = FrameChange(*trans, 2, frame)
         u = tensor_poly(2, (2,), [random_poly_table(rng, 2, 3) for _ in range(2)])
         uprime = transformed_velocity_field(u, change)
         for x in SAMPLES_2D:
-            xp = tuple(trans.forward.values_at(x))
+            xp = tuple(change.forward.values_at(x))
             via_chain_rule = transform_jet2(jet_extension(u.field, x, 2), change, x)
             direct = jet_extension(uprime.field, xp, 2)
             for p in range(3):
@@ -142,11 +149,11 @@ def test_jet_transform_matches_composed_field_oracle():
 
 
 def test_singularity_rejected():
-    collapse = TransitionMap(
+    change = FrameChange(
         SmoothField.from_expressions(1, ["x1*x1"]),
         SmoothField.from_expressions(1, ["x1"]),
+        1,
     )
-    change = FrameChange(collapse, 1)
     u = tensor_poly(1, (1,), [[((1,), 1.0)]])
     with pytest.raises(ValueError):
         transform_jet2(jet_extension(u.field, (0.0,), 2), change, (0.0,))
@@ -176,7 +183,7 @@ def random_stress2_primed(rng, n, d, degree):
 
 def test_stress2_identity_change_is_identity():
     rng = random.Random(13)
-    change = FrameChange(identity_transition(2), 1)
+    change = FrameChange(*identity_transition(2), 1)
     primed = random_stress2_primed(rng, 2, 1, 2)
     for x in SAMPLES_2D:
         s0, s1, s2 = transform_stress2(primed, change, x)
@@ -190,11 +197,11 @@ def test_stress2_uniform_scaling_cancellation():
     # the two 1/2 inverse-Jacobian factors on the top block.
     forward = SmoothField.from_expressions(2, ["2*x1", "2*x2"])
     inverse = SmoothField.from_expressions(2, ["0.5*x1", "0.5*x2"])
-    change = FrameChange(TransitionMap(forward, inverse), 1)
+    change = FrameChange(forward, inverse, 1)
     rng = random.Random(17)
     primed = random_stress2_primed(rng, 2, 1, 2)
     for x in SAMPLES_2D:
-        xp = tuple(change.transition.forward.values_at(x))
+        xp = tuple(change.forward.values_at(x))
         _, _, s2 = transform_stress2(primed, change, x)
         assert np.allclose(s2, primed.s2.at(xp), atol=1e-12)
 
@@ -203,15 +210,15 @@ def test_stress1_affine_weight():
     # Affine chart, constant frame: the gradient block transforms tensorially
     # with the volume weight.
     rng = random.Random(19)
-    change = FrameChange(affine_transition(), 1)
+    change = FrameChange(*affine_transition(), 1)
     primed = VariationalStress1(
         tensor_poly(2, (1,), [random_poly_table(rng, 2, 2)]),
         tensor_poly(2, (1, 2), [random_poly_table(rng, 2, 2) for _ in range(2)]),
     )
     x = (0.3, 0.5)
-    xp = tuple(change.transition.forward.values_at(x))
-    jac_det = np.linalg.det(jet_extension(change.transition.forward, x, 1).array(1))
-    dx = jet_extension(change.transition.inverse, xp, 2).array(1)
+    xp = tuple(change.forward.values_at(x))
+    jac_det = np.linalg.det(jet_extension(change.forward, x, 1).array(1))
+    dx = jet_extension(change.inverse, xp, 2).array(1)
     _, s1 = transform_stress1(primed, change, x)
     expected = jac_det * np.einsum("BI,iI->Bi", primed.s1.at(xp), dx)
     assert np.allclose(s1, expected, atol=1e-13)
@@ -226,22 +233,22 @@ def test_action_invariance_order1_and_order2():
     )
     velocity = tensor_poly(2, (2,), [random_poly_table(rng, 2, 3) for _ in range(2)])
     for trans in (affine_transition(), quadratic_transition()):
-        change = FrameChange(trans, 2, frame)
+        change = FrameChange(*trans, 2, frame)
         primed1 = VariationalStress1(
             tensor_poly(2, (2,), [random_poly_table(rng, 2, 2) for _ in range(2)]),
             tensor_poly(2, (2, 2), [random_poly_table(rng, 2, 2) for _ in range(4)]),
         )
         result1 = invariance_check(
-            ["action1"], change, SAMPLES_2D, primed_stress1=primed1, velocity=velocity
+            ["action1"], change.at_points(SAMPLES_2D), primed_stress1=primed1, velocity=velocity
         )
         assert result1["action1"] < 1e-11
         primed2 = random_stress2_primed(rng, 2, 2, 2)
         result2 = invariance_check(
-            ["action2"], change, SAMPLES_2D, primed_stress2=primed2, velocity=velocity
+            ["action2"], change.at_points(SAMPLES_2D), primed_stress2=primed2, velocity=velocity
         )
         assert result2["action2"] < 1e-11
         traction = invariance_check(
-            ["traction1"], change, SAMPLES_2D, primed_stress1=primed1, velocity=velocity
+            ["traction1"], change.at_points(SAMPLES_2D), primed_stress1=primed1, velocity=velocity
         )
         assert traction["traction1"] < 1e-11
 
@@ -252,9 +259,9 @@ def test_naive_contraction_affine_invariant():
     # Identity frame, then a constant non-trivial frame: the extra term needs
     # either frame derivatives or chart curvature, so both stay invariant.
     for frame in (None, tensor_const(2, (1, 1), [1.7])):
-        change = FrameChange(affine_transition(), 1, frame)
+        change = FrameChange(*affine_transition(), 1, frame)
         result = invariance_check(
-            ["naive-contraction"], change, SAMPLES_2D, primed_stress2=primed
+            ["naive-contraction"], change.at_points(SAMPLES_2D), primed_stress2=primed
         )
         assert result["naive_magnitude"] < 1e-11
         assert result["vertical_invariance"] < 1e-11
@@ -265,10 +272,10 @@ def test_naive_contraction_quadratic_defect_matches_prediction():
     # and coincides with the predicted extra term; the vector block and the
     # full action stay invariant under the same change.
     rng = random.Random(31)
-    change = FrameChange(quadratic_transition(), 1)
+    change = FrameChange(*quadratic_transition(), 1)
     primed = random_stress2_primed(rng, 2, 1, 2)
     result = invariance_check(
-        ["naive-contraction"], change, SAMPLES_2D, primed_stress2=primed
+        ["naive-contraction"], change.at_points(SAMPLES_2D), primed_stress2=primed
     )
     assert result["naive_magnitude"] > 1e-3
     assert result["naive_match_defect"] < 1e-10
@@ -279,7 +286,7 @@ def test_predicted_defect_hand_value():
     # Identity frame, quadratic chart: only the second-derivative term of the
     # inverse survives: defect[i] = J * s2'[I J] x^i_{,I J}; here
     # x1_{,2'2'} = -2 and J = 1, so defect[0] = -2 * s2'[1, 1].
-    change = FrameChange(quadratic_transition(), 1)
+    change = FrameChange(*quadratic_transition(), 1)
     s2_vals = np.array([[[0.7, 0.2], [0.2, 1.3]]])
     primed = VariationalStress2(
         tensor_const(2, (1,), [0.0]),
@@ -313,17 +320,14 @@ def counted_tensor(tensor, name, counts):
 def test_invariance_check_evaluates_each_jet_once_per_sample(quantity):
     counts = collections.Counter()
     rng = random.Random(37)
-    trans = quadratic_transition()
+    forward, inverse = quadratic_transition()
     frame = tensor_poly(
         2, (2, 2),
         [[((0, 0), 1.0), ((1, 0), 0.2)], [((0, 1), 0.1)],
          [((0, 0), 0.0), ((1, 1), 0.05)], [((0, 0), 1.0), ((0, 1), -0.15)]],
     )
     change = FrameChange(
-        TransitionMap(
-            counted(trans.forward, "forward", counts), counted(trans.inverse, "inverse", counts)
-        ),
-        2,
+        counted(forward, "forward", counts), counted(inverse, "inverse", counts), 2,
         counted_tensor(frame, "frame", counts),
     )
     velocity = counted_tensor(
@@ -345,7 +349,7 @@ def test_invariance_check_evaluates_each_jet_once_per_sample(quantity):
     )
     counts.clear()
     invariance_check(
-        [quantity], change, SAMPLES_2D,
+        [quantity], change.at_points(SAMPLES_2D),
         primed_stress1=primed1, primed_stress2=primed2, velocity=velocity,
     )
     # One read of each field serves every sample of the check.
@@ -358,8 +362,8 @@ def test_invariance_check_evaluates_each_jet_once_per_sample(quantity):
 def test_covariance_check_reads_each_sample_once_for_every_quantity(monkeypatch):
     # Every quantity runs at once here, so the two stresses and the velocity
     # could each be read once per quantity, or once per sample; one pass
-    # reads each field once for the whole check.
-    scenario = load_scenario(generate_scenario(3, 2, 2, 3))
+    # reads each field once for the whole check, and the frame change is
+    # read once, at load.
     counts = collections.Counter()
     frame_change_at_points = FrameChange.at_points
 
@@ -368,6 +372,8 @@ def test_covariance_check_reads_each_sample_once_for_every_quantity(monkeypatch)
         return frame_change_at_points(change, points)
 
     monkeypatch.setattr(FrameChange, "at_points", counted_at_points)
+    scenario = load_scenario(generate_scenario(3, 2, 2, 3))
+    assert counts.pop("FrameChange.at_points") == 1
     s1, s2 = scenario.stress1, scenario.stress2
     scenario.stress1 = VariationalStress1(
         counted_tensor(s1.s0, "1.s0", counts), counted_tensor(s1.s1, "1.s1", counts)
@@ -383,10 +389,26 @@ def test_covariance_check_reads_each_sample_once_for_every_quantity(monkeypatch)
         "action1", "traction1", "action2",
         "naive_magnitude", "naive_match_defect", "vertical_invariance",
     ]
-    assert len(scenario.covariance_samples) > 1
-    assert counts.pop("FrameChange.at_points") == 1
+    assert len(scenario.point_changes) > 1
     assert set(counts) == {"1.s0", "1.s1", "2.s0", "2.s1", "2.s2", "velocity"}
     assert set(counts.values()) == {1}, dict(counts)
+
+
+def test_a_covariance_run_reads_the_forward_map_once(monkeypatch, tmp_path):
+    # Loading tests the chart change and the check uses it: one read of the
+    # forward map over the samples serves both.
+    counts = collections.Counter()
+    parse_tensor = scenarios.parse_tensor
+
+    def counted_parse(specs, dim, shape, key):
+        tensor = parse_tensor(specs, dim, shape, key)
+        return counted_tensor(tensor, key, counts) if key == "covariance.forward" else tensor
+
+    monkeypatch.setattr(scenarios, "parse_tensor", counted_parse)
+    report = tmp_path / "r.jsonl"
+    assert main(["run", "--scenario", str(SCENARIOS / "covariance-quadratic.json"),
+                 "--report", str(report)]) == 0
+    assert counts == {"covariance.forward": 1}
 
 
 def _batch_inputs():
@@ -397,7 +419,7 @@ def _batch_inputs():
          [((1, 1), 0.05)], [((0, 0), 1.0), ((0, 1), -0.15)]],
     )
     return dict(
-        change=FrameChange(quadratic_transition(), 2, frame),
+        change=FrameChange(*quadratic_transition(), 2, frame),
         primed_stress1=VariationalStress1(
             tensor_poly(2, (2,), [random_poly_table(rng, 2, 2) for _ in range(2)]),
             tensor_poly(2, (2, 2), [random_poly_table(rng, 2, 2) for _ in range(4)]),
@@ -408,6 +430,14 @@ def _batch_inputs():
 
 
 BATCH_INPUTS = _batch_inputs()
+
+
+def check_all(samples):
+    """Every quantity at ``samples`` on the batch inputs, the frame change
+    read at the samples first."""
+    inputs = dict(BATCH_INPUTS)
+    changes = inputs.pop("change").at_points(samples)
+    return invariance_check(list(covariance.QUANTITIES), changes, **inputs)
 SAMPLE = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
 
 
@@ -418,24 +448,24 @@ def test_invariance_check_over_samples_is_the_max_of_its_one_sample_checks(data,
     # Reading every sample in one batch changes no bit of any term, in any
     # order of the samples.
     reordered = data.draw(st.permutations(samples))
-    batched = invariance_check(list(covariance.QUANTITIES), samples=samples, **BATCH_INPUTS)
-    singles = [invariance_check(list(covariance.QUANTITIES), samples=[x], **BATCH_INPUTS)
+    batched = check_all(samples)
+    singles = [check_all([x])
                for x in samples]
     assert list(batched) == list(singles[0])
     for term, value in batched.items():
         want = float(np.max([one[term] for one in singles])).hex()
         assert value.hex() == want
-    again = invariance_check(list(covariance.QUANTITIES), samples=reordered, **BATCH_INPUTS)
+    again = check_all(reordered)
     assert {t: v.hex() for t, v in again.items()} == {t: v.hex() for t, v in batched.items()}
 
 
 def singular_change():
     # x1' = x1^2 folds the chart: the transition Jacobian vanishes on x1 = 0.
-    collapse = TransitionMap(
+    return FrameChange(
         SmoothField.from_expressions(2, ["x1*x1", "x2"]),
         SmoothField.from_expressions(2, ["x1", "x2"]),
+        1,
     )
-    return FrameChange(collapse, 1)
 
 
 SINGULAR_POINT = (0.0, 0.5)
@@ -455,7 +485,7 @@ def _singular_laws():
     }
     for quantity in QUANTITIES:
         laws[quantity] = lambda c, q=quantity: invariance_check(
-            [q], c, [x], primed_stress1=primed1, primed_stress2=primed2, velocity=velocity
+            [q], c.at_points([x]), primed_stress1=primed1, primed_stress2=primed2, velocity=velocity
         )
     return laws
 
@@ -518,7 +548,7 @@ def test_a_covariance_check_takes_every_minor_from_one_det(monkeypatch):
     monkeypatch.setattr(np.linalg, "det", counted_det)
     for samples in (SAMPLES_2D[:1], SAMPLES_2D * 3):
         shapes.clear()
-        invariance_check(list(QUANTITIES), samples=samples, **BATCH_INPUTS)
+        check_all(samples)
         assert [s for s in shapes if len(s) == 5] == [(len(samples), 2, 2, 1, 1)]
         assert len(shapes) == 3  # the Jacobians, the frames, the minors
 

@@ -447,18 +447,20 @@ def test_jets_on_gives_each_node_the_bits_of_its_one_point_jet(data, name, order
     field = BATCH_FIELDS[name]
     rows = data.draw(st.lists(st.tuples(BATCH_COORDINATE, BATCH_COORDINATE), min_size=1,
                               max_size=6))
-    jets = jets_on(field, rows, order)
-    assert len(jets) == len(rows)
+    stacked = jets_on(field, rows, order)
+    assert [a.shape for a in stacked] == [
+        (len(rows), field.ncomp) + (2,) * p for p in range(order + 1)]
 
     def hexed(arrays):
         return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
 
-    for row, jet in zip(rows, jets):
-        assert (jet.dim, jet.fiber_dim, jet.order) == (2, field.ncomp, order)
-        assert all(a.flags.c_contiguous for a in jet.arrays)
+    for k, row in enumerate(rows):
+        arrays = [a[k] for a in stacked]
+        assert all(a.flags.c_contiguous for a in arrays)
         want = hexed(_jet_from_series(field.series_at(row, order), order))
-        assert hexed(jet.arrays) == want
+        assert hexed(arrays) == want
         one = jet_extension(field, row, order)
+        assert (one.dim, one.fiber_dim, one.order) == (2, field.ncomp, order)
         assert all(a.flags.c_contiguous for a in one.arrays)
         assert hexed(one.arrays) == want
 

@@ -298,6 +298,17 @@ MALFORMED_DOCUMENTS = [
      "covariance.quantities"),
     ("square-order1.json", ("bundle", "n"), 0, "bundle.n"),
     ("square-order1.json", ("bundle", "d"), 0, "bundle.d"),
+    # Asymmetric away from the body box's centre (0.5, 0.5) only.
+    ("covariance-quadratic.json", ("stress", "order2", "s2"),
+     [[["0.5*x1", "x1 - 0.5"], [0, "1.0"]]], "stress.order2.s2: top block is not symmetric at ("),
+    ("covariance-quadratic.json", ("covariance", "expect_noninvariant"), "no",
+     "covariance.expect_noninvariant"),
+    ("covariance-quadratic.json", ("covariance", "frame"), [[0.0]],
+     "covariance: frame change is singular at ("),
+    ("square-order1.json", ("geometry", "body_box"), [[0.0, 1.0], [0.5, 1.5]],
+     "geometry.chart_box: the body reaches (1.0, 1.5), outside the chart box"),
+    ("patched-metric.json", ("geometry", "patch"), ["x1 + 1.5", "x2 + 0.08*x1*x2"],
+     "geometry.chart_box: the body reaches ("),
 ]
 
 
