@@ -10,7 +10,6 @@ from .fields import JetValue, SmoothField, TensorField, finite_difference_jet, j
 from .geometry import (
     Body,
     Box,
-    Chart,
     FacePatch,
     FormField,
     FormValue,

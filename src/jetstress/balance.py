@@ -16,11 +16,10 @@ from .bundles import JetSectionField
 from .fields import TensorField
 from .geometry import (
     Body,
-    FaceError,
     FacePatch,
     FormField,
     QuadratureRule,
-    box_faces,
+    face_boundary_pieces,
     face_groups,
     face_label,
     integrate,
@@ -98,9 +97,9 @@ def edge_assembly(
     coordinate transversal is the one transversal a face of both sides can
     read per node.  Each group's fields are built once (see
     :func:`jetstress.surface.face_split`), and one pass reads each face's
-    edge pieces and nodes in turn (see :func:`jetstress.geometry.integrate`).
-    A ``ValueError`` from a group is raised again with the label of its face
-    in front.
+    edge pieces and nodes in turn (see :func:`jetstress.geometry.integrate`),
+    so a ``ValueError`` at a node names that node's face (see
+    :func:`jetstress.geometry.on_faces`).
     """
     n = body.dim
     own = transversals or {}
@@ -109,19 +108,15 @@ def edge_assembly(
     boundary_terms: Dict[str, float] = {}
     for face, members in face_groups(body, own):
         transversal = own.get(face.label) or TransversalField.coordinate(face)
-        try:
-            split = face_split(surface_stress, face, transversal, velocity)
-            forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
-            tau_u = traction_action(tangent_traction(split), split.velocity)
-            results = integrate(forms, face, rule, members, tau_u)
-        except ValueError as exc:
-            failed = exc.face if isinstance(exc, FaceError) else members[0]
-            raise ValueError(f"{failed.label}: {exc}") from exc
-        face_axes = [a for a in range(n) if a != face.boxface.axis]
+        split = face_split(surface_stress, face, transversal, velocity)
+        forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
+        tau_u = traction_action(tangent_traction(split), split.velocity)
+        results = integrate(forms, face, rule, members, tau_u)
+        face_axes = [a for a in range(n) if a != face.axis]
+        others = [face_label(face_axes[p.axis], p.side) for p in face_boundary_pieces(face)]
         for member, values in zip(members, results):
             face_terms[member.label], boundary_terms[member.label], *piece_values = values
-            for piece, value in zip(box_faces(face.param_box), piece_values):
-                other = face_label(face_axes[piece.axis], piece.side)
+            for other, value in zip(others, piece_values):
                 key = "|".join(sorted([member.label, other]))
                 edge_terms[key] = edge_terms.get(key, 0.0) + member.sign * value
     return edge_terms, face_terms, boundary_terms

@@ -1,4 +1,4 @@
-"""Charts, oriented box bodies, alternating forms, pullbacks, and quadrature.
+"""Oriented box bodies and their faces, alternating forms, pullbacks, and quadrature.
 
 Bodies are reference boxes carried into a chart by an optional smooth patch
 map, so integration always happens on boxes with tensor-product
@@ -23,7 +23,6 @@ from .taylor import TruncatedSeries, per_node
 
 __all__ = [
     "NODE_BUDGET",
-    "Chart",
     "QuadratureRule",
     "Box",
     "FormValue",
@@ -31,7 +30,6 @@ __all__ = [
     "Body",
     "FacePatch",
     "Insertion",
-    "FaceError",
     "interior_product",
     "pullback_coefficients",
     "integrate",
@@ -58,8 +56,7 @@ def tuple_omitting(dim: int, axis: int) -> IndexTuple:
 
 
 class Box:
-    """Axis-aligned product of closed intervals; two boxes with the same
-    bounds are equal."""
+    """Axis-aligned product of closed intervals."""
 
     __slots__ = ("lower", "upper")
 
@@ -70,12 +67,6 @@ class Box:
             if not lo < hi:
                 raise ValueError(f"box needs lower < upper per axis, got [{lo}, {hi}]")
         self.lower, self.upper = lower, upper
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Box) and (self.lower, self.upper) == (other.lower, other.upper)
-
-    def __hash__(self) -> int:
-        return hash((self.lower, self.upper))
 
     @property
     def dim(self) -> int:
@@ -94,17 +85,6 @@ class Box:
     @classmethod
     def from_bounds(cls, bounds: Sequence[Sequence[float]]) -> "Box":
         return cls(tuple(float(b[0]) for b in bounds), tuple(float(b[1]) for b in bounds))
-
-
-class Chart:
-    """A coordinate patch with box extent."""
-
-    __slots__ = ("dim", "box")
-
-    def __init__(self, dim: int, box: Box):
-        if box.dim != dim:
-            raise ValueError("chart box dimension mismatch")
-        self.dim, self.box = dim, box
 
 
 # Most nodes a rule may put on one box, order**dim: order 16 in three
@@ -444,66 +424,20 @@ def _pick(side: Optional[int], lower: float, upper: float) -> Any:
     return upper if side else lower
 
 
-class BoxFace:
-    """One facet of a box, with the orientation Stokes induces on it; side 0
-    is the lower facet, 1 the upper, and None both facets of the axis, each
-    node on the side its face pass reads (see :func:`on_faces`)."""
-
-    __slots__ = ("box", "axis", "side")
-
-    def __init__(self, box: Box, axis: int, side: Optional[int]):
-        self.box, self.axis, self.side = box, axis, side
-
-    @property
-    def sign(self) -> Optional[float]:
-        if self.side is None:
-            return None
-        base = (-1.0) ** self.axis
-        return base if self.side else -base
-
-    @property
-    def param_box(self) -> Optional[Box]:
-        return self.box.drop_axis(self.axis)
-
-    @property
-    def fixed_value(self) -> Any:
-        return self.pick(self.box.lower[self.axis], self.box.upper[self.axis])
-
-    def pick(self, lower: float, upper: float) -> Any:
-        """``lower`` on the lower facet and ``upper`` on the upper one."""
-        return _pick(self.side, lower, upper)
-
-    def point(self) -> Tuple[float, ...]:
-        """Only valid for 1-dim parents: the endpoint this face pins."""
-        if self.box.dim != 1:
-            raise ValueError("point() is only defined for faces of 1-dim boxes")
-        return (self.fixed_value,)
-
-    def insertion(self) -> "Insertion":
-        if self.box.dim == 1:
-            raise ValueError("0-dimensional faces have no insertion field")
-        return Insertion(self.box, {self.axis: self.side})
-
-
-def box_faces(box: Box) -> List[BoxFace]:
-    return [BoxFace(box, axis, side) for axis in range(box.dim) for side in (0, 1)]
-
-
 class Body:
-    """An oriented n-box region, optionally pushed into the chart by a patch map."""
+    """An oriented box region, optionally pushed into the chart by a patch map;
+    its dimension is its box's."""
 
-    __slots__ = ("chart", "box", "patch")
+    __slots__ = ("box", "patch")
 
-    def __init__(self, chart: Chart, box: Box, patch: Optional[SmoothField] = None):
-        if box.dim != chart.dim:
-            raise ValueError("body box dimension must match the chart")
-        if patch is not None and (patch.dim != chart.dim or patch.ncomp != chart.dim):
+    def __init__(self, box: Box, patch: Optional[SmoothField] = None):
+        if patch is not None and (patch.dim != box.dim or patch.ncomp != box.dim):
             raise ValueError("patch map must be chart-dim to chart-dim")
-        self.chart, self.box, self.patch = chart, box, patch
+        self.box, self.patch = box, patch
 
     @property
     def dim(self) -> int:
-        return self.chart.dim
+        return self.box.dim
 
     def check_embedding(self, rule: QuadratureRule) -> np.ndarray:
         """The chart points of the rule's nodes on the body, one row per node:
@@ -524,54 +458,72 @@ class Body:
 
 
 class FacePatch:
-    """A boundary face: a parameterized (n-1)-patch with induced orientation.
+    """A boundary face: a parameterized (n-1)-patch, ``to_chart`` carrying
+    its parameters into its parent's coordinates, with the orientation
+    ``sign`` its parent induces on it.
 
-    ``param_box`` is None for a 0-dimensional patch, whose ``point`` is its
-    point in its parent's coordinates; ``sign`` is None for both faces of an
-    axis, as each keeps its own.
+    A facet of a box (see :func:`_facet`) also carries the ``box``, the
+    ``axis`` it pins and its ``side``: 0 for the lower facet, 1 for the
+    upper, and None for both facets of the axis, each node on the side its
+    face pass reads (see :func:`on_faces`), with ``sign`` None as each
+    keeps its own.  A facet of a 1-dim box has ``param_box`` and
+    ``to_chart`` None, and its ``point`` in its parent's coordinates.  Any
+    other face has ``box``, ``axis``, ``side`` and ``point`` None.
     """
 
-    __slots__ = ("label", "chart", "param_box", "to_chart", "sign", "boxface", "point")
+    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point")
 
-    def __init__(self, label: str, chart: Chart, param_box: Optional[Box],
-                 to_chart: Optional[SmoothField], sign: Optional[float],
-                 boxface: Optional[BoxFace] = None, point: Optional[Tuple[float, ...]] = None):
-        self.label, self.chart, self.param_box, self.to_chart = label, chart, param_box, to_chart
-        self.sign, self.boxface, self.point = sign, boxface, point
+    def __init__(self, label: str, param_box: Optional[Box], to_chart: Optional[SmoothField],
+                 sign: Optional[float], box: Optional[Box] = None, axis: Optional[int] = None,
+                 side: Optional[int] = None, point: Optional[Tuple[float, ...]] = None):
+        self.label, self.param_box, self.to_chart, self.sign = label, param_box, to_chart, sign
+        self.box, self.axis, self.side, self.point = box, axis, side, point
 
     @property
     def param_dim(self) -> int:
         return self.param_box.dim if self.param_box is not None else 0
+
+    def pick(self, lower: float, upper: float) -> Any:
+        """``lower`` on the lower facet and ``upper`` on the upper one."""
+        return _pick(self.side, lower, upper)
+
+    @property
+    def fixed_value(self) -> Any:
+        """The coordinate the facet pins on its axis."""
+        return self.pick(self.box.lower[self.axis], self.box.upper[self.axis])
 
 
 def face_label(axis: int, side: int) -> str:
     return f"x{axis + 1}-{'upper' if side else 'lower'}"
 
 
-def _facets(
-    box: Box, chart: Chart, patch: Optional[SmoothField], prefix: str = ""
-) -> List[FacePatch]:
-    """The oriented facets of ``box``, two per axis, carried into the chart by
-    ``patch`` (the identity when None), each labelled ``prefix`` plus its
-    face label."""
-    return [_facet(bf, chart, patch, prefix + face_label(bf.axis, bf.side))
-            for bf in box_faces(box)]
-
-
-def _facet(bf: BoxFace, chart: Chart, patch: Optional[SmoothField], label: str) -> FacePatch:
-    if bf.box.dim == 1:
-        pt = bf.point()
-        pt = tuple(patch.values_at(pt)) if patch is not None else pt
-        return FacePatch(label, chart, None, None, bf.sign, boxface=bf, point=pt)
-    mapping = bf.insertion()
+def _facet(box: Box, axis: int, side: Optional[int], patch: Optional[SmoothField],
+           label: str) -> FacePatch:
+    """The facet of ``box`` that pins ``axis`` on ``side``, carried into the
+    chart by ``patch`` (the identity when None).  Stokes orients it by
+    ``(-1)**axis`` on the upper side and by its negative on the lower."""
+    base = (-1.0) ** axis
+    sign = None if side is None else base if side else -base
+    if box.dim == 1:
+        point = (_pick(side, box.lower[0], box.upper[0]),)
+        point = tuple(patch.values_at(point)) if patch is not None else point
+        return FacePatch(label, None, None, sign, box, axis, side, point)
+    mapping = Insertion(box, {axis: side})
     if patch is not None:
         mapping = patch.compose(mapping)
-    return FacePatch(label, chart, bf.param_box, mapping, bf.sign, boxface=bf)
+    return FacePatch(label, box.drop_axis(axis), mapping, sign, box, axis, side)
+
+
+def _facets(box: Box, patch: Optional[SmoothField], prefix: str = "") -> List[FacePatch]:
+    """The oriented facets of ``box``, two per axis, carried into the chart by
+    ``patch``, each labelled ``prefix`` plus its face label."""
+    return [_facet(box, axis, side, patch, prefix + face_label(axis, side))
+            for axis in range(box.dim) for side in (0, 1)]
 
 
 def boundary_faces(body: Body) -> List[FacePatch]:
     """The 2n oriented facets whose signed sum realizes the Stokes boundary."""
-    return _facets(body.box, body.chart, body.patch)
+    return _facets(body.box, body.patch)
 
 
 FaceGroup = Tuple[FacePatch, List[FacePatch]]
@@ -583,9 +535,9 @@ def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
     whose nodes it reads (see :func:`on_faces`).
 
     The two faces of an axis of a body of dim >= 2 form one group, read
-    through the face of both sides of the axis (its ``boxface.side`` is
-    None), unless either label is in ``alone``.  Every other face is a group
-    of its own, read through itself.
+    through the facet of both sides of the axis (its ``side`` is None),
+    unless either label is in ``alone``.  Every other face is a group of its
+    own, read through itself.
     """
     faces = boundary_faces(body)
     groups: List[FaceGroup] = []
@@ -593,18 +545,17 @@ def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
         if body.dim == 1 or lower.label in alone or upper.label in alone:
             groups += [(lower, [lower]), (upper, [upper])]
             continue
-        axis = lower.boxface.axis
-        both = _facet(BoxFace(body.box, axis, None), body.chart, body.patch, f"x{axis + 1}")
+        both = _facet(body.box, lower.axis, None, body.patch, f"x{lower.axis + 1}")
         groups.append((both, [lower, upper]))
     return groups
 
 
 def face_boundary_pieces(face: FacePatch) -> List[FacePatch]:
-    """Oriented boundary facets of a face, in the face's own parameter box;
-    each piece's ``boxface`` is the facet of that box it covers."""
+    """Oriented boundary facets of a face, in the face's own parameter box,
+    each a facet of that box."""
     if face.param_box is None:
         raise ValueError("0-dimensional faces have no boundary")
-    return _facets(face.param_box, face.chart, None, face.label + "/")
+    return _facets(face.param_box, None, face.label + "/")
 
 
 class _Renaming(dict):
@@ -701,8 +652,7 @@ def integrate(
             parts.append((np.array([piece.point]), None))
             continue
         nodes, weights = rule.nodes_weights(piece.param_box)
-        parts.append((np.insert(nodes, piece.boxface.axis, piece.boxface.fixed_value, axis=1),
-                      weights))
+        parts.append((np.insert(nodes, piece.axis, piece.fixed_value, axis=1), weights))
     if box is None:
         parts.append((np.array([region.point]), None))
         full = ()
@@ -731,7 +681,7 @@ def integrate(
         for piece, (nodes, weights) in zip(pieces, parts):
             rows = values[start:start + len(nodes)]
             start += len(nodes)
-            column = columns.get(tuple_omitting(edge_form.dim, piece.boxface.axis))
+            column = columns.get(tuple_omitting(edge_form.dim, piece.axis))
             total = 0.0 if column is None else _node_sum(weights, rows[:, column])
             piece_sums.append(piece.sign * total)
         weights = parts[-1][1]
@@ -777,15 +727,6 @@ def _node_sum(weights: Optional[np.ndarray], values: np.ndarray) -> float:
     return total
 
 
-class FaceError(ValueError):
-    """A ``ValueError`` at a node of a face pass, with its message; ``face``
-    is the face the node lies on."""
-
-    def __init__(self, face: FacePatch, error: ValueError):
-        super().__init__(str(error))
-        self.face = face
-
-
 def on_faces(
     fn: Callable[[Tuple], Any],
     faces: Sequence[FacePatch],
@@ -799,9 +740,9 @@ def on_faces(
     Each row of the pass carries one more column, its face's position in
     ``faces``, for a pair its side.  The pass splits it off and opens it as
     the side while ``fn`` reads the rest, so a face of both sides reads each
-    node on its own side (see :meth:`BoxFace.pick`) with the operations of
-    that face's own pass.  A ``ValueError`` at a node is raised again as
-    :class:`FaceError`, naming the node's face.
+    node on its own side (see :meth:`FacePatch.pick`) with the operations of
+    that face's own pass.  A ``ValueError`` at a node is raised again with
+    the label of the node's face in front of its message.
     """
     sides = np.repeat(np.arange(len(faces), dtype=float), len(nodes))
     failed = [0]  # the face of the last node read alone: the one a ValueError comes from
@@ -819,5 +760,5 @@ def on_faces(
     try:
         values = on_nodes(read, np.column_stack([np.tile(nodes, (len(faces), 1)), sides]), width)
     except ValueError as exc:
-        raise FaceError(faces[failed[0]], exc) from exc
+        raise ValueError(f"{faces[failed[0]].label}: {exc}") from exc
     return np.split(values, len(faces))

@@ -34,7 +34,6 @@ from .fields import (
 from .geometry import (
     Body,
     Box,
-    Chart,
     FacePatch,
     QuadratureRule,
     boundary_faces,
@@ -278,7 +277,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
     geometry = _require(doc, "geometry")
     if not isinstance(geometry, dict):
         raise ScenarioError("geometry: expected an object")
-    chart = Chart(n, _box(geometry, "chart_box", n))
+    chart_box = _box(geometry, "chart_box", n)
     body_box = _box(geometry, "body_box", n)
     patch = None
     if geometry.get("patch") is not None:
@@ -286,7 +285,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
         if not isinstance(patch_specs, list) or len(patch_specs) != n:
             raise ScenarioError("geometry.patch: expected one expression per axis")
         patch = parse_tensor(patch_specs, n, (n,), "geometry.patch").field
-    body = Body(chart, body_box, patch)
+    body = Body(body_box, patch)
     file_order = geometry.get("quad_order", 6)
     if not _is_count(file_order):
         raise ScenarioError("geometry.quad_order: must be a positive integer")
@@ -303,7 +302,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
     with _keyed(key):
         chart_nodes = body.check_embedding(QuadratureRule(quad_order))
     reach = np.array([body_box.lower, body_box.upper]) if patch is None else chart_nodes
-    outside = ~np.all((reach >= chart.box.lower) & (reach <= chart.box.upper), axis=1)
+    outside = ~np.all((reach >= chart_box.lower) & (reach <= chart_box.upper), axis=1)
     if outside.any():
         point = tuple(float(c) for c in reach[np.argmax(outside)])
         raise ScenarioError(f"geometry.chart_box: the body reaches {point}, outside the chart box")
@@ -410,7 +409,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
         if n != 2:
             raise ScenarioError("closed_boundary: supported for n = 2 only")
         mapping = _required_tensor(blk, "closed_boundary", "map", 1, (n,))
-        face = FacePatch("closed", chart, Box((0.0,), (1.0,)), mapping.field, 1.0)
+        face = FacePatch("closed_boundary", Box((0.0,), (1.0,)), mapping.field, 1.0)
         ambient = _required_tensor(blk, "closed_boundary", "transversal", n, (n,))
         scenario.closed_face = face
         scenario.closed_transversal = TransversalField.from_ambient_field(face, ambient)
@@ -473,7 +472,7 @@ def _run_cauchy(scenario: Scenario) -> _Result:
     # The two faces of an axis share the density and one pass (see face_groups).
     for face, members in face_groups(scenario.body):
         density = surface_force(sigma, face, velocity)
-        axis = face.boxface.axis
+        axis = face.axis
 
         def gap(y):
             via_pullback = density.value_at(y).coefficient(tuple(range(n - 1)))

@@ -127,9 +127,8 @@ def _tangent_basis_series(
     """Columns of the face Jacobian: tangent vectors as ambient components."""
     if face.to_chart is None:
         raise ValueError("0-dimensional faces have no tangent basis")
-    q = face.param_dim
     mapping = face.to_chart.series_on(point, order + 1)
-    return [[mapping[i].partial(a) for i in range(face.chart.dim)] for a in range(q)]
+    return [[m.partial(a) for m in mapping] for a in range(face.param_dim)]
 
 
 def _frame_series(
@@ -150,7 +149,7 @@ class TransversalField:
     def __init__(self, face: FacePatch, n_field: TensorField):
         if face.param_box is None:
             raise ValueError("transversal fields need faces of dimension >= 1")
-        n = face.chart.dim
+        n = face.to_chart.ncomp
         if n_field.shape != (n,) or n_field.dim != face.param_dim:
             raise ValueError("transversal components must be (n,) over the face parameters")
         self.face = face
@@ -159,7 +158,7 @@ class TransversalField:
     @classmethod
     def axis(cls, face: FacePatch, axis: int, sign: float = 1.0) -> "TransversalField":
         """The constant transversal ``sign`` times the basis vector of ``axis``."""
-        n = face.chart.dim
+        n = face.to_chart.ncomp
         vec = [0.0] * n
         vec[axis] = sign
         return cls(face, TensorField(SmoothField.constant(face.param_dim, vec), (n,)))
@@ -168,15 +167,14 @@ class TransversalField:
     def coordinate(cls, face: FacePatch) -> "TransversalField":
         """Outward coordinate transversal of a box face: on a face of both
         sides of an axis, each node's sign is its own side's (see
-        :meth:`jetstress.geometry.BoxFace.pick`)."""
-        boxface = face.boxface
-        if boxface is None:
+        :meth:`jetstress.geometry.FacePatch.pick`)."""
+        if face.axis is None:
             raise ValueError("coordinate transversal needs a box face")
-        n, q = face.chart.dim, face.param_dim
+        n, q = face.to_chart.ncomp, face.param_dim
 
         def evaluator(point, order):
-            sign = boxface.pick(-1.0, 1.0)
-            return [TruncatedSeries.constant(q, order, sign if a == boxface.axis else 0.0)
+            sign = face.pick(-1.0, 1.0)
+            return [TruncatedSeries.constant(q, order, sign if a == face.axis else 0.0)
                     for a in range(n)]
 
         return cls(face, TensorField(SmoothField(q, n, evaluator), (n,)))
@@ -189,7 +187,7 @@ class TransversalField:
     @classmethod
     def metric_normal(cls, face: FacePatch, metric: TensorField) -> "TransversalField":
         """Outward unit normal of the face for a Riemannian metric on the chart."""
-        n = face.chart.dim
+        n = face.to_chart.ncomp
         q = face.param_dim
         metric_on_face = metric.compose(face.to_chart)
         facem = face
@@ -222,19 +220,19 @@ class TransversalField:
 
     @staticmethod
     def _outward_sign(face: FacePatch, candidate: TensorField) -> float:
-        if face.boxface is None:
+        if face.axis is None:
             return 1.0
         center = face.param_box.center()
         vec = candidate.at(center)
-        outward = 1.0 if face.boxface.side else -1.0
-        component = vec[face.boxface.axis] * outward
+        outward = 1.0 if face.side else -1.0
+        component = vec[face.axis] * outward
         if abs(component) < 1e-13:
             raise ValueError("cannot orient the metric normal on this face")
         return 1.0 if component > 0 else -1.0
 
     def annihilator_series(self, point: Sequence[float], order: int) -> List[TruncatedSeries]:
         """Components of the one-form with phi(tangents) = 0, phi(n) = 1."""
-        n = self.face.chart.dim
+        n = self.face.to_chart.ncomp
         rhs = [[TruncatedSeries.zero(self.face.param_dim, order)] for _ in range(n)]
         rhs[-1][0] = TruncatedSeries.constant(self.face.param_dim, order, 1.0)
         # Unknown phi enters through M[k][i] phi_i with M rows = tangents, n.
@@ -242,16 +240,17 @@ class TransversalField:
         return [row[0] for row in sol]
 
     def validate(self, points: Sequence[Sequence[float]], tol: float = 1e-12) -> float:
-        """Largest defect of phi(n) = 1 and phi(tangent) = 0 over sample points."""
-        worst = 0.0
+        """Largest defect of phi(n) = 1 and phi(tangent) = 0 over sample points;
+        a NaN defect is kept, as numpy's max keeps it, and fails."""
+        defects = []
         for y in points:
             phi = [s.value for s in self.annihilator_series(y, 0)]
             frame = _frame_series(self.face, self.n_field, y, 0)
             *tangents, nvec = [[s.value for s in vector] for vector in frame]
-            worst = max(worst, abs(float(np.dot(phi, nvec)) - 1.0))
-            for tv in tangents:
-                worst = max(worst, abs(float(np.dot(phi, tv))))
-        if worst > tol:
+            defects.append(abs(float(np.dot(phi, nvec)) - 1.0))
+            defects += [abs(float(np.dot(phi, tv))) for tv in tangents]
+        worst = float(np.max(defects, initial=0.0))
+        if not worst <= tol:
             raise ValueError(f"transversal field defect {worst:.2e} exceeds {tol:.1e}")
         return worst
 
@@ -297,9 +296,9 @@ def restrict_Y(surface_stress: HyperSurfaceStress, face: FacePatch) -> Restricte
 def _reference_transversal(face: FacePatch, axis: Optional[int]) -> TransversalField:
     """The basis vector of ``axis`` as a transversal; box faces default to their own axis."""
     if axis is None:
-        if face.boxface is None:
+        if face.axis is None:
             raise ValueError("general faces need an explicit complement coordinate")
-        axis = face.boxface.axis
+        axis = face.axis
     return TransversalField.axis(face, axis)
 
 

@@ -425,12 +425,12 @@ class TruncatedSeries:
     # -- misc ----------------------------------------------------------------
 
     def max_abs_diff(self, other: "TruncatedSeries") -> float:
+        """The largest |difference| of a coefficient, 0.0 for none; NaN if any
+        is NaN (numpy's max keeps it, where Python's drops a later one)."""
         self._check_compatible(other)
         keys = set(self.coeffs) | set(other.coeffs)
-        return max(
-            (abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
+        return float(np.max(
+            [abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) for k in keys], initial=0.0))
 
     def __repr__(self) -> str:  # a node array prints as the list of its values
         terms = ", ".join(f"{k}: {v.tolist() if per_node(v) else format(v, 'g')}"

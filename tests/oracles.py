@@ -2,9 +2,10 @@
 
 Each reaches a quantity the library computes by another path: numpy dot
 products of the blocks in place of the ``pair`` forms (``stress_action``,
-``nh_action``), per-face orientation records in place of the assembly's edge
-keys (``edges``), the face pairing Z(j1 u) that the surface divergence closes
-against (``face_jet_pairing``), and a composed field in place of the chain
+``nh_action``), per-face orientation records from a sign rule of their own
+(``facet_sign``) in place of the assembly's edge keys (``edges``), the
+face pairing Z(j1 u) that the surface divergence closes against
+(``face_jet_pairing``), and a composed field in place of the chain
 rule (``transformed_velocity_field``), and elimination over whole rows in
 place of the solver that updates live columns only
 (``solve_linear_series_full_rows``), and one series per arithmetic step,
@@ -54,10 +55,10 @@ from jetstress.fields import JetValue, SmoothField, TensorField, on_nodes, pair
 from jetstress.geometry import (
     Body,
     Box,
-    BoxFace,
     FacePatch,
     FormField,
     FormValue,
+    Insertion,
     QuadratureRule,
     boundary_faces,
     face_boundary_pieces,
@@ -279,8 +280,17 @@ class Edge:
     face_signs: Dict[str, float]
 
 
+def facet_sign(axis: int, side: int) -> float:
+    """The orientation Stokes induces on the facet of a box that pins
+    ``axis`` on ``side``: (-1)**axis on the upper side, its negative on the
+    lower."""
+    return (-1.0) ** axis * (1.0 if side else -1.0)
+
+
 def edges(body: Body) -> List[Edge]:
-    """All pairwise intersections of the faces of a box body, with per-face signs."""
+    """All pairwise intersections of the faces of a box body, with per-face
+    signs: an edge's sign on a face is the face's sign times the sign of the
+    edge as a facet of the face's parameter box."""
     n = body.dim
     box = body.box
     out = []
@@ -293,10 +303,9 @@ def edges(body: Body) -> List[Edge]:
             ((axis_j, side_j), (axis_i, side_i)),
         ):
             # The edge is a facet of the face's parameter box.
-            face_bf = BoxFace(box, ax_face, side_face)
             p = [a for a in range(n) if a != ax_face].index(ax_other)
-            signs[face_label(ax_face, side_face)] = face_bf.sign * BoxFace(
-                face_bf.param_box, p, side_other).sign
+            signs[face_label(ax_face, side_face)] = (
+                facet_sign(ax_face, side_face) * facet_sign(p, side_other))
         labels = (face_label(axis_i, side_i), face_label(axis_j, side_j))
         if n == 2:
             corner = [box.upper[a] if side else box.lower[a]
@@ -305,10 +314,10 @@ def edges(body: Body) -> List[Edge]:
             out.append(Edge(labels, None, None, tuple(chart_pt), signs))
             continue
         # Pin axis_i, then axis_j inside the face: the remaining axes keep their order.
-        outer = BoxFace(box, axis_i, side_i)
-        inner = BoxFace(outer.param_box, axis_j - 1, side_j)
-        mapping = chart_map(body).compose(outer.insertion().compose(inner.insertion()))
-        out.append(Edge(labels, inner.param_box, mapping, None, signs))
+        face_box = box.drop_axis(axis_i)
+        inner = Insertion(face_box, {axis_j - 1: side_j})
+        mapping = chart_map(body).compose(Insertion(box, {axis_i: side_i}).compose(inner))
+        out.append(Edge(labels, face_box.drop_axis(axis_j - 1), mapping, None, signs))
     return out
 
 
@@ -473,15 +482,14 @@ def edge_assembly_by_piece(
 
         _, tangent, _ = split()
         tau_u = traction_action(tangent.signed(1), face_velocity(velocity, face))
-        face_axes = [a for a in range(n) if a != face.boxface.axis]
+        face_axes = [a for a in range(n) if a != face.axis]
         for piece in face_boundary_pieces(face):
-            piece_boxface = piece.boxface
             if piece.param_box is None:
                 value = piece.sign * tau_u.value_at(piece.point).coefficient(())
             else:
                 value = _integral(_pulled_back(tau_u, piece.to_chart), piece.param_box, rule,
                                   piece.sign)
-            other = face_label(face_axes[piece_boxface.axis], piece_boxface.side)
+            other = face_label(face_axes[piece.axis], piece.side)
             key = "|".join(sorted([face.label, other]))
             edge_terms[key] = edge_terms.get(key, 0.0) + face.sign * value
         restricted, tangent, normal_coeff = split()

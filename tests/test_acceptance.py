@@ -27,7 +27,6 @@ from jetstress.fields import (
 from jetstress.geometry import (
     Body,
     Box,
-    Chart,
     FacePatch,
     QuadratureRule,
     boundary_faces,
@@ -97,7 +96,7 @@ def random_section(rng, n, d, degree):
 
 
 def unit_body(n):
-    return Body(Chart(n, unit_box(n)), unit_box(n))
+    return Body(unit_box(n))
 
 
 def report(index, name, detail):
@@ -149,7 +148,7 @@ def test_criterion_03_cauchy_on_cube_faces():
     worst = 0.0
     for face in boundary_faces(unit_body(3)):
         density = surface_force(sigma, face, velocity)
-        axis = face.boxface.axis
+        axis = face.axis
         nodes, _ = rule.nodes_weights(face.param_box)
         for y in nodes:
             y = tuple(y)
@@ -259,11 +258,10 @@ def test_criterion_07_full_identity_and_disk():
     worst = max(worst, residual3)
     assert residual3 <= 1e-9
 
-    chart = Chart(2, Box((-2.0, -2.0), (2.0, 2.0)))
     circle = SmoothField.from_expressions(
         1, ["0.5 + 0.3*cos(2*pi*x1)", "0.5 + 0.3*sin(2*pi*x1)"]
     )
-    face = FacePatch("circle", chart, Box((0.0,), (1.0,)), circle, 1.0)
+    face = FacePatch("circle", Box((0.0,), (1.0,)), circle, 1.0)
     radial = TensorField(SmoothField.from_expressions(2, ["x1 - 0.5", "x2 - 0.5"]), (2,))
     transversal = TransversalField.from_ambient_field(face, radial)
     stress_d = random_nh_stress(rng, 2, 1, 2)

@@ -27,7 +27,6 @@ from jetstress.exprs import parse_expression
 from jetstress.fields import SmoothField, monomial_map
 from jetstress.geometry import (
     Box,
-    BoxFace,
     Insertion,
     QuadratureRule,
     boundary_faces,
@@ -87,8 +86,7 @@ def test_key_selection_is_the_general_pullback(data, n, order):
     axis, side = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 1))
     lower = data.draw(st.sampled_from([0.0, -0.5, 0.25]))
     box = Box((lower,) * n, (lower + data.draw(st.sampled_from([1.0, 0.75])),) * n)
-    insertion = BoxFace(box, axis, side).insertion()
-    assert isinstance(insertion, Insertion)
+    insertion = Insertion(box, {axis: side})
     degree = data.draw(st.integers(0, n - 1))
     targets = increasing_tuples(n, degree)
     sources = increasing_tuples(n - 1, degree)
@@ -111,7 +109,7 @@ def test_key_selection_is_the_general_pullback(data, n, order):
 
 def test_a_patched_face_keeps_the_general_pullback():
     patch = SmoothField.from_expressions(2, ["x1 + 0.1*x2^2", "x2 + 0.2*x1"])
-    face = boundary_faces(geometry.Body(geometry.Chart(2, unit_box(2)), unit_box(2), patch))[1]
+    face = boundary_faces(geometry.Body(unit_box(2), patch))[1]
     assert not isinstance(face.to_chart, Insertion)
 
 

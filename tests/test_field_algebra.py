@@ -1,6 +1,7 @@
 """The TensorField combinators against code paths they do not share."""
 
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ def analytic_tensor(rng, n, shape):
 CASES = [(kind, n, d) for kind in ("poly", "analytic") for n in (2, 3) for d in (1, 2)]
 
 
+def case_seed(kind, n, d):
+    """A seed in 0..999 fixed by the case: ``hash`` of a string changes with
+    each process's hash seed, ``crc32`` does not."""
+    return zlib.crc32(repr((kind, n, d)).encode()) % 1000
+
+
 def make(kind, rng, n, shape):
     return poly_tensor(rng, n, shape) if kind == "poly" else analytic_tensor(rng, n, shape)
 
@@ -48,7 +55,7 @@ def points(rng, n, count=4):
 
 @pytest.mark.parametrize("kind,n,d", CASES)
 def test_gradient_matches_jet_extension(kind, n, d):
-    rng = random.Random(hash((kind, n, d)) % 1000)
+    rng = random.Random(case_seed(kind, n, d))
     for shape in ((d,), (d, n)):
         t = make(kind, rng, n, shape)
         grad = t.gradient()
@@ -60,7 +67,7 @@ def test_gradient_matches_jet_extension(kind, n, d):
 
 @pytest.mark.parametrize("kind,n,d", CASES)
 def test_divergence_matches_jet_extension(kind, n, d):
-    rng = random.Random(7 + hash((kind, n, d)) % 1000)
+    rng = random.Random(7 + case_seed(kind, n, d))
     t = make(kind, rng, n, (d, n))
     div = t.divergence()
     assert div.shape == (d,)
@@ -128,7 +135,7 @@ def test_pair_evaluates_each_field_once():
 
 @pytest.mark.parametrize("kind,n,d", CASES)
 def test_pair_with_gradient_block_matches_gradient_field(kind, n, d):
-    rng = random.Random(13 + hash((kind, n, d)) % 1000)
+    rng = random.Random(13 + case_seed(kind, n, d))
     a = make(kind, rng, n, (d,))
     c0, c1 = poly_tensor(rng, n, (d,)), make(kind, rng, n, (d, n))
     fused = pair([(c0, a), (c1, a, 1)])
@@ -145,7 +152,7 @@ def test_pair_with_gradient_block_matches_gradient_field(kind, n, d):
 
 @pytest.mark.parametrize("kind,n,d", CASES)
 def test_from_velocity_gradient_block(kind, n, d):
-    rng = random.Random(11 + hash((kind, n, d)) % 1000)
+    rng = random.Random(11 + case_seed(kind, n, d))
     u = make(kind, rng, n, (d,))
     section = JetSectionField.from_velocity(u)
     for x in points(rng, n):

@@ -11,7 +11,6 @@ from jetstress.fields import SmoothField
 from jetstress.geometry import (
     Body,
     Box,
-    Chart,
     FormField,
     FormValue,
     QuadratureRule,
@@ -44,12 +43,8 @@ def test_max_abs_reads_every_node():
     assert form.max_abs_diff(form.scale(0.5)) == 2.0
 
 
-def unit_chart(n):
-    return Chart(n, unit_box(n))
-
-
 def unit_body(n):
-    return Body(unit_chart(n), unit_box(n))
+    return Body(unit_box(n))
 
 
 def constant_form_field(dim, degree, coeff_map):
@@ -241,7 +236,7 @@ def test_stokes_random_polynomial_forms():
 def test_stokes_on_patched_body():
     # Curved body: quadratic patch of the unit square, still exact for Stokes.
     patch = SmoothField.from_expressions(2, ["x1 + 0.2*x2^2", "x2 - 0.1*x1^2"])
-    body = Body(unit_chart(2), unit_box(2), patch=patch)
+    body = Body(unit_box(2), patch=patch)
     body.check_embedding(QuadratureRule(4))
     omega = form_from_components(
         2, 1,
@@ -263,19 +258,19 @@ PATCH_2D = ["x1 + 0.2*x2^2", "x2 - 0.1*x1^2"]
 
 def _region_forms(kind):
     if kind in ("box body", "patched body"):
-        body = Body(unit_chart(2), Box((0.0, 0.5), (1.0, 1.5)),
+        body = Body(Box((0.0, 0.5), (1.0, 1.5)),
                     SmoothField.from_expressions(2, PATCH_2D) if kind == "patched body" else None)
         forms = [FormField.volume(SmoothField.from_expressions(2, [text]))
                  for text in ("sin(x1 + 0.3*x2)*x2^2 + 0.5", "exp(0.4*x2 - x1)*x1")]
         return body, forms
     if kind == "point face":
-        body = Body(Chart(1, Box((-1.0,), (3.0,))), unit_box(1),
+        body = Body(unit_box(1),
                     SmoothField.from_expressions(1, ["x1 + 0.5*x1^2 + 0.25"]))
         forms = [FormField(1, 0, [()], SmoothField.from_expressions(1, [text]))
                  for text in ("sin(x1) + 0.5", "exp(-x1)*x1")]
         return boundary_faces(body)[0], forms
     patch = SmoothField.from_expressions(3, ["x1 + 0.1*x3^2", "x2", "x3 - 0.2*x1*x2"])
-    body = Body(unit_chart(3), unit_box(3), patch if kind == "patched face" else None)
+    body = Body(unit_box(3), patch if kind == "patched face" else None)
     forms = [FormField.omitting(SmoothField.from_expressions(3, texts)) for texts in (
         ["sin(x1 + x2)", "x3^2 + 0.5", "exp(0.3*x1)*x2"],
         ["x1*x2*x3", "cos(x2) - x3", "sqrt(1 + x1^2)"],

@@ -11,7 +11,6 @@ from jetstress.fields import SmoothField, TensorField
 from jetstress.geometry import (
     Body,
     Box,
-    Chart,
     QuadratureRule,
     increasing_tuples,
     integrate,
@@ -84,7 +83,7 @@ def test_balance_order1_interval_body():
         TensorField(SmoothField.from_expressions(1, ["x1^3 + 1"]), (1, 1)),
     )
     w = TensorField(SmoothField.from_expressions(1, ["x1^2 + 1"]), (1,))
-    body = Body(Chart(1, unit_box(1)), unit_box(1))
+    body = Body(unit_box(1))
     terms, residual = verify_balance_order1(stress, w, body, QuadratureRule(4))
     assert residual < 1e-13
     # The boundary term is sigma(w) at 1 minus at 0.
@@ -97,9 +96,8 @@ def test_balance_order1_interval_body():
 
 def test_balance_order1_curved_body():
     rng = random.Random(204)
-    chart = Chart(2, Box((-1.0, -1.0), (2.0, 2.0)))
     patch = SmoothField.from_expressions(2, ["x1 + 0.15*x2^2", "x2 - 0.1*x1^2"])
-    body = Body(chart, unit_box(2), patch=patch)
+    body = Body(unit_box(2), patch=patch)
     for _ in range(3):
         stress = VariationalStress1(
             TensorField(SmoothField.from_polynomials(2, [random_poly_table(rng, 2, 2)]), (1,)),
@@ -120,7 +118,7 @@ def test_balance_order1_curved_body():
 def test_balance_order1_mixed_dims_d2_n3():
     rng = random.Random(205)
     n, d = 3, 2
-    body = Body(Chart(n, unit_box(n)), unit_box(n))
+    body = Body(unit_box(n))
     stress = VariationalStress1(
         TensorField(
             SmoothField.from_polynomials(n, [random_poly_table(rng, n, 3) for _ in range(d)]),
@@ -145,7 +143,7 @@ def test_stokes_with_nonunit_boxes():
     # Orientation and scaling bookkeeping on a shifted anisotropic box.
     rng = random.Random(206)
     box = Box((-1.0, 2.0), (1.5, 4.0))
-    body = Body(Chart(2, box), box)
+    body = Body(box)
     for _ in range(5):
         comps = {
             t: SmoothField.from_polynomials(2, [random_poly_table(rng, 2, 3)])

@@ -519,8 +519,15 @@ def _order2_square_with_transversal(spec):
     return doc
 
 
-def _square_with_velocity(u):
+def _square_with_velocity(u, checks=None):
     doc = json.loads((SCENARIOS / "square-order1.json").read_text())
+    doc["velocity"]["u"] = u
+    doc["checks"] = checks or doc["checks"]
+    return doc
+
+
+def _disk_with_velocity(u):
+    doc = json.loads((SCENARIOS / "disk-closed.json").read_text())
     doc["velocity"]["u"] = u
     return doc
 
@@ -549,13 +556,18 @@ EVALUATION_ERRORS = [
      "transversals.x1-upper: "),
     (_degenerate_corner_patch(), "checks.balance2: x1-lower: "),
     (_order2_square_with_velocity(["log(1 - x1)"]), "checks.balance2: x1-upper: "),
+    # Every face pass names the face of its failing node, as balance2's does.
+    (_square_with_velocity(["log(1 - x1)"]), "checks.balance1: x1-upper: "),
+    (_square_with_velocity(["log(1 - x1)"], ["cauchy"]), "checks.cauchy: x1-upper: "),
+    (_disk_with_velocity(["log(x1 - 0.3)"]), "checks.stokes-closed: closed_boundary: "),
 ]
 
 
 @pytest.mark.parametrize(
     "doc, prefix", EVALUATION_ERRORS,
     ids=["log-of-negative", "reciprocal-of-zero", "tangent-transversal", "indefinite-metric",
-         "degenerate-corner", "upper-face-of-a-pair"],
+         "degenerate-corner", "upper-face-of-a-pair", "balance1-face", "cauchy-face",
+         "closed-boundary"],
 )
 def test_evaluation_error_exits_2_naming_the_key(tmp_path, capsys, doc, prefix):
     scenario = tmp_path / "bad.json"

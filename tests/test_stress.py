@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
-from jetstress.geometry import Body, Chart, QuadratureRule, boundary_faces
+from jetstress.geometry import Body, QuadratureRule, boundary_faces
 from jetstress.stress import (
     VariationalStress1,
     action_form,
@@ -48,7 +48,7 @@ def random_velocity(rng, n, d, degree):
 
 
 def unit_body(n):
-    return Body(Chart(n, unit_box(n)), unit_box(n))
+    return Body(unit_box(n))
 
 
 def test_stress_action_single_term():

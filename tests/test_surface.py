@@ -10,7 +10,6 @@ from jetstress.fields import SmoothField, TensorField
 from jetstress.geometry import (
     Body,
     Box,
-    Chart,
     FacePatch,
     QuadratureRule,
     boundary_faces,
@@ -57,7 +56,7 @@ def random_nh_stress(rng, n, d, degree):
 
 
 def unit_faces(n):
-    body = Body(Chart(n, unit_box(n)), unit_box(n))
+    body = Body(unit_box(n))
     return {f.label: f for f in boundary_faces(body)}
 
 
@@ -93,6 +92,16 @@ def test_transversal_degenerate_rejected():
     tangent_only = TransversalField(face, tensor_const(1, (2,), [0.0, 1.0]))
     with pytest.raises(ValueError):
         tangent_only.annihilator_series((0.5,), 0)
+
+
+def test_a_nan_defect_fails_validation():
+    # On x1 = 1 the second component is inf - inf: phi(n) is NaN, and the
+    # tangent defect after it is 0.0.
+    face = unit_faces(2)["x1-upper"]
+    ambient = TensorField(
+        SmoothField.from_expressions(2, ["1", "1e308*10*x1 - 1e308*10*x1"]), (2,))
+    with pytest.raises(ValueError, match="defect nan exceeds"):
+        TransversalField.from_ambient_field(face, ambient).validate([(0.5,)])
 
 
 def test_metric_normal_identity_reduces_to_coordinate():
@@ -138,9 +147,8 @@ def test_restrict_Y_tilted_face():
     # A slanted segment in the plane mixes the two hatted densities through
     # the parameterization Jacobian: oracle by direct minor computation.
     n, d = 2, 1
-    chart = Chart(2, Box((-2.0, -2.0), (2.0, 2.0)))
     mapping = SmoothField.from_expressions(1, ["x1", "0.5*x1"])
-    face = FacePatch("tilted", chart, Box((0.0,), (1.0,)), mapping, 1.0)
+    face = FacePatch("tilted", Box((0.0,), (1.0,)), mapping, 1.0)
     from jetstress.nonholonomic import HyperSurfaceStress
 
     y0 = tensor_const(n, (d, n), [[2.0, 3.0]])
@@ -319,7 +327,7 @@ def test_surface_divergence_defining_relation():
     rng = random.Random(21)
     for n in (2, 3):
         d = 1
-        body = Body(Chart(n, unit_box(n)), unit_box(n))
+        body = Body(unit_box(n))
         faces = boundary_faces(body)
         stress = random_nh_stress(rng, n, d, 2)
         Y = nh_traction(stress)
@@ -395,7 +403,7 @@ def test_tangent_edge_force_balance_on_face():
     restricted = RestrictedSurfaceStress(face, z0, z1)
     assert is_tangent(restricted)
     tau, div, reduced = tangent_edge_force(restricted)
-    face_body = Body(Chart(2, unit_box(2)), unit_box(2))
+    face_body = Body(unit_box(2))
     u_face = tensor_poly(2, (1,), [random_poly_table(rng, 2, 2)])
     _, residual = verify_balance_order1(reduced, u_face, face_body, QuadratureRule(5))
     assert residual < 1e-10

@@ -159,6 +159,15 @@ def test_integer_negative_power():
     assert inv2.max_abs_diff(direct) < 1e-15
 
 
+def test_max_abs_diff_keeps_a_nan_that_is_not_first():
+    # Python's max would drop the NaN of the second key after the first's 0.0.
+    nan = TruncatedSeries(1, 1, {(0,): 1.0, (1,): math.nan})
+    two = TruncatedSeries(1, 1, {(0,): 1.0, (1,): 2.0})
+    assert math.isnan(nan.max_abs_diff(two))
+    assert two.max_abs_diff(two) == 0.0
+    assert TruncatedSeries(1, 1).max_abs_diff(TruncatedSeries(1, 1)) == 0.0
+
+
 def test_repr_prints_floats_with_g_and_node_arrays_as_lists():
     one = TruncatedSeries(2, 1, {(1, 0): 0.25, (0, 0): 1.5})
     assert repr(one) == "TruncatedSeries(dim=2, order=1, {(0, 0): 1.5, (1, 0): 0.25})"
