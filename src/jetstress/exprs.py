@@ -4,11 +4,13 @@ A component is either a monomial table ``[(exponents, coefficient), ...]``
 or a string over coordinates ``x1..xn`` combined with ``+ - * / ^``,
 parentheses, numeric literals, ``pi``/``e``, and the analytic primitives
 ``sin cos tan exp log sqrt sinh cosh tanh``.  :func:`parse_expression`
-parses a string and compiles its tree once, at load, into two sets of
-closures.  Above order 0 they compute in truncated Taylor arithmetic, so the
-derivatives of expression fields are exact; at order 0, where a series holds
-one number, they compute that number on plain values (a float or a node
-array) and wrap one series at the end.
+parses a string and compiles its tree once, at load, into a leaf: two sets
+of closures, the form every leaf of a field has.  Above order 0 the series
+route computes in truncated Taylor arithmetic on the coordinate series, so
+the derivatives of expression fields are exact; at order 0, where a series
+holds one number, the value route computes that number on plain values (a
+float or a node array) of the point's coordinates and their powers, and
+the field wraps one series at the end.
 
 Each step performs the IEEE operation that walking the tree node by node in
 series arithmetic performs, in the same order, so the bits are that walk's,
@@ -27,10 +29,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Tuple
 
 from .taylor import (
-    Coordinates,
     TruncatedSeries,
     cos_series,
     cos_value,
@@ -234,23 +235,25 @@ class _Parser:
         raise ExpressionError(f"unexpected token {value!r}")
 
 
-def _compile(node, zero):
+def _compile(node):
     """``node`` compiled for both routes: (order 0, order >= 1).
 
-    Each is a float for a constant, else a closure from the coordinates to
-    the node's value (a float or a node array) or to its series.  ``-`` is
-    ``a + (-b)``, the steps the series route takes for it.
+    Each is a float for a constant, else a closure from the point's record
+    (:class:`PointValues` at order 0, :class:`Coordinates` above it) to the
+    node's value (a float or a node array) or to its series.  A variable and
+    a variable's power read the record alike on both routes.  ``-`` is ``a +
+    (-b)``, the steps the series route takes for it.
     """
     op = node[0]
     if op == "const":
         return node[1], node[1]
     if op == "var":
         axis = node[1]
-        return (lambda v: v[axis].coeffs[zero]), (lambda v: v[axis])
+        return (lambda v: v.x[axis],) * 2
     if op == "sub":
-        return _compile(("add", node[1], ("neg", node[2])), zero)
+        return _compile(("add", node[1], ("neg", node[2])))
     if op == "neg":
-        a, x = _compile(node[1], zero)
+        a, x = _compile(node[1])
         if a.__class__ is float:
             return -a, -a
         return (lambda v: -a(v)), (lambda v: -x(v))
@@ -258,14 +261,14 @@ def _compile(node, zero):
         base, e = node[1], node[2]
         if base[0] == "var":
             axis = base[1]
-            return (lambda v: v.power_value(axis, e)), (lambda v: v.power(axis, e))
-        a, x = _operands(*_compile(base, zero))
+            return (lambda v: v[axis, e],) * 2
+        a, x = _operands(*_compile(base))
         return (lambda v: integer_power_value(a(v), e)), (lambda v: x(v) ** e)
     if op == "call":
-        a, x = _operands(*_compile(node[2], zero))
+        a, x = _operands(*_compile(node[2]))
         value, series = _VALUES[node[1]], FUNCTIONS[node[1]]
         return (lambda v: value(a(v))), (lambda v: series(x(v)))
-    (a, x), (b, y) = _compile(node[1], zero), _compile(node[2], zero)
+    (a, x), (b, y) = _compile(node[1]), _compile(node[2])
     if op == "div":
         (a, x), (b, y) = _operands(a, x), _operands(b, y)
         return (lambda v: 0.0 + a(v) * reciprocal_value(b(v))), (lambda v: x(v) / y(v))
@@ -292,22 +295,10 @@ def _operands(value, series):
     constant is its value at order 0 and the constant series above it."""
     if value.__class__ is not float:
         return value, series
-    return (lambda v: value), (lambda v: TruncatedSeries.constant(v[0].dim, v[0].order, value))
+    return (lambda v: value), (lambda v: TruncatedSeries.constant(v.x[0].dim, v.x[0].order, value))
 
 
-def parse_expression(text: str, dim: int) -> Callable[[Sequence[TruncatedSeries]], TruncatedSeries]:
-    """Parse an expression string and compile it into a series-level evaluator."""
-    tree = _Parser(_tokenize(text), dim).parse()
-    zero = (0,) * dim
-    value, series = _compile(tree, zero)
-
-    def evaluator(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        variables = Coordinates.of(variables)
-        order = variables[0].order
-        if series.__class__ is float:
-            return TruncatedSeries.constant(dim, order, series)
-        if order:
-            return series(variables)
-        return TruncatedSeries._trusted(dim, 0, {zero: value(variables)})
-
-    return evaluator
+def parse_expression(text: str, dim: int) -> Tuple[Any, Any]:
+    """Parse an expression string and compile it into a leaf: its value route
+    and its series route (see :meth:`jetstress.fields.SmoothField.from_series_maps`)."""
+    return _compile(_Parser(_tokenize(text), dim).parse())

@@ -2,13 +2,15 @@
 finite-difference pair.
 
 A :class:`SmoothField` maps ``(point, order)`` to one truncated Taylor
-series per component.  Fields built from monomial tables (through
-:func:`monomial_map`, which scenario files use too) or expression strings
-differentiate exactly, and so does every field derived from them.  Reading
-values (order 0), a monomial leaf computes each component's number from its
-powers' constant terms, and an expression leaf from plain values (see
-:mod:`jetstress.exprs`); each wraps it in one series, with the bits of the
-series built step by step (see :mod:`jetstress.taylor`).
+series per component.  Fields built from leaves (numbers, monomial tables
+through :func:`monomial_map`, or expression strings) differentiate exactly,
+and so does every field derived from them.  A leaf has two routes, made
+once at load (see :meth:`SmoothField.from_series_maps`): reading values
+(order 0), its value route computes each component's number from the
+point's coordinates and their powers, with no coordinate series built, and
+it is wrapped in one series; above order 0 its series route reads the
+coordinate series, a monomial table through its product plan.  Both give
+the bits of the series built step by step (see :mod:`jetstress.taylor`).
 
 A :class:`TensorField` lays a row-major tensor shape over those components.
 The stress identities are written in four operations on it:
@@ -45,7 +47,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exprs import parse_expression
-from .taylor import Coordinates, MultiIndex, TruncatedSeries, _coefficient, per_node
+from .taylor import (Coordinates, MonomialTable, MultiIndex, PointValues, TruncatedSeries,
+                     _coefficient, per_node)
 
 __all__ = [
     "BATCH",
@@ -66,6 +69,7 @@ __all__ = [
 
 Point = Tuple[float, ...]
 Evaluator = Callable[[Point, int], List[TruncatedSeries]]
+Leaf = Tuple[Any, Any]  # (value route, series route): closures, or a constant's float
 # One term of a linear map: (source component, partial axis or None, factor or None).
 Term = Tuple[int, Optional[int], Optional[float]]
 
@@ -215,23 +219,12 @@ def coordinate_series(point: Sequence[float], order: int) -> Coordinates:
     )
 
 
-def monomial_map(table: Sequence[Tuple[Sequence[int], float]]) -> Callable:
-    """Series-level evaluator of a monomial table ``[(exponents, coefficient), ...]``.
-
-    Each power ``x_i ** e`` comes from the coordinates' memo, so the
-    components of one field share it; see :meth:`Coordinates.polynomial`,
-    which at order 0 computes the value without building a series per step.
-    """
-
-    # Per monomial: its coefficient and its (axis, exponent) factors.
-    terms = [
-        (float(coef), [(axis, e) for axis, e in enumerate(exps) if e]) for exps, coef in table
-    ]
-
-    def monomial_fn(variables: Sequence[TruncatedSeries]) -> TruncatedSeries:
-        return Coordinates.of(variables).polynomial(terms)
-
-    return monomial_fn
+def monomial_map(table: Sequence[Tuple[Sequence[int], float]], plans: Optional[dict] = None) -> Leaf:
+    """The leaf of a monomial table ``[(exponents, coefficient), ...]``: its
+    value route and its product plans, kept in ``plans`` if given (see
+    :class:`MonomialTable`)."""
+    monomials = MonomialTable(table, plans)
+    return monomials.value, monomials.series
 
 
 def linear_field(base: "SmoothField", shift: int, rows: Sequence[Sequence[Term]]) -> "SmoothField":
@@ -360,17 +353,28 @@ class SmoothField:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_series_maps(
-        cls, dim: int, maps: Sequence[Callable[[List[TruncatedSeries]], TruncatedSeries]]
-    ) -> "SmoothField":
-        """Build from per-component functions of the coordinate series."""
-        maps = list(maps)
+    def from_series_maps(cls, dim: int, leaves: Sequence[Leaf]) -> "SmoothField":
+        """Build from one leaf per component (see ``Leaf``).  At order 0 each
+        value route reads one :class:`PointValues` record of the point, and
+        each value is wrapped once, None as a series with no key; above it
+        each series route reads the coordinate series and their powers."""
+        leaves = list(leaves)
+        zero = (0,) * dim
 
         def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            variables = coordinate_series(point, order)
-            return [fn(variables) for fn in maps]
+            if order:
+                variables = coordinate_series(point, order)
+                return [TruncatedSeries.constant(dim, order, series) if series.__class__ is float
+                        else series(variables) for _, series in leaves]
+            values = PointValues(map(_coefficient, point))
+            out = []
+            for value, _ in leaves:
+                if value.__class__ is not float:
+                    value = value(values)
+                out.append(TruncatedSeries._trusted(dim, 0, {} if value is None else {zero: value}))
+            return out
 
-        return cls(dim, len(maps), evaluator)
+        return cls(dim, len(leaves), evaluator)
 
     @classmethod
     def constant(cls, dim: int, values: Sequence[float]) -> "SmoothField":
@@ -380,20 +384,6 @@ class SmoothField:
             return [TruncatedSeries.constant(dim, order, v) for v in values]
 
         return cls(dim, len(values), evaluator)
-
-    @classmethod
-    def coordinates(cls, dim: int) -> "SmoothField":
-        return cls(dim, dim, coordinate_series)
-
-    @classmethod
-    def from_polynomials(
-        cls, dim: int, components: Sequence[Sequence[Tuple[Sequence[int], float]]]
-    ) -> "SmoothField":
-        """Each component is a monomial table [(exponents, coefficient), ...]."""
-        return cls.from_series_maps(dim, [
-            monomial_map([(MultiIndex(exps), float(coef)) for exps, coef in comp])
-            for comp in components
-        ])
 
     @classmethod
     def from_expressions(cls, dim: int, expressions: Sequence[str]) -> "SmoothField":
@@ -596,20 +586,22 @@ class JetValue:
 
 
 @lru_cache(maxsize=None)
-def _jet_layout(dim: int, order: int) -> Tuple[List[Tuple[int, ...]], List[Tuple[np.ndarray, np.ndarray]]]:
+def _jet_layout(dim: int, order: int, fibre: int) -> Tuple[List[Tuple[int, ...]], List[Tuple]]:
     """The exponents of every Taylor coefficient of order <= ``order``; and per
-    derivative order p, for each slot of the (n,)*p array, the position of
-    the coefficient that fills it in that list, and its I!."""
+    derivative order p, for each entry of the ``(fibre,) + (dim,)*p`` array
+    in C order, the position of the coefficient that fills it in the list of
+    every component's coefficients, component-major, and its I!."""
     if order < 0:
         raise ValueError("jet order must be >= 0")
     keys = [e for e in itertools.product(range(order + 1), repeat=dim) if sum(e) <= order]
-    slots = []
+    gathers = []
     for p in range(order + 1):
         exps = [tuple(slot.count(a) for a in range(dim))
                 for slot in itertools.product(range(dim), repeat=p)]
-        slots.append((np.array([keys.index(e) for e in exps], dtype=int),
-                      np.array([MultiIndex(e).factorial() for e in exps], dtype=float)))
-    return keys, slots
+        columns = [keys.index(e) for e in exps]
+        gathers.append((np.array([c * len(keys) + k for c in range(fibre) for k in columns]),
+                        np.array([MultiIndex(e).factorial() for e in exps] * fibre, dtype=float)))
+    return keys, gathers
 
 
 def jets_on(field: SmoothField, nodes: Sequence[Sequence[float]], order: int) -> List[np.ndarray]:
@@ -622,28 +614,27 @@ def jets_on(field: SmoothField, nodes: Sequence[Sequence[float]], order: int) ->
     a one-point array is: ``numpy.sum`` and ``einsum`` may add in another
     order over another memory layout.
     """
-    return _jets(field, order, lambda read, width: on_nodes(read, nodes, width=width))
-
-
-def jet_extension(field: SmoothField, point: Sequence[float], order: int) -> JetValue:
-    """Exact derivative arrays of ``field`` at ``point`` up to ``order``: row 0
-    of the one-node case of :func:`jets_on`, from one series read at the point."""
-    arrays = _jets(field, order, lambda read, width: [read(as_point(point))])
-    return JetValue(field.dim, field.ncomp, order, tuple(a[0] for a in arrays))
-
-
-def _jets(field: SmoothField, order: int, table: Callable) -> List[np.ndarray]:
-    """The stacked jets of the rows ``table(read, width)`` gives, ``read``
-    listing the ``width`` Taylor coefficients at one point, component-major."""
     n, d = field.dim, field.ncomp
-    keys, slots = _jet_layout(n, order)
+    keys, gathers = _jet_layout(n, order, d)
 
     def read(point: Point) -> List[Any]:
         return [s.coeffs.get(k, 0.0) for s in field.series_on(point, order) for k in keys]
 
-    rows = np.asarray(table(read, d * len(keys)), dtype=float).reshape(-1, d, len(keys))
-    return [(np.take(rows, columns, axis=2) * factorials).reshape((len(rows), d) + (n,) * p)
-            for p, (columns, factorials) in enumerate(slots)]
+    rows = on_nodes(read, nodes, width=d * len(keys))
+    return [(np.take(rows, positions, axis=1) * factorials).reshape((len(rows), d) + (n,) * p)
+            for p, (positions, factorials) in enumerate(gathers)]
+
+
+def jet_extension(field: SmoothField, point: Sequence[float], order: int) -> JetValue:
+    """Exact derivative arrays of ``field`` at ``point`` up to ``order``, from
+    one series read at the point: the one-node row of :func:`jets_on`, each
+    slot its coefficient times I!, gathered straight from the coefficients."""
+    n, d = field.dim, field.ncomp
+    keys, gathers = _jet_layout(n, order, d)
+    coefficients = np.array([s.coeffs.get(k, 0.0) for s in field.series_on(as_point(point), order)
+                             for k in keys], dtype=float)
+    return JetValue(n, d, order, tuple((coefficients[positions] * factorials).reshape((d,) + (n,) * p)
+                                       for p, (positions, factorials) in enumerate(gathers)))
 
 
 # An overflowing field makes inf and NaN differences: the oracle reports them
@@ -654,7 +645,9 @@ def finite_difference_jet(
 ) -> JetValue:
     """Central-difference estimate of the jet, an oracle for ``jet_extension``.
 
-    Supports orders 0..2; exact for quadratics up to roundoff.
+    Supports orders 0..2; exact for quadratics up to roundoff.  It reads the
+    field once per stencil point, repeats included: the benchmark's probes
+    count those reads (see the README, "Batches of nodes").
     """
     if step <= 0.0:
         raise ValueError("step must be positive")

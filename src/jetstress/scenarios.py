@@ -59,7 +59,6 @@ from .stress import (
     verify_balance_order1,
 )
 from .surface import TransversalField
-from .taylor import TruncatedSeries
 
 __all__ = [
     "SCHEMA_ID",
@@ -97,18 +96,21 @@ def _keyed(key: str) -> Iterator[None]:
 # -- field parsing ------------------------------------------------------------
 
 
-def _component_map(spec: Any, dim: int, key: str) -> Callable:
+def _component_map(spec: Any, dim: int, key: str, plans: dict) -> Tuple[Any, Any]:
+    """The leaf of one component: its value route and its series route (see
+    :meth:`SmoothField.from_series_maps`); monomial tables keep their product
+    plans in ``plans``."""
     if isinstance(spec, (int, float)):
         value = _number(spec, key)
-        return lambda variables: TruncatedSeries.constant(
-            variables[0].dim, variables[0].order, value
-        )
+        return value, value
     if isinstance(spec, str):
         with _keyed(key):
             return parse_expression(spec, dim)
-    if isinstance(spec, dict) and "expr" in spec:
-        return _component_map(spec["expr"], dim, key)
-    if isinstance(spec, dict) and "monomials" in spec:
+    if isinstance(spec, dict):
+        _known_keys(spec, key, "<component>")
+    if isinstance(spec, dict) and list(spec) == ["expr"]:
+        return _component_map(spec["expr"], dim, key, plans)
+    if isinstance(spec, dict) and list(spec) == ["monomials"]:
         entries = spec["monomials"]
         if not isinstance(entries, list):
             raise ScenarioError(f"{key}: monomial table must be a list, got {entries!r}")
@@ -123,7 +125,7 @@ def _component_map(spec: Any, dim: int, key: str) -> Callable:
             if len(exps) != dim or any(e < 0 for e in exps):
                 raise ScenarioError(f"{key}: monomial exponents {exps} invalid for n={dim}")
             table.append((exps, coef))
-        return monomial_map(table)
+        return monomial_map(table, plans)
     raise ScenarioError(f"{key}: component must be a number, string, or monomial table")
 
 
@@ -149,7 +151,8 @@ def _flatten(specs: Any, shape: Tuple[int, ...], key: str) -> List[Tuple[Any, st
 
 
 def parse_tensor(specs: Any, dim: int, shape: Tuple[int, ...], key: str) -> TensorField:
-    maps = [_component_map(spec, dim, at) for spec, at in _flatten(specs, shape, key)]
+    plans: dict = {}  # shared by the monomial tables of the field
+    maps = [_component_map(spec, dim, at, plans) for spec, at in _flatten(specs, shape, key)]
     return TensorField(SmoothField.from_series_maps(dim, maps), shape)
 
 
@@ -197,13 +200,53 @@ def _required_tensor(
     return parse_tensor(_require(blk, key, parent), dim, shape, f"{parent}.{key}")
 
 
+def _names(record: type) -> Tuple[str, ...]:
+    return tuple(name for name, _ in record.LAYOUT)
+
+
+# The keys each object of a document may hold, by path ("" is the top level):
+# the loader rejects any other key, so a misspelled key cannot read as absent.
+_KEYS: Dict[str, Tuple[str, ...]] = {
+    "": ("schema", "name", "bundle", "geometry", "stress", "velocity", "transversals",
+         "covariance", "closed_boundary", "checks", "tolerances"),
+    "bundle": ("n", "d"),
+    "geometry": ("chart_box", "body_box", "patch", "quad_order"),
+    "stress": ("order1", "order2", "raw"),
+    "stress.order1": _names(VariationalStress1),
+    "stress.order2": _names(VariationalStress2) + ("split",),
+    "stress.raw": _names(NonHolonomicStress),
+    "velocity": ("u", "section"),
+    "velocity.section": _names(JetSectionField),
+    "transversals.<label>": ("vector", "metric"),
+    "covariance": ("forward", "inverse", "frame", "samples", "expect_noninvariant", "quantities"),
+    "closed_boundary": ("map", "transversal"),
+    "<component>": ("expr", "monomials"),
+}
+
+
+def _known_keys(obj: Dict[str, Any], path: str, table: Optional[str] = None) -> None:
+    """Reject a key of the object at ``path`` that ``_KEYS[table or path]``
+    does not name, suggesting the nearest known one."""
+    known = _KEYS[path if table is None else table]
+    for key in obj:
+        if key not in known:
+            import difflib  # the error path alone needs it
+
+            near = difflib.get_close_matches(str(key), known, n=1)
+            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            raise ScenarioError(f"{_path(path or None, str(key))}: unknown key{hint}")
+
+
 def _block(doc: Dict[str, Any], key: str, parent: Optional[str] = None) -> Dict[str, Any]:
-    """The optional object ``doc[key]``; ``{}`` when absent or null."""
-    value = doc.get(key)
+    """The optional object ``doc[key]``, its keys checked against ``_KEYS``;
+    ``{}`` when absent or null."""
+    value, path = doc.get(key), _path(parent, key)
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ScenarioError(f"{_path(parent, key)}: expected an object")
+        raise ScenarioError(f"{path}: expected an object")
+    if path in _KEYS:
+        _known_keys(value, path)
     return value
 
 
@@ -263,10 +306,12 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
 
     if doc.get("schema") != SCHEMA_ID:
         raise ScenarioError(f"schema: expected {SCHEMA_ID!r}, got {doc.get('schema')!r}")
+    _known_keys(doc, "")
 
     bundle = _require(doc, "bundle")
     if not isinstance(bundle, dict):
         raise ScenarioError("bundle: expected an object with keys n and d")
+    _known_keys(bundle, "bundle")
     n = bundle.get("n")
     d = bundle.get("d")
     if not _is_count(n):
@@ -277,6 +322,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
     geometry = _require(doc, "geometry")
     if not isinstance(geometry, dict):
         raise ScenarioError("geometry: expected an object")
+    _known_keys(geometry, "geometry")
     chart_box = _box(geometry, "chart_box", n)
     body_box = _box(geometry, "body_box", n)
     patch = None
@@ -357,12 +403,14 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
             if label not in faces:
                 raise ScenarioError(f"transversals.{label}: unknown face label")
             with _keyed(f"transversals.{label}"):
+                if isinstance(spec, dict):
+                    _known_keys(spec, f"transversals.{label}", "transversals.<label>")
                 if spec == "coordinate":
                     pass  # the transversal every face reads by default
-                elif isinstance(spec, dict) and "vector" in spec:
+                elif isinstance(spec, dict) and list(spec) == ["vector"]:
                     ambient = parse_tensor(spec["vector"], n, (n,), f"transversals.{label}.vector")
                     fields[label] = TransversalField.from_ambient_field(faces[label], ambient)
-                elif isinstance(spec, dict) and "metric" in spec:
+                elif isinstance(spec, dict) and list(spec) == ["metric"]:
                     metric = parse_tensor(spec["metric"], n, (n, n), f"transversals.{label}.metric")
                     fields[label] = TransversalField.metric_normal(faces[label], metric)
                 else:

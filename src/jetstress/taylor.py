@@ -23,15 +23,17 @@ operations, ``0.0 + v`` included where the route adds into an absent key:
 it turns -0.0 into 0.0 (IEEE 754-2019, section 6.3), and reports carry the
 sign of a zero.  At order 0 a series holds one number, the value of its
 function: the zero-order forward sweep of Taylor arithmetic.  There a
-product multiplies the two constant terms without walking product rows, and
-:meth:`Coordinates.polynomial` computes a monomial table's value from the
-values of its powers and wraps it once; a power's value takes the binary
-exponentiation steps of ``**`` on plain numbers
-(:func:`integer_power_value`), and each analytic primitive's value is one
-function (``sin_value``, ``reciprocal_value``, ...) that its series form
-reads too; compiled expressions (:mod:`jetstress.exprs`) compute on these.
-All perform the IEEE operations of the general route on that number, in its
-order, so the bits are those of the general route.
+product multiplies the two constant terms without walking product rows; a
+power's value takes the binary exponentiation steps of ``**`` on plain
+numbers (:func:`integer_power_value`), and each analytic primitive's value
+is one function (``sin_value``, ``reciprocal_value``, ...) that its series
+form reads too.  Every leaf of a field (a number, a monomial table, an
+expression) has two routes, made once at load: a value route that reads a
+:class:`PointValues` record of the point's coordinates and their powers,
+and a series route that reads :class:`Coordinates`, the coordinate series
+and their powers; a monomial table's series route runs a product plan
+(:class:`MonomialTable`).  All perform the IEEE operations of the general
+route, in its order, so the bits are those of the general route.
 
 The analytic primitives call ``math`` once per node and function, because
 numpy's transcendental ufuncs differ from ``math`` in the last bit on some
@@ -43,7 +45,7 @@ compare the whole batch at once, and fail with the one-node message.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +53,9 @@ __all__ = [
     "MultiIndex",
     "TruncatedSeries",
     "per_node",
+    "PointValues",
     "Coordinates",
+    "MonomialTable",
     "sin_series",
     "cos_series",
     "tan_series",
@@ -438,92 +442,116 @@ class TruncatedSeries:
         return f"TruncatedSeries(dim={self.dim}, order={self.order}, {{{terms}}})"
 
 
-class Coordinates(list):
-    """The coordinate series about one point, with a memo of their powers.
+class PointValues(dict):
+    """What the value route of a leaf reads: ``x[axis]``, a coordinate of one
+    point (a float or a node array), and ``self[axis, e]``, its
+    :func:`integer_power_value`, computed on first read and then kept for
+    every component of a field (the coordinate itself for e = 1)."""
 
-    ``power(axis, e)`` is ``self[axis] ** e``, computed on first use and then
-    shared by every map evaluated on these coordinates; so is its order-0
-    value, ``power_value(axis, e)``.
-    """
+    __slots__ = ("x",)
 
-    __slots__ = ("_powers", "_values")
+    def __init__(self, x: Iterable):
+        super().__init__()
+        self.x = tuple(x)
+        for axis, c in enumerate(self.x):
+            self[axis, 1] = c
 
-    def __init__(self, series: Iterable[TruncatedSeries] = ()):
-        super().__init__(series)
-        self._powers: Dict[Tuple[int, int], TruncatedSeries] = {}
-        self._values: Dict[Tuple[int, int], object] = {}
-
-    @classmethod
-    def of(cls, variables: Sequence[TruncatedSeries]) -> "Coordinates":
-        """``variables`` itself if it is one, else a memo over its series."""
-        return variables if isinstance(variables, cls) else cls(variables)
-
-    def power(self, axis: int, e: int) -> TruncatedSeries:
-        out = self._powers.get((axis, e))
-        if out is None:
-            out = self._powers[axis, e] = self[axis] ** e
+    def __missing__(self, key: Tuple[int, int]):
+        axis, e = key
+        out = self[key] = integer_power_value(self.x[axis], e)
         return out
 
-    def power_value(self, axis: int, e: int):
-        """The constant term of ``self[axis] ** e``, None if it holds none
-        (see :func:`integer_power_value`), with no series built."""
-        key = (axis, e)
-        if key in self._values:
-            return self._values[key]
-        base = self[axis].coeffs.get(_zero_exponents(self[axis].dim))
-        result = None if base is None else integer_power_value(base, e)
-        self._values[key] = result
-        return result
 
-    def polynomial(
-        self, terms: Sequence[Tuple[float, Sequence[Tuple[int, int]]]]
-    ) -> TruncatedSeries:
-        """The sum, in table order, of the monomials ``terms`` =
-        ``[(coefficient, [(axis, exponent), ...]), ...]`` (exponents positive).
+class Coordinates(PointValues):
+    """The coordinate series about one point, and their powers: what the
+    series route of a leaf reads.  ``self[axis, e]`` is ``x[axis] ** e``."""
 
-        A monomial starts as ``power * coefficient`` and is multiplied by its
-        other powers in order; the powers come from the memo.
-        """
-        dim, order = self[0].dim, self[0].order
-        if not order:
-            return self._polynomial_value(terms)
-        power = self.power
-        total = TruncatedSeries.zero(dim, order)
-        for coef, factors in terms:
-            if not factors:
-                total = total + TruncatedSeries.constant(dim, order, coef)
-                continue
-            term = power(*factors[0]) * coef
-            for axis, e in factors[1:]:
-                term = term * power(axis, e)
-            total = total + term
-        return total
+    __slots__ = ()
 
-    def _polynomial_value(self, terms) -> TruncatedSeries:
-        """:meth:`polynomial` at order 0, where every series holds one number
-        or none.  Each step is the IEEE operation the series route performs on
-        that number, on the memoized values of the powers
-        (:meth:`power_value`): a product is ``0.0 + term * value``, and the
-        first term enters the sum as ``0.0 + term``.  A power that holds no
-        key makes its monomial hold none, which the sum skips, as the series
-        route does.  Only the result is wrapped as a series.
-        """
-        zero = _zero_exponents(self[0].dim)
+    def __missing__(self, key: Tuple[int, int]) -> TruncatedSeries:
+        axis, e = key
+        out = self[key] = self.x[axis] ** e
+        return out
+
+
+class MonomialTable:
+    """The two routes of a monomial table ``[(exponents, coefficient), ...]``:
+    the sum, in table order, of each monomial's first power times its
+    coefficient times its other powers in axis order.
+
+    :meth:`series` runs each monomial's product plan, built once per order
+    from the key order of the coordinate powers and kept in ``plans``, which
+    the tables of one field may share.  The factors lie on distinct axes, so
+    each kept key of a product comes from one pair of keys, and the plan
+    performs the dict walk's operations in its order (``v * coef``, ``0.0 +
+    t * p`` per kept pair, ``0.0 + v`` or ``acc + v`` into the total, keys in
+    first-appearance order) without product rows, a series per step or a
+    copy of the total per monomial.
+    """
+
+    __slots__ = ("terms", "plans")
+
+    def __init__(self, table: Iterable[Tuple[Sequence[int], float]], plans: Optional[dict] = None):
+        # Per monomial: its coefficient and its (axis, exponent) factors.
+        self.terms = [(float(coef), tuple((axis, e) for axis, e in enumerate(exps) if e))
+                      for exps, coef in table]
+        self.plans = {} if plans is None else plans
+
+    def value(self, values: PointValues):
+        """The value at order 0, None for an empty table: each product ``0.0 +
+        term * power``, and the first term enters the sum as ``0.0 + term``."""
         total = None
-        for coef, factors in terms:
+        for coef, factors in self.terms:
             if factors:
-                term = self.power_value(*factors[0])
-                if term is not None:
-                    term = term * coef
-                for axis, e in factors[1:]:
-                    value = self.power_value(axis, e)
-                    term = None if term is None or value is None else 0.0 + term * value
+                term = values[factors[0]] * coef
+                for factor in factors[1:]:
+                    term = 0.0 + term * values[factor]
             else:
                 term = coef
-            if term is not None:
-                total = 0.0 + term if total is None else total + term
-        coeffs = {} if total is None else {zero: total}
-        return TruncatedSeries._trusted(len(zero), 0, coeffs)
+            total = 0.0 + term if total is None else total + term
+        return total
+
+    def series(self, coordinates: Coordinates) -> TruncatedSeries:
+        dim, order = coordinates.x[0].dim, coordinates.x[0].order
+        total: Dict[Exponents, object] = {}
+        get = total.get
+        for coef, factors in self.terms:
+            if not factors:
+                zero = _zero_exponents(dim)
+                total[zero] = get(zero, 0.0) + coef
+                continue
+            plan = self.plans.get((factors, order))
+            if plan is None:
+                plan = self.plans[factors, order] = _product_plan(coordinates, factors, order)
+            keys, products = plan
+            term = [v * coef for v in coordinates[factors[0]].coeffs.values()]
+            for factor, pairs in products:
+                values = list(coordinates[factor].coeffs.values())
+                term = [0.0 + term[i] * values[j] for i, j in pairs]
+            for key, v in zip(keys, term):
+                total[key] = get(key, 0.0) + v
+        return TruncatedSeries._trusted(dim, order, total)
+
+
+def _product_plan(coordinates: Coordinates, factors, order: int) -> tuple:
+    """The keys of a monomial's product at ``order``, and per further power
+    the pairs of key positions (term, power) whose product it keeps."""
+    rows = _PRODUCT_ROWS.setdefault(order, {})
+    keys, products = list(coordinates[factors[0]].coeffs), []
+    for factor in factors[1:]:
+        pairs, kept = [], []
+        for i, ka in enumerate(keys):
+            row = rows.get(ka)
+            if row is None:
+                row = rows[ka] = _ProductRow(ka, order)
+            for j, kb in enumerate(coordinates[factor].coeffs):
+                key = row[kb]
+                if key is not None:
+                    pairs.append((i, j))
+                    kept.append(key)
+        keys = kept
+        products.append((factor, pairs))
+    return keys, products
 
 
 # -- composition with univariate analytic primitives -------------------------

@@ -11,7 +11,11 @@ place of the solver that updates live columns only
 (``solve_linear_series_full_rows``), and one series per arithmetic step,
 each product a walk over every pair of keys, in place of the order-0 value
 path of monomial leaves and products (``monomial_series_route``,
-``series_product``), and the expression tree walked node by node, one
+``series_product``, read through ``series_route_field``), and the sum of a
+monomial table by series arithmetic, a new series per step, in place of
+its product plan (``polynomial_dict_walk``), with its order-0 value on the
+constant terms of the coordinate series in place of the value route
+(``polynomial_value``), and the expression tree walked node by node, one
 series per node, in place of the closures ``parse_expression`` compiles
 (``_evaluate``), and the general pullback, a composition with the map
 times its Jacobian minors, in place of the key selection through a box
@@ -24,9 +28,11 @@ in a pass of its own, through its own fields, in place of the pass the two
 faces of an axis share (``faces_alone``, which ``read_faces_alone`` puts in
 place of ``face_groups``).
 ``form_from_components`` builds test forms from one field per index tuple.
-``unit_box``, ``zero_jet``, ``chart_map`` and ``chart_point`` build and read
-the plain objects that only the tests need: the unit box, the zero jet, a
-body's chart map, and a face's chart point.
+``unit_box``, ``zero_jet``, ``chart_map``, ``chart_point``,
+``coordinate_field`` and ``from_polynomials`` build and read the plain
+objects that only the tests need: the unit box, the zero jet, a body's
+chart map, a face's chart point, the chart's coordinates as a field, and a
+field of monomial tables.
 
 The law pins (``transform_jet2``, ``transform_stress1``,
 ``transform_stress2``, ``predicted_contraction_defect``) read one frame
@@ -51,7 +57,15 @@ from jetstress.covariance import (
     _stress_law,
     _top_gradient_terms,
 )
-from jetstress.fields import JetValue, SmoothField, TensorField, on_nodes, pair
+from jetstress.fields import (
+    JetValue,
+    SmoothField,
+    TensorField,
+    coordinate_series,
+    monomial_map,
+    on_nodes,
+    pair,
+)
 from jetstress.geometry import (
     Body,
     Box,
@@ -75,7 +89,13 @@ from jetstress.surface import (
     transversal_decomposition,
 )
 from jetstress.exprs import FUNCTIONS, ExpressionError
-from jetstress.taylor import Coordinates, TruncatedSeries, reciprocal_series
+from jetstress.taylor import (
+    Coordinates,
+    MultiIndex,
+    TruncatedSeries,
+    integer_power_value,
+    reciprocal_series,
+)
 
 
 def unit_box(dim: int) -> Box:
@@ -91,7 +111,20 @@ def zero_jet(dim: int, fiber_dim: int, order: int) -> JetValue:
 
 def chart_map(body: Body) -> SmoothField:
     """The body's patch map, or the chart's coordinates when it has none."""
-    return body.patch if body.patch is not None else SmoothField.coordinates(body.dim)
+    return body.patch if body.patch is not None else coordinate_field(body.dim)
+
+
+def coordinate_field(dim: int) -> SmoothField:
+    """The chart's coordinate functions as a field."""
+    return SmoothField(dim, dim, lambda point, order: list(coordinate_series(point, order).x))
+
+
+def from_polynomials(dim: int, components) -> SmoothField:
+    """A field whose components are monomial tables [(exponents, coefficient), ...]."""
+    return SmoothField.from_series_maps(dim, [
+        monomial_map([(MultiIndex(exps), float(coef)) for exps, coef in comp])
+        for comp in components
+    ])
 
 
 def chart_point(face: FacePatch, param_point: Sequence[float]) -> Tuple[float, ...]:
@@ -166,15 +199,79 @@ def monomial_series_route(table):
     return evaluate
 
 
+def polynomial_dict_walk(coordinates: Coordinates, terms) -> TruncatedSeries:
+    """The sum, in table order, of the monomials ``terms`` = ``[(coefficient,
+    [(axis, exponent), ...]), ...]`` (exponents positive), by series
+    arithmetic: a monomial starts as ``power * coefficient`` and is multiplied
+    by its other powers in order, each product the library's walk over its
+    product rows, and added into the total, a new series per step.  The
+    route that ``MonomialTable.series``'s product plan must reproduce."""
+    first = coordinates.x[0]
+    dim, order = first.dim, first.order
+    total = TruncatedSeries.zero(dim, order)
+    for coef, factors in terms:
+        if not factors:
+            total = total + TruncatedSeries.constant(dim, order, coef)
+            continue
+        term = coordinates[factors[0]] * coef
+        for factor in factors[1:]:
+            term = term * coordinates[factor]
+        total = total + term
+    return total
+
+
+def polynomial_value(coordinates: Coordinates, terms) -> TruncatedSeries:
+    """:func:`polynomial_dict_walk` at order 0, where every series holds one
+    number or none: each step the IEEE operation the series route performs
+    on that number, on the values of the powers (a product is ``0.0 + term
+    * value``, and the first term enters the sum as ``0.0 + term``).  A
+    power that holds no key makes its monomial hold none, which the sum
+    skips.  The route that ``MonomialTable.value`` must reproduce."""
+    zero = (0,) * len(coordinates.x)
+    powers: Dict[Tuple[int, int], object] = {}
+
+    def power(axis, e):
+        if (axis, e) not in powers:
+            base = coordinates.x[axis].coeffs.get(zero)
+            powers[axis, e] = None if base is None else integer_power_value(base, e)
+        return powers[axis, e]
+
+    total = None
+    for coef, factors in terms:
+        if factors:
+            term = power(*factors[0])
+            if term is not None:
+                term = term * coef
+            for factor in factors[1:]:
+                value = power(*factor)
+                term = None if term is None or value is None else 0.0 + term * value
+        else:
+            term = coef
+        if term is not None:
+            total = 0.0 + term if total is None else total + term
+    return TruncatedSeries._trusted(len(zero), 0, {} if total is None else {zero: total})
+
+
+def series_route_field(dim: int, routes) -> SmoothField:
+    """A field whose components are functions of the coordinate series, each
+    read at every order on the series of one ``coordinate_series`` call."""
+
+    def evaluator(point, order):
+        variables = list(coordinate_series(point, order).x)
+        return [route(variables) for route in routes]
+
+    return SmoothField(dim, len(routes), evaluator)
+
+
 # An expression tree walked node by node at every call, each node a series
 # and each constant the constant series: the route that ``parse_expression``'s
 # compiled closures must reproduce bit for bit, at every order.
 def _evaluate(node, variables: Coordinates) -> TruncatedSeries:
     op = node[0]
     if op == "const":
-        return TruncatedSeries.constant(variables[0].dim, variables[0].order, node[1])
+        return TruncatedSeries.constant(variables.x[0].dim, variables.x[0].order, node[1])
     if op == "var":
-        return variables[node[1]]
+        return variables.x[node[1]]
     if op == "neg":
         return -_evaluate(node[1], variables)
     if op == "add":
@@ -187,7 +284,7 @@ def _evaluate(node, variables: Coordinates) -> TruncatedSeries:
         return _evaluate(node[1], variables) / _evaluate(node[2], variables)
     if op == "pow":
         if node[1][0] == "var":
-            return variables.power(node[1][1], node[2])
+            return variables[node[1][1], node[2]]
         return _evaluate(node[1], variables) ** node[2]
     if op == "call":
         return FUNCTIONS[node[1]](_evaluate(node[2], variables))

@@ -51,11 +51,11 @@ from jetstress.stress import (
 )
 from jetstress.surface import TransversalField
 
-from oracles import chart_point, unit_box
+from oracles import chart_point, from_polynomials, unit_box
 
 
 def tensor_poly(dim, shape, tables):
-    return TensorField(SmoothField.from_polynomials(dim, tables), shape)
+    return TensorField(from_polynomials(dim, tables), shape)
 
 
 def tensor_const(dim, shape, values):
@@ -325,7 +325,7 @@ def test_criterion_09_jet_engine_oracle():
     poly_worst = 0.0
     for _ in range(10):
         table = random_poly_table(rng, 2, 4, nterms=6)
-        field = SmoothField.from_polynomials(2, [table])
+        field = from_polynomials(2, [table])
         x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         jet = jet_extension(field, x, 4)
         # Symbolic derivative oracle for one representative multi-index.

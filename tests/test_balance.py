@@ -41,7 +41,7 @@ from jetstress.scenarios import load_scenario, run_checks
 from jetstress.stress import divergence, surface_force, traction_projection
 from jetstress.surface import TransversalField
 
-from oracles import unit_box
+from oracles import from_polynomials, unit_box
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -52,7 +52,7 @@ def tensor_const(dim, shape, values):
 
 
 def tensor_poly(dim, shape, tables):
-    return TensorField(SmoothField.from_polynomials(dim, tables), shape)
+    return TensorField(from_polynomials(dim, tables), shape)
 
 
 def random_poly_table(rng, n, degree, nterms=3):

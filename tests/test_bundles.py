@@ -15,7 +15,7 @@ from jetstress.bundles import (
 )
 from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
 
-from oracles import zero_jet
+from oracles import from_polynomials, zero_jet
 
 
 def square_grid(per_axis=3):
@@ -25,13 +25,13 @@ def square_grid(per_axis=3):
 
 
 def tensor1(dim, tables):
-    return TensorField(SmoothField.from_polynomials(dim, tables), (len(tables),))
+    return TensorField(from_polynomials(dim, tables), (len(tables),))
 
 
 def tensor2(dim, tables_2d):
     flat = [t for row in tables_2d for t in row]
     return TensorField(
-        SmoothField.from_polynomials(dim, flat), (len(tables_2d), len(tables_2d[0]))
+        from_polynomials(dim, flat), (len(tables_2d), len(tables_2d[0]))
     )
 
 

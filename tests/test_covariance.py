@@ -14,6 +14,7 @@ from jetstress import covariance, scenarios
 from jetstress.cli import main
 from jetstress.covariance import FrameChange, invariance_check
 from oracles import (
+    from_polynomials,
     predicted_contraction_defect,
     pullback_form_value,
     transform_jet2,
@@ -32,7 +33,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def tensor_poly(dim, shape, tables):
-    return TensorField(SmoothField.from_polynomials(dim, tables), shape)
+    return TensorField(from_polynomials(dim, tables), shape)
 
 
 def tensor_const(dim, shape, values):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetstress.exprs import FUNCTIONS, _Parser, _tokenize, parse_expression
-from jetstress.fields import coordinate_series
+from jetstress.fields import SmoothField, coordinate_series
 from oracles import _evaluate
 
 # The last two are the largest argument whose sinh and cosh are finite and
@@ -57,24 +57,32 @@ def bits(value):
 
 
 def outcome(evaluate):
-    """Keys and bits of ``evaluate()``, or the type and message it raises."""
+    """Keys and bits of each series ``evaluate()`` lists, or the type and
+    message it raises."""
     try:
         with np.errstate(all="ignore"):
             series = evaluate()
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
-    return series.dim, series.order, [(k, bits(v)) for k, v in series.coeffs.items()]
+    return [(s.dim, s.order, [(k, bits(v)) for k, v in s.coeffs.items()]) for s in series]
 
 
 def same_outcomes(texts, point, order):
-    """Each text compiled and walked; the components of each route share one
-    set of coordinates, as a field's do."""
+    """Each text compiled as a field of its own, and all of them as the
+    components of one field, against the trees walked on one shared set of
+    coordinate series, as a field's components share them; a field raises
+    the error of its first failing component."""
     dim = len(point)
-    compiled, walked = coordinate_series(point, order), coordinate_series(point, order)
-    for text in texts:
-        tree = _Parser(_tokenize(text), dim).parse()
-        evaluator = parse_expression(text, dim)
-        assert outcome(lambda: evaluator(compiled)) == outcome(lambda: _evaluate(tree, walked)), text
+    walked = coordinate_series(point, order)
+    trees = [_Parser(_tokenize(text), dim).parse() for text in texts]
+    leaves = [parse_expression(text, dim) for text in texts]
+    for text, tree, leaf in zip(texts, trees, leaves):
+        field = SmoothField.from_series_maps(dim, [leaf])
+        assert outcome(lambda: field.series_on(point, order)) == \
+            outcome(lambda: [_evaluate(tree, walked)]), text
+    field = SmoothField.from_series_maps(dim, leaves)
+    assert outcome(lambda: field.series_on(point, order)) == \
+        outcome(lambda: [_evaluate(tree, walked) for tree in trees]), texts
 
 
 @settings(max_examples=150, deadline=None)

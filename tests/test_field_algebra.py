@@ -10,6 +10,7 @@ from jetstress.bundles import JetSectionField
 from jetstress.fields import SmoothField, TensorField, jet_extension, pair
 from jetstress.nonholonomic import HyperSurfaceStress, NonHolonomicStress, VariationalStress2
 from jetstress.stress import VariationalStress1
+from oracles import from_polynomials
 
 TERMS = ("sin({c}*{a}) + {b}", "exp({c}*{b})*{a}", "{c}*cos({a}*{b})", "sqrt(1 + {c}*{a}^2)")
 
@@ -25,7 +26,7 @@ def poly_tensor(rng, n, shape, degree=3):
                 exps = [max(e, 0) for e in exps]
             table.append((tuple(exps), rng.uniform(-1.0, 1.0)))
         tables.append(table)
-    return TensorField(SmoothField.from_polynomials(n, tables), shape)
+    return TensorField(from_polynomials(n, tables), shape)
 
 
 def analytic_tensor(rng, n, shape):

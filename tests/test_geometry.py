@@ -22,7 +22,15 @@ from jetstress.geometry import (
     interior_product,
 )
 
-from oracles import _integral, edges, form_from_components, pullback_form_value, unit_box
+from oracles import (
+    _integral,
+    coordinate_field,
+    edges,
+    form_from_components,
+    from_polynomials,
+    pullback_form_value,
+    unit_box,
+)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -90,7 +98,7 @@ def test_integrate_constant_and_linear():
     vol = constant_form_field(2, 2, {(0, 1): 1.0})
     assert integrate([vol], unit_body(2), QuadratureRule(4)) == [[pytest.approx(1.0)]]
     linear = form_from_components(
-        2, 2, {(0, 1): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
+        2, 2, {(0, 1): from_polynomials(2, [[((1, 0), 1.0)]])}
     )
     assert integrate([linear], unit_body(2), QuadratureRule(4)) == [[pytest.approx(0.5)]]
 
@@ -103,7 +111,7 @@ def test_gauss_exactness_vs_antiderivative():
         coeffs = [rng.uniform(-1, 1) for _ in range(deg + 1)]
         table = [((k,), c) for k, c in enumerate(coeffs)]
         form = form_from_components(
-            1, 1, {(0,): SmoothField.from_polynomials(1, [table])}
+            1, 1, {(0,): from_polynomials(1, [table])}
         )
         [[value]] = integrate([form], unit_body(1), QuadratureRule(q))
         exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
@@ -129,7 +137,7 @@ def test_restrict_form_substitution():
     body = unit_body(2)
     faces = {f.label: f for f in boundary_faces(body)}
     omega = form_from_components(
-        2, 1, {(1,): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
+        2, 1, {(1,): from_polynomials(2, [[((1, 0), 1.0)]])}
     )
     face = faces["x1-upper"]
     restricted = omega.pullback(face.to_chart)
@@ -161,7 +169,7 @@ def test_restriction_commutes_with_exterior_derivative():
                 for exps in itertools.product(range(3), repeat=n):
                     if sum(exps) <= 4 and rng.random() < 0.4:
                         table.append((exps, rng.uniform(-1, 1)))
-                comps[t] = SmoothField.from_polynomials(n, [table or [((0,) * n, 0.0)]])
+                comps[t] = from_polynomials(n, [table or [((0,) * n, 0.0)]])
             omega = form_from_components(n, degree, comps)
             face = faces[rng.randrange(len(faces))]
             lhs = omega.pullback(face.to_chart).exterior_derivative()
@@ -180,7 +188,7 @@ def test_square_faces_and_hand_stokes():
     assert len(faces) == 4
     # omega = x1 dx2: d(omega) = dx1^dx2, both sides equal 1 on the unit square.
     omega = form_from_components(
-        2, 1, {(1,): SmoothField.from_polynomials(2, [[((1, 0), 1.0)]])}
+        2, 1, {(1,): from_polynomials(2, [[((1, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
     boundary = sum(integrate([omega.pullback(f.to_chart)], f, rule)[0][0] for f in faces)
@@ -194,7 +202,7 @@ def test_cube_faces_and_hand_stokes():
     faces = boundary_faces(body)
     assert len(faces) == 6
     omega = form_from_components(
-        3, 2, {(1, 2): SmoothField.from_polynomials(3, [[((1, 0, 0), 1.0)]])}
+        3, 2, {(1, 2): from_polynomials(3, [[((1, 0, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
     boundary = sum(integrate([omega.pullback(f.to_chart)], f, rule)[0][0] for f in faces)
@@ -223,7 +231,7 @@ def test_stokes_random_polynomial_forms():
                 for exps in itertools.product(range(5), repeat=n):
                     if sum(exps) <= 4 and rng.random() < 0.35:
                         table.append((exps, rng.uniform(-1, 1)))
-                comps[t] = SmoothField.from_polynomials(n, [table or [((0,) * n, 0.0)]])
+                comps[t] = from_polynomials(n, [table or [((0,) * n, 0.0)]])
             omega = form_from_components(n, n - 1, comps)
             [[interior]] = integrate([omega.exterior_derivative()], body, rule)
             boundary = sum(values[0] for values in integrate_boundary([omega], body, rule))
@@ -240,8 +248,8 @@ def test_stokes_on_patched_body():
     body.check_embedding(QuadratureRule(4))
     omega = form_from_components(
         2, 1,
-        {(0,): SmoothField.from_polynomials(2, [[((0, 2), 1.0)]]),
-         (1,): SmoothField.from_polynomials(2, [[((2, 0), 0.5), ((1, 1), 1.0)]])},
+        {(0,): from_polynomials(2, [[((0, 2), 1.0)]]),
+         (1,): from_polynomials(2, [[((2, 0), 0.5), ((1, 1), 1.0)]])},
     )
     rule = QuadratureRule(8)
     [[interior]] = integrate([omega.exterior_derivative()], body, rule)
@@ -290,7 +298,7 @@ def test_integrate_over_is_the_explicit_route(kind):
     if kind == "point face":
         want = [region.sign * form.value_at(region.point).coefficient(()) for form in forms]
     elif isinstance(region, Body):
-        mapping = region.patch or SmoothField.coordinates(2)
+        mapping = region.patch or coordinate_field(2)
         want = [_integral(form.pullback(mapping), region.box, rule, 1.0) for form in forms]
     else:
         forms = [form.pullback(region.to_chart) for form in forms]
@@ -325,7 +333,7 @@ def test_edge_signs_cancel_global_forms():
     # Summing a global form over all face boundaries must vanish (dd = 0).
     body = unit_body(3)
     rule = QuadratureRule(5)
-    field = SmoothField.from_polynomials(3, [[((1, 1, 1), 1.0), ((2, 0, 0), 0.5)]])
+    field = from_polynomials(3, [[((1, 1, 1), 1.0), ((2, 0, 0), 0.5)]])
     total = 0.0
     for face in boundary_faces(body):
         eta = form_from_components(

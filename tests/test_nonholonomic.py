@@ -23,7 +23,7 @@ from jetstress.nonholonomic import (
     second_contraction,
     second_contraction_brute_force,
 )
-from oracles import nh_action
+from oracles import from_polynomials, nh_action
 
 
 def tensor_const(dim, shape, values):
@@ -32,7 +32,7 @@ def tensor_const(dim, shape, values):
 
 
 def tensor_poly(dim, shape, tables):
-    return TensorField(SmoothField.from_polynomials(dim, tables), shape)
+    return TensorField(from_polynomials(dim, tables), shape)
 
 
 def random_poly_table(rng, n, degree, nterms=3):

@@ -1,7 +1,7 @@
 """The order-0 value path against the series route it replaces.
 
-At order 0 a series holds one number.  Monomial leaves
-(``Coordinates.polynomial``) and products compute that number directly;
+At order 0 a series holds one number.  Monomial leaves (the value route of
+``MonomialTable``) and products compute that number directly;
 ``oracles.monomial_series_route`` and ``oracles.series_product`` build one
 series per step, each product by the walk over every pair of keys.  Both
 must give the same keys and bits, signed zeros included, and neither may
@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetstress.fields import SmoothField, coordinate_series, monomial_map, on_nodes
-from jetstress.taylor import Coordinates, TruncatedSeries
-from oracles import monomial_series_route, series_product
+from jetstress.taylor import PointValues, TruncatedSeries
+from oracles import monomial_series_route, series_product, series_route_field
 
 COORDINATE = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 5e-324, 1e160, -1e160]) | st.floats(-4.0, 4.0)
 NONZERO = COORDINATE.filter(lambda v: v != 0.0)
@@ -50,13 +50,14 @@ def outcome(evaluate):
 
 
 def same_outcomes(point, order, component_tables):
-    """Each table through ``monomial_map`` and through the series route, the
-    components of each route sharing one set of coordinates, as a field's do."""
-    got, want = coordinate_series(point, order), coordinate_series(point, order)
-    for table in component_tables:
-        with np.errstate(all="ignore"):
-            assert outcome(lambda: monomial_map(table)(got)) == \
-                outcome(lambda: monomial_series_route(table)(want))
+    """The tables as the components of one field through ``monomial_map``,
+    and each through the series route on one shared set of coordinates."""
+    field = SmoothField.from_series_maps(len(point), [monomial_map(t) for t in component_tables])
+    want = list(coordinate_series(point, order).x)
+    with np.errstate(all="ignore"):
+        got = field.series_on(point, order)
+        assert [outcome(lambda: s) for s in got] == \
+            [outcome(lambda: monomial_series_route(table)(want)) for table in component_tables]
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,7 +89,7 @@ def test_on_nodes_gives_each_node_its_series_route_bits(data, dim, nodes):
     component_tables = data.draw(st.lists(tables(dim), min_size=1, max_size=3))
     grid = np.array([[data.draw(COORDINATE) for _ in range(dim)] for _ in range(nodes)])
     field = SmoothField.from_series_maps(dim, [monomial_map(t) for t in component_tables])
-    route = SmoothField.from_series_maps(dim, [monomial_series_route(t) for t in component_tables])
+    route = series_route_field(dim, [monomial_series_route(t) for t in component_tables])
     got = on_nodes(field.values_on, grid, width=len(component_tables))
     want = [route.values_at(tuple(node)) for node in grid]
     assert [[float(v).hex() for v in row] for row in got] == \
@@ -130,18 +131,14 @@ POWER_BASE = COORDINATE | st.sampled_from([math.inf, -math.inf, math.nan, 1e308,
        exponents=st.lists(st.integers(1, 9), min_size=1, max_size=4))
 def test_order0_power_value_is_the_series_power(data, dim, nodes, exponents):
     # The value of x ** e, a float or one per node, from the steps of ** on
-    # plain numbers; a series that holds no key has no value.
-    kind = data.draw(st.sampled_from(["absent", "float", "nodes"]))
+    # plain numbers.
+    nodal = data.draw(st.booleans())
     axis = data.draw(st.integers(0, dim - 1))
     zero = (0,) * dim
-    series = [TruncatedSeries.zero(dim, 0) for _ in range(dim)]
-    if kind == "float":
-        series[axis] = TruncatedSeries.constant(dim, 0, data.draw(POWER_BASE))
-    elif kind == "nodes":
-        values = np.array([data.draw(POWER_BASE) for _ in range(nodes)])
-        series[axis] = TruncatedSeries.constant(dim, 0, values)
-    coordinates = Coordinates(series)
+    base = (np.array([data.draw(POWER_BASE) for _ in range(nodes)]) if nodal
+            else data.draw(POWER_BASE))
+    values = PointValues([0.5] * axis + [base] + [0.5] * (dim - 1 - axis))
     with np.errstate(all="ignore"):
         for e in exponents:  # repeats read the memo
-            want = (series[axis] ** e).coeffs.get(zero)
-            assert bits(coordinates.power_value(axis, e)) == bits(want)
+            want = (TruncatedSeries.constant(dim, 0, base) ** e).coeffs.get(zero)
+            assert bits(values[axis, e]) == bits(want)

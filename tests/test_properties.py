@@ -22,7 +22,7 @@ from jetstress.stress import (
     traction_projection,
     verify_balance_order1,
 )
-from oracles import form_from_components, unit_box
+from oracles import form_from_components, from_polynomials, unit_box
 
 
 def random_poly_table(rng, n, degree, nterms=4):
@@ -32,7 +32,7 @@ def random_poly_table(rng, n, degree, nterms=4):
 
 def random_form(rng, n, degree, poly_degree=3):
     comps = {
-        t: SmoothField.from_polynomials(n, [random_poly_table(rng, n, poly_degree)])
+        t: from_polynomials(n, [random_poly_table(rng, n, poly_degree)])
         for t in increasing_tuples(n, degree)
     }
     return form_from_components(n, degree, comps)
@@ -100,16 +100,16 @@ def test_balance_order1_curved_body():
     body = Body(unit_box(2), patch=patch)
     for _ in range(3):
         stress = VariationalStress1(
-            TensorField(SmoothField.from_polynomials(2, [random_poly_table(rng, 2, 2)]), (1,)),
+            TensorField(from_polynomials(2, [random_poly_table(rng, 2, 2)]), (1,)),
             TensorField(
-                SmoothField.from_polynomials(
+                from_polynomials(
                     2, [random_poly_table(rng, 2, 2) for _ in range(2)]
                 ),
                 (1, 2),
             ),
         )
         w = TensorField(
-            SmoothField.from_polynomials(2, [random_poly_table(rng, 2, 2)]), (1,)
+            from_polynomials(2, [random_poly_table(rng, 2, 2)]), (1,)
         )
         _, residual = verify_balance_order1(stress, w, body, QuadratureRule(8))
         assert residual < 1e-12
@@ -121,18 +121,18 @@ def test_balance_order1_mixed_dims_d2_n3():
     body = Body(unit_box(n))
     stress = VariationalStress1(
         TensorField(
-            SmoothField.from_polynomials(n, [random_poly_table(rng, n, 3) for _ in range(d)]),
+            from_polynomials(n, [random_poly_table(rng, n, 3) for _ in range(d)]),
             (d,),
         ),
         TensorField(
-            SmoothField.from_polynomials(
+            from_polynomials(
                 n, [random_poly_table(rng, n, 3) for _ in range(d * n)]
             ),
             (d, n),
         ),
     )
     w = TensorField(
-        SmoothField.from_polynomials(n, [random_poly_table(rng, n, 3) for _ in range(d)]),
+        from_polynomials(n, [random_poly_table(rng, n, 3) for _ in range(d)]),
         (d,),
     )
     _, residual = verify_balance_order1(stress, w, body, QuadratureRule(4))
@@ -146,7 +146,7 @@ def test_stokes_with_nonunit_boxes():
     body = Body(box)
     for _ in range(5):
         comps = {
-            t: SmoothField.from_polynomials(2, [random_poly_table(rng, 2, 3)])
+            t: from_polynomials(2, [random_poly_table(rng, 2, 3)])
             for t in increasing_tuples(2, 1)
         }
         omega = form_from_components(2, 1, comps)

@@ -309,6 +309,34 @@ MALFORMED_DOCUMENTS = [
      "geometry.chart_box: the body reaches (1.0, 1.5), outside the chart box"),
     ("patched-metric.json", ("geometry", "patch"), ["x1 + 1.5", "x2 + 0.08*x1*x2"],
      "geometry.chart_box: the body reaches ("),
+    # A key no object holds, one row per object of the key table.
+    ("cube-order2.json", ("tolerance",), {"balance2": 1e-300},
+     "tolerance: unknown key (did you mean 'tolerances'?)"),
+    ("square-order1.json", ("bundle", "dim"), 2, "bundle.dim: unknown key"),
+    ("cube-order2.json", ("geometry", "quad_ordr"), 3,
+     "geometry.quad_ordr: unknown key (did you mean 'quad_order'?)"),
+    ("cube-order2.json", ("stress", "ordr1"), {}, "stress.ordr1: unknown key (did you mean 'order1'?)"),
+    ("square-order1.json", ("stress", "order1", "s_1"), [["0", "0"]],
+     "stress.order1.s_1: unknown key (did you mean 's1'?)"),
+    ("cube-order2.json", ("stress", "order2", "splt"), 0.5,
+     "stress.order2.splt: unknown key (did you mean 'split'?)"),
+    ("cube-order2.json", ("stress", "raw", "x4"), [["0"]], "stress.raw.x4: unknown key"),
+    ("cube-order2.json", ("velocity", "uu"), ["x1"], "velocity.uu: unknown key (did you mean 'u'?)"),
+    ("square-order1.json", ("velocity", "section"), {"a0": ["x1"], "a1": [["1", "0"]], "a_1": 0},
+     "velocity.section.a_1: unknown key (did you mean 'a1'?)"),
+    ("patched-metric.json", ("transversals", "x1-upper", "metrc"), [[1, 0], [0, 1]],
+     "transversals.x1-upper.metrc: unknown key (did you mean 'metric'?)"),
+    # Both known keys: neither reads as the other's leftover.
+    ("patched-metric.json", ("transversals", "x1-upper", "metric"), [[1, 0], [0, 1]],
+     "transversals.x1-upper: expected 'coordinate', a vector, or a metric"),
+    ("covariance-quadratic.json", ("covariance", "sample"), [[0.5, 0.5]],
+     "covariance.sample: unknown key (did you mean 'samples'?)"),
+    ("disk-closed.json", ("closed_boundary", "transverse"), ["1", "0"],
+     "closed_boundary.transverse: unknown key (did you mean 'transversal'?)"),
+    ("square-order1.json", ("velocity", "u"), [{"monomials": [[[3, 0], 1.0]], "exr": "x1"}],
+     "velocity.u[0].exr: unknown key (did you mean 'expr'?)"),
+    ("square-order1.json", ("velocity", "u"), [{"monomials": [[[3, 0], 1.0]], "expr": "x1"}],
+     "velocity.u[0]: component must be a number, string, or monomial table"),
 ]
 
 
@@ -326,6 +354,20 @@ def test_malformed_document_exits_2_naming_the_key(tmp_path, capsys, fixture, pa
     scenario.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(scenario)]) == 2
     assert f"error: {key}" in capsys.readouterr().err
+
+
+def test_the_readme_names_the_keys_of_each_object():
+    # The "Scenario files" table lists every object of the key table, and
+    # for each the keys it may hold, none left out and none more.
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| Object | Keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        obj, keys = [cell.strip() for cell in row.strip("|").split("|")]
+        listed["" if obj == "top level" else obj.strip("`")] = re.findall(r"`([^`]+)`", keys)
+    assert {obj: sorted(keys) for obj, keys in listed.items()} == \
+        {obj: sorted(keys) for obj, keys in scenarios._KEYS.items()}
 
 
 NON_OBJECT_BLOCKS = [

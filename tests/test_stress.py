@@ -19,11 +19,11 @@ from jetstress.stress import (
     traction_projection,
     verify_balance_order1,
 )
-from oracles import stress_action, unit_box, zero_jet
+from oracles import from_polynomials, stress_action, unit_box, zero_jet
 
 
 def tensor(dim, shape, tables):
-    return TensorField(SmoothField.from_polynomials(dim, tables), shape)
+    return TensorField(from_polynomials(dim, tables), shape)
 
 
 def constant_stress(n, d, s0_vals, s1_vals):

@@ -29,7 +29,7 @@ from jetstress.surface import (
     transversal_decomposition,
     vertical_projection,
 )
-from oracles import face_jet_pairing, unit_box
+from oracles import face_jet_pairing, from_polynomials, unit_box
 
 
 def tensor_const(dim, shape, values):
@@ -38,7 +38,7 @@ def tensor_const(dim, shape, values):
 
 
 def tensor_poly(dim, shape, tables):
-    return TensorField(SmoothField.from_polynomials(dim, tables), shape)
+    return TensorField(from_polynomials(dim, tables), shape)
 
 
 def random_poly_table(rng, n, degree, nterms=3):

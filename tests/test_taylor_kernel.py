@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstress import taylor
-from jetstress.fields import SmoothField, on_nodes
+from jetstress import fields, taylor
+from jetstress.fields import SmoothField, coordinate_series, monomial_map, on_nodes
+from jetstress.scenarios import parse_tensor
 from jetstress.taylor import TruncatedSeries
+from oracles import from_polynomials, polynomial_dict_walk, polynomial_value
 
 # -- reference loops on (dim, order, coeffs) ---------------------------------------
 
@@ -247,7 +249,7 @@ def test_monomial_leaf_computes_each_power_once_per_point(monkeypatch):
         [((2, 0, 0), 1.0), ((0, 3, 1), 0.25), ((0, 0, 0), 4.0)],
         [((0, 0, 1), -1.0), ((2, 0, 1), 0.75)],
     ]
-    field = SmoothField.from_polynomials(3, components)
+    field = from_polynomials(3, components)
     distinct = {(axis, e) for comp in components for exps, _ in comp
                 for axis, e in enumerate(exps) if e}
     calls = count_pow_calls(monkeypatch)
@@ -440,3 +442,110 @@ def test_nodes_where_a_value_is_zero_keep_the_one_node_bits(name, derivative):
     got = on_nodes(value, nodes)
     want = [value(tuple(float(c) for c in node)) for node in nodes]
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+# -- monomial leaves: value route and product plan -----------------------------------
+#
+# The references are the dict walk of series arithmetic and its order-0 value
+# (``oracles.polynomial_dict_walk`` and ``oracles.polynomial_value``).
+
+SUBNORMAL = 2.2250738585072014e-308 / 4
+LEAF_COEFFICIENT = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, SUBNORMAL, -SUBNORMAL, 1e308, -1e308]) | st.floats(-4.0, 4.0)
+LEAF_COORDINATE = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e160, -1e160]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def monomial_tables(draw, dim):
+    """A monomial table with exponents up to 5: possibly empty, with constant terms."""
+    exponents = st.just((0,) * dim) | st.tuples(*[st.integers(0, 5)] * dim)
+    return draw(st.lists(st.tuples(exponents, LEAF_COEFFICIENT), max_size=6))
+
+
+def leaf_outcome(evaluate):
+    """Keys and coefficient bits of each series ``evaluate()`` lists, or the
+    type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            series = evaluate()
+    except Exception as exc:  # whatever either route raises, the other must raise too
+        return type(exc).__name__, str(exc)
+    return [(s.dim, s.order, [(k, ("nodes", tuple(float(x).hex() for x in v)) if np.ndim(v)
+                               else (type(v).__name__, float(v).hex()))
+                              for k, v in s.coeffs.items()]) for s in series]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 4), nodes=st.integers(1, 5))
+def test_monomial_routes_are_the_dict_walk_bit_for_bit(data, dim, order, nodes):
+    tables = data.draw(st.lists(monomial_tables(dim), min_size=1, max_size=3))
+    # One float point, or a batch whose coordinates are each one float or one
+    # value per node.
+    point = tuple(
+        np.array([data.draw(LEAF_COORDINATE) for _ in range(nodes)])
+        if nodes > 1 and data.draw(st.booleans()) else data.draw(LEAF_COORDINATE)
+        for _ in range(dim)
+    )
+    # The tables share their product plans, as those of a scenario's field do;
+    # the second read runs the plans the first one built.
+    plans = {}
+    field = SmoothField.from_series_maps(dim, [monomial_map(t, plans) for t in tables])
+    reference = coordinate_series(point, order)
+    route = polynomial_dict_walk if order else polynomial_value
+    terms = [[(float(coef), [(axis, e) for axis, e in enumerate(exps) if e])
+              for exps, coef in table] for table in tables]
+    want = leaf_outcome(lambda: [route(reference, t) for t in terms])
+    assert leaf_outcome(lambda: field.series_on(point, order)) == want
+    assert leaf_outcome(lambda: field.series_on(point, order)) == want
+
+
+# Op-count guards: the work a leaf read does, not its time.
+LEAF_SPECS = [2.5, {"monomials": [[[1, 2], 0.5], [[0, 0], 1.0], [[3, 0], -0.25]]},
+              "x1*sin(x2) + x2^2 - 1"]
+
+
+def leaf_field():
+    return parse_tensor(LEAF_SPECS, 2, (len(LEAF_SPECS),), "u").field
+
+
+def test_an_order0_read_builds_no_coordinate_series(monkeypatch):
+    built = []
+    series, init = fields.coordinate_series, taylor.Coordinates.__init__
+    monkeypatch.setattr(fields, "coordinate_series",
+                        lambda *args: built.append("series") or series(*args))
+    monkeypatch.setattr(taylor.Coordinates, "__init__",
+                        lambda self, *args: built.append("Coordinates") or init(self, *args))
+    field = leaf_field()
+    field.series_at((0.3, 0.7), 0)
+    on_nodes(field.values_on, np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), width=field.ncomp)
+    assert built == []
+    field.series_at((0.3, 0.7), 1)  # the guard sees a series read
+    assert built == ["series", "Coordinates"]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_monomial_table_multiplies_series_only_for_its_powers(monkeypatch, order):
+    components = [[((2, 0, 1), 1.5), ((2, 1, 0), -0.5), ((0, 3, 0), 2.0), ((0, 0, 0), 4.0)],
+                  [((1, 1, 1), 1.0), ((0, 2, 2), 0.25)]]
+    field = from_polynomials(3, components)
+    calls, depth = [], [0]
+    mul, power = TruncatedSeries.__mul__, TruncatedSeries.__pow__
+
+    def counted_mul(self, other):
+        calls.append(depth[0])
+        return mul(self, other)
+
+    def counted_pow(self, e):
+        depth[0] += 1
+        try:
+            return power(self, e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(TruncatedSeries, "__pow__", counted_pow)
+    field.series_at((0.3, -0.2, 0.7), order)
+    on_nodes(lambda p: field.series_on(p, order)[0].value, np.array([[0.1, 0.2, 0.3]] * 3))
+    # Every series product is a step of some x_i ** e; none is a monomial's.
+    assert calls and all(depth for depth in calls)
