@@ -5,7 +5,7 @@ balances, traction formulas, and transformation laws checked here are
 limited only by quadrature and float roundoff.
 """
 
-from .taylor import MultiIndex, TruncatedSeries
+from .taylor import TruncatedSeries
 from .fields import JetValue, SmoothField, TensorField, finite_difference_jet, jet_extension
 from .geometry import (
     Body,
@@ -18,14 +18,7 @@ from .geometry import (
     integrate,
     interior_product,
 )
-from .bundles import (
-    HolonomyClass,
-    IteratedJetValue,
-    JetSectionField,
-    holonomy_class,
-    include_holonomic,
-    symmetrize_iterated,
-)
+from .bundles import HolonomyClass, JetSectionField, holonomy_class
 from .stress import (
     VariationalStress1,
     body_force,
@@ -42,19 +35,16 @@ from .nonholonomic import (
     lift_second_order,
     nh_divergence,
     nh_traction,
-    restrict_to_second_order,
     second_contraction,
 )
 from .surface import (
     RestrictedSurfaceStress,
     TransversalField,
-    is_tangent,
     restrict_Y,
     surface_divergence,
     tangent_edge_force,
     tangent_traction,
     transversal_decomposition,
-    vertical_projection,
 )
 from .balance import (
     div_div,

@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exprs import parse_expression
-from .taylor import (Coordinates, MonomialTable, MultiIndex, PointValues, TruncatedSeries,
+from .taylor import (Coordinates, MonomialTable, PointValues, TruncatedSeries,
                      _coefficient, per_node)
 
 __all__ = [
@@ -378,12 +378,8 @@ class SmoothField:
 
     @classmethod
     def constant(cls, dim: int, values: Sequence[float]) -> "SmoothField":
-        values = [float(v) for v in values]
-
-        def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
-            return [TruncatedSeries.constant(dim, order, v) for v in values]
-
-        return cls(dim, len(values), evaluator)
+        """One constant per component: float leaves of :meth:`from_series_maps`."""
+        return cls.from_series_maps(dim, [(v, v) for v in map(float, values)])
 
     @classmethod
     def from_expressions(cls, dim: int, expressions: Sequence[str]) -> "SmoothField":
@@ -423,10 +419,6 @@ class TensorField:
     def _check_same(self, other: "TensorField") -> None:
         if self.shape != other.shape:
             raise ValueError(f"tensor shapes {self.shape} and {other.shape} differ")
-
-    def __add__(self, other: "TensorField") -> "TensorField":
-        self._check_same(other)
-        return TensorField(self.field + other.field, self.shape)
 
     def __sub__(self, other: "TensorField") -> "TensorField":
         self._check_same(other)
@@ -599,8 +591,9 @@ def _jet_layout(dim: int, order: int, fibre: int) -> Tuple[List[Tuple[int, ...]]
         exps = [tuple(slot.count(a) for a in range(dim))
                 for slot in itertools.product(range(dim), repeat=p)]
         columns = [keys.index(e) for e in exps]
+        factorials = [math.prod(map(math.factorial, e)) for e in exps]
         gathers.append((np.array([c * len(keys) + k for c in range(fibre) for k in columns]),
-                        np.array([MultiIndex(e).factorial() for e in exps] * fibre, dtype=float)))
+                        np.array(factorials * fibre, dtype=float)))
     return keys, gathers
 
 

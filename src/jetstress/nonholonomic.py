@@ -1,10 +1,10 @@
 """Second-order stresses through their non-holonomic representatives.
 
 A non-holonomic stress has four blocks pairing with the four blocks of an
-iterated jet.  Restricting to holonomic arguments collapses it to a
-symmetric second-order stress; lifting a second-order stress back is
-non-unique, parameterized here by how the first-order content splits
-between the two middle blocks.
+iterated jet (a first-jet section and its derivatives).  Restricted to
+holonomic arguments it collapses to a symmetric second-order stress; lifting
+a second-order stress back is non-unique, parameterized here by how the
+first-order content splits between the two middle blocks.
 
 The divergence lands in the first-order layout acting on first-jet
 sections, so the order-1 machinery applies to it again; higher orders
@@ -27,7 +27,6 @@ __all__ = [
     "VariationalStress2",
     "HyperSurfaceStress",
     "nh_action_form",
-    "restrict_to_second_order",
     "lift_second_order",
     "nh_traction",
     "nh_divergence",
@@ -91,13 +90,6 @@ def nh_action_form(stress: NonHolonomicStress, section: JetSectionField) -> Form
     return FormField.volume(pair([
         (stress.x0, a0), (stress.x1, a1), (stress.x2, a0, 1), (stress.x3, a1, 1),
     ]).field)
-
-
-def restrict_to_second_order(stress: NonHolonomicStress) -> VariationalStress2:
-    """Collapse to the symmetric stress acting on holonomic arguments."""
-    x3 = stress.x3
-    s2 = (x3 + x3.signed(None, (0, 2, 1))).scale(0.5)
-    return VariationalStress2(stress.x0, stress.x1 + stress.x2, s2)
 
 
 def lift_second_order(stress: VariationalStress2, split: float = 1.0) -> NonHolonomicStress:

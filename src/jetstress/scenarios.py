@@ -356,11 +356,7 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
     checks = _require(doc, "checks")
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("checks: expected a non-empty list")
-    for i, cid in enumerate(checks):
-        if cid not in CHECK_IDS:
-            raise ScenarioError(f"checks: unknown check id {cid!r}")
-        if cid in checks[:i]:
-            raise ScenarioError(f"checks: duplicate check id {cid!r}")
+    _check_ids(checks)
 
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = doc.get("tolerances", {})
@@ -689,17 +685,22 @@ DEFAULT_TOLERANCES: Dict[str, float] = {cid: c.tolerance for cid, c in _CHECKS.i
 CHECK_IDS = tuple(sorted(_CHECKS))
 
 
+def _check_ids(check_ids: List[Any], configured: Optional[List[str]] = None) -> None:
+    """Raise at the first id that is unknown, not ``configured``, or repeated."""
+    for i, cid in enumerate(check_ids):
+        if cid not in CHECK_IDS:
+            raise ScenarioError(f"checks: unknown check id {cid!r}")
+        if configured is not None and cid not in configured:
+            raise ScenarioError(f"checks: {cid!r} not configured in this scenario")
+        if cid in check_ids[:i]:
+            raise ScenarioError(f"checks: duplicate check id {cid!r}")
+
+
 def run_checks(scenario: Scenario, selected: Optional[Sequence[str]] = None) -> RunReport:
     """Execute the scenario's checks (or a subset) and collect records."""
     report = RunReport(scenario.digest)
     check_ids = list(scenario.checks if selected is None else selected)
-    for i, cid in enumerate(check_ids):
-        if cid not in _CHECKS:
-            raise ScenarioError(f"checks: unknown check id {cid!r}")
-        if cid not in scenario.checks:
-            raise ScenarioError(f"checks: {cid!r} not configured in this scenario")
-        if cid in check_ids[:i]:
-            raise ScenarioError(f"checks: duplicate check id {cid!r}")
+    _check_ids(check_ids, scenario.checks)
     for cid in check_ids:
         with _keyed(f"checks.{cid}"):
             terms, residual = _CHECKS[cid].run(scenario)

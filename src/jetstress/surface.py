@@ -1,10 +1,13 @@
-"""Face-level stress analysis: restriction, tangency, and surface divergence.
+"""Face-level stress analysis: restriction, the transversal split, tangent
+traction, surface divergence and the edge force of a tangent face stress.
 
 Restricting a boundary-density stress to a face still pairs with ambient
 derivative components, so it is not yet a stress over the face.  A
-transversal vector field supplies the missing split: its annihilator
-one-form separates tangential from transversal content, making the tangent
-traction and the surface divergence well defined.
+transversal vector field supplies the missing split: solving against the
+frame of face tangents and the transversal separates tangential from
+transversal content, making the tangent traction and the surface divergence
+well defined.  A face stress whose transversal part vanishes is tangent, and
+reduces to an order-1 stress over the face (:func:`tangent_edge_force`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SmoothField, TensorField, linear_field, pair
+from .fields import SmoothField, TensorField, jets_on, linear_field, pair
 from .geometry import (
     FacePatch,
     FormField,
@@ -30,8 +33,6 @@ __all__ = [
     "TransversalField",
     "RestrictedSurfaceStress",
     "restrict_Y",
-    "vertical_projection",
-    "is_tangent",
     "transversal_decomposition",
     "FaceSplit",
     "face_split",
@@ -139,11 +140,12 @@ def _frame_series(
 
 
 class TransversalField:
-    """A nowhere-tangent vector field along a face with its annihilator form.
+    """A nowhere-tangent vector field along a face.
 
-    ``n_field`` holds ambient vector components over the face parameters;
-    ``annihilator_series`` solves phi(tangent) = 0, phi(n) = 1 pointwise in
-    series arithmetic, so the annihilator is differentiable along the face.
+    ``n_field`` holds ambient vector components over the face parameters.
+    With the face tangents it makes the frame that
+    :func:`transversal_decomposition` solves against in series arithmetic,
+    so both parts are differentiable along the face.
     """
 
     def __init__(self, face: FacePatch, n_field: TensorField):
@@ -159,8 +161,7 @@ class TransversalField:
     def axis(cls, face: FacePatch, axis: int, sign: float = 1.0) -> "TransversalField":
         """The constant transversal ``sign`` times the basis vector of ``axis``."""
         n = face.to_chart.ncomp
-        vec = [0.0] * n
-        vec[axis] = sign
+        vec = [sign if a == axis else 0.0 for a in range(n)]
         return cls(face, TensorField(SmoothField.constant(face.param_dim, vec), (n,)))
 
     @classmethod
@@ -230,30 +231,6 @@ class TransversalField:
             raise ValueError("cannot orient the metric normal on this face")
         return 1.0 if component > 0 else -1.0
 
-    def annihilator_series(self, point: Sequence[float], order: int) -> List[TruncatedSeries]:
-        """Components of the one-form with phi(tangents) = 0, phi(n) = 1."""
-        n = self.face.to_chart.ncomp
-        rhs = [[TruncatedSeries.zero(self.face.param_dim, order)] for _ in range(n)]
-        rhs[-1][0] = TruncatedSeries.constant(self.face.param_dim, order, 1.0)
-        # Unknown phi enters through M[k][i] phi_i with M rows = tangents, n.
-        sol = _solve_linear_series(_frame_series(self.face, self.n_field, point, order), rhs)
-        return [row[0] for row in sol]
-
-    def validate(self, points: Sequence[Sequence[float]], tol: float = 1e-12) -> float:
-        """Largest defect of phi(n) = 1 and phi(tangent) = 0 over sample points;
-        a NaN defect is kept, as numpy's max keeps it, and fails."""
-        defects = []
-        for y in points:
-            phi = [s.value for s in self.annihilator_series(y, 0)]
-            frame = _frame_series(self.face, self.n_field, y, 0)
-            *tangents, nvec = [[s.value for s in vector] for vector in frame]
-            defects.append(abs(float(np.dot(phi, nvec)) - 1.0))
-            defects += [abs(float(np.dot(phi, tv))) for tv in tangents]
-        worst = float(np.max(defects, initial=0.0))
-        if not worst <= tol:
-            raise ValueError(f"transversal field defect {worst:.2e} exceeds {tol:.1e}")
-        return worst
-
 
 class RestrictedSurfaceStress:
     """A boundary stress pulled onto face parameters, still pairing ambient jets.
@@ -291,40 +268,6 @@ def restrict_Y(surface_stress: HyperSurfaceStress, face: FacePatch) -> Restricte
     return RestrictedSurfaceStress(
         face, restrict(surface_stress.y0, (d,)), restrict(surface_stress.y1, (d, n))
     )
-
-
-def _reference_transversal(face: FacePatch, axis: Optional[int]) -> TransversalField:
-    """The basis vector of ``axis`` as a transversal; box faces default to their own axis."""
-    if axis is None:
-        if face.axis is None:
-            raise ValueError("general faces need an explicit complement coordinate")
-        axis = face.axis
-    return TransversalField.axis(face, axis)
-
-
-def vertical_projection(
-    restricted: RestrictedSurfaceStress, complement_axis: Optional[int] = None
-) -> TensorField:
-    """The derivative-slot component acting on jets that vanish tangentially.
-
-    It is the transversal coefficient along the basis vector of the complement
-    coordinate, which box faces take to be their omitted axis; there the
-    projection reduces to the corresponding column of the derivative slot.
-    """
-    reference = _reference_transversal(restricted.face, complement_axis)
-    return transversal_decomposition(restricted, reference)[1]
-
-
-def is_tangent(
-    restricted: RestrictedSurfaceStress,
-    tol: float = 1e-9,
-    rule: QuadratureRule = QuadratureRule(3),
-    complement_axis: Optional[int] = None,
-) -> bool:
-    """Whether the vertical projection vanishes across the face."""
-    vp = vertical_projection(restricted, complement_axis)
-    nodes, _ = rule.nodes_weights(restricted.face.param_box)
-    return all(float(np.max(np.abs(vp.at(tuple(y))))) <= tol for y in nodes)
 
 
 def transversal_decomposition(
@@ -434,14 +377,24 @@ def tangent_edge_force(
 ) -> Tuple[TensorField, TensorField, VariationalStress1]:
     """Reduce a tangent face stress to an order-1 stress over the face.
 
-    Returns its traction (the edge-force density on the face boundary), its
-    divergence, and the reduced stress itself so the order-1 balance can be
-    rerun on the face.
+    One :func:`transversal_decomposition` along the basis vector of the
+    complement coordinate (a box face's own axis by default) gives both
+    parts.  The stress is tangent when the transversal part vanishes within
+    ``tol`` at the nodes of the 3-point rule on the face, read in one pass.
+    Returns the traction of the reduced stress (the edge-force density on
+    the face boundary), its divergence, and the reduced stress itself so the
+    order-1 balance can be rerun on the face.
     """
     face = restricted.face
-    if not is_tangent(restricted, tol=tol, complement_axis=complement_axis):
+    if complement_axis is None:
+        if face.axis is None:
+            raise ValueError("general faces need an explicit complement coordinate")
+        complement_axis = face.axis
+    reference = TransversalField.axis(face, complement_axis)
+    tangent, normal = transversal_decomposition(restricted, reference)
+    nodes, _ = QuadratureRule(3).nodes_weights(face.param_box)
+    [vertical] = jets_on(normal.field, nodes, 0)
+    if not np.all(np.max(np.abs(vertical), axis=1) <= tol):
         raise ValueError("face stress is not tangent; edge force undefined")
-    reference = _reference_transversal(face, complement_axis)
-    tangent, _ = transversal_decomposition(restricted, reference)
     reduced = VariationalStress1(restricted.z0, tangent)
     return traction_projection(reduced), divergence(reduced), reduced

@@ -33,7 +33,9 @@ expression) has two routes, made once at load: a value route that reads a
 and a series route that reads :class:`Coordinates`, the coordinate series
 and their powers; a monomial table's series route runs a product plan
 (:class:`MonomialTable`).  All perform the IEEE operations of the general
-route, in its order, so the bits are those of the general route.
+route, in its order, so the bits are those of the general route; a
+monomial's products leave out a ``0.0 +`` that no bit of its sum can show
+(see :class:`MonomialTable`).
 
 The analytic primitives call ``math`` once per node and function, because
 numpy's transcendental ufuncs differ from ``math`` in the last bit on some
@@ -50,7 +52,6 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "TruncatedSeries",
     "per_node",
     "PointValues",
@@ -81,36 +82,6 @@ __all__ = [
 ]
 
 Exponents = Tuple[int, ...]
-
-
-class MultiIndex(tuple):
-    """Exponent tuple ``(i1, ..., in)`` of the monomial ``x1^i1 * ... * xn^in``."""
-
-    def __new__(cls, entries: Iterable[int]) -> "MultiIndex":
-        entries = tuple(int(e) for e in entries)
-        if len(entries) < 1:
-            raise ValueError("multi-index needs at least one entry")
-        if any(e < 0 for e in entries):
-            raise ValueError(f"multi-index entries must be non-negative, got {entries}")
-        return super().__new__(cls, entries)
-
-    @property
-    def order(self) -> int:
-        return sum(self)
-
-    def factorial(self) -> int:
-        """Product of entry factorials, converting Taylor coefficients to derivatives."""
-        out = 1
-        for e in self:
-            out *= math.factorial(e)
-        return out
-
-    def axes(self) -> Tuple[int, ...]:
-        """Expand into a sorted tuple of axis labels, e.g. (2, 0, 1) -> (0, 0, 1, 2, 2)."""
-        out = []
-        for axis, e in enumerate(self):
-            out.extend([axis] * e)
-        return tuple(out)
 
 
 def _zero_exponents(dim: int) -> Exponents:
@@ -377,10 +348,13 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.dim, self.order, out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        """The series to a lower total order; a higher one would claim the
+        unknown coefficients above this order are zero, so it is refused."""
         if order == self.order:
             return self
         if order > self.order:
-            return TruncatedSeries._trusted(self.dim, order, dict(self.coeffs))
+            raise ValueError(f"cannot raise a series of order {self.order} to order {order}; "
+                             "it would claim unknown coefficients")
         _check_shape(self.dim, order)
         out = {k: v for k, v in self.coeffs.items() if sum(k) <= order}
         return TruncatedSeries._trusted(self.dim, order, out)
@@ -427,14 +401,6 @@ class TruncatedSeries:
         return TruncatedSeries.zero(inner_dim, inner_order) if result is None else result
 
     # -- misc ----------------------------------------------------------------
-
-    def max_abs_diff(self, other: "TruncatedSeries") -> float:
-        """The largest |difference| of a coefficient, 0.0 for none; NaN if any
-        is NaN (numpy's max keeps it, where Python's drops a later one)."""
-        self._check_compatible(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return float(np.max(
-            [abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) for k in keys], initial=0.0))
 
     def __repr__(self) -> str:  # a node array prints as the list of its values
         terms = ", ".join(f"{k}: {v.tolist() if per_node(v) else format(v, 'g')}"
@@ -483,10 +449,13 @@ class MonomialTable:
     from the key order of the coordinate powers and kept in ``plans``, which
     the tables of one field may share.  The factors lie on distinct axes, so
     each kept key of a product comes from one pair of keys, and the plan
-    performs the dict walk's operations in its order (``v * coef``, ``0.0 +
-    t * p`` per kept pair, ``0.0 + v`` or ``acc + v`` into the total, keys in
+    performs the dict walk's operations in its order (``v * coef``, ``t * p``
+    per kept pair, ``0.0 + v`` or ``acc + v`` into the total, keys in
     first-appearance order) without product rows, a series per step or a
-    copy of the total per monomial.
+    copy of the total per monomial.  Both routes leave out the walk's ``0.0
+    +`` on each product inside a monomial: a product reaches the total only
+    as ``0.0 + v`` or ``acc + v``, a total made so is never -0.0, and so the
+    sign of a zero inside a product changes no bit of it.
     """
 
     __slots__ = ("terms", "plans")
@@ -498,14 +467,14 @@ class MonomialTable:
         self.plans = {} if plans is None else plans
 
     def value(self, values: PointValues):
-        """The value at order 0, None for an empty table: each product ``0.0 +
-        term * power``, and the first term enters the sum as ``0.0 + term``."""
+        """The value at order 0, None for an empty table: each product ``term *
+        power``, and the first term enters the sum as ``0.0 + term``."""
         total = None
         for coef, factors in self.terms:
             if factors:
                 term = values[factors[0]] * coef
                 for factor in factors[1:]:
-                    term = 0.0 + term * values[factor]
+                    term = term * values[factor]
             else:
                 term = coef
             total = 0.0 + term if total is None else total + term
@@ -527,7 +496,7 @@ class MonomialTable:
             term = [v * coef for v in coordinates[factors[0]].coeffs.values()]
             for factor, pairs in products:
                 values = list(coordinates[factor].coeffs.values())
-                term = [0.0 + term[i] * values[j] for i, j in pairs]
+                term = [term[i] * values[j] for i, j in pairs]
             for key, v in zip(keys, term):
                 total[key] = get(key, 0.0) + v
         return TruncatedSeries._trusted(dim, order, total)

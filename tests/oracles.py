@@ -33,6 +33,10 @@ place of ``face_groups``).
 objects that only the tests need: the unit box, the zero jet, a body's
 chart map, a face's chart point, the chart's coordinates as a field, and a
 field of monomial tables.
+``iterated_jet_at`` reads a section's first jet point by point, in place of
+``holonomy_class``'s one ``jets_on`` pass per block; ``include_holonomic``,
+``symmetrize_iterated``, ``restrict_to_second_order``, ``annihilator_series``,
+``validate_transversal`` and ``max_abs_diff`` are the references only tests use.
 
 The law pins (``transform_jet2``, ``transform_stress1``,
 ``transform_stress2``, ``predicted_contraction_defect``) read one frame
@@ -43,13 +47,14 @@ transformation laws to it, so the tests can pin each law by hand values.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from jetstress import balance, geometry, scenarios
-from jetstress.bundles import IteratedJetValue
+from jetstress.bundles import JetSectionField
 from jetstress.covariance import (
     FrameChange,
     _jet_law,
@@ -62,6 +67,7 @@ from jetstress.fields import (
     SmoothField,
     TensorField,
     coordinate_series,
+    jet_extension,
     monomial_map,
     on_nodes,
     pair,
@@ -85,13 +91,14 @@ from jetstress.stress import VariationalStress1, traction_action
 from jetstress.surface import (
     RestrictedSurfaceStress,
     TransversalField,
+    _frame_series,
+    _solve_linear_series,
     face_velocity,
     transversal_decomposition,
 )
 from jetstress.exprs import FUNCTIONS, ExpressionError
 from jetstress.taylor import (
     Coordinates,
-    MultiIndex,
     TruncatedSeries,
     integer_power_value,
     reciprocal_series,
@@ -122,7 +129,7 @@ def coordinate_field(dim: int) -> SmoothField:
 def from_polynomials(dim: int, components) -> SmoothField:
     """A field whose components are monomial tables [(exponents, coefficient), ...]."""
     return SmoothField.from_series_maps(dim, [
-        monomial_map([(MultiIndex(exps), float(coef)) for exps, coef in comp])
+        monomial_map([(tuple(exps), float(coef)) for exps, coef in comp])
         for comp in components
     ])
 
@@ -338,6 +345,77 @@ def nh_action(
     args = (value.b0, value.b1, value.b2, value.b3)
     coeff = sum(np.sum(block.at(point) * arg) for block, arg in zip(blocks, args))
     return FormValue.volume(stress.dim, float(coeff))
+
+
+# The first jet of a first-jet section at one point: b0 (d,) values, b1 (d, n)
+# first-jet slots, b2 (d, n) derivatives of b0, b3 (d, n, n) derivatives of b1.
+IteratedJetValue = namedtuple("IteratedJetValue", "b0 b1 b2 b3")
+
+
+def iterated_jet_at(section: JetSectionField, point: Sequence[float]) -> IteratedJetValue:
+    """The first jet of a section at one point, one ``jet_extension`` per block."""
+    n, d = section.dim, section.fiber_dim
+    jet0 = jet_extension(section.a0.field, point, 1)
+    jet1 = jet_extension(section.a1.field, point, 1)
+    return IteratedJetValue(jet0.array(0), jet1.array(0).reshape(d, n), jet0.array(1),
+                            jet1.array(1).reshape(d, n, n))
+
+
+def include_holonomic(jet: JetValue) -> IteratedJetValue:
+    """Embed an order-2 jet as an iterated jet: duplicate the first-order slot."""
+    return IteratedJetValue(jet.array(0), jet.array(1), jet.array(1), jet.array(2))
+
+
+def symmetrize_iterated(b3: np.ndarray) -> np.ndarray:
+    """Symmetrize the trailing two axes of a (d, n, n) block."""
+    return 0.5 * (b3 + np.transpose(b3, (0, 2, 1)))
+
+
+def restrict_to_second_order(stress: NonHolonomicStress) -> VariationalStress2:
+    """Collapse a four-block stress to the symmetric stress acting on
+    holonomic arguments: (x0, x1 + x2, the symmetric part of x3)."""
+    x3 = stress.x3
+    s2 = TensorField(x3.field + x3.signed(None, (0, 2, 1)).field, x3.shape).scale(0.5)
+    return VariationalStress2(
+        stress.x0, TensorField(stress.x1.field + stress.x2.field, stress.x1.shape), s2)
+
+
+def annihilator_series(
+    transversal: TransversalField, point: Sequence[float], order: int
+) -> List[TruncatedSeries]:
+    """Components of the one-form with phi(tangents) = 0, phi(n) = 1."""
+    face = transversal.face
+    n = face.to_chart.ncomp
+    rhs = [[TruncatedSeries.zero(face.param_dim, order)] for _ in range(n)]
+    rhs[-1][0] = TruncatedSeries.constant(face.param_dim, order, 1.0)
+    # Unknown phi enters through M[k][i] phi_i with M rows = tangents, n.
+    sol = _solve_linear_series(_frame_series(face, transversal.n_field, point, order), rhs)
+    return [row[0] for row in sol]
+
+
+def validate_transversal(
+    transversal: TransversalField, points: Sequence[Sequence[float]], tol: float = 1e-12
+) -> float:
+    """Largest defect of phi(tangent) = 0 and phi(n) = 1 over sample points;
+    a NaN defect is kept, as numpy's max keeps it, and fails."""
+    defects = []
+    for y in points:
+        phi = [s.value for s in annihilator_series(transversal, y, 0)]
+        frame = _frame_series(transversal.face, transversal.n_field, y, 0)
+        defects += [abs(np.dot(phi, [s.value for s in vector]) - target)
+                    for vector, target in zip(frame, [0.0] * (len(frame) - 1) + [1.0])]
+    worst = float(np.max(defects, initial=0.0))
+    if not worst <= tol:
+        raise ValueError(f"transversal field defect {worst:.2e} exceeds {tol:.1e}")
+    return worst
+
+
+def max_abs_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
+    """The largest |difference| of a coefficient of two series, 0.0 for none;
+    NaN if any is NaN (numpy's max keeps it, where Python's drops a later one)."""
+    a._check_compatible(b)
+    keys = set(a.coeffs) | set(b.coeffs)
+    return float(np.max([abs(a.coefficient(k) - b.coefficient(k)) for k in keys], initial=0.0))
 
 
 def face_jet_pairing(restricted: RestrictedSurfaceStress, velocity: TensorField) -> FormField:

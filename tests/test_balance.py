@@ -27,7 +27,6 @@ from jetstress.nonholonomic import (
     nh_action_form,
     nh_divergence,
     nh_traction,
-    restrict_to_second_order,
 )
 from jetstress.balance import (
     closed_boundary_exact_term,
@@ -41,7 +40,7 @@ from jetstress.scenarios import load_scenario, run_checks
 from jetstress.stress import divergence, surface_force, traction_projection
 from jetstress.surface import TransversalField
 
-from oracles import from_polynomials, unit_box
+from oracles import from_polynomials, restrict_to_second_order, unit_box
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -6,16 +6,18 @@ import random
 import numpy as np
 import pytest
 
-from jetstress.bundles import (
-    HolonomyClass,
-    JetSectionField,
-    holonomy_class,
-    include_holonomic,
-    symmetrize_iterated,
-)
+from jetstress import bundles, fields
+from jetstress.bundles import HolonomyClass, JetSectionField, holonomy_class
 from jetstress.fields import JetValue, SmoothField, TensorField, jet_extension
+from jetstress.scenarios import generate_scenario, load_scenario
 
-from oracles import from_polynomials, zero_jet
+from oracles import (
+    from_polynomials,
+    include_holonomic,
+    iterated_jet_at,
+    symmetrize_iterated,
+    zero_jet,
+)
 
 
 def square_grid(per_axis=3):
@@ -41,7 +43,7 @@ def test_iterated_jet_of_identity_section():
         tensor1(1, [[((1,), 1.0)]]),
         TensorField(SmoothField.constant(1, [1.0]), (1, 1)),
     )
-    it = section.iterated_jet_at((0.4,))
+    it = iterated_jet_at(section, (0.4,))
     assert it.b0[0] == pytest.approx(0.4)
     assert it.b1[0, 0] == pytest.approx(1.0)
     assert it.b2[0, 0] == pytest.approx(1.0)
@@ -53,7 +55,7 @@ def test_iterated_jet_of_incompatible_section():
         TensorField(SmoothField.constant(1, [0.0]), (1,)),
         TensorField(SmoothField.constant(1, [1.0]), (1, 1)),
     )
-    it = section.iterated_jet_at((0.0,))
+    it = iterated_jet_at(section, (0.0,))
     assert it.b0[0] == 0.0 and it.b1[0, 0] == 1.0 and it.b2[0, 0] == 0.0
     assert not np.array_equal(it.b1, it.b2)
 
@@ -62,7 +64,7 @@ def test_iterated_jet_of_square_section():
     # a = j1(x1^2): blocks (x^2, 2x, 2x, 2) by hand differentiation.
     u = tensor1(1, [[((2,), 1.0)]])
     section = JetSectionField.from_velocity(u)
-    it = section.iterated_jet_at((0.7,))
+    it = iterated_jet_at(section, (0.7,))
     assert it.b0[0] == pytest.approx(0.49)
     assert it.b1[0, 0] == pytest.approx(1.4)
     assert it.b2[0, 0] == pytest.approx(1.4)
@@ -92,7 +94,7 @@ def test_include_holonomic_matches_iterated_jet_of_lift():
         section = JetSectionField.from_velocity(u)
         x = (rng.uniform(0, 1), rng.uniform(0, 1))
         direct = include_holonomic(jet_extension(u.field, x, 2))
-        via_section = section.iterated_jet_at(x)
+        via_section = iterated_jet_at(section, x)
         assert np.allclose(direct.b0, via_section.b0, atol=1e-14)
         assert np.allclose(direct.b1, via_section.b1, atol=1e-14)
         assert np.allclose(direct.b2, via_section.b2, atol=1e-14)
@@ -114,7 +116,7 @@ def test_holonomic_second_derivatives_symmetric():
     u = tensor1(2, [[((2, 1), 1.0), ((1, 2), -0.5), ((3, 0), 0.25)]])
     section = JetSectionField.from_velocity(u)
     for x in square_grid():
-        it = section.iterated_jet_at(x)
+        it = iterated_jet_at(section, x)
         assert np.max(np.abs(it.b3 - symmetrize_iterated(it.b3))) < 1e-12
 
 
@@ -124,15 +126,15 @@ def test_only_zero_section_is_vertical_everywhere():
     u = tensor1(2, [[((0, 0), 0.0)]])
     section = JetSectionField.from_velocity(u)
     assert all(
-        np.all(section.iterated_jet_at(x).b0 == 0.0)
-        and np.all(section.iterated_jet_at(x).b1 == 0.0)
+        np.all(iterated_jet_at(section, x).b0 == 0.0)
+        and np.all(iterated_jet_at(section, x).b1 == 0.0)
         for x in grid
     )
     # Contrapositive: a nonzero polynomial cannot have zero jets on the grid.
     v = tensor1(2, [[((1, 1), 1.0)]])
     vsec = JetSectionField.from_velocity(v)
     assert any(
-        np.max(np.abs(vsec.iterated_jet_at(x).b1)) > 1e-12 for x in grid
+        np.max(np.abs(iterated_jet_at(vsec, x).b1)) > 1e-12 for x in grid
     )
 
 
@@ -170,3 +172,39 @@ def test_a_nan_in_the_section_is_not_holonomic():
     a0 = tensor1(2, [[((1, 1), 1.0)]])
     a1 = TensorField(SmoothField.constant(2, [float("nan"), 0.0]), (1, 2))
     assert holonomy_class(JetSectionField(a0, a1), square_grid()) == HolonomyClass.NONE
+
+
+def test_the_semi_holonomic_rung_is_reached_where_a1_matches_only_at_the_samples():
+    # a1 = grad(x1 x2) + (x2 - 0.5, 0.5 - x1) agrees with grad a0 at (0.5, 0.5)
+    # only, and its derivative [[0, 2], [0, 0]] is not symmetric.
+    a0 = tensor1(2, [[((1, 1), 1.0)]])
+    a1 = tensor2(2, [[[((0, 1), 2.0), ((0, 0), -0.5)], [((0, 0), 0.5)]]])
+    section = JetSectionField(a0, a1)
+    assert holonomy_class(section, [(0.5, 0.5)]) == HolonomyClass.SEMI_HOLONOMIC
+    assert holonomy_class(section, [(0.5, 0.5), (0.2, 0.7)]) == HolonomyClass.NONE
+    assert holonomy_class(section, []) == HolonomyClass.HOLONOMIC
+
+
+def test_holonomy_class_reads_each_block_in_one_pass(monkeypatch):
+    """Each block's first jet at every sample point comes from one ``on_nodes``
+    pass, with no one-point ``jet_extension`` read."""
+    section = JetSectionField.from_velocity(
+        load_scenario(generate_scenario(3, 3, 2, 4)).velocity)
+    rng = random.Random(29)
+    points = [tuple(rng.uniform(0.0, 1.0) for _ in range(3)) for _ in range(20)]
+    passes = []
+    on_nodes = fields.on_nodes
+
+    def counted(fn, nodes, width=None):
+        passes.append(len(nodes))
+        return on_nodes(fn, nodes, width)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-point jet read")
+
+    monkeypatch.setattr(fields, "on_nodes", counted)
+    for module in (fields, bundles):
+        if hasattr(module, "jet_extension"):
+            monkeypatch.setattr(module, "jet_extension", refused)
+    assert holonomy_class(section, points) == HolonomyClass.HOLONOMIC
+    assert passes == [20, 20]

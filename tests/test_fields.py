@@ -21,7 +21,7 @@ from jetstress.fields import (
     on_nodes,
 )
 from jetstress.geometry import FormField
-from jetstress.taylor import MultiIndex, TruncatedSeries
+from jetstress.taylor import TruncatedSeries
 from oracles import from_polynomials
 
 
@@ -436,9 +436,10 @@ def _jet_from_series(series, order):
     arrays = [np.zeros((d,) + (dim,) * p) for p in range(order + 1)]
     for alpha, s in enumerate(series):
         for exps, coef in s.coeffs.items():
-            index = MultiIndex(exps)
-            for slot in set(itertools.permutations(index.axes())):
-                arrays[index.order][(alpha,) + slot] = coef * index.factorial()
+            axes = [axis for axis, e in enumerate(exps) for _ in range(e)]
+            factorial = math.prod(map(math.factorial, exps))
+            for slot in set(itertools.permutations(axes)):
+                arrays[len(axes)][(alpha,) + slot] = coef * factorial
     return arrays
 
 

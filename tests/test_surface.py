@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from jetstress import fields, surface
 from jetstress.fields import SmoothField, TensorField
 from jetstress.geometry import (
     Body,
@@ -21,15 +22,19 @@ from jetstress.surface import (
     TransversalField,
     face_split,
     face_velocity,
-    is_tangent,
     restrict_Y,
     surface_divergence,
     tangent_edge_force,
     tangent_traction,
     transversal_decomposition,
-    vertical_projection,
 )
-from oracles import face_jet_pairing, from_polynomials, unit_box
+from oracles import (
+    annihilator_series,
+    face_jet_pairing,
+    from_polynomials,
+    unit_box,
+    validate_transversal,
+)
 
 
 def tensor_const(dim, shape, values):
@@ -64,11 +69,11 @@ def test_transversal_coordinate_and_annihilator():
     faces = unit_faces(3)
     face = faces["x3-upper"]
     tv = TransversalField.coordinate(face)
-    tv.validate([(0.3, 0.4), (0.7, 0.1)])
-    phi = [s.value for s in tv.annihilator_series((0.3, 0.4), 0)]
+    validate_transversal(tv, [(0.3, 0.4), (0.7, 0.1)])
+    phi = [s.value for s in annihilator_series(tv, (0.3, 0.4), 0)]
     assert phi == pytest.approx([0.0, 0.0, 1.0])
     lower = TransversalField.coordinate(faces["x3-lower"])
-    phi_low = [s.value for s in lower.annihilator_series((0.3, 0.4), 0)]
+    phi_low = [s.value for s in annihilator_series(lower, (0.3, 0.4), 0)]
     assert phi_low == pytest.approx([0.0, 0.0, -1.0])
 
 
@@ -80,8 +85,8 @@ def test_transversal_oblique_annihilator():
     oblique = TransversalField(
         face, tensor_const(1, (2,), [0.7, -1.0])
     )
-    oblique.validate([(0.2,), (0.9,)])
-    phi = [s.value for s in oblique.annihilator_series((0.5,), 0)]
+    validate_transversal(oblique, [(0.2,), (0.9,)])
+    phi = [s.value for s in annihilator_series(oblique, (0.5,), 0)]
     assert phi[0] == pytest.approx(0.0)
     assert phi[1] == pytest.approx(-1.0)
 
@@ -91,7 +96,7 @@ def test_transversal_degenerate_rejected():
     face = faces["x1-upper"]
     tangent_only = TransversalField(face, tensor_const(1, (2,), [0.0, 1.0]))
     with pytest.raises(ValueError):
-        tangent_only.annihilator_series((0.5,), 0)
+        annihilator_series(tangent_only, (0.5,), 0)
 
 
 def test_a_nan_defect_fails_validation():
@@ -101,7 +106,7 @@ def test_a_nan_defect_fails_validation():
     ambient = TensorField(
         SmoothField.from_expressions(2, ["1", "1e308*10*x1 - 1e308*10*x1"]), (2,))
     with pytest.raises(ValueError, match="defect nan exceeds"):
-        TransversalField.from_ambient_field(face, ambient).validate([(0.5,)])
+        validate_transversal(TransversalField.from_ambient_field(face, ambient), [(0.5,)])
 
 
 def test_metric_normal_identity_reduces_to_coordinate():
@@ -111,7 +116,7 @@ def test_metric_normal_identity_reduces_to_coordinate():
     tv = TransversalField.metric_normal(face, metric)
     vec = tv.n_field.at((0.5,))
     assert vec == pytest.approx([1.0, 0.0])
-    tv.validate([(0.25,), (0.75,)])
+    validate_transversal(tv, [(0.25,), (0.75,)])
     # Scaling the metric rescales the unit normal.
     metric4 = tensor_const(2, (2, 2), 4.0 * np.eye(2))
     tv4 = TransversalField.metric_normal(face, metric4)
@@ -157,6 +162,23 @@ def test_restrict_Y_tilted_face():
     # d(map)/dy = (1, 0.5): density omit-axis-1 pulls back with det [0.5],
     # density omit-axis-2 with det [1].
     assert restricted.z0.at((0.4,))[0] == pytest.approx(2.0 * 0.5 + 3.0 * 1.0)
+
+
+def vertical_projection(restricted):
+    """The transversal coefficient along the basis vector of the face's own
+    axis: the part that ``tangent_edge_force`` requires to vanish."""
+    face = restricted.face
+    return transversal_decomposition(restricted, TransversalField.axis(face, face.axis))[1]
+
+
+def is_tangent(restricted, tol=1e-9):
+    """Whether ``tangent_edge_force`` takes the face stress as tangent."""
+    try:
+        tangent_edge_force(restricted, tol)
+    except ValueError as exc:
+        assert "not tangent" in str(exc)
+        return False
+    return True
 
 
 def test_vertical_projection_and_tangency():
@@ -260,7 +282,7 @@ def test_cotangent_split_reconstruction():
     for _ in range(10):
         psi = np.array([rng.uniform(-1, 1) for _ in range(3)])
         y = (rng.uniform(0, 1), rng.uniform(0, 1))
-        phi = np.array([s.value for s in tv.annihilator_series(y, 0)])
+        phi = np.array([s.value for s in annihilator_series(tv, y, 0)])
         nvec = tv.n_field.at(y)
         psi_n = float(np.dot(psi, nvec)) * phi
         psi_v = psi - psi_n
@@ -389,18 +411,21 @@ def test_surface_divergence_with_varying_oblique_transversal():
         assert abs(lhs - rhs) < 1e-11
 
 
+def tangent_face_stress(rng):
+    """A tangent polynomial stress on the face x3-upper of the unit cube,
+    built directly over the face parameters: its transversal column is 0."""
+    face = unit_faces(3)["x3-upper"]
+    z0 = tensor_poly(2, (1,), [random_poly_table(rng, 2, 2)])
+    z1_cols = [random_poly_table(rng, 2, 2), random_poly_table(rng, 2, 2), [((0, 0), 0.0)]]
+    return RestrictedSurfaceStress(face, z0, tensor_poly(2, (1, 3), z1_cols))
+
+
 def test_tangent_edge_force_balance_on_face():
     # A tangent polynomial face stress behaves as an order-1 stress on the
     # face: the balance identity closes there.
     rng = random.Random(8)
-    n = 3
-    faces = unit_faces(3)
-    face = faces["x3-upper"]
-    # Build a tangent restricted stress directly over the face parameters.
-    z0 = tensor_poly(2, (1,), [random_poly_table(rng, 2, 2)])
-    z1_cols = [random_poly_table(rng, 2, 2), random_poly_table(rng, 2, 2), [((0, 0), 0.0)]]
-    z1 = tensor_poly(2, (1, 3), z1_cols)
-    restricted = RestrictedSurfaceStress(face, z0, z1)
+    restricted = tangent_face_stress(rng)
+    face = restricted.face
     assert is_tangent(restricted)
     tau, div, reduced = tangent_edge_force(restricted)
     face_body = Body(unit_box(2))
@@ -423,3 +448,26 @@ def test_tangent_edge_force_balance_on_face():
     )
     with pytest.raises(ValueError):
         tangent_edge_force(bad)
+
+
+def test_tangent_edge_force_splits_once_and_reads_tangency_in_one_pass(monkeypatch):
+    """One ``transversal_decomposition`` serves the tangency test and the
+    reduced stress, and the tangency test reads the 3-point rule's face nodes
+    in one ``on_nodes`` pass."""
+    restricted = tangent_face_stress(random.Random(8))
+    splits, passes = [], []
+    split, on_nodes = surface.transversal_decomposition, fields.on_nodes
+
+    def counted_split(*args):
+        splits.append(args)
+        return split(*args)
+
+    def counted_pass(fn, nodes, width=None):
+        passes.append(len(nodes))
+        return on_nodes(fn, nodes, width)
+
+    monkeypatch.setattr(surface, "transversal_decomposition", counted_split)
+    monkeypatch.setattr(fields, "on_nodes", counted_pass)
+    tangent_edge_force(restricted)
+    assert len(splits) == 1
+    assert passes == [9]

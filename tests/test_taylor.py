@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from jetstress.taylor import (
-    MultiIndex,
     TruncatedSeries,
     cos_series,
     exp_series,
@@ -19,21 +18,11 @@ from jetstress.taylor import (
     tan_series,
     tanh_series,
 )
+from oracles import max_abs_diff
 
 
 def series_from(dim, order, table):
     return TruncatedSeries(dim, order, table)
-
-
-def test_multiindex_basics():
-    idx = MultiIndex((2, 0, 1))
-    assert idx.order == 3
-    assert idx.factorial() == 2
-    assert idx.axes() == (0, 0, 2)
-    with pytest.raises(ValueError):
-        MultiIndex((-1, 0))
-    with pytest.raises(ValueError):
-        MultiIndex(())
 
 
 def test_product_identity_one_plus_x_squared():
@@ -76,8 +65,8 @@ def test_truncated_product_associative_commutative_integer_coeffs():
         a, b, c = rand_series(), rand_series(), rand_series()
         ab_c = (a * b) * c
         a_bc = a * (b * c)
-        assert ab_c.max_abs_diff(a_bc) == 0.0
-        assert (a * b).max_abs_diff(b * a) == 0.0
+        assert max_abs_diff(ab_c, a_bc) == 0.0
+        assert max_abs_diff(a * b, b * a) == 0.0
 
 
 def test_partial_derivative():
@@ -140,7 +129,7 @@ def test_reciprocal_and_division():
     assert abs(r.coefficient((2,)) - 0.125) < 1e-15
     one = u * r
     assert abs(one.value - 1.0) < 1e-15
-    assert one.max_abs_diff(TruncatedSeries.constant(1, 3, 1.0)) < 1e-15
+    assert max_abs_diff(one, TruncatedSeries.constant(1, 3, 1.0)) < 1e-15
     with pytest.raises(ValueError):
         reciprocal_series(TruncatedSeries.variable(1, 3, 0, 0.0))
 
@@ -149,23 +138,23 @@ def test_power_series_matches_integer_power():
     u = TruncatedSeries.variable(1, 3, 0, 1.5)
     via_float = power_series(u, 3.0)
     via_int = u**3
-    assert via_float.max_abs_diff(via_int) < 1e-12
+    assert max_abs_diff(via_float, via_int) < 1e-12
 
 
 def test_integer_negative_power():
     u = TruncatedSeries.variable(1, 2, 0, 2.0)
     inv2 = u**-2
     direct = reciprocal_series(u * u)
-    assert inv2.max_abs_diff(direct) < 1e-15
+    assert max_abs_diff(inv2, direct) < 1e-15
 
 
 def test_max_abs_diff_keeps_a_nan_that_is_not_first():
     # Python's max would drop the NaN of the second key after the first's 0.0.
     nan = TruncatedSeries(1, 1, {(0,): 1.0, (1,): math.nan})
     two = TruncatedSeries(1, 1, {(0,): 1.0, (1,): 2.0})
-    assert math.isnan(nan.max_abs_diff(two))
-    assert two.max_abs_diff(two) == 0.0
-    assert TruncatedSeries(1, 1).max_abs_diff(TruncatedSeries(1, 1)) == 0.0
+    assert math.isnan(max_abs_diff(nan, two))
+    assert max_abs_diff(two, two) == 0.0
+    assert max_abs_diff(TruncatedSeries(1, 1), TruncatedSeries(1, 1)) == 0.0
 
 
 def test_repr_prints_floats_with_g_and_node_arrays_as_lists():

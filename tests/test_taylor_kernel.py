@@ -194,8 +194,10 @@ def test_arithmetic_matches_reference_bit_for_bit(seed, dim, order):
             assert bits(a ** e) == bits(ref_pow(ra, e))
         for axis in range(dim):
             assert bits(a.partial(axis)) == bits(ref_partial(ra, axis))
-        for target in range(order + 2):
+        for target in range(order + 1):
             assert bits(a.truncate(target)) == bits(ref_truncate(ra, target))
+        with pytest.raises(ValueError, match="unknown coefficients"):
+            a.truncate(order + 1)
 
 
 @pytest.mark.parametrize("seed, dim, order", CASES)
