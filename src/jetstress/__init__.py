@@ -23,7 +23,6 @@ from .stress import (
     VariationalStress1,
     body_force,
     divergence,
-    surface_force,
     traction_action,
     traction_projection,
     verify_balance_order1,

@@ -24,6 +24,7 @@ from .geometry import (
     face_label,
     integrate,
     integrate_boundary,
+    integrate_faces,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -96,26 +97,31 @@ def edge_assembly(
     group unless either has a transversal in ``transversals``, since the
     coordinate transversal is the one transversal a face of both sides can
     read per node.  Each group's fields are built once (see
-    :func:`jetstress.surface.face_split`), and one pass reads each face's
-    edge pieces and nodes in turn (see :func:`jetstress.geometry.integrate`),
-    so a ``ValueError`` at a node names that node's face (see
-    :func:`jetstress.geometry.on_faces`).
+    :func:`jetstress.surface.face_split`), on the one chart gradient of the
+    velocity, and one pass reads each face's edge pieces and nodes in turn,
+    so a ``ValueError`` at a node names that node's face; the groups' passes
+    share their chart reads (see :func:`jetstress.geometry.integrate_faces`).
     """
     n = body.dim
     own = transversals or {}
+    groups = face_groups(body, own)
+    gradient = velocity.gradient()
+
+    def forms_of(face):
+        transversal = own.get(face.label) or TransversalField.coordinate(face)
+        split = face_split(surface_stress, face, transversal, velocity, gradient)
+        forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
+        return forms, traction_action(tangent_traction(split), split.velocity)
+
+    results = iter(integrate_faces(groups, rule, forms_of, edges=True))
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
     boundary_terms: Dict[str, float] = {}
-    for face, members in face_groups(body, own):
-        transversal = own.get(face.label) or TransversalField.coordinate(face)
-        split = face_split(surface_stress, face, transversal, velocity)
-        forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
-        tau_u = traction_action(tangent_traction(split), split.velocity)
-        results = integrate(forms, face, rule, members, tau_u)
+    for face, members in groups:
         face_axes = [a for a in range(n) if a != face.axis]
         others = [face_label(face_axes[p.axis], p.side) for p in face_boundary_pieces(face)]
-        for member, values in zip(members, results):
-            face_terms[member.label], boundary_terms[member.label], *piece_values = values
+        for member in members:
+            face_terms[member.label], boundary_terms[member.label], *piece_values = next(results)
             for other, value in zip(others, piece_values):
                 key = "|".join(sorted([member.label, other]))
                 edge_terms[key] = edge_terms.get(key, 0.0) + member.sign * value

@@ -12,13 +12,14 @@ two faces of an axis in one pass, and a face's boundary pieces.
 from __future__ import annotations
 
 import itertools
+import math
 from contextvars import ContextVar
 from functools import lru_cache
 from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import SmoothField, as_point, jets_on, linear_field, on_nodes
+from .fields import SmoothField, as_point, jets_on, linear_field, on_nodes, shared_reads
 from .taylor import TruncatedSeries, per_node
 
 __all__ = [
@@ -33,8 +34,9 @@ __all__ = [
     "interior_product",
     "pullback_coefficients",
     "integrate",
+    "integrate_faces",
     "integrate_boundary",
-    "on_faces",
+    "on_face_groups",
     "boundary_faces",
     "face_groups",
     "increasing_tuples",
@@ -104,7 +106,9 @@ class QuadratureRule:
         self.order = order
 
     def check_budget(self, dim: int) -> None:
-        """Raise unless ``order**dim`` nodes fit ``NODE_BUDGET``; builds no node."""
+        """Raise unless ``order**dim`` nodes fit ``NODE_BUDGET`` and the order
+        is one a 2-dim body admits; builds no node.  A 1-dim body passes the
+        budget up to order 4096, whose nodes take seconds to find."""
         count = 1
         for _ in range(dim):
             count *= self.order
@@ -112,6 +116,9 @@ class QuadratureRule:
                 raise ValueError(
                     f"{self.order}^{dim} nodes exceed the budget of {NODE_BUDGET}"
                 )
+        cap = math.isqrt(NODE_BUDGET)
+        if self.order > cap:
+            raise ValueError(f"order {self.order} exceeds the per-axis cap of {cap}")
 
     def nodes_weights(self, box: Box) -> Tuple[np.ndarray, np.ndarray]:
         self.check_budget(box.dim)
@@ -404,7 +411,7 @@ class FormField:
 
 # The side a face pass reads at each node: 0.0 (lower) or 1.0 (upper), a float
 # at one node and a node array over a batch; None outside a face pass.  Each
-# evaluation of :func:`on_faces` sets it, as ``fields._MEMO`` is set per batch;
+# face pass of :func:`on_face_groups` sets it, as ``fields._MEMO`` is set per batch;
 # sides that pick different pivot rows share the batch (``surface._swap_per_node``).
 _SIDE: ContextVar[Any] = ContextVar("face_side", default=None)
 
@@ -465,19 +472,22 @@ class FacePatch:
     A facet of a box (see :func:`_facet`) also carries the ``box``, the
     ``axis`` it pins and its ``side``: 0 for the lower facet, 1 for the
     upper, and None for both facets of the axis, each node on the side its
-    face pass reads (see :func:`on_faces`), with ``sign`` None as each
-    keeps its own.  A facet of a 1-dim box has ``param_box`` and
+    face pass reads (see :func:`on_face_groups`), with ``sign`` None as each
+    keeps its own; and the ``patch`` that carries the box into the chart,
+    None for the identity.  A facet of a 1-dim box has ``param_box`` and
     ``to_chart`` None, and its ``point`` in its parent's coordinates.  Any
-    other face has ``box``, ``axis``, ``side`` and ``point`` None.
+    other face has ``box``, ``axis``, ``side``, ``point`` and ``patch`` None.
     """
 
-    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point")
+    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point",
+                 "patch")
 
     def __init__(self, label: str, param_box: Optional[Box], to_chart: Optional[SmoothField],
                  sign: Optional[float], box: Optional[Box] = None, axis: Optional[int] = None,
-                 side: Optional[int] = None, point: Optional[Tuple[float, ...]] = None):
+                 side: Optional[int] = None, point: Optional[Tuple[float, ...]] = None,
+                 patch: Optional[SmoothField] = None):
         self.label, self.param_box, self.to_chart, self.sign = label, param_box, to_chart, sign
-        self.box, self.axis, self.side, self.point = box, axis, side, point
+        self.box, self.axis, self.side, self.point, self.patch = box, axis, side, point, patch
 
     @property
     def param_dim(self) -> int:
@@ -507,11 +517,11 @@ def _facet(box: Box, axis: int, side: Optional[int], patch: Optional[SmoothField
     if box.dim == 1:
         point = (_pick(side, box.lower[0], box.upper[0]),)
         point = tuple(patch.values_at(point)) if patch is not None else point
-        return FacePatch(label, None, None, sign, box, axis, side, point)
+        return FacePatch(label, None, None, sign, box, axis, side, point, patch)
     mapping = Insertion(box, {axis: side})
     if patch is not None:
         mapping = patch.compose(mapping)
-    return FacePatch(label, box.drop_axis(axis), mapping, sign, box, axis, side)
+    return FacePatch(label, box.drop_axis(axis), mapping, sign, box, axis, side, patch=patch)
 
 
 def _facets(box: Box, patch: Optional[SmoothField], prefix: str = "") -> List[FacePatch]:
@@ -532,7 +542,7 @@ FaceGroup = Tuple[FacePatch, List[FacePatch]]
 def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
     """The boundary faces of ``body`` in order, in the groups one face pass
     reads: each group is the face whose maps the pass reads and the faces
-    whose nodes it reads (see :func:`on_faces`).
+    whose nodes it reads (see :func:`on_face_groups`).
 
     The two faces of an axis of a body of dim >= 2 form one group, read
     through the facet of both sides of the axis (its ``side`` is None),
@@ -579,7 +589,7 @@ class Insertion(SmoothField):
     """A map of a lower box into ``box``: the point's coordinates go, in order,
     to the ``free`` axes, and each axis of ``fixed`` is pinned at its lower
     (side 0) or upper (side 1) bound, or for side None at the bound of the
-    side the face pass reads (see :func:`on_faces`).  A pullback through it
+    side the face pass reads (see :func:`on_face_groups`).  A pullback through it
     selects keys (see :func:`pullback_coefficients`)."""
 
     __slots__ = ("free", "renamed")
@@ -620,7 +630,7 @@ def integrate(
     :func:`jetstress.fields.on_nodes`).
 
     A body's forms are chart volume forms, pulled back through its patch if
-    it has one, and its sign is 1.0; its one list comes from one pass of
+    it has one; its one list comes from one pass of
     :func:`jetstress.fields.on_nodes`.  A face's forms are top-degree forms
     on its parameters; a point face, of a 1-dim body, reads each chart
     0-form at its point.  A face gives one list for each of ``members``, the
@@ -633,75 +643,108 @@ def integrate(
     A piece pulls ``edge_form`` back through its insertion, whose minor on the
     piece's free tuple is the constant 1.0 and on every other tuple the zero
     series; so the pullback is the coefficient on the free tuple, with its
-    bits.  One pass of :func:`on_faces` reads, for each member in turn, every
+    bits.  One face pass (see :func:`on_face_groups`) reads, for each member in turn, every
     piece's nodes, written in face coordinates (one node for an endpoint of
     a 1-dim face), then the face's nodes, and reads every form and the
     coefficients of ``edge_form`` at each.  Each integral is summed over its
     member's nodes, in node order.
     """
-    if isinstance(region, Body):
-        if region.patch is not None:
-            forms = [form.pullback(region.patch) for form in forms]
-        box = region.box
-    else:
-        box = region.param_box
-    pieces = [] if edge_form is None else face_boundary_pieces(region)
-    parts = []  # (nodes, weights) of each piece, None weights for a point, then the region's
-    for piece in pieces:
-        if piece.param_box is None:
-            parts.append((np.array([piece.point]), None))
-            continue
-        nodes, weights = rule.nodes_weights(piece.param_box)
-        parts.append((np.insert(nodes, piece.axis, piece.fixed_value, axis=1), weights))
-    if box is None:
-        parts.append((np.array([region.point]), None))
+    if not isinstance(region, Body):
+        members = [region] if members is None else members
+        return integrate_faces([(region, members)], rule, lambda face: (forms, edge_form),
+                               edge_form is not None)
+    if region.patch is not None:
+        forms = [form.pullback(region.patch) for form in forms]
+    _check_top_degree(forms, region.box)
+    nodes, weights = rule.nodes_weights(region.box)
+    values = on_nodes(_reader(forms, None, tuple(range(region.dim))), nodes, len(forms))
+    return [[_node_sum(weights, values[:, c]) for c in range(len(forms))]]
+
+
+def integrate_faces(
+    groups: Sequence[FaceGroup],
+    rule: QuadratureRule,
+    forms_of: Callable[[FacePatch], Tuple[Sequence[FormField], Optional[FormField]]],
+    edges: bool = False,
+) -> List[List[float]]:
+    """Each face's list of :func:`integrate` over the groups of
+    :func:`face_groups`, in face order, the chart reads of the groups'
+    passes shared (see :func:`on_face_groups`).
+
+    ``forms_of(face)`` gives a group's forms on the face's parameters (chart
+    0-forms on a point face) and its edge form, None unless ``edges``; it
+    is called right before the group's pass, so a group builds its fields
+    as its own pass would.
+    """
+    plans = []  # per group: its pieces, and the (nodes, weights) of each piece then of the face
+    for face, _ in groups:
+        pieces = face_boundary_pieces(face) if edges else []
+        parts = []
+        for piece in pieces:
+            if piece.param_box is None:
+                parts.append((np.array([piece.point]), None))
+                continue
+            nodes, weights = rule.nodes_weights(piece.param_box)
+            parts.append((np.insert(nodes, piece.axis, piece.fixed_value, axis=1), weights))
+        if face.param_box is None:
+            parts.append((np.array([face.point]), None))
+        else:
+            parts.append(rule.nodes_weights(face.param_box))
+        plans.append((pieces, parts))
+    built = []  # per group: its number of forms and its edge form
+
+    def read(face):
+        forms, edge_form = forms_of(face)
         full = ()
-    else:
-        _check_top_degree(forms, box)
-        parts.append(rule.nodes_weights(box))
-        full = tuple(range(box.dim))
-    edge_tuples = [] if edge_form is None else edge_form.tuples
-    columns = {key: len(forms) + c for c, key in enumerate(edge_tuples)}
+        if face.param_box is not None:
+            _check_top_degree(forms, face.param_box)
+            full = tuple(range(face.param_dim))
+        built.append((len(forms), edge_form))
+        width = len(forms) + (0 if edge_form is None else len(edge_form.tuples))
+        return _reader(forms, edge_form, full), width
+
+    passes = on_face_groups(
+        groups, [np.concatenate([nodes for nodes, _ in parts]) for _, parts in plans], read)
+    out = []
+    for (face, members), (pieces, parts), (count, edge_form), rows in zip(
+            groups, plans, built, passes):
+        columns = {} if edge_form is None else {
+            key: count + c for c, key in enumerate(edge_form.tuples)}
+        for member, values in zip(members, rows):
+            piece_sums, start = [], 0
+            for piece, (nodes, weights) in zip(pieces, parts):
+                piece_rows = values[start:start + len(nodes)]
+                start += len(nodes)
+                column = columns.get(tuple_omitting(face.param_dim, piece.axis))
+                total = 0.0 if column is None else _node_sum(weights, piece_rows[:, column])
+                piece_sums.append(piece.sign * total)
+            weights = parts[-1][1]
+            out.append([member.sign * _node_sum(weights, values[start:, c]) for c in range(count)]
+                       + piece_sums)
+    return out
+
+
+def _reader(forms: Sequence[FormField], edge_form: Optional[FormField],
+            full: IndexTuple) -> Callable[[Tuple], List[Any]]:
+    """The function of a point that one pass reads: each form's coefficient
+    on ``full``, then each coefficient of ``edge_form`` if any."""
 
     def read(point):
         values = [form.value_at(point).coefficient(full) for form in forms]
         return values if edge_form is None else values + edge_form.coeffs.values_on(point)
 
-    stacked = np.concatenate([nodes for nodes, _ in parts])
-    width = len(forms) + len(edge_tuples)
-    if isinstance(region, Body):
-        signs, passes = [1.0], [on_nodes(read, stacked, width)]
-    else:
-        members = [region] if members is None else members
-        signs = [member.sign for member in members]
-        passes = on_faces(read, members, stacked, width)
-    out = []
-    for sign, values in zip(signs, passes):
-        piece_sums, start = [], 0
-        for piece, (nodes, weights) in zip(pieces, parts):
-            rows = values[start:start + len(nodes)]
-            start += len(nodes)
-            column = columns.get(tuple_omitting(edge_form.dim, piece.axis))
-            total = 0.0 if column is None else _node_sum(weights, rows[:, column])
-            piece_sums.append(piece.sign * total)
-        weights = parts[-1][1]
-        out.append([sign * _node_sum(weights, values[start:, c]) for c in range(len(forms))]
-                   + piece_sums)
-    return out
+    return read
 
 
 def integrate_boundary(
     forms: Sequence[FormField], body: Body, rule: QuadratureRule
 ) -> List[List[float]]:
     """Each boundary face's :func:`integrate` of the chart (n-1)-forms, in
-    face order.  The faces of a group of :func:`face_groups` share the forms
-    pulled back through the group's face map, and one pass; a point face
-    reads them at its point as they are."""
-    out = []
-    for face, members in face_groups(body):
-        pulled = forms if face.param_box is None else [f.pullback(face.to_chart) for f in forms]
-        out += integrate(pulled, face, rule, members)
-    return out
+    face order (see :func:`integrate_faces`).  The faces of a group of
+    :func:`face_groups` share the forms pulled back through the group's face
+    map, and one pass; a point face reads them at its point as they are."""
+    return integrate_faces(face_groups(body), rule, lambda face: (
+        forms if face.param_box is None else [f.pullback(face.to_chart) for f in forms], None))
 
 
 def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
@@ -727,24 +770,81 @@ def _node_sum(weights: Optional[np.ndarray], values: np.ndarray) -> float:
     return total
 
 
-def on_faces(
-    fn: Callable[[Tuple], Any],
-    faces: Sequence[FacePatch],
-    nodes: np.ndarray,
-    width: Optional[int] = None,
-) -> List[np.ndarray]:
-    """``fn`` at every row of ``nodes`` on each of ``faces`` in turn (a group
-    of :func:`face_groups`), from one pass of
-    :func:`jetstress.fields.on_nodes`: each face's rows of results.
+def on_face_groups(
+    groups: Sequence[FaceGroup],
+    nodes: Sequence[np.ndarray],
+    read: Callable[[FacePatch], Tuple[Callable[[Tuple], Any], Optional[int]]],
+) -> List[List[np.ndarray]]:
+    """``fn`` at every row of ``nodes[i]`` on each face of group i of
+    :func:`face_groups`, one pass of :func:`jetstress.fields.on_nodes` per
+    group, in order: each face's rows of results.  ``read(face)`` gives a
+    group's ``fn`` and its width, built right before its pass.
 
-    Each row of the pass carries one more column, its face's position in
-    ``faces``, for a pair its side.  The pass splits it off and opens it as
-    the side while ``fn`` reads the rest, so a face of both sides reads each
+    Each row of a pass carries one more column, its face's position in the
+    group, for a pair its side.  The pass splits it off and opens it as the
+    side while ``fn`` reads the rest, so a face of both sides reads each
     node on its own side (see :meth:`FacePatch.pick`) with the operations of
     that face's own pass.  A ``ValueError`` at a node is raised again with
     the label of the node's face in front of its message.
+
+    The passes share their chart reads.  Before any pass runs, each group's
+    chart points are computed as its face map gives them on the rows its
+    pass reads (see :func:`_chart_points`) and stacked, in a scope of
+    :func:`jetstress.fields.shared_reads`: a chart field that a group's
+    batch reads at its own chart points is evaluated once at the stacked
+    points of every group and sliced to its rows.  Each group keeps its own
+    pass, its face-level fields, its node-by-node fallback and its face
+    label on errors, and a read the scope does not serve is evaluated as
+    without it; each node's bits do not depend on its batch, so every
+    result has the bits of the groups' passes read one by one.
     """
-    sides = np.repeat(np.arange(len(faces), dtype=float), len(nodes))
+    rows = [np.column_stack([np.tile(group_nodes, (len(members), 1)),
+                             np.repeat(np.arange(len(members), dtype=float), len(group_nodes))])
+            for (_, members), group_nodes in zip(groups, nodes)]
+    families: List[List[Tuple]] = []
+    for (face, _), group_rows in zip(groups, rows):
+        for level, point in enumerate(_chart_points(face, group_rows)):
+            if level == len(families):
+                families.append([])
+            families[level].append(point)
+    out = []
+    with shared_reads(families):
+        for (face, members), group_rows in zip(groups, rows):
+            fn, width = read(face)
+            out.append(_on_faces(fn, members, group_rows, width))
+    return out
+
+
+def _chart_points(face: FacePatch, rows: np.ndarray) -> List[Tuple]:
+    """The chart points at which a pass over ``rows`` in one batch reads
+    its chart fields: the points of the face's box (its coordinates with
+    the pinned one inserted, as the face's :class:`Insertion` gives them),
+    then on a patched body their images under the patch.  A point face, a
+    face of no box, or a patch that raises there gives none, and its pass
+    shares no read."""
+    if face.param_box is None or face.axis is None:
+        return []
+    point = tuple(rows.T)
+    token = _SIDE.set(point[-1])
+    try:
+        params = point[:-1]
+        box_point = params[:face.axis] + (face.fixed_value,) + params[face.axis:]
+    finally:
+        _SIDE.reset(token)
+    if face.patch is None:
+        return [box_point]
+    try:
+        with np.errstate(all="ignore"):
+            return [box_point, tuple(face.patch.values_on(box_point))]
+    except (ValueError, ArithmeticError):
+        return []
+
+
+def _on_faces(fn: Callable[[Tuple], Any], faces: Sequence[FacePatch], rows: np.ndarray,
+              width: Optional[int]) -> List[np.ndarray]:
+    """One group's pass of :func:`on_face_groups` over its ``rows``, its
+    nodes once per face with the face's position as the last column: each
+    face's rows of results."""
     failed = [0]  # the face of the last node read alone: the one a ValueError comes from
 
     def read(point):
@@ -758,7 +858,7 @@ def on_faces(
             _SIDE.reset(token)
 
     try:
-        values = on_nodes(read, np.column_stack([np.tile(nodes, (len(faces), 1)), sides]), width)
+        values = on_nodes(read, rows, width)
     except ValueError as exc:
         raise ValueError(f"{faces[failed[0]].label}: {exc}") from exc
     return np.split(values, len(faces))

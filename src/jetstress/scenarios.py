@@ -39,7 +39,7 @@ from .geometry import (
     boundary_faces,
     face_groups,
     integrate,
-    on_faces,
+    on_face_groups,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -54,7 +54,7 @@ from .reports import CheckRecord, RunReport
 from .stress import (
     VariationalStress1,
     invariant_divergence_residual,
-    surface_force,
+    traction_action,
     traction_projection,
     verify_balance_order1,
 )
@@ -512,10 +512,14 @@ def _run_cauchy(scenario: Scenario) -> _Result:
     sigma = traction_projection(stress)
     rule = QuadratureRule(scenario.quad_order)
     n, d = stress.dim, stress.fiber_dim
-    terms: Dict[str, float] = {}
-    # The two faces of an axis share the density and one pass (see face_groups).
-    for face, members in face_groups(scenario.body):
-        density = surface_force(sigma, face, velocity)
+    # The two faces of an axis share the density and one pass (see face_groups),
+    # and the passes share their chart reads (see on_face_groups): every face
+    # pulls back the one chart action, so each reads the same field.
+    groups = face_groups(scenario.body)
+    action = traction_action(sigma, velocity)
+
+    def read(face):
+        density = action.pullback(face.to_chart)
         axis = face.axis
 
         def gap(y):
@@ -526,8 +530,12 @@ def _run_cauchy(scenario: Scenario) -> _Result:
             direct = fibre_sum([s[alpha * n + axis] * u[alpha] for alpha in range(d)])
             return abs(via_pullback - direct)
 
-        nodes, _ = rule.nodes_weights(face.param_box)
-        for member, gaps in zip(members, on_faces(gap, members, nodes)):
+        return gap, None
+
+    nodes = [rule.nodes_weights(face.param_box)[0] for face, _ in groups]
+    terms: Dict[str, float] = {}
+    for (_, members), passes in zip(groups, on_face_groups(groups, nodes, read)):
+        for member, gaps in zip(members, passes):
             terms[member.label] = _worst(gaps)
     return terms, _worst(list(terms.values()))
 

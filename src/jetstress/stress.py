@@ -17,7 +17,6 @@ from .bundles import JetSectionField
 from .fields import Blocks, TensorField, fibre_sum, on_nodes, pair
 from .geometry import (
     Body,
-    FacePatch,
     FormField,
     QuadratureRule,
     integrate,
@@ -31,7 +30,6 @@ __all__ = [
     "section_pairing_form",
     "traction_projection",
     "traction_action",
-    "surface_force",
     "divergence",
     "body_force",
     "invariant_divergence_residual",
@@ -85,13 +83,6 @@ def traction_action(traction: TensorField, velocity: TensorField) -> FormField:
     if velocity.shape != traction.shape[:1] or velocity.dim != traction.dim:
         raise ValueError("velocity shape does not match the traction")
     return FormField.omitting(pair([(traction, velocity)]).field)
-
-
-def surface_force(traction: TensorField, face: FacePatch, velocity: TensorField) -> FormField:
-    """Generalized boundary force density: the traction action pulled onto a face."""
-    if face.param_box is None:
-        raise ValueError("surface force needs a face of dimension >= 1")
-    return traction_action(traction, velocity).pullback(face.to_chart)
 
 
 def divergence(stress: VariationalStress1) -> TensorField:

@@ -26,7 +26,10 @@ and face terms read in passes of their own, from fields built per term, in
 place of the face pass (``edge_assembly_by_piece``), and every face read
 in a pass of its own, through its own fields, in place of the pass the two
 faces of an axis share (``faces_alone``, which ``read_faces_alone`` puts in
-place of ``face_groups``).
+place of ``face_groups``), and each group's face pass in a call of its own
+in place of the passes that share their chart reads
+(``face_passes_unshared``, which ``read_groups_unshared`` puts in place of
+``on_face_groups``).
 ``form_from_components`` builds test forms from one field per index tuple.
 ``unit_box``, ``zero_jet``, ``chart_map``, ``chart_point``,
 ``coordinate_field`` and ``from_polynomials`` build and read the plain
@@ -683,6 +686,12 @@ def edge_assembly_by_piece(
     return edge_terms, face_terms, boundary_terms
 
 
+def surface_force(traction: TensorField, face: FacePatch, velocity: TensorField) -> FormField:
+    """The traction action pulled onto a face: the force density ``cauchy``
+    reads, built for one face alone."""
+    return traction_action(traction, velocity).pullback(face.to_chart)
+
+
 def faces_alone(body: Body, alone=()) -> List[Tuple[FacePatch, List[FacePatch]]]:
     """``geometry.face_groups`` with every face a group of its own, read
     through itself: each face in the pass it had before faces were paired."""
@@ -694,3 +703,25 @@ def read_faces_alone(monkeypatch) -> None:
     library groups faces: ``balance2``, ``balance1`` and ``cauchy``."""
     for module in (geometry, balance, scenarios):
         monkeypatch.setattr(module, "face_groups", faces_alone)
+
+
+_ON_FACE_GROUPS = geometry.on_face_groups
+
+
+def face_passes_unshared(groups, nodes, read) -> List[List[np.ndarray]]:
+    """``geometry.on_face_groups`` with no chart read shared across groups:
+    each group's pass in a call of its own, whose scope holds one group's
+    chart points and so serves no read, as each pass read before the
+    groups of a check shared their chart reads."""
+    out = []
+    for group, group_nodes in zip(groups, nodes):
+        out += _ON_FACE_GROUPS([group], [group_nodes], read)
+    return out
+
+
+def read_groups_unshared(monkeypatch) -> None:
+    """Put :func:`face_passes_unshared` in place of ``on_face_groups``
+    wherever the library runs face passes: ``integrate_faces`` (``balance1``
+    and ``balance2``) and ``cauchy``."""
+    for module in (geometry, scenarios):
+        monkeypatch.setattr(module, "on_face_groups", face_passes_unshared)

@@ -44,7 +44,6 @@ from jetstress.nonholonomic import (
 from jetstress.stress import (
     VariationalStress1,
     invariant_divergence_residual,
-    surface_force,
     traction_projection,
     verify_balance_order1,
 )
@@ -56,6 +55,7 @@ from oracles import (
     include_holonomic,
     iterated_jet_at,
     restrict_to_second_order,
+    surface_force,
     symmetrize_iterated,
     unit_box,
 )

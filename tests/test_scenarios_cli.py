@@ -281,6 +281,23 @@ def test_default_tolerances_documented_values():
     assert DEFAULT_TOLERANCES["second-contraction"] == 1e-14
 
 
+def _interval_doc(check):
+    """A document on the unit interval, n = 1, with every block ``check`` reads."""
+    return {
+        "schema": "jetstress-scenario/1",
+        "name": "interval",
+        "bundle": {"n": 1, "d": 1},
+        "geometry": {"chart_box": [[0.0, 1.0]], "body_box": [[0.0, 1.0]], "quad_order": 4},
+        "stress": {
+            "order1": {"s0": ["x1^2"], "s1": [["1 + x1"]]},
+            "raw": {"x0": ["x1"], "x1": [["1"]], "x2": [["x1"]], "x3": [[["0.5"]]]},
+        },
+        "velocity": {"u": ["x1^3 + 1"]},
+        "checks": [check],
+        "tolerances": {},
+    }
+
+
 MALFORMED_DOCUMENTS = [
     ("square-order1.json", ("geometry", "body_box"), [[0.0], [0, 1]], "geometry.body_box"),
     ("square-order1.json", ("geometry", "chart_box"), [1, 2], "geometry.chart_box"),
@@ -337,6 +354,8 @@ MALFORMED_DOCUMENTS = [
      "velocity.u[0].exr: unknown key (did you mean 'expr'?)"),
     ("square-order1.json", ("velocity", "u"), [{"monomials": [[[3, 0], 1.0]], "expr": "x1"}],
      "velocity.u[0]: component must be a number, string, or monomial table"),
+    # 65 nodes fit the budget at n = 1; the per-axis cap refuses them.
+    (_interval_doc("balance1"), ("geometry", "quad_order"), 65, "geometry.quad_order: order 65"),
 ]
 
 
@@ -345,7 +364,8 @@ MALFORMED_DOCUMENTS = [
     ids=[f"{i}-{case[3]}" for i, case in enumerate(MALFORMED_DOCUMENTS)],
 )
 def test_malformed_document_exits_2_naming_the_key(tmp_path, capsys, fixture, path, value, key):
-    doc = json.loads((SCENARIOS / fixture).read_text())
+    doc = json.loads((SCENARIOS / fixture).read_text() if isinstance(fixture, str)
+                     else json.dumps(fixture))
     target = doc
     for part in path[:-1]:
         target = target[part]
@@ -493,22 +513,8 @@ def test_cauchy_on_a_patched_body_is_rejected_at_load(tmp_path):
 
 
 def _interval(tmp_path, check):
-    """A document on the unit interval, n = 1, with every block ``check`` reads."""
-    doc = {
-        "schema": "jetstress-scenario/1",
-        "name": "interval",
-        "bundle": {"n": 1, "d": 1},
-        "geometry": {"chart_box": [[0.0, 1.0]], "body_box": [[0.0, 1.0]], "quad_order": 4},
-        "stress": {
-            "order1": {"s0": ["x1^2"], "s1": [["1 + x1"]]},
-            "raw": {"x0": ["x1"], "x1": [["1"]], "x2": [["x1"]], "x3": [[["0.5"]]]},
-        },
-        "velocity": {"u": ["x1^3 + 1"]},
-        "checks": [check],
-        "tolerances": {},
-    }
     path = tmp_path / "interval.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_interval_doc(check)))
     return path
 
 
@@ -995,8 +1001,21 @@ def test_quad_order_override_over_the_node_budget_exits_2(capsys, monkeypatch, f
         f"error: --quad-order: 65^2 nodes exceed the budget of {geometry.NODE_BUDGET}\n")
 
 
+def test_quad_order_override_over_the_per_axis_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 65 nodes fit the budget at n = 1; the cap is the largest order a 2-dim
+    # body admits, and is tested after the budget.
+    _no_gauss_nodes(monkeypatch)
+    path = _interval(tmp_path, "balance1")
+    assert main(["run", "--scenario", str(path), "--quad-order", "65"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --quad-order: order 65 exceeds the per-axis cap of 64\n")
+
+
 def test_node_budget_admits_order_16_in_three_dimensions():
     geometry.QuadratureRule(16).check_budget(3)
     geometry.QuadratureRule(64).check_budget(2)
+    geometry.QuadratureRule(64).check_budget(1)
+    with pytest.raises(ValueError, match="order 65 exceeds the per-axis cap of 64"):
+        geometry.QuadratureRule(65).check_budget(1)
     with pytest.raises(ValueError, match="17\\^3 nodes exceed"):
         geometry.QuadratureRule(17).check_budget(3)

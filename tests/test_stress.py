@@ -14,12 +14,11 @@ from jetstress.stress import (
     body_force,
     divergence,
     invariant_divergence_residual,
-    surface_force,
     traction_action,
     traction_projection,
     verify_balance_order1,
 )
-from oracles import from_polynomials, stress_action, unit_box, zero_jet
+from oracles import from_polynomials, stress_action, surface_force, unit_box, zero_jet
 
 
 def tensor(dim, shape, tables):
