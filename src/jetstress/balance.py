@@ -24,7 +24,6 @@ from .geometry import (
     face_label,
     integrate,
     integrate_boundary,
-    integrate_faces,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -100,20 +99,25 @@ def edge_assembly(
     :func:`jetstress.surface.face_split`), on the one chart gradient of the
     velocity, and one pass reads each face's edge pieces and nodes in turn,
     so a ``ValueError`` at a node names that node's face; the groups' passes
-    share their chart reads (see :func:`jetstress.geometry.integrate_faces`).
+    share their chart reads (see :func:`jetstress.geometry.integrate`).
     """
     n = body.dim
     own = transversals or {}
     groups = face_groups(body, own)
     gradient = velocity.gradient()
+    splits = {}  # each face's split, from its group's forms for its edge form
 
     def forms_of(face):
         transversal = own.get(face.label) or TransversalField.coordinate(face)
-        split = face_split(surface_stress, face, transversal, velocity, gradient)
-        forms = [surface_divergence(split), boundary_form.pullback(face.to_chart)]
-        return forms, traction_action(tangent_traction(split), split.velocity)
+        split = splits[face.label] = face_split(surface_stress, face, transversal, velocity,
+                                                gradient)
+        return [surface_divergence(split), boundary_form.pullback(face.to_chart)]
 
-    results = iter(integrate_faces(groups, rule, forms_of, edges=True))
+    def tau_u(face):
+        split = splits[face.label]
+        return traction_action(tangent_traction(split), split.velocity)
+
+    results = iter(integrate(forms_of, groups, rule, tau_u))
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
     boundary_terms: Dict[str, float] = {}
@@ -183,7 +187,7 @@ def closed_boundary_exact_term(
     """
     if face.param_dim != 1:
         raise ValueError("closed-boundary patches are supported for curves only")
-    split = face_split(surface_stress, face, transversal, velocity)
+    split = face_split(surface_stress, face, transversal, velocity, velocity.gradient())
     tau_u = traction_action(tangent_traction(split), split.velocity)
     [[quadrature_value, at_lower, at_upper]] = integrate(
         [tau_u.exterior_derivative()], face, rule, edge_form=tau_u)

@@ -34,7 +34,6 @@ __all__ = [
     "interior_product",
     "pullback_coefficients",
     "integrate",
-    "integrate_faces",
     "integrate_boundary",
     "on_face_groups",
     "boundary_faces",
@@ -473,21 +472,18 @@ class FacePatch:
     ``axis`` it pins and its ``side``: 0 for the lower facet, 1 for the
     upper, and None for both facets of the axis, each node on the side its
     face pass reads (see :func:`on_face_groups`), with ``sign`` None as each
-    keeps its own; and the ``patch`` that carries the box into the chart,
-    None for the identity.  A facet of a 1-dim box has ``param_box`` and
+    keeps its own.  A facet of a 1-dim box has ``param_box`` and
     ``to_chart`` None, and its ``point`` in its parent's coordinates.  Any
-    other face has ``box``, ``axis``, ``side``, ``point`` and ``patch`` None.
+    other face has ``box``, ``axis``, ``side`` and ``point`` None.
     """
 
-    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point",
-                 "patch")
+    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point")
 
     def __init__(self, label: str, param_box: Optional[Box], to_chart: Optional[SmoothField],
                  sign: Optional[float], box: Optional[Box] = None, axis: Optional[int] = None,
-                 side: Optional[int] = None, point: Optional[Tuple[float, ...]] = None,
-                 patch: Optional[SmoothField] = None):
+                 side: Optional[int] = None, point: Optional[Tuple[float, ...]] = None):
         self.label, self.param_box, self.to_chart, self.sign = label, param_box, to_chart, sign
-        self.box, self.axis, self.side, self.point, self.patch = box, axis, side, point, patch
+        self.box, self.axis, self.side, self.point = box, axis, side, point
 
     @property
     def param_dim(self) -> int:
@@ -517,11 +513,11 @@ def _facet(box: Box, axis: int, side: Optional[int], patch: Optional[SmoothField
     if box.dim == 1:
         point = (_pick(side, box.lower[0], box.upper[0]),)
         point = tuple(patch.values_at(point)) if patch is not None else point
-        return FacePatch(label, None, None, sign, box, axis, side, point, patch)
+        return FacePatch(label, None, None, sign, box, axis, side, point)
     mapping = Insertion(box, {axis: side})
     if patch is not None:
         mapping = patch.compose(mapping)
-    return FacePatch(label, box.drop_axis(axis), mapping, sign, box, axis, side, patch=patch)
+    return FacePatch(label, box.drop_axis(axis), mapping, sign, box, axis, side)
 
 
 def _facets(box: Box, patch: Optional[SmoothField], prefix: str = "") -> List[FacePatch]:
@@ -619,66 +615,62 @@ class Insertion(SmoothField):
 
 
 def integrate(
-    forms: Sequence[FormField],
-    region: Union[Body, FacePatch],
+    forms: Union[Sequence[FormField], Callable[[FacePatch], Sequence[FormField]]],
+    region: Union[Body, FacePatch, Sequence[FaceGroup]],
     rule: QuadratureRule,
-    members: Optional[Sequence[FacePatch]] = None,
-    edge_form: Optional[FormField] = None,
+    edge_form: Union[None, FormField, Callable[[FacePatch], FormField]] = None,
 ) -> List[List[float]]:
-    """The integrals of ``forms`` over ``region``, a body or a face, from one
-    pass over its nodes, so the forms share the sub-fields they read (see
+    """The integrals of ``forms`` over ``region``: a body, a face, or the
+    groups of :func:`face_groups`, one pass over each one's nodes, so the
+    forms share the sub-fields they read (see
     :func:`jetstress.fields.on_nodes`).
 
     A body's forms are chart volume forms, pulled back through its patch if
     it has one; its one list comes from one pass of
     :func:`jetstress.fields.on_nodes`.  A face's forms are top-degree forms
     on its parameters; a point face, of a 1-dim body, reads each chart
-    0-form at its point.  A face gives one list for each of ``members``, the
-    faces that one pass reads through it (a group of :func:`face_groups`;
-    None is ``[region]``).  Each list holds each form's integral times the
-    member's sign, then the integral of the face form ``edge_form``, one
+    0-form at its point.  A face is read as the one group of itself.  Over
+    groups, ``forms`` and ``edge_form`` are functions of a group's face that
+    give its forms and its edge form, called in that order right before the
+    group's pass, so a group builds its fields as its own pass would.  Each
+    face of each group gives one list, in order: each form's integral times
+    the face's sign, then the integral of the face form ``edge_form``, one
     degree lower, over each piece of :func:`face_boundary_pieces`, in its
     order, times the piece's sign.  An ``edge_form`` of None gives no pieces.
 
     A piece pulls ``edge_form`` back through its insertion, whose minor on the
     piece's free tuple is the constant 1.0 and on every other tuple the zero
     series; so the pullback is the coefficient on the free tuple, with its
-    bits.  One face pass (see :func:`on_face_groups`) reads, for each member in turn, every
-    piece's nodes, written in face coordinates (one node for an endpoint of
-    a 1-dim face), then the face's nodes, and reads every form and the
-    coefficients of ``edge_form`` at each.  Each integral is summed over its
-    member's nodes, in node order.
+    bits.  A group's pass (see :func:`on_face_groups`) reads, for each face
+    in turn, every piece's nodes, written in face coordinates (one node for
+    an endpoint of a 1-dim face), then the face's nodes, and reads every
+    form and the coefficients of ``edge_form`` at each.  Each integral is
+    summed over its face's nodes, in node order.  The groups' passes share
+    their chart reads (see :func:`on_face_groups`).
     """
-    if not isinstance(region, Body):
-        members = [region] if members is None else members
-        return integrate_faces([(region, members)], rule, lambda face: (forms, edge_form),
-                               edge_form is not None)
-    if region.patch is not None:
-        forms = [form.pullback(region.patch) for form in forms]
-    _check_top_degree(forms, region.box)
-    nodes, weights = rule.nodes_weights(region.box)
-    values = on_nodes(_reader(forms, None, tuple(range(region.dim))), nodes, len(forms))
-    return [[_node_sum(weights, values[:, c]) for c in range(len(forms))]]
+    if isinstance(region, Body):
+        if region.patch is not None:
+            forms = [form.pullback(region.patch) for form in forms]
+        _check_top_degree(forms, region.box)
+        nodes, weights = rule.nodes_weights(region.box)
+        values = on_nodes(_reader(forms, None, tuple(range(region.dim))), nodes, len(forms))
+        return [[_node_sum(weights, values[:, c]) for c in range(len(forms))]]
+    if isinstance(region, FacePatch):
+        return _integrate_groups([(region, [region])], rule, lambda face: forms,
+                                 None if edge_form is None else lambda face: edge_form)
+    return _integrate_groups(region, rule, forms, edge_form)
 
 
-def integrate_faces(
+def _integrate_groups(
     groups: Sequence[FaceGroup],
     rule: QuadratureRule,
-    forms_of: Callable[[FacePatch], Tuple[Sequence[FormField], Optional[FormField]]],
-    edges: bool = False,
+    forms_of: Callable[[FacePatch], Sequence[FormField]],
+    edge_form_of: Optional[Callable[[FacePatch], FormField]],
 ) -> List[List[float]]:
-    """Each face's list of :func:`integrate` over the groups of
-    :func:`face_groups`, in face order, the chart reads of the groups'
-    passes shared (see :func:`on_face_groups`).
-
-    ``forms_of(face)`` gives a group's forms on the face's parameters (chart
-    0-forms on a point face) and its edge form, None unless ``edges``; it
-    is called right before the group's pass, so a group builds its fields
-    as its own pass would.
-    """
+    """:func:`integrate` over face groups."""
     plans = []  # per group: its pieces, and the (nodes, weights) of each piece then of the face
     for face, _ in groups:
-        pieces = face_boundary_pieces(face) if edges else []
+        pieces = [] if edge_form_of is None else face_boundary_pieces(face)
         parts = []
         for piece in pieces:
             if piece.param_box is None:
@@ -694,7 +686,8 @@ def integrate_faces(
     built = []  # per group: its number of forms and its edge form
 
     def read(face):
-        forms, edge_form = forms_of(face)
+        forms = forms_of(face)
+        edge_form = None if edge_form_of is None else edge_form_of(face)
         full = ()
         if face.param_box is not None:
             _check_top_degree(forms, face.param_box)
@@ -740,11 +733,11 @@ def integrate_boundary(
     forms: Sequence[FormField], body: Body, rule: QuadratureRule
 ) -> List[List[float]]:
     """Each boundary face's :func:`integrate` of the chart (n-1)-forms, in
-    face order (see :func:`integrate_faces`).  The faces of a group of
-    :func:`face_groups` share the forms pulled back through the group's face
-    map, and one pass; a point face reads them at its point as they are."""
-    return integrate_faces(face_groups(body), rule, lambda face: (
-        forms if face.param_box is None else [f.pullback(face.to_chart) for f in forms], None))
+    face order.  The faces of a group of :func:`face_groups` share the forms
+    pulled back through the group's face map, and one pass; a point face
+    reads them at its point as they are."""
+    return integrate(lambda face: forms if face.param_box is None else [
+        f.pullback(face.to_chart) for f in forms], face_groups(body), rule)
 
 
 def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
@@ -817,27 +810,27 @@ def on_face_groups(
 
 def _chart_points(face: FacePatch, rows: np.ndarray) -> List[Tuple]:
     """The chart points at which a pass over ``rows`` in one batch reads
-    its chart fields: the points of the face's box (its coordinates with
-    the pinned one inserted, as the face's :class:`Insertion` gives them),
-    then on a patched body their images under the patch.  A point face, a
-    face of no box, or a patch that raises there gives none, and its pass
-    shares no read."""
+    its chart fields, as the face's map gives them: the points of the
+    face's box, the values of its :class:`Insertion`, then on a patched
+    body the values of ``to_chart``, the patch composed on that insertion.
+    A point face, a face of no box, or a map that raises there gives none,
+    and its pass shares no read."""
     if face.param_box is None or face.axis is None:
         return []
     point = tuple(rows.T)
+    params = point[:-1]
     token = _SIDE.set(point[-1])
     try:
-        params = point[:-1]
-        box_point = params[:face.axis] + (face.fixed_value,) + params[face.axis:]
-    finally:
-        _SIDE.reset(token)
-    if face.patch is None:
-        return [box_point]
-    try:
         with np.errstate(all="ignore"):
-            return [box_point, tuple(face.patch.values_on(box_point))]
+            levels = [tuple(face.to_chart.values_on(params))]
+            if not isinstance(face.to_chart, Insertion):
+                inner = Insertion(face.box, {face.axis: face.side})
+                levels.insert(0, tuple(inner.values_on(params)))
     except (ValueError, ArithmeticError):
         return []
+    finally:
+        _SIDE.reset(token)
+    return levels
 
 
 def _on_faces(fn: Callable[[Tuple], Any], faces: Sequence[FacePatch], rows: np.ndarray,

@@ -327,15 +327,13 @@ def face_split(
     face: FacePatch,
     transversal: TransversalField,
     velocity: TensorField,
-    gradient: Optional[TensorField] = None,
+    gradient: TensorField,
 ) -> FaceSplit:
     """``restrict_Y`` on the face, both parts of its
     ``transversal_decomposition`` along ``transversal``, and the chart
-    velocity and its chart ``gradient`` (built here when None) composed
-    onto the face."""
+    velocity and its chart ``gradient`` composed onto the face."""
     restricted = restrict_Y(surface_stress, face)
     tangent, normal = transversal_decomposition(restricted, transversal)
-    gradient = velocity.gradient() if gradient is None else gradient
     return FaceSplit(restricted, tangent, normal, transversal,
                      face_velocity(velocity, face), face_velocity(gradient, face))
 

@@ -721,7 +721,7 @@ def face_passes_unshared(groups, nodes, read) -> List[List[np.ndarray]]:
 
 def read_groups_unshared(monkeypatch) -> None:
     """Put :func:`face_passes_unshared` in place of ``on_face_groups``
-    wherever the library runs face passes: ``integrate_faces`` (``balance1``
-    and ``balance2``) and ``cauchy``."""
+    wherever the library runs face passes: ``integrate`` over face groups
+    (``balance1`` and ``balance2``) and ``cauchy``."""
     for module in (geometry, scenarios):
         monkeypatch.setattr(module, "on_face_groups", face_passes_unshared)

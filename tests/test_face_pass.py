@@ -208,23 +208,25 @@ def face_documents(draw):
 
 
 def _face_reads(scenario, rule):
-    """Each face's terms and edge pieces as ``integrate_faces`` returns them
-    to ``edge_assembly``, the assembly's terms, balance1's face integrals and
-    cauchy's gaps, every value as its bits, in the order each is made."""
+    """Each face's terms and edge pieces as ``integrate`` over its groups
+    returns them to ``edge_assembly``, the assembly's terms, balance1's face
+    integrals and cauchy's gaps, every value as its bits, in the order each
+    is made."""
     passes = {}
-    real = balance.integrate_faces
+    real = balance.integrate
 
-    def spy(groups, rule, forms_of, edges=False):
-        results = real(groups, rule, forms_of, edges)
-        members = [member for _, group in groups for member in group]
-        for member, values in zip(members, results):
-            passes[member.label] = [v.hex() for v in values]
+    def spy(forms, region, *args):
+        results = real(forms, region, *args)
+        if isinstance(region, list):
+            members = [member for _, group in region for member in group]
+            for member, values in zip(members, results):
+                passes[member.label] = [v.hex() for v in values]
         return results
 
     stress, velocity = scenario.nh_stress, scenario.velocity
     sigma_div_u = traction_action(traction_projection(nh_divergence(stress)), velocity)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(balance, "integrate_faces", spy)
+        patch.setattr(balance, "integrate", spy)
         terms = edge_assembly(nh_traction(stress), velocity, scenario.body, scenario.transversals,
                               rule, boundary_form=sigma_div_u)
     sigma_w = traction_action(traction_projection(scenario.stress1), velocity)
@@ -345,8 +347,14 @@ def _leaf_reads(scenario, patch):
     return reads
 
 
-def test_each_chart_leaf_is_read_once_per_order_across_the_face_groups():
-    scenario = load_scenario(generate_scenario(3, 3, 2, 3))
+@pytest.mark.parametrize("patched", [False, True])
+def test_each_chart_leaf_is_read_once_per_order_across_the_face_groups(patched):
+    doc = generate_scenario(3, 3, 2, 3)
+    if patched:  # the leaves are read at the patch images of the face nodes
+        doc["geometry"]["chart_box"] = [[-1.0, 2.0]] * 3
+        doc["geometry"]["patch"] = [f"x{i + 1} + 0.1*x{(i + 1) % 3 + 1}^2" for i in range(3)]
+        doc["checks"] = ["balance2"]  # cauchy refuses a patch at load
+    scenario = load_scenario(doc)
     q = scenario.quad_order
     body, group = q ** 3, 2 * (q * q + 4 * q)  # a pair's face nodes and edge pieces
 

@@ -305,7 +305,8 @@ def test_tangent_traction_signs_and_n2():
     y1[0, 0, 2] = 1.0  # tangent component along the first face axis
     Y = HyperSurfaceStress(tensor_const(n, (d, n), np.zeros((1, 3))), tensor_const(n, (d, n, n), y1))
     tv = TransversalField.coordinate(face)
-    tau = tangent_traction(face_split(Y, face, tv, tensor_const(n, (d,), [0.0])))
+    u = tensor_const(n, (d,), [0.0])
+    tau = tangent_traction(face_split(Y, face, tv, u, u.gradient()))
     sig = tau.at((0.5, 0.5))
     assert sig[0, 0] == pytest.approx(1.0)  # sign (+) on the first slot
     assert sig[0, 1] == pytest.approx(0.0)
@@ -318,8 +319,9 @@ def test_tangent_traction_signs_and_n2():
     Y2 = HyperSurfaceStress(
         tensor_const(2, (1, 2), np.zeros((1, 2))), tensor_const(2, (1, 2, 2), y1b)
     )
+    u2 = tensor_const(2, (1,), [0.0])
     tau2 = tangent_traction(face_split(
-        Y2, face2, TransversalField.coordinate(face2), tensor_const(2, (1,), [0.0])))
+        Y2, face2, TransversalField.coordinate(face2), u2, u2.gradient()))
     assert tau2.at((0.5,))[0, 0] == pytest.approx(2.5)
 
 
@@ -338,10 +340,11 @@ def test_surface_divergence_constant_case():
     )
     tv = TransversalField.coordinate(face)
     u = tensor_poly(2, (1,), [[((1, 0), 1.0)]])  # depends only on x1
-    div_form = surface_divergence(face_split(Y, face, tv, u))
+    div_form = surface_divergence(face_split(Y, face, tv, u, u.gradient()))
     assert div_form.value_at((0.4,)).coefficient((0,)) == pytest.approx(0.0)
     u_zero = tensor_const(2, (1,), [0.0])
-    assert surface_divergence(face_split(Y, face, tv, u_zero)).value_at((0.4,)).max_abs() == 0.0
+    split = face_split(Y, face, tv, u_zero, u_zero.gradient())
+    assert surface_divergence(split).value_at((0.4,)).max_abs() == 0.0
 
 
 def test_surface_divergence_defining_relation():
@@ -356,7 +359,7 @@ def test_surface_divergence_defining_relation():
         u = tensor_poly(n, (d,), [random_poly_table(rng, n, 3)])
         for face in faces[:3]:
             tv = TransversalField.coordinate(face)
-            split = face_split(Y, face, tv, u)
+            split = face_split(Y, face, tv, u, u.gradient())
             tau = tangent_traction(split)
             u_face = face_velocity(u, face)
             tau_u = traction_action(tau, u_face)
@@ -395,7 +398,7 @@ def test_surface_divergence_with_varying_oblique_transversal():
     stress = random_nh_stress(rng, n, d, 2)
     Y = nh_traction(stress)
     u = tensor_poly(n, (d,), [random_poly_table(rng, n, 2)])
-    split = face_split(Y, face, tv, u)
+    split = face_split(Y, face, tv, u, u.gradient())
     tau = tangent_traction(split)
     u_face = face_velocity(u, face)
     tau_u = traction_action(tau, u_face)
