@@ -98,7 +98,7 @@ def edge_assembly(
     read per node.  Each group's fields are built once (see
     :func:`jetstress.surface.face_split`), on the one chart gradient of the
     velocity, and one pass reads each face's edge pieces and nodes in turn,
-    so a ``ValueError`` at a node names that node's face; the groups' passes
+    so an error at a node names that node's face; the groups' passes
     share their chart reads (see :func:`jetstress.geometry.integrate`).
     """
     n = body.dim

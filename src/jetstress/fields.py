@@ -22,10 +22,12 @@ The stress identities are written in four operations on it:
 - :func:`pair`: the sum of ``C[idx + out] * A[idx]`` over (C, A) blocks; a
   block (C, A, 1) pairs C with the gradient of A.
 
-Each operation builds its flat index table once, when it is constructed,
-and evaluates each input field once per (point, order).  A stress or a
-jet section is a :class:`Blocks` record: named tensor fields of shapes
-``(d,) + (n,)*k``, declared once in its ``LAYOUT``.
+Each operation takes its flat index table when it is constructed, and
+evaluates each input field once per (point, order).  The tables of
+``signed`` and :func:`pair` depend on integers only (shapes, axes, slots),
+so each is built once per process and shared, as tuples no field can
+alter.  A stress or a jet section is a :class:`Blocks` record: named tensor
+fields of shapes ``(d,) + (n,)*k``, declared once in its ``LAYOUT``.
 
 A point is a tuple of coordinates, each a float, or for a batch of nodes an
 array with one value per node (see :mod:`jetstress.taylor`).
@@ -546,16 +548,27 @@ class TensorField:
         perm = tuple(range(len(self.shape))) if perm is None else tuple(perm)
         if sorted(perm) != list(range(len(self.shape))):
             raise ValueError(f"{perm} is not a permutation of the axes of {self.shape}")
-        out_shape = tuple(self.shape[p] for p in perm)
-        rows = []
-        for idx in np.ndindex(*out_shape):
-            src = [0] * len(perm)
-            for k, p in enumerate(perm):
-                src[p] = idx[k]
-            odd = axis is not None and idx[axis] % 2
-            flat = int(np.ravel_multi_index(src, self.shape))
-            rows.append([(flat, None, -1.0 if odd else None)])
+        out_shape, rows = _signed_rows(self.shape, axis, perm)
         return TensorField(linear_field(self.field, 0, rows), out_shape)
+
+
+@lru_cache(maxsize=None)
+def _signed_rows(shape: Tuple[int, ...], axis: Optional[int],
+                 perm: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[Tuple[Term], ...]]:
+    """The output shape of :meth:`TensorField.signed` and its rows of
+    :func:`linear_field`, in the output's row-major order: the source entry
+    of each output entry, with the factor -1.0 where its index on ``axis``
+    is odd.  Built once per shape, axis and permutation."""
+    out_shape = tuple(shape[p] for p in perm)
+    rows = []
+    for idx in np.ndindex(*out_shape):
+        src = [0] * len(perm)
+        for k, p in enumerate(perm):
+            src[p] = idx[k]
+        odd = axis is not None and idx[axis] % 2
+        flat = int(np.ravel_multi_index(src, shape))
+        rows.append(((flat, None, -1.0 if odd else None),))
+    return out_shape, tuple(rows)
 
 
 class Blocks:
@@ -603,42 +616,31 @@ def pair(blocks: Sequence[Tuple]) -> TensorField:
     output entry the products are summed depth-first over ``idx`` (an index
     before its extensions), and in block order at a shared ``idx``.  Each
     distinct field is evaluated once per call, at order + 1 if a block takes
-    its gradient.
+    its gradient.  The term table depends on the shapes and on which blocks
+    share a field only (see :func:`_pair_table`).
     """
     blocks = [tuple(block) + (0,) * (3 - len(block)) for block in blocks]
     c0, a0, k0 = blocks[0]
     n = c0.dim
     out_shape = c0.shape[len(a0.shape) + k0:]
     fields: List[SmoothField] = []
-    lift: List[int] = []  # per field: 1 when some block takes its gradient
-    reads: Dict[Tuple[int, int, Optional[int]], int] = {}  # (field, component, axis) -> slot
 
-    def slot(tensor: TensorField, k: int) -> int:
+    def slot(tensor: TensorField) -> int:
         for s, f in enumerate(fields):
             if f is tensor.field:
-                lift[s] = max(lift[s], k)
                 return s
         fields.append(tensor.field)
-        lift.append(k)
         return len(fields) - 1
 
-    terms = []
-    for b, (c, a, k) in enumerate(blocks):
+    layout = []
+    for c, a, k in blocks:
         shape = a.shape + (n,) * k
         if c.dim != n or a.dim != n:
             raise ValueError("paired fields live on different chart dimensions")
         if k not in (0, 1) or c.shape != shape + out_shape:
             raise ValueError(f"cannot pair shape {c.shape} with {shape} into {out_shape}")
-        cs, as_ = slot(c, 0), slot(a, k)
-        for flat, idx in enumerate(np.ndindex(*shape)):  # row-major
-            a_key = (as_, flat // n, flat % n) if k else (as_, flat, None)
-            terms.append((idx, b, cs, flat * _size(out_shape), a_key))
-    terms.sort(key=lambda t: (t[0], t[1]))
-    table = [
-        [(reads.setdefault((cs, c_base + o, None), len(reads)), reads.setdefault(a_key, len(reads)))
-         for _, _, cs, c_base, a_key in terms]
-        for o in range(_size(out_shape))
-    ]
+        layout.append((a.shape, k, slot(c), slot(a)))
+    lift, reads, table = _pair_table(n, out_shape, tuple(layout))
 
     def evaluator(point: Point, order: int) -> List[TruncatedSeries]:
         series = [f.series_on(point, order + up) for f, up in zip(fields, lift)]
@@ -656,6 +658,34 @@ def pair(blocks: Sequence[Tuple]) -> TensorField:
         return out
 
     return TensorField(SmoothField(n, len(table), evaluator), out_shape)
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int, out_shape: Tuple[int, ...], layout: Tuple[Tuple, ...]) -> Tuple[Tuple, ...]:
+    """The read plan of :func:`pair` on a chart of dimension ``n``, built once
+    per key.  Each block of ``layout`` is ``(A.shape, k, C slot, A slot)``, a
+    slot numbering the distinct fields in order of first use, C before A.
+
+    Returns, per slot, 1 when some block takes its field's gradient, else 0;
+    the reads, each ``(slot, component, partial axis or None)``; and per
+    output entry its terms, each the positions of its C and A reads.
+    """
+    size = _size(out_shape)
+    lift = [0] * (1 + max(max(cs, as_) for _, _, cs, as_ in layout))
+    terms = []
+    for b, (a_shape, k, cs, as_) in enumerate(layout):
+        lift[as_] = max(lift[as_], k)
+        for flat, idx in enumerate(np.ndindex(*(a_shape + (n,) * k))):  # row-major
+            a_key = (as_, flat // n, flat % n) if k else (as_, flat, None)
+            terms.append((idx, b, cs, flat * size, a_key))
+    terms.sort(key=lambda t: (t[0], t[1]))
+    reads: Dict[Tuple[int, int, Optional[int]], int] = {}  # (slot, component, axis) -> position
+    table = tuple(
+        tuple((reads.setdefault((cs, c_base + o, None), len(reads)), reads.setdefault(a_key, len(reads)))
+              for _, _, cs, c_base, a_key in terms)
+        for o in range(size)
+    )
+    return tuple(lift), tuple(reads), table
 
 
 class JetValue:

@@ -432,14 +432,23 @@ def _pick(side: Optional[int], lower: float, upper: float) -> Any:
 
 class Body:
     """An oriented box region, optionally pushed into the chart by a patch map;
-    its dimension is its box's."""
+    its dimension is its box's.
 
-    __slots__ = ("box", "patch")
+    A body builds its boundary faces once (see :func:`boundary_faces`), and
+    its face groups once per set of faces read alone (see
+    :func:`face_groups`), and keeps them for its own lifetime: every check
+    of a scenario reads the same face records, and no other body does.
+    """
+
+    __slots__ = ("box", "patch", "_faces", "_groups")
 
     def __init__(self, box: Box, patch: Optional[SmoothField] = None):
         if patch is not None and (patch.dim != box.dim or patch.ncomp != box.dim):
             raise ValueError("patch map must be chart-dim to chart-dim")
         self.box, self.patch = box, patch
+        self._faces: Optional[Tuple[FacePatch, ...]] = None
+        # (whether each face is read alone, in face order) -> its groups
+        self._groups: Dict[Tuple[bool, ...], Tuple[FaceGroup, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -474,16 +483,19 @@ class FacePatch:
     face pass reads (see :func:`on_face_groups`), with ``sign`` None as each
     keeps its own.  A facet of a 1-dim box has ``param_box`` and
     ``to_chart`` None, and its ``point`` in its parent's coordinates.  Any
-    other face has ``box``, ``axis``, ``side`` and ``point`` None.
+    other face has ``box``, ``axis``, ``side`` and ``point`` None.  A face
+    builds its boundary pieces once (see :func:`face_boundary_pieces`).
     """
 
-    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point")
+    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point",
+                 "_pieces")
 
     def __init__(self, label: str, param_box: Optional[Box], to_chart: Optional[SmoothField],
                  sign: Optional[float], box: Optional[Box] = None, axis: Optional[int] = None,
                  side: Optional[int] = None, point: Optional[Tuple[float, ...]] = None):
         self.label, self.param_box, self.to_chart, self.sign = label, param_box, to_chart, sign
         self.box, self.axis, self.side, self.point = box, axis, side, point
+        self._pieces: Optional[Tuple[FacePatch, ...]] = None
 
     @property
     def param_dim(self) -> int:
@@ -528,11 +540,14 @@ def _facets(box: Box, patch: Optional[SmoothField], prefix: str = "") -> List[Fa
 
 
 def boundary_faces(body: Body) -> List[FacePatch]:
-    """The 2n oriented facets whose signed sum realizes the Stokes boundary."""
-    return _facets(body.box, body.patch)
+    """The 2n oriented facets whose signed sum realizes the Stokes boundary,
+    built on the body's first call and the same records on every later one."""
+    if body._faces is None:
+        body._faces = tuple(_facets(body.box, body.patch))
+    return list(body._faces)
 
 
-FaceGroup = Tuple[FacePatch, List[FacePatch]]
+FaceGroup = Tuple[FacePatch, Sequence[FacePatch]]
 
 
 def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
@@ -543,25 +558,33 @@ def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
     The two faces of an axis of a body of dim >= 2 form one group, read
     through the facet of both sides of the axis (its ``side`` is None),
     unless either label is in ``alone``.  Every other face is a group of its
-    own, read through itself.
+    own, read through itself.  The groups are built once per body and set
+    of faces read alone, and the same records come back on every later call.
     """
     faces = boundary_faces(body)
-    groups: List[FaceGroup] = []
-    for lower, upper in zip(faces[::2], faces[1::2]):
-        if body.dim == 1 or lower.label in alone or upper.label in alone:
-            groups += [(lower, [lower]), (upper, [upper])]
-            continue
-        both = _facet(body.box, lower.axis, None, body.patch, f"x{lower.axis + 1}")
-        groups.append((both, [lower, upper]))
-    return groups
+    key = tuple(face.label in alone for face in faces)
+    groups = body._groups.get(key)
+    if groups is None:
+        groups = []
+        for lower, upper in zip(faces[::2], faces[1::2]):
+            if body.dim == 1 or lower.label in alone or upper.label in alone:
+                groups += [(lower, (lower,)), (upper, (upper,))]
+                continue
+            both = _facet(body.box, lower.axis, None, body.patch, f"x{lower.axis + 1}")
+            groups.append((both, (lower, upper)))
+        groups = body._groups[key] = tuple(groups)
+    return list(groups)
 
 
 def face_boundary_pieces(face: FacePatch) -> List[FacePatch]:
     """Oriented boundary facets of a face, in the face's own parameter box,
-    each a facet of that box."""
+    each a facet of that box; built on the face's first call and the same
+    records on every later one."""
     if face.param_box is None:
         raise ValueError("0-dimensional faces have no boundary")
-    return _facets(face.param_box, None, face.label + "/")
+    if face._pieces is None:
+        face._pieces = tuple(_facets(face.param_box, None, face.label + "/"))
+    return list(face._pieces)
 
 
 class _Renaming(dict):
@@ -777,8 +800,9 @@ def on_face_groups(
     group, for a pair its side.  The pass splits it off and opens it as the
     side while ``fn`` reads the rest, so a face of both sides reads each
     node on its own side (see :meth:`FacePatch.pick`) with the operations of
-    that face's own pass.  A ``ValueError`` at a node is raised again with
-    the label of the node's face in front of its message.
+    that face's own pass.  A ``ValueError`` or an ``OverflowError`` at a
+    node is raised again, of its kind, with the label of the node's face in
+    front of its message.
 
     The passes share their chart reads.  Before any pass runs, each group's
     chart points are computed as its face map gives them on the rows its
@@ -838,7 +862,7 @@ def _on_faces(fn: Callable[[Tuple], Any], faces: Sequence[FacePatch], rows: np.n
     """One group's pass of :func:`on_face_groups` over its ``rows``, its
     nodes once per face with the face's position as the last column: each
     face's rows of results."""
-    failed = [0]  # the face of the last node read alone: the one a ValueError comes from
+    failed = [0]  # the face of the last node read alone: the one an error comes from
 
     def read(point):
         side = point[-1]
@@ -852,6 +876,7 @@ def _on_faces(fn: Callable[[Tuple], Any], faces: Sequence[FacePatch], rows: np.n
 
     try:
         values = on_nodes(read, rows, width)
-    except ValueError as exc:
-        raise ValueError(f"{faces[failed[0]].label}: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        kind = ValueError if isinstance(exc, ValueError) else OverflowError
+        raise kind(f"{faces[failed[0]].label}: {exc}") from exc
     return np.split(values, len(faces))

@@ -40,6 +40,10 @@ field of monomial tables.
 ``holonomy_class``'s one ``jets_on`` pass per block; ``include_holonomic``,
 ``symmetrize_iterated``, ``restrict_to_second_order``, ``annihilator_series``,
 ``validate_transversal`` and ``max_abs_diff`` are the references only tests use.
+``pair_table`` and ``signed_rows`` build the index tables of ``pair`` and
+``TensorField.signed`` afresh on every call, from ``itertools.product`` and
+numpy's transpose of the flat indices, in place of the tables the library
+builds once per key.
 
 The law pins (``transform_jet2``, ``transform_stress1``,
 ``transform_stress2``, ``predicted_contraction_defect``) read one frame
@@ -50,6 +54,7 @@ transformation laws to it, so the tests can pin each law by hand values.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -725,3 +730,41 @@ def read_groups_unshared(monkeypatch) -> None:
     (``balance1`` and ``balance2``) and ``cauchy``."""
     for module in (geometry, scenarios):
         monkeypatch.setattr(module, "on_face_groups", face_passes_unshared)
+
+
+def pair_table(n: int, out_shape: Tuple[int, ...], layout) -> Tuple:
+    """``fields._pair_table`` built afresh: per slot its lift, the reads in
+    order of first use (C before A, output entry by output entry), and per
+    output entry the read positions of each term, its terms ordered by the
+    paired index (a prefix before its extensions) and then by block."""
+    size = math.prod(out_shape)
+    lift: Dict[int, int] = {}
+    entries = []
+    for b, (a_shape, k, cs, as_) in enumerate(layout):
+        lift.setdefault(cs, 0)
+        lift[as_] = max(lift.get(as_, 0), k)
+        for flat, idx in enumerate(itertools.product(*map(range, a_shape + (n,) * k))):
+            a_read = (as_,) + divmod(flat, n) if k else (as_, flat, None)
+            entries.append((idx, b, cs, flat, a_read))
+    entries.sort(key=lambda entry: entry[:2])
+    reads: List[Tuple] = []
+
+    def position(read: Tuple) -> int:
+        if read not in reads:
+            reads.append(read)
+        return reads.index(read)
+
+    table = tuple(tuple((position((cs, flat * size + o, None)), position(a_read))
+                        for _, _, cs, flat, a_read in entries)
+                  for o in range(size))
+    return tuple(lift[s] for s in range(len(lift))), tuple(reads), table
+
+
+def signed_rows(shape: Tuple[int, ...], axis: Optional[int], perm: Tuple[int, ...]) -> Tuple:
+    """``fields._signed_rows`` built afresh: the permuted shape and, per
+    entry of it in row-major order, the flat source index numpy's transpose
+    puts there, with the factor -1.0 where the index on ``axis`` is odd."""
+    sources = np.arange(math.prod(shape)).reshape(shape).transpose(perm)
+    rows = tuple(((int(sources[idx]), None, -1.0 if axis is not None and idx[axis] % 2 else None),)
+                 for idx in itertools.product(*map(range, sources.shape)))
+    return sources.shape, rows

@@ -183,3 +183,11 @@ def test_a_traced_pass_reaches_every_required_layer(monkeypatch, tmp_path, capsy
     assert result["correct"]
     metrics = result["metrics"]
     assert [name for name in run.REQUIRED_NONZERO[workload] if not metrics[name]["value"]] == []
+
+
+def test_the_readme_claim_table_lists_every_check_id_in_order():
+    # The rows of the claim table under "Check ids", by their first cell.
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("\n### Check ids\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert [row.split("`")[1] for row in rows] == list(CHECK_IDS)

@@ -652,6 +652,20 @@ def test_analytic_overflow_exits_2_naming_the_check(tmp_path, capsys):
     assert main(["run", "--scenario", failing, "--report", str(report)]) == 1
 
 
+def test_an_overflow_in_a_face_pass_exits_2_naming_the_face(tmp_path, capsys):
+    # exp(800*x1^50) overflows math.exp only near x1 = 1: the body's nodes
+    # pass and the first node of x1-upper overflows, in balance1's and in
+    # cauchy's face pass alike.
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(_square_with_velocity(["exp(800*x1^50)"])))
+    report = tmp_path / "report.jsonl"
+    for check in ("balance1", "cauchy"):
+        argv = ["run", "--scenario", str(scenario), "--report", str(report), "--check", check]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: checks.{check}: x1-upper: math range error\n"
+        assert not report.exists()
+
+
 def test_a_non_finite_result_exits_2_and_writes_no_report(tmp_path, capfd, recwarn):
     # Finite literals whose product overflows: balance1's boundary term is
     # infinite, and cauchy, div-consistency and jet-oracle read NaN.
