@@ -98,8 +98,8 @@ def edge_assembly(
     read per node.  Each group's fields are built once (see
     :func:`jetstress.surface.face_split`), on the one chart gradient of the
     velocity, and one pass reads each face's edge pieces and nodes in turn,
-    so an error at a node names that node's face; the groups' passes
-    share their chart reads (see :func:`jetstress.geometry.integrate`).
+    so an error at a node names that node's face.  Each group reads its
+    chart fields at its own points (see :func:`jetstress.geometry.integrate`).
     """
     n = body.dim
     own = transversals or {}
@@ -152,8 +152,9 @@ def verify_balance_order2(
     residual.
     """
     section = JetSectionField.from_velocity(velocity)
-    [[lhs, dd_term]] = integrate(
-        [nh_action_form(stress, section), pairing_volume_form(div_div(stress), velocity)],
+    # div_div first: the memo serves the action's lower orders by truncating its reads.
+    [[dd_term, lhs]] = integrate(
+        [pairing_volume_form(div_div(stress), velocity), nh_action_form(stress, section)],
         body, rule,
     )
 

@@ -35,17 +35,20 @@ array with one value per node (see :mod:`jetstress.taylor`).
 is the one-point entry.  :func:`on_nodes` evaluates a function of a point
 over a node array, ``BATCH`` nodes at a time, and while it evaluates a batch
 ``series_on`` keeps each field's series for that batch, so a sub-field read
-by several parts of the function is evaluated once.
+by several parts of the function is evaluated once; a read at a lower order
+than one stored is served by truncation, so a function that reads a field's
+highest order first evaluates it once.  The memo lives for its batch only:
+each pass of :func:`on_nodes`, a face group's included, evaluates the
+fields it reads at its own points.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,11 +116,11 @@ class _BatchMemo(dict):
             if per_node(c):
                 hit = self._arrays.get(id(c))
                 if hit is None:
-                    hit = self._arrays[id(c)] = (c, _coordinate_key(c))
+                    hit = self._arrays[id(c)] = (c, (c.dtype.str, c.tobytes()))
                 out.append(hit[1])
                 batch = True
             else:
-                out.append(_coordinate_key(c))
+                out.append(float(c).hex())
         return tuple(out) if batch else None
 
     def series(self, key: Tuple, order: int) -> Optional[List[TruncatedSeries]]:
@@ -136,99 +139,8 @@ class _BatchMemo(dict):
         self.setdefault(key, {})[order] = list(series)
 
 
-def _coordinate_key(c: Any) -> Any:
-    """A coordinate's values: a node array as its dtype and bytes, a float as its hex."""
-    return (c.dtype.str, c.tobytes()) if per_node(c) else float(c).hex()
-
-
 # The memo of the open batch, or None outside a batch.
 _MEMO: ContextVar[Optional[_BatchMemo]] = ContextVar("batch_memo", default=None)
-
-
-def _sliced(series: TruncatedSeries, rows: slice) -> TruncatedSeries:
-    """``series`` at the nodes in ``rows``: each node array sliced, each
-    float kept, in the same key order."""
-    return TruncatedSeries._trusted(series.dim, series.order, {
-        key: value[rows] if per_node(value) else value for key, value in series.coeffs.items()})
-
-
-class _SharedReads:
-    """The point sets of several batches, stacked, and the series evaluated
-    at the stacked points while a :func:`shared_reads` scope is open.
-
-    ``rows`` maps the key of each point set (its coordinates' values, as
-    :meth:`_BatchMemo.key` gives them) to its stacked points and its rows in
-    them.  A field read in a batch at one of these sets is evaluated once at
-    its stacked points, under ``memo``, which lives for the scope, and
-    sliced to the set's rows; each node keeps its bits whichever nodes share
-    its batch, so the slice has the bits and key order of an evaluation at
-    the set itself.  A field whose stacked evaluation raises is in
-    ``failed``: it is evaluated at each set as before, so no result rests on
-    the stacked read.
-    """
-
-    __slots__ = ("rows", "memo", "failed")
-
-    def __init__(self, families: Sequence[Sequence[Point]]):
-        self.memo = _BatchMemo()
-        self.rows: Dict[Tuple, Tuple[Point, slice]] = {}
-        self.failed = set()
-        for points in families:
-            sizes = [max(len(c) if per_node(c) else 1 for c in point) for point in points]
-            if len(points) < 2 or sum(sizes) > BATCH:
-                continue
-            stacked = tuple(
-                np.concatenate([c if per_node(c) else np.full(size, c)
-                                for c, size in zip(coordinates, sizes)])
-                for coordinates in zip(*points))
-            start = 0
-            for point, size in zip(points, sizes):
-                key = tuple(map(_coordinate_key, point))
-                self.rows.setdefault(key, (stacked, slice(start, start + size)))
-                start += size
-
-    def series(self, field: "SmoothField", key: Tuple, order: int) -> Optional[List[TruncatedSeries]]:
-        """The field's series at the point set of ``key``, sliced from its
-        stacked evaluation; None for a key of no set, or a field whose
-        stacked evaluation raised."""
-        found = self.rows.get(key)
-        if found is None or field in self.failed:
-            return None
-        stacked, rows = found
-        # The stacked evaluation reads its sub-fields from this scope's memo,
-        # as plain batch reads.  A field that reads the face side of the open
-        # batch meets an array of another length there, and raises.
-        tokens = _MEMO.set(self.memo), _SHARED.set(None)
-        try:
-            series = field.series_on(stacked, order)
-        except (ValueError, ArithmeticError):
-            self.failed.add(field)
-            return None
-        finally:
-            _MEMO.reset(tokens[0])
-            _SHARED.reset(tokens[1])
-        return [_sliced(s, rows) for s in series]
-
-
-# The stacked reads of the open :func:`shared_reads` scope, or None.
-_SHARED: ContextVar[Optional[_SharedReads]] = ContextVar("shared_reads", default=None)
-
-
-@contextmanager
-def shared_reads(families: Sequence[Sequence[Point]]) -> Iterator[None]:
-    """A scope in which the batches of :func:`on_nodes` share the fields
-    they read at any of the given point sets (see :class:`_SharedReads`).
-
-    Each family lists point sets of one dimension, each a point whose
-    coordinates are floats or node arrays, and its sets are stacked in
-    order.  A family of fewer than two sets, or of more stacked rows than
-    one batch holds, shares no read.
-    """
-    token = _SHARED.set(_SharedReads(families))
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
 
 
 def on_nodes(
@@ -377,24 +289,17 @@ class SmoothField:
         :func:`on_nodes`, a point with a node array is evaluated once per
         field, coordinate values and order, and not at all below an order
         already stored: later calls at those values get the stored series,
-        truncated to their order, in a new list (see :class:`_BatchMemo`).
-        Inside a :func:`shared_reads` scope, a point of one of its sets is
-        served from the scope's stacked evaluation (see :class:`_SharedReads`)."""
+        truncated to their order, in a new list (see :class:`_BatchMemo`)."""
         if len(point) != self.dim:
             raise ValueError(f"point has dim {len(point)}, field expects {self.dim}")
         point = tuple(point)
         memo = _MEMO.get()
         key = None
         if memo is not None:
-            point_key = memo.key(point)
-            if point_key is not None:
-                key = (self, point_key)
+            key = memo.key(point)
+            if key is not None:
+                key = (self, key)
                 hit = memo.series(key, order)
-                shared = _SHARED.get()
-                if hit is None and shared is not None:
-                    hit = shared.series(self, point_key, order)
-                    if hit is not None:
-                        memo.put(key, order, hit)
                 if hit is not None:
                     return hit
         series = self._evaluator(point, order)

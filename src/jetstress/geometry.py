@@ -19,7 +19,7 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tu
 
 import numpy as np
 
-from .fields import SmoothField, as_point, jets_on, linear_field, on_nodes, shared_reads
+from .fields import SmoothField, as_point, jets_on, linear_field, on_nodes
 from .taylor import TruncatedSeries, per_node
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "pullback_coefficients",
     "integrate",
     "integrate_boundary",
-    "on_face_groups",
+    "on_faces",
     "boundary_faces",
     "face_groups",
     "increasing_tuples",
@@ -410,7 +410,7 @@ class FormField:
 
 # The side a face pass reads at each node: 0.0 (lower) or 1.0 (upper), a float
 # at one node and a node array over a batch; None outside a face pass.  Each
-# face pass of :func:`on_face_groups` sets it, as ``fields._MEMO`` is set per batch;
+# face pass of :func:`on_faces` sets it, as ``fields._MEMO`` is set per batch;
 # sides that pick different pivot rows share the batch (``surface._swap_per_node``).
 _SIDE: ContextVar[Any] = ContextVar("face_side", default=None)
 
@@ -480,7 +480,7 @@ class FacePatch:
     A facet of a box (see :func:`_facet`) also carries the ``box``, the
     ``axis`` it pins and its ``side``: 0 for the lower facet, 1 for the
     upper, and None for both facets of the axis, each node on the side its
-    face pass reads (see :func:`on_face_groups`), with ``sign`` None as each
+    face pass reads (see :func:`on_faces`), with ``sign`` None as each
     keeps its own.  A facet of a 1-dim box has ``param_box`` and
     ``to_chart`` None, and its ``point`` in its parent's coordinates.  Any
     other face has ``box``, ``axis``, ``side`` and ``point`` None.  A face
@@ -553,7 +553,7 @@ FaceGroup = Tuple[FacePatch, Sequence[FacePatch]]
 def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
     """The boundary faces of ``body`` in order, in the groups one face pass
     reads: each group is the face whose maps the pass reads and the faces
-    whose nodes it reads (see :func:`on_face_groups`).
+    whose nodes it reads (see :func:`on_faces`).
 
     The two faces of an axis of a body of dim >= 2 form one group, read
     through the facet of both sides of the axis (its ``side`` is None),
@@ -608,7 +608,7 @@ class Insertion(SmoothField):
     """A map of a lower box into ``box``: the point's coordinates go, in order,
     to the ``free`` axes, and each axis of ``fixed`` is pinned at its lower
     (side 0) or upper (side 1) bound, or for side None at the bound of the
-    side the face pass reads (see :func:`on_face_groups`).  A pullback through it
+    side the face pass reads (see :func:`on_faces`).  A pullback through it
     selects keys (see :func:`pullback_coefficients`)."""
 
     __slots__ = ("free", "renamed")
@@ -664,12 +664,12 @@ def integrate(
     A piece pulls ``edge_form`` back through its insertion, whose minor on the
     piece's free tuple is the constant 1.0 and on every other tuple the zero
     series; so the pullback is the coefficient on the free tuple, with its
-    bits.  A group's pass (see :func:`on_face_groups`) reads, for each face
-    in turn, every piece's nodes, written in face coordinates (one node for
-    an endpoint of a 1-dim face), then the face's nodes, and reads every
-    form and the coefficients of ``edge_form`` at each.  Each integral is
-    summed over its face's nodes, in node order.  The groups' passes share
-    their chart reads (see :func:`on_face_groups`).
+    bits.  A group's pass (see :func:`on_faces`) reads, for each face in
+    turn, every piece's nodes, written in face coordinates (one node for an
+    endpoint of a 1-dim face), then the face's nodes, and reads every form
+    and the coefficients of ``edge_form`` at each.  Each integral is summed
+    over its face's nodes, in node order.  Each group reads its fields at
+    its own points, in its own pass.
     """
     if isinstance(region, Body):
         if region.patch is not None:
@@ -690,11 +690,11 @@ def _integrate_groups(
     forms_of: Callable[[FacePatch], Sequence[FormField]],
     edge_form_of: Optional[Callable[[FacePatch], FormField]],
 ) -> List[List[float]]:
-    """:func:`integrate` over face groups."""
-    plans = []  # per group: its pieces, and the (nodes, weights) of each piece then of the face
-    for face, _ in groups:
+    """:func:`integrate` over face groups, one pass of :func:`on_faces` per group."""
+    out = []
+    for face, members in groups:
         pieces = [] if edge_form_of is None else face_boundary_pieces(face)
-        parts = []
+        parts = []  # (nodes, weights) of each piece, None weights for a point, then the face's
         for piece in pieces:
             if piece.param_box is None:
                 parts.append((np.array([piece.point]), None))
@@ -705,38 +705,28 @@ def _integrate_groups(
             parts.append((np.array([face.point]), None))
         else:
             parts.append(rule.nodes_weights(face.param_box))
-        plans.append((pieces, parts))
-    built = []  # per group: its number of forms and its edge form
-
-    def read(face):
         forms = forms_of(face)
         edge_form = None if edge_form_of is None else edge_form_of(face)
         full = ()
         if face.param_box is not None:
             _check_top_degree(forms, face.param_box)
             full = tuple(range(face.param_dim))
-        built.append((len(forms), edge_form))
-        width = len(forms) + (0 if edge_form is None else len(edge_form.tuples))
-        return _reader(forms, edge_form, full), width
-
-    passes = on_face_groups(
-        groups, [np.concatenate([nodes for nodes, _ in parts]) for _, parts in plans], read)
-    out = []
-    for (face, members), (pieces, parts), (count, edge_form), rows in zip(
-            groups, plans, built, passes):
-        columns = {} if edge_form is None else {
-            key: count + c for c, key in enumerate(edge_form.tuples)}
-        for member, values in zip(members, rows):
+        edge_tuples = [] if edge_form is None else edge_form.tuples
+        columns = {key: len(forms) + c for c, key in enumerate(edge_tuples)}
+        passes = on_faces(_reader(forms, edge_form, full), members,
+                          np.concatenate([nodes for nodes, _ in parts]),
+                          len(forms) + len(edge_tuples))
+        for member, values in zip(members, passes):
             piece_sums, start = [], 0
             for piece, (nodes, weights) in zip(pieces, parts):
-                piece_rows = values[start:start + len(nodes)]
+                rows = values[start:start + len(nodes)]
                 start += len(nodes)
                 column = columns.get(tuple_omitting(face.param_dim, piece.axis))
-                total = 0.0 if column is None else _node_sum(weights, piece_rows[:, column])
+                total = 0.0 if column is None else _node_sum(weights, rows[:, column])
                 piece_sums.append(piece.sign * total)
             weights = parts[-1][1]
-            out.append([member.sign * _node_sum(weights, values[start:, c]) for c in range(count)]
-                       + piece_sums)
+            out.append([member.sign * _node_sum(weights, values[start:, c])
+                        for c in range(len(forms))] + piece_sums)
     return out
 
 
@@ -786,82 +776,22 @@ def _node_sum(weights: Optional[np.ndarray], values: np.ndarray) -> float:
     return total
 
 
-def on_face_groups(
-    groups: Sequence[FaceGroup],
-    nodes: Sequence[np.ndarray],
-    read: Callable[[FacePatch], Tuple[Callable[[Tuple], Any], Optional[int]]],
-) -> List[List[np.ndarray]]:
-    """``fn`` at every row of ``nodes[i]`` on each face of group i of
-    :func:`face_groups`, one pass of :func:`jetstress.fields.on_nodes` per
-    group, in order: each face's rows of results.  ``read(face)`` gives a
-    group's ``fn`` and its width, built right before its pass.
+def on_faces(fn: Callable[[Tuple], Any], faces: Sequence[FacePatch], nodes: np.ndarray,
+             width: Optional[int] = None) -> List[np.ndarray]:
+    """``fn`` at every row of ``nodes`` on each of ``faces`` in turn (the
+    faces of a group of :func:`face_groups`), from one pass of
+    :func:`jetstress.fields.on_nodes`: each face's rows of results.
 
-    Each row of a pass carries one more column, its face's position in the
-    group, for a pair its side.  The pass splits it off and opens it as the
-    side while ``fn`` reads the rest, so a face of both sides reads each
+    Each row of the pass carries one more column, its face's position in
+    ``faces``, for a pair its side.  The pass splits it off and opens it as
+    the side while ``fn`` reads the rest, so a face of both sides reads each
     node on its own side (see :meth:`FacePatch.pick`) with the operations of
     that face's own pass.  A ``ValueError`` or an ``OverflowError`` at a
     node is raised again, of its kind, with the label of the node's face in
     front of its message.
-
-    The passes share their chart reads.  Before any pass runs, each group's
-    chart points are computed as its face map gives them on the rows its
-    pass reads (see :func:`_chart_points`) and stacked, in a scope of
-    :func:`jetstress.fields.shared_reads`: a chart field that a group's
-    batch reads at its own chart points is evaluated once at the stacked
-    points of every group and sliced to its rows.  Each group keeps its own
-    pass, its face-level fields, its node-by-node fallback and its face
-    label on errors, and a read the scope does not serve is evaluated as
-    without it; each node's bits do not depend on its batch, so every
-    result has the bits of the groups' passes read one by one.
     """
-    rows = [np.column_stack([np.tile(group_nodes, (len(members), 1)),
-                             np.repeat(np.arange(len(members), dtype=float), len(group_nodes))])
-            for (_, members), group_nodes in zip(groups, nodes)]
-    families: List[List[Tuple]] = []
-    for (face, _), group_rows in zip(groups, rows):
-        for level, point in enumerate(_chart_points(face, group_rows)):
-            if level == len(families):
-                families.append([])
-            families[level].append(point)
-    out = []
-    with shared_reads(families):
-        for (face, members), group_rows in zip(groups, rows):
-            fn, width = read(face)
-            out.append(_on_faces(fn, members, group_rows, width))
-    return out
-
-
-def _chart_points(face: FacePatch, rows: np.ndarray) -> List[Tuple]:
-    """The chart points at which a pass over ``rows`` in one batch reads
-    its chart fields, as the face's map gives them: the points of the
-    face's box, the values of its :class:`Insertion`, then on a patched
-    body the values of ``to_chart``, the patch composed on that insertion.
-    A point face, a face of no box, or a map that raises there gives none,
-    and its pass shares no read."""
-    if face.param_box is None or face.axis is None:
-        return []
-    point = tuple(rows.T)
-    params = point[:-1]
-    token = _SIDE.set(point[-1])
-    try:
-        with np.errstate(all="ignore"):
-            levels = [tuple(face.to_chart.values_on(params))]
-            if not isinstance(face.to_chart, Insertion):
-                inner = Insertion(face.box, {face.axis: face.side})
-                levels.insert(0, tuple(inner.values_on(params)))
-    except (ValueError, ArithmeticError):
-        return []
-    finally:
-        _SIDE.reset(token)
-    return levels
-
-
-def _on_faces(fn: Callable[[Tuple], Any], faces: Sequence[FacePatch], rows: np.ndarray,
-              width: Optional[int]) -> List[np.ndarray]:
-    """One group's pass of :func:`on_face_groups` over its ``rows``, its
-    nodes once per face with the face's position as the last column: each
-    face's rows of results."""
+    rows = np.column_stack([np.tile(nodes, (len(faces), 1)),
+                            np.repeat(np.arange(len(faces), dtype=float), len(nodes))])
     failed = [0]  # the face of the last node read alone: the one an error comes from
 
     def read(point):

@@ -39,7 +39,7 @@ from .geometry import (
     boundary_faces,
     face_groups,
     integrate,
-    on_face_groups,
+    on_faces,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -513,12 +513,11 @@ def _run_cauchy(scenario: Scenario) -> _Result:
     rule = QuadratureRule(scenario.quad_order)
     n, d = stress.dim, stress.fiber_dim
     # The two faces of an axis share the density and one pass (see face_groups),
-    # and the passes share their chart reads (see on_face_groups): every face
-    # pulls back the one chart action, so each reads the same field.
-    groups = face_groups(scenario.body)
+    # and every group pulls back the one chart action, built once.
     action = traction_action(sigma, velocity)
-
-    def read(face):
+    terms: Dict[str, float] = {}
+    for face, members in face_groups(scenario.body):
+        nodes, _ = rule.nodes_weights(face.param_box)
         density = action.pullback(face.to_chart)
         axis = face.axis
 
@@ -530,12 +529,7 @@ def _run_cauchy(scenario: Scenario) -> _Result:
             direct = fibre_sum([s[alpha * n + axis] * u[alpha] for alpha in range(d)])
             return abs(via_pullback - direct)
 
-        return gap, None
-
-    nodes = [rule.nodes_weights(face.param_box)[0] for face, _ in groups]
-    terms: Dict[str, float] = {}
-    for (_, members), passes in zip(groups, on_face_groups(groups, nodes, read)):
-        for member, gaps in zip(members, passes):
+        for member, gaps in zip(members, on_faces(gap, members, nodes)):
             terms[member.label] = _worst(gaps)
     return terms, _worst(list(terms.values()))
 

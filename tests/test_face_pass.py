@@ -9,15 +9,15 @@ one pass; ``oracles.edge_assembly_by_piece`` builds the fields of each term
 apart and reads each term in its own pass, and every term must keep its bits.
 The two faces of an axis share their fields and one pass; read through
 ``oracles.faces_alone``, each face has a pass of its own, and every face
-term, edge piece and Cauchy gap must keep its bits and key order.  The
-groups of a check share their chart reads (``fields.shared_reads``); read
-through ``oracles.face_passes_unshared``, each group's pass reads alone,
-and every term must keep its bits, each chart leaf read once per order
-where each group read it, and a read the scope cannot serve read as before.
+term, edge piece and Cauchy gap must keep its bits and key order.  Each
+group reads its chart fields at its own points: each chart leaf once per
+order at the group's own rows, a field of one face at that face's rows
+only, and the body pass each stress block once.
 """
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +46,15 @@ from oracles import (
     edge_assembly_by_piece,
     pullback_by_composition,
     read_faces_alone,
-    read_groups_unshared,
     unit_box,
 )
 from test_transversal_solve import _run, curved_cube, mixed_layout_document
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+REPO = Path(__file__).resolve().parents[1]
+SCENARIOS = REPO / "scenarios"
+
+sys.path.insert(0, str(REPO / "perfbench"))
+import workloads  # noqa: E402  (perfbench/ is not a package)
 
 # -- key selection ------------------------------------------------------------------
 
@@ -245,7 +248,6 @@ def test_two_faces_in_one_pass_keep_the_bits_of_a_pass_each(doc):
     shared = _face_reads(scenario, rule)
     with pytest.MonkeyPatch.context() as patch:
         read_faces_alone(patch)
-        read_groups_unshared(patch)
         alone = _face_reads(scenario, rule)
     assert shared == alone
     # The shared route pairs the faces of every axis.
@@ -253,80 +255,7 @@ def test_two_faces_in_one_pass_keep_the_bits_of_a_pass_each(doc):
     assert [len(members) for _, members in groups] == [2] * scenario.body.dim
 
 
-# -- the chart reads the passes of a check share -------------------------------------
-
-
-def _transversal(draw, n, label):
-    """A transversal spec for the face ``label``: the coordinate one, a
-    vector along the face's axis plus a drawn shear, or a diagonal metric."""
-    axis = int(label[1:label.index("-")]) - 1
-    kind = draw(st.sampled_from(["coordinate", "vector", "metric"]))
-    if kind == "coordinate":
-        return kind
-    if kind == "vector":
-        return {"vector": ["1" if i == axis else f"0.{draw(st.integers(1, 3))}*x{j + 1}"
-                           for i, j in zip(range(n), draw(st.permutations(range(n))))]}
-    return {"metric": [["0" if i != j else f"sqrt(1 + 0.{draw(st.integers(1, 4))}*x{i + 1}^2)"
-                        for j in range(n)] for i in range(n)]}
-
-
-def _signed_zeros(node, rng):
-    """Set some monomial coefficients under ``node`` to 0.0 or -0.0."""
-    if isinstance(node, dict):
-        for value in node.values():
-            _signed_zeros(value, rng)
-        for term in node.get("monomials", []):
-            if rng.random() < 0.3:
-                term[1] = rng.choice([0.0, -0.0])
-    elif isinstance(node, list):
-        for value in node:
-            _signed_zeros(value, rng)
-
-
-@st.composite
-def shared_read_documents(draw):
-    """:func:`face_documents` with coefficients of 0.0 and -0.0, odd orders
-    (nodes on 0.5) as often as even ones, and faces with a coordinate,
-    vector or metric transversal, so groups are both paired and alone."""
-    doc = draw(face_documents())
-    n = doc["bundle"]["n"]
-    _signed_zeros([doc["stress"], doc["velocity"]], draw(st.randoms(use_true_random=False)))
-    doc["geometry"]["quad_order"] = draw(st.sampled_from([1, 3] if n == 4 else [2, 3, 4, 5]))
-    labels = [f"x{axis + 1}-{side}" for axis in range(n) for side in ("lower", "upper")]
-    chosen = draw(st.lists(st.sampled_from(labels), max_size=3, unique=True))
-    doc["transversals"] = {label: _transversal(draw, n, label) for label in chosen}
-    return doc
-
-
-def _count_shared_reads(patch):
-    """The reads a shared scope serves from its stacked evaluations."""
-    served = [0]
-    real = fields._SharedReads.series
-
-    def series(self, field, key, order):
-        out = real(self, field, key, order)
-        served[0] += out is not None
-        return out
-
-    patch.setattr(fields._SharedReads, "series", series)
-    return served
-
-
-@settings(max_examples=50, deadline=None)
-@given(doc=shared_read_documents())
-def test_shared_chart_reads_keep_the_bits_of_each_groups_own_pass(doc):
-    scenario = load_scenario(doc)
-    rule = QuadratureRule(scenario.quad_order)
-    with pytest.MonkeyPatch.context() as patch:
-        served = _count_shared_reads(patch)
-        shared = _face_reads(scenario, rule)
-    assert served[0] > 0
-    with pytest.MonkeyPatch.context() as patch:
-        read_groups_unshared(patch)
-        served = _count_shared_reads(patch)
-        unshared = _face_reads(scenario, rule)
-    assert served[0] == 0
-    assert shared == unshared
+# -- the chart reads of each group ---------------------------------------------------
 
 
 def _leaf_reads(scenario, patch):
@@ -348,111 +277,93 @@ def _leaf_reads(scenario, patch):
 
 
 @pytest.mark.parametrize("patched", [False, True])
-def test_each_chart_leaf_is_read_once_per_order_across_the_face_groups(patched):
+def test_each_group_reads_each_chart_leaf_at_its_own_rows_once_per_order(patched):
     doc = generate_scenario(3, 3, 2, 3)
-    if patched:  # the leaves are read at the patch images of the face nodes
+    if patched:  # the leaves are read at the patch images of the nodes
         doc["geometry"]["chart_box"] = [[-1.0, 2.0]] * 3
         doc["geometry"]["patch"] = [f"x{i + 1} + 0.1*x{(i + 1) % 3 + 1}^2" for i in range(3)]
         doc["checks"] = ["balance2"]  # cauchy refuses a patch at load
     scenario = load_scenario(doc)
     q = scenario.quad_order
-    body, group = q ** 3, 2 * (q * q + 4 * q)  # a pair's face nodes and edge pieces
-
-    def face_reads(unshared):
-        with pytest.MonkeyPatch.context() as patch:
-            if unshared:
-                read_groups_unshared(patch)
-            reads = _leaf_reads(scenario, patch)
-            scenarios._run_balance2(scenario)
-        return [read for read in reads if read[2] != body]
-
-    shared, unshared = face_reads(False), face_reads(True)
-    # Unshared, each of the three groups reads each leaf at each order it
-    # needs; shared, the stacked points of all three are read once.
-    assert shared and len(set(shared)) == len(shared)
-    assert {size for *_, size in shared} == {3 * group}
-    assert sorted(unshared) == sorted((name, order, group) for name, order, _ in shared for _ in range(3))
-
-
-def test_a_read_at_no_set_of_the_scope_is_evaluated_at_its_own_points():
-    calls = []
-    leaf = SmoothField.from_expressions(2, ["sin(x1) * x2 + x1^2"])
-    real = leaf._evaluator
-
-    def evaluator(point, order):
-        calls.append(np.size(point[0]))
-        return real(point, order)
-
-    leaf._evaluator = evaluator
-    a, b, c = (np.array([[0.1 * i + k, 0.3 - 0.05 * i] for i in range(5)]) for k in (0.0, 1.0, 2.0))
-
-    def read(nodes):
-        return fields.on_nodes(lambda point: leaf.values_on(point)[0], nodes)
-
-    want = [read(nodes) for nodes in (a, b, c)]
-    calls.clear()
-    with fields.shared_reads([[tuple(a.T.copy()), tuple(b.T.copy())]]):
-        got = [read(nodes) for nodes in (c, a, b)]
-    # c is read at its own 5 nodes, a at the 10 stacked nodes, and b from them.
-    assert calls == [5, 10]
-    assert [v.tobytes() for v in got] == [want[2].tobytes(), want[0].tobytes(), want[1].tobytes()]
+    body, group = q ** 3, 2 * (q * q + 4 * q)  # the body's nodes; a pair's nodes and edges
+    assert body != group
+    with pytest.MonkeyPatch.context() as patch:
+        reads = _leaf_reads(scenario, patch)
+        scenarios._run_balance2(scenario)
+    # The body pass reads each stress block once, at the highest order its
+    # forms ask for, and the velocity once per order its jet section reads.
+    assert sorted(read for read in reads if read[2] == body) == [
+        ("u", 0, body), ("u", 1, body), ("u", 2, body),
+        ("x0", 0, body), ("x1", 1, body), ("x2", 1, body), ("x3", 2, body)]
+    # Then each of the three pairs reads each leaf at its own rows, once per
+    # order its pass asks for.
+    faces = [read for read in reads if read[2] != body]
+    own = [("u", 0, group), ("u", 1, group), ("x1", 0, group), ("x2", 0, group), ("x3", 1, group)]
+    assert [sorted(faces[k:k + 5]) for k in range(0, len(faces), 5)] == [own] * 3
 
 
-def _record_scopes(patch):
-    """Each shared scope opened, to read its ``failed`` fields afterwards."""
-    scopes = []
-    real = fields._SharedReads.__init__
+def test_a_field_of_one_face_is_read_at_that_faces_rows_only(tmp_path, monkeypatch):
+    # curved-n2-q8-0 of the benchmark's curved-analytic inputs at seed 3:
+    # x1-upper and x2-upper have transversals of their own, so each face is a
+    # group of one.  x1-upper's vector transversal is an ambient field
+    # composed on its face map, and its pass reads q nodes and 2 endpoints.
+    item = workloads.curved_analytic(3, tmp_path)[0]
+    assert item.name == "curved-n2-q8-0"
+    reads = []
+    real = surface.TransversalField.from_ambient_field.__func__
 
-    def init(self, families):
-        real(self, families)
-        scopes.append(self)
+    def from_ambient_field(cls, face, field):
+        evaluate = field.field._evaluator
 
-    patch.setattr(fields._SharedReads, "__init__", init)
-    return scopes
+        def evaluator(point, order):
+            if np.ndim(point[0]):
+                reads.append((face.label, np.size(point[0])))
+            return evaluate(point, order)
+
+        monkeypatch.setattr(field.field, "_evaluator", evaluator)
+        return real(cls, face, field)
+
+    monkeypatch.setattr(surface.TransversalField, "from_ambient_field",
+                        classmethod(from_ambient_field))
+    scenario = load_scenario(json.loads(item.path.read_text(encoding="utf-8")))
+    reads.clear()
+    scenarios._run_balance2(scenario)
+    assert reads and set(reads) == {("x1-upper", scenario.quad_order + 2)}
 
 
 def test_a_domain_error_on_one_face_reads_that_group_alone_and_names_its_face(tmp_path, capsys):
     # The velocity's log meets 0.0 at one node only: the centre of face
-    # x3-lower, a node at odd q.  The stacked read of the velocity raises
-    # there, every group reads it alone, and x3's pass names its face.
+    # x3-lower, a node at odd q.  The x3 pair's batch raises there and is
+    # read node by node, and its pass names the face of the failing node.
     doc = generate_scenario(3, 3, 1, 3)
     doc["velocity"]["u"] = ["log((x1 - 0.5)^2 + (x2 - 0.5)^2 + x3^2)"]
     doc["geometry"]["quad_order"] = 5
     doc["checks"] = ["balance2"]
     path = tmp_path / "log.json"
     path.write_text(json.dumps(doc))
-    with pytest.MonkeyPatch.context() as patch:
-        scopes = _record_scopes(patch)
-        assert main(["run", "--scenario", str(path)]) == 2
+    assert main(["run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: checks.balance2: x3-lower: log of a series requires a positive constant term\n")
-    assert any(scope.failed for scope in scopes)
 
 
 def test_a_mixed_layout_group_reads_alone_and_the_others_keep_the_shared_read(tmp_path):
-    batches = []  # each whole batch: its node count, what it raised, the reads the scope served
+    batches = []  # each whole batch: its node count and what it raised
     real = fields._evaluate_batch
 
     def recording(fn, point):
-        with pytest.MonkeyPatch.context() as patch:
-            served = _count_shared_reads(patch)
-            try:
-                values = real(fn, point)
-            except Exception as exc:
-                batches.append((np.size(point[0]), type(exc).__name__, served[0] > 0))
-                raise
-        batches.append((np.size(point[0]), None, served[0] > 0))
+        try:
+            values = real(fn, point)
+        except Exception as exc:
+            batches.append((np.size(point[0]), type(exc).__name__))
+            raise
+        batches.append((np.size(point[0]), None))
         return values
 
     doc = mixed_layout_document()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fields, "_evaluate_batch", recording)
-        shared = _run(doc, tmp_path)
+        _run(doc, tmp_path)
     # The face passes come last: the x1 pair (16 rows), then x2-lower alone,
-    # whose pivot rows differ in layout, and x2-upper alone (8 rows each).
-    # The batches before them, at load and over the body, share no read.
-    assert batches[-3:] == [(16, None, True), (8, "ArithmeticError", True), (8, None, True)]
-    assert not any(served for *_, served in batches[:-3])
-    with pytest.MonkeyPatch.context() as patch:
-        read_groups_unshared(patch)
-        assert _run(doc, tmp_path) == shared
+    # whose pivot rows differ in layout and go node by node, and x2-upper
+    # alone, which keeps its batch (8 rows each).
+    assert batches[-3:] == [(16, None), (8, "ArithmeticError"), (8, None)]
