@@ -24,6 +24,7 @@ from .geometry import (
     face_label,
     integrate,
     integrate_boundary,
+    per_side,
 )
 from .nonholonomic import (
     NonHolonomicStress,
@@ -92,32 +93,38 @@ def edge_assembly(
     per-edge sums are exactly the interactions two adjacent faces share.  A
     face's transversal is ``transversals[face.label]``, or its coordinate
     transversal.  The faces go in the groups of
-    :func:`jetstress.geometry.face_groups`: the two faces of an axis form one
-    group unless either has a transversal in ``transversals``, since the
-    coordinate transversal is the one transversal a face of both sides can
-    read per node.  Each group's fields are built once (see
-    :func:`jetstress.surface.face_split`), on the one chart gradient of the
-    velocity, and one pass reads each face's edge pieces and nodes in turn,
-    so an error at a node names that node's face.  Each group reads its
-    chart fields at its own points (see :func:`jetstress.geometry.integrate`).
+    :func:`jetstress.geometry.face_groups`, the two faces of an axis in one
+    pass.  A group builds once, on its face, the pulled-back
+    ``boundary_form``, and the restriction, the face velocity and its
+    gradient, on the one chart gradient of the velocity (see
+    :func:`jetstress.surface.face_split`).  Where neither face of the pair
+    has a transversal in ``transversals``, one split along the coordinate
+    transversal serves both, each node with its own side's sign.  Otherwise
+    each face splits along its own transversal, on its own map (see
+    :meth:`jetstress.surface.FaceSplit.along`), and each node takes its own
+    face's surface divergence and edge form (see
+    :func:`jetstress.geometry.per_side`).  One pass reads each face's edge
+    pieces and nodes in turn, so an error at a node names that node's face.
     """
     n = body.dim
     own = transversals or {}
-    groups = face_groups(body, own)
+    groups = face_groups(body)
+    members_of = dict(groups)
     gradient = velocity.gradient()
-    splits = {}  # each face's split, from its group's forms for its edge form
+    edge_forms = {}  # each group's edge form, built with its forms
 
     def forms_of(face):
-        transversal = own.get(face.label) or TransversalField.coordinate(face)
-        split = splits[face.label] = face_split(surface_stress, face, transversal, velocity,
-                                                gradient)
-        return [surface_divergence(split), boundary_form.pullback(face.to_chart)]
+        splits = [face_split(surface_stress, face, TransversalField.coordinate(face), velocity,
+                             gradient)]
+        if any(member.label in own for member in members_of[face]):
+            splits = [splits[0].along(member, own.get(member.label)
+                                      or TransversalField.coordinate(member))
+                      for member in members_of[face]]
+        edge_forms[face] = per_side(*[traction_action(tangent_traction(split), split.velocity)
+                                      for split in splits])
+        return [per_side(*map(surface_divergence, splits)), boundary_form.pullback(face.to_chart)]
 
-    def tau_u(face):
-        split = splits[face.label]
-        return traction_action(tangent_traction(split), split.velocity)
-
-    results = iter(integrate(forms_of, groups, rule, tau_u))
+    results = iter(integrate(forms_of, groups, rule, edge_forms.pop))
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
     boundary_terms: Dict[str, float] = {}

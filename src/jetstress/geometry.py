@@ -15,7 +15,7 @@ import itertools
 import math
 from contextvars import ContextVar
 from functools import lru_cache
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "on_faces",
     "boundary_faces",
     "face_groups",
+    "per_side",
     "increasing_tuples",
     "tuple_omitting",
 ]
@@ -430,14 +431,38 @@ def _pick(side: Optional[int], lower: float, upper: float) -> Any:
     return upper if side else lower
 
 
+def per_side(*forms: FormField) -> FormField:
+    """The form each node of a face pass reads on its own face: ``forms[k]``
+    at the nodes of the k-th face of the group (see :func:`on_faces`); one
+    form is itself.  Over a batch each form is read at every row, and one
+    ``np.where`` on the side (:func:`_pick`) gives each row its own face's
+    values; a node read alone reads its own face's form only, so an error
+    there is that face's.  It is read for values (order 0) only."""
+    if len(forms) == 1:
+        return forms[0]
+    lower, upper = forms
+    dim, zero = lower.dim, (0,) * lower.dim
+
+    def evaluator(point, order):
+        side = _SIDE.get()
+        if not per_node(side):
+            return forms[int(side)].coeffs.series_on(point, 0)
+        lows, highs = lower.coeffs.series_on(point, 0), upper.coeffs.series_on(point, 0)
+        return [TruncatedSeries._trusted(dim, 0, {zero: _pick(None, a.value, b.value)})
+                for a, b in zip(lows, highs)]
+
+    coeffs = SmoothField(dim, len(lower.tuples), evaluator)
+    return FormField(dim, lower.degree, lower.tuples, coeffs)
+
+
 class Body:
     """An oriented box region, optionally pushed into the chart by a patch map;
     its dimension is its box's.
 
-    A body builds its boundary faces once (see :func:`boundary_faces`), and
-    its face groups once per set of faces read alone (see
-    :func:`face_groups`), and keeps them for its own lifetime: every check
-    of a scenario reads the same face records, and no other body does.
+    A body builds its boundary faces and its face groups once (see
+    :func:`boundary_faces` and :func:`face_groups`), and keeps them for its
+    own lifetime: every check of a scenario reads the same face records, in
+    the same groups, and no other body does.
     """
 
     __slots__ = ("box", "patch", "_faces", "_groups")
@@ -447,8 +472,7 @@ class Body:
             raise ValueError("patch map must be chart-dim to chart-dim")
         self.box, self.patch = box, patch
         self._faces: Optional[Tuple[FacePatch, ...]] = None
-        # (whether each face is read alone, in face order) -> its groups
-        self._groups: Dict[Tuple[bool, ...], Tuple[FaceGroup, ...]] = {}
+        self._groups: Optional[Tuple[FaceGroup, ...]] = None
 
     @property
     def dim(self) -> int:
@@ -550,30 +574,24 @@ def boundary_faces(body: Body) -> List[FacePatch]:
 FaceGroup = Tuple[FacePatch, Sequence[FacePatch]]
 
 
-def face_groups(body: Body, alone: Collection[str] = ()) -> List[FaceGroup]:
+def face_groups(body: Body) -> List[FaceGroup]:
     """The boundary faces of ``body`` in order, in the groups one face pass
     reads: each group is the face whose maps the pass reads and the faces
     whose nodes it reads (see :func:`on_faces`).
 
-    The two faces of an axis of a body of dim >= 2 form one group, read
-    through the facet of both sides of the axis (its ``side`` is None),
-    unless either label is in ``alone``.  Every other face is a group of its
-    own, read through itself.  The groups are built once per body and set
-    of faces read alone, and the same records come back on every later call.
+    The two faces of each axis of a body of dim >= 2 form one group, read
+    through the facet of both sides of the axis (its ``side`` is None).
+    The point faces of a 1-dim body are groups of one, each read through
+    itself.  The groups are built on the body's first call, and the same
+    records come back on every later one.
     """
-    faces = boundary_faces(body)
-    key = tuple(face.label in alone for face in faces)
-    groups = body._groups.get(key)
-    if groups is None:
-        groups = []
-        for lower, upper in zip(faces[::2], faces[1::2]):
-            if body.dim == 1 or lower.label in alone or upper.label in alone:
-                groups += [(lower, (lower,)), (upper, (upper,))]
-                continue
-            both = _facet(body.box, lower.axis, None, body.patch, f"x{lower.axis + 1}")
-            groups.append((both, (lower, upper)))
-        groups = body._groups[key] = tuple(groups)
-    return list(groups)
+    if body._groups is None:
+        faces = boundary_faces(body)
+        body._groups = tuple(
+            [(face, (face,)) for face in faces] if body.dim == 1 else
+            [(_facet(body.box, lower.axis, None, body.patch, f"x{lower.axis + 1}"), (lower, upper))
+             for lower, upper in zip(faces[::2], faces[1::2])])
+    return list(body._groups)
 
 
 def face_boundary_pieces(face: FacePatch) -> List[FacePatch]:
@@ -764,16 +782,14 @@ def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:
 
 
 def _node_sum(weights: Optional[np.ndarray], values: np.ndarray) -> float:
-    """The sum of ``weight * value``, added in a loop in node order (numpy's
-    sum and dot add pairwise, in another order); a point (weights None)
-    gives its one value."""
-    values = values.tolist()
+    """The sum of ``weight * value``, added in node order: ``np.add.accumulate``
+    (``np.cumsum``'s ufunc) adds each product to the sum before it (numpy's
+    sum and dot add pairwise, in another order), and ``+ 0.0`` gives a
+    loop's ``0.0 + x`` on a sum of -0.0 terms; a point (weights None) gives
+    its one value."""
     if weights is None:
-        return values[0]
-    total = 0.0
-    for w, value in zip(weights.tolist(), values):
-        total += w * value
-    return total
+        return float(values[0])
+    return float(np.add.accumulate(weights * values)[-1]) + 0.0
 
 
 def on_faces(fn: Callable[[Tuple], Any], faces: Sequence[FacePatch], nodes: np.ndarray,

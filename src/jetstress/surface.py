@@ -321,6 +321,16 @@ class FaceSplit:
         self.restricted, self.tangent, self.normal = restricted, tangent, normal
         self.transversal, self.velocity, self.gradient = transversal, velocity, gradient
 
+    def along(self, face: FacePatch, transversal: TransversalField) -> "FaceSplit":
+        """The split of ``face`` along ``transversal``, on this split's
+        restriction, velocity and gradient: a face of one side of the facet
+        of both sides this split was built on, whose fields give ``face``'s
+        own values at ``face``'s nodes.  Its decomposition reads ``face``'s
+        own map at every point."""
+        restricted = RestrictedSurfaceStress(face, self.restricted.z0, self.restricted.z1)
+        tangent, normal = transversal_decomposition(restricted, transversal)
+        return FaceSplit(restricted, tangent, normal, transversal, self.velocity, self.gradient)
+
 
 def face_split(
     surface_stress: HyperSurfaceStress,

@@ -27,6 +27,8 @@ place of the face pass (``edge_assembly_by_piece``), and every face read
 in a pass of its own, through its own fields, in place of the pass the two
 faces of an axis share (``faces_alone``, which ``read_faces_alone`` puts in
 place of ``face_groups``).
+``weighted_sum`` adds a quadrature sum in a Python loop, in place of
+``geometry._node_sum``'s ``np.add.accumulate``.
 ``form_from_components`` builds test forms from one field per index tuple.
 ``unit_box``, ``zero_jet``, ``chart_map``, ``chart_point``,
 ``coordinate_field`` and ``from_polynomials`` build and read the plain
@@ -611,7 +613,9 @@ def _pulled_back(form: FormField, mapping: SmoothField) -> FormField:
     return FormField(mapping.dim, form.degree, tuples, coeffs)
 
 
-def _weighted_sum(weights, values) -> float:
+def weighted_sum(weights, values) -> float:
+    """The sum of ``weight * value`` as a loop adds it, in node order, from
+    0.0: ``geometry._node_sum`` without numpy."""
     total = 0.0
     for w, value in zip(weights, values):
         total += w * value
@@ -623,7 +627,7 @@ def _integral(form: FormField, box: Box, rule: QuadratureRule, sign: float) -> f
     full = tuple(range(box.dim))
     nodes, weights = rule.nodes_weights(box)
     values = on_nodes(lambda point: form.value_at(point).coefficient(full), nodes)
-    return sign * _weighted_sum(weights.tolist(), values.tolist())
+    return sign * weighted_sum(weights.tolist(), values.tolist())
 
 
 def edge_assembly_by_piece(
@@ -694,7 +698,7 @@ def surface_force(traction: TensorField, face: FacePatch, velocity: TensorField)
     return traction_action(traction, velocity).pullback(face.to_chart)
 
 
-def faces_alone(body: Body, alone=()) -> List[Tuple[FacePatch, List[FacePatch]]]:
+def faces_alone(body: Body) -> List[Tuple[FacePatch, List[FacePatch]]]:
     """``geometry.face_groups`` with every face a group of its own, read
     through itself: each face in the pass it had before faces were paired."""
     return [(face, [face]) for face in boundary_faces(body)]

@@ -489,15 +489,17 @@ def test_balance2_reads_each_point_set_in_one_pass(monkeypatch, lower):
         assert (upper_face.param_box.lower, upper_face.param_box.upper) == (box.lower, box.upper)
 
 
-def test_a_face_with_its_own_transversal_keeps_its_own_pass(monkeypatch):
+def test_a_face_with_its_own_transversal_shares_its_axis_pass(monkeypatch):
     doc = json.loads((SCENARIOS / "cube-order2.json").read_text(encoding="utf-8"))
     doc["transversals"] = {"x1-upper": {"vector": ["1", "0.2*x2", "0.25*x1"]},
                            "x3-lower": "coordinate"}
     _, passes = _balance2_passes(monkeypatch, doc)
-    # The body, then x1-lower and x1-upper one pass each; a coordinate
-    # transversal pairs as no transversal does, so x2 and x3 share theirs.
-    assert [len(nodes) for nodes in passes] == [5 ** 3, 45, 45, 90, 90]
-    assert all((nodes[:, 2] == 0.0).all() for nodes in passes[1:3])
+    # The body, then one pass per axis: x1-upper's own transversal pairs as
+    # the coordinate one does, each face's 45 rows on its own side.
+    assert [len(nodes) for nodes in passes] == [5 ** 3, 90, 90, 90]
+    assert all((nodes[:45, 2] == 0.0).all() and (nodes[45:, 2] == 1.0).all()
+               for nodes in passes[1:])
+
 
 @pytest.mark.parametrize("name, check", [
     ("square-order1", "balance1"), ("patched-metric", "balance1"),

@@ -7,12 +7,12 @@ two must agree in every bit and in key order.  ``balance.edge_assembly``
 builds each face's fields once and reads a box face and its edge pieces in
 one pass; ``oracles.edge_assembly_by_piece`` builds the fields of each term
 apart and reads each term in its own pass, and every term must keep its bits.
-The two faces of an axis share their fields and one pass; read through
-``oracles.faces_alone``, each face has a pass of its own, and every face
-term, edge piece and Cauchy gap must keep its bits and key order.  Each
-group reads its chart fields at its own points: each chart leaf once per
-order at the group's own rows, a field of one face at that face's rows
-only, and the body pass each stress block once.
+The two faces of an axis share their fields and one pass, whatever their
+transversals; read through ``oracles.faces_alone``, each face has a pass of
+its own, and every face term, edge piece, Cauchy gap and report must keep
+its bits and key order.  Each group reads its chart fields at its own
+points: each chart leaf once per order at the group's own rows, a field of
+one face at both sides' rows, and the body pass each stress block once.
 """
 
 import itertools
@@ -302,11 +302,14 @@ def test_each_group_reads_each_chart_leaf_at_its_own_rows_once_per_order(patched
     assert [sorted(faces[k:k + 5]) for k in range(0, len(faces), 5)] == [own] * 3
 
 
-def test_a_field_of_one_face_is_read_at_that_faces_rows_only(tmp_path, monkeypatch):
+def test_a_field_of_one_face_is_read_at_both_sides_rows(tmp_path, monkeypatch):
     # curved-n2-q8-0 of the benchmark's curved-analytic inputs at seed 3:
-    # x1-upper and x2-upper have transversals of their own, so each face is a
-    # group of one.  x1-upper's vector transversal is an ambient field
-    # composed on its face map, and its pass reads q nodes and 2 endpoints.
+    # x1-upper and x2-upper have transversals of their own, and each still
+    # pairs with its partner.  x1-upper's vector transversal is an ambient
+    # field composed on its face map.  Its split reads it at every row of
+    # the x1 pair, q nodes and 2 endpoints per side, x1-lower's rows at
+    # x1-upper's geometry, and the per-node pick drops those; q + 2 more rows
+    # of array work buy one pass less.
     item = workloads.curved_analytic(3, tmp_path)[0]
     assert item.name == "curved-n2-q8-0"
     reads = []
@@ -328,7 +331,7 @@ def test_a_field_of_one_face_is_read_at_that_faces_rows_only(tmp_path, monkeypat
     scenario = load_scenario(json.loads(item.path.read_text(encoding="utf-8")))
     reads.clear()
     scenarios._run_balance2(scenario)
-    assert reads and set(reads) == {("x1-upper", scenario.quad_order + 2)}
+    assert reads and set(reads) == {("x1-upper", 2 * (scenario.quad_order + 2))}
 
 
 def test_a_domain_error_on_one_face_reads_that_group_alone_and_names_its_face(tmp_path, capsys):
@@ -363,7 +366,91 @@ def test_a_mixed_layout_group_reads_alone_and_the_others_keep_the_shared_read(tm
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fields, "_evaluate_batch", recording)
         _run(doc, tmp_path)
-    # The face passes come last: the x1 pair (16 rows), then x2-lower alone,
-    # whose pivot rows differ in layout and go node by node, and x2-upper
-    # alone, which keeps its batch (8 rows each).
-    assert batches[-3:] == [(16, None), (8, "ArithmeticError"), (8, None)]
+    # The face passes come last: the x1 pair, which keeps its batch, then the
+    # x2 pair, whose x2-lower pivot rows differ in layout, so both faces'
+    # rows go node by node (16 rows a pair).
+    assert batches[-2:] == [(16, None), (16, "ArithmeticError")]
+
+
+# -- pairs of faces with transversals of their own -------------------------------------
+
+SETTINGS = {  # a face's transversal setting, for a face of axis x1 of an n-dim body
+    "coordinate": lambda n: "coordinate",
+    "vector": lambda n: {"vector": ["1"] + [f"0.2*x{(i + 1) % n + 1}" for i in range(1, n)]},
+    "metric": lambda n: {"metric": [[f"sqrt(1 + 0.3*x{i + 1}^2)" if i == j else "0"
+                                     for j in range(n)] for i in range(n)]},
+}
+
+
+def mixed_pair_document(base, lower, upper):
+    """``base`` (a generated n = 2 or n = 3 document, or patched-metric, which
+    keeps x2-upper's metric) with the settings ``lower`` and ``upper`` on the
+    faces of axis x1."""
+    if base == "patched-metric":
+        doc = json.loads((SCENARIOS / "patched-metric.json").read_text(encoding="utf-8"))
+    else:
+        doc = generate_scenario(3, int(base[1]), 1, 3)
+        doc["geometry"]["quad_order"] = 4
+        doc["checks"] = ["balance2"]
+    n = doc["bundle"]["n"]
+    doc.setdefault("transversals", {}).update(
+        {"x1-lower": SETTINGS[lower](n), "x1-upper": SETTINGS[upper](n)})
+    return doc
+
+
+@pytest.mark.parametrize("base", ["n2", "n3", "patched-metric"])
+@pytest.mark.parametrize("lower, upper", itertools.product(SETTINGS, repeat=2))
+def test_a_pair_of_any_transversals_keeps_the_report_of_a_pass_per_face_and_per_node(
+        monkeypatch, tmp_path, base, lower, upper):
+    doc = mixed_pair_document(base, lower, upper)
+    report = _run(doc, tmp_path)
+    with pytest.MonkeyPatch.context() as patch:
+        read_faces_alone(patch)
+        assert _run(doc, tmp_path) == report
+    monkeypatch.setattr(fields, "BATCH", 1)
+    assert _run(doc, tmp_path) == report
+
+
+def test_a_pair_that_gives_every_row_the_lower_faces_values_changes_the_report(
+        monkeypatch, tmp_path):
+    # The mutant the test above must catch: a per-node pick that reads the
+    # lower face's surface divergence and edge form at every row.
+    doc = mixed_pair_document("n3", "coordinate", "vector")
+    report = _run(doc, tmp_path)
+    monkeypatch.setattr(balance, "per_side", lambda *forms: forms[0])
+    assert _run(doc, tmp_path) != report
+
+
+@pytest.mark.parametrize("label", ["x1-lower", "x1-upper"])
+def test_a_transversal_tangent_to_one_face_of_a_pair_exits_2_naming_that_face(
+        tmp_path, capsys, label):
+    # The other face of the pair reads its own metric transversal and fails
+    # nowhere; the pair's batch raises, and its rows go node by node.
+    doc = mixed_pair_document("n2", "metric", "metric")
+    doc["transversals"][label] = {"vector": ["0", "1"]}  # tangent to both x1 faces
+    path = tmp_path / "tangent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: checks.balance2: {label}: transversality system is singular at a sample point\n")
+
+
+def test_balance2_reads_each_curved_input_in_one_body_pass_and_one_pass_per_axis(
+        tmp_path, monkeypatch):
+    passes = []
+    real = geometry.on_nodes
+
+    def on_nodes(fn, nodes, width=None):
+        passes.append(len(nodes))
+        return real(fn, nodes, width)
+
+    monkeypatch.setattr(geometry, "on_nodes", on_nodes)
+    runs = 0
+    for item in workloads.curved_analytic(3, tmp_path):
+        scenario = load_scenario(json.loads(item.path.read_text(encoding="utf-8")))
+        if "balance2" in scenario.checks:
+            passes.clear()
+            scenarios._run_balance2(scenario)
+            assert len(passes) == 1 + scenario.body.dim, item.name
+            runs += 1
+    assert runs == 8

@@ -6,9 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetstress.fields import SmoothField
 from jetstress.geometry import (
+    _node_sum,
     Body,
     Box,
     FormField,
@@ -30,6 +33,7 @@ from oracles import (
     from_polynomials,
     pullback_form_value,
     unit_box,
+    weighted_sum,
 )
 
 
@@ -358,3 +362,18 @@ def test_face_param_points_lie_on_parent_faces():
                 side = label.split("-")[1]
                 target = 1.0 if side == "upper" else 0.0
                 assert abs(pt[axis] - target) < 1e-10
+
+
+# Signed zeros, infinities and NaN, often: a sum of -0.0 terms is 0.0 in a loop from 0.0.
+SUM_TERMS = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(SUM_TERMS, SUM_TERMS), min_size=1, max_size=40))
+def test_a_quadrature_sum_has_the_bits_of_a_loop_in_node_order(terms):
+    weights, values = (np.array(column) for column in zip(*terms))
+    with np.errstate(all="ignore"):  # inf * 0.0 and inf - inf, as a run reads them
+        total = _node_sum(weights, values)
+    loop = weighted_sum(weights.tolist(), values.tolist())
+    assert type(total) is float
+    assert np.array(total).tobytes() == np.array(loop).tobytes()

@@ -341,7 +341,8 @@ def test_no_batch_is_evaluated_twice(monkeypatch):
 
 def mixed_layout_document():
     """A generated square whose lower x2 face has a metric transversal: its
-    nodes pick different pivot rows, and those rows hold different keys."""
+    nodes pick different pivot rows, and those rows hold different keys, so
+    its batch, the x2 pair's, is read node by node."""
     doc = generate_scenario(3, 2, 1, 3)
     doc["transversals"] = {"x2-lower": {"metric": [["1", "2*x1"], ["2*x1", "10"]]}}
     doc["checks"] = ["balance2"]
@@ -351,6 +352,7 @@ def mixed_layout_document():
 def test_a_mixed_layout_batch_reads_its_nodes_alone_with_the_same_report(monkeypatch, tmp_path):
     batches = record_batches(monkeypatch)
     batched_report = _run(mixed_layout_document(), tmp_path)
-    assert (8, "ArithmeticError") in batches
+    # The x2 pair's batch: both faces' rows go node by node.
+    assert (16, "ArithmeticError") in batches
     monkeypatch.setattr(fields, "BATCH", 1)
     assert _run(mixed_layout_document(), tmp_path) == batched_report
