@@ -34,12 +34,15 @@ array with one value per node (see :mod:`jetstress.taylor`).
 :meth:`SmoothField.series_on` evaluates either; :meth:`SmoothField.series_at`
 is the one-point entry.  :func:`on_nodes` evaluates a function of a point
 over a node array, ``BATCH`` nodes at a time, and while it evaluates a batch
-``series_on`` keeps each field's series for that batch, so a sub-field read
-by several parts of the function is evaluated once; a read at a lower order
-than one stored is served by truncation, so a function that reads a field's
-highest order first evaluates it once.  The memo lives for its batch only:
-each pass of :func:`on_nodes`, a face group's included, evaluates the
-fields it reads at its own points.
+``series_on`` keeps each field's series at each point it reads, keyed by
+the point's array objects, so a sub-field read by several parts of the
+function at the same arrays is evaluated once; a content-equal copy of an
+array is another point.  A read at a lower order than the one stored is
+served by truncation, which keeps the coefficient arrays, so a function
+that reads a field's highest order first evaluates it once, and a
+composite's centre built from the series is the same arrays.  The memo
+lives for its batch only: each pass of :func:`on_nodes`, a face group's
+included, evaluates the fields it reads at its own points.
 """
 
 from __future__ import annotations
@@ -89,35 +92,32 @@ BATCH = 4096
 
 
 class _BatchMemo(dict):
-    """The series evaluated so far in one batch: (field, point key) -> {order:
-    series}.  A point's key holds its coordinates' values (see :meth:`key`),
-    so content-equal points built apart share entries.
+    """The series evaluated so far in one batch: (field, point key) -> (point,
+    series).  A point's key holds each node array's ``id`` and each float's
+    hex (see :meth:`key`), and its entry holds the point, so no key's arrays
+    are freed, and their ids reused, while the batch lives.  A point read
+    through the same array objects finds the entry; a content-equal copy is
+    another entry.
 
-    A request at order k is served from a stored order m >= k as the
-    truncation to k: every coefficient of order <= k is computed at order m
-    from the same inputs by the same operations in the same order, so it has
-    the bits and key order of an evaluation at order k.
+    An entry keeps the highest order read.  A request at order k <= m, the
+    stored order, is served by the truncation to k: every coefficient of
+    order <= k is computed at order m from the same inputs by the same
+    operations in the same order, so it has the bits and key order of an
+    evaluation at order k.  The truncation keeps the coefficient objects, so
+    a point built from its values (a composite's centre) is the same arrays.
     """
 
-    __slots__ = ("_arrays",)
+    __slots__ = ()
 
-    def __init__(self):
-        super().__init__()
-        # id of a node array -> (the array, its key); holding the array keeps
-        # its id from being reused while the memo is open.
-        self._arrays: Dict[int, Tuple[np.ndarray, Tuple[str, bytes]]] = {}
-
-    def key(self, point: Point) -> Optional[Tuple]:
-        """The values of a point: each node array as its dtype and bytes, each
-        float as its hex; None for a point of floats only."""
+    @staticmethod
+    def key(point: Point) -> Optional[Tuple]:
+        """Each node array's id and each float's hex; None for a point of
+        floats only."""
         out = []
         batch = False
         for c in point:
             if per_node(c):
-                hit = self._arrays.get(id(c))
-                if hit is None:
-                    hit = self._arrays[id(c)] = (c, (c.dtype.str, c.tobytes()))
-                out.append(hit[1])
+                out.append(id(c))
                 batch = True
             else:
                 out.append(float(c).hex())
@@ -125,18 +125,12 @@ class _BatchMemo(dict):
 
     def series(self, key: Tuple, order: int) -> Optional[List[TruncatedSeries]]:
         stored = self.get(key)
-        if stored is None:
+        if stored is None or stored[1][0].order < order:
             return None
-        series = stored.get(order)
-        if series is None:
-            above = [m for m in stored if m > order]
-            if not above:
-                return None
-            series = stored[order] = [s.truncate(order) for s in stored[min(above)]]
-        return list(series)
+        return [s.truncate(order) for s in stored[1]]
 
-    def put(self, key: Tuple, order: int, series: List[TruncatedSeries]) -> None:
-        self.setdefault(key, {})[order] = list(series)
+    def put(self, key: Tuple, point: Point, series: List[TruncatedSeries]) -> None:
+        self[key] = (point, list(series))
 
 
 # The memo of the open batch, or None outside a batch.
@@ -158,9 +152,9 @@ def on_nodes(
     domain error, or pivot rows of different layouts in the transversal
     solve) is evaluated again node by node in order, so the first failing
     node raises its own error.  While a batch is evaluated,
-    :meth:`SmoothField.series_on` keeps each field's series at the batch's
-    coordinates, so a sub-field that several parts of ``fn`` read is
-    evaluated once per batch.
+    :meth:`SmoothField.series_on` keeps each field's series at each point it
+    reads, so a sub-field that several parts of ``fn`` read at the same
+    arrays is evaluated once per batch.
     """
     nodes = np.asarray(nodes, dtype=float)
     out = np.empty(len(nodes) if width is None else (len(nodes), width))
@@ -287,9 +281,9 @@ class SmoothField:
         """The series at a point whose coordinates are floats or node arrays; the
         entry the package's own evaluators use.  Inside a batch of
         :func:`on_nodes`, a point with a node array is evaluated once per
-        field, coordinate values and order, and not at all below an order
-        already stored: later calls at those values get the stored series,
-        truncated to their order, in a new list (see :class:`_BatchMemo`)."""
+        field and point objects, and not at all at or below the order
+        stored: later calls at that point get the stored series, truncated
+        to their order, in a new list (see :class:`_BatchMemo`)."""
         if len(point) != self.dim:
             raise ValueError(f"point has dim {len(point)}, field expects {self.dim}")
         point = tuple(point)
@@ -309,7 +303,7 @@ class SmoothField:
             if s.dim != self.dim or s.order != order:
                 raise RuntimeError("field evaluator returned mismatched series")
         if key is not None:
-            memo.put(key, order, series)
+            memo.put(key, point, series)
         return series
 
     def values_at(self, point: Sequence[float]) -> np.ndarray:

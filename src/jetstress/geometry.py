@@ -321,16 +321,17 @@ def _selected_coefficients(
     and takes the group of the image tuple: that selection, in the general
     route's key order.  There each value ``v`` is multiplied by 1.0 and added
     into an absent key at least once, which gives ``0.0 + v``; the selection
-    computes ``0.0 + v`` too, so a -0.0 becomes 0.0 on both routes.  The
-    coefficients are read at the insertion's value, from its own series as in
-    the general route.
+    computes ``0.0 + v`` too, so a -0.0 becomes 0.0 on both routes.  A key's
+    exponents on the free axes are taken as it is read, and it is kept when
+    they sum to its total degree.  The coefficients are read at the
+    insertion's value, from its own series as in the general route.
     """
     ntgt = len(target_tuples)
     groups = coeffs.ncomp // ntgt
     src_dim = insertion.dim
     columns = {tuple(kt): t for t, kt in enumerate(target_tuples)}
-    picks = [columns.get(tuple(insertion.free[a] for a in ks)) for ks in source_tuples]
-    rename = insertion.renamed
+    free = insertion.free
+    picks = [columns.get(tuple(free[a] for a in ks)) for ks in source_tuples]
 
     def evaluator(point, order):
         center = tuple(s.value for s in insertion.series_on(point, 0))
@@ -344,8 +345,8 @@ def _selected_coefficients(
                 s = series[g * ntgt + t]
                 kept = {}
                 for key, val in s.coeffs.items():
-                    new = rename[key]
-                    if new is not None:
+                    new = tuple([key[axis] for axis in free])
+                    if sum(new) == sum(key):
                         kept[new] = 0.0 + val
                 out.append(TruncatedSeries._trusted(src_dim, order, kept))
         return out
@@ -507,19 +508,16 @@ class FacePatch:
     face pass reads (see :func:`on_faces`), with ``sign`` None as each
     keeps its own.  A facet of a 1-dim box has ``param_box`` and
     ``to_chart`` None, and its ``point`` in its parent's coordinates.  Any
-    other face has ``box``, ``axis``, ``side`` and ``point`` None.  A face
-    builds its boundary pieces once (see :func:`face_boundary_pieces`).
+    other face has ``box``, ``axis``, ``side`` and ``point`` None.
     """
 
-    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point",
-                 "_pieces")
+    __slots__ = ("label", "param_box", "to_chart", "sign", "box", "axis", "side", "point")
 
     def __init__(self, label: str, param_box: Optional[Box], to_chart: Optional[SmoothField],
                  sign: Optional[float], box: Optional[Box] = None, axis: Optional[int] = None,
                  side: Optional[int] = None, point: Optional[Tuple[float, ...]] = None):
         self.label, self.param_box, self.to_chart, self.sign = label, param_box, to_chart, sign
         self.box, self.axis, self.side, self.point = box, axis, side, point
-        self._pieces: Optional[Tuple[FacePatch, ...]] = None
 
     @property
     def param_dim(self) -> int:
@@ -596,30 +594,10 @@ def face_groups(body: Body) -> List[FaceGroup]:
 
 def face_boundary_pieces(face: FacePatch) -> List[FacePatch]:
     """Oriented boundary facets of a face, in the face's own parameter box,
-    each a facet of that box; built on the face's first call and the same
-    records on every later one."""
+    each a facet of that box, built anew on each call."""
     if face.param_box is None:
         raise ValueError("0-dimensional faces have no boundary")
-    if face._pieces is None:
-        face._pieces = tuple(_facets(face.param_box, None, face.label + "/"))
-    return list(face._pieces)
-
-
-class _Renaming(dict):
-    """``renaming[key]`` is the exponent tuple over the free axes of a key
-    whose pinned exponents are 0, and None for any other key; each entry is
-    computed on first use and kept."""
-
-    __slots__ = ("free",)
-
-    def __init__(self, free: IndexTuple):
-        super().__init__()
-        self.free = free
-
-    def __missing__(self, key: IndexTuple) -> Optional[IndexTuple]:
-        out = tuple(key[axis] for axis in self.free)
-        self[key] = out = None if sum(out) != sum(key) else out
-        return out
+    return _facets(face.param_box, None, face.label + "/")
 
 
 class Insertion(SmoothField):
@@ -629,7 +607,7 @@ class Insertion(SmoothField):
     side the face pass reads (see :func:`on_faces`).  A pullback through it
     selects keys (see :func:`pullback_coefficients`)."""
 
-    __slots__ = ("free", "renamed")
+    __slots__ = ("free",)
 
     def __init__(self, box: Box, fixed: Dict[int, Optional[int]]):
         dim = box.dim
@@ -649,7 +627,6 @@ class Insertion(SmoothField):
 
         super().__init__(inner_dim, dim, evaluator)
         self.free = tuple(axis for axis in range(dim) if axis not in fixed)
-        self.renamed = _Renaming(self.free)
 
 
 # -- integration --------------------------------------------------------------

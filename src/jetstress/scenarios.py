@@ -8,7 +8,6 @@ tables; see the README for the grammar.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -300,6 +299,8 @@ def load_scenario(document: Dict[str, Any] | str, quad_order: Optional[int] = No
         doc = document
     if not isinstance(doc, dict):
         raise ScenarioError("document: expected a JSON object")
+    import hashlib  # the report digest alone needs it; importing it loads OpenSSL
+
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]

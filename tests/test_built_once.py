@@ -170,8 +170,6 @@ def test_a_body_builds_its_faces_once():
     assert [m for _, members in groups for m in members] == faces
     # Every check reads the same groups: the two faces of each axis.
     assert [len(members) for _, members in groups] == [2, 2, 2]
-    pieces = geometry.face_boundary_pieces(groups[0][0])
-    assert all(a is b for a, b in zip(pieces, geometry.face_boundary_pieces(groups[0][0])))
     # A body loaded again builds faces of its own.
     other = load_scenario((SCENARIOS / "cube-order2.json").read_text(encoding="utf-8")).body
     assert not set(map(id, geometry.boundary_faces(other))) & set(map(id, faces))

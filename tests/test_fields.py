@@ -1,8 +1,11 @@
 """Smooth fields: exact jets, the finite-difference oracle, and field algebra."""
 
 import itertools
+import json
 import math
 import random
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +24,11 @@ from jetstress.fields import (
     on_nodes,
 )
 from jetstress.geometry import FormField
+from jetstress.scenarios import generate_scenario, load_scenario, run_checks
 from jetstress.taylor import TruncatedSeries
 from oracles import from_polynomials
+
+SCENARIOS = Path(fields.__file__).resolve().parents[2] / "scenarios"
 
 
 def test_monomial_jet_one_dim():
@@ -271,24 +277,117 @@ def test_series_at_is_memoized_inside_a_batch_only():
     assert fields._MEMO.get() is None
 
 
-def test_content_equal_coordinates_share_a_memo_entry():
-    leaf, calls = _counted(SmoothField.from_expressions(2, ["x1*x2"]))
+def test_the_same_arrays_at_a_lower_order_are_served_by_truncation():
+    leaf, calls = _counted(SmoothField.from_expressions(2, ["x1*x2", "exp(x1)"]))
+    outer, outer_calls = _counted(SmoothField.from_expressions(2, ["x1 + x2^2"]))
+    composite, again = outer.compose(leaf), outer.compose(leaf)
     nodes = np.random.default_rng(4).uniform(0.1, 0.9, (6, 2))
 
     def value(point):
+        top = leaf.series_on(point, 2)
+        for order in (1, 0):
+            lower = leaf.series_on(point, order)
+            assert [list(s.coeffs) for s in lower] == [
+                [k for k in s.coeffs if sum(k) <= order] for s in top]
+            # The coefficient objects themselves, not copies.
+            assert all(s.coeffs[k] is t.coeffs[k] for s, t in zip(lower, top) for k in s.coeffs)
+        # A composite's centre is built from the stored arrays, so another
+        # composite over the same leaf finds the outer field at a lower order.
+        composite.series_on(point, 2)
+        return again.series_on(point, 1)[0].value
+
+    got = on_nodes(value, nodes)
+    assert calls == [6] and outer_calls == [6]
+    assert got.tolist() == [composite.values_at(node)[0] for node in nodes]
+
+
+def test_a_content_equal_copy_is_another_memo_entry():
+    leaf, calls = _counted(SmoothField.from_expressions(2, ["x1*x2"]))
+    nodes = np.random.default_rng(5).uniform(0.1, 0.9, (6, 2))
+
+    def value(point):
         copy = tuple(np.array(c) for c in point)
-        assert copy[0] is not point[0]
         first = leaf.series_on(point, 1)[0]
         again = leaf.series_on(copy, 1)[0]
-        lower = leaf.series_on((point[0] * 1.0, copy[1]), 0)[0]
-        assert list(again.coeffs.items()) == list(first.coeffs.items())
-        # Other values are another entry.
-        leaf.series_on((point[0] + 1.0, point[1]), 0)
-        return lower.value
+        assert again is not first
+        assert [(k, v.tolist()) for k, v in again.coeffs.items()] == [
+            (k, v.tolist()) for k, v in first.coeffs.items()]
+        return again.value
 
     got = on_nodes(value, nodes)
     assert calls == [6, 6]
     assert got.tolist() == [leaf.values_at(node)[0] for node in nodes]
+
+
+def test_an_array_dropped_inside_a_batch_never_serves_a_later_one():
+    # A memo key holds a node array's id, and its entry the array, so no
+    # array made later in the batch takes that id while the key can be found.
+    leaf, calls = _counted(SmoothField.from_expressions(2, ["x1*x2"]))
+    nodes = np.random.default_rng(6).uniform(0.1, 0.9, (6, 2))
+    shifts = [float(k) for k in range(1, 9)]
+    dropped = []
+
+    def value(point):
+        total = 0.0
+        for shift in shifts:
+            x = point[0] + shift
+            dropped.append(weakref.ref(x))
+            total = total + leaf.values_on((x, point[1]))[0]
+            del x
+        assert all(ref() is not None for ref in dropped)
+        return total
+
+    got = on_nodes(value, nodes)
+    assert calls == [6] * len(shifts)
+    # The memo, and the arrays it held, went with the batch.
+    assert all(ref() is None for ref in dropped)
+    for node, total in zip(nodes, got):
+        expected = 0.0
+        for shift in shifts:
+            expected = expected + leaf.values_at((node[0] + shift, node[1]))[0]
+        assert total == expected
+
+
+# The field evaluations of each check, pinned at their counts when the batch
+# memo took its identity keys: a memo change may lower a count, and must not
+# raise one.  A count is every evaluator call of every field, one per batch
+# read, one-point reads (the finite-difference oracle's) included.
+EVALUATION_CEILINGS = {
+    "cube-order2": {"balance2": 112, "second-contraction": 1, "lambda-invariance": 15,
+                    "jet-oracle": 130},
+    "patched-metric": {"balance1": 29, "balance2": 132, "jet-oracle": 70},
+    "generate-3-n3-d2-deg4": {"balance1": 28, "balance2": 112, "cauchy": 18,
+                              "div-consistency": 10, "second-contraction": 1,
+                              "lambda-invariance": 15, "jet-oracle": 130},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATION_CEILINGS))
+def test_no_check_evaluates_its_fields_more_often_than_pinned(name, monkeypatch):
+    if name.startswith("generate-"):
+        doc = generate_scenario(3, 3, 2, 4)
+    else:
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    calls = [0]
+    build = SmoothField.__init__
+
+    def counted_init(field, dim, ncomp, evaluator):
+        def counted(point, order):
+            calls[0] += 1
+            return evaluator(point, order)
+
+        build(field, dim, ncomp, counted)
+
+    monkeypatch.setattr(SmoothField, "__init__", counted_init)
+    counts = {}
+    for check in doc["checks"]:
+        scenario = load_scenario(doc)
+        calls[0] = 0
+        run_checks(scenario, [check])
+        counts[check] = calls[0]
+    ceilings = EVALUATION_CEILINGS[name]
+    assert counts.keys() == ceilings.keys()
+    assert {check: count for check, count in counts.items() if count > ceilings[check]} == {}
 
 
 def test_a_batch_that_falls_back_node_by_node_leaves_no_memo_entry():

@@ -158,10 +158,10 @@ def test_reports_do_not_depend_on_the_batch_size(name, tmp_path, monkeypatch):
 
 
 # A memo that stores nothing: every field is evaluated at every order it is
-# asked for, none served from another order or another point object.
+# asked for, none served from another order or an earlier read.
 @pytest.mark.parametrize("name", EVERY_INPUT)
 def test_reports_do_not_depend_on_the_batch_memo(name, tmp_path, monkeypatch):
-    monkeypatch.setattr(fields._BatchMemo, "put", lambda memo, key, order, series: None)
+    monkeypatch.setattr(fields._BatchMemo, "put", lambda memo, key, point, series: None)
     assert _report_of(name, tmp_path) == (GOLDEN / f"{name}.jsonl").read_bytes()
 
 

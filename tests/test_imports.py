@@ -69,3 +69,14 @@ def test_importing_the_package_defines_no_dataclass():
     classes = [cls for module in modules for cls in vars(module).values()
                if inspect.isclass(cls) and cls.__module__ == module.__name__]
     assert [cls.__qualname__ for cls in classes if dataclasses.is_dataclass(cls)] == []
+
+
+def test_importing_the_package_loads_no_hashlib():
+    """``hashlib`` loads OpenSSL's ``_hashlib``, about 5 ms of a fresh import,
+    and only the report digest of ``scenarios.load_scenario`` needs it, so
+    it is imported there; numpy does not load it either."""
+    probe = "import sys, jetstress; print('hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
