@@ -94,37 +94,37 @@ def edge_assembly(
     face's transversal is ``transversals[face.label]``, or its coordinate
     transversal.  The faces go in the groups of
     :func:`jetstress.geometry.face_groups`, the two faces of an axis in one
-    pass.  A group builds once, on its face, the pulled-back
-    ``boundary_form``, and the restriction, the face velocity and its
-    gradient, on the one chart gradient of the velocity (see
-    :func:`jetstress.surface.face_split`).  Where neither face of the pair
-    has a transversal in ``transversals``, one split along the coordinate
+    :func:`jetstress.geometry.integrate` pass.  A group's description builds,
+    on its face, its edge form (the tangent-traction action) and its face
+    forms (the surface divergence and the pulled-back ``boundary_form``) on
+    the face splits of the one chart gradient of the velocity (see
+    :func:`jetstress.surface.face_split`).  Where no member has a
+    transversal in ``transversals``, one split along the coordinate
     transversal serves both, each node with its own side's sign.  Otherwise
-    each face splits along its own transversal, on its own map (see
+    each member splits along its own transversal, on its own map (see
     :meth:`jetstress.surface.FaceSplit.along`), and each node takes its own
-    face's surface divergence and edge form (see
-    :func:`jetstress.geometry.per_side`).  One pass reads each face's edge
-    pieces and nodes in turn, so an error at a node names that node's face.
+    face's forms (see :func:`jetstress.geometry.per_side`).  One pass reads
+    each face's edge pieces and nodes in turn, so an error at a node names
+    that node's face.
     """
     n = body.dim
     own = transversals or {}
     groups = face_groups(body)
-    members_of = dict(groups)
     gradient = velocity.gradient()
-    edge_forms = {}  # each group's edge form, built with its forms
 
-    def forms_of(face):
+    def forms(face, members):
         splits = [face_split(surface_stress, face, TransversalField.coordinate(face), velocity,
                              gradient)]
-        if any(member.label in own for member in members_of[face]):
+        if any(member.label in own for member in members):
             splits = [splits[0].along(member, own.get(member.label)
                                       or TransversalField.coordinate(member))
-                      for member in members_of[face]]
-        edge_forms[face] = per_side(*[traction_action(tangent_traction(split), split.velocity)
-                                      for split in splits])
-        return [per_side(*map(surface_divergence, splits)), boundary_form.pullback(face.to_chart)]
+                      for member in members]
+        edge_form = per_side(*[traction_action(tangent_traction(split), split.velocity)
+                               for split in splits])
+        return ([per_side(*map(surface_divergence, splits)), boundary_form.pullback(face.to_chart)],
+                edge_form)
 
-    results = iter(integrate(forms_of, groups, rule, edge_forms.pop))
+    results = iter(integrate(forms, groups, rule))
     edge_terms: Dict[str, float] = {}
     face_terms: Dict[str, float] = {}
     boundary_terms: Dict[str, float] = {}
@@ -190,14 +190,14 @@ def closed_boundary_exact_term(
     """The exact term over a closed boundary patch: both routes to (near) zero.
 
     Returns the quadrature of d(tau(u)) over the patch and the endpoint
-    defect of tau(u) (exact cancellation for a closed curve), both from the
-    patch's one face pass (see :func:`jetstress.geometry.integrate`).
+    defect of tau(u) (exact cancellation for a closed curve), both from one
+    pass over the patch, a face group of itself with the edge form tau(u).
     """
     if face.param_dim != 1:
         raise ValueError("closed-boundary patches are supported for curves only")
     split = face_split(surface_stress, face, transversal, velocity, velocity.gradient())
     tau_u = traction_action(tangent_traction(split), split.velocity)
     [[quadrature_value, at_lower, at_upper]] = integrate(
-        [tau_u.exterior_derivative()], face, rule, edge_form=tau_u)
+        lambda face, members: ([tau_u.exterior_derivative()], tau_u), [(face, [face])], rule)
     # The endpoint pieces carry signs -1.0 and 1.0: their sum is tau(u)(hi) - tau(u)(lo).
     return quadrature_value, at_upper + at_lower

@@ -219,11 +219,11 @@ def coordinate_series(point: Sequence[float], order: int) -> Coordinates:
     )
 
 
-def monomial_map(table: Sequence[Tuple[Sequence[int], float]], plans: Optional[dict] = None) -> Leaf:
+def monomial_map(table: Sequence[Tuple[Sequence[int], float]]) -> Leaf:
     """The leaf of a monomial table ``[(exponents, coefficient), ...]``: its
-    value route and its product plans, kept in ``plans`` if given (see
+    value route and its series route, which runs product plans (see
     :class:`MonomialTable`)."""
-    monomials = MonomialTable(table, plans)
+    monomials = MonomialTable(table)
     return monomials.value, monomials.series
 
 

@@ -5,8 +5,8 @@ map, so integration always happens on boxes with tensor-product
 Gauss-Legendre rules.  Boundary faces carry the orientation induced by the
 body (outward for the standard volume form), and the boundary pieces of a
 face carry the orientation the face induces on them.  One routine,
-:func:`integrate`, reads and sums every integral: over a body, a face, the
-two faces of an axis in one pass, and a face's boundary pieces.
+:func:`integrate`, reads and sums every integral: over a body, and over
+groups of faces, with their boundary pieces, one pass per group.
 """
 
 from __future__ import annotations
@@ -633,38 +633,33 @@ class Insertion(SmoothField):
 
 
 def integrate(
-    forms: Union[Sequence[FormField], Callable[[FacePatch], Sequence[FormField]]],
-    region: Union[Body, FacePatch, Sequence[FaceGroup]],
+    forms: Union[Sequence[FormField], Callable[[FacePatch, Sequence[FacePatch]], Tuple]],
+    region: Union[Body, Sequence[FaceGroup]],
     rule: QuadratureRule,
-    edge_form: Union[None, FormField, Callable[[FacePatch], FormField]] = None,
 ) -> List[List[float]]:
-    """The integrals of ``forms`` over ``region``: a body, a face, or the
-    groups of :func:`face_groups`, one pass over each one's nodes, so the
-    forms share the sub-fields they read (see
-    :func:`jetstress.fields.on_nodes`).
+    """The integrals of ``forms`` over ``region``, a body or the groups of
+    :func:`face_groups`, one pass over each one's nodes, so the forms share
+    the sub-fields they read (see :func:`jetstress.fields.on_nodes`).
 
-    A body's forms are chart volume forms, pulled back through its patch if
-    it has one; its one list comes from one pass of
-    :func:`jetstress.fields.on_nodes`.  A face's forms are top-degree forms
-    on its parameters; a point face, of a 1-dim body, reads each chart
-    0-form at its point.  A face is read as the one group of itself.  Over
-    groups, ``forms`` and ``edge_form`` are functions of a group's face that
-    give its forms and its edge form, called in that order right before the
-    group's pass, so a group builds its fields as its own pass would.  Each
-    face of each group gives one list, in order: each form's integral times
-    the face's sign, then the integral of the face form ``edge_form``, one
-    degree lower, over each piece of :func:`face_boundary_pieces`, in its
-    order, times the piece's sign.  An ``edge_form`` of None gives no pieces.
+    A body's ``forms`` are chart volume forms, pulled back through its patch
+    if it has one: one list.  Over face groups, ``forms(face, members)``
+    gives a group's face forms and its edge form or None; it is called once
+    per group, right before its pass, so a group builds its fields as its
+    own pass would.  Face forms are top-degree forms on the face's
+    parameters; a point face, of a 1-dim body, reads each chart 0-form at
+    its point.  Each member of a group gives one list: each face form's
+    integral times the member's sign, then the integral of the edge form,
+    one degree lower, over each piece of :func:`face_boundary_pieces`, in
+    its order, times the piece's sign; an edge form of None gives no pieces.
 
-    A piece pulls ``edge_form`` back through its insertion, whose minor on the
-    piece's free tuple is the constant 1.0 and on every other tuple the zero
-    series; so the pullback is the coefficient on the free tuple, with its
-    bits.  A group's pass (see :func:`on_faces`) reads, for each face in
-    turn, every piece's nodes, written in face coordinates (one node for an
-    endpoint of a 1-dim face), then the face's nodes, and reads every form
-    and the coefficients of ``edge_form`` at each.  Each integral is summed
-    over its face's nodes, in node order.  Each group reads its fields at
-    its own points, in its own pass.
+    A piece pulls the edge form back through its insertion, whose minor on
+    the piece's free tuple is the constant 1.0 and on every other tuple the
+    zero series; so the pullback is the coefficient on the free tuple, with
+    its bits.  A group's pass (see :func:`on_faces`) reads, for each member
+    in turn, every piece's nodes, written in face coordinates (one node for
+    an endpoint of a 1-dim face), then the face's nodes, and reads every
+    face form and the coefficients of the edge form at each.  Each integral
+    is summed over its member's nodes, in node order.
     """
     if isinstance(region, Body):
         if region.patch is not None:
@@ -673,22 +668,10 @@ def integrate(
         nodes, weights = rule.nodes_weights(region.box)
         values = on_nodes(_reader(forms, None, tuple(range(region.dim))), nodes, len(forms))
         return [[_node_sum(weights, values[:, c]) for c in range(len(forms))]]
-    if isinstance(region, FacePatch):
-        return _integrate_groups([(region, [region])], rule, lambda face: forms,
-                                 None if edge_form is None else lambda face: edge_form)
-    return _integrate_groups(region, rule, forms, edge_form)
-
-
-def _integrate_groups(
-    groups: Sequence[FaceGroup],
-    rule: QuadratureRule,
-    forms_of: Callable[[FacePatch], Sequence[FormField]],
-    edge_form_of: Optional[Callable[[FacePatch], FormField]],
-) -> List[List[float]]:
-    """:func:`integrate` over face groups, one pass of :func:`on_faces` per group."""
     out = []
-    for face, members in groups:
-        pieces = [] if edge_form_of is None else face_boundary_pieces(face)
+    for face, members in region:
+        face_forms, edge_form = forms(face, members)
+        pieces = [] if edge_form is None else face_boundary_pieces(face)
         parts = []  # (nodes, weights) of each piece, None weights for a point, then the face's
         for piece in pieces:
             if piece.param_box is None:
@@ -700,28 +683,21 @@ def _integrate_groups(
             parts.append((np.array([face.point]), None))
         else:
             parts.append(rule.nodes_weights(face.param_box))
-        forms = forms_of(face)
-        edge_form = None if edge_form_of is None else edge_form_of(face)
-        full = ()
-        if face.param_box is not None:
-            _check_top_degree(forms, face.param_box)
-            full = tuple(range(face.param_dim))
-        edge_tuples = [] if edge_form is None else edge_form.tuples
-        columns = {key: len(forms) + c for c, key in enumerate(edge_tuples)}
-        passes = on_faces(_reader(forms, edge_form, full), members,
+            _check_top_degree(face_forms, face.param_box)
+        columns = {} if edge_form is None else {
+            key: len(face_forms) + c for c, key in enumerate(edge_form.tuples)}
+        passes = on_faces(_reader(face_forms, edge_form, tuple(range(face.param_dim))), members,
                           np.concatenate([nodes for nodes, _ in parts]),
-                          len(forms) + len(edge_tuples))
+                          len(face_forms) + len(columns))
+        bounds = np.cumsum([0] + [len(nodes) for nodes, _ in parts]).tolist()
         for member, values in zip(members, passes):
-            piece_sums, start = [], 0
-            for piece, (nodes, weights) in zip(pieces, parts):
-                rows = values[start:start + len(nodes)]
-                start += len(nodes)
+            sums = [member.sign * _node_sum(parts[-1][1], values[bounds[-2]:, c])
+                    for c in range(len(face_forms))]
+            for k, piece in enumerate(pieces):
                 column = columns.get(tuple_omitting(face.param_dim, piece.axis))
-                total = 0.0 if column is None else _node_sum(weights, rows[:, column])
-                piece_sums.append(piece.sign * total)
-            weights = parts[-1][1]
-            out.append([member.sign * _node_sum(weights, values[start:, c])
-                        for c in range(len(forms))] + piece_sums)
+                sums.append(piece.sign * (0.0 if column is None else _node_sum(
+                    parts[k][1], values[bounds[k]:bounds[k + 1], column])))
+            out.append(sums)
     return out
 
 
@@ -740,12 +716,13 @@ def _reader(forms: Sequence[FormField], edge_form: Optional[FormField],
 def integrate_boundary(
     forms: Sequence[FormField], body: Body, rule: QuadratureRule
 ) -> List[List[float]]:
-    """Each boundary face's :func:`integrate` of the chart (n-1)-forms, in
-    face order.  The faces of a group of :func:`face_groups` share the forms
-    pulled back through the group's face map, and one pass; a point face
-    reads them at its point as they are."""
-    return integrate(lambda face: forms if face.param_box is None else [
-        f.pullback(face.to_chart) for f in forms], face_groups(body), rule)
+    """Each boundary face's integrals of the chart (n-1)-forms, in face
+    order, from one :func:`integrate` over the groups of :func:`face_groups`.
+    A group describes its face forms as the forms pulled back through the
+    group's face map, which its faces share in one pass, and no edge form; a
+    point face reads the forms at its point as they are."""
+    return integrate(lambda face, members: (forms if face.param_box is None else [
+        f.pullback(face.to_chart) for f in forms], None), face_groups(body), rule)
 
 
 def _check_top_degree(forms: Sequence[FormField], box: Box) -> None:

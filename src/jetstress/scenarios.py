@@ -27,6 +27,7 @@ from .fields import (
     fibre_sum,
     finite_difference_jet,
     jet_extension,
+    jets_on,
     monomial_map,
     on_nodes,
 )
@@ -95,10 +96,9 @@ def _keyed(key: str) -> Iterator[None]:
 # -- field parsing ------------------------------------------------------------
 
 
-def _component_map(spec: Any, dim: int, key: str, plans: dict) -> Tuple[Any, Any]:
+def _component_map(spec: Any, dim: int, key: str) -> Tuple[Any, Any]:
     """The leaf of one component: its value route and its series route (see
-    :meth:`SmoothField.from_series_maps`); monomial tables keep their product
-    plans in ``plans``."""
+    :meth:`SmoothField.from_series_maps`)."""
     if isinstance(spec, (int, float)):
         value = _number(spec, key)
         return value, value
@@ -108,7 +108,7 @@ def _component_map(spec: Any, dim: int, key: str, plans: dict) -> Tuple[Any, Any
     if isinstance(spec, dict):
         _known_keys(spec, key, "<component>")
     if isinstance(spec, dict) and list(spec) == ["expr"]:
-        return _component_map(spec["expr"], dim, key, plans)
+        return _component_map(spec["expr"], dim, key)
     if isinstance(spec, dict) and list(spec) == ["monomials"]:
         entries = spec["monomials"]
         if not isinstance(entries, list):
@@ -124,7 +124,7 @@ def _component_map(spec: Any, dim: int, key: str, plans: dict) -> Tuple[Any, Any
             if len(exps) != dim or any(e < 0 for e in exps):
                 raise ScenarioError(f"{key}: monomial exponents {exps} invalid for n={dim}")
             table.append((exps, coef))
-        return monomial_map(table, plans)
+        return monomial_map(table)
     raise ScenarioError(f"{key}: component must be a number, string, or monomial table")
 
 
@@ -150,8 +150,7 @@ def _flatten(specs: Any, shape: Tuple[int, ...], key: str) -> List[Tuple[Any, st
 
 
 def parse_tensor(specs: Any, dim: int, shape: Tuple[int, ...], key: str) -> TensorField:
-    plans: dict = {}  # shared by the monomial tables of the field
-    maps = [_component_map(spec, dim, at, plans) for spec, at in _flatten(specs, shape, key)]
+    maps = [_component_map(spec, dim, at) for spec, at in _flatten(specs, shape, key)]
     return TensorField(SmoothField.from_series_maps(dim, maps), shape)
 
 
@@ -483,12 +482,17 @@ def _worst(values: Sequence[float]) -> float:
 
 
 def _sample_points(scenario: Scenario, count: int) -> List[Tuple[float, ...]]:
+    """``count`` points drawn in the body box from a fixed seed, read at
+    their chart images: on a patched body, the patch's values at the draws
+    from one read of it, as :meth:`Body.check_embedding` reads the nodes."""
     rng = random.Random(12345)
-    box = scenario.body.box
-    return [
-        tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper))
-        for _ in range(count)
-    ]
+    body = scenario.body
+    points = [tuple(rng.uniform(lo, hi) for lo, hi in zip(body.box.lower, body.box.upper))
+              for _ in range(count)]
+    if body.patch is None:
+        return points
+    [images] = jets_on(body.patch, points, 0)
+    return list(map(tuple, images.tolist()))
 
 
 def _run_balance1(scenario: Scenario) -> _Result:

@@ -31,7 +31,8 @@ form reads too.  Every leaf of a field (a number, a monomial table, an
 expression) has two routes, made once at load: a value route that reads a
 :class:`PointValues` record of the point's coordinates and their powers,
 and a series route that reads :class:`Coordinates`, the coordinate series
-and their powers; a monomial table's series route runs a product plan
+and their powers; a monomial table's series route runs product plans,
+built once per chart dim, order and monomial and shared by every table
 (:class:`MonomialTable`).  All perform the IEEE operations of the general
 route, in its order, so the bits are those of the general route; a
 monomial's products leave out a ``0.0 +`` that no bit of its sum can show
@@ -47,7 +48,7 @@ compare the whole batch at once, and fail with the one-node message.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -116,6 +117,10 @@ class _ProductRow(dict):
 # depend on their keys alone, so every series shares them; a cap holds at
 # most C(n+cap, cap)**2 of them per dimension n.
 _PRODUCT_ROWS: Dict[int, Dict[Exponents, _ProductRow]] = {}
+
+# Monomial product plans (see :class:`MonomialTable`) by chart dim, order
+# and factors, which alone fix the keys of a series and their order.
+_PLANS: Dict[Tuple[int, int, tuple], tuple] = {}
 
 
 def per_node(value) -> bool:
@@ -445,9 +450,9 @@ class MonomialTable:
     the sum, in table order, of each monomial's first power times its
     coefficient times its other powers in axis order.
 
-    :meth:`series` runs each monomial's product plan, built once per order
-    from the key order of the coordinate powers and kept in ``plans``, which
-    the tables of one field may share.  The factors lie on distinct axes, so
+    :meth:`series` runs each monomial's product plan, built from the key
+    order of the coordinate powers once per chart dim, order and factors,
+    and kept in ``_PLANS`` for every table.  The factors lie on distinct axes, so
     each kept key of a product comes from one pair of keys, and the plan
     performs the dict walk's operations in its order (``v * coef``, ``t * p``
     per kept pair, ``0.0 + v`` or ``acc + v`` into the total, keys in
@@ -458,13 +463,12 @@ class MonomialTable:
     sign of a zero inside a product changes no bit of it.
     """
 
-    __slots__ = ("terms", "plans")
+    __slots__ = ("terms",)
 
-    def __init__(self, table: Iterable[Tuple[Sequence[int], float]], plans: Optional[dict] = None):
+    def __init__(self, table: Iterable[Tuple[Sequence[int], float]]):
         # Per monomial: its coefficient and its (axis, exponent) factors.
         self.terms = [(float(coef), tuple((axis, e) for axis, e in enumerate(exps) if e))
                       for exps, coef in table]
-        self.plans = {} if plans is None else plans
 
     def value(self, values: PointValues):
         """The value at order 0, None for an empty table: each product ``term *
@@ -489,9 +493,9 @@ class MonomialTable:
                 zero = _zero_exponents(dim)
                 total[zero] = get(zero, 0.0) + coef
                 continue
-            plan = self.plans.get((factors, order))
+            plan = _PLANS.get((dim, order, factors))
             if plan is None:
-                plan = self.plans[factors, order] = _product_plan(coordinates, factors, order)
+                plan = _PLANS[dim, order, factors] = _product_plan(coordinates, factors, order)
             keys, products = plan
             term = [v * coef for v in coordinates[factors[0]].coeffs.values()]
             for factor, pairs in products:

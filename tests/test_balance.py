@@ -255,12 +255,14 @@ def test_edge_assembly_matches_edges_op_bookkeeping():
                 p = face_axes.index(axis)
                 for piece in face_boundary_pieces(face):
                     if piece.axis == p and piece.side == side:
-                        # integrate applies the piece sign; divide it out
-                        # and use the edges() record instead.  A point piece
-                        # reads the face form at its point as it is.
+                        # integrate, over the piece as a group of itself,
+                        # applies the piece sign; divide it out and use the
+                        # edges() record instead.  A point piece reads the
+                        # face form at its point as it is.
                         forms = [tau_u] if piece.param_box is None else [
                             tau_u.pullback(piece.to_chart)]
-                        raw = integrate(forms, piece, rule)[0][0] / piece.sign
+                        [[value]] = integrate(lambda *_: (forms, None), [(piece, [piece])], rule)
+                        raw = value / piece.sign
                         total += edge.face_signs[label] * raw
             key = "|".join(sorted(edge.labels))
             recomputed[key] = total
@@ -508,9 +510,8 @@ def test_a_face_with_its_own_transversal_shares_its_axis_pass(monkeypatch):
 ])
 def test_every_quadrature_pass_of_a_check_is_one_call_of_integrate(monkeypatch, name, check):
     # Each pass over quadrature nodes, and each rule's nodes, are read inside
-    # a call of geometry.integrate, one pass per call of a body or a face and
-    # one per group of a call of face groups: face, face pair and edge pieces
-    # alike.
+    # a call of geometry.integrate, one pass per call of a body and one per
+    # group of a call of face groups: face, face pair and edge pieces alike.
     scenario = load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
     real_integrate, real_on_nodes = geometry.integrate, geometry.on_nodes
     real_nodes_weights = geometry.QuadratureRule.nodes_weights

@@ -1,10 +1,10 @@
-"""Structure built once: the index tables of ``pair`` and ``signed``, and the
-faces of a body.
+"""Structure built once: the index tables of ``pair`` and ``signed``, the
+product plans of monomial tables, and the faces of a body.
 
-The tables are module-level caches keyed by integers, so they are held
-against a fresh build (``oracles.pair_table``, ``oracles.signed_rows``) over
-drawn shapes, and every module-level cache of the package must stop growing
-once every bundled scenario has run.  The faces live on their body, so two
+The tables and plans are module-level caches keyed by integers, so they are
+held against a fresh build (``oracles.pair_table``, ``oracles.signed_rows``,
+``taylor._product_plan``), and every module-level cache of the package must
+stop growing once every bundled scenario has run.  The faces live on their body, so two
 bodies of one box and different patches each read their own face maps.
 Reports keep their bytes warm, cold, and with every cache cleared.
 """
@@ -21,7 +21,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import jetstress
-from jetstress import fields, geometry
+import numpy as np
+
+from jetstress import fields, geometry, taylor
 from jetstress.cli import main
 from jetstress.scenarios import generate_scenario, load_scenario, run_checks
 
@@ -65,6 +67,20 @@ def test_cached_tables_equal_a_fresh_build(pair_key, signed_key):
     assert fields._signed_rows(*signed_key) == signed_rows(*signed_key)
     # A second call is served from the cache, with the same records.
     assert fields._pair_table(*pair_key) is fields._pair_table(*pair_key)
+
+
+def test_every_kept_product_plan_equals_a_fresh_build():
+    # A plan depends on the chart dim, the order and the factors alone: each
+    # one kept after generated runs is the plan built afresh on the
+    # coordinate series of another point, a batch of nodes.
+    for n, d in ((2, 3), (3, 2), (4, 1)):
+        scenario = load_scenario(generate_scenario(3, n, d, 4))
+        run_checks(scenario, scenario.checks)
+    assert taylor._PLANS
+    for (dim, order, factors), plan in taylor._PLANS.items():
+        point = tuple(np.linspace(-0.5, 0.75, 3) + axis for axis in range(dim))
+        fresh = taylor._product_plan(fields.coordinate_series(point, order), factors, order)
+        assert plan == fresh
 
 
 def _run(tmp_path, path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetstress import geometry
 from jetstress.fields import SmoothField
 from jetstress.geometry import (
     _node_sum,
@@ -19,6 +20,7 @@ from jetstress.geometry import (
     QuadratureRule,
     boundary_faces,
     face_boundary_pieces,
+    face_groups,
     increasing_tuples,
     integrate,
     integrate_boundary,
@@ -186,6 +188,13 @@ def test_restriction_commutes_with_exterior_derivative():
 # -- boundary faces and Stokes ---------------------------------------------------
 
 
+def _over_face(forms, face, rule):
+    """The integrals of ``forms`` over ``face`` read as a group of itself,
+    with no edge form: its one list from ``integrate``."""
+    [values] = integrate(lambda face, members: (forms, None), [(face, [face])], rule)
+    return values
+
+
 def test_square_faces_and_hand_stokes():
     body = unit_body(2)
     faces = boundary_faces(body)
@@ -195,7 +204,7 @@ def test_square_faces_and_hand_stokes():
         2, 1, {(1,): from_polynomials(2, [[((1, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
-    boundary = sum(integrate([omega.pullback(f.to_chart)], f, rule)[0][0] for f in faces)
+    boundary = sum(_over_face([omega.pullback(f.to_chart)], f, rule)[0] for f in faces)
     assert boundary == pytest.approx(1.0, abs=1e-13)
     [[interior]] = integrate([omega.exterior_derivative()], body, rule)
     assert interior == pytest.approx(1.0, abs=1e-13)
@@ -209,7 +218,7 @@ def test_cube_faces_and_hand_stokes():
         3, 2, {(1, 2): from_polynomials(3, [[((1, 0, 0), 1.0)]])}
     )
     rule = QuadratureRule(4)
-    boundary = sum(integrate([omega.pullback(f.to_chart)], f, rule)[0][0] for f in faces)
+    boundary = sum(_over_face([omega.pullback(f.to_chart)], f, rule)[0] for f in faces)
     assert boundary == pytest.approx(1.0, abs=1e-13)
 
 
@@ -307,9 +316,48 @@ def test_integrate_over_is_the_explicit_route(kind):
     else:
         forms = [form.pullback(region.to_chart) for form in forms]
         want = [_integral(form, region.param_box, rule, region.sign) for form in forms]
-    [got] = integrate(forms, region, rule)
+    got = integrate(forms, region, rule)[0] if isinstance(region, Body) else _over_face(
+        forms, region, rule)
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert all(v != 0.0 for v in got)
+
+
+def _groups(kind):
+    """Face groups of each kind: a body's pairs, one face, a 1-dim body's
+    point faces."""
+    if kind == "body groups":
+        return face_groups(Body(unit_box(3), SmoothField.from_expressions(3, [
+            "x1 + 0.1*x3^2", "x2", "x3 - 0.2*x1*x2"])))
+    if kind == "face group":
+        face = boundary_faces(unit_body(2))[1]
+        return [(face, [face])]
+    return face_groups(Body(unit_box(1), SmoothField.from_expressions(1, ["x1 + 0.5*x1^2"])))
+
+
+@pytest.mark.parametrize("kind", ["body groups", "face group", "point-face groups"])
+def test_integrate_describes_each_group_once_before_its_pass(kind, monkeypatch):
+    groups = _groups(kind)
+    events = []
+    real_on_nodes = geometry.on_nodes
+
+    def on_nodes(fn, nodes, width=None):
+        events.append("pass")
+        return real_on_nodes(fn, nodes, width)
+
+    def describe(face, members):
+        events.append((face, list(members)))
+        if face.param_box is None:  # a point face reads a chart 0-form at its point
+            return [FormField(1, 0, [()], SmoothField.from_expressions(1, ["exp(x1)"]))], None
+        dim = face.param_dim
+        return [FormField.volume(SmoothField.from_expressions(dim, ["1 + x1^2"]))], None
+
+    monkeypatch.setattr(geometry, "on_nodes", on_nodes)
+    results = integrate(describe, groups, QuadratureRule(3))
+    assert events == [event for face, members in groups for event in ((face, list(members)),
+                                                                      "pass")]
+    # One list per member, each form's integral and no piece: the edge form is None.
+    assert [len(values) for values in results] == [1] * sum(len(m) for _, m in groups)
+    assert all(value != 0.0 for values in results for value in values)
 
 
 # -- edges -------------------------------------------------------------------
@@ -346,8 +394,8 @@ def test_edge_signs_cancel_global_forms():
         restricted = eta.pullback(face.to_chart)
         for piece in face_boundary_pieces(face):
             pulled = restricted.pullback(piece.to_chart)
-            # A piece is a region of its own: integrate applies its sign.
-            total += face.sign * integrate([pulled], piece, rule)[0][0]
+            # A piece is a face group of itself: integrate applies its sign.
+            total += face.sign * _over_face([pulled], piece, rule)[0]
     assert abs(total) < 1e-12
 
 

@@ -1,9 +1,15 @@
 """Checks on a body carried into the chart by a nonlinear patch."""
 
+import json
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from jetstress.scenarios import ScenarioError, load_scenario, run_checks
+from jetstress.scenarios import _sample_points, generate_scenario, load_scenario, run_checks
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 PATCHED_ORDER2 = {
     "schema": "jetstress-scenario/1",
@@ -53,19 +59,42 @@ FAR_PATCH = {
 }
 
 
-# A known fault: the pointwise checks draw their samples from the body box
-# as if it were chart coordinates (``scenarios._sample_points``), so on this
-# body they read the velocity where it is undefined and stop with its error.
-SAMPLES_THE_REFERENCE_BOX = pytest.mark.xfail(
-    strict=True, raises=ScenarioError,
-    reason="the pointwise checks sample the body box, not its image in the chart")
-
-
-@pytest.mark.parametrize("check", [
-    "balance1",
-    pytest.param("div-consistency", marks=SAMPLES_THE_REFERENCE_BOX),
-    pytest.param("jet-oracle", marks=SAMPLES_THE_REFERENCE_BOX),
-])
+# The pointwise checks draw their samples in the body box and read them at
+# their images under the patch (``scenarios._sample_points``), so on this
+# body they read the velocity where it is defined, as balance1 does.
+@pytest.mark.parametrize("check", ["balance1", "div-consistency", "jet-oracle"])
 def test_every_check_reads_a_far_patched_body_in_the_chart(check):
     [record] = run_checks(load_scenario(FAR_PATCH), [check]).records
     assert np.isfinite(record.residual)
+
+
+def _draws(box, count):
+    """``count`` points uniform in ``box`` from the seed 12345: the sample
+    points of a body as they were drawn before patches were read."""
+    rng = random.Random(12345)
+    return [tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper))
+            for _ in range(count)]
+
+
+def _bits(points):
+    return [[value.hex() for value in point] for point in points]
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(json.loads((SCENARIOS / "patched-metric.json").read_text(encoding="utf-8")),
+                 id="patched-metric"),
+    pytest.param(FAR_PATCH, id="far-patch"),
+])
+def test_sample_points_are_the_patch_images_of_body_box_draws(doc):
+    # One point read of the patch per draw: the images a batched read must
+    # give, bit for bit.
+    body = load_scenario(doc).body
+    want = [tuple(body.patch.values_at(point)) for point in _draws(body.box, 20)]
+    assert _bits(_sample_points(load_scenario(doc), 20)) == _bits(want)
+    assert _bits(want) != _bits(_draws(body.box, 20))
+
+
+def test_an_unpatched_body_samples_its_draws():
+    scenario = load_scenario(generate_scenario(3, 3, 2, 4))
+    assert scenario.body.patch is None
+    assert _bits(_sample_points(scenario, 20)) == _bits(_draws(scenario.body.box, 20))

@@ -489,10 +489,9 @@ def test_monomial_routes_are_the_dict_walk_bit_for_bit(data, dim, order, nodes):
         if nodes > 1 and data.draw(st.booleans()) else data.draw(LEAF_COORDINATE)
         for _ in range(dim)
     )
-    # The tables share their product plans, as those of a scenario's field do;
-    # the second read runs the plans the first one built.
-    plans = {}
-    field = SmoothField.from_series_maps(dim, [monomial_map(t, plans) for t in tables])
+    # Every table shares the product plans of ``taylor._PLANS``; the second
+    # read runs the plans the first one, or an earlier table, built.
+    field = SmoothField.from_series_maps(dim, [monomial_map(t) for t in tables])
     reference = coordinate_series(point, order)
     route = polynomial_dict_walk if order else polynomial_value
     terms = [[(float(coef), [(axis, e) for axis, e in enumerate(exps) if e])
