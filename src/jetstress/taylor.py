@@ -452,11 +452,11 @@ class MonomialTable:
 
     :meth:`series` runs each monomial's product plan, built from the key
     order of the coordinate powers once per chart dim, order and factors,
-    and kept in ``_PLANS`` for every table.  The factors lie on distinct axes, so
-    each kept key of a product comes from one pair of keys, and the plan
-    performs the dict walk's operations in its order (``v * coef``, ``t * p``
-    per kept pair, ``0.0 + v`` or ``acc + v`` into the total, keys in
-    first-appearance order) without product rows, a series per step or a
+    and kept in ``_PLANS`` for every table.  The factors lie on distinct
+    axes, so each kept key of a product comes from one pair of keys, and the
+    plan performs the dict walk's operations in its order (``v * coef``,
+    ``t * p`` per kept pair, ``0.0 + v`` or ``acc + v`` into the total, keys
+    in first-appearance order) without product rows, a series per step or a
     copy of the total per monomial.  Both routes leave out the walk's ``0.0
     +`` on each product inside a monomial: a product reaches the total only
     as ``0.0 + v`` or ``acc + v``, a total made so is never -0.0, and so the

@@ -348,8 +348,7 @@ def test_integrate_describes_each_group_once_before_its_pass(kind, monkeypatch):
         events.append((face, list(members)))
         if face.param_box is None:  # a point face reads a chart 0-form at its point
             return [FormField(1, 0, [()], SmoothField.from_expressions(1, ["exp(x1)"]))], None
-        dim = face.param_dim
-        return [FormField.volume(SmoothField.from_expressions(dim, ["1 + x1^2"]))], None
+        return [FormField.volume(SmoothField.from_expressions(face.param_dim, ["1 + x1^2"]))], None
 
     monkeypatch.setattr(geometry, "on_nodes", on_nodes)
     results = integrate(describe, groups, QuadratureRule(3))
