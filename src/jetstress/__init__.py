@@ -1,8 +1,13 @@
 """Chart-based jet calculus and hyper-stress identity verification.
 
-Exact truncated-Taylor arithmetic drives every derivative, so the power
-balances, traction formulas, and transformation laws checked here are
-limited only by quadrature and float roundoff.
+Exact truncated-Taylor arithmetic drives every derivative, so derivatives
+of polynomial data are exact to float roundoff.  A check's residual tests
+its identity as computed at quadrature order q; the terms themselves can
+still carry quadrature error, which a pass does not rule out.
+
+Importing the package generates no code: its classes are plain classes with
+``__slots__`` and one ``__init__``, not dataclasses, whose methods are
+compiled with ``exec`` at every import.
 """
 
 from .taylor import TruncatedSeries

@@ -290,7 +290,8 @@ def invariance_check(
     in use at the image points, the velocity jets at ``pc.x`` if any quantity
     pairs a velocity), and each sample runs one law per stress order
     in use (the top block's gradient terms shared), the velocity's law, and
-    each quantity's gaps.
+    each quantity's gaps.  The laws run per sample, not over a batch axis:
+    ``einsum`` may change its summation order once a batch axis is added.
     """
     stresses = {1: primed_stress1, 2: primed_stress2}
     selected = []

@@ -3,8 +3,10 @@
 Everything differentiable in this package bottoms out in a
 :class:`TruncatedSeries`: the coefficients of ``(x - x0)^I`` up to a fixed
 total order, stored sparsely by exponent multi-index.  For polynomial data
-all operations are exact up to float roundoff, so downstream identity
-checks are limited only by quadrature error.
+all operations are exact up to float roundoff.  That does not make an
+identity check exact: its residual tests the identity as computed at
+quadrature order q, and the terms themselves can still carry quadrature
+error.
 
 A coefficient is a float, or a numpy array holding one value per node of a
 batch of expansion points.  A float is a batch of one, so one engine serves
@@ -15,6 +17,8 @@ dict at one node as over a batch, and as elementwise ``+``, ``-`` and ``*``
 are the same IEEE operations on arrays as on floats, each node of a batched
 result has the bits of the one-node result, signed zeros included
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).  A
+kept zero times an infinite value is NaN, so a field that overflows reads
+NaN at the nodes where one of its factors is exactly zero.  A
 branch on values that differs across nodes would break that; the one the
 package takes, the pivot row of the transversal solve, each node takes in it.
 

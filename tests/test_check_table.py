@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import jetstress.scenarios
 from jetstress.balance import verify_balance_order2
 from jetstress.cli import main
 from jetstress.geometry import QuadratureRule
-from jetstress.scenarios import CHECK_IDS, generate_scenario, load_scenario, run_checks
+from jetstress.scenarios import (
+    CHECK_IDS, DEFAULT_TOLERANCES, generate_scenario, load_scenario, run_checks,
+)
 from jetstress.stress import verify_balance_order1
 
 REPO = Path(__file__).resolve().parents[1]
@@ -191,3 +194,15 @@ def test_the_readme_claim_table_lists_every_check_id_in_order():
     section = section.split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     assert [row.split("`")[1] for row in rows] == list(CHECK_IDS)
+
+
+def test_the_readme_claim_table_gives_each_check_id_its_default_tolerance():
+    # The "Default tolerance" column of the claim table, row by row.
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("\n### Check ids\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("| ")]
+    cells = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]] for line in table]
+    column = cells[0].index("Default tolerance")
+    listed = {row[0].strip("`"): float(row[column].strip("`")) for row in cells[2:]}
+    assert list(listed) == list(CHECK_IDS)
+    assert listed == DEFAULT_TOLERANCES
